@@ -4,7 +4,8 @@ supervision demos, metrics, and modality-gap analyses.
 Every command takes --out and writes fixed-name outputs there plus a
 run.json capturing the fully resolved flags and output hashes, so any
 run can be reproduced from its metadata alone. Exit codes: 0 success,
-2 usage/validation problems, 3 numerical failures.
+2 usage/validation problems (among them eval-metrics sets whose sample ids
+differ), 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -144,10 +145,16 @@ def _train_config_from_flags(flags: dict) -> TrainConfig:
                        guider_token_count=int(flags["guider_tokens"]))
 
 
-TRAIN_DEFAULTS = {"manifest": None, "seed": 1, "epochs": 10, "batch_size": 32,
-                  "steps_per_epoch": 40, "lr": 0.1, "decay_epochs": "2,4,6",
-                  "decay_factor": 10.0, "momentum": 0.0, "projector_mode": "multi",
-                  "guider_tokens": 1, "pools": "reference"}
+def _train_defaults() -> dict:
+    """Flag defaults of the training commands; the training fields come
+    from ``TrainConfig()`` in their flag spelling."""
+    fields = TrainConfig().to_dict()
+    fields["decay_epochs"] = ",".join(str(e) for e in fields["decay_epochs"])
+    fields["guider_tokens"] = fields.pop("guider_token_count")
+    return {"manifest": None, **fields, "pools": "reference"}
+
+
+TRAIN_DEFAULTS = _train_defaults()
 
 
 def _cmd_train(args, objective: str, command: str) -> int:
@@ -250,7 +257,7 @@ def _feature_set_from_manifest(path: str, tag: str) -> FeatureSet:
     with open(path) as f:
         spec = json.load(f)
     ids = sorted(entry["id"] for entry in spec["samples"])
-    return FeatureSet(np.array([suite.visual_encode(i) for i in ids]), tag)
+    return FeatureSet(np.array([suite.visual_encode(i) for i in ids]), tag, ids)
 
 
 def cmd_eval_metrics(args) -> int:

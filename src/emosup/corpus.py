@@ -217,26 +217,43 @@ def _uniform_choice(items: list, rng: np.random.Generator):
     return items[int(rng.integers(len(items)))]
 
 
+def _train_groups(manifest: CorpusManifest
+                  ) -> tuple[list[Sample], dict[tuple[str, EmotionLabel], list[Sample]]]:
+    """The train split, and its samples grouped by (identity, emotion)."""
+    train = manifest.in_split(TRAIN)
+    if not train:
+        raise ContractError("train split is empty")
+    groups: dict[tuple[str, EmotionLabel], list[Sample]] = {}
+    for s in train:
+        groups.setdefault((s.identity, s.emotion), []).append(s)
+    return train, groups
+
+
+def _train_neutrals(groups: dict[tuple[str, EmotionLabel], list[Sample]],
+                    identity: str) -> list[Sample]:
+    """The identity's train-split neutrals: the only references a training
+    draw may use, so no val sample reaches training through a prompt."""
+    neutrals = groups.get((identity, EmotionLabel.neutral))
+    if not neutrals:
+        raise ContractError(f"identity {identity!r} has no train-split neutral sample")
+    return neutrals
+
+
 def sample_contrastive_batch(manifest: CorpusManifest, pools: NegativePoolTable,
                              batch_size: int,
                              rng: np.random.Generator) -> ContrastiveBatch:
     """Draw anchors uniformly from the train split, a negative prompt
-    uniformly from the anchor emotion's pool, and a uniform neutral
-    reference of the anchor's identity."""
+    uniformly from the anchor emotion's pool, and a uniform train-split
+    neutral reference of the anchor's identity."""
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
-    train = manifest.in_split(TRAIN)
-    if not train:
-        raise ContractError("train split is empty")
+    train, groups = _train_groups(manifest)
     entries = []
     for _ in range(batch_size):
         anchor = _uniform_choice(train, rng)
         negatives = sorted(pools.pool[anchor.emotion])
         negative = _uniform_choice(negatives, rng)
-        neutrals = manifest.neutrals_of(anchor.identity)
-        if not neutrals:
-            raise ContractError(f"identity {anchor.identity!r} has no neutral sample")
-        reference = _uniform_choice(neutrals, rng)
+        reference = _uniform_choice(_train_neutrals(groups, anchor.identity), rng)
         entries.append(ContrastiveEntry(anchor, anchor.emotion, negative, reference))
     return ContrastiveBatch(entries)
 
@@ -252,7 +269,8 @@ class PairDraw:
 
 def sample_pair_batch(manifest: CorpusManifest, pools: NegativePoolTable,
                       batch_size: int, rng: np.random.Generator) -> list[PairDraw]:
-    """Draw same-identity source/target pairs for difference objectives.
+    """Draw same-identity source/target pairs for difference objectives,
+    each with a uniform train-split neutral reference of the identity.
 
     The target emotion is drawn uniformly from the source emotion's pool,
     restricted to emotions the identity actually has in the train split
@@ -260,13 +278,7 @@ def sample_pair_batch(manifest: CorpusManifest, pools: NegativePoolTable,
     """
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
-    train = manifest.in_split(TRAIN)
-    if not train:
-        raise ContractError("train split is empty")
-    by_identity_emotion: dict[tuple[str, EmotionLabel], list[Sample]] = {}
-    for s in train:
-        by_identity_emotion.setdefault((s.identity, s.emotion), []).append(s)
-
+    train, by_identity_emotion = _train_groups(manifest)
     draws = []
     for _ in range(batch_size):
         source = _uniform_choice(train, rng)
@@ -277,9 +289,7 @@ def sample_pair_batch(manifest: CorpusManifest, pools: NegativePoolTable,
                                 f"target emotion for {source.emotion.name}")
         target_emotion = _uniform_choice(candidates, rng)
         target = _uniform_choice(by_identity_emotion[(source.identity, target_emotion)], rng)
-        neutrals = manifest.neutrals_of(source.identity)
-        if not neutrals:
-            raise ContractError(f"identity {source.identity!r} has no neutral sample")
-        reference = _uniform_choice(neutrals, rng)
+        reference = _uniform_choice(_train_neutrals(by_identity_emotion,
+                                                    source.identity), rng)
         draws.append(PairDraw(source, target, reference))
     return draws

@@ -168,6 +168,9 @@ class SyntheticWorld:
     token_map: np.ndarray               # d_e x d_tok
     latent_to_token: np.ndarray         # d_tok x d_latent
     emotion_word_tokens: dict[str, np.ndarray] = field(default_factory=dict)
+    # hashed draws of the other words, made once per world (read-only arrays)
+    _word_tokens: dict[str, np.ndarray] = field(default_factory=dict, init=False,
+                                                repr=False, compare=False)
 
     @property
     def identity_names(self) -> list[str]:
@@ -196,9 +199,14 @@ class SyntheticWorld:
     def word_token(self, word: str) -> np.ndarray:
         if word in self.emotion_word_tokens:
             return self.emotion_word_tokens[word]
-        rng = _hash_generator(self.seed, "word", word)
-        t = rng.standard_normal(self.config.d_tok)
-        return self.config.word_token_scale * t / np.linalg.norm(t)
+        token = self._word_tokens.get(word)
+        if token is None:
+            rng = _hash_generator(self.seed, "word", word)
+            t = rng.standard_normal(self.config.d_tok)
+            token = self.config.word_token_scale * t / np.linalg.norm(t)
+            token.flags.writeable = False
+            self._word_tokens[word] = token
+        return token
 
     def _noise(self, ref: str) -> np.ndarray:
         if self.config.noise_sigma == 0:

@@ -21,13 +21,20 @@ from .numerics import as_matrix, as_vector, cosine_with_flag, psd_sqrt_trace
 
 @dataclass
 class FeatureSet:
-    """A stack of same-dimension feature vectors with a provenance tag."""
+    """A stack of same-dimension feature vectors with a provenance tag and,
+    optionally, one sample id per row (the key the pairwise metrics pair on)."""
 
     vectors: np.ndarray
     source_tag: str = ""
+    ids: list[str] | None = None
 
     def __post_init__(self):
         self.vectors = as_matrix(self.vectors, name=f"features[{self.source_tag}]")
+        if self.ids is not None:
+            self.ids = list(self.ids)
+            if len(self.ids) != self.n or len(set(self.ids)) != self.n:
+                raise ContractError(f"features[{self.source_tag}] needs {self.n} "
+                                    f"distinct ids, got {len(set(self.ids))}")
 
     @property
     def n(self) -> int:
@@ -103,13 +110,30 @@ def csim(gen_embs: list[np.ndarray], real_embs: list[np.ndarray]) -> float:
                           for g, r in zip(gen_embs, real_embs)]))
 
 
+def _paired_gen_rows(real: FeatureSet, gen: FeatureSet) -> np.ndarray | None:
+    """The generated rows aligned to the real rows: by sample id when both
+    sets carry ids (a differing id set is an error), else by position when
+    the counts match, else None."""
+    if real.ids is None or gen.ids is None:
+        return gen.vectors if real.n == gen.n else None
+    unmatched = set(real.ids) ^ set(gen.ids)
+    if unmatched:
+        raise ContractError(f"{len(unmatched)} sample ids are unmatched between the "
+                            f"{real.source_tag or 'real'} and {gen.source_tag or 'gen'} "
+                            f"sets ({real.n} and {gen.n} ids)")
+    row_of = {sample_id: i for i, sample_id in enumerate(gen.ids)}
+    return gen.vectors[[row_of[sample_id] for sample_id in real.ids]]
+
+
 def metric_report(real: FeatureSet, gen: FeatureSet) -> dict:
-    """All three metrics between two feature sets, treating the stacks as
-    aligned sequences for the pairwise metrics (requires equal counts)."""
+    """All three metrics between two feature sets. The pairwise metrics
+    pair rows by sample id when both sets carry ids, and otherwise treat
+    the stacks as aligned sequences (requiring equal counts)."""
+    paired_gen = _paired_gen_rows(real, gen)
     report = {"fad": fad(real, gen), "n_real": real.n, "n_gen": gen.n}
-    if real.n == gen.n:
+    if paired_gen is not None:
         pairs_real = list(real.vectors)
-        pairs_gen = list(gen.vectors)
+        pairs_gen = list(paired_gen)
         report["lse_d"] = lse_d(pairs_real, pairs_gen)
         report["csim"] = csim(pairs_gen, pairs_real)
     else:

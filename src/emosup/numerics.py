@@ -3,7 +3,9 @@ analytic gradients, SGD updates, and the PSD square-root trace term used
 by Frechet-style distances.
 
 Everything here is a pure function of its inputs and operates on float64
-numpy arrays. Vectors are 1-D arrays, matrices 2-D row-major arrays.
+numpy arrays. Vectors are 1-D arrays, matrices 2-D row-major arrays. The
+MLP passes and ``cosine_grads`` also take a row-stacked ``(B, d)`` batch;
+a 1-D input is the B = 1 case and comes back 1-D.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ContractError(f"{name} must be a non-empty 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractError(f"{name} contains non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise ContractError(f"{name} has dim {v.shape[0]}, expected {dim}")
@@ -39,7 +41,7 @@ def as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") -> 
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ContractError(f"{name} must be a non-empty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractError(f"{name} contains non-finite entries")
     if shape is not None and m.shape != shape:
         raise ContractError(f"{name} has shape {m.shape}, expected {shape}")
@@ -71,17 +73,53 @@ def cosine_similarity(a, b) -> float:
     return sim
 
 
+def _as_rows(x, dim: int | None, name: str) -> np.ndarray:
+    """Validate a 1-D vector or a row-stack; always returns a 2-D view."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        return as_vector(x, dim=dim, name=name)[None, :]
+    m = as_matrix(x, name=name)
+    if dim is not None and m.shape[1] != dim:
+        raise ContractError(f"{name} has dim {m.shape[1]}, expected {dim}")
+    return m
+
+
+def _cosine_parts(a, b):
+    """Row-stacked a, b (1-D lifted to one row), their norms, row-wise
+    cosines and the degeneracy mask; degenerate rows have cosine 0."""
+    a2 = _as_rows(a, None, "a")
+    b2 = _as_rows(b, a2.shape[1], "b")
+    if a2.shape != b2.shape:
+        raise ContractError(f"a has shape {a2.shape}, b has {b2.shape}")
+    na = np.linalg.norm(a2, axis=1)
+    nb = np.linalg.norm(b2, axis=1)
+    degenerate = (na < EPS_NORM) | (nb < EPS_NORM)
+    denom = np.where(degenerate, 1.0, na * nb)
+    cos = np.where(degenerate, 0.0, np.einsum("ij,ij->i", a2, b2) / denom)
+    return a2, b2, na, nb, cos, degenerate
+
+
+def cosine_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``cosine_with_flag`` over two ``(B, d)`` stacks: returns the
+    B similarities and the B degeneracy flags (degenerate rows give 0)."""
+    *_, cos, degenerate = _cosine_parts(a, b)
+    return cos, degenerate
+
+
 def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of cosine(a, b) w.r.t. a and b (zeros for degenerate inputs)."""
-    a = as_vector(a, name="a")
-    b = as_vector(b, dim=a.shape[0], name="b")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < EPS_NORM or nb < EPS_NORM:
-        return np.zeros_like(a), np.zeros_like(b)
-    cos = float(np.dot(a, b) / (na * nb))
-    da = b / (na * nb) - cos * a / (na * na)
-    db = a / (na * nb) - cos * b / (nb * nb)
+    """Gradients of cosine(a, b) w.r.t. a and b (zeros for degenerate inputs).
+
+    Row-stacked inputs give the gradients of each row's cosine.
+    """
+    a2, b2, na, nb, cos, degenerate = _cosine_parts(a, b)
+    na = np.where(degenerate, 1.0, na)[:, None]
+    nb = np.where(degenerate, 1.0, nb)[:, None]
+    cos = cos[:, None]
+    keep = ~degenerate[:, None]
+    da = np.where(keep, b2 / (na * nb) - cos * a2 / (na * na), 0.0)
+    db = np.where(keep, a2 / (na * nb) - cos * b2 / (nb * nb), 0.0)
+    if np.ndim(a) == 1:
+        return da[0], db[0]
     return da, db
 
 
@@ -180,16 +218,22 @@ def identity_mlp(dim: int, depth: int = 1, activation: str = IDENTITY) -> MlpPar
 
 @dataclass
 class MlpCache:
-    """Forward-pass intermediates needed by the backward pass."""
+    """Forward-pass intermediates needed by the backward pass, stored as
+    row stacks; ``stacked`` records whether the input was ``(B, d)``."""
 
     params: MlpParams
-    inputs: list[np.ndarray]          # input to each layer
-    preactivations: list[np.ndarray]  # z = W x + b per layer
+    inputs: list[np.ndarray]          # input to each layer, (B, in)
+    preactivations: list[np.ndarray]  # z = x W^T + b per layer, (B, out)
+    stacked: bool
 
 
 @dataclass
 class MlpGrads:
-    """Per-layer (dW, db) plus the gradient w.r.t. the network input."""
+    """Per-layer (dW, db) plus the gradient w.r.t. the network input.
+
+    After a row-stacked backward pass ``input_grad`` holds one row per
+    input row; the parameter gradients are summed over the rows.
+    """
 
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
@@ -205,7 +249,10 @@ class MlpGrads:
             mine += theirs
         for mine, theirs in zip(self.bias_grads, other.bias_grads):
             mine += theirs
-        self.input_grad += other.input_grad
+        input_grad = other.input_grad
+        if input_grad.ndim == 2:  # row-stacked: add the total over the rows
+            input_grad = input_grad.sum(axis=0)
+        self.input_grad += input_grad
 
 
 def grads_zeros_like(p: MlpParams) -> MlpGrads:
@@ -221,15 +268,20 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
-    """Forward pass returning the output and a cache for ``mlp_backward``."""
-    h = as_vector(x, dim=p.in_dim, name="mlp input")
+    """Forward pass returning the output and a cache for ``mlp_backward``.
+
+    ``x`` is one input vector or a ``(B, in)`` stack of them; the output
+    has the same layout.
+    """
+    stacked = np.ndim(x) == 2
+    h = _as_rows(x, p.in_dim, "mlp input")
     inputs, preacts = [], []
     for layer in p.layers:
         inputs.append(h)
-        z = layer.weights @ h + layer.bias
+        z = h @ layer.weights.T + layer.bias
         preacts.append(z)
         h = _apply_activation(z, layer.activation)
-    return h, MlpCache(p, inputs, preacts)
+    return (h if stacked else h[0]), MlpCache(p, inputs, preacts, stacked)
 
 
 def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
@@ -237,19 +289,26 @@ def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
     weights, biases, and the input.
 
     The cache must come from a forward call on the same parameter object.
+    After a stacked forward pass ``upstream_grad`` holds one row per input
+    row; the weight and bias gradients are then sums over the rows and the
+    input gradient keeps one row per input.
     """
     if cache.params is not p:
         raise ContractError("stale cache: produced by a different parameter set")
-    u = as_vector(upstream_grad, dim=p.out_dim, name="upstream grad")
+    u = _as_rows(upstream_grad, p.out_dim, "upstream grad")
+    if cache.stacked != (np.ndim(upstream_grad) == 2) \
+            or u.shape[0] != cache.inputs[0].shape[0]:
+        raise ContractError(f"upstream grad shape {np.shape(upstream_grad)} does not "
+                            f"match the forward batch")
     weight_grads: list[np.ndarray] = [None] * len(p.layers)
     bias_grads: list[np.ndarray] = [None] * len(p.layers)
     for i in range(len(p.layers) - 1, -1, -1):
         layer = p.layers[i]
         dz = u if layer.activation == IDENTITY else u * (cache.preactivations[i] > 0.0)
-        weight_grads[i] = np.outer(dz, cache.inputs[i])
-        bias_grads[i] = dz.copy()
-        u = layer.weights.T @ dz
-    return MlpGrads(weight_grads, bias_grads, u)
+        weight_grads[i] = dz.T @ cache.inputs[i]
+        bias_grads[i] = dz.sum(axis=0)
+        u = dz @ layer.weights
+    return MlpGrads(weight_grads, bias_grads, u if cache.stacked else u[0])
 
 
 def sgd_step(p: MlpParams, grads: MlpGrads, lr: float) -> MlpParams:
@@ -260,7 +319,7 @@ def sgd_step(p: MlpParams, grads: MlpGrads, lr: float) -> MlpParams:
     if lr < 0:
         raise ContractError(f"learning rate must be >= 0, got {lr}")
     for g in grads.weight_grads + grads.bias_grads:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError("non-finite gradient, aborting SGD step")
     layers = []
     for layer, dw, db in zip(p.layers, grads.weight_grads, grads.bias_grads):

@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (ContrastiveBatch, CorpusManifest, NegativePoolTable, Sample,
-                     sample_contrastive_batch, sample_pair_batch)
+from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
+                     PairDraw, Sample, sample_contrastive_batch, sample_pair_batch)
 from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite, TokenSequence
 from .errors import ContractError, FrozenParameterError, NumericalError
-from .numerics import (MlpGrads, MlpParams, cosine_grads, cosine_with_flag,
-                       grads_zeros_like, init_mlp, mlp_backward, mlp_forward,
-                       sgd_step)
+from .numerics import (MlpGrads, MlpParams, cosine_grads, cosine_rows,
+                       cosine_with_flag, grads_zeros_like, init_mlp, mlp_backward,
+                       mlp_forward, sgd_step)
 
 MULTI = "multi"
 SINGLE_CONDITIONAL = "single_conditional"
@@ -196,16 +196,20 @@ def emotion_visual_embedding(bank: EmotionProjectorBank, sample: Sample,
 
 def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
                    emotion: EmotionLabel) -> tuple[np.ndarray, object, MlpParams]:
-    """Apply the projector for ``emotion`` to a visual embedding.
+    """Apply the projector for ``emotion`` to a visual embedding, or to a
+    ``(B, d_e)`` stack of embeddings that share the emotion.
 
     Returns (embedding, forward cache, the projector used) so callers can
     backpropagate. In single_conditional mode the one-hot emotion code is
-    appended to the input.
+    appended to each input.
     """
     emotion = EmotionLabel(emotion)
     net = bank.projector_for(emotion)
-    x = np.concatenate([visual, one_hot(emotion)]) if bank.mode == SINGLE_CONDITIONAL \
-        else visual
+    x = visual
+    if bank.mode == SINGLE_CONDITIONAL:
+        code = one_hot(emotion)
+        x = np.concatenate([visual, np.broadcast_to(code, np.shape(visual)[:-1] + code.shape)],
+                           axis=-1)
     out, cache = mlp_forward(net, x)
     return out, cache, net
 
@@ -230,7 +234,7 @@ class TrainConfig:
     default divides at epochs 2, 4 and 6 of a 10-epoch run).
     """
 
-    seed: int = 0
+    seed: int = 1
     epochs: int = 10
     batch_size: int = 32
     steps_per_epoch: int = 40
@@ -308,24 +312,83 @@ def _fresh_checkpoint(suite: EncoderSuite, config: TrainConfig,
                                config.guider_token_count)
 
 
-def _personalized_embedding_with_caches(ckpt: AlignmentCheckpoint, reference: Sample,
-                                        emotion: EmotionLabel, suite: EncoderSuite):
-    """Forward pass of one personalized prompt, keeping what backward needs."""
-    id_feat = suite.backbone_identity(reference.image_ref)
-    head_out, head_cache = mlp_forward(ckpt.guider_head, id_feat)
-    tokens = [head_out[i * ckpt.d_tok:(i + 1) * ckpt.d_tok]
-              for i in range(ckpt.token_count)]
-    seq = TokenSequence(tokens + suite.tokenize(prompt_for(emotion)).tokens)
-    emb = suite.text_encode(seq)
-    return emb, seq, head_cache
+@dataclass
+class _FrozenTable:
+    """Frozen-encoder outputs a training step reads: visual embeddings by
+    sample id, identity-backbone features by reference id, and the tokens
+    of each emotion's plain prompt. The encoders never change, so a
+    training run computes these once instead of once per entry."""
+
+    visual: dict[str, np.ndarray]
+    identity: dict[str, np.ndarray]
+    prompt_tokens: dict[EmotionLabel, list[np.ndarray]]
 
 
-def _text_grad_to_head(ckpt: AlignmentCheckpoint, seq: TokenSequence, head_cache,
-                       upstream: np.ndarray, suite: EncoderSuite) -> MlpGrads:
-    """Chain an embedding gradient through the prepended tokens into the head."""
-    token_grads = [suite.text_token_vjp(seq, i, upstream)
-                   for i in range(ckpt.token_count)]
-    return mlp_backward(ckpt.guider_head, head_cache, np.concatenate(token_grads))
+def _frozen_table(samples: list[Sample], references: list[Sample],
+                  suite: EncoderSuite) -> _FrozenTable:
+    return _FrozenTable(
+        {s.id: suite.visual_encode(s.image_ref) for s in dict.fromkeys(samples)},
+        {r.id: suite.backbone_identity(r.image_ref) for r in dict.fromkeys(references)},
+        {e: suite.tokenize(prompt_for(e)).tokens for e in EMOTIONS})
+
+
+def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
+                       table: _FrozenTable, suite: EncoderSuite):
+    """One guider-head forward pass over the references' identity features.
+
+    Returns two functions. ``embed(emotions)`` encodes each reference's
+    personalized prompt for the matching emotion: a ``(B, d_e)`` stack
+    plus the token sequences. ``backward(terms)`` takes ``(seqs, upstream)``
+    pairs of such sequences and ``(B, d_e)`` embedding gradients, chains
+    them through the prepended tokens, and runs one head backward pass on
+    their sum (the head's backward is linear in its upstream gradient).
+    """
+    head_out, head_cache = mlp_forward(
+        ckpt.guider_head, np.stack([table.identity[r.id] for r in references]))
+    d_tok, count = ckpt.d_tok, ckpt.token_count
+    tokens = [[row[i * d_tok:(i + 1) * d_tok] for i in range(count)] for row in head_out]
+
+    def embed(emotions: list[EmotionLabel]):
+        seqs = [TokenSequence(toks + table.prompt_tokens[e])
+                for toks, e in zip(tokens, emotions)]
+        return np.stack([suite.text_encode(seq) for seq in seqs]), seqs
+
+    def backward(terms) -> MlpGrads:
+        upstream = np.zeros_like(head_out)
+        for seqs, embedding_grads in terms:
+            for row, seq, u in zip(upstream, seqs, embedding_grads):
+                row += np.concatenate([suite.text_token_vjp(seq, i, u)
+                                       for i in range(count)])
+        return mlp_backward(ckpt.guider_head, head_cache, upstream)
+
+    return embed, backward
+
+
+def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
+                  table: _FrozenTable):
+    """Project each sample's visual embedding with its emotion's projector,
+    one stacked pass per emotion present.
+
+    Returns the ``(B, d_e)`` projections and ``backward(upstream, grads)``,
+    which adds each pass's projector gradients into ``grads`` (laid out as
+    ``ckpt.all_params()``).
+    """
+    visual = np.stack([table.visual[s.id] for s in samples])
+    codes = np.array([int(s.emotion) for s in samples])
+    out = np.empty((len(samples), visual.shape[1]))
+    passes = []
+    for emotion in EMOTIONS:
+        rows = np.flatnonzero(codes == int(emotion))
+        if rows.size:
+            projected, cache, net = project_visual(bank, visual[rows], emotion)
+            out[rows] = projected
+            passes.append((rows, cache, net, 1 + (int(emotion) if bank.mode == MULTI else 0)))
+
+    def backward(upstream: np.ndarray, grads: list[MlpGrads]) -> None:
+        for rows, cache, net, index in passes:
+            grads[index].add_(mlp_backward(net, cache, upstream[rows]))
+
+    return out, backward
 
 
 class _Sgd:
@@ -354,88 +417,70 @@ def _rebind(ckpt: AlignmentCheckpoint, params: list[MlpParams]) -> None:
 
 
 def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
-                           suite: EncoderSuite) -> tuple[float, list[MlpGrads]]:
+                           suite: EncoderSuite, table: _FrozenTable | None = None
+                           ) -> tuple[float, list[MlpGrads]]:
     """Mean contrastive loss over a batch plus gradients for head and bank.
 
     Gradient layout matches ``ckpt.all_params()``: the guider head first,
-    then the projectors in bank order.
+    then the projectors in bank order. ``table`` holds the frozen-encoder
+    outputs; without one they are computed for this batch.
     """
-    params = ckpt.all_params()
-    grads = [grads_zeros_like(p) for p in params]
-    total = 0.0
-    scale = 1.0 / len(batch.entries)
-    for entry in batch.entries:
-        t_pos, seq_pos, cache_pos = _personalized_embedding_with_caches(
-            ckpt, entry.reference, entry.positive_prompt, suite)
-        t_neg, seq_neg, cache_neg = _personalized_embedding_with_caches(
-            ckpt, entry.reference, entry.negative_prompt, suite)
-        visual = suite.visual_encode(entry.anchor.image_ref)
-        i_vis, proj_cache, net = project_visual(ckpt.bank, visual, entry.anchor.emotion)
+    entries = batch.entries
+    anchors = [e.anchor for e in entries]
+    references = [e.reference for e in entries]
+    if table is None:
+        table = _frozen_table(anchors, references, suite)
+    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    scale = 1.0 / len(entries)
+    embed, head_backward = _personalized_rows(ckpt, references, table, suite)
+    t_pos, seq_pos = embed([e.positive_prompt for e in entries])
+    t_neg, seq_neg = embed([e.negative_prompt for e in entries])
+    i_vis, projector_backward = _project_rows(ckpt.bank, anchors, table)
 
-        sim_pos, d_tpos, d_ivis_pos = _sim_and_grads(t_pos, i_vis)
-        sim_neg, d_tneg, d_ivis_neg = _sim_and_grads(t_neg, i_vis)
-        total += (1.0 - sim_pos) + sim_neg
-
-        # d loss / d t_pos = -d sim_pos, d loss / d t_neg = +d sim_neg
-        grads[0].add_(_text_grad_to_head(ckpt, seq_pos, cache_pos,
-                                         -scale * d_tpos, suite))
-        grads[0].add_(_text_grad_to_head(ckpt, seq_neg, cache_neg,
-                                         scale * d_tneg, suite))
-        upstream_vis = scale * (d_ivis_neg - d_ivis_pos)
-        proj_index = 1 + (int(entry.anchor.emotion) if ckpt.bank.mode == MULTI else 0)
-        grads[proj_index].add_(mlp_backward(net, proj_cache, upstream_vis))
-    return total * scale, grads
+    sim_pos, _ = cosine_rows(t_pos, i_vis)
+    sim_neg, _ = cosine_rows(t_neg, i_vis)
+    d_tpos, d_ivis_pos = cosine_grads(t_pos, i_vis)
+    d_tneg, d_ivis_neg = cosine_grads(t_neg, i_vis)
+    # d loss / d t_pos = -d sim_pos, d loss / d t_neg = +d sim_neg
+    grads[0].add_(head_backward([(seq_pos, -scale * d_tpos), (seq_neg, scale * d_tneg)]))
+    projector_backward(scale * (d_ivis_neg - d_ivis_pos), grads)
+    return float(np.sum((1.0 - sim_pos) + sim_neg)) * scale, grads
 
 
-def _sim_and_grads(a: np.ndarray, b: np.ndarray):
-    sim, degenerate = cosine_with_flag(a, b)
-    if degenerate:
-        return 0.0, np.zeros_like(a), np.zeros_like(b)
-    da, db = cosine_grads(a, b)
-    return sim, da, db
-
-
-def difference_step_grads(ckpt: AlignmentCheckpoint, draws, suite: EncoderSuite
+def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
+                          suite: EncoderSuite, table: _FrozenTable | None = None
                           ) -> tuple[float, list[MlpGrads]]:
     """Mean difference-alignment loss over sampled pairs plus gradients.
 
     Used by the ablation that pre-trains with the difference objective
     instead of the contrastive one. Note the identity token cancels in
     the text difference, so under a linear text encoder the guider head
-    receives exactly zero gradient here.
+    receives exactly zero gradient here. A degenerate pair (a zero-norm
+    difference) counts as loss 1 and contributes no gradient.
     """
-    params = ckpt.all_params()
-    grads = [grads_zeros_like(p) for p in params]
-    total = 0.0
-    scale = 1.0 / len(draws)
-    for draw in draws:
-        t_s, seq_s, cache_s = _personalized_embedding_with_caches(
-            ckpt, draw.reference, draw.source.emotion, suite)
-        t_t, seq_t, cache_t = _personalized_embedding_with_caches(
-            ckpt, draw.reference, draw.target.emotion, suite)
-        vis_s = suite.visual_encode(draw.source.image_ref)
-        vis_t = suite.visual_encode(draw.target.image_ref)
-        i_s, cache_is, net_s = project_visual(ckpt.bank, vis_s, draw.source.emotion)
-        i_t, cache_it, net_t = project_visual(ckpt.bank, vis_t, draw.target.emotion)
+    n = len(draws)
+    sources = [d.source for d in draws]
+    targets = [d.target for d in draws]
+    references = [d.reference for d in draws]
+    if table is None:
+        table = _frozen_table(sources + targets, references, suite)
+    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    scale = 1.0 / n
+    embed, head_backward = _personalized_rows(ckpt, references, table, suite)
+    t_s, seq_s = embed([s.emotion for s in sources])
+    t_t, seq_t = embed([s.emotion for s in targets])
+    # sources fill the first n rows, targets the last n
+    i_vis, projector_backward = _project_rows(ckpt.bank, sources + targets, table)
 
-        i_diff = i_s - i_t
-        t_diff = t_s - t_t
-        sim, degenerate = cosine_with_flag(i_diff, t_diff)
-        if degenerate:
-            total += 1.0
-            continue
-        total += 1.0 - sim
-        d_idiff, d_tdiff = cosine_grads(i_diff, t_diff)
-        d_idiff = -scale * d_idiff   # loss = 1 - sim
-        d_tdiff = -scale * d_tdiff
-
-        grads[0].add_(_text_grad_to_head(ckpt, seq_s, cache_s, d_tdiff, suite))
-        grads[0].add_(_text_grad_to_head(ckpt, seq_t, cache_t, -d_tdiff, suite))
-        idx_s = 1 + (int(draw.source.emotion) if ckpt.bank.mode == MULTI else 0)
-        idx_t = 1 + (int(draw.target.emotion) if ckpt.bank.mode == MULTI else 0)
-        grads[idx_s].add_(mlp_backward(net_s, cache_is, d_idiff))
-        grads[idx_t].add_(mlp_backward(net_t, cache_it, -d_idiff))
-    return total * scale, grads
+    i_diff = i_vis[:n] - i_vis[n:]
+    t_diff = t_s - t_t
+    sim, _ = cosine_rows(i_diff, t_diff)  # 0 on degenerate rows: loss 1, no gradient
+    d_idiff, d_tdiff = cosine_grads(i_diff, t_diff)
+    d_idiff = -scale * d_idiff   # loss = 1 - sim
+    d_tdiff = -scale * d_tdiff
+    grads[0].add_(head_backward([(seq_s, d_tdiff), (seq_t, -d_tdiff)]))
+    projector_backward(np.concatenate([d_idiff, -d_idiff]), grads)
+    return float(np.sum(1.0 - sim)) * scale, grads
 
 
 def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
@@ -445,16 +490,20 @@ def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
     rng = np.random.Generator(np.random.PCG64(config.seed))
     ckpt = _fresh_checkpoint(suite, config, rng)
     optimizer = _Sgd(ckpt.all_params(), config.momentum)
+    # the samplers draw anchors, pairs and neutral references from train only
+    train = manifest.in_split(TRAIN)
+    table = _frozen_table(train, [s for s in train if s.emotion == EmotionLabel.neutral],
+                          suite)
     records = []
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
         for step in range(config.steps_per_epoch):
             if objective == "contrastive":
                 batch = sample_contrastive_batch(manifest, pools, config.batch_size, rng)
-                loss, grads = contrastive_step_grads(ckpt, batch, suite)
+                loss, grads = contrastive_step_grads(ckpt, batch, suite, table)
             else:
                 draws = sample_pair_batch(manifest, pools, config.batch_size, rng)
-                loss, grads = difference_step_grads(ckpt, draws, suite)
+                loss, grads = difference_step_grads(ckpt, draws, suite, table)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
             _rebind(ckpt, optimizer.step(ckpt.all_params(), grads, lr))

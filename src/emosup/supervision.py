@@ -190,10 +190,16 @@ class _DemoContext:
 
 
 def _l2_grad_on_generated(ctx: _DemoContext, source: Sample, generated: np.ndarray,
-                          target_emotion: EmotionLabel) -> tuple[float, np.ndarray]:
+                          target_emotion: EmotionLabel,
+                          with_grad: bool = True) -> tuple[float, np.ndarray]:
     """Difference loss of (source, generated) and its gradient w.r.t. the
-    generated embedding, through the frozen target-emotion projector."""
-    from .differencing import DifferencePair, difference_loss_with_grads
+    generated embedding, through the frozen target-emotion projector.
+
+    Without ``with_grad`` only the loss is computed and the gradient is
+    zeros: the backward pass through the frozen projector is skipped.
+    """
+    from .differencing import (DifferencePair, difference_loss,
+                               difference_loss_with_grads)
     from .numerics import EPS_NORM
 
     ckpt = ctx.ckpt
@@ -203,6 +209,8 @@ def _l2_grad_on_generated(ctx: _DemoContext, source: Sample, generated: np.ndarr
     degenerate = bool(np.linalg.norm(visual_diff) < EPS_NORM
                       or np.linalg.norm(text_diff) < EPS_NORM)
     dp = DifferencePair(visual_diff, text_diff, degenerate)
+    if not with_grad:
+        return difference_loss(dp), np.zeros_like(generated)
     loss, d_vis_diff, _ = difference_loss_with_grads(dp)
     # visual_diff = projected_source - visual_gen, so d/d visual_gen = -d_vis_diff
     upstream = -d_vis_diff
@@ -241,7 +249,10 @@ def _train_generator(manifest: CorpusManifest, ctx: _DemoContext, lam_value: flo
             out, cache = gen.generate(ctx.visual[source.id], target_emotion)
             base_val, base_grad = base_loss(out, truth)
             if difference_path:
-                l2_val, l2_grad = _l2_grad_on_generated(ctx, source, out, target_emotion)
+                # lambda 0 still reports the L2 value, but total_loss would
+                # multiply its gradient by 0
+                l2_val, l2_grad = _l2_grad_on_generated(ctx, source, out, target_emotion,
+                                                        with_grad=lam_value != 0)
             else:
                 l2_val, l2_grad = 0.0, np.zeros_like(out)
             _, upstream = total_loss(base_val, base_grad, l2_val, l2_grad,

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import emosup as es
+
+# Property tests draw the same examples on every run, and no example fails
+# for taking long on a slow or busy CPU.
+settings.register_profile("emosup", derandomize=True, deadline=None)
+settings.load_profile("emosup")
 
 
 @pytest.fixture(scope="session")

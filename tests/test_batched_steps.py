@@ -1,0 +1,279 @@
+"""The batched L1/L2 training steps against the per-entry loops they replace,
+and the row-stacked numerics they run on.
+
+The per-entry loops below are the reference: each entry runs its own
+guider-head and projector passes, in batch order, exactly as training did
+before the steps were batched.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import emosup as es
+import emosup.prompts as pr
+from emosup.encoders import TokenSequence, _hash_generator
+from emosup.numerics import (cosine_grads, cosine_with_flag, grads_zeros_like, init_mlp,
+                             mlp_backward, mlp_forward)
+
+MODES = [pr.MULTI, pr.SINGLE_CONDITIONAL]
+
+
+# ---------------------------------------------------------------------------
+# per-entry reference
+# ---------------------------------------------------------------------------
+
+def personalized_per_entry(ckpt, reference, emotion, suite):
+    id_feat = suite.backbone_identity(reference.image_ref)
+    head_out, head_cache = mlp_forward(ckpt.guider_head, id_feat)
+    tokens = [head_out[i * ckpt.d_tok:(i + 1) * ckpt.d_tok]
+              for i in range(ckpt.token_count)]
+    seq = TokenSequence(tokens + suite.tokenize(es.prompt_for(emotion)).tokens)
+    return suite.text_encode(seq), seq, head_cache
+
+
+def head_grads_per_entry(ckpt, seq, head_cache, upstream, suite):
+    token_grads = [suite.text_token_vjp(seq, i, upstream) for i in range(ckpt.token_count)]
+    return mlp_backward(ckpt.guider_head, head_cache, np.concatenate(token_grads))
+
+
+def sim_and_grads(a, b):
+    sim, degenerate = cosine_with_flag(a, b)
+    if degenerate:
+        return 0.0, np.zeros_like(a), np.zeros_like(b)
+    da, db = cosine_grads(a, b)
+    return sim, da, db
+
+
+def projector_index(ckpt, emotion):
+    return 1 + (int(emotion) if ckpt.bank.mode == pr.MULTI else 0)
+
+
+def contrastive_per_entry(ckpt, batch, suite):
+    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    total = 0.0
+    scale = 1.0 / len(batch.entries)
+    for entry in batch.entries:
+        t_pos, seq_pos, cache_pos = personalized_per_entry(
+            ckpt, entry.reference, entry.positive_prompt, suite)
+        t_neg, seq_neg, cache_neg = personalized_per_entry(
+            ckpt, entry.reference, entry.negative_prompt, suite)
+        visual = suite.visual_encode(entry.anchor.image_ref)
+        i_vis, proj_cache, net = pr.project_visual(ckpt.bank, visual, entry.anchor.emotion)
+        sim_pos, d_tpos, d_ivis_pos = sim_and_grads(t_pos, i_vis)
+        sim_neg, d_tneg, d_ivis_neg = sim_and_grads(t_neg, i_vis)
+        total += (1.0 - sim_pos) + sim_neg
+        grads[0].add_(head_grads_per_entry(ckpt, seq_pos, cache_pos, -scale * d_tpos, suite))
+        grads[0].add_(head_grads_per_entry(ckpt, seq_neg, cache_neg, scale * d_tneg, suite))
+        grads[projector_index(ckpt, entry.anchor.emotion)].add_(
+            mlp_backward(net, proj_cache, scale * (d_ivis_neg - d_ivis_pos)))
+    return total * scale, grads
+
+
+def difference_per_entry(ckpt, draws, suite):
+    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    total = 0.0
+    scale = 1.0 / len(draws)
+    for draw in draws:
+        t_s, seq_s, cache_s = personalized_per_entry(ckpt, draw.reference,
+                                                     draw.source.emotion, suite)
+        t_t, seq_t, cache_t = personalized_per_entry(ckpt, draw.reference,
+                                                     draw.target.emotion, suite)
+        i_s, cache_is, net_s = pr.project_visual(
+            ckpt.bank, suite.visual_encode(draw.source.image_ref), draw.source.emotion)
+        i_t, cache_it, net_t = pr.project_visual(
+            ckpt.bank, suite.visual_encode(draw.target.image_ref), draw.target.emotion)
+        i_diff, t_diff = i_s - i_t, t_s - t_t
+        sim, degenerate = cosine_with_flag(i_diff, t_diff)
+        if degenerate:
+            total += 1.0
+            continue
+        total += 1.0 - sim
+        d_idiff, d_tdiff = cosine_grads(i_diff, t_diff)
+        d_idiff, d_tdiff = -scale * d_idiff, -scale * d_tdiff
+        grads[0].add_(head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite))
+        grads[0].add_(head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite))
+        grads[projector_index(ckpt, draw.source.emotion)].add_(
+            mlp_backward(net_s, cache_is, d_idiff))
+        grads[projector_index(ckpt, draw.target.emotion)].add_(
+            mlp_backward(net_t, cache_it, -d_idiff))
+    return total * scale, grads
+
+
+# ---------------------------------------------------------------------------
+# batched steps == per-entry reference
+# ---------------------------------------------------------------------------
+
+def assert_grads_close(batched, reference):
+    assert len(batched) == len(reference)
+    for b, r in zip(batched, reference):
+        for mine, theirs in zip(b.weight_grads + b.bias_grads + [b.input_grad],
+                                r.weight_grads + r.bias_grads + [r.input_grad]):
+            assert mine.shape == theirs.shape
+            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-12)
+
+
+def step_setup(suite, mode, tokens, seed, degenerate_identity):
+    """A fresh checkpoint and a suite whose visual encoder maps every image
+    of ``degenerate_identity`` to zero. Fresh projectors have zero biases,
+    so those images project to a zero-norm row (in single_conditional mode
+    once the one-hot input columns are zeroed too)."""
+    ckpt = pr._fresh_checkpoint(
+        suite, es.TrainConfig(projector_mode=mode, guider_token_count=tokens),
+        np.random.Generator(np.random.PCG64(seed)))
+    if degenerate_identity is None:
+        return ckpt, suite
+    if mode == pr.SINGLE_CONDITIONAL:
+        ckpt.bank.projectors[0].layers[0].weights[:, suite.d_e:] = 0.0
+    prefix = f"img:{degenerate_identity}:"
+
+    def visual_encode(ref):
+        v = suite.visual_encode(ref)
+        return np.zeros_like(v) if isinstance(ref, str) and ref.startswith(prefix) else v
+
+    return ckpt, dataclasses.replace(suite, visual_encode=visual_encode)
+
+
+step_cases = dict(mode=st.sampled_from(MODES), tokens=st.sampled_from([1, 2]),
+                  seed=st.integers(0, 10_000), batch_size=st.integers(1, 12),
+                  degenerate=st.booleans())
+
+
+@settings(max_examples=24)
+@given(**step_cases)
+def test_contrastive_step_matches_per_entry_reference(default_manifest, default_suite,
+                                                      reference_pools, mode, tokens, seed,
+                                                      batch_size, degenerate):
+    ckpt, suite = step_setup(default_suite, mode, tokens, seed,
+                             "id001" if degenerate else None)
+    rng = np.random.default_rng(seed)
+    batch = es.sample_contrastive_batch(default_manifest, reference_pools, batch_size, rng)
+    if degenerate:  # make sure the batch holds a zero-norm row
+        anchor = next(s for s in default_manifest.in_split("train") if s.identity == "id001")
+        batch.entries[0] = es.corpus.ContrastiveEntry(
+            anchor, anchor.emotion, sorted(reference_pools.pool[anchor.emotion])[0],
+            default_manifest.by_id(anchor.neutral_ref))
+        projected, _, _ = pr.project_visual(ckpt.bank, suite.visual_encode(anchor.image_ref),
+                                            anchor.emotion)
+        assert not projected.any()
+    loss, grads = pr.contrastive_step_grads(ckpt, batch, suite)
+    ref_loss, ref_grads = contrastive_per_entry(ckpt, batch, suite)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+    assert_grads_close(grads, ref_grads)
+
+
+@settings(max_examples=24)
+@given(**step_cases)
+def test_difference_step_matches_per_entry_reference(default_manifest, default_suite,
+                                                     reference_pools, mode, tokens, seed,
+                                                     batch_size, degenerate):
+    ckpt, suite = step_setup(default_suite, mode, tokens, seed,
+                             "id002" if degenerate else None)
+    rng = np.random.default_rng(seed)
+    draws = es.sample_pair_batch(default_manifest, reference_pools, batch_size, rng)
+    if degenerate:  # a same-identity pair of zero images: a zero visual difference
+        draws[0] = next(d for d in es.sample_pair_batch(default_manifest, reference_pools,
+                                                        64, np.random.default_rng(0))
+                        if d.source.identity == "id002")
+        pair = [pr.project_visual(ckpt.bank, suite.visual_encode(s.image_ref), s.emotion)[0]
+                for s in (draws[0].source, draws[0].target)]
+        assert not (pair[0] - pair[1]).any()
+    loss, grads = pr.difference_step_grads(ckpt, draws, suite)
+    ref_loss, ref_grads = difference_per_entry(ckpt, draws, suite)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+    assert_grads_close(grads, ref_grads)
+
+
+def test_step_with_run_table_equals_step_without(default_manifest, default_suite,
+                                                 reference_pools):
+    # the table a training run builds once serves every batch it draws
+    train = default_manifest.in_split("train")
+    table = pr._frozen_table(train, [s for s in train
+                                     if s.emotion == es.EmotionLabel.neutral], default_suite)
+    ckpt, _ = step_setup(default_suite, pr.MULTI, 1, 3, None)
+    rng = np.random.default_rng(3)
+    batch = es.sample_contrastive_batch(default_manifest, reference_pools, 16, rng)
+    draws = es.sample_pair_batch(default_manifest, reference_pools, 16, rng)
+    for step, drawn in ((pr.contrastive_step_grads, batch), (pr.difference_step_grads, draws)):
+        loss, grads = step(ckpt, drawn, default_suite, table)
+        ref_loss, ref_grads = step(ckpt, drawn, default_suite)
+        assert loss == ref_loss
+        assert_grads_close(grads, ref_grads)
+
+
+# ---------------------------------------------------------------------------
+# row-stacked numerics == separate 1-D calls
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 9),
+       dims=st.lists(st.integers(1, 7), min_size=2, max_size=4))
+def test_stacked_mlp_passes_equal_per_row_calls(seed, rows, dims):
+    rng = np.random.default_rng(seed)
+    net = init_mlp(dims, rng)
+    x = rng.standard_normal((rows, dims[0]))
+    u = rng.standard_normal((rows, dims[-1]))
+    out, cache = mlp_forward(net, x)
+    grads = mlp_backward(net, cache, u)
+    assert out.shape == (rows, dims[-1]) and grads.input_grad.shape == x.shape
+    summed = grads_zeros_like(net)
+    for i in range(rows):
+        out_i, cache_i = mlp_forward(net, x[i])
+        grads_i = mlp_backward(net, cache_i, u[i])
+        np.testing.assert_allclose(out[i], out_i, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads.input_grad[i], grads_i.input_grad,
+                                   rtol=1e-12, atol=1e-12)
+        summed.add_(grads_i)
+    for mine, theirs in zip(grads.weight_grads + grads.bias_grads,
+                            summed.weight_grads + summed.bias_grads):
+        assert mine.shape == theirs.shape
+        np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 9), dim=st.integers(1, 8),
+       zero_row=st.booleans())
+def test_stacked_cosine_grads_equal_per_row_calls(seed, rows, dim, zero_row):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, dim))
+    b = rng.standard_normal((rows, dim))
+    if zero_row:
+        a[rows // 2] = 0.0
+    da, db = cosine_grads(a, b)
+    sims, degenerate = es.numerics.cosine_rows(a, b)
+    for i in range(rows):
+        da_i, db_i = cosine_grads(a[i], b[i])
+        sim_i, degenerate_i = cosine_with_flag(a[i], b[i])
+        np.testing.assert_allclose(da[i], da_i, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db[i], db_i, rtol=1e-12, atol=1e-12)
+        assert sims[i] == pytest.approx(sim_i, rel=1e-12, abs=1e-12)
+        assert degenerate[i] == degenerate_i
+    assert degenerate[rows // 2] == zero_row
+
+
+def test_stacked_backward_needs_a_matching_upstream(rng):
+    net = init_mlp([3, 4, 2], rng)
+    _, cache = mlp_forward(net, rng.standard_normal((5, 3)))
+    for bad in (rng.standard_normal(2), rng.standard_normal((4, 2))):
+        with pytest.raises(es.ContractError):
+            mlp_backward(net, cache, bad)
+
+
+# ---------------------------------------------------------------------------
+# memoized word tokens
+# ---------------------------------------------------------------------------
+
+def test_memoized_word_tokens_are_read_only_fresh_draws():
+    world = es.build_synthetic_world(1)
+    for word in ("photo", "zebra"):
+        token = world.word_token(word)
+        assert world.word_token(word) is token
+        assert not token.flags.writeable
+        with pytest.raises(ValueError):
+            token[0] = 1.0
+        fresh = _hash_generator(world.seed, "word", word).standard_normal(world.config.d_tok)
+        fresh = world.config.word_token_scale * fresh / np.linalg.norm(fresh)
+        assert np.array_equal(token, fresh)

@@ -241,3 +241,39 @@ def test_replay_pretrain_from_run_metadata(tmp_path, corpus_dir, checkpoint_dir)
     assert run("pretrain", "--config", checkpoint_dir / "run.json",
                "--out", replay) == 0
     assert_dirs_byte_identical(checkpoint_dir, replay)
+
+
+def test_eval_metrics_refuses_sets_with_different_ids(tmp_path, capsys):
+    # the same 84 vectors under renamed ids whose sorted order reverses the
+    # original: pairing by position would compare unrelated rows
+    corpus = tmp_path / "corpus"
+    assert run("gen-corpus", "--seed", 1, "--out", corpus) == 0
+    spec = json.loads((corpus / "features.json").read_text())
+    ids = sorted(s["id"] for s in spec["samples"])
+    assert len(ids) == 84
+    new_id = {old: f"renamed_{len(ids) - 1 - k:05d}" for k, old in enumerate(ids)}
+    spec["samples"] = [{**s, "id": new_id[s["id"]]} for s in spec["samples"]]
+    (corpus / "renamed.json").write_text(json.dumps(spec))
+    capsys.readouterr()
+    out = tmp_path / "metrics"
+    assert run("eval-metrics", "--real", corpus / "features.json",
+               "--gen", corpus / "renamed.json", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "168 sample ids are unmatched" in captured.err
+    assert captured.out == ""
+    assert not (out / "report.json").exists()
+
+
+def test_cli_and_library_train_defaults_agree(tmp_path, corpus_dir, capsys):
+    # no --seed and no TrainConfig seed: both fall back to the same default
+    out = tmp_path / "ckpt"
+    recipe = dict(epochs=1, steps_per_epoch=2, batch_size=4)
+    assert run("pretrain", "--manifest", corpus_dir / "manifest.json", "--epochs", 1,
+               "--steps-per-epoch", 2, "--batch-size", 4, "--out", out) == 0
+    manifest = es.CorpusManifest.load(corpus_dir / "manifest.json")
+    suite = es.synthetic_suite(manifest.rebuild_world())
+    ckpt, _ = es.pretrain_alignment(manifest, es.load_reference_pools(), suite,
+                                    es.TrainConfig(**recipe))
+    saved = es.AlignmentCheckpoint.load(out / "checkpoint.json")
+    assert saved.content_hash() == ckpt.content_hash()
+    assert f"checkpoint hash: {ckpt.content_hash()}" in capsys.readouterr().out

@@ -166,3 +166,35 @@ def test_pair_batch_same_identity_different_emotion(default_manifest, reference_
         assert d.target.emotion in reference_pools.pool[d.source.emotion]
         assert d.reference.emotion == es.EmotionLabel.neutral
         assert d.reference.identity == d.source.identity
+
+
+def test_references_come_from_train_neutrals_only():
+    # world seed 2 puts neutral samples of three identities in val
+    world = es.build_synthetic_world(2)
+    manifest = es.generate_synthetic_corpus(world, 3)
+    pools = es.load_reference_pools()
+    val_neutrals = {s.id for s in manifest.in_split(VAL)
+                    if s.emotion == es.EmotionLabel.neutral}
+    assert val_neutrals == {"id000_neutral_02", "id002_neutral_02", "id003_neutral_02"}
+    rng = np.random.default_rng(1)
+    references = []
+    for _ in range(40):
+        references += [e.reference for e in
+                       es.sample_contrastive_batch(manifest, pools, 32, rng).entries]
+        references += [d.reference for d in sample_pair_batch(manifest, pools, 32, rng)]
+    assert len(references) == 2 * 1280
+    assert all(manifest.split[r.id] == TRAIN for r in references)
+    assert {r.identity for r in references} == set(manifest.identities())
+
+
+def test_identity_without_train_neutral_errors_with_identity_name():
+    samples = [Sample("x_happy_00", "idX", es.EmotionLabel.happy, "img:x", "x_n"),
+               Sample("x_sad_00", "idX", es.EmotionLabel.sad, "img:x2", "x_n"),
+               Sample("x_n", "idX", es.EmotionLabel.neutral, "img:n", "x_n")]
+    manifest = CorpusManifest(samples, {"x_happy_00": TRAIN, "x_sad_00": TRAIN,
+                                        "x_n": VAL})
+    manifest.validate()
+    pools = es.NegativePoolTable.all_others()
+    for sampler in (es.sample_contrastive_batch, sample_pair_batch):
+        with pytest.raises(ContractError, match="idX.*train-split neutral"):
+            sampler(manifest, pools, 4, np.random.default_rng(0))

@@ -195,3 +195,25 @@ def test_metric_report_unequal_counts(rng):
                            FeatureSet(rng.standard_normal((9, 4))))
     assert report["lse_d"] is None and report["csim"] is None
     assert report["fad"] > 0
+
+
+def test_metric_report_pairs_rows_by_id(rng):
+    x = rng.standard_normal((12, 5))
+    ids = [f"s{i:02d}" for i in range(12)]
+    order = rng.permutation(12)
+    real = FeatureSet(x, "real", ids)
+    shuffled = FeatureSet(x[order], "gen", [ids[i] for i in order])
+    report = metric_report(real, shuffled)
+    assert report["lse_d"] == 0.0
+    assert report["csim"] == pytest.approx(1.0)
+    assert metric_report(real, FeatureSet(x[order]))["lse_d"] > 0.1  # by position
+
+
+def test_metric_report_refuses_unmatched_ids(rng):
+    x = rng.standard_normal((6, 3))
+    real = FeatureSet(x, "real", [f"a{i}" for i in range(6)])
+    gen = FeatureSet(x, "gen", [f"a{i}" for i in range(4)] + ["b4", "b5"])
+    with pytest.raises(ContractError, match="4 sample ids are unmatched"):
+        metric_report(real, gen)
+    with pytest.raises(ContractError):
+        FeatureSet(x, "dup", ["a"] * 6)

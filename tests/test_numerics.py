@@ -55,11 +55,15 @@ def test_cosine_symmetry_and_scale_invariance(values, scale):
     rng = np.random.default_rng(7)
     a = np.array(values)
     b = rng.standard_normal(a.shape[0])
-    sim_ab, _ = cosine_with_flag(a, b)
+    sim_ab, degenerate = cosine_with_flag(a, b)
     sim_ba, _ = cosine_with_flag(b, a)
     assert sim_ab == pytest.approx(sim_ba, abs=1e-12)
-    sim_scaled, _ = cosine_with_flag(scale * a, b)
-    assert abs(sim_ab - sim_scaled) < 1e-11
+    sim_scaled, degenerate_scaled = cosine_with_flag(scale * a, b)
+    if degenerate == degenerate_scaled:
+        assert abs(sim_ab - sim_scaled) < 1e-11
+    else:
+        # scaling moved |a| across EPS_NORM, below which the convention gives 0
+        assert (sim_ab if degenerate else sim_scaled) == 0.0
     assert -1 - 1e-12 <= sim_ab <= 1 + 1e-12
 
 

@@ -173,3 +173,34 @@ def test_demo_csv_schema(demo_env, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "lambda,base_loss,l2_loss,emotion_accuracy,seed"
     assert len(lines) == 3
+
+
+def test_lambda_zero_row_unchanged_without_the_frozen_backward(demo_env, monkeypatch):
+    manifest, _, _, _, ctx = demo_env
+    cfg = es.DemoConfig(seed=11, **TINY)
+    row = sv._run_demo_once(manifest, ctx, 0.0, cfg, sv.squared_error_loss)
+    full = sv._l2_grad_on_generated
+
+    def always_with_grad(*args, with_grad=True):
+        return full(*args)
+
+    monkeypatch.setattr(sv, "_l2_grad_on_generated", always_with_grad)
+    assert sv._run_demo_once(manifest, ctx, 0.0, cfg, sv.squared_error_loss) == row
+    assert row.l2_loss > 0
+
+
+def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypatch):
+    manifest, _, _, _, ctx = demo_env
+    cfg = es.DemoConfig(seed=12, **TINY)
+    calls = {"frozen": 0, "trainable": 0}
+    backward = sv.mlp_backward
+
+    def counting_backward(p, cache, upstream):
+        calls["trainable" if p.layers[0].weights.flags.writeable else "frozen"] += 1
+        return backward(p, cache, upstream)
+
+    monkeypatch.setattr(sv, "mlp_backward", counting_backward)
+    sv._run_demo_once(manifest, ctx, 0.0, cfg, sv.squared_error_loss)
+    assert calls == {"frozen": 0, "trainable": cfg.steps * cfg.batch_size}
+    sv._run_demo_once(manifest, ctx, 0.4, cfg, sv.squared_error_loss)
+    assert calls["frozen"] == cfg.steps * cfg.batch_size
