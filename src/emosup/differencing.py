@@ -20,7 +20,7 @@ from .corpus import CorpusManifest, Sample
 from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite
 from .errors import ContractError
-from .numerics import EPS_NORM, as_vector, cosine_grads, cosine_with_flag
+from .numerics import EPS_NORM, as_vector, cosine_grads, cosine_rows, cosine_with_flag
 from .prompts import (AlignmentCheckpoint, build_personalized_prompt,
                       personalized_text_embedding, project_visual)
 
@@ -49,7 +49,10 @@ class DifferencePair:
     """Source-minus-target differences on both modalities.
 
     ``degenerate`` is set when either difference has (near-)zero norm;
-    the loss then falls back to its midpoint value instead of NaN.
+    the loss then falls back to its midpoint value instead of NaN. The
+    differences may also be ``(B, d)`` stacks of B pairs; the flag then
+    marks every row, and ``difference_loss_with_grads`` finds zero-norm
+    rows itself.
     """
 
     visual_diff: np.ndarray
@@ -104,15 +107,22 @@ def difference_loss(dp: DifferencePair) -> float:
 
 
 def difference_loss_with_grads(dp: DifferencePair
-                               ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients w.r.t. both difference vectors (zeros if degenerate)."""
-    if dp.degenerate:
-        return 1.0, np.zeros_like(dp.visual_diff), np.zeros_like(dp.text_diff)
-    sim, degenerate = cosine_with_flag(dp.visual_diff, dp.text_diff)
-    if degenerate:
-        return 1.0, np.zeros_like(dp.visual_diff), np.zeros_like(dp.text_diff)
+                               ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """Loss plus gradients w.r.t. both difference vectors (zeros if degenerate).
+
+    A pair of ``(B, d)`` stacks gives the B row losses and row-stacked
+    gradients. Rows in ``cosine_rows``' degeneracy mask count as
+    degenerate: loss 1, zero gradients.
+    """
+    sim, degenerate = cosine_rows(dp.visual_diff, dp.text_diff)
+    keep = ~(degenerate | dp.degenerate)
     d_vis, d_txt = cosine_grads(dp.visual_diff, dp.text_diff)
-    return 1.0 - sim, -d_vis, -d_txt
+    losses = np.where(keep, 1.0 - sim, 1.0)
+    if np.ndim(dp.visual_diff) == 1:
+        losses, keep = float(losses[0]), keep[0]
+    else:
+        keep = keep[:, None]
+    return losses, np.where(keep, -d_vis, 0.0), np.where(keep, -d_txt, 0.0)
 
 
 def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,

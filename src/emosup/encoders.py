@@ -22,7 +22,7 @@ import numpy as np
 from .emotions import (EMOTION_WORD_POSITION, EMOTIONS, EmotionLabel,
                        parse_emotion, prompt_for)
 from .errors import ContractError, GenerationError
-from .numerics import as_vector
+from .numerics import as_matrix, as_vector
 
 FEATURE_MAGIC = b"PCMF"
 
@@ -36,10 +36,13 @@ class TokenSequence:
     def __post_init__(self):
         if not self.tokens:
             raise ContractError("token sequence must contain at least one token")
-        d = self.tokens[0].shape
-        self.tokens = [as_vector(t, name=f"token {i}") for i, t in enumerate(self.tokens)]
-        if any(t.shape != d for t in self.tokens):
+        self.tokens = [np.asarray(t, dtype=np.float64) for t in self.tokens]
+        shape = self.tokens[0].shape
+        if any(t.shape != shape for t in self.tokens):
             raise ContractError("tokens must share one dimension")
+        if len(shape) != 1 or shape[0] == 0:
+            raise ContractError(f"tokens must be non-empty 1-D arrays, got shape {shape}")
+        as_matrix(self.tokens, name="tokens")  # one finiteness check for all tokens
 
     @property
     def length(self) -> int:

@@ -84,13 +84,22 @@ def _as_rows(x, dim: int | None, name: str) -> np.ndarray:
     return m
 
 
+def as_same_rows(a, b, names: tuple[str, str] = ("a", "b")
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``a`` and ``b`` as finite vectors, or ``(B, d)`` row stacks,
+    of one shape; returns both 2-D (a 1-D input as one row)."""
+    a2 = _as_rows(a, None, names[0])
+    b2 = _as_rows(b, a2.shape[1], names[1])
+    if np.shape(a) != np.shape(b):
+        raise ContractError(f"{names[0]} has shape {np.shape(a)}, "
+                            f"{names[1]} has {np.shape(b)}")
+    return a2, b2
+
+
 def _cosine_parts(a, b):
     """Row-stacked a, b (1-D lifted to one row), their norms, row-wise
     cosines and the degeneracy mask; degenerate rows have cosine 0."""
-    a2 = _as_rows(a, None, "a")
-    b2 = _as_rows(b, a2.shape[1], "b")
-    if a2.shape != b2.shape:
-        raise ContractError(f"a has shape {a2.shape}, b has {b2.shape}")
+    a2, b2 = as_same_rows(a, b)
     na = np.linalg.norm(a2, axis=1)
     nb = np.linalg.norm(b2, axis=1)
     degenerate = (na < EPS_NORM) | (nb < EPS_NORM)

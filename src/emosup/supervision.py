@@ -14,21 +14,23 @@ from typing import Callable
 import numpy as np
 
 from .corpus import TRAIN, VAL, CorpusManifest, Sample
-from .emotions import EMOTIONS, EmotionLabel, one_hot
+from .differencing import DifferencePair, difference_loss_with_grads
+from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError
-from .numerics import (MlpParams, as_vector, cosine_with_flag, grads_zeros_like,
-                       init_mlp, mlp_backward, mlp_forward, sgd_step)
+from .numerics import (MlpParams, as_same_rows, cosine_with_flag, init_mlp,
+                       mlp_backward, mlp_forward, sgd_step)
 from .prompts import (AlignmentCheckpoint, build_personalized_prompt,
                       personalized_text_embedding, project_visual)
 
 # Baseline-specific default weights for the difference-regularizer term.
 DEFAULT_LAMBDAS = {"ned": 0.4, "icface": 0.05, "sserd": 0.2, "toy": 0.4}
 
-# Contract for pluggable base losses: (generated, target) -> (value, grad
-# w.r.t. generated). Stands in for whatever objective the host generator
-# already trains with.
-BaseLossHook = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
+# Contract for pluggable base losses: (generated, target) -> (values, grad
+# w.r.t. generated). Both inputs are (B, d_e) stacks, one row per batch
+# entry; the hook returns the B per-row values and the (B, d_e) gradient.
+# Stands in for whatever objective the host generator already trains with.
+BaseLossHook = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -51,22 +53,39 @@ def lambda_for_baseline(tag: str) -> LambdaConfig:
 
 
 def squared_error_loss(generated: np.ndarray, target: np.ndarray
-                       ) -> tuple[float, np.ndarray]:
-    """Mean squared error in embedding space; the default base-loss hook."""
-    generated = as_vector(generated, name="generated")
-    target = as_vector(target, dim=generated.shape[0], name="target")
-    diff = generated - target
-    return float(np.mean(diff * diff)), 2.0 * diff / diff.shape[0]
+                       ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean squared error in embedding space; the default base-loss hook.
+
+    ``(B, d_e)`` stacks give the B row values and the ``(B, d_e)``
+    gradient; a 1-D input is the B = 1 case and gives a float.
+    """
+    generated2, target2 = as_same_rows(generated, target, ("generated", "target"))
+    diff = generated2 - target2
+    values, grad = np.mean(diff * diff, axis=1), 2.0 * diff / diff.shape[1]
+    if np.ndim(generated) == 1:
+        return float(values[0]), grad[0]
+    return values, grad
 
 
-def total_loss(base: float, base_grad: np.ndarray, l2: float, l2_grad: np.ndarray,
-               lam: LambdaConfig) -> tuple[float, np.ndarray]:
-    """``base + lambda * l2`` with the matching gradient combination."""
-    if not (np.isfinite(base) and np.isfinite(l2)):
+def total_loss(base, base_grad: np.ndarray, l2, l2_grad: np.ndarray,
+               lam: LambdaConfig) -> tuple[float | np.ndarray, np.ndarray]:
+    """``base + lambda * l2`` with the matching gradient combination.
+
+    Row stacks take B base and l2 values with ``(B, d_e)`` gradients and
+    give B totals; float values with 1-D gradients are the B = 1 case and
+    give a float.
+    """
+    base, l2 = np.asarray(base, dtype=np.float64), np.asarray(l2, dtype=np.float64)
+    if not (np.isfinite(base).all() and np.isfinite(l2).all()):
         raise ContractError("loss terms must be finite")
-    base_grad = as_vector(base_grad, name="base_grad")
-    l2_grad = as_vector(l2_grad, dim=base_grad.shape[0], name="l2_grad")
-    return base + lam.value * l2, base_grad + lam.value * l2_grad
+    base_grad2, l2_grad2 = as_same_rows(base_grad, l2_grad, ("base_grad", "l2_grad"))
+    if not base.shape == l2.shape == np.shape(base_grad)[:-1]:
+        raise ContractError(f"loss values of shapes {base.shape} and {l2.shape} do "
+                            f"not match gradients of shape {np.shape(base_grad)}")
+    value, grad = base + lam.value * l2, base_grad2 + lam.value * l2_grad2
+    if np.ndim(base_grad) == 1:
+        return float(value), grad[0]
+    return value, grad
 
 
 @dataclass
@@ -111,9 +130,12 @@ class ToyGenerator:
     params: MlpParams
     d_e: int
 
-    def generate(self, source_visual: np.ndarray, target: EmotionLabel):
-        x = np.concatenate([source_visual, one_hot(target)])
-        return mlp_forward(self.params, x)
+    def generate(self, source_visual: np.ndarray, target):
+        """One source embedding and target emotion, or a ``(B, d_e)`` stack
+        with a sequence of B target emotions; returns ``mlp_forward``'s
+        output and cache."""
+        codes = np.eye(len(EMOTIONS))[np.asarray(target, dtype=int)]
+        return mlp_forward(self.params, np.concatenate([source_visual, codes], axis=-1))
 
 
 def build_toy_generator(d_e: int, hidden: tuple[int, ...],
@@ -189,35 +211,43 @@ class _DemoContext:
                 - self.prompts[(source.neutral_ref, target_emotion)])
 
 
-def _l2_grad_on_generated(ctx: _DemoContext, source: Sample, generated: np.ndarray,
-                          target_emotion: EmotionLabel,
-                          with_grad: bool = True) -> tuple[float, np.ndarray]:
-    """Difference loss of (source, generated) and its gradient w.r.t. the
-    generated embedding, through the frozen target-emotion projector.
+def _l2_grad_on_generated(ctx: _DemoContext, sources: list[Sample],
+                          generated: np.ndarray, targets: list[EmotionLabel],
+                          with_grad: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Difference losses of the (source, generated) rows and their gradient
+    w.r.t. the ``(B, d_e)`` generated stack, through the frozen projector of
+    each row's target emotion: one pass per target emotion present.
 
-    Without ``with_grad`` only the loss is computed and the gradient is
-    zeros: the backward pass through the frozen projector is skipped.
+    Without ``with_grad`` only the losses are computed and the gradient is
+    zeros: the backward passes through the frozen projectors are skipped.
     """
-    from .differencing import (DifferencePair, difference_loss,
-                               difference_loss_with_grads)
-    from .numerics import EPS_NORM
-
     ckpt = ctx.ckpt
-    visual_gen, gen_cache, net = project_visual(ckpt.bank, generated, target_emotion)
-    visual_diff = ctx.projected_source[source.id] - visual_gen
-    text_diff = ctx.text_diff(source, target_emotion)
-    degenerate = bool(np.linalg.norm(visual_diff) < EPS_NORM
-                      or np.linalg.norm(text_diff) < EPS_NORM)
-    dp = DifferencePair(visual_diff, text_diff, degenerate)
-    if not with_grad:
-        return difference_loss(dp), np.zeros_like(generated)
-    loss, d_vis_diff, _ = difference_loss_with_grads(dp)
-    # visual_diff = projected_source - visual_gen, so d/d visual_gen = -d_vis_diff
-    upstream = -d_vis_diff
-    input_grad = mlp_backward(net, gen_cache, upstream).input_grad
-    if ckpt.bank.mode != "multi":
-        input_grad = input_grad[:ckpt.d_e]  # drop the one-hot block
-    return loss, input_grad
+    codes = np.array([int(e) for e in targets])
+    visual_gen = np.empty_like(generated)
+    passes = []
+    for emotion in EMOTIONS:
+        rows = np.flatnonzero(codes == int(emotion))
+        if rows.size:
+            projected, cache, net = project_visual(ckpt.bank, generated[rows], emotion)
+            visual_gen[rows] = projected
+            passes.append((rows, cache, net))
+    visual_diff = np.stack([ctx.projected_source[s.id] for s in sources]) - visual_gen
+    text_diff = np.stack([ctx.text_diff(s, t) for s, t in zip(sources, targets)])
+    # zero-norm rows are found by the loss: loss 1, zero gradient
+    losses, d_vis_diff, _ = difference_loss_with_grads(
+        DifferencePair(visual_diff, text_diff, False))
+    grad = np.zeros_like(generated)
+    if with_grad:
+        for rows, cache, net in passes:
+            # visual_diff = projected_source - visual_gen, so d/d visual_gen is
+            # -d_vis_diff; [:, :d_e] drops a single_conditional one-hot block
+            input_grad = mlp_backward(net, cache, -d_vis_diff[rows]).input_grad
+            grad[rows] = input_grad[:, :ckpt.d_e]
+    return losses, grad
+
+
+# the target emotions a source of each emotion may be paired with, in draw order
+_OTHER_EMOTIONS = {e: [o for o in EMOTIONS if o != e] for e in EMOTIONS}
 
 
 def _demo_pairs(samples: list[Sample], rng: np.random.Generator, batch_size: int
@@ -225,7 +255,7 @@ def _demo_pairs(samples: list[Sample], rng: np.random.Generator, batch_size: int
     pairs = []
     for _ in range(batch_size):
         source = samples[int(rng.integers(len(samples)))]
-        others = [e for e in EMOTIONS if e != source.emotion]
+        others = _OTHER_EMOTIONS[source.emotion]
         pairs.append((source, others[int(rng.integers(len(others)))]))
     return pairs
 
@@ -233,38 +263,40 @@ def _demo_pairs(samples: list[Sample], rng: np.random.Generator, batch_size: int
 def _train_generator(manifest: CorpusManifest, ctx: _DemoContext, lam_value: float,
                      config: DemoConfig, base_loss: BaseLossHook,
                      difference_path: bool = True) -> tuple[ToyGenerator, float, float]:
-    """Train a toy generator; returns it with tail-mean base and l2 losses."""
+    """Train a toy generator; returns it with tail-mean base and l2 losses.
+
+    Each step makes one generator pass over its batch of (source, target)
+    rows stacked as ``(B, d_e)``.
+    """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     gen = build_toy_generator(ctx.suite.d_e, config.hidden, rng)
     train = manifest.in_split(TRAIN)
     if not train:
         raise ContractError("train split is empty")
+    lam = LambdaConfig(lam_value)
     base_hist, l2_hist = [], []
     for step in range(config.steps):
-        grads = grads_zeros_like(gen.params)
-        base_sum = l2_sum = 0.0
-        pairs = _demo_pairs(train, rng, config.batch_size)
-        for source, target_emotion in pairs:
-            truth = ctx.clean_target[(source.identity, target_emotion)]
-            out, cache = gen.generate(ctx.visual[source.id], target_emotion)
-            base_val, base_grad = base_loss(out, truth)
-            if difference_path:
-                # lambda 0 still reports the L2 value, but total_loss would
-                # multiply its gradient by 0
-                l2_val, l2_grad = _l2_grad_on_generated(ctx, source, out, target_emotion,
-                                                        with_grad=lam_value != 0)
-            else:
-                l2_val, l2_grad = 0.0, np.zeros_like(out)
-            _, upstream = total_loss(base_val, base_grad, l2_val, l2_grad,
-                                     LambdaConfig(lam_value))
-            grads.add_(mlp_backward(gen.params, cache, upstream / len(pairs)))
-            base_sum += base_val
-            l2_sum += l2_val
-        if not np.isfinite(base_sum):
+        sources, targets = zip(*_demo_pairs(train, rng, config.batch_size))
+        truth = np.stack([ctx.clean_target[(s.identity, t)]
+                          for s, t in zip(sources, targets)])
+        out, cache = gen.generate(np.stack([ctx.visual[s.id] for s in sources]),
+                                  targets)
+        base_vals, base_grad = base_loss(out, truth)
+        if difference_path:
+            # lambda 0 still reports the L2 value, but total_loss would
+            # multiply its gradient by 0
+            l2_vals, l2_grad = _l2_grad_on_generated(ctx, sources, out, targets,
+                                                     with_grad=lam_value != 0)
+        else:
+            l2_vals, l2_grad = np.zeros(len(sources)), np.zeros_like(out)
+        _, upstream = total_loss(base_vals, base_grad, l2_vals, l2_grad, lam)
+        base_mean = float(np.sum(base_vals)) / len(sources)
+        if not np.isfinite(base_mean):
             raise NumericalError(f"non-finite demo loss at step {step}")
+        grads = mlp_backward(gen.params, cache, upstream / len(sources))
         gen.params = sgd_step(gen.params, grads, config.lr)
-        base_hist.append(base_sum / len(pairs))
-        l2_hist.append(l2_sum / len(pairs))
+        base_hist.append(base_mean)
+        l2_hist.append(float(np.sum(l2_vals)) / len(sources))
     tail = max(1, config.steps // 10)
     return gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:]))
 
@@ -279,19 +311,17 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     val = sorted(manifest.in_split(VAL), key=lambda s: s.id)
     if not val:
         raise ContractError("val split is empty")
-    hits = total = 0
-    for source in val:
-        prompts = [ctx.prompts[(source.neutral_ref, k)] for k in EMOTIONS]
-        for target_emotion in EMOTIONS:
-            if target_emotion == source.emotion:
-                continue
-            out, _ = gen.generate(ctx.visual[source.id], target_emotion)
-            sims = [cosine_with_flag(prompts[int(k)],
-                                     project_visual(ctx.ckpt.bank, out, k)[0])[0]
-                    for k in EMOTIONS]
-            hits += int(np.argmax(sims)) == int(target_emotion)
-            total += 1
-    return hits / total
+    rows = [(source, target) for source in val
+            for target in _OTHER_EMOTIONS[source.emotion]]
+    sources, targets = zip(*rows)
+    out, _ = gen.generate(np.stack([ctx.visual[s.id] for s in sources]), targets)
+    projected = [project_visual(ctx.ckpt.bank, out, k)[0] for k in EMOTIONS]
+    hits = 0
+    for r, (source, target) in enumerate(rows):
+        sims = [cosine_with_flag(ctx.prompts[(source.neutral_ref, k)],
+                                 projected[int(k)][r])[0] for k in EMOTIONS]
+        hits += int(np.argmax(sims)) == int(target)
+    return hits / len(rows)
 
 
 def _run_demo_once(manifest: CorpusManifest, ctx: _DemoContext, lam_value: float,

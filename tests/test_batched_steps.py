@@ -1,11 +1,12 @@
-"""The batched L1/L2 training steps against the per-entry loops they replace,
-and the row-stacked numerics they run on.
+"""The batched L1/L2 training steps and the batched generator demo against
+the per-entry loops they replace, and the row-stacked numerics they run on.
 
 The per-entry loops below are the reference: each entry runs its own
-guider-head and projector passes, in batch order, exactly as training did
-before the steps were batched.
+guider-head, projector and generator passes, in batch order, exactly as
+training and the demo did before they were batched.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 
 import emosup as es
 import emosup.prompts as pr
+import emosup.supervision as sv
+from emosup.differencing import DifferencePair, difference_loss_with_grads
+from emosup.emotions import EMOTIONS, one_hot
 from emosup.encoders import TokenSequence, _hash_generator
-from emosup.numerics import (cosine_grads, cosine_with_flag, grads_zeros_like, init_mlp,
-                             mlp_backward, mlp_forward)
+from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, grads_zeros_like,
+                             init_mlp, mlp_backward, mlp_forward, sgd_step)
 
 MODES = [pr.MULTI, pr.SINGLE_CONDITIONAL]
 
@@ -205,6 +209,140 @@ def test_step_with_run_table_equals_step_without(default_manifest, default_suite
 
 
 # ---------------------------------------------------------------------------
+# per-entry generator demo reference
+# ---------------------------------------------------------------------------
+
+def generate_per_entry(gen, visual, target):
+    return mlp_forward(gen.params, np.concatenate([visual, one_hot(target)]))
+
+
+def l2_grad_per_entry(ctx, source, generated, target, with_grad):
+    ckpt = ctx.ckpt
+    visual_gen, gen_cache, net = pr.project_visual(ckpt.bank, generated, target)
+    visual_diff = ctx.projected_source[source.id] - visual_gen
+    text_diff = ctx.text_diff(source, target)
+    degenerate = bool(np.linalg.norm(visual_diff) < EPS_NORM
+                      or np.linalg.norm(text_diff) < EPS_NORM)
+    sim, d_sim, _ = sim_and_grads(visual_diff, text_diff)
+    loss = 1.0 if degenerate else 1.0 - sim
+    if not with_grad:
+        return loss, np.zeros_like(generated)
+    # loss = 1 - sim and visual_diff = projected_source - visual_gen, so
+    # d loss / d visual_gen = d sim / d visual_diff
+    input_grad = mlp_backward(net, gen_cache, d_sim).input_grad
+    if ckpt.bank.mode != pr.MULTI:
+        input_grad = input_grad[:ckpt.d_e]  # drop the one-hot block
+    return loss, input_grad
+
+
+def train_per_entry(manifest, ctx, lam, config, difference_path):
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    gen = sv.build_toy_generator(ctx.suite.d_e, config.hidden, rng)
+    train = manifest.in_split("train")
+    base_hist, l2_hist = [], []
+    for _ in range(config.steps):
+        grads = grads_zeros_like(gen.params)
+        base_sum = l2_sum = 0.0
+        for _ in range(config.batch_size):
+            source = train[int(rng.integers(len(train)))]
+            others = [e for e in EMOTIONS if e != source.emotion]
+            target = others[int(rng.integers(len(others)))]
+            out, cache = generate_per_entry(gen, ctx.visual[source.id], target)
+            diff = out - ctx.clean_target[(source.identity, target)]
+            base_val, base_grad = float(np.mean(diff * diff)), 2.0 * diff / diff.shape[0]
+            if difference_path:
+                l2_val, l2_grad = l2_grad_per_entry(ctx, source, out, target, lam != 0)
+            else:
+                l2_val, l2_grad = 0.0, np.zeros_like(out)
+            upstream = base_grad + lam * l2_grad
+            grads.add_(mlp_backward(gen.params, cache, upstream / config.batch_size))
+            base_sum += base_val
+            l2_sum += l2_val
+        gen.params = sgd_step(gen.params, grads, config.lr)
+        base_hist.append(base_sum / config.batch_size)
+        l2_hist.append(l2_sum / config.batch_size)
+    tail = max(1, config.steps // 10)
+    return gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:]))
+
+
+def accuracy_per_entry(gen, manifest, ctx):
+    hits = total = 0
+    for source in sorted(manifest.in_split("val"), key=lambda s: s.id):
+        prompts = [ctx.prompts[(source.neutral_ref, k)] for k in EMOTIONS]
+        for target in EMOTIONS:
+            if target == source.emotion:
+                continue
+            out, _ = generate_per_entry(gen, ctx.visual[source.id], target)
+            sims = [cosine_with_flag(prompts[int(k)],
+                                     pr.project_visual(ctx.ckpt.bank, out, k)[0])[0]
+                    for k in EMOTIONS]
+            hits += int(np.argmax(sims)) == int(target)
+            total += 1
+    return hits / total
+
+
+# ---------------------------------------------------------------------------
+# batched generator demo == per-entry reference
+# ---------------------------------------------------------------------------
+
+TINY = es.DemoConfig(seed=3, steps=15, batch_size=4, lr=0.05, hidden=(16,))
+DEGENERATE_IDENTITY = "id001"
+
+
+@pytest.fixture(scope="module", params=MODES)
+def demo_context(request, default_manifest, reference_pools, default_suite,
+                 default_world):
+    ckpt, _ = es.pretrain_alignment(
+        default_manifest, reference_pools, default_suite,
+        es.TrainConfig(projector_mode=request.param, epochs=2, steps_per_epoch=10))
+    return sv._DemoContext(default_manifest, ckpt, default_suite, default_world)
+
+
+def zero_text_diffs(ctx, identity):
+    """A copy of ``ctx`` in which every prompt of ``identity``'s references is
+    its neutral prompt, so each of its (source, target) rows has a zero-norm
+    text difference."""
+    degenerate = copy.copy(ctx)
+    degenerate.prompts = {(ref, e): ctx.prompts[(ref, es.EmotionLabel.neutral)]
+                          if ref.startswith(identity + "_") else prompt
+                          for (ref, e), prompt in ctx.prompts.items()}
+    return degenerate
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+@pytest.mark.parametrize("lam, difference_path", [(0.0, True), (0.4, True), (0.4, False)])
+def test_demo_run_matches_per_entry_reference(default_manifest, demo_context, lam,
+                                              difference_path, degenerate):
+    ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY) if degenerate else demo_context
+    gen, base, l2 = sv._train_generator(default_manifest, ctx, lam, TINY,
+                                        sv.squared_error_loss, difference_path)
+    ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, ctx, lam, TINY,
+                                                difference_path)
+    assert base == pytest.approx(ref_base, rel=1e-12)
+    assert l2 == pytest.approx(ref_l2, rel=1e-12)
+    for mine, theirs in zip(gen.params.layers, ref_gen.params.layers):
+        np.testing.assert_allclose(mine.weights, theirs.weights, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(mine.bias, theirs.bias, rtol=1e-12, atol=1e-15)
+    assert (sv._eval_emotion_accuracy(gen, default_manifest, ctx)
+            == accuracy_per_entry(gen, default_manifest, ctx))
+
+
+def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_context):
+    ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY)
+    train = default_manifest.in_split("train")
+    sources = [s for s in train if s.identity == DEGENERATE_IDENTITY][:1] + train[-5:]
+    targets = [EMOTIONS[(int(s.emotion) + 1) % len(EMOTIONS)] for s in sources]
+    generated = np.random.default_rng(0).standard_normal((len(sources), ctx.suite.d_e))
+    losses, grad = sv._l2_grad_on_generated(ctx, sources, generated, targets)
+    for i, (source, target) in enumerate(zip(sources, targets)):
+        ref_loss, ref_grad = l2_grad_per_entry(ctx, source, generated[i], target, True)
+        assert losses[i] == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(grad[i], ref_grad, rtol=1e-12, atol=1e-15)
+    assert losses[0] == 1.0 and not grad[0].any()
+    assert grad[1:].any(axis=1).all()
+
+
+# ---------------------------------------------------------------------------
 # row-stacked numerics == separate 1-D calls
 # ---------------------------------------------------------------------------
 
@@ -252,6 +390,53 @@ def test_stacked_cosine_grads_equal_per_row_calls(seed, rows, dim, zero_row):
         assert sims[i] == pytest.approx(sim_i, rel=1e-12, abs=1e-12)
         assert degenerate[i] == degenerate_i
     assert degenerate[rows // 2] == zero_row
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 9), dim=st.integers(1, 8),
+       zero_row=st.booleans(), lam=st.sampled_from([0.0, 0.4, 2.5]))
+def test_stacked_losses_equal_per_row_calls(seed, rows, dim, zero_row, lam):
+    rng = np.random.default_rng(seed)
+    generated, target, l2_grad, text_diff = rng.standard_normal((4, rows, dim))
+    visual_diff = generated - target
+    if zero_row:
+        visual_diff[rows // 2] = 0.0
+    l2 = rng.uniform(0, 2, rows)
+    base, base_grad = sv.squared_error_loss(generated, target)
+    total, grad = sv.total_loss(base, base_grad, l2, l2_grad, es.LambdaConfig(lam))
+    dp = DifferencePair(visual_diff, text_diff, False)
+    losses, d_vis, d_txt = difference_loss_with_grads(dp)
+    assert base.shape == total.shape == losses.shape == (rows,)
+    for i in range(rows):
+        base_i, base_grad_i = sv.squared_error_loss(generated[i], target[i])
+        total_i, grad_i = sv.total_loss(base_i, base_grad_i, l2[i], l2_grad[i],
+                                        es.LambdaConfig(lam))
+        loss_i, d_vis_i, d_txt_i = difference_loss_with_grads(
+            DifferencePair(visual_diff[i], text_diff[i], False))
+        assert type(base_i) is type(total_i) is type(loss_i) is float
+        assert (base[i], total[i]) == pytest.approx((base_i, total_i), rel=1e-12)
+        assert losses[i] == pytest.approx(loss_i, rel=1e-12)
+        for mine, theirs in ((base_grad[i], base_grad_i), (grad[i], grad_i),
+                             (d_vis[i], d_vis_i), (d_txt[i], d_txt_i)):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-15)
+    if zero_row:
+        assert losses[rows // 2] == 1.0
+        assert not d_vis[rows // 2].any() and not d_txt[rows // 2].any()
+    flagged = difference_loss_with_grads(DifferencePair(visual_diff, text_diff, True))
+    assert (flagged[0] == 1.0).all() and not flagged[1].any() and not flagged[2].any()
+
+
+def test_stacked_losses_need_matching_shapes(rng):
+    a, b = rng.standard_normal((2, 3, 4))
+    with pytest.raises(es.ContractError):
+        sv.squared_error_loss(a, b[:2])
+    with pytest.raises(es.ContractError):
+        sv.squared_error_loss(a[0], b[:1])
+    base, grad = sv.squared_error_loss(a, b)
+    with pytest.raises(es.ContractError):
+        sv.total_loss(base[:2], grad, base, grad, es.LambdaConfig(0.4))
+    with pytest.raises(es.ContractError):
+        sv.total_loss(base, grad, np.append(base[:2], np.inf), grad, es.LambdaConfig(0.4))
 
 
 def test_stacked_backward_needs_a_matching_upstream(rng):

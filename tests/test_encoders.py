@@ -107,6 +107,25 @@ def test_tokenize_empty_prompt(default_suite):
         default_suite.tokenize("   ")
 
 
+@pytest.mark.parametrize("tokens, message", [
+    ([], "at least one token"),
+    ([np.ones(3), np.ones(4)], "share one dimension"),
+    ([np.ones((2, 3))], "non-empty 1-D"),
+    ([np.ones(0)], "non-empty 1-D"),
+    ([np.ones(3), np.array([1.0, np.nan, 0.0])], "non-finite"),
+])
+def test_token_sequence_rejects_malformed_tokens(tokens, message):
+    with pytest.raises(ContractError, match=message):
+        es.TokenSequence(tokens)
+
+
+def test_token_sequence_keeps_float64_tokens_as_given(default_world):
+    token = default_world.word_token("photo")
+    seq = es.TokenSequence([token, [0.0] * token.shape[0]])
+    assert seq.tokens[0] is token
+    assert seq.tokens[1].dtype == np.float64 and seq.token_dim == token.shape[0]
+
+
 def test_text_encode_zero_token_is_zero(default_suite, default_world):
     seq = es.TokenSequence([np.zeros(default_world.config.d_tok)])
     assert np.array_equal(default_suite.text_encode(seq),

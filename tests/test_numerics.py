@@ -43,6 +43,18 @@ def test_cosine_degenerate_flag_and_warning():
     assert sim == 0.0 and degenerate
 
 
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 2.0], [2.0, 1.0]),
+    (np.array([3.0, -1.0]), np.array([0.5, 4.0])),
+    ([0.0, 0.0], [1.0, 2.0]),
+    (np.zeros(3), np.zeros(3)),
+])
+def test_cosine_with_flag_returns_python_scalars(a, b):
+    # callers branch on the flag with ``if``/``bool()``, which an array would break
+    sim, degenerate = cosine_with_flag(a, b)
+    assert type(sim) is float and type(degenerate) is bool
+
+
 def test_cosine_dim_mismatch():
     with pytest.raises(ContractError):
         cosine_with_flag([1.0, 2.0], [1.0, 2.0, 3.0])
