@@ -33,7 +33,7 @@ for s in manifest.samples:
 embs = {}
 for ident, ref in list(refs.items())[:3]:
     prompt = es.build_personalized_prompt(ckpt, ref, es.EmotionLabel.happy, suite)
-    embs[ident] = es.personalized_text_embedding(prompt, suite)
+    embs[ident] = suite.text_encode(prompt)
 idents = list(embs)
 print("\npersonalized 'happy' embeddings differ across identities:")
 for i in range(len(idents) - 1):

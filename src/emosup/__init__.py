@@ -28,9 +28,8 @@ from .numerics import (DenseLayer, MlpParams, cosine_similarity, cosine_with_fla
                        init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace, sgd_step)
 from .prompts import (AlignmentCheckpoint, EmotionProjectorBank, LossCurve,
                       TrainConfig, build_personalized_prompt, contrastive_loss,
-                      emotion_visual_embedding, personalized_text_embedding,
-                      pretrain_alignment, pretrain_with_difference_objective,
-                      retrieval_accuracy)
+                      emotion_visual_embedding, pretrain_alignment,
+                      pretrain_with_difference_objective, retrieval_accuracy)
 from .supervision import (DEFAULT_LAMBDAS, DemoConfig, DemoReport, LambdaConfig,
                           lambda_for_baseline, squared_error_loss, supervise_demo,
                           sweep_lambda, total_loss)

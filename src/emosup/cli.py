@@ -41,10 +41,11 @@ def _sha256(path: Path) -> str:
 
 
 def _write_run_metadata(out: Path, command: str, flags: dict,
-                        outputs: list[Path]) -> None:
-    _write_json(out / "run.json",
-                {"command": command, "flags": flags,
-                 "outputs": {p.name: _sha256(p) for p in outputs}})
+                        outputs: list[Path]) -> dict[str, str]:
+    """Write run.json; returns the sha256 of each output file by name."""
+    hashes = {p.name: _sha256(p) for p in outputs}
+    _write_json(out / "run.json", {"command": command, "flags": flags, "outputs": hashes})
+    return hashes
 
 
 def _resolve_flags(args: argparse.Namespace, defaults: dict) -> dict:
@@ -172,12 +173,14 @@ def _cmd_train(args, objective: str, command: str) -> int:
             manifest, pools, suite, config)
     ckpt.save(out / "checkpoint.json")
     curve.save_csv(out / "curve.csv")
-    _write_run_metadata(out, command, flags, [out / "checkpoint.json", out / "curve.csv"])
+    hashes = _write_run_metadata(out, command, flags,
+                                 [out / "checkpoint.json", out / "curve.csv"])
     means = curve.epoch_means()
     accuracy = prompts.retrieval_accuracy(ckpt, manifest, "val", suite)
     print(f"epoch mean loss: first={means[0]:.4f} final={means[-1]:.4f}; "
           f"val retrieval accuracy={accuracy:.3f}")
-    print(f"checkpoint hash: {ckpt.content_hash()}")
+    # the file holds the canonical JSON, so its sha256 is ckpt.content_hash()
+    print(f"checkpoint hash: {hashes['checkpoint.json']}")
     return 0
 
 

@@ -20,9 +20,8 @@ from .corpus import CorpusManifest, Sample
 from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite
 from .errors import ContractError
-from .numerics import EPS_NORM, as_vector, cosine_grads, cosine_rows, cosine_with_flag
-from .prompts import (AlignmentCheckpoint, build_personalized_prompt,
-                      personalized_text_embedding, project_visual)
+from .numerics import EPS_NORM, as_vector, cosine_grads, cosine_with_flag
+from .prompts import AlignmentCheckpoint, build_personalized_prompt, project_visual
 
 
 @dataclass
@@ -81,10 +80,10 @@ def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
                                    source.emotion)[0]
     visual_target = project_visual(ckpt.bank, suite.visual_encode(target_image),
                                    target_emotion)[0]
-    text_source = personalized_text_embedding(
-        build_personalized_prompt(ckpt, reference, source.emotion, suite), suite)
-    text_target = personalized_text_embedding(
-        build_personalized_prompt(ckpt, reference, target_emotion, suite), suite)
+    text_source = suite.text_encode(
+        build_personalized_prompt(ckpt, reference, source.emotion, suite))
+    text_target = suite.text_encode(
+        build_personalized_prompt(ckpt, reference, target_emotion, suite))
     return PairEmbeddings(visual_source, text_source, visual_target, text_target,
                           source.emotion, target_emotion)
 
@@ -111,15 +110,14 @@ def difference_loss_with_grads(dp: DifferencePair
     """Loss plus gradients w.r.t. both difference vectors (zeros if degenerate).
 
     A pair of ``(B, d)`` stacks gives the B row losses and row-stacked
-    gradients. Rows in ``cosine_rows``' degeneracy mask count as
+    gradients. Rows in ``cosine_grads``' degeneracy mask count as
     degenerate: loss 1, zero gradients.
     """
-    sim, degenerate = cosine_rows(dp.visual_diff, dp.text_diff)
-    keep = ~(degenerate | dp.degenerate)
-    d_vis, d_txt = cosine_grads(dp.visual_diff, dp.text_diff)
+    d_vis, d_txt, sim, degenerate = cosine_grads(dp.visual_diff, dp.text_diff)
+    keep = ~np.logical_or(degenerate, dp.degenerate)
     losses = np.where(keep, 1.0 - sim, 1.0)
     if np.ndim(dp.visual_diff) == 1:
-        losses, keep = float(losses[0]), keep[0]
+        losses = float(losses)
     else:
         keep = keep[:, None]
     return losses, np.where(keep, -d_vis, 0.0), np.where(keep, -d_txt, 0.0)
@@ -162,9 +160,9 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
                 if prompt_emotion == target_emotion:
                     text_diff = dp.text_diff
                 else:
-                    t_alt = personalized_text_embedding(
+                    t_alt = suite.text_encode(
                         build_personalized_prompt(ckpt, reference, prompt_emotion,
-                                                  suite), suite)
+                                                  suite))
                     text_diff = pe.text_source - t_alt
                 rows.append({"identity": source.identity,
                              "source_emotion": source.emotion.name,

@@ -10,6 +10,7 @@ backend serves externally extracted features from files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -61,30 +62,83 @@ class EncoderSuite:
     ``backbone_identity`` produces ``d_b``-dim identity features and
     ``tokenize`` produces ``d_tok``-dim token sequences. All maps are
     deterministic and never change once the suite is built.
-    ``text_token_vjp(seq, i, u)`` backpropagates an upstream embedding
-    gradient ``u`` onto token ``i`` of ``seq`` (the encoders are frozen;
-    only prompt tokens ever receive gradients).
+
+    The text encoder works on token stacks: ``text_encode`` maps a
+    ``(B, L, d_tok)`` array of B sequences of L tokens to a ``(B, d_e)``
+    stack, and ``text_token_vjp(stack, i, u)`` backpropagates a
+    ``(B, d_e)`` upstream embedding gradient ``u`` onto token ``i`` of
+    every sequence, giving ``(B, d_tok)`` (the encoders are frozen; only
+    prompt tokens ever receive gradients). A :class:`TokenSequence` is the
+    B = 1 case: it encodes to a ``d_e`` vector, and its VJP takes a ``d_e``
+    gradient and gives a ``d_tok`` vector. Both validate the stack once,
+    and raise :class:`ContractError` for a wrong shape, a wrong ``d_tok``,
+    non-finite tokens, or an upstream gradient that does not match.
     """
 
     visual_encode: Callable[[object], np.ndarray]
     backbone_identity: Callable[[object], np.ndarray]
     tokenize: Callable[[str], TokenSequence]
-    text_encode: Callable[[TokenSequence], np.ndarray]
-    text_token_vjp: Callable[[TokenSequence, int, np.ndarray], np.ndarray]
+    text_encode: Callable[[TokenSequence | np.ndarray], np.ndarray]
+    text_token_vjp: Callable[[TokenSequence | np.ndarray, int, np.ndarray], np.ndarray]
     d_e: int
     d_b: int
     d_tok: int
 
 
-def position_weight(i: int, length: int) -> float:
+def position_weight(i, length: int):
     """Weight of token ``i`` in a ``length``-token sequence: 1/(1+d) with d
-    the distance from the sequence end.
+    the distance from the sequence end (an index array gives an array).
 
     Anchoring weights at the end makes prepending purely additive: every
     existing token keeps its weight and the new front token contributes
     its own weighted image, nothing else moves.
     """
     return 1.0 / (1.0 + (length - 1 - i))
+
+
+def _token_stack(tokens, d_tok: int) -> tuple[np.ndarray, bool]:
+    """Validate a ``(B, L, d_tok)`` token stack, or lift a TokenSequence to
+    one sequence; returns the stack and whether the input was a sequence."""
+    single = isinstance(tokens, TokenSequence)
+    stack = np.array(tokens.tokens)[None] if single else np.asarray(tokens, dtype=np.float64)
+    if stack.ndim != 3 or 0 in stack.shape:
+        raise ContractError(f"token stack must be a non-empty (B, L, d_tok) array, "
+                            f"got shape {stack.shape}")
+    if stack.shape[2] != d_tok:
+        raise ContractError(f"token dim {stack.shape[2]} != d_tok {d_tok}")
+    # a TokenSequence checked its tokens for finiteness when it was built
+    if not single and not np.isfinite(stack).all():
+        raise ContractError("token stack contains non-finite entries")
+    return stack, single
+
+
+@functools.lru_cache(maxsize=64)
+def _position_weights(length: int) -> np.ndarray:
+    weights = position_weight(np.arange(length), length)
+    weights.flags.writeable = False
+    return weights
+
+
+def _positional_sum(stack: np.ndarray) -> np.ndarray:
+    """``sum_i position_weight(i, L) * stack[:, i]`` for each sequence."""
+    return np.einsum("l,bld->bd", _position_weights(stack.shape[1]), stack)
+
+
+def _token_upstream(stack: np.ndarray, single: bool, index: int, upstream,
+                    d_e: int) -> tuple[np.ndarray, float]:
+    """Validate the upstream gradient of a token VJP against its stack:
+    ``(B, d_e)`` for a B-sequence stack, a ``d_e`` vector for a sequence.
+    Returns it as rows, with the position weight of token ``index``."""
+    length = stack.shape[1]
+    if not 0 <= index < length:
+        raise ContractError(f"token index {index} outside a {length}-token sequence")
+    u = np.asarray(upstream, dtype=np.float64)
+    expected = (d_e,) if single else (stack.shape[0], d_e)
+    if u.shape != expected:
+        raise ContractError(f"upstream gradient has shape {u.shape}, expected {expected}")
+    if not np.isfinite(u).all():
+        raise ContractError("upstream gradient contains non-finite entries")
+    return u.reshape(-1, d_e), position_weight(index, length)
 
 
 def _hash_generator(*parts: object) -> np.random.Generator:
@@ -315,16 +369,16 @@ def synthetic_suite(world: SyntheticWorld) -> EncoderSuite:
             raise ContractError("cannot tokenize an empty prompt")
         return TokenSequence([world.word_token(w) for w in words])
 
-    def text_encode(seq: TokenSequence) -> np.ndarray:
-        if seq.token_dim != world.config.d_tok:
-            raise ContractError(f"token dim {seq.token_dim} != d_tok {world.config.d_tok}")
-        acc = np.zeros(world.config.d_tok)
-        for i, tok in enumerate(seq.tokens):
-            acc += position_weight(i, seq.length) * tok
-        return world.token_map @ acc
+    def text_encode(tokens):
+        stack, single = _token_stack(tokens, world.config.d_tok)
+        out = _positional_sum(stack) @ world.token_map.T
+        return out[0] if single else out
 
-    def text_token_vjp(seq: TokenSequence, index: int, upstream: np.ndarray) -> np.ndarray:
-        return position_weight(index, seq.length) * (world.token_map.T @ upstream)
+    def text_token_vjp(tokens, index: int, upstream):
+        stack, single = _token_stack(tokens, world.config.d_tok)
+        u, weight = _token_upstream(stack, single, index, upstream, world.config.d_e)
+        out = weight * (u @ world.token_map)
+        return out[0] if single else out
 
     return EncoderSuite(visual_encode, backbone_identity, tokenize, text_encode,
                         text_token_vjp,
@@ -413,14 +467,15 @@ def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
                 return TokenSequence([text_table[w]])
         raise ContractError(f"prompt {prompt!r} names no known emotion")
 
-    def text_encode(seq: TokenSequence) -> np.ndarray:
-        acc = np.zeros(dim)
-        for i, tok in enumerate(seq.tokens):
-            acc += position_weight(i, seq.length) * tok
-        return acc
+    def text_encode(tokens):
+        stack, single = _token_stack(tokens, dim)
+        out = _positional_sum(stack)
+        return out[0] if single else out
 
-    def text_token_vjp(seq: TokenSequence, index: int, upstream: np.ndarray) -> np.ndarray:
-        return position_weight(index, seq.length) * upstream
+    def text_token_vjp(tokens, index: int, upstream):
+        stack, single = _token_stack(tokens, dim)
+        u, weight = _token_upstream(stack, single, index, upstream, dim)
+        return weight * (u[0] if single else u)
 
     return EncoderSuite(visual_encode, backbone_identity, tokenize, text_encode,
                         text_token_vjp, d_e=dim, d_b=dim, d_tok=dim)

@@ -96,40 +96,28 @@ def as_same_rows(a, b, names: tuple[str, str] = ("a", "b")
     return a2, b2
 
 
-def _cosine_parts(a, b):
-    """Row-stacked a, b (1-D lifted to one row), their norms, row-wise
-    cosines and the degeneracy mask; degenerate rows have cosine 0."""
-    a2, b2 = as_same_rows(a, b)
-    na = np.linalg.norm(a2, axis=1)
-    nb = np.linalg.norm(b2, axis=1)
-    degenerate = (na < EPS_NORM) | (nb < EPS_NORM)
-    denom = np.where(degenerate, 1.0, na * nb)
-    cos = np.where(degenerate, 0.0, np.einsum("ij,ij->i", a2, b2) / denom)
-    return a2, b2, na, nb, cos, degenerate
+def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray | float,
+                                 np.ndarray | bool]:
+    """Gradients of cosine(a, b) w.r.t. a and b, plus the cosine and its
+    degeneracy flag: returns ``(da, db, cos, degenerate)``.
 
-
-def cosine_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``cosine_with_flag`` over two ``(B, d)`` stacks: returns the
-    B similarities and the B degeneracy flags (degenerate rows give 0)."""
-    *_, cos, degenerate = _cosine_parts(a, b)
-    return cos, degenerate
-
-
-def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of cosine(a, b) w.r.t. a and b (zeros for degenerate inputs).
-
-    Row-stacked inputs give the gradients of each row's cosine.
+    Degenerate inputs (as in ``cosine_with_flag``) give cosine 0 and zero
+    gradients. Row-stacked ``(B, d)`` inputs give each row's gradients,
+    the B row cosines and the B-row degeneracy mask; 1-D inputs give a
+    float cosine and a bool flag.
     """
-    a2, b2, na, nb, cos, degenerate = _cosine_parts(a, b)
-    na = np.where(degenerate, 1.0, na)[:, None]
-    nb = np.where(degenerate, 1.0, nb)[:, None]
-    cos = cos[:, None]
-    keep = ~degenerate[:, None]
-    da = np.where(keep, b2 / (na * nb) - cos * a2 / (na * na), 0.0)
-    db = np.where(keep, a2 / (na * nb) - cos * b2 / (nb * nb), 0.0)
+    a2, b2 = as_same_rows(a, b)
+    na = np.linalg.norm(a2, axis=1, keepdims=True)
+    nb = np.linalg.norm(b2, axis=1, keepdims=True)
+    keep = (na >= EPS_NORM) & (nb >= EPS_NORM)
+    na, nb = np.where(keep, na, 1.0), np.where(keep, nb, 1.0)
+    c = np.where(keep, np.einsum("ij,ij->i", a2, b2)[:, None] / (na * nb), 0.0)
+    da = np.where(keep, b2 / (na * nb) - c * a2 / (na * na), 0.0)
+    db = np.where(keep, a2 / (na * nb) - c * b2 / (nb * nb), 0.0)
+    cos, degenerate = c[:, 0], ~keep[:, 0]
     if np.ndim(a) == 1:
-        return da[0], db[0]
-    return da, db
+        return da[0], db[0], float(cos[0]), bool(degenerate[0])
+    return da, db, cos, degenerate
 
 
 @dataclass

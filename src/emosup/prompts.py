@@ -23,9 +23,9 @@ from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
 from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite, TokenSequence
 from .errors import ContractError, FrozenParameterError, NumericalError
-from .numerics import (MlpGrads, MlpParams, cosine_grads, cosine_rows,
-                       cosine_with_flag, grads_zeros_like, init_mlp, mlp_backward,
-                       mlp_forward, sgd_step)
+from .numerics import (MlpGrads, MlpParams, cosine_grads, cosine_with_flag,
+                       grads_zeros_like, init_mlp, mlp_backward, mlp_forward,
+                       sgd_step)
 
 MULTI = "multi"
 SINGLE_CONDITIONAL = "single_conditional"
@@ -183,11 +183,6 @@ def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
     return TokenSequence(tokens + prompt.tokens)
 
 
-def personalized_text_embedding(prompt: TokenSequence, suite: EncoderSuite) -> np.ndarray:
-    """Frozen text encoding of a (personalized) token sequence."""
-    return suite.text_encode(prompt)
-
-
 def emotion_visual_embedding(bank: EmotionProjectorBank, sample: Sample,
                              suite: EncoderSuite) -> np.ndarray:
     """Project the frozen visual encoding into the emotion-centric space."""
@@ -316,50 +311,57 @@ def _fresh_checkpoint(suite: EncoderSuite, config: TrainConfig,
 class _FrozenTable:
     """Frozen-encoder outputs a training step reads: visual embeddings by
     sample id, identity-backbone features by reference id, and the tokens
-    of each emotion's plain prompt. The encoders never change, so a
-    training run computes these once instead of once per entry."""
+    of each emotion's plain prompt as a ``(7, L0, d_tok)`` array indexed by
+    emotion code. The encoders never change, so a training run computes
+    these once instead of once per entry."""
 
     visual: dict[str, np.ndarray]
     identity: dict[str, np.ndarray]
-    prompt_tokens: dict[EmotionLabel, list[np.ndarray]]
+    prompt_tokens: np.ndarray
 
 
 def _frozen_table(samples: list[Sample], references: list[Sample],
                   suite: EncoderSuite) -> _FrozenTable:
+    prompts = [suite.tokenize(prompt_for(e)).tokens for e in EMOTIONS]
+    if len({len(tokens) for tokens in prompts}) != 1:
+        raise ContractError("batched training needs emotion prompts of one token "
+                            f"length, got lengths {[len(t) for t in prompts]}")
     return _FrozenTable(
         {s.id: suite.visual_encode(s.image_ref) for s in dict.fromkeys(samples)},
         {r.id: suite.backbone_identity(r.image_ref) for r in dict.fromkeys(references)},
-        {e: suite.tokenize(prompt_for(e)).tokens for e in EMOTIONS})
+        np.array(prompts))
 
 
 def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
                        table: _FrozenTable, suite: EncoderSuite):
     """One guider-head forward pass over the references' identity features.
 
-    Returns two functions. ``embed(emotions)`` encodes each reference's
-    personalized prompt for the matching emotion: a ``(B, d_e)`` stack
-    plus the token sequences. ``backward(terms)`` takes ``(seqs, upstream)``
-    pairs of such sequences and ``(B, d_e)`` embedding gradients, chains
-    them through the prepended tokens, and runs one head backward pass on
-    their sum (the head's backward is linear in its upstream gradient).
+    Returns two functions. ``embed(emotions)`` stacks each reference's
+    guider tokens in front of the tokens of the matching emotion's prompt
+    and encodes the stack in one ``text_encode`` call: a ``(B, d_e)``
+    embedding stack plus the ``(B, L, d_tok)`` token stack. ``backward(terms)``
+    takes ``(stack, upstream)`` pairs of such token stacks and ``(B, d_e)``
+    embedding gradients, chains them through the guider tokens (one
+    ``text_token_vjp`` call per token per term), and runs one head backward
+    pass on their sum (the head's backward is linear in its upstream
+    gradient).
     """
     head_out, head_cache = mlp_forward(
         ckpt.guider_head, np.stack([table.identity[r.id] for r in references]))
-    d_tok, count = ckpt.d_tok, ckpt.token_count
-    tokens = [[row[i * d_tok:(i + 1) * d_tok] for i in range(count)] for row in head_out]
+    count = ckpt.token_count
+    guider = head_out.reshape(len(references), count, ckpt.d_tok)
 
     def embed(emotions: list[EmotionLabel]):
-        seqs = [TokenSequence(toks + table.prompt_tokens[e])
-                for toks, e in zip(tokens, emotions)]
-        return np.stack([suite.text_encode(seq) for seq in seqs]), seqs
+        prompts = table.prompt_tokens[[int(e) for e in emotions]]
+        stack = np.concatenate([guider, prompts], axis=1)
+        return suite.text_encode(stack), stack
 
     def backward(terms) -> MlpGrads:
-        upstream = np.zeros_like(head_out)
-        for seqs, embedding_grads in terms:
-            for row, seq, u in zip(upstream, seqs, embedding_grads):
-                row += np.concatenate([suite.text_token_vjp(seq, i, u)
-                                       for i in range(count)])
-        return mlp_backward(ckpt.guider_head, head_cache, upstream)
+        upstream = np.zeros_like(guider)
+        for stack, embedding_grads in terms:
+            for i in range(count):
+                upstream[:, i] += suite.text_token_vjp(stack, i, embedding_grads)
+        return mlp_backward(ckpt.guider_head, head_cache, upstream.reshape(head_out.shape))
 
     return embed, backward
 
@@ -433,16 +435,15 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
     grads = [grads_zeros_like(p) for p in ckpt.all_params()]
     scale = 1.0 / len(entries)
     embed, head_backward = _personalized_rows(ckpt, references, table, suite)
-    t_pos, seq_pos = embed([e.positive_prompt for e in entries])
-    t_neg, seq_neg = embed([e.negative_prompt for e in entries])
+    t_pos, stack_pos = embed([e.positive_prompt for e in entries])
+    t_neg, stack_neg = embed([e.negative_prompt for e in entries])
     i_vis, projector_backward = _project_rows(ckpt.bank, anchors, table)
 
-    sim_pos, _ = cosine_rows(t_pos, i_vis)
-    sim_neg, _ = cosine_rows(t_neg, i_vis)
-    d_tpos, d_ivis_pos = cosine_grads(t_pos, i_vis)
-    d_tneg, d_ivis_neg = cosine_grads(t_neg, i_vis)
+    d_tpos, d_ivis_pos, sim_pos, _ = cosine_grads(t_pos, i_vis)
+    d_tneg, d_ivis_neg, sim_neg, _ = cosine_grads(t_neg, i_vis)
     # d loss / d t_pos = -d sim_pos, d loss / d t_neg = +d sim_neg
-    grads[0].add_(head_backward([(seq_pos, -scale * d_tpos), (seq_neg, scale * d_tneg)]))
+    grads[0].add_(head_backward([(stack_pos, -scale * d_tpos),
+                                 (stack_neg, scale * d_tneg)]))
     projector_backward(scale * (d_ivis_neg - d_ivis_pos), grads)
     return float(np.sum((1.0 - sim_pos) + sim_neg)) * scale, grads
 
@@ -467,18 +468,18 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     grads = [grads_zeros_like(p) for p in ckpt.all_params()]
     scale = 1.0 / n
     embed, head_backward = _personalized_rows(ckpt, references, table, suite)
-    t_s, seq_s = embed([s.emotion for s in sources])
-    t_t, seq_t = embed([s.emotion for s in targets])
+    t_s, stack_s = embed([s.emotion for s in sources])
+    t_t, stack_t = embed([s.emotion for s in targets])
     # sources fill the first n rows, targets the last n
     i_vis, projector_backward = _project_rows(ckpt.bank, sources + targets, table)
 
     i_diff = i_vis[:n] - i_vis[n:]
     t_diff = t_s - t_t
-    sim, _ = cosine_rows(i_diff, t_diff)  # 0 on degenerate rows: loss 1, no gradient
-    d_idiff, d_tdiff = cosine_grads(i_diff, t_diff)
+    # degenerate rows have sim 0 and zero gradients: loss 1, no gradient
+    d_idiff, d_tdiff, sim, _ = cosine_grads(i_diff, t_diff)
     d_idiff = -scale * d_idiff   # loss = 1 - sim
     d_tdiff = -scale * d_tdiff
-    grads[0].add_(head_backward([(seq_s, d_tdiff), (seq_t, -d_tdiff)]))
+    grads[0].add_(head_backward([(stack_s, d_tdiff), (stack_t, -d_tdiff)]))
     projector_backward(np.concatenate([d_idiff, -d_idiff]), grads)
     return float(np.sum(1.0 - sim)) * scale, grads
 
@@ -546,7 +547,7 @@ def retrieval_accuracy(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
         sims = []
         for candidate in EMOTIONS:
             prompt = build_personalized_prompt(ckpt, reference, candidate, suite)
-            t_emb = personalized_text_embedding(prompt, suite)
+            t_emb = suite.text_encode(prompt)
             sims.append(cosine_with_flag(t_emb, i_vis)[0])
         if int(np.argmax(sims)) == int(sample.emotion):
             hits += 1

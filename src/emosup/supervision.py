@@ -20,8 +20,7 @@ from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError
 from .numerics import (MlpParams, as_same_rows, cosine_with_flag, init_mlp,
                        mlp_backward, mlp_forward, sgd_step)
-from .prompts import (AlignmentCheckpoint, build_personalized_prompt,
-                      personalized_text_embedding, project_visual)
+from .prompts import AlignmentCheckpoint, build_personalized_prompt, project_visual
 
 # Baseline-specific default weights for the difference-regularizer term.
 DEFAULT_LAMBDAS = {"ned": 0.4, "icface": 0.05, "sserd": 0.2, "toy": 0.4}
@@ -201,8 +200,8 @@ class _DemoContext:
             reference = manifest.by_id(s.neutral_ref)
             for e in EMOTIONS:
                 if (s.neutral_ref, e) not in self.prompts:
-                    self.prompts[(s.neutral_ref, e)] = personalized_text_embedding(
-                        build_personalized_prompt(ckpt, reference, e, suite), suite)
+                    self.prompts[(s.neutral_ref, e)] = suite.text_encode(
+                        build_personalized_prompt(ckpt, reference, e, suite))
                 if (s.identity, e) not in self.clean_target:
                     self.clean_target[(s.identity, e)] = world.clean_visual(s.identity, e)
 

@@ -48,7 +48,7 @@ def sim_and_grads(a, b):
     sim, degenerate = cosine_with_flag(a, b)
     if degenerate:
         return 0.0, np.zeros_like(a), np.zeros_like(b)
-    da, db = cosine_grads(a, b)
+    da, db, _, _ = cosine_grads(a, b)
     return sim, da, db
 
 
@@ -96,7 +96,7 @@ def difference_per_entry(ckpt, draws, suite):
             total += 1.0
             continue
         total += 1.0 - sim
-        d_idiff, d_tdiff = cosine_grads(i_diff, t_diff)
+        d_idiff, d_tdiff, _, _ = cosine_grads(i_diff, t_diff)
         d_idiff, d_tdiff = -scale * d_idiff, -scale * d_tdiff
         grads[0].add_(head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite))
         grads[0].add_(head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite))
@@ -380,15 +380,17 @@ def test_stacked_cosine_grads_equal_per_row_calls(seed, rows, dim, zero_row):
     b = rng.standard_normal((rows, dim))
     if zero_row:
         a[rows // 2] = 0.0
-    da, db = cosine_grads(a, b)
-    sims, degenerate = es.numerics.cosine_rows(a, b)
+    da, db, sims, degenerate = cosine_grads(a, b)
+    assert sims.shape == degenerate.shape == (rows,)
     for i in range(rows):
-        da_i, db_i = cosine_grads(a[i], b[i])
+        da_i, db_i, sim_1d, degenerate_1d = cosine_grads(a[i], b[i])
         sim_i, degenerate_i = cosine_with_flag(a[i], b[i])
         np.testing.assert_allclose(da[i], da_i, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(db[i], db_i, rtol=1e-12, atol=1e-12)
+        assert type(sim_1d) is float and type(degenerate_1d) is bool
         assert sims[i] == pytest.approx(sim_i, rel=1e-12, abs=1e-12)
-        assert degenerate[i] == degenerate_i
+        assert sim_1d == pytest.approx(sim_i, rel=1e-12, abs=1e-12)
+        assert degenerate[i] == degenerate_i == degenerate_1d
     assert degenerate[rows // 2] == zero_row
 
 

@@ -73,12 +73,10 @@ def test_embed_pair_matches_direct_composition(trained_checkpoint,
                               source.emotion)[0]
     vis_t = pr.project_visual(ckpt.bank, default_suite.visual_encode(target.image_ref),
                               target_emotion)[0]
-    txt_s = es.personalized_text_embedding(
-        es.build_personalized_prompt(ckpt, reference, source.emotion, default_suite),
-        default_suite)
-    txt_t = es.personalized_text_embedding(
-        es.build_personalized_prompt(ckpt, reference, target_emotion, default_suite),
-        default_suite)
+    txt_s = default_suite.text_encode(
+        es.build_personalized_prompt(ckpt, reference, source.emotion, default_suite))
+    txt_t = default_suite.text_encode(
+        es.build_personalized_prompt(ckpt, reference, target_emotion, default_suite))
     assert np.array_equal(pe.visual_source, vis_s)
     assert np.array_equal(pe.visual_target, vis_t)
     assert np.array_equal(pe.text_source, txt_s)

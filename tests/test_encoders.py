@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emosup as es
 from emosup.emotions import EMOTION_WORD_POSITION
@@ -241,3 +243,102 @@ def test_precomputed_text_encoding_serves_table(tmp_path):
     assert seq.length == 1
     enc = suite.text_encode(seq)
     assert np.array_equal(enc, es.read_feature_file(tmp_path / "t_angry.f32"))
+
+
+# ---------------------------------------------------------------------------
+# stacked text encoder, both backends
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def precomputed_suite(tmp_path_factory):
+    return es.load_precomputed_features(
+        write_precomputed(tmp_path_factory.mktemp("features"), dim=12))
+
+
+@pytest.fixture(params=["synthetic", "precomputed"])
+def any_suite(request):
+    return request.getfixturevalue(
+        "default_suite" if request.param == "synthetic" else "precomputed_suite")
+
+
+@settings(max_examples=30)
+@given(backend=st.sampled_from(["synthetic", "precomputed"]), seed=st.integers(0, 10_000),
+       rows=st.integers(1, 5), guider_tokens=st.sampled_from([1, 2]),
+       prompt_lengths=st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True))
+def test_stacked_text_calls_equal_per_sequence_calls(default_suite, precomputed_suite,
+                                                     backend, seed, rows, guider_tokens,
+                                                     prompt_lengths):
+    suite = default_suite if backend == "synthetic" else precomputed_suite
+    rng = np.random.default_rng(seed)
+    guider = rng.standard_normal((rows, guider_tokens, suite.d_tok))
+    for prompt_length in prompt_lengths:  # one stack per prompt length
+        prompt = np.broadcast_to(rng.standard_normal((prompt_length, suite.d_tok)),
+                                 (rows, prompt_length, suite.d_tok))
+        stack = np.concatenate([guider, prompt], axis=1)
+        upstream = rng.standard_normal((rows, suite.d_e))
+        encoded = suite.text_encode(stack)
+        assert encoded.shape == (rows, suite.d_e)
+        vjps = [suite.text_token_vjp(stack, i, upstream) for i in range(stack.shape[1])]
+        for b in range(rows):
+            seq = es.TokenSequence(list(stack[b]))
+            np.testing.assert_allclose(encoded[b], suite.text_encode(seq),
+                                       rtol=1e-12, atol=1e-12)
+            for i, vjp in enumerate(vjps):
+                assert vjp.shape == (rows, suite.d_tok)
+                np.testing.assert_allclose(vjp[b], suite.text_token_vjp(seq, i, upstream[b]),
+                                           rtol=1e-12, atol=1e-12)
+
+
+def test_a_token_sequence_is_the_one_row_stack(any_suite, rng):
+    seq = es.TokenSequence(list(rng.standard_normal((3, any_suite.d_tok))))
+    upstream = rng.standard_normal(any_suite.d_e)
+    stack = np.stack(seq.tokens)[None]
+    assert any_suite.text_encode(seq).shape == (any_suite.d_e,)
+    assert np.array_equal(any_suite.text_encode(seq), any_suite.text_encode(stack)[0])
+    for i in range(seq.length):
+        vjp = any_suite.text_token_vjp(seq, i, upstream)
+        assert vjp.shape == (any_suite.d_tok,)
+        assert np.array_equal(vjp, any_suite.text_token_vjp(stack, i, upstream[None])[0])
+
+
+def bad_stacks(d_tok):
+    nan_stack = np.ones((2, 3, d_tok))
+    nan_stack[1, 2, 0] = np.nan
+    inf_stack = np.ones((2, 3, d_tok))
+    inf_stack[0, 0, -1] = np.inf
+    return {"wrong d_tok": (np.ones((2, 3, d_tok + 1)), "d_tok"),
+            "wrong d_tok sequence": (es.TokenSequence([np.ones(3)]), "d_tok"),
+            "2-D": (np.ones((3, d_tok)), r"\(B, L, d_tok\)"),
+            "4-D": (np.ones((1, 2, 3, d_tok)), r"\(B, L, d_tok\)"),
+            "empty": (np.ones((0, 3, d_tok)), r"\(B, L, d_tok\)"),
+            "nan": (nan_stack, "non-finite"),
+            "inf": (inf_stack, "non-finite")}
+
+
+@pytest.mark.parametrize("case", ["wrong d_tok", "wrong d_tok sequence", "2-D", "4-D",
+                                  "empty", "nan", "inf"])
+def test_text_calls_reject_malformed_stacks(any_suite, case):
+    stack, message = bad_stacks(any_suite.d_tok)[case]
+    with pytest.raises(ContractError, match=message):
+        any_suite.text_encode(stack)
+    with pytest.raises(ContractError, match=message):
+        any_suite.text_token_vjp(stack, 0, np.ones((2, any_suite.d_e)))
+
+
+@pytest.mark.parametrize("shape", [(2, "d_e"), (4, "d_e"), ("d_e",), (3, "d_e+1")])
+def test_token_vjp_rejects_an_upstream_that_does_not_match(any_suite, shape):
+    dims = {"d_e": any_suite.d_e, "d_e+1": any_suite.d_e + 1}
+    upstream = np.ones(tuple(dims.get(n, n) for n in shape))
+    with pytest.raises(ContractError, match="upstream gradient"):
+        any_suite.text_token_vjp(np.ones((3, 2, any_suite.d_tok)), 0, upstream)
+
+
+def test_token_vjp_rejects_a_bad_index_or_non_finite_upstream(any_suite):
+    stack = np.ones((3, 2, any_suite.d_tok))
+    upstream = np.ones((3, any_suite.d_e))
+    for index in (-1, 2):
+        with pytest.raises(ContractError, match="token index"):
+            any_suite.text_token_vjp(stack, index, upstream)
+    upstream[1, 0] = np.nan
+    with pytest.raises(ContractError, match="non-finite"):
+        any_suite.text_token_vjp(stack, 0, upstream)

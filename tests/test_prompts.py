@@ -85,7 +85,7 @@ def test_personalized_embedding_linearity(default_manifest, default_world,
     reference = default_manifest.by_id(default_manifest.samples[0].neutral_ref)
     seq = es.build_personalized_prompt(ckpt, reference, es.EmotionLabel.angry,
                                        default_suite)
-    lhs = es.personalized_text_embedding(seq, default_suite)
+    lhs = default_suite.text_encode(seq)
     plain = default_suite.tokenize(es.prompt_for(es.EmotionLabel.angry))
     rhs = (default_suite.text_encode(plain)
            + position_weight(0, seq.length) * (default_world.token_map @ seq.tokens[0]))
@@ -97,8 +97,7 @@ def test_personalized_embedding_deterministic(default_manifest, default_suite):
     reference = default_manifest.by_id(default_manifest.samples[0].neutral_ref)
     seq = es.build_personalized_prompt(ckpt, reference, es.EmotionLabel.happy,
                                        default_suite)
-    assert np.array_equal(es.personalized_text_embedding(seq, default_suite),
-                          es.personalized_text_embedding(seq, default_suite))
+    assert np.array_equal(default_suite.text_encode(seq), default_suite.text_encode(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +365,8 @@ def test_identity_sensitivity_of_trained_prompts(trained_checkpoint,
         if s.emotion == es.EmotionLabel.neutral and s.identity not in refs:
             refs[s.identity] = s
     ref_a, ref_b = list(refs.values())[:2]
-    emb_a = es.personalized_text_embedding(
-        es.build_personalized_prompt(ckpt, ref_a, es.EmotionLabel.happy,
-                                     default_suite), default_suite)
-    emb_b = es.personalized_text_embedding(
-        es.build_personalized_prompt(ckpt, ref_b, es.EmotionLabel.happy,
-                                     default_suite), default_suite)
+    emb_a = default_suite.text_encode(
+        es.build_personalized_prompt(ckpt, ref_a, es.EmotionLabel.happy, default_suite))
+    emb_b = default_suite.text_encode(
+        es.build_personalized_prompt(ckpt, ref_b, es.EmotionLabel.happy, default_suite))
     assert np.max(np.abs(emb_a - emb_b)) > 1e-9
