@@ -21,22 +21,25 @@ u = rng.standard_normal(4)
 out, cache = mlp_forward(net, x)
 grads = mlp_backward(net, cache, u)
 
-# spot-check one weight against central finite differences
+# spot-check one weight against central finite differences: the one with
+# the largest gradient, so it feeds a hidden unit the relu keeps active
 h = 1e-5
 layer = net.layers[0]
-orig = layer.weights[2, 3]
-layer.weights[2, 3] = orig + h
+idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(grads.weight_grads[0])),
+                                               layer.weights.shape))
+orig = layer.weights[idx]
+layer.weights[idx] = orig + h
 up = float(mlp_forward(net, x)[0] @ u)
-layer.weights[2, 3] = orig - h
+layer.weights[idx] = orig - h
 down = float(mlp_forward(net, x)[0] @ u)
-layer.weights[2, 3] = orig
+layer.weights[idx] = orig
 fd = (up - down) / (2 * h)
-print(f"analytic dL/dW[2,3] = {grads.weight_grads[0][2, 3]:+.8f}")
+print(f"analytic dL/dW{list(idx)} = {grads.weight_grads[0][idx]:+.8f}")
 print(f"finite-difference   = {fd:+.8f}")
 
-stepped = sgd_step(net, grads, lr=0.1)
-print("first weight before/after SGD:",
-      net.layers[0].weights[0, 0], "->", stepped.layers[0].weights[0, 0])
+# the layers are views of one parameter vector: SGD updates it in place
+sgd_step(net.vector, grads.vector, lr=0.1)
+print(f"W{list(idx)} before/after one SGD step: {orig:+.8f} -> {layer.weights[idx]:+.8f}")
 
 print("\n== PSD square-root trace ==")
 m = rng.standard_normal((5, 5))

@@ -9,7 +9,7 @@ the run levels off above the contrastive one."""
 import numpy as np
 
 import emosup as es
-from emosup.differencing import PairEmbeddings, diff_vectors, difference_loss
+from emosup.differencing import PairEmbeddings, diff_vectors, difference_loss_with_grads
 
 rng = np.random.default_rng(0)
 
@@ -17,13 +17,13 @@ print("== constant cross-modal offsets cancel exactly ==")
 pe = PairEmbeddings(rng.standard_normal(16), rng.standard_normal(16),
                     rng.standard_normal(16), rng.standard_normal(16),
                     es.EmotionLabel.happy, es.EmotionLabel.sad)
-base = difference_loss(diff_vectors(pe))
+base = difference_loss_with_grads(diff_vectors(pe))[0]
 for scale in (0.1, 10.0, 1000.0):
     c = scale * rng.standard_normal(16)
     shifted = PairEmbeddings(pe.visual_source + c, pe.text_source,
                              pe.visual_target + c, pe.text_target,
                              pe.source_emotion, pe.target_emotion)
-    moved = difference_loss(diff_vectors(shifted))
+    moved = difference_loss_with_grads(diff_vectors(shifted))[0]
     print(f"  offset norm ~{scale:>6}: |L2 change| = {abs(moved - base):.2e}")
 
 print("\n== training on the difference objective instead ==")

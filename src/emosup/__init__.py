@@ -15,7 +15,8 @@ from .corpus import (CorpusManifest, NegativePoolTable, Sample,
                      generate_synthetic_corpus, sample_contrastive_batch,
                      sample_pair_batch)
 from .differencing import (DifferencePair, PairEmbeddings, diff_vectors,
-                           difference_loss, embed_pair, export_difference_rows)
+                           difference_loss_with_grads, embed_pair,
+                           export_difference_rows)
 from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import (EncoderSuite, SyntheticWorld, TokenSequence, WorldConfig,
                        build_synthetic_world, load_precomputed_features,
@@ -28,8 +29,8 @@ from .numerics import (DenseLayer, MlpParams, cosine_similarity, cosine_with_fla
                        init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace, sgd_step)
 from .prompts import (AlignmentCheckpoint, EmotionProjectorBank, LossCurve,
                       TrainConfig, build_personalized_prompt, contrastive_loss,
-                      emotion_visual_embedding, pretrain_alignment,
-                      pretrain_with_difference_objective, retrieval_accuracy)
+                      pretrain_alignment, pretrain_with_difference_objective,
+                      retrieval_accuracy)
 from .supervision import (DEFAULT_LAMBDAS, DemoConfig, DemoReport, LambdaConfig,
                           lambda_for_baseline, squared_error_loss, supervise_demo,
                           sweep_lambda, total_loss)

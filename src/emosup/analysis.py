@@ -59,6 +59,24 @@ class CrossModalSimilarityMatrix:
                                   for j in EMOTIONS} for i in EMOTIONS},
                 "n_per_cell": {i.name: int(self.n_per_cell[int(i), 0]) for i in EMOTIONS}}
 
+    @staticmethod
+    def from_json_dict(d: dict) -> "CrossModalSimilarityMatrix":
+        """Inverse of ``to_json_dict``. ``n_per_cell`` may also be one count
+        for every cell; missing cells and counts are 0."""
+        n = len(EMOTIONS)
+        values = np.zeros((n, n))
+        for i_name, row in d["rows"].items():
+            for j_name, v in row.items():
+                values[int(parse_emotion(i_name)), int(parse_emotion(j_name))] = v
+        counts = np.zeros((n, n), dtype=np.int64)
+        per_cell = d.get("n_per_cell", 0)
+        if isinstance(per_cell, dict):
+            for name, count in per_cell.items():
+                counts[int(parse_emotion(name))] = int(count)
+        else:
+            counts[:] = int(per_cell)
+        return CrossModalSimilarityMatrix(values, counts)
+
 
 @dataclass
 class GapReport:
@@ -225,15 +243,8 @@ def _load_reference_json(filename: str) -> dict:
 
 def load_reference_matrix() -> CrossModalSimilarityMatrix:
     """The bundled cross-modal similarity matrix (1000 images per cell)."""
-    spec = _load_reference_json("reference_crossmodal_matrix.json")
-    n = len(EMOTIONS)
-    values = np.zeros((n, n))
-    for i_name, row in spec["rows"].items():
-        i = parse_emotion(i_name)
-        for j_name, v in row.items():
-            values[int(i), int(parse_emotion(j_name))] = v
-    counts = np.full((n, n), int(spec["n_per_cell"]), dtype=np.int64)
-    return CrossModalSimilarityMatrix(values, counts)
+    return CrossModalSimilarityMatrix.from_json_dict(
+        _load_reference_json("reference_crossmodal_matrix.json"))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, differencing, prompts, supervision
 from .corpus import CorpusManifest, NegativePoolTable, generate_synthetic_corpus
-from .emotions import EMOTIONS, EmotionLabel, prompt_for
+from .emotions import EMOTIONS, prompt_for
 from .encoders import (WorldConfig, build_synthetic_world, load_precomputed_features,
                        synthetic_suite, write_feature_file)
 from .errors import ContractError, GenerationError, NumericalError
@@ -225,20 +225,7 @@ def cmd_derive_pools(args) -> int:
         matrix = analysis.load_reference_matrix()
     else:
         with open(flags["matrix"]) as f:
-            spec = json.load(f)
-        n = len(EMOTIONS)
-        values = np.zeros((n, n))
-        for i_name, row in spec["rows"].items():
-            for j_name, v in row.items():
-                values[int(EmotionLabel[i_name]), int(EmotionLabel[j_name])] = v
-        counts = np.zeros((n, n), dtype=np.int64)
-        per_cell = spec.get("n_per_cell", 0)
-        if isinstance(per_cell, dict):
-            for name, count in per_cell.items():
-                counts[int(EmotionLabel[name])] = int(count)
-        else:
-            counts[:] = int(per_cell)
-        matrix = analysis.CrossModalSimilarityMatrix(values, counts)
+            matrix = analysis.CrossModalSimilarityMatrix.from_json_dict(json.load(f))
     derived = analysis.derive_negative_pools(matrix, int(flags["k"]))
     reference = analysis.load_reference_pools()
     discrepancies = analysis.pool_discrepancies(derived, reference)
@@ -279,9 +266,16 @@ def cmd_eval_metrics(args) -> int:
     return 0
 
 
-DEMO_DEFAULTS = {"manifest": None, "checkpoint": None, "baseline": "toy",
-                 "lam": None, "seed": 0, "steps": 1500, "batch_size": 16,
-                 "lr": 0.2, "hidden": "96"}
+def _demo_defaults() -> dict:
+    """Flag defaults of the demo commands; the demo fields come from
+    ``DemoConfig()`` in their flag spelling."""
+    fields = DemoConfig().to_dict()
+    fields["hidden"] = ",".join(str(h) for h in fields["hidden"])
+    return {"manifest": None, "checkpoint": None, "baseline": "toy", "lam": None,
+            **fields}
+
+
+DEMO_DEFAULTS = _demo_defaults()
 
 
 def _demo_setup(flags):

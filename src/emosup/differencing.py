@@ -20,7 +20,7 @@ from .corpus import CorpusManifest, Sample
 from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite
 from .errors import ContractError
-from .numerics import EPS_NORM, as_vector, cosine_grads, cosine_with_flag
+from .numerics import as_vector, cosine_grads
 from .prompts import AlignmentCheckpoint, build_personalized_prompt, project_visual
 
 
@@ -45,18 +45,11 @@ class PairEmbeddings:
 
 @dataclass
 class DifferencePair:
-    """Source-minus-target differences on both modalities.
-
-    ``degenerate`` is set when either difference has (near-)zero norm;
-    the loss then falls back to its midpoint value instead of NaN. The
-    differences may also be ``(B, d)`` stacks of B pairs; the flag then
-    marks every row, and ``difference_loss_with_grads`` finds zero-norm
-    rows itself.
-    """
+    """Source-minus-target differences on both modalities, or ``(B, d)``
+    stacks of B pairs' differences."""
 
     visual_diff: np.ndarray
     text_diff: np.ndarray
-    degenerate: bool
 
 
 def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
@@ -89,32 +82,23 @@ def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
 
 
 def diff_vectors(pe: PairEmbeddings) -> DifferencePair:
-    """Elementwise source-minus-target differences with a degeneracy flag."""
-    visual_diff = pe.visual_source - pe.visual_target
-    text_diff = pe.text_source - pe.text_target
-    degenerate = bool(np.linalg.norm(visual_diff) < EPS_NORM
-                      or np.linalg.norm(text_diff) < EPS_NORM)
-    return DifferencePair(visual_diff, text_diff, degenerate)
-
-
-def difference_loss(dp: DifferencePair) -> float:
-    """1 - cosine(visual_diff, text_diff), in [0, 2]; degenerate pairs give 1."""
-    if dp.degenerate:
-        return 1.0
-    sim, degenerate = cosine_with_flag(dp.visual_diff, dp.text_diff)
-    return 1.0 if degenerate else 1.0 - sim
+    """Elementwise source-minus-target differences."""
+    return DifferencePair(pe.visual_source - pe.visual_target,
+                          pe.text_source - pe.text_target)
 
 
 def difference_loss_with_grads(dp: DifferencePair
                                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Loss plus gradients w.r.t. both difference vectors (zeros if degenerate).
+    """The loss ``L2 = 1 - cosine(visual_diff, text_diff)``, in [0, 2], plus
+    its gradients w.r.t. both difference vectors.
 
     A pair of ``(B, d)`` stacks gives the B row losses and row-stacked
-    gradients. Rows in ``cosine_grads``' degeneracy mask count as
-    degenerate: loss 1, zero gradients.
+    gradients. A degenerate pair, one in ``cosine_grads``' mask of
+    (near-)zero-norm differences, gets the midpoint loss 1 and zero
+    gradients instead of NaN.
     """
     d_vis, d_txt, sim, degenerate = cosine_grads(dp.visual_diff, dp.text_diff)
-    keep = ~np.logical_or(degenerate, dp.degenerate)
+    keep = ~np.asarray(degenerate)
     losses = np.where(keep, 1.0 - sim, 1.0)
     if np.ndim(dp.visual_diff) == 1:
         losses = float(losses)

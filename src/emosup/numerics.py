@@ -2,10 +2,12 @@
 analytic gradients, SGD updates, and the PSD square-root trace term used
 by Frechet-style distances.
 
-Everything here is a pure function of its inputs and operates on float64
-numpy arrays. Vectors are 1-D arrays, matrices 2-D row-major arrays. The
-MLP passes and ``cosine_grads`` also take a row-stacked ``(B, d)`` batch;
-a 1-D input is the B = 1 case and comes back 1-D.
+Everything here operates on float64 numpy arrays and, apart from the
+in-place ``sgd_step``, is a pure function of its inputs. Vectors are 1-D
+arrays, matrices 2-D row-major arrays. The MLP passes and ``cosine_grads``
+also take a row-stacked ``(B, d)`` batch; a 1-D input is the B = 1 case
+and comes back 1-D. An MLP's parameters are views of one flat vector, so
+an SGD step is one in-place update of that vector.
 """
 
 from __future__ import annotations
@@ -122,20 +124,14 @@ def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray | float,
 
 @dataclass
 class DenseLayer:
-    """One affine layer: ``act(weights @ x + bias)``, weights shaped out x in."""
+    """One affine layer: ``act(weights @ x + bias)``, weights shaped out x in.
+
+    A plain record: ``MlpParams`` validates the layers it is built from.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
     activation: str = RELU
-
-    def __post_init__(self):
-        self.weights = as_matrix(self.weights, name="weights")
-        self.bias = as_vector(self.bias, name="bias")
-        if self.bias.shape[0] != self.weights.shape[0]:
-            raise ContractError(
-                f"bias dim {self.bias.shape[0]} != weight rows {self.weights.shape[0]}")
-        if self.activation not in _ACTIVATIONS:
-            raise ContractError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -146,22 +142,51 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
 class MlpParams:
-    """Chain of dense layers; the final layer must have identity activation."""
+    """Chain of dense layers held in one contiguous float64 ``vector``.
 
-    layers: list[DenseLayer]
+    The layout is layer by layer, the weights (row-major) then the bias;
+    each layer's ``weights`` and ``bias`` are views into ``vector``, so one
+    in-place update of the vector updates every layer. The final layer
+    must have identity activation.
+    """
 
-    def __post_init__(self):
-        if not self.layers:
+    def __init__(self, layers: list[DenseLayer]):
+        if not layers:
             raise ContractError("MLP needs at least one layer")
-        for i in range(len(self.layers) - 1):
-            if self.layers[i].out_dim != self.layers[i + 1].in_dim:
-                raise ContractError(
-                    f"layer {i} outputs {self.layers[i].out_dim} but layer {i + 1} "
-                    f"expects {self.layers[i + 1].in_dim}")
-        if self.layers[-1].activation != IDENTITY:
+        checked = []
+        for i, layer in enumerate(layers):
+            weights = as_matrix(layer.weights, name=f"layer {i} weights")
+            bias = as_vector(layer.bias, dim=weights.shape[0], name=f"layer {i} bias")
+            if layer.activation not in _ACTIVATIONS:
+                raise ContractError(f"unknown activation {layer.activation!r}")
+            if checked and checked[-1].out_dim != weights.shape[1]:
+                raise ContractError(f"layer {i - 1} outputs {checked[-1].out_dim} but "
+                                    f"layer {i} expects {weights.shape[1]}")
+            checked.append(DenseLayer(weights, bias, layer.activation))
+        if checked[-1].activation != IDENTITY:
             raise ContractError("last layer activation must be identity")
+        self.layers = checked
+        self.move_into(np.empty(sum(l.weights.size + l.bias.size for l in checked)))
+
+    def views(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(weights, bias)`` views of ``vector``, a vector in this chain's
+        layout (such as a gradient), one pair per layer."""
+        out, offset = [], 0
+        for layer in self.layers:
+            (rows, cols), end = layer.weights.shape, offset + layer.weights.size
+            out.append((vector[offset:end].reshape(rows, cols), vector[end:end + rows]))
+            offset = end + rows
+        return out
+
+    def move_into(self, vector: np.ndarray) -> None:
+        """Copy the parameters into ``vector`` (float64, one entry per
+        parameter) and make it the storage every layer views."""
+        layers = []
+        for layer, (weights, bias) in zip(self.layers, self.views(vector)):
+            weights[...], bias[...] = layer.weights, layer.bias
+            layers.append(DenseLayer(weights, bias, layer.activation))
+        self.layers, self.vector = layers, vector
 
     @property
     def in_dim(self) -> int:
@@ -172,16 +197,13 @@ class MlpParams:
         return self.layers[-1].out_dim
 
     def copy(self) -> "MlpParams":
-        return MlpParams([DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                          for l in self.layers])
+        return MlpParams(self.layers)
 
-    def set_writeable(self, flag: bool) -> None:
-        for l in self.layers:
-            l.weights.flags.writeable = flag
-            l.bias.flags.writeable = flag
-
-    def n_params(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
+    def freeze(self) -> None:
+        """Write-protect the vector and every layer view of it (a view made
+        before its base was write-protected stays writable)."""
+        for array in [self.vector] + [a for l in self.layers for a in (l.weights, l.bias)]:
+            array.flags.writeable = False
 
 
 def init_mlp(dims: list[int], rng: np.random.Generator,
@@ -226,36 +248,18 @@ class MlpCache:
 
 @dataclass
 class MlpGrads:
-    """Per-layer (dW, db) plus the gradient w.r.t. the network input.
+    """Parameter gradients as one ``vector`` in the layout of
+    ``MlpParams.vector``, its per-layer views ``weight_grads`` and
+    ``bias_grads``, and the gradient w.r.t. the network input.
 
     After a row-stacked backward pass ``input_grad`` holds one row per
     input row; the parameter gradients are summed over the rows.
     """
 
+    vector: np.ndarray
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
     input_grad: np.ndarray
-
-    def scale(self, factor: float) -> "MlpGrads":
-        return MlpGrads([w * factor for w in self.weight_grads],
-                        [b * factor for b in self.bias_grads],
-                        self.input_grad * factor)
-
-    def add_(self, other: "MlpGrads") -> None:
-        for mine, theirs in zip(self.weight_grads, other.weight_grads):
-            mine += theirs
-        for mine, theirs in zip(self.bias_grads, other.bias_grads):
-            mine += theirs
-        input_grad = other.input_grad
-        if input_grad.ndim == 2:  # row-stacked: add the total over the rows
-            input_grad = input_grad.sum(axis=0)
-        self.input_grad += input_grad
-
-
-def grads_zeros_like(p: MlpParams) -> MlpGrads:
-    return MlpGrads([np.zeros_like(l.weights) for l in p.layers],
-                    [np.zeros_like(l.bias) for l in p.layers],
-                    np.zeros(p.in_dim))
 
 
 def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
@@ -297,34 +301,34 @@ def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
             or u.shape[0] != cache.inputs[0].shape[0]:
         raise ContractError(f"upstream grad shape {np.shape(upstream_grad)} does not "
                             f"match the forward batch")
-    weight_grads: list[np.ndarray] = [None] * len(p.layers)
-    bias_grads: list[np.ndarray] = [None] * len(p.layers)
+    vector = np.empty(p.vector.size)
+    views = p.views(vector)
     for i in range(len(p.layers) - 1, -1, -1):
-        layer = p.layers[i]
+        layer, (dw, db) = p.layers[i], views[i]
         dz = u if layer.activation == IDENTITY else u * (cache.preactivations[i] > 0.0)
-        weight_grads[i] = dz.T @ cache.inputs[i]
-        bias_grads[i] = dz.sum(axis=0)
+        np.matmul(dz.T, cache.inputs[i], out=dw)
+        dz.sum(axis=0, out=db)
         u = dz @ layer.weights
-    return MlpGrads(weight_grads, bias_grads, u if cache.stacked else u[0])
+    return MlpGrads(vector, [dw for dw, _ in views], [db for _, db in views],
+                    u if cache.stacked else u[0])
 
 
-def sgd_step(p: MlpParams, grads: MlpGrads, lr: float) -> MlpParams:
-    """Plain SGD update ``param <- param - lr * grad`` on a fresh copy.
+def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """Plain SGD update ``theta -= lr * grad``, in place, on a parameter
+    vector (``MlpParams.vector`` or a checkpoint's) and a gradient in its
+    layout.
 
-    lr may be 0, in which case the parameters come back unchanged.
+    lr may be 0, in which case the parameters stay unchanged. A
+    write-protected (frozen) vector raises ``ValueError``.
     """
     if lr < 0:
         raise ContractError(f"learning rate must be >= 0, got {lr}")
-    for g in grads.weight_grads + grads.bias_grads:
-        if not np.isfinite(g).all():
-            raise NumericalError("non-finite gradient, aborting SGD step")
-    layers = []
-    for layer, dw, db in zip(p.layers, grads.weight_grads, grads.bias_grads):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise ContractError("gradient shape does not match parameters")
-        layers.append(DenseLayer(layer.weights - lr * dw, layer.bias - lr * db,
-                                 layer.activation))
-    return MlpParams(layers)
+    if grad.shape != theta.shape:
+        raise ContractError(f"gradient shape {grad.shape} does not match the "
+                            f"parameters' {theta.shape}")
+    if not np.isfinite(grad).all():
+        raise NumericalError("non-finite gradient, aborting SGD step")
+    theta -= lr * grad
 
 
 def _clamped_sqrt_eigvals(m: np.ndarray, context: str) -> np.ndarray:

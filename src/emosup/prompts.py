@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,8 @@ from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
 from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite, TokenSequence
 from .errors import ContractError, FrozenParameterError, NumericalError
-from .numerics import (MlpGrads, MlpParams, cosine_grads, cosine_with_flag,
-                       grads_zeros_like, init_mlp, mlp_backward, mlp_forward,
+from .numerics import (DenseLayer, MlpGrads, MlpParams, cosine_grads,
+                       cosine_with_flag, init_mlp, mlp_backward, mlp_forward,
                        sgd_step)
 
 MULTI = "multi"
@@ -81,8 +81,12 @@ def build_projector_bank(d_e: int, mode: str, rng: np.random.Generator) -> Emoti
 class AlignmentCheckpoint:
     """Trained guider head + projector bank with training metadata.
 
-    Once frozen the parameter arrays are write-protected and every
-    training entry point refuses the checkpoint.
+    All parameters live in one float64 ``vector``: the guider head and
+    the projectors, in ``all_params()`` order, are views into it, so one
+    in-place update of the vector trains them all. Build a new checkpoint
+    (``dataclasses.replace``) to swap a network. Once frozen the vector
+    and every view of it are write-protected and every training entry
+    point refuses the checkpoint.
     """
 
     guider_head: MlpParams
@@ -93,11 +97,28 @@ class AlignmentCheckpoint:
     token_count: int
     metadata: dict = field(default_factory=dict)
     frozen: bool = False
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = self.all_params()
+        self.vector = np.empty(sum(p.vector.size for p in params))
+        for p, part in zip(params, self.split(self.vector)):
+            p.move_into(part)
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of ``vector``, a vector in this checkpoint's layout (such
+        as a gradient), one per ``all_params()`` entry."""
+        ends = np.cumsum([p.vector.size for p in self.all_params()])
+        return np.split(vector, ends[:-1])
 
     def freeze(self) -> "AlignmentCheckpoint":
-        self.guider_head.set_writeable(False)
-        for p in self.bank.projectors:
-            p.set_writeable(False)
+        params = self.all_params()
+        if any(p.vector.base is not self.vector for p in params):
+            raise ContractError("a network was swapped in after construction; "
+                                "build a new checkpoint instead")
+        self.vector.flags.writeable = False
+        for p in params:
+            p.freeze()
         self.frozen = True
         return self
 
@@ -130,8 +151,7 @@ class AlignmentCheckpoint:
         if d.get("format_version") != 1:
             raise ContractError(f"unsupported checkpoint format {d.get('format_version')!r}")
 
-        def parse(layers):
-            from .numerics import DenseLayer
+        def parse(layers):  # MlpParams validates the arrays
             return MlpParams([DenseLayer(np.array(l["weights"], dtype=np.float64),
                                          np.array(l["bias"], dtype=np.float64),
                                          l["activation"]) for l in layers])
@@ -181,12 +201,6 @@ def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
     tokens, _ = guider_tokens(ckpt, reference, suite)
     prompt = suite.tokenize(prompt_for(emotion))
     return TokenSequence(tokens + prompt.tokens)
-
-
-def emotion_visual_embedding(bank: EmotionProjectorBank, sample: Sample,
-                             suite: EncoderSuite) -> np.ndarray:
-    """Project the frozen visual encoding into the emotion-centric space."""
-    return project_visual(bank, suite.visual_encode(sample.image_ref), sample.emotion)[0]
 
 
 def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
@@ -257,12 +271,7 @@ class TrainConfig:
         return self.lr / self.decay_factor ** drops
 
     def to_dict(self) -> dict:
-        return {"seed": self.seed, "epochs": self.epochs, "batch_size": self.batch_size,
-                "steps_per_epoch": self.steps_per_epoch, "lr": self.lr,
-                "decay_epochs": list(self.decay_epochs),
-                "decay_factor": self.decay_factor, "momentum": self.momentum,
-                "projector_mode": self.projector_mode,
-                "guider_token_count": self.guider_token_count}
+        return {**asdict(self), "decay_epochs": list(self.decay_epochs)}
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -372,8 +381,8 @@ def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
     one stacked pass per emotion present.
 
     Returns the ``(B, d_e)`` projections and ``backward(upstream, grads)``,
-    which adds each pass's projector gradients into ``grads`` (laid out as
-    ``ckpt.all_params()``).
+    which adds each pass's projector gradients into ``grads``, the
+    ``ckpt.split`` views of a gradient vector.
     """
     visual = np.stack([table.visual[s.id] for s in samples])
     codes = np.array([int(s.emotion) for s in samples])
@@ -386,53 +395,29 @@ def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
             out[rows] = projected
             passes.append((rows, cache, net, 1 + (int(emotion) if bank.mode == MULTI else 0)))
 
-    def backward(upstream: np.ndarray, grads: list[MlpGrads]) -> None:
+    def backward(upstream: np.ndarray, grads: list[np.ndarray]) -> None:
         for rows, cache, net, index in passes:
-            grads[index].add_(mlp_backward(net, cache, upstream[rows]))
+            grads[index] += mlp_backward(net, cache, upstream[rows]).vector
 
     return out, backward
 
 
-class _Sgd:
-    """SGD with optional momentum over a list of MlpParams."""
-
-    def __init__(self, params: list[MlpParams], momentum: float):
-        self.momentum = momentum
-        self.velocities = [grads_zeros_like(p) for p in params]
-
-    def step(self, params: list[MlpParams], grads: list[MlpGrads],
-             lr: float) -> list[MlpParams]:
-        updated = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if self.momentum > 0:
-                v = self.velocities[i].scale(self.momentum)
-                v.add_(g)
-                self.velocities[i] = v
-                g = v
-            updated.append(sgd_step(p, g, lr))
-        return updated
-
-
-def _rebind(ckpt: AlignmentCheckpoint, params: list[MlpParams]) -> None:
-    ckpt.guider_head = params[0]
-    ckpt.bank = EmotionProjectorBank(ckpt.bank.mode, params[1:])
-
-
 def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
                            suite: EncoderSuite, table: _FrozenTable | None = None
-                           ) -> tuple[float, list[MlpGrads]]:
-    """Mean contrastive loss over a batch plus gradients for head and bank.
+                           ) -> tuple[float, np.ndarray]:
+    """Mean contrastive loss over a batch plus its gradient for head and
+    bank, one vector in the layout of ``ckpt.vector``.
 
-    Gradient layout matches ``ckpt.all_params()``: the guider head first,
-    then the projectors in bank order. ``table`` holds the frozen-encoder
-    outputs; without one they are computed for this batch.
+    ``table`` holds the frozen-encoder outputs; without one they are
+    computed for this batch.
     """
     entries = batch.entries
     anchors = [e.anchor for e in entries]
     references = [e.reference for e in entries]
     if table is None:
         table = _frozen_table(anchors, references, suite)
-    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    grad = np.zeros_like(ckpt.vector)
+    grads = ckpt.split(grad)
     scale = 1.0 / len(entries)
     embed, head_backward = _personalized_rows(ckpt, references, table, suite)
     t_pos, stack_pos = embed([e.positive_prompt for e in entries])
@@ -442,16 +427,17 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
     d_tpos, d_ivis_pos, sim_pos, _ = cosine_grads(t_pos, i_vis)
     d_tneg, d_ivis_neg, sim_neg, _ = cosine_grads(t_neg, i_vis)
     # d loss / d t_pos = -d sim_pos, d loss / d t_neg = +d sim_neg
-    grads[0].add_(head_backward([(stack_pos, -scale * d_tpos),
-                                 (stack_neg, scale * d_tneg)]))
+    grads[0] += head_backward([(stack_pos, -scale * d_tpos),
+                               (stack_neg, scale * d_tneg)]).vector
     projector_backward(scale * (d_ivis_neg - d_ivis_pos), grads)
-    return float(np.sum((1.0 - sim_pos) + sim_neg)) * scale, grads
+    return float(np.sum((1.0 - sim_pos) + sim_neg)) * scale, grad
 
 
 def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
                           suite: EncoderSuite, table: _FrozenTable | None = None
-                          ) -> tuple[float, list[MlpGrads]]:
-    """Mean difference-alignment loss over sampled pairs plus gradients.
+                          ) -> tuple[float, np.ndarray]:
+    """Mean difference-alignment loss over sampled pairs plus its gradient,
+    laid out as in ``contrastive_step_grads``.
 
     Used by the ablation that pre-trains with the difference objective
     instead of the contrastive one. Note the identity token cancels in
@@ -465,7 +451,8 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     references = [d.reference for d in draws]
     if table is None:
         table = _frozen_table(sources + targets, references, suite)
-    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    grad = np.zeros_like(ckpt.vector)
+    grads = ckpt.split(grad)
     scale = 1.0 / n
     embed, head_backward = _personalized_rows(ckpt, references, table, suite)
     t_s, stack_s = embed([s.emotion for s in sources])
@@ -479,9 +466,9 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     d_idiff, d_tdiff, sim, _ = cosine_grads(i_diff, t_diff)
     d_idiff = -scale * d_idiff   # loss = 1 - sim
     d_tdiff = -scale * d_tdiff
-    grads[0].add_(head_backward([(stack_s, d_tdiff), (stack_t, -d_tdiff)]))
+    grads[0] += head_backward([(stack_s, d_tdiff), (stack_t, -d_tdiff)]).vector
     projector_backward(np.concatenate([d_idiff, -d_idiff]), grads)
-    return float(np.sum(1.0 - sim)) * scale, grads
+    return float(np.sum(1.0 - sim)) * scale, grad
 
 
 def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
@@ -490,7 +477,7 @@ def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
     config.validate()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     ckpt = _fresh_checkpoint(suite, config, rng)
-    optimizer = _Sgd(ckpt.all_params(), config.momentum)
+    velocity = np.zeros_like(ckpt.vector)
     # the samplers draw anchors, pairs and neutral references from train only
     train = manifest.in_split(TRAIN)
     table = _frozen_table(train, [s for s in train if s.emotion == EmotionLabel.neutral],
@@ -501,13 +488,17 @@ def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
         for step in range(config.steps_per_epoch):
             if objective == "contrastive":
                 batch = sample_contrastive_batch(manifest, pools, config.batch_size, rng)
-                loss, grads = contrastive_step_grads(ckpt, batch, suite, table)
+                loss, grad = contrastive_step_grads(ckpt, batch, suite, table)
             else:
                 draws = sample_pair_batch(manifest, pools, config.batch_size, rng)
-                loss, grads = difference_step_grads(ckpt, draws, suite, table)
+                loss, grad = difference_step_grads(ckpt, draws, suite, table)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
-            _rebind(ckpt, optimizer.step(ckpt.all_params(), grads, lr))
+            if config.momentum:
+                velocity *= config.momentum
+                velocity += grad
+                grad = velocity
+            sgd_step(ckpt.vector, grad, lr)
             records.append((epoch, step, float(loss), lr))
     curve = LossCurve(records)
     ckpt.metadata = {"seed": config.seed, "epochs": config.epochs,
@@ -543,7 +534,8 @@ def retrieval_accuracy(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
     hits = 0
     for sample in samples:
         reference = manifest.by_id(sample.neutral_ref)
-        i_vis = emotion_visual_embedding(ckpt.bank, sample, suite)
+        i_vis = project_visual(ckpt.bank, suite.visual_encode(sample.image_ref),
+                               sample.emotion)[0]
         sims = []
         for candidate in EMOTIONS:
             prompt = build_personalized_prompt(ckpt, reference, candidate, suite)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -110,8 +110,7 @@ class DemoConfig:
             raise ContractError("lr must be positive")
 
     def to_dict(self) -> dict:
-        return {"seed": self.seed, "steps": self.steps, "batch_size": self.batch_size,
-                "lr": self.lr, "hidden": list(self.hidden)}
+        return {**asdict(self), "hidden": list(self.hidden)}
 
     @staticmethod
     def from_dict(d: dict) -> "DemoConfig":
@@ -234,7 +233,7 @@ def _l2_grad_on_generated(ctx: _DemoContext, sources: list[Sample],
     text_diff = np.stack([ctx.text_diff(s, t) for s, t in zip(sources, targets)])
     # zero-norm rows are found by the loss: loss 1, zero gradient
     losses, d_vis_diff, _ = difference_loss_with_grads(
-        DifferencePair(visual_diff, text_diff, False))
+        DifferencePair(visual_diff, text_diff))
     grad = np.zeros_like(generated)
     if with_grad:
         for rows, cache, net in passes:
@@ -293,7 +292,7 @@ def _train_generator(manifest: CorpusManifest, ctx: _DemoContext, lam_value: flo
         if not np.isfinite(base_mean):
             raise NumericalError(f"non-finite demo loss at step {step}")
         grads = mlp_backward(gen.params, cache, upstream / len(sources))
-        gen.params = sgd_step(gen.params, grads, config.lr)
+        sgd_step(gen.params.vector, grads.vector, config.lr)
         base_hist.append(base_mean)
         l2_hist.append(float(np.sum(l2_vals)) / len(sources))
     tail = max(1, config.steps // 10)

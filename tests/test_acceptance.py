@@ -4,6 +4,7 @@ Pinned regression values live in tests/data/pinned_default_run.json and
 were recorded from the first verified run of the default configuration.
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -16,7 +17,7 @@ import emosup.prompts as pr
 from emosup.cli import main as cli_main
 from emosup.corpus import VAL
 from emosup.differencing import PairEmbeddings, diff_vectors, \
-    difference_loss, embed_pair
+    difference_loss_with_grads, embed_pair
 from emosup.metrics import FeatureSet, GaussianFit, fad, frechet_distance
 from emosup.numerics import identity_mlp, init_mlp, mlp_backward, mlp_forward
 
@@ -82,16 +83,16 @@ def test_criterion_1_gradient_correctness(default_manifest, default_suite,
                                 np.random.Generator(np.random.PCG64(77)))
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, 4,
                                         np.random.default_rng(77))
-    _, grads = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite)
 
     def path_value():
         return pr.contrastive_step_grads(ckpt, batch, default_suite)[0]
 
     pick = np.random.default_rng(0)
-    for p, g in zip(ckpt.all_params(), grads):
-        for li, layer in enumerate(p.layers):
+    for p, g in zip(ckpt.all_params(), ckpt.split(grad)):
+        for layer, (weight_grad, _) in zip(p.layers, p.views(g)):
             flat = layer.weights.reshape(-1)
-            gflat = g.weight_grads[li].reshape(-1)
+            gflat = weight_grad.reshape(-1)
             for idx in pick.choice(flat.size, size=min(4, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + h
@@ -130,7 +131,7 @@ def test_criterion_2_loss_bounds():
         assert -1.0 - 1e-12 <= l1 <= 3.0 + 1e-12
         dp = diff_vectors(PairEmbeddings(t_pos, t_neg, i_vis, rng.standard_normal(8),
                                          es.EmotionLabel.happy, es.EmotionLabel.sad))
-        l2 = difference_loss(dp)
+        l2 = difference_loss_with_grads(dp)[0]
         assert 0.0 <= l2 <= 2.0
     elapsed = time.monotonic() - start
     assert elapsed < 5
@@ -150,13 +151,14 @@ def test_criterion_3_offset_cancellation():
         pe = PairEmbeddings(rng.standard_normal(d), rng.standard_normal(d),
                             rng.standard_normal(d), rng.standard_normal(d),
                             es.EmotionLabel.happy, es.EmotionLabel.sad)
-        base = difference_loss(diff_vectors(pe))
+        base = difference_loss_with_grads(diff_vectors(pe))[0]
         c = rng.standard_normal(d)
         t = rng.standard_normal(d)
         shifted = PairEmbeddings(pe.visual_source + c, pe.text_source + t,
                                  pe.visual_target + c, pe.text_target + t,
                                  pe.source_emotion, pe.target_emotion)
-        worst = max(worst, abs(difference_loss(diff_vectors(shifted)) - base))
+        worst = max(worst, abs(difference_loss_with_grads(diff_vectors(shifted))[0]
+                               - base))
     assert worst < 1e-12
     report(3, f"constant offsets on either modality leave L2 unchanged "
               f"(worst deviation {worst:.2e})")
@@ -171,8 +173,8 @@ def test_criterion_4_identity_cancellation(noise_free_world):
     manifest = es.generate_synthetic_corpus(noise_free_world, 1)
     cfg = es.TrainConfig()
     ckpt = pr._fresh_checkpoint(suite, cfg, np.random.Generator(np.random.PCG64(4)))
-    ckpt.bank = es.EmotionProjectorBank(
-        "multi", [identity_mlp(suite.d_e) for _ in range(7)])
+    ckpt = dataclasses.replace(ckpt, bank=es.EmotionProjectorBank(
+        "multi", [identity_mlp(suite.d_e) for _ in range(7)]))
     ckpt.freeze()
     worst = 0.0
     pairs = [(es.EmotionLabel.angry, es.EmotionLabel.happy),

@@ -20,8 +20,8 @@ import emosup.supervision as sv
 from emosup.differencing import DifferencePair, difference_loss_with_grads
 from emosup.emotions import EMOTIONS, one_hot
 from emosup.encoders import TokenSequence, _hash_generator
-from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, grads_zeros_like,
-                             init_mlp, mlp_backward, mlp_forward, sgd_step)
+from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, init_mlp,
+                             mlp_backward, mlp_forward, sgd_step)
 
 MODES = [pr.MULTI, pr.SINGLE_CONDITIONAL]
 
@@ -57,7 +57,8 @@ def projector_index(ckpt, emotion):
 
 
 def contrastive_per_entry(ckpt, batch, suite):
-    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    grad = np.zeros_like(ckpt.vector)
+    grads = ckpt.split(grad)
     total = 0.0
     scale = 1.0 / len(batch.entries)
     for entry in batch.entries:
@@ -70,15 +71,18 @@ def contrastive_per_entry(ckpt, batch, suite):
         sim_pos, d_tpos, d_ivis_pos = sim_and_grads(t_pos, i_vis)
         sim_neg, d_tneg, d_ivis_neg = sim_and_grads(t_neg, i_vis)
         total += (1.0 - sim_pos) + sim_neg
-        grads[0].add_(head_grads_per_entry(ckpt, seq_pos, cache_pos, -scale * d_tpos, suite))
-        grads[0].add_(head_grads_per_entry(ckpt, seq_neg, cache_neg, scale * d_tneg, suite))
-        grads[projector_index(ckpt, entry.anchor.emotion)].add_(
-            mlp_backward(net, proj_cache, scale * (d_ivis_neg - d_ivis_pos)))
-    return total * scale, grads
+        grads[0] += head_grads_per_entry(ckpt, seq_pos, cache_pos, -scale * d_tpos,
+                                         suite).vector
+        grads[0] += head_grads_per_entry(ckpt, seq_neg, cache_neg, scale * d_tneg,
+                                         suite).vector
+        grads[projector_index(ckpt, entry.anchor.emotion)] += mlp_backward(
+            net, proj_cache, scale * (d_ivis_neg - d_ivis_pos)).vector
+    return total * scale, grad
 
 
 def difference_per_entry(ckpt, draws, suite):
-    grads = [grads_zeros_like(p) for p in ckpt.all_params()]
+    grad = np.zeros_like(ckpt.vector)
+    grads = ckpt.split(grad)
     total = 0.0
     scale = 1.0 / len(draws)
     for draw in draws:
@@ -98,13 +102,13 @@ def difference_per_entry(ckpt, draws, suite):
         total += 1.0 - sim
         d_idiff, d_tdiff, _, _ = cosine_grads(i_diff, t_diff)
         d_idiff, d_tdiff = -scale * d_idiff, -scale * d_tdiff
-        grads[0].add_(head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite))
-        grads[0].add_(head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite))
-        grads[projector_index(ckpt, draw.source.emotion)].add_(
-            mlp_backward(net_s, cache_is, d_idiff))
-        grads[projector_index(ckpt, draw.target.emotion)].add_(
-            mlp_backward(net_t, cache_it, -d_idiff))
-    return total * scale, grads
+        grads[0] += head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite).vector
+        grads[0] += head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite).vector
+        grads[projector_index(ckpt, draw.source.emotion)] += mlp_backward(
+            net_s, cache_is, d_idiff).vector
+        grads[projector_index(ckpt, draw.target.emotion)] += mlp_backward(
+            net_t, cache_it, -d_idiff).vector
+    return total * scale, grad
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +116,8 @@ def difference_per_entry(ckpt, draws, suite):
 # ---------------------------------------------------------------------------
 
 def assert_grads_close(batched, reference):
-    assert len(batched) == len(reference)
-    for b, r in zip(batched, reference):
-        for mine, theirs in zip(b.weight_grads + b.bias_grads + [b.input_grad],
-                                r.weight_grads + r.bias_grads + [r.input_grad]):
-            assert mine.shape == theirs.shape
-            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-12)
+    assert batched.shape == reference.shape
+    np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=1e-12)
 
 
 def step_setup(suite, mode, tokens, seed, degenerate_identity):
@@ -163,10 +163,10 @@ def test_contrastive_step_matches_per_entry_reference(default_manifest, default_
         projected, _, _ = pr.project_visual(ckpt.bank, suite.visual_encode(anchor.image_ref),
                                             anchor.emotion)
         assert not projected.any()
-    loss, grads = pr.contrastive_step_grads(ckpt, batch, suite)
-    ref_loss, ref_grads = contrastive_per_entry(ckpt, batch, suite)
+    loss, grad = pr.contrastive_step_grads(ckpt, batch, suite)
+    ref_loss, ref_grad = contrastive_per_entry(ckpt, batch, suite)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
-    assert_grads_close(grads, ref_grads)
+    assert_grads_close(grad, ref_grad)
 
 
 @settings(max_examples=24)
@@ -185,10 +185,10 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
         pair = [pr.project_visual(ckpt.bank, suite.visual_encode(s.image_ref), s.emotion)[0]
                 for s in (draws[0].source, draws[0].target)]
         assert not (pair[0] - pair[1]).any()
-    loss, grads = pr.difference_step_grads(ckpt, draws, suite)
-    ref_loss, ref_grads = difference_per_entry(ckpt, draws, suite)
+    loss, grad = pr.difference_step_grads(ckpt, draws, suite)
+    ref_loss, ref_grad = difference_per_entry(ckpt, draws, suite)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
-    assert_grads_close(grads, ref_grads)
+    assert_grads_close(grad, ref_grad)
 
 
 def test_step_with_run_table_equals_step_without(default_manifest, default_suite,
@@ -202,10 +202,10 @@ def test_step_with_run_table_equals_step_without(default_manifest, default_suite
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, 16, rng)
     draws = es.sample_pair_batch(default_manifest, reference_pools, 16, rng)
     for step, drawn in ((pr.contrastive_step_grads, batch), (pr.difference_step_grads, draws)):
-        loss, grads = step(ckpt, drawn, default_suite, table)
-        ref_loss, ref_grads = step(ckpt, drawn, default_suite)
+        loss, grad = step(ckpt, drawn, default_suite, table)
+        ref_loss, ref_grad = step(ckpt, drawn, default_suite)
         assert loss == ref_loss
-        assert_grads_close(grads, ref_grads)
+        assert_grads_close(grad, ref_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def train_per_entry(manifest, ctx, lam, config, difference_path):
     train = manifest.in_split("train")
     base_hist, l2_hist = [], []
     for _ in range(config.steps):
-        grads = grads_zeros_like(gen.params)
+        grad = np.zeros_like(gen.params.vector)
         base_sum = l2_sum = 0.0
         for _ in range(config.batch_size):
             source = train[int(rng.integers(len(train)))]
@@ -255,10 +255,10 @@ def train_per_entry(manifest, ctx, lam, config, difference_path):
             else:
                 l2_val, l2_grad = 0.0, np.zeros_like(out)
             upstream = base_grad + lam * l2_grad
-            grads.add_(mlp_backward(gen.params, cache, upstream / config.batch_size))
+            grad += mlp_backward(gen.params, cache, upstream / config.batch_size).vector
             base_sum += base_val
             l2_sum += l2_val
-        gen.params = sgd_step(gen.params, grads, config.lr)
+        sgd_step(gen.params.vector, grad, config.lr)
         base_hist.append(base_sum / config.batch_size)
         l2_hist.append(l2_sum / config.batch_size)
     tail = max(1, config.steps // 10)
@@ -357,18 +357,15 @@ def test_stacked_mlp_passes_equal_per_row_calls(seed, rows, dims):
     out, cache = mlp_forward(net, x)
     grads = mlp_backward(net, cache, u)
     assert out.shape == (rows, dims[-1]) and grads.input_grad.shape == x.shape
-    summed = grads_zeros_like(net)
+    summed = np.zeros_like(net.vector)
     for i in range(rows):
         out_i, cache_i = mlp_forward(net, x[i])
         grads_i = mlp_backward(net, cache_i, u[i])
         np.testing.assert_allclose(out[i], out_i, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads.input_grad[i], grads_i.input_grad,
                                    rtol=1e-12, atol=1e-12)
-        summed.add_(grads_i)
-    for mine, theirs in zip(grads.weight_grads + grads.bias_grads,
-                            summed.weight_grads + summed.bias_grads):
-        assert mine.shape == theirs.shape
-        np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-12)
+        summed += grads_i.vector
+    np.testing.assert_allclose(grads.vector, summed, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=40)
@@ -406,7 +403,7 @@ def test_stacked_losses_equal_per_row_calls(seed, rows, dim, zero_row, lam):
     l2 = rng.uniform(0, 2, rows)
     base, base_grad = sv.squared_error_loss(generated, target)
     total, grad = sv.total_loss(base, base_grad, l2, l2_grad, es.LambdaConfig(lam))
-    dp = DifferencePair(visual_diff, text_diff, False)
+    dp = DifferencePair(visual_diff, text_diff)
     losses, d_vis, d_txt = difference_loss_with_grads(dp)
     assert base.shape == total.shape == losses.shape == (rows,)
     for i in range(rows):
@@ -414,7 +411,7 @@ def test_stacked_losses_equal_per_row_calls(seed, rows, dim, zero_row, lam):
         total_i, grad_i = sv.total_loss(base_i, base_grad_i, l2[i], l2_grad[i],
                                         es.LambdaConfig(lam))
         loss_i, d_vis_i, d_txt_i = difference_loss_with_grads(
-            DifferencePair(visual_diff[i], text_diff[i], False))
+            DifferencePair(visual_diff[i], text_diff[i]))
         assert type(base_i) is type(total_i) is type(loss_i) is float
         assert (base[i], total[i]) == pytest.approx((base_i, total_i), rel=1e-12)
         assert losses[i] == pytest.approx(loss_i, rel=1e-12)
@@ -424,8 +421,6 @@ def test_stacked_losses_equal_per_row_calls(seed, rows, dim, zero_row, lam):
     if zero_row:
         assert losses[rows // 2] == 1.0
         assert not d_vis[rows // 2].any() and not d_txt[rows // 2].any()
-    flagged = difference_loss_with_grads(DifferencePair(visual_diff, text_diff, True))
-    assert (flagged[0] == 1.0).all() and not flagged[1].any() and not flagged[2].any()
 
 
 def test_stacked_losses_need_matching_shapes(rng):

@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import emosup as es
 import emosup.prompts as pr
 from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
-                                 difference_loss, difference_loss_with_grads,
-                                 embed_pair, export_difference_rows,
-                                 write_difference_csv)
+                                 difference_loss_with_grads, embed_pair,
+                                 export_difference_rows, write_difference_csv)
 from emosup.errors import ContractError
 from emosup.numerics import identity_mlp
 
@@ -15,9 +16,13 @@ def passthrough_checkpoint(suite, seed=0):
     """Frozen checkpoint whose projectors are exact identity maps."""
     cfg = es.TrainConfig()
     ckpt = pr._fresh_checkpoint(suite, cfg, np.random.Generator(np.random.PCG64(seed)))
-    ckpt.bank = es.EmotionProjectorBank(
-        "multi", [identity_mlp(suite.d_e) for _ in range(7)])
+    ckpt = dataclasses.replace(ckpt, bank=es.EmotionProjectorBank(
+        "multi", [identity_mlp(suite.d_e) for _ in range(7)]))
     return ckpt.freeze()
+
+
+def difference_loss(dp):
+    return difference_loss_with_grads(dp)[0]
 
 
 def random_pair(rng, d=16):
@@ -119,7 +124,8 @@ def test_diff_zero_sets_degenerate_flag():
                         es.EmotionLabel.happy)
     dp = diff_vectors(pe)
     assert np.array_equal(dp.visual_diff, np.zeros(2))
-    assert dp.degenerate
+    loss, g_vis, g_txt = difference_loss_with_grads(dp)
+    assert loss == 1.0 and not g_vis.any() and not g_txt.any()
 
 
 def test_diff_subtraction_order():
@@ -147,22 +153,22 @@ def test_diff_antisymmetry(rng):
 
 def test_loss_aligned_is_zero():
     v = np.array([1.0, -2.0, 3.0])
-    assert difference_loss(DifferencePair(v, v, False)) == pytest.approx(0.0)
+    assert difference_loss(DifferencePair(v, v)) == pytest.approx(0.0)
 
 
 def test_loss_opposed_is_two():
     v = np.array([1.0, -2.0, 3.0])
-    assert difference_loss(DifferencePair(v, -v, False)) == pytest.approx(2.0)
+    assert difference_loss(DifferencePair(v, -v)) == pytest.approx(2.0)
 
 
 def test_loss_orthogonal_is_one():
     a = np.array([1.0, 0.0])
     b = np.array([0.0, 5.0])
-    assert difference_loss(DifferencePair(a, b, False)) == pytest.approx(1.0)
+    assert difference_loss(DifferencePair(a, b)) == pytest.approx(1.0)
 
 
 def test_loss_degenerate_is_one_with_flag():
-    dp = DifferencePair(np.zeros(3), np.ones(3), True)
+    dp = DifferencePair(np.zeros(3), np.ones(3))
     assert difference_loss(dp) == 1.0
     loss, g_vis, g_txt = difference_loss_with_grads(dp)
     assert loss == 1.0
@@ -197,8 +203,7 @@ def test_positive_scale_invariance(rng):
     for _ in range(50):
         dp = diff_vectors(random_pair(rng))
         lam, mu = rng.uniform(0.1, 10, size=2)
-        scaled = DifferencePair(lam * dp.visual_diff, mu * dp.text_diff,
-                                dp.degenerate)
+        scaled = DifferencePair(lam * dp.visual_diff, mu * dp.text_diff)
         assert difference_loss(scaled) == pytest.approx(difference_loss(dp),
                                                         abs=1e-11)
 

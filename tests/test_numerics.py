@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from emosup.errors import ContractError, DegenerateVectorWarning, NumericalError
 from emosup.numerics import (DenseLayer, MlpParams, cosine_grads, cosine_similarity,
-                             cosine_with_flag, grads_zeros_like, identity_mlp,
+                             cosine_with_flag, identity_mlp,
                              init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace,
                              sgd_step)
 
@@ -235,54 +235,74 @@ def test_backward_stale_cache_rejected(rng):
 
 def test_sgd_basic_update():
     p = MlpParams([DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")])
-    g = grads_zeros_like(p)
-    g.weight_grads[0][0, 0] = 0.5
-    out = sgd_step(p, g, 0.1)
-    assert out.layers[0].weights[0, 0] == pytest.approx(0.95)
+    g = np.array([0.5, 0.0])  # the layout is weights, then bias
+    sgd_step(p.vector, g, 0.1)
+    assert p.layers[0].weights[0, 0] == pytest.approx(0.95)
 
 
 def test_sgd_zero_grad_is_identity(rng):
     p = init_mlp([3, 4, 2], rng)
-    out = sgd_step(p, grads_zeros_like(p), 0.3)
-    for a, b in zip(p.layers, out.layers):
+    before = p.copy()
+    sgd_step(p.vector, np.zeros_like(p.vector), 0.3)
+    for a, b in zip(before.layers, p.layers):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
 
 def test_sgd_zero_lr_is_identity(rng):
     p = init_mlp([3, 2], rng)
-    g = grads_zeros_like(p)
-    g.weight_grads[0] += rng.standard_normal(g.weight_grads[0].shape)
-    out = sgd_step(p, g, 0.0)
-    assert np.array_equal(p.layers[0].weights, out.layers[0].weights)
+    before = p.copy()
+    sgd_step(p.vector, rng.standard_normal(p.vector.shape), 0.0)
+    assert np.array_equal(before.layers[0].weights, p.layers[0].weights)
 
 
 def test_sgd_two_steps_equal_summed_update(rng):
     # algebraic oracle: p - lr g1 - lr g2 == p - lr (g1 + g2)
     p = init_mlp([4, 3], rng)
-    g1, g2 = grads_zeros_like(p), grads_zeros_like(p)
-    for g in (g1, g2):
-        for w in g.weight_grads:
-            w += rng.standard_normal(w.shape)
-        for b in g.bias_grads:
-            b += rng.standard_normal(b.shape)
+    g1, g2 = rng.standard_normal((2, p.vector.size))
     lr = 0.05
-    two = sgd_step(sgd_step(p, g1, lr), g2, lr)
-    summed = grads_zeros_like(p)
-    summed.add_(g1)
-    summed.add_(g2)
-    one = sgd_step(p, summed, lr)
-    for a, b in zip(two.layers, one.layers):
+    one = p.copy()
+    sgd_step(p.vector, g1, lr)
+    sgd_step(p.vector, g2, lr)
+    sgd_step(one.vector, g1 + g2, lr)
+    for a, b in zip(p.layers, one.layers):
         assert np.allclose(a.weights, b.weights, atol=1e-14)
         assert np.allclose(a.bias, b.bias, atol=1e-14)
 
 
 def test_sgd_nonfinite_gradient_aborts(rng):
     p = init_mlp([2, 2], rng)
-    g = grads_zeros_like(p)
-    g.weight_grads[0][0, 0] = np.nan
+    g = np.zeros_like(p.vector)
+    g[0] = np.nan
     with pytest.raises(NumericalError):
-        sgd_step(p, g, 0.1)
+        sgd_step(p.vector, g, 0.1)
+
+
+def test_sgd_rejects_a_mismatched_gradient(rng):
+    p = init_mlp([2, 2], rng)
+    with pytest.raises(ContractError):
+        sgd_step(p.vector, np.zeros(1), 0.1)
+
+
+def test_layers_are_views_of_one_vector(rng):
+    p = init_mlp([3, 4, 2], rng)
+    assert p.vector.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    p.vector[:] = np.arange(p.vector.size)
+    assert p.layers[0].weights[1, 0] == 3.0 and p.layers[1].bias[1] == p.vector.size - 1
+    g = mlp_backward(p, mlp_forward(p, rng.standard_normal(3))[1], np.ones(2))
+    for (dw, db), gw, gb in zip(p.views(g.vector), g.weight_grads, g.bias_grads):
+        assert np.shares_memory(dw, g.vector) and np.array_equal(dw, gw)
+        assert np.shares_memory(db, g.vector) and np.array_equal(db, gb)
+
+
+def test_frozen_params_reject_writes_through_every_view(rng):
+    p = init_mlp([3, 2], rng)
+    weights = p.layers[0].weights  # a view made before freezing
+    p.freeze()
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sgd_step(p.vector, np.ones_like(p.vector), 0.1)
 
 
 # ---------------------------------------------------------------------------

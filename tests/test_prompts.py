@@ -14,6 +14,12 @@ def fresh_checkpoint(suite, seed=0, **kwargs):
     return pr._fresh_checkpoint(suite, cfg, np.random.Generator(np.random.PCG64(seed)))
 
 
+def layer_grads(ckpt, grad):
+    """Per network in ``all_params()`` order, the ``(weights, bias)`` views
+    of a checkpoint gradient vector, one pair per layer."""
+    return [p.views(g) for p, g in zip(ckpt.all_params(), ckpt.split(grad))]
+
+
 def zero_head_checkpoint(suite):
     ckpt = fresh_checkpoint(suite)
     for layer in ckpt.guider_head.layers:
@@ -123,10 +129,11 @@ def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
     entry = es.corpus.ContrastiveEntry(anchor, anchor.emotion,
                                        es.EmotionLabel.sad, reference)
     batch = es.corpus.ContrastiveBatch([entry] * 4)
-    _, grads = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    grads = layer_grads(ckpt, grad)
     for idx, emotion in enumerate(es.EMOTIONS):
         g = grads[1 + idx]
-        magnitude = max(np.max(np.abs(w)) for w in g.weight_grads)
+        magnitude = max(np.max(np.abs(w)) for w, _ in g)
         if emotion == es.EmotionLabel.happy:
             assert magnitude > 0
         else:
@@ -142,7 +149,8 @@ def test_unknown_emotion_code_rejected(default_suite):
 def test_single_conditional_mode_shapes(default_manifest, default_suite):
     ckpt = fresh_checkpoint(default_suite, projector_mode="single_conditional")
     sample = default_manifest.samples[0]
-    out = es.emotion_visual_embedding(ckpt.bank, sample, default_suite)
+    out, _, _ = pr.project_visual(ckpt.bank, default_suite.visual_encode(sample.image_ref),
+                                  sample.emotion)
     assert out.shape == (default_suite.d_e,)
     assert ckpt.bank.projectors[0].in_dim == default_suite.d_e + 7
 
@@ -192,7 +200,8 @@ def test_full_path_gradients_match_finite_differences(default_manifest,
     ckpt = fresh_checkpoint(default_suite, seed=5)
     rng = np.random.default_rng(5)
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, 3, rng)
-    _, grads = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    grads = layer_grads(ckpt, grad)
 
     h = 1e-5
     params = ckpt.all_params()
@@ -210,7 +219,7 @@ def test_full_path_gradients_match_finite_differences(default_manifest,
                 down = loss_on_batch(ckpt, batch, default_suite)
                 layer.weights[idx] = orig
                 fd = (up - down) / (2 * h)
-                analytic = g.weight_grads[l_idx][idx]
+                analytic = g[l_idx][0][idx]
                 assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-7), \
                     f"param {p_idx} layer {l_idx} idx {idx}"
 
@@ -259,8 +268,34 @@ def test_difference_objective_gives_guider_zero_gradient(
     ckpt = fresh_checkpoint(default_suite, seed=2)
     rng = np.random.default_rng(3)
     draws = es.sample_pair_batch(default_manifest, reference_pools, 8, rng)
-    _, grads = pr.difference_step_grads(ckpt, draws, default_suite)
-    assert max(np.max(np.abs(w)) for w in grads[0].weight_grads) == 0.0
+    _, grad = pr.difference_step_grads(ckpt, draws, default_suite)
+    assert max(np.max(np.abs(w)) for w, _ in layer_grads(ckpt, grad)[0]) == 0.0
+
+
+def test_momentum_matches_hand_written_loop(default_manifest, default_suite,
+                                            reference_pools):
+    cfg = es.TrainConfig(seed=3, epochs=2, steps_per_epoch=3, batch_size=8,
+                         decay_epochs=(1,), momentum=0.9)
+    ckpt, curve = es.pretrain_alignment(default_manifest, reference_pools,
+                                        default_suite, cfg)
+    # v = m v + g; theta -= lr v, over the same draws
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    ref = pr._fresh_checkpoint(default_suite, cfg, rng)
+    velocity = np.zeros_like(ref.vector)
+    losses = []
+    for epoch in range(cfg.epochs):
+        for _ in range(cfg.steps_per_epoch):
+            batch = es.sample_contrastive_batch(default_manifest, reference_pools,
+                                                cfg.batch_size, rng)
+            loss, grad = pr.contrastive_step_grads(ref, batch, default_suite)
+            velocity = cfg.momentum * velocity + grad
+            ref.vector -= cfg.learning_rate_at(epoch) * velocity
+            losses.append(loss)
+    np.testing.assert_allclose(ckpt.vector, ref.vector, rtol=1e-12)
+    np.testing.assert_allclose([r[2] for r in curve.records], losses, rtol=1e-12)
+    plain, _ = es.pretrain_alignment(default_manifest, reference_pools, default_suite,
+                                     es.TrainConfig(**{**cfg.to_dict(), "momentum": 0.0}))
+    assert not np.allclose(plain.vector, ckpt.vector, rtol=1e-6)
 
 
 def test_encoder_outputs_constant_across_training(default_manifest, default_world,
@@ -275,8 +310,7 @@ def test_encoder_outputs_constant_across_training(default_manifest, default_worl
 def test_nonfinite_loss_aborts_with_context(default_manifest, default_suite,
                                             reference_pools, monkeypatch):
     def bad_loss(*args, **kwargs):
-        params = args[0].all_params()
-        return float("nan"), [es.numerics.grads_zeros_like(p) for p in params]
+        return float("nan"), np.zeros_like(args[0].vector)
 
     monkeypatch.setattr(pr, "contrastive_step_grads", bad_loss)
     with pytest.raises(es.NumericalError, match="epoch 0 step 0"):
@@ -288,8 +322,27 @@ def test_nonfinite_loss_aborts_with_context(default_manifest, default_suite,
 # freezing
 # ---------------------------------------------------------------------------
 
+def test_checkpoint_networks_are_views_of_one_vector(default_suite):
+    ckpt = fresh_checkpoint(default_suite, projector_mode="single_conditional")
+    params = ckpt.all_params()
+    assert ckpt.vector.size == sum(p.vector.size for p in params)
+    for p, part in zip(params, ckpt.split(ckpt.vector)):
+        assert p.vector.base is ckpt.vector and np.shares_memory(p.vector, part)
+    ckpt.vector[-1] = 7.0
+    assert ckpt.bank.projectors[-1].layers[-1].bias[-1] == 7.0
+
+
+def test_swapped_network_cannot_be_frozen(default_suite):
+    ckpt = fresh_checkpoint(default_suite)
+    ckpt.bank = es.EmotionProjectorBank("multi", [identity_mlp(default_suite.d_e)] * 7)
+    with pytest.raises(ContractError):
+        ckpt.freeze()
+
+
 def test_frozen_checkpoint_rejects_mutation(trained_checkpoint):
     ckpt, _ = trained_checkpoint
+    with pytest.raises(ValueError):
+        ckpt.vector[0] = 5.0
     with pytest.raises(ValueError):
         ckpt.guider_head.layers[0].weights[0, 0] = 5.0
     with pytest.raises(ValueError):
