@@ -257,8 +257,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.steps_per_epoch < 1:
             raise ContractError("epochs, batch_size and steps_per_epoch must be >= 1")
-        if self.lr <= 0 or self.decay_factor <= 0:
-            raise ContractError("lr and decay_factor must be positive")
+        for name in ("lr", "decay_factor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ContractError(f"{name} must be finite and positive, got {value}")
         if not 0 <= self.momentum < 1:
             raise ContractError("momentum must lie in [0, 1)")
         if self.projector_mode not in (MULTI, SINGLE_CONDITIONAL):

@@ -13,14 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import TRAIN, VAL, CorpusManifest, Sample
+from .corpus import TRAIN, VAL, CorpusManifest
 from .differencing import DifferencePair, difference_loss_with_grads
 from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError
 from .numerics import (MlpParams, as_same_rows, cosine_with_flag, init_mlp,
-                       mlp_backward, mlp_forward, sgd_step)
-from .prompts import AlignmentCheckpoint, build_personalized_prompt, project_visual
+                       mlp_backward, mlp_forward, mlp_input_grad, sgd_step)
+from .prompts import (AlignmentCheckpoint, EmotionProjectorBank,
+                      build_personalized_prompt, project_visual)
 
 # Baseline-specific default weights for the difference-regularizer term.
 DEFAULT_LAMBDAS = {"ned": 0.4, "icface": 0.05, "sserd": 0.2, "toy": 0.4}
@@ -106,8 +107,8 @@ class DemoConfig:
     def validate(self) -> None:
         if self.steps < 1 or self.batch_size < 1:
             raise ContractError("steps and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ContractError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"lr must be finite and positive, got {self.lr}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
@@ -177,126 +178,158 @@ class DemoReport:
 
 
 class _DemoContext:
-    """Precomputed frozen-side quantities for one demo run.
+    """Precomputed frozen-side tables for the demo runs.
 
     During generator training the checkpoint and encoders never change,
-    so source visual embeddings, their projections, and all personalized
-    prompt embeddings are constants; only the generated side moves.
+    so source visual embeddings, their projections, all personalized
+    prompt embeddings and the clean targets are constants; only the
+    generated side moves. Each table is an array indexed by sample row
+    (``row[sample.id]``), or by reference and identity row; ``gather``
+    reads one step's batch out of them with index arrays.
     """
 
     def __init__(self, manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
                  suite: EncoderSuite, world: SyntheticWorld):
         self.ckpt = ckpt
         self.suite = suite
-        self.visual: dict[str, np.ndarray] = {}
-        self.projected_source: dict[str, np.ndarray] = {}
-        self.prompts: dict[tuple[str, EmotionLabel], np.ndarray] = {}
-        self.clean_target: dict[tuple[str, EmotionLabel], np.ndarray] = {}
-        for s in manifest.samples:
-            self.visual[s.id] = suite.visual_encode(s.image_ref)
-            self.projected_source[s.id] = project_visual(ckpt.bank, self.visual[s.id],
-                                                         s.emotion)[0]
-            reference = manifest.by_id(s.neutral_ref)
-            for e in EMOTIONS:
-                if (s.neutral_ref, e) not in self.prompts:
-                    self.prompts[(s.neutral_ref, e)] = suite.text_encode(
-                        build_personalized_prompt(ckpt, reference, e, suite))
-                if (s.identity, e) not in self.clean_target:
-                    self.clean_target[(s.identity, e)] = world.clean_visual(s.identity, e)
+        samples = manifest.samples
+        self.row = {s.id: i for i, s in enumerate(samples)}
+        self.references = list(dict.fromkeys(s.neutral_ref for s in samples))
+        identities = list(dict.fromkeys(s.identity for s in samples))
+        reference_row = {ref: i for i, ref in enumerate(self.references)}
+        identity_row = {identity: i for i, identity in enumerate(identities)}
+        self.emotion = np.array([int(s.emotion) for s in samples])
+        self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
+        self.identity = np.array([identity_row[s.identity] for s in samples])
+        self.visual = np.stack([suite.visual_encode(s.image_ref) for s in samples])
+        self.projected_source = np.stack([project_visual(ckpt.bank, v, s.emotion)[0]
+                                          for v, s in zip(self.visual, samples)])
+        # (reference, emotion, d_e) and (identity, emotion, d_e)
+        self.prompts = np.stack([[suite.text_encode(build_personalized_prompt(
+            ckpt, manifest.by_id(ref), e, suite)) for e in EMOTIONS]
+            for ref in self.references])
+        self.clean_target = np.stack([[world.clean_visual(identity, e) for e in EMOTIONS]
+                                      for identity in identities])
 
-    def text_diff(self, source: Sample, target_emotion: EmotionLabel) -> np.ndarray:
-        return (self.prompts[(source.neutral_ref, source.emotion)]
-                - self.prompts[(source.neutral_ref, target_emotion)])
+    def gather(self, rows: np.ndarray, targets: np.ndarray) -> "_DemoBatch":
+        """One step's batch: source sample ``rows`` paired with the target
+        emotion codes ``targets``."""
+        reference = self.reference[rows]
+        groups = []
+        for emotion in EMOTIONS:
+            group = np.flatnonzero(targets == int(emotion))
+            if group.size:
+                groups.append((emotion, group))
+        return _DemoBatch(
+            self.visual[rows], self.clean_target[self.identity[rows], targets],
+            self.projected_source[rows],
+            self.prompts[reference, self.emotion[rows]] - self.prompts[reference, targets],
+            groups)
 
 
-def _l2_grad_on_generated(ctx: _DemoContext, sources: list[Sample],
-                          generated: np.ndarray, targets: list[EmotionLabel],
-                          with_grad: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Difference losses of the (source, generated) rows and their gradient
-    w.r.t. the ``(B, d_e)`` generated stack, through the frozen projector of
-    each row's target emotion: one pass per target emotion present.
+@dataclass(frozen=True)
+class _DemoBatch:
+    """One step's batch, as ``(B, d_e)`` stacks that every run shares."""
+
+    visual: np.ndarray            # source visual embeddings
+    truth: np.ndarray             # clean (identity, target) embeddings
+    projected_source: np.ndarray  # sources through their own emotion's projector
+    text_diff: np.ndarray         # source-emotion prompt minus target prompt
+    groups: list[tuple[EmotionLabel, np.ndarray]]  # rows of each target present
+
+
+def _l2_grad_on_generated(bank: EmotionProjectorBank, batch: _DemoBatch,
+                          generated: np.ndarray, with_grad: bool = True
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Difference losses of one run's ``(B, d_e)`` generated stack against
+    its batch, and their gradient w.r.t. the stack, through the frozen
+    projector of each row's target emotion: one pass per target emotion
+    present, over this run's rows only.
 
     Without ``with_grad`` only the losses are computed and the gradient is
     zeros: the backward passes through the frozen projectors are skipped.
     """
-    ckpt = ctx.ckpt
-    codes = np.array([int(e) for e in targets])
+    d_e = generated.shape[1]
     visual_gen = np.empty_like(generated)
     passes = []
-    for emotion in EMOTIONS:
-        rows = np.flatnonzero(codes == int(emotion))
-        if rows.size:
-            projected, cache, net = project_visual(ckpt.bank, generated[rows], emotion)
-            visual_gen[rows] = projected
-            passes.append((rows, cache, net))
-    visual_diff = np.stack([ctx.projected_source[s.id] for s in sources]) - visual_gen
-    text_diff = np.stack([ctx.text_diff(s, t) for s, t in zip(sources, targets)])
+    for emotion, rows in batch.groups:
+        projected, cache, net = project_visual(bank, generated[rows], emotion)
+        visual_gen[rows] = projected
+        passes.append((rows, cache, net))
     # zero-norm rows are found by the loss: loss 1, zero gradient
     losses, d_vis_diff, _ = difference_loss_with_grads(
-        DifferencePair(visual_diff, text_diff))
+        DifferencePair(batch.projected_source - visual_gen, batch.text_diff))
     grad = np.zeros_like(generated)
     if with_grad:
         for rows, cache, net in passes:
             # visual_diff = projected_source - visual_gen, so d/d visual_gen is
             # -d_vis_diff; [:, :d_e] drops a single_conditional one-hot block
-            input_grad = mlp_backward(net, cache, -d_vis_diff[rows]).input_grad
-            grad[rows] = input_grad[:, :ckpt.d_e]
+            grad[rows] = mlp_input_grad(net, cache, -d_vis_diff[rows])[:, :d_e]
     return losses, grad
 
 
-# the target emotions a source of each emotion may be paired with, in draw order
-_OTHER_EMOTIONS = {e: [o for o in EMOTIONS if o != e] for e in EMOTIONS}
+# the target emotion codes a source of each emotion may be paired with, in
+# draw order: row e lists every emotion but e
+_OTHER_EMOTIONS = np.array([[int(o) for o in EMOTIONS if o != e] for e in EMOTIONS])
 
 
-def _demo_pairs(samples: list[Sample], rng: np.random.Generator, batch_size: int
-                ) -> list[tuple[Sample, EmotionLabel]]:
-    pairs = []
-    for _ in range(batch_size):
-        source = samples[int(rng.integers(len(samples)))]
-        others = _OTHER_EMOTIONS[source.emotion]
-        pairs.append((source, others[int(rng.integers(len(others)))]))
-    return pairs
+def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``batch_size`` (source, target) pairs: returns the positions of
+    the sources in ``emotions`` (the source emotion codes) and the target
+    emotion codes, one source draw then one target draw per pair."""
+    picks = np.empty((batch_size, 2), dtype=int)
+    for i in range(batch_size):
+        picks[i, 0] = rng.integers(len(emotions))
+        picks[i, 1] = rng.integers(_OTHER_EMOTIONS.shape[1])
+    return picks[:, 0], _OTHER_EMOTIONS[emotions[picks[:, 0]], picks[:, 1]]
 
 
-def _train_generator(manifest: CorpusManifest, ctx: _DemoContext, lam_value: float,
-                     config: DemoConfig, base_loss: BaseLossHook,
-                     difference_path: bool = True) -> tuple[ToyGenerator, float, float]:
-    """Train a toy generator; returns it with tail-mean base and l2 losses.
+def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[float],
+                      config: DemoConfig, base_loss: BaseLossHook,
+                      difference_path: bool = True
+                      ) -> list[tuple[ToyGenerator, float, float]]:
+    """Train one toy generator per lambda in one step loop; returns each
+    with its tail-mean base and l2 losses.
 
-    Each step makes one generator pass over its batch of (source, target)
-    rows stacked as ``(B, d_e)``.
+    Every run starts from the same initial parameters and sees the same
+    batches, so each step draws and gathers its batch once. Each run then
+    makes its own stacked passes over it, so its result does not depend
+    on the other lambdas in ``lams``.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    gen = build_toy_generator(ctx.suite.d_e, config.hidden, rng)
+    initial = build_toy_generator(ctx.suite.d_e, config.hidden, rng)
+    runs = [(ToyGenerator(initial.params.copy(), initial.d_e), LambdaConfig(lam), [], [])
+            for lam in lams]
     train = manifest.in_split(TRAIN)
     if not train:
         raise ContractError("train split is empty")
-    lam = LambdaConfig(lam_value)
-    base_hist, l2_hist = [], []
+    train_rows = np.array([ctx.row[s.id] for s in train])
+    train_emotions = ctx.emotion[train_rows]
     for step in range(config.steps):
-        sources, targets = zip(*_demo_pairs(train, rng, config.batch_size))
-        truth = np.stack([ctx.clean_target[(s.identity, t)]
-                          for s, t in zip(sources, targets)])
-        out, cache = gen.generate(np.stack([ctx.visual[s.id] for s in sources]),
-                                  targets)
-        base_vals, base_grad = base_loss(out, truth)
-        if difference_path:
-            # lambda 0 still reports the L2 value, but total_loss would
-            # multiply its gradient by 0
-            l2_vals, l2_grad = _l2_grad_on_generated(ctx, sources, out, targets,
-                                                     with_grad=lam_value != 0)
-        else:
-            l2_vals, l2_grad = np.zeros(len(sources)), np.zeros_like(out)
-        _, upstream = total_loss(base_vals, base_grad, l2_vals, l2_grad, lam)
-        base_mean = float(np.sum(base_vals)) / len(sources)
-        if not np.isfinite(base_mean):
-            raise NumericalError(f"non-finite demo loss at step {step}")
-        grads = mlp_backward(gen.params, cache, upstream / len(sources))
-        sgd_step(gen.params.vector, grads.vector, config.lr)
-        base_hist.append(base_mean)
-        l2_hist.append(float(np.sum(l2_vals)) / len(sources))
+        picks, targets = _demo_pairs(train_emotions, rng, config.batch_size)
+        batch = ctx.gather(train_rows[picks], targets)
+        for gen, lam, base_hist, l2_hist in runs:
+            out, cache = gen.generate(batch.visual, targets)
+            base_vals, base_grad = base_loss(out, batch.truth)
+            if difference_path:
+                # lambda 0 still reports the L2 value, but total_loss would
+                # multiply its gradient by 0
+                l2_vals, l2_grad = _l2_grad_on_generated(ctx.ckpt.bank, batch, out,
+                                                         with_grad=lam.value != 0)
+            else:
+                l2_vals, l2_grad = np.zeros(len(targets)), np.zeros_like(out)
+            _, upstream = total_loss(base_vals, base_grad, l2_vals, l2_grad, lam)
+            base_mean = float(np.sum(base_vals)) / len(targets)
+            if not np.isfinite(base_mean):
+                raise NumericalError(f"non-finite demo loss at step {step}")
+            grads = mlp_backward(gen.params, cache, upstream / len(targets))
+            sgd_step(gen.params.vector, grads.vector, config.lr)
+            base_hist.append(base_mean)
+            l2_hist.append(float(np.sum(l2_vals)) / len(targets))
     tail = max(1, config.steps // 10)
-    return gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:]))
+    return [(gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:])))
+            for gen, _, base_hist, l2_hist in runs]
 
 
 def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
@@ -309,26 +342,26 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     val = sorted(manifest.in_split(VAL), key=lambda s: s.id)
     if not val:
         raise ContractError("val split is empty")
-    rows = [(source, target) for source in val
-            for target in _OTHER_EMOTIONS[source.emotion]]
-    sources, targets = zip(*rows)
-    out, _ = gen.generate(np.stack([ctx.visual[s.id] for s in sources]), targets)
+    val_rows = np.array([ctx.row[s.id] for s in val])
+    rows = np.repeat(val_rows, _OTHER_EMOTIONS.shape[1])
+    targets = _OTHER_EMOTIONS[ctx.emotion[val_rows]].ravel()
+    out, _ = gen.generate(ctx.visual[rows], targets)
     projected = [project_visual(ctx.ckpt.bank, out, k)[0] for k in EMOTIONS]
+    prompts = ctx.prompts[ctx.reference[rows]]
     hits = 0
-    for r, (source, target) in enumerate(rows):
-        sims = [cosine_with_flag(ctx.prompts[(source.neutral_ref, k)],
+    for r, target in enumerate(targets.tolist()):
+        sims = [cosine_with_flag(prompts[r, int(k)],
                                  projected[int(k)][r])[0] for k in EMOTIONS]
-        hits += int(np.argmax(sims)) == int(target)
+        hits += int(np.argmax(sims)) == target
     return hits / len(rows)
 
 
-def _run_demo_once(manifest: CorpusManifest, ctx: _DemoContext, lam_value: float,
-                   config: DemoConfig, base_loss: BaseLossHook,
-                   difference_path: bool = True) -> DemoRow:
-    gen, base_val, l2_val = _train_generator(manifest, ctx, lam_value, config,
-                                             base_loss, difference_path)
-    accuracy = _eval_emotion_accuracy(gen, manifest, ctx)
-    return DemoRow(lam_value, base_val, l2_val, accuracy, config.seed)
+def _demo_rows(manifest: CorpusManifest, ctx: _DemoContext, lams: list[float],
+               config: DemoConfig, base_loss: BaseLossHook) -> list[DemoRow]:
+    runs = _train_generators(manifest, ctx, lams, config, base_loss)
+    return [DemoRow(lam, base_val, l2_val, _eval_emotion_accuracy(gen, manifest, ctx),
+                    config.seed)
+            for lam, (gen, base_val, l2_val) in zip(lams, runs)]
 
 
 def supervise_demo(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
@@ -345,8 +378,7 @@ def supervise_demo(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
     config.validate()
     world = world if world is not None else manifest.rebuild_world()
     ctx = _DemoContext(manifest, ckpt, suite, world)
-    baseline = _run_demo_once(manifest, ctx, 0.0, config, base_loss)
-    supervised = _run_demo_once(manifest, ctx, lam.value, config, base_loss)
+    baseline, supervised = _demo_rows(manifest, ctx, [0.0, lam.value], config, base_loss)
     return DemoReport(baseline, supervised,
                       config={**config.to_dict(), "baseline_tag": lam.baseline_tag})
 
@@ -355,8 +387,13 @@ def sweep_lambda(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
                  grid: list[float], suite: EncoderSuite, config: DemoConfig,
                  world: SyntheticWorld | None = None,
                  base_loss: BaseLossHook = squared_error_loss) -> list[DemoRow]:
-    """One demo run per grid value, all with the same seed, so rows for a
-    given lambda are identical across grids."""
+    """One demo row per grid value, all with the same seed and batches.
+
+    The grid trains in one step loop: each step's batch is drawn once and
+    every lambda's generator makes its own passes over it. A run's
+    arithmetic does not depend on the rest of the grid, so the row for a
+    given lambda is identical across grids and equals ``supervise_demo``'s.
+    """
     if not grid:
         raise ContractError("lambda grid must be non-empty")
     for lam in grid:
@@ -365,8 +402,7 @@ def sweep_lambda(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
     config.validate()
     world = world if world is not None else manifest.rebuild_world()
     ctx = _DemoContext(manifest, ckpt, suite, world)
-    return [_run_demo_once(manifest, ctx, float(lam), config, base_loss)
-            for lam in grid]
+    return _demo_rows(manifest, ctx, [float(lam) for lam in grid], config, base_loss)
 
 
 def write_demo_csv(rows: list[DemoRow], path: str | Path) -> None:

@@ -217,10 +217,11 @@ def generate_per_entry(gen, visual, target):
 
 
 def l2_grad_per_entry(ctx, source, generated, target, with_grad):
-    ckpt = ctx.ckpt
+    ckpt, row = ctx.ckpt, ctx.row[source.id]
     visual_gen, gen_cache, net = pr.project_visual(ckpt.bank, generated, target)
-    visual_diff = ctx.projected_source[source.id] - visual_gen
-    text_diff = ctx.text_diff(source, target)
+    visual_diff = ctx.projected_source[row] - visual_gen
+    prompts = ctx.prompts[ctx.reference[row]]
+    text_diff = prompts[int(source.emotion)] - prompts[int(target)]
     degenerate = bool(np.linalg.norm(visual_diff) < EPS_NORM
                       or np.linalg.norm(text_diff) < EPS_NORM)
     sim, d_sim, _ = sim_and_grads(visual_diff, text_diff)
@@ -247,8 +248,9 @@ def train_per_entry(manifest, ctx, lam, config, difference_path):
             source = train[int(rng.integers(len(train)))]
             others = [e for e in EMOTIONS if e != source.emotion]
             target = others[int(rng.integers(len(others)))]
-            out, cache = generate_per_entry(gen, ctx.visual[source.id], target)
-            diff = out - ctx.clean_target[(source.identity, target)]
+            row = ctx.row[source.id]
+            out, cache = generate_per_entry(gen, ctx.visual[row], target)
+            diff = out - ctx.clean_target[ctx.identity[row], int(target)]
             base_val, base_grad = float(np.mean(diff * diff)), 2.0 * diff / diff.shape[0]
             if difference_path:
                 l2_val, l2_grad = l2_grad_per_entry(ctx, source, out, target, lam != 0)
@@ -268,11 +270,12 @@ def train_per_entry(manifest, ctx, lam, config, difference_path):
 def accuracy_per_entry(gen, manifest, ctx):
     hits = total = 0
     for source in sorted(manifest.in_split("val"), key=lambda s: s.id):
-        prompts = [ctx.prompts[(source.neutral_ref, k)] for k in EMOTIONS]
+        row = ctx.row[source.id]
+        prompts = [ctx.prompts[ctx.reference[row], int(k)] for k in EMOTIONS]
         for target in EMOTIONS:
             if target == source.emotion:
                 continue
-            out, _ = generate_per_entry(gen, ctx.visual[source.id], target)
+            out, _ = generate_per_entry(gen, ctx.visual[row], target)
             sims = [cosine_with_flag(prompts[int(k)],
                                      pr.project_visual(ctx.ckpt.bank, out, k)[0])[0]
                     for k in EMOTIONS]
@@ -303,9 +306,10 @@ def zero_text_diffs(ctx, identity):
     its neutral prompt, so each of its (source, target) rows has a zero-norm
     text difference."""
     degenerate = copy.copy(ctx)
-    degenerate.prompts = {(ref, e): ctx.prompts[(ref, es.EmotionLabel.neutral)]
-                          if ref.startswith(identity + "_") else prompt
-                          for (ref, e), prompt in ctx.prompts.items()}
+    degenerate.prompts = ctx.prompts.copy()
+    for i, ref in enumerate(ctx.references):
+        if ref.startswith(identity + "_"):
+            degenerate.prompts[i] = ctx.prompts[i, int(es.EmotionLabel.neutral)]
     return degenerate
 
 
@@ -314,8 +318,8 @@ def zero_text_diffs(ctx, identity):
 def test_demo_run_matches_per_entry_reference(default_manifest, demo_context, lam,
                                               difference_path, degenerate):
     ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY) if degenerate else demo_context
-    gen, base, l2 = sv._train_generator(default_manifest, ctx, lam, TINY,
-                                        sv.squared_error_loss, difference_path)
+    [(gen, base, l2)] = sv._train_generators(default_manifest, ctx, [lam], TINY,
+                                             sv.squared_error_loss, difference_path)
     ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, ctx, lam, TINY,
                                                 difference_path)
     assert base == pytest.approx(ref_base, rel=1e-12)
@@ -333,13 +337,30 @@ def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_context)
     sources = [s for s in train if s.identity == DEGENERATE_IDENTITY][:1] + train[-5:]
     targets = [EMOTIONS[(int(s.emotion) + 1) % len(EMOTIONS)] for s in sources]
     generated = np.random.default_rng(0).standard_normal((len(sources), ctx.suite.d_e))
-    losses, grad = sv._l2_grad_on_generated(ctx, sources, generated, targets)
+    batch = ctx.gather(np.array([ctx.row[s.id] for s in sources]),
+                       np.array([int(t) for t in targets]))
+    losses, grad = sv._l2_grad_on_generated(ctx.ckpt.bank, batch, generated)
     for i, (source, target) in enumerate(zip(sources, targets)):
         ref_loss, ref_grad = l2_grad_per_entry(ctx, source, generated[i], target, True)
         assert losses[i] == pytest.approx(ref_loss, rel=1e-12)
         np.testing.assert_allclose(grad[i], ref_grad, rtol=1e-12, atol=1e-15)
     assert losses[0] == 1.0 and not grad[0].any()
     assert grad[1:].any(axis=1).all()
+
+
+@pytest.mark.parametrize("degenerate, difference_path",
+                         [(False, True), (True, True), (False, False)])
+def test_fused_lambda_runs_equal_separate_runs(default_manifest, demo_context,
+                                               degenerate, difference_path):
+    ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY) if degenerate else demo_context
+    grid = [0.0, 0.2, 0.4]
+    fused = sv._train_generators(default_manifest, ctx, grid, TINY,
+                                 sv.squared_error_loss, difference_path)
+    for lam, (gen, base, l2) in zip(grid, fused):
+        [(ref_gen, ref_base, ref_l2)] = sv._train_generators(
+            default_manifest, ctx, [lam], TINY, sv.squared_error_loss, difference_path)
+        assert np.array_equal(gen.params.vector, ref_gen.params.vector)
+        assert (base, l2) == (ref_base, ref_l2)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,15 @@ def test_pretrain_missing_manifest_exits_2(tmp_path):
                "--out", tmp_path / "x") == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                         ("--decay-factor", "nan")])
+def test_pretrain_rejects_a_non_finite_rate(tmp_path, corpus_dir, capsys, flag, value):
+    assert run("pretrain", "--manifest", corpus_dir / "manifest.json", flag, value,
+               "--out", tmp_path / "x") == 2
+    field = flag[2:].replace("-", "_")
+    assert f"{field} must be finite and positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # analysis commands
 # ---------------------------------------------------------------------------
@@ -203,6 +212,15 @@ def test_supervise_demo_cli(tmp_path, corpus_dir, checkpoint_dir):
     assert report["supervised"]["lambda"] == 0.4  # toy default
     lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_supervise_demo_rejects_a_non_finite_lr(tmp_path, corpus_dir, checkpoint_dir,
+                                                capsys, value):
+    assert run("supervise-demo", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--lr", value,
+               "--out", tmp_path / "demo") == 2
+    assert "lr must be finite and positive" in capsys.readouterr().err
 
 
 def test_sweep_lambda_cli_row_count(tmp_path, corpus_dir, checkpoint_dir):

@@ -4,11 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emosup.emotions import EMOTIONS
 from emosup.errors import ContractError, DegenerateVectorWarning, NumericalError
-from emosup.numerics import (DenseLayer, MlpParams, cosine_grads, cosine_similarity,
-                             cosine_with_flag, identity_mlp,
-                             init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace,
-                             sgd_step)
+from emosup.numerics import (IDENTITY, RELU, DenseLayer, MlpParams, cosine_grads,
+                             cosine_similarity, cosine_with_flag, identity_mlp,
+                             init_mlp, mlp_backward, mlp_forward, mlp_input_grad,
+                             psd_sqrt_trace, sgd_step)
+from emosup.prompts import SINGLE_CONDITIONAL, build_projector_bank, project_visual
 
 
 def random_psd(rng, d):
@@ -227,6 +229,43 @@ def test_backward_stale_cache_rejected(rng):
     _, cache = mlp_forward(p, rng.standard_normal(3))
     with pytest.raises(ContractError):
         mlp_backward(q, cache, np.zeros(3))
+
+
+@pytest.mark.parametrize("activation", [RELU, IDENTITY])
+@pytest.mark.parametrize("shape", [(5,), (1, 5), (7, 5)])
+def test_input_grad_equals_backward_input_grad(rng, activation, shape):
+    p = init_mlp([5, 6, 4, 3], rng, hidden_activation=activation)
+    p.freeze()
+    _, cache = mlp_forward(p, rng.standard_normal(shape))
+    u = rng.standard_normal(shape[:-1] + (3,))
+    expected = mlp_backward(p, cache, u).input_grad
+    got = mlp_input_grad(p, cache, u)
+    assert got.shape == expected.shape == shape
+    assert np.array_equal(got, expected)
+
+
+def test_input_grad_of_a_single_conditional_projector(rng):
+    bank = build_projector_bank(8, SINGLE_CONDITIONAL, rng)
+    for visual in (rng.standard_normal(8), rng.standard_normal((6, 8))):
+        for emotion in EMOTIONS:
+            out, cache, net = project_visual(bank, visual, emotion)
+            u = rng.standard_normal(out.shape)
+            expected = mlp_backward(net, cache, u).input_grad
+            assert np.array_equal(mlp_input_grad(net, cache, u), expected)
+
+
+def test_input_grad_rejects_what_backward_rejects(rng):
+    p = init_mlp([3, 4, 2], rng)
+    q = init_mlp([3, 4, 2], rng)
+    _, cache = mlp_forward(p, rng.standard_normal((4, 3)))
+    for net, upstream in ((q, np.zeros((4, 2))),      # stale cache
+                          (p, np.zeros((3, 2))),      # row-count mismatch
+                          (p, np.zeros(2))):          # 1-D after a stacked pass
+        with pytest.raises(ContractError) as backward_error:
+            mlp_backward(net, cache, upstream)
+        with pytest.raises(ContractError) as input_grad_error:
+            mlp_input_grad(net, cache, upstream)
+        assert str(input_grad_error.value) == str(backward_error.value)
 
 
 # ---------------------------------------------------------------------------

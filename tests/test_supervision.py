@@ -85,12 +85,12 @@ def test_squared_error_hook_gradient(rng):
 def test_lambda_zero_bit_identical_to_disabled_path(demo_env):
     manifest, ckpt, suite, world, ctx = demo_env
     cfg = es.DemoConfig(seed=4, **TINY)
-    gen_zero, base_zero, _ = sv._train_generator(manifest, ctx, 0.0, cfg,
-                                                 sv.squared_error_loss,
-                                                 difference_path=True)
-    gen_off, base_off, l2_off = sv._train_generator(manifest, ctx, 0.0, cfg,
-                                                    sv.squared_error_loss,
-                                                    difference_path=False)
+    [(gen_zero, base_zero, _)] = sv._train_generators(manifest, ctx, [0.0], cfg,
+                                                      sv.squared_error_loss,
+                                                      difference_path=True)
+    [(gen_off, base_off, l2_off)] = sv._train_generators(manifest, ctx, [0.0], cfg,
+                                                         sv.squared_error_loss,
+                                                         difference_path=False)
     assert base_zero == base_off
     assert l2_off == 0.0
     for a, b in zip(gen_zero.params.layers, gen_off.params.layers):
@@ -178,32 +178,38 @@ def test_demo_csv_schema(demo_env, tmp_path):
 def test_lambda_zero_row_unchanged_without_the_frozen_backward(demo_env, monkeypatch):
     manifest, _, _, _, ctx = demo_env
     cfg = es.DemoConfig(seed=11, **TINY)
-    row = sv._run_demo_once(manifest, ctx, 0.0, cfg, sv.squared_error_loss)
+    [row] = sv._demo_rows(manifest, ctx, [0.0], cfg, sv.squared_error_loss)
     full = sv._l2_grad_on_generated
 
     def always_with_grad(*args, with_grad=True):
         return full(*args)
 
     monkeypatch.setattr(sv, "_l2_grad_on_generated", always_with_grad)
-    assert sv._run_demo_once(manifest, ctx, 0.0, cfg, sv.squared_error_loss) == row
+    assert sv._demo_rows(manifest, ctx, [0.0], cfg, sv.squared_error_loss) == [row]
     assert row.l2_loss > 0
 
 
 def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypatch):
     manifest, _, _, _, ctx = demo_env
     cfg = es.DemoConfig(seed=12, **TINY)
-    calls = {"frozen": 0, "trainable": 0}
-    backward = sv.mlp_backward
+    calls = {"frozen": 0, "trainable": 0, "input_grad": 0}
+    backward, input_grad = sv.mlp_backward, sv.mlp_input_grad
 
     def counting_backward(p, cache, upstream):
         calls["trainable" if p.layers[0].weights.flags.writeable else "frozen"] += 1
         return backward(p, cache, upstream)
 
+    def counting_input_grad(p, cache, upstream):
+        assert not p.layers[0].weights.flags.writeable
+        calls["input_grad"] += 1
+        return input_grad(p, cache, upstream)
+
     monkeypatch.setattr(sv, "mlp_backward", counting_backward)
-    sv._run_demo_once(manifest, ctx, 0.0, cfg, sv.squared_error_loss)
+    monkeypatch.setattr(sv, "mlp_input_grad", counting_input_grad)
+    sv._demo_rows(manifest, ctx, [0.0], cfg, sv.squared_error_loss)
     # one generator backward per step over the stacked batch
-    assert calls == {"frozen": 0, "trainable": cfg.steps}
-    sv._run_demo_once(manifest, ctx, 0.4, cfg, sv.squared_error_loss)
-    assert calls["trainable"] == 2 * cfg.steps
-    # at least one frozen backward per step, one per target emotion in the batch
-    assert calls["frozen"] >= cfg.steps
+    assert calls == {"frozen": 0, "trainable": cfg.steps, "input_grad": 0}
+    sv._demo_rows(manifest, ctx, [0.4], cfg, sv.squared_error_loss)
+    assert calls["frozen"] == 0 and calls["trainable"] == 2 * cfg.steps
+    # at least one frozen pass per step, one per target emotion in the batch
+    assert calls["input_grad"] >= cfg.steps
