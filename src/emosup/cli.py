@@ -96,7 +96,6 @@ def cmd_gen_corpus(args) -> int:
     defaults = {"seed": 1, "identities": 4, "per_emotion": 3, "gap": 1.0,
                 "noise": 0.05, "d_e": 64, "d_b": 32, "d_tok": 32, "d_latent": 16}
     flags = _resolve_flags(args, defaults)
-    out = _out_dir(args)
     config = WorldConfig(n_identities=int(flags["identities"]),
                          d_latent=int(flags["d_latent"]), d_e=int(flags["d_e"]),
                          d_b=int(flags["d_b"]), d_tok=int(flags["d_tok"]),
@@ -104,6 +103,7 @@ def cmd_gen_corpus(args) -> int:
     world = build_synthetic_world(int(flags["seed"]), config)
     suite = synthetic_suite(world)
     manifest = generate_synthetic_corpus(world, int(flags["per_emotion"]))
+    out = _out_dir(args)
     manifest.save(out / "manifest.json")
 
     feature_dir = out / "features"
@@ -162,10 +162,11 @@ def _cmd_train(args, objective: str, command: str) -> int:
     flags = _resolve_flags(args, TRAIN_DEFAULTS)
     if not flags["manifest"]:
         raise ContractError("--manifest is required")
-    out = _out_dir(args)
+    config = _train_config_from_flags(flags)
+    config.validate()
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     pools = _load_pools(flags["pools"])
-    config = _train_config_from_flags(flags)
+    out = _out_dir(args)
     if objective == "contrastive":
         ckpt, curve = prompts.pretrain_alignment(manifest, pools, suite, config)
     else:
@@ -196,8 +197,8 @@ def cmd_analyze_gap(args) -> int:
     flags = _resolve_flags(args, {"manifest": None, "compare_reference": False})
     if not flags["manifest"]:
         raise ContractError("--manifest is required")
-    out = _out_dir(args)
     manifest, world, suite = _manifest_and_suite(flags["manifest"])
+    out = _out_dir(args)
     features = {e: np.array([suite.visual_encode(s.image_ref)
                              for s in manifest.samples if s.emotion == e])
                 for e in EMOTIONS}
@@ -220,13 +221,13 @@ def cmd_derive_pools(args) -> int:
     flags = _resolve_flags(args, {"k": None, "matrix": "reference"})
     if flags["k"] is None:
         raise ContractError("--k is required")
-    out = _out_dir(args)
     if flags["matrix"] == "reference":
         matrix = analysis.load_reference_matrix()
     else:
         with open(flags["matrix"]) as f:
             matrix = analysis.CrossModalSimilarityMatrix.from_json_dict(json.load(f))
     derived = analysis.derive_negative_pools(matrix, int(flags["k"]))
+    out = _out_dir(args)
     reference = analysis.load_reference_pools()
     discrepancies = analysis.pool_discrepancies(derived, reference)
     _write_json(out / "pools.json",
@@ -254,10 +255,10 @@ def cmd_eval_metrics(args) -> int:
     flags = _resolve_flags(args, {"real": None, "gen": None})
     if not flags["real"] or not flags["gen"]:
         raise ContractError("--real and --gen feature manifests are required")
-    out = _out_dir(args)
     real = _feature_set_from_manifest(flags["real"], "real")
     gen = _feature_set_from_manifest(flags["gen"], "gen")
     report = metric_report(real, gen)
+    out = _out_dir(args)
     _write_json(out / "report.json", report)
     lse = "n/a" if report["lse_d"] is None else f"{report['lse_d']:.6f}"
     cs = "n/a" if report["csim"] is None else f"{report['csim']:.6f}"
@@ -289,15 +290,16 @@ def _demo_setup(flags):
     config = DemoConfig(seed=int(flags["seed"]), steps=int(flags["steps"]),
                         batch_size=int(flags["batch_size"]), lr=float(flags["lr"]),
                         hidden=tuple(hidden))
+    config.validate()
     return manifest, world, suite, ckpt, config
 
 
 def cmd_supervise_demo(args) -> int:
     flags = _resolve_flags(args, DEMO_DEFAULTS)
-    out = _out_dir(args)
     manifest, world, suite, ckpt, config = _demo_setup(flags)
     lam = (lambda_for_baseline(flags["baseline"]) if flags["lam"] is None
            else LambdaConfig(float(flags["lam"]), flags["baseline"]))
+    out = _out_dir(args)
     report = supervision.supervise_demo(manifest, ckpt, lam, suite, config, world=world)
     _write_json(out / "report.json",
                 {**report.to_json_dict(), "content_hash": report.content_hash()})
@@ -312,11 +314,11 @@ def cmd_supervise_demo(args) -> int:
 
 def cmd_sweep_lambda(args) -> int:
     flags = _resolve_flags(args, {**DEMO_DEFAULTS, "grid": "0.1,0.2,0.4,0.8"})
-    out = _out_dir(args)
     manifest, world, suite, ckpt, config = _demo_setup(flags)
     grid_spec = flags["grid"]
-    grid = ([float(x) for x in grid_spec.split(",") if x]
-            if isinstance(grid_spec, str) else [float(x) for x in grid_spec])
+    grid = supervision.lambda_grid([x for x in grid_spec.split(",") if x]
+                                   if isinstance(grid_spec, str) else grid_spec)
+    out = _out_dir(args)
     rows = supervision.sweep_lambda(manifest, ckpt, grid, suite, config, world=world)
     supervision.write_demo_csv(rows, out / "sweep.csv")
     _write_json(out / "sweep.json", {"rows": [r.to_dict() for r in rows]})
@@ -333,9 +335,9 @@ def cmd_export_diffs(args) -> int:
                                   "include_mismatched": False})
     if not flags["manifest"] or not flags["checkpoint"]:
         raise ContractError("--manifest and --checkpoint are required")
-    out = _out_dir(args)
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     ckpt = AlignmentCheckpoint.load(flags["checkpoint"])
+    out = _out_dir(args)
     rows = differencing.export_difference_rows(
         ckpt, manifest, suite, include_mismatched=bool(flags["include_mismatched"]))
     differencing.write_difference_csv(rows, out / "diffs.csv")

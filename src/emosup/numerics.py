@@ -215,6 +215,9 @@ def init_mlp(dims: list[int], rng: np.random.Generator,
     """
     if len(dims) < 2:
         raise ContractError("need at least input and output dims")
+    for dim in dims:
+        if dim < 1:
+            raise ContractError(f"layer dims must be >= 1, got {dim}")
     layers = []
     for i in range(len(dims) - 1):
         fan_in = dims[i]

@@ -109,6 +109,9 @@ class DemoConfig:
             raise ContractError("steps and batch_size must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ContractError(f"lr must be finite and positive, got {self.lr}")
+        for width in self.hidden:
+            if width < 1:
+                raise ContractError(f"hidden widths must be >= 1, got {width}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
@@ -277,11 +280,13 @@ def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``batch_size`` (source, target) pairs: returns the positions of
     the sources in ``emotions`` (the source emotion codes) and the target
-    emotion codes, one source draw then one target draw per pair."""
-    picks = np.empty((batch_size, 2), dtype=int)
-    for i in range(batch_size):
-        picks[i, 0] = rng.integers(len(emotions))
-        picks[i, 1] = rng.integers(_OTHER_EMOTIONS.shape[1])
+    emotion codes, one source draw then one target draw per pair.
+
+    All draws are one array-bounded call, which consumes the stream as
+    the scalar calls ``integers(len(emotions))``, ``integers(6)``, ... do.
+    """
+    bounds = np.tile([len(emotions), _OTHER_EMOTIONS.shape[1]], batch_size)
+    picks = rng.integers(0, bounds).reshape(batch_size, 2)
     return picks[:, 0], _OTHER_EMOTIONS[emotions[picks[:, 0]], picks[:, 1]]
 
 
@@ -295,7 +300,9 @@ def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[fl
     Every run starts from the same initial parameters and sees the same
     batches, so each step draws and gathers its batch once. Each run then
     makes its own stacked passes over it, so its result does not depend
-    on the other lambdas in ``lams``.
+    on the other lambdas in ``lams``. A lambda 0 run needs no L2 gradient
+    (``total_loss`` would multiply it by 0), so it computes L2 only on the
+    last ``tail`` steps, the ones its reported mean reads.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     initial = build_toy_generator(ctx.suite.d_e, config.hidden, rng)
@@ -306,17 +313,18 @@ def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[fl
         raise ContractError("train split is empty")
     train_rows = np.array([ctx.row[s.id] for s in train])
     train_emotions = ctx.emotion[train_rows]
+    tail = max(1, config.steps // 10)
     for step in range(config.steps):
         picks, targets = _demo_pairs(train_emotions, rng, config.batch_size)
         batch = ctx.gather(train_rows[picks], targets)
+        in_tail = step >= config.steps - tail
         for gen, lam, base_hist, l2_hist in runs:
             out, cache = gen.generate(batch.visual, targets)
             base_vals, base_grad = base_loss(out, batch.truth)
-            if difference_path:
-                # lambda 0 still reports the L2 value, but total_loss would
-                # multiply its gradient by 0
+            if difference_path and (lam.value != 0 or in_tail):
                 l2_vals, l2_grad = _l2_grad_on_generated(ctx.ckpt.bank, batch, out,
                                                          with_grad=lam.value != 0)
+                l2_hist.append(float(np.sum(l2_vals)) / len(targets))
             else:
                 l2_vals, l2_grad = np.zeros(len(targets)), np.zeros_like(out)
             _, upstream = total_loss(base_vals, base_grad, l2_vals, l2_grad, lam)
@@ -326,9 +334,10 @@ def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[fl
             grads = mlp_backward(gen.params, cache, upstream / len(targets))
             sgd_step(gen.params.vector, grads.vector, config.lr)
             base_hist.append(base_mean)
-            l2_hist.append(float(np.sum(l2_vals)) / len(targets))
-    tail = max(1, config.steps // 10)
-    return [(gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:])))
+    # l2_hist holds only the steps L2 was computed on: none without the
+    # difference path, where the reported L2 is 0
+    return [(gen, float(np.mean(base_hist[-tail:])),
+             float(np.mean(l2_hist[-tail:])) if l2_hist else 0.0)
             for gen, _, base_hist, l2_hist in runs]
 
 
@@ -383,6 +392,14 @@ def supervise_demo(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
                       config={**config.to_dict(), "baseline_tag": lam.baseline_tag})
 
 
+def lambda_grid(grid) -> list[float]:
+    """``grid`` as floats, each a valid ``LambdaConfig`` value; an empty
+    grid is refused."""
+    if len(grid) == 0:
+        raise ContractError("lambda grid must be non-empty")
+    return [LambdaConfig(float(lam)).value for lam in grid]
+
+
 def sweep_lambda(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
                  grid: list[float], suite: EncoderSuite, config: DemoConfig,
                  world: SyntheticWorld | None = None,
@@ -394,15 +411,12 @@ def sweep_lambda(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
     arithmetic does not depend on the rest of the grid, so the row for a
     given lambda is identical across grids and equals ``supervise_demo``'s.
     """
-    if not grid:
-        raise ContractError("lambda grid must be non-empty")
-    for lam in grid:
-        LambdaConfig(float(lam))  # validates >= 0 and finite
+    lams = lambda_grid(grid)
     ckpt.require_frozen()
     config.validate()
     world = world if world is not None else manifest.rebuild_world()
     ctx = _DemoContext(manifest, ckpt, suite, world)
-    return _demo_rows(manifest, ctx, [float(lam) for lam in grid], config, base_loss)
+    return _demo_rows(manifest, ctx, lams, config, base_loss)
 
 
 def write_demo_csv(rows: list[DemoRow], path: str | Path) -> None:

@@ -331,6 +331,22 @@ def test_demo_run_matches_per_entry_reference(default_manifest, demo_context, la
             == accuracy_per_entry(gen, default_manifest, ctx))
 
 
+@pytest.mark.parametrize("steps", [1, 7, 25])
+def test_lambda_zero_tail_l2_matches_per_entry_reference(default_manifest, demo_context,
+                                                         steps):
+    # the reference computes L2 on every step; the demo's lambda 0 run only
+    # on the last max(1, steps // 10), the steps its row averages
+    config = dataclasses.replace(TINY, steps=steps)
+    [(gen, base, l2)] = sv._train_generators(default_manifest, demo_context, [0.0],
+                                             config, sv.squared_error_loss)
+    ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, demo_context, 0.0,
+                                                config, True)
+    assert base == pytest.approx(ref_base, rel=1e-12)
+    assert l2 == pytest.approx(ref_l2, rel=1e-12)
+    np.testing.assert_allclose(gen.params.vector, ref_gen.params.vector,
+                               rtol=1e-12, atol=1e-15)
+
+
 def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_context):
     ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY)
     train = default_manifest.in_split("train")

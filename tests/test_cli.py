@@ -233,6 +233,22 @@ def test_sweep_lambda_cli_row_count(tmp_path, corpus_dir, checkpoint_dir):
     assert len(lines) == 5  # header + 4 grid rows
 
 
+def test_sweep_and_supervise_demo_give_the_same_rows(tmp_path, corpus_dir,
+                                                     checkpoint_dir):
+    # 25 steps: the rows average the last 2, where the lambda 0 run computes L2
+    common = ["--manifest", corpus_dir / "manifest.json",
+              "--checkpoint", checkpoint_dir / "checkpoint.json",
+              "--seed", 3, "--steps", 25, "--batch-size", 4, "--hidden", "16"]
+    sweep, demo = tmp_path / "sweep", tmp_path / "demo"
+    assert run("sweep-lambda", *common, "--grid", "0,0.4", "--out", sweep) == 0
+    assert run("supervise-demo", *common, "--out", demo) == 0
+    assert (sweep / "sweep.csv").read_bytes() == (demo / "report.csv").read_bytes()
+    report = json.loads((demo / "report.json").read_text())
+    rows = json.loads((sweep / "sweep.json").read_text())["rows"]
+    assert rows == [report["baseline"], report["supervised"]]
+    assert rows[0]["l2_loss"] > 0
+
+
 def test_export_diffs_cli(tmp_path, corpus_dir, checkpoint_dir):
     out = tmp_path / "diffs"
     assert run("export-diffs", "--manifest", corpus_dir / "manifest.json",
@@ -295,3 +311,63 @@ def test_cli_and_library_train_defaults_agree(tmp_path, corpus_dir, capsys):
     saved = es.AlignmentCheckpoint.load(out / "checkpoint.json")
     assert saved.content_hash() == ckpt.content_hash()
     assert f"checkpoint hash: {ckpt.content_hash()}" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# rejected flags
+# ---------------------------------------------------------------------------
+
+MISSING = "<missing file>"
+
+REJECTED = [
+    ("gen-corpus", ["--identities", 1], "need at least 2 identities"),
+    ("gen-corpus", ["--d-e", 0], "d_e must be positive, got 0"),
+    ("gen-corpus", ["--per-emotion", 0], "per_identity_per_emotion must be >= 1"),
+    ("pretrain", ["--lr", "nan"], "lr must be finite and positive"),
+    ("pretrain", ["--epochs", 0], "epochs, batch_size and steps_per_epoch must be >= 1"),
+    ("pretrain", ["--manifest", MISSING], "No such file"),
+    ("pretrain", ["--pools", MISSING], "No such file"),
+    ("pretrain-diff-ablation", ["--momentum", 1], "momentum must lie in [0, 1)"),
+    ("analyze-gap", ["--manifest", MISSING], "No such file"),
+    ("derive-pools", ["--k", 6], "k must lie in [0, 5], got 6"),
+    ("derive-pools", ["--k", 1, "--matrix", MISSING], "No such file"),
+    ("eval-metrics", ["--real", MISSING, "--gen", MISSING], "No such file"),
+    ("supervise-demo", ["--lr", "nan"], "lr must be finite and positive"),
+    ("supervise-demo", ["--steps", 0], "steps and batch_size must be >= 1"),
+    ("supervise-demo", ["--hidden", "0"], "hidden widths must be >= 1, got 0"),
+    ("supervise-demo", ["--hidden=-3"], "hidden widths must be >= 1, got -3"),
+    ("supervise-demo", ["--hidden", "16,0"], "hidden widths must be >= 1, got 0"),
+    ("supervise-demo", ["--hidden", "x"], "invalid literal"),
+    ("supervise-demo", ["--lambda", -1], "lambda must be finite and >= 0"),
+    ("supervise-demo", ["--checkpoint", MISSING], "No such file"),
+    ("sweep-lambda", ["--hidden", "0"], "hidden widths must be >= 1, got 0"),
+    ("sweep-lambda", ["--hidden=-3"], "hidden widths must be >= 1, got -3"),
+    ("sweep-lambda", ["--steps", 0], "steps and batch_size must be >= 1"),
+    ("sweep-lambda", ["--grid", "0,-0.4"], "lambda must be finite and >= 0"),
+    ("sweep-lambda", ["--grid", "0,nan"], "lambda must be finite and >= 0"),
+    ("sweep-lambda", ["--grid", ","], "lambda grid must be non-empty"),
+    ("export-diffs", ["--checkpoint", MISSING], "No such file"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", REJECTED,
+                         ids=[f"{c} {' '.join(map(str, f))}" for c, f, _ in REJECTED])
+def test_rejected_command_exits_2_and_makes_no_directory(tmp_path, corpus_dir,
+                                                         checkpoint_dir, capsys,
+                                                         command, flags, message):
+    inputs = {"--manifest": corpus_dir / "manifest.json",
+              "--checkpoint": checkpoint_dir / "checkpoint.json"}
+    needs = {"pretrain": ["--manifest"], "pretrain-diff-ablation": ["--manifest"],
+             "analyze-gap": ["--manifest"], "supervise-demo": list(inputs),
+             "sweep-lambda": list(inputs), "export-diffs": list(inputs)}
+    argv = [command]
+    for flag in needs.get(command, []):
+        argv += [flag, inputs[flag]]
+    # a repeated flag overrides the input given above
+    argv += [tmp_path / "nope.json" if f == MISSING else f for f in flags]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()

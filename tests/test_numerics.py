@@ -145,6 +145,13 @@ def test_mlp_chain_validation():
         MlpParams([DenseLayer(np.zeros((3, 4)), np.zeros(3), "relu")])  # last not identity
 
 
+@pytest.mark.parametrize("dims, bad", [([4, 0, 3], 0), ([0, 3], 0), ([4, -3, 3], -3),
+                                       ([4, 5, 0], 0)])
+def test_init_mlp_rejects_a_dim_below_one(rng, dims, bad):
+    with pytest.raises(ContractError, match=f"layer dims must be >= 1, got {bad}$"):
+        init_mlp(dims, rng)
+
+
 # ---------------------------------------------------------------------------
 # MLP backward
 # ---------------------------------------------------------------------------

@@ -78,6 +78,46 @@ def test_squared_error_hook_gradient(rng):
         assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("hidden, bad", [((0,), 0), ((16, -3), -3), ((16, 0, 8), 0)])
+def test_demo_config_rejects_a_hidden_width_below_one(hidden, bad):
+    with pytest.raises(ContractError, match=f"hidden widths must be >= 1, got {bad}$"):
+        es.DemoConfig(hidden=hidden).validate()
+
+
+# ---------------------------------------------------------------------------
+# batch draws
+# ---------------------------------------------------------------------------
+
+def scalar_demo_pairs(emotions, rng, batch_size):
+    """The demo's draws as scalar calls: one source draw, then one target
+    draw, per pair."""
+    picks, targets = [], []
+    for _ in range(batch_size):
+        pick = int(rng.integers(len(emotions)))
+        others = [int(e) for e in es.EMOTIONS if int(e) != emotions[pick]]
+        picks.append(pick)
+        targets.append(others[int(rng.integers(len(others)))])
+    return picks, targets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 17, 12345])
+@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize("emotions", [np.array([3]), np.arange(76) % 7])
+def test_demo_pairs_draw_the_scalar_stream(seed, batch_size, emotions):
+    # a numpy whose array-bounded draws consume the stream differently from
+    # scalar draws fails here, not through the pinned demo accuracies
+    mine = np.random.Generator(np.random.PCG64(seed))
+    scalar = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(3):
+        picks, targets = sv._demo_pairs(emotions, mine, batch_size)
+        ref_picks, ref_targets = scalar_demo_pairs(emotions, scalar, batch_size)
+        assert picks.tolist() == ref_picks
+        assert targets.tolist() == ref_targets
+        assert (targets != emotions[picks]).all()
+    assert mine.integers(2 ** 40) == scalar.integers(2 ** 40)
+    assert mine.random() == scalar.random()
+
+
 # ---------------------------------------------------------------------------
 # demo runs
 # ---------------------------------------------------------------------------
@@ -213,3 +253,30 @@ def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypat
     assert calls["frozen"] == 0 and calls["trainable"] == 2 * cfg.steps
     # at least one frozen pass per step, one per target emotion in the batch
     assert calls["input_grad"] >= cfg.steps
+
+
+@pytest.mark.parametrize("steps", [1, 7, 25])
+def test_lambda_zero_computes_l2_only_in_the_reported_tail(demo_env, monkeypatch, steps):
+    manifest, _, _, _, ctx = demo_env
+    cfg = es.DemoConfig(seed=13, steps=steps, batch_size=4, lr=0.05, hidden=(16,))
+    tail = max(1, steps // 10)
+    calls = []
+    loss = sv.difference_loss_with_grads
+
+    def counting_loss(pair):
+        calls.append(len(pair.visual_diff))
+        return loss(pair)
+
+    monkeypatch.setattr(sv, "difference_loss_with_grads", counting_loss)
+    expected = {(0.0,): tail, (0.4,): steps, (0.0, 0.4): steps + tail}
+    runs = {}
+    for lams, count in expected.items():
+        calls.clear()
+        runs[lams] = sv._train_generators(manifest, ctx, list(lams), cfg,
+                                          sv.squared_error_loss)
+        assert len(calls) == count, lams
+        assert set(calls) == {cfg.batch_size}
+    # the fused pair gives each run's lone result
+    assert runs[(0.0, 0.4)][0][1:] == runs[(0.0,)][0][1:]
+    assert runs[(0.0, 0.4)][1][1:] == runs[(0.4,)][0][1:]
+    assert runs[(0.0,)][0][2] > 0
