@@ -92,10 +92,22 @@ def _manifest_and_suite(manifest_path: str):
 # commands
 # ---------------------------------------------------------------------------
 
+def _corpus_defaults() -> dict:
+    """Flag defaults of gen-corpus; the world fields come from
+    ``WorldConfig()`` in their flag spelling (the word-token scale has no
+    flag)."""
+    fields = WorldConfig().to_dict()
+    del fields["word_token_scale"]
+    fields["identities"] = fields.pop("n_identities")
+    fields["noise"] = fields.pop("noise_sigma")
+    return {"seed": 1, "per_emotion": 3, **fields}
+
+
+CORPUS_DEFAULTS = _corpus_defaults()
+
+
 def cmd_gen_corpus(args) -> int:
-    defaults = {"seed": 1, "identities": 4, "per_emotion": 3, "gap": 1.0,
-                "noise": 0.05, "d_e": 64, "d_b": 32, "d_tok": 32, "d_latent": 16}
-    flags = _resolve_flags(args, defaults)
+    flags = _resolve_flags(args, CORPUS_DEFAULTS)
     config = WorldConfig(n_identities=int(flags["identities"]),
                          d_latent=int(flags["d_latent"]), d_e=int(flags["d_e"]),
                          d_b=int(flags["d_b"]), d_tok=int(flags["d_tok"]),
@@ -197,14 +209,22 @@ def cmd_analyze_gap(args) -> int:
     flags = _resolve_flags(args, {"manifest": None, "compare_reference": False})
     if not flags["manifest"]:
         raise ContractError("--manifest is required")
-    manifest, world, suite = _manifest_and_suite(flags["manifest"])
-    out = _out_dir(args)
-    features = {e: np.array([suite.visual_encode(s.image_ref)
-                             for s in manifest.samples if s.emotion == e])
-                for e in EMOTIONS}
+    manifest, _, suite = _manifest_and_suite(flags["manifest"])
+    # one (N, d_e) stack with the rows grouped by emotion, in manifest order
+    # within each; every emotion reads a view of its slice
+    counts = np.bincount([s.emotion for s in manifest.samples], minlength=len(EMOTIONS))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    stack = np.empty((len(manifest.samples), suite.d_e))
+    next_row = starts.tolist()
+    for s in manifest.samples:
+        stack[next_row[s.emotion]] = suite.visual_encode(s.image_ref)
+        next_row[s.emotion] += 1
+    features = {e: stack[starts[e]:ends[e]] for e in EMOTIONS}
     texts = {e: suite.text_encode(suite.tokenize(prompt_for(e))) for e in EMOTIONS}
     report = analysis.modality_gap_report(features, texts)
     matrix = analysis.cross_modal_matrix(features, texts)
+    out = _out_dir(args)
     _write_json(out / "report.json", report.to_json_dict())
     report.to_csv(out / "report.csv")
     _write_json(out / "matrix.json", matrix.to_json_dict())

@@ -78,6 +78,10 @@ class CorpusManifest:
         self._by_id = {s.id: s for s in self.samples}
         if len(self._by_id) != len(self.samples):
             raise ContractError("duplicate sample ids")
+        self._neutrals: dict[str, list[Sample]] = {}
+        for s in self.samples:
+            if s.emotion == EmotionLabel.neutral:
+                self._neutrals.setdefault(s.identity, []).append(s)
 
     def by_id(self, sample_id: str) -> Sample:
         try:
@@ -90,8 +94,9 @@ class CorpusManifest:
         return list(seen)
 
     def neutrals_of(self, identity: str) -> list[Sample]:
-        return [s for s in self.samples
-                if s.identity == identity and s.emotion == EmotionLabel.neutral]
+        """The identity's neutral samples in manifest order, as a fresh list;
+        one O(1) lookup (an unknown identity has none)."""
+        return list(self._neutrals.get(identity, ()))
 
     def in_split(self, split: str) -> list[Sample]:
         if split not in (TRAIN, VAL):
@@ -166,18 +171,17 @@ def generate_synthetic_corpus(world: SyntheticWorld,
     if per_identity_per_emotion < 1:
         raise ContractError("per_identity_per_emotion must be >= 1")
     samples: list[Sample] = []
+    split: dict[str, str] = {}
     for identity in world.identity_names:
         neutral_ref = f"{identity}_neutral_00"
+        ids = []
         for emotion in EMOTIONS:
             for j in range(per_identity_per_emotion):
                 sid = f"{identity}_{emotion.name}_{j:02d}"
                 samples.append(Sample(sid, identity, emotion,
                                       world.image_ref(identity, emotion, j),
                                       neutral_ref))
-
-    split: dict[str, str] = {}
-    for identity in world.identity_names:
-        ids = [s.id for s in samples if s.identity == identity]
+                ids.append(sid)
         ids.sort(key=lambda sid: _split_rank(world.seed, sid))
         n_val = max(1, round(VAL_FRACTION * len(ids)))
         for i, sid in enumerate(ids):

@@ -228,16 +228,25 @@ class SyntheticWorld:
     # hashed draws of the other words, made once per world (read-only arrays)
     _word_tokens: dict[str, np.ndarray] = field(default_factory=dict, init=False,
                                                 repr=False, compare=False)
+    # identity name -> row of identity_latents, built once per world
+    _identity_rows: dict[str, int] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
 
-    @property
+    def __post_init__(self):
+        self._identity_rows = {name: row for row, name in enumerate(self.identity_names)}
+
+    @functools.cached_property
     def identity_names(self) -> list[str]:
+        """Canonical identity names ``id000``, ``id001``, ... in row order,
+        computed once per world."""
         return [f"id{i:03d}" for i in range(self.config.n_identities)]
 
     def identity_index(self, identity: str) -> int:
-        names = self.identity_names
+        """Row of ``identity`` in ``identity_latents``; one O(1) lookup.
+        Raises ``KeyError`` for a name that is not canonical."""
         try:
-            return names.index(identity)
-        except ValueError:
+            return self._identity_rows[identity]
+        except KeyError:
             raise KeyError(f"unknown identity {identity!r}") from None
 
     def image_ref(self, identity: str, emotion: EmotionLabel, replicate: int) -> str:
@@ -272,15 +281,21 @@ class SyntheticWorld:
         return self.config.noise_sigma * rng.standard_normal(self.config.d_e)
 
     def visual_embedding(self, ref: str) -> np.ndarray:
-        identity, emotion_name, _rep = self._parse_ref(ref)
-        clean = self.clean_visual(identity, parse_emotion(emotion_name))
-        return clean + self._noise(ref)
+        identity, emotion = self._parse_ref(ref)
+        return self.clean_visual(identity, emotion) + self._noise(ref)
 
-    def _parse_ref(self, ref: str) -> tuple[str, str, int]:
+    def _parse_ref(self, ref: str) -> tuple[str, EmotionLabel]:
+        """Identity and emotion of an image ref. Only the canonical
+        spelling ``image_ref`` gives, with a replicate >= 0, is accepted: the
+        noise is hashed from the ref string, so any other spelling of one
+        image would get an embedding of its own."""
         parts = ref.split(":")
-        if len(parts) != 4 or parts[0] != "img":
-            raise KeyError(f"unknown image ref {ref!r}")
-        return parts[1], parts[2], int(parts[3])
+        if len(parts) == 4 and parts[0] == "img":
+            identity, emotion = parts[1], parse_emotion(parts[2])
+            if (parts[3].isdecimal()
+                    and self.image_ref(identity, emotion, int(parts[3])) == ref):
+                return identity, emotion
+        raise KeyError(f"unknown image ref {ref!r}")
 
 
 def build_synthetic_world(seed: int, config: WorldConfig | None = None) -> SyntheticWorld:
@@ -360,7 +375,7 @@ def synthetic_suite(world: SyntheticWorld) -> EncoderSuite:
     def backbone_identity(ref):
         if isinstance(ref, np.ndarray):
             raise ContractError("identity backbone needs an image ref, not a raw vector")
-        identity, _, _ = world._parse_ref(ref)
+        identity, _ = world._parse_ref(ref)
         return world.backbone_map @ world.identity_latents[world.identity_index(identity)]
 
     def tokenize(prompt: str) -> TokenSequence:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,17 @@ def test_gen_corpus_byte_identical_rerun(tmp_path):
         assert run("gen-corpus", "--seed", 5, "--identities", 2,
                    "--per-emotion", 1, "--out", out) == 0
     assert_dirs_byte_identical(a, b)
+
+
+def test_gen_corpus_defaults_are_the_world_config_defaults(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert run("gen-corpus", "--out", out) == 0
+    assert capsys.readouterr().out == "wrote 84 samples (76 train / 8 val) for 4 identities\n"
+    flags = json.loads((out / "run.json").read_text())["flags"]
+    assert flags == {"seed": 1, "per_emotion": 3, "identities": 4, "gap": 1.0,
+                     "noise": 0.05, "d_e": 64, "d_b": 32, "d_tok": 32, "d_latent": 16}
+    world = json.loads((out / "manifest.json").read_text())["world"]
+    assert world == {"seed": 1, "config": es.WorldConfig().to_dict()}
 
 
 def test_gen_corpus_missing_required_flag_exits_2():
@@ -159,6 +171,79 @@ def test_analyze_gap_outputs(tmp_path, corpus_dir, capsys):
     report = json.loads((out / "report.json").read_text())
     assert set(report["rows"]) == {e.name for e in es.EMOTIONS}
     assert (out / "matrix.csv").exists()
+
+
+def _per_emotion_filter_outputs(manifest_path: Path) -> tuple[bytes, bytes]:
+    """report.json and matrix.json bytes from one array per emotion, each
+    built by filtering the manifest's samples on that emotion."""
+    manifest = es.CorpusManifest.load(manifest_path)
+    suite = es.synthetic_suite(manifest.rebuild_world())
+    features = {e: np.array([suite.visual_encode(s.image_ref)
+                             for s in manifest.samples if s.emotion == e])
+                for e in es.EMOTIONS}
+    texts = {e: suite.text_encode(suite.tokenize(es.prompt_for(e))) for e in es.EMOTIONS}
+    return tuple((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+                 for payload in (es.modality_gap_report(features, texts).to_json_dict(),
+                                 es.cross_modal_matrix(features, texts).to_json_dict()))
+
+
+def test_analyze_gap_identity_work_is_per_world_not_per_sample(tmp_path, monkeypatch,
+                                                                capsys):
+    world = es.build_synthetic_world(6, es.WorldConfig(n_identities=48))
+    accesses = []
+    names = es.SyntheticWorld.__dict__["identity_names"]
+
+    def counted(self):
+        accesses.append(1)
+        return names.__get__(self, type(self))
+
+    counts = []
+    for per_emotion in (6, 12):  # 2016 and 4032 samples
+        path = tmp_path / f"manifest_{per_emotion}.json"
+        es.generate_synthetic_corpus(world, per_emotion).save(path)
+        expected = _per_emotion_filter_outputs(path)
+        out = tmp_path / f"gap_{per_emotion}"
+        with monkeypatch.context() as patch:
+            patch.setattr(es.SyntheticWorld, "identity_names", property(counted))
+            accesses.clear()
+            assert run("analyze-gap", "--manifest", path, "--out", out) == 0
+            counts.append(len(accesses))
+        assert ((out / "report.json").read_bytes(),
+                (out / "matrix.json").read_bytes()) == expected
+    assert counts[0] == counts[1] <= 2
+
+
+def test_analyze_gap_holds_fewer_than_two_feature_stacks(tmp_path, capsys):
+    # A wide embedding makes the N x d_e features dominate the manifest and
+    # the rest, so a list of per-sample rows stacked into a second copy
+    # (about 2 x N x d_e x 8 bytes plus the row objects) breaks the bound.
+    d_e, per_emotion = 512, 30
+    world = es.build_synthetic_world(7, es.WorldConfig(n_identities=24, d_e=d_e))
+    path = tmp_path / "manifest.json"
+    es.generate_synthetic_corpus(world, per_emotion).save(path)
+    n = 24 * 7 * per_emotion
+    assert n >= 5000
+    del world
+    tracemalloc.start()
+    try:
+        assert run("analyze-gap", "--manifest", path, "--out", tmp_path / "gap") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d_e * 8 + 2**20
+
+
+def test_analyze_gap_refuses_a_non_canonical_image_ref(tmp_path, corpus_dir, capsys):
+    spec = json.loads((corpus_dir / "manifest.json").read_text())
+    spec["samples"][0]["image_ref"] += "0"  # replicate 0 spelled 00
+    bad_ref = spec["samples"][0]["image_ref"]
+    assert bad_ref.endswith(":00")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "gap"
+    assert run("analyze-gap", "--manifest", path, "--out", out) == 2
+    assert f"unknown image ref {bad_ref!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_derive_pools_reference_k1(tmp_path, capsys):

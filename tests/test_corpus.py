@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -155,6 +157,41 @@ def test_missing_neutral_sample_errors_with_identity_name():
     with pytest.raises(ContractError, match="idY"):
         for _ in range(200):
             es.sample_contrastive_batch(manifest, pools, 8, rng)
+
+
+def test_neutrals_of_keeps_manifest_order_and_returns_a_fresh_list():
+    samples = [Sample("b_n2", "idB", es.EmotionLabel.neutral, "img:b2", "b_n2"),
+               Sample("a_n", "idA", es.EmotionLabel.neutral, "img:a", "a_n"),
+               Sample("b_sad", "idB", es.EmotionLabel.sad, "img:bs", "b_n2"),
+               Sample("b_n0", "idB", es.EmotionLabel.neutral, "img:b0", "b_n2")]
+    manifest = CorpusManifest(samples, {s.id: TRAIN for s in samples})
+    neutrals = manifest.neutrals_of("idB")
+    assert [s.id for s in neutrals] == ["b_n2", "b_n0"]
+    neutrals.clear()
+    assert [s.id for s in manifest.neutrals_of("idB")] == ["b_n2", "b_n0"]
+    assert manifest.neutrals_of("idC") == []
+
+
+def test_validate_rejects_an_identity_without_a_neutral():
+    samples = [Sample("a_n", "idA", es.EmotionLabel.neutral, "img:a", "a_n"),
+               Sample("b_happy", "idB", es.EmotionLabel.happy, "img:b", "a_n")]
+    manifest = CorpusManifest(samples, {s.id: TRAIN for s in samples})
+    with pytest.raises(ContractError, match="identity 'idB' has no neutral sample"):
+        manifest.validate()
+
+
+def test_split_equals_a_per_identity_scan():
+    world = es.build_synthetic_world(4, es.WorldConfig(n_identities=48))
+    manifest = es.generate_synthetic_corpus(world, 5)
+    expected = {}
+    for identity in world.identity_names:
+        ids = [s.id for s in manifest.samples if s.identity == identity]
+        ids.sort(key=lambda sid: hashlib.sha256(
+            f"{world.seed}:split:{sid}".encode()).hexdigest())
+        n_val = max(1, round(0.1 * len(ids)))
+        expected.update({sid: VAL if i < n_val else TRAIN for i, sid in enumerate(ids)})
+    assert len(manifest.samples) == 48 * 7 * 5
+    assert list(manifest.split.items()) == list(expected.items())
 
 
 def test_pair_batch_same_identity_different_emotion(default_manifest, reference_pools):

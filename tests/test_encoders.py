@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,30 @@ def test_same_identity_emotion_encode_identically_at_zero_noise(noise_free_world
     a = suite.visual_encode(noise_free_world.image_ref("id000", es.EmotionLabel.sad, 0))
     b = suite.visual_encode(noise_free_world.image_ref("id000", es.EmotionLabel.sad, 1))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("encoder", ["visual_encode", "backbone_identity"])
+@pytest.mark.parametrize("ref", ["img:id000:happy:01", "img:id000:happy: 1",
+                                 "img:id000:happy:-1", "img:id000:happy:+1",
+                                 "img:id000:happy:x"])
+def test_a_non_canonical_image_ref_is_refused(default_suite, encoder, ref):
+    # the noise is hashed from the ref string, so another spelling of
+    # img:id000:happy:1 would be a second embedding of the same image
+    encode = getattr(default_suite, encoder)
+    encode("img:id000:happy:1")
+    with pytest.raises(KeyError, match=re.escape(f"unknown image ref {ref!r}")):
+        encode(ref)
+
+
+def test_identity_index_is_the_position_in_the_name_list():
+    world = es.build_synthetic_world(3, es.WorldConfig(n_identities=48))
+    names = [f"id{i:03d}" for i in range(48)]
+    assert world.identity_names == names
+    for name in names:
+        assert world.identity_index(name) == names.index(name)
+    for name in ["id48", "id048", "id0", "id0000", "idX"]:
+        with pytest.raises(KeyError, match=f"unknown identity {name!r}"):
+            world.identity_index(name)
 
 
 # ---------------------------------------------------------------------------
