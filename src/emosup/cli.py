@@ -11,6 +11,7 @@ differ), 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -67,6 +68,42 @@ def _resolve_flags(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+# config field -> flag name, only where the two differ; None: the field has no flag
+FLAG_NAMES = {"n_identities": "identities", "noise_sigma": "noise",
+              "guider_token_count": "guider_tokens", "word_token_scale": None}
+
+
+def _flagged_fields(cls):
+    """(field, flag name, default) for each field of config dataclass
+    ``cls`` that has a flag."""
+    for field, default in dataclasses.asdict(cls()).items():
+        name = FLAG_NAMES.get(field, field)
+        if name is not None:
+            yield field, name, default
+
+
+def _config_defaults(cls) -> dict:
+    """Flag defaults of a config dataclass, keyed by flag name; a tuple
+    default is spelled as a comma list."""
+    return {name: ",".join(map(str, default)) if isinstance(default, tuple) else default
+            for _, name, default in _flagged_fields(cls)}
+
+
+def _config_from_flags(cls, flags: dict):
+    """The validated config built from resolved flags, each value cast to the
+    type of its field's default; a tuple field takes a comma string of ints
+    or a list."""
+    values = {}
+    for field, name, default in _flagged_fields(cls):
+        value = flags[name]
+        if isinstance(default, tuple) and isinstance(value, str):
+            value = [int(x) for x in value.split(",") if x]
+        values[field] = type(default)(value)
+    config = cls(**values)
+    config.validate()
+    return config
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,26 +129,12 @@ def _manifest_and_suite(manifest_path: str):
 # commands
 # ---------------------------------------------------------------------------
 
-def _corpus_defaults() -> dict:
-    """Flag defaults of gen-corpus; the world fields come from
-    ``WorldConfig()`` in their flag spelling (the word-token scale has no
-    flag)."""
-    fields = WorldConfig().to_dict()
-    del fields["word_token_scale"]
-    fields["identities"] = fields.pop("n_identities")
-    fields["noise"] = fields.pop("noise_sigma")
-    return {"seed": 1, "per_emotion": 3, **fields}
-
-
-CORPUS_DEFAULTS = _corpus_defaults()
+CORPUS_DEFAULTS = {"seed": 1, "per_emotion": 3, **_config_defaults(WorldConfig)}
 
 
 def cmd_gen_corpus(args) -> int:
     flags = _resolve_flags(args, CORPUS_DEFAULTS)
-    config = WorldConfig(n_identities=int(flags["identities"]),
-                         d_latent=int(flags["d_latent"]), d_e=int(flags["d_e"]),
-                         d_b=int(flags["d_b"]), d_tok=int(flags["d_tok"]),
-                         noise_sigma=float(flags["noise"]), gap=float(flags["gap"]))
+    config = _config_from_flags(WorldConfig, flags)
     world = build_synthetic_world(int(flags["seed"]), config)
     suite = synthetic_suite(world)
     manifest = generate_synthetic_corpus(world, int(flags["per_emotion"]))
@@ -144,38 +167,14 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _train_config_from_flags(flags: dict) -> TrainConfig:
-    decay = flags["decay_epochs"]
-    if isinstance(decay, str):
-        decay = tuple(int(x) for x in decay.split(",") if x)
-    return TrainConfig(seed=int(flags["seed"]), epochs=int(flags["epochs"]),
-                       batch_size=int(flags["batch_size"]),
-                       steps_per_epoch=int(flags["steps_per_epoch"]),
-                       lr=float(flags["lr"]), decay_epochs=tuple(decay),
-                       decay_factor=float(flags["decay_factor"]),
-                       momentum=float(flags["momentum"]),
-                       projector_mode=flags["projector_mode"],
-                       guider_token_count=int(flags["guider_tokens"]))
-
-
-def _train_defaults() -> dict:
-    """Flag defaults of the training commands; the training fields come
-    from ``TrainConfig()`` in their flag spelling."""
-    fields = TrainConfig().to_dict()
-    fields["decay_epochs"] = ",".join(str(e) for e in fields["decay_epochs"])
-    fields["guider_tokens"] = fields.pop("guider_token_count")
-    return {"manifest": None, **fields, "pools": "reference"}
-
-
-TRAIN_DEFAULTS = _train_defaults()
+TRAIN_DEFAULTS = {"manifest": None, **_config_defaults(TrainConfig), "pools": "reference"}
 
 
 def _cmd_train(args, objective: str, command: str) -> int:
     flags = _resolve_flags(args, TRAIN_DEFAULTS)
     if not flags["manifest"]:
         raise ContractError("--manifest is required")
-    config = _train_config_from_flags(flags)
-    config.validate()
+    config = _config_from_flags(TrainConfig, flags)
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     pools = _load_pools(flags["pools"])
     out = _out_dir(args)
@@ -287,16 +286,7 @@ def cmd_eval_metrics(args) -> int:
     return 0
 
 
-def _demo_defaults() -> dict:
-    """Flag defaults of the demo commands; the demo fields come from
-    ``DemoConfig()`` in their flag spelling."""
-    fields = DemoConfig().to_dict()
-    fields["hidden"] = ",".join(str(h) for h in fields["hidden"])
-    return {"manifest": None, "checkpoint": None, "baseline": "toy", "lam": None,
-            **fields}
-
-
-DEMO_DEFAULTS = _demo_defaults()
+DEMO_DEFAULTS = {"manifest": None, "checkpoint": None, **_config_defaults(DemoConfig)}
 
 
 def _demo_setup(flags):
@@ -304,18 +294,11 @@ def _demo_setup(flags):
         raise ContractError("--manifest and --checkpoint are required")
     manifest, world, suite = _manifest_and_suite(flags["manifest"])
     ckpt = AlignmentCheckpoint.load(flags["checkpoint"])
-    hidden = flags["hidden"]
-    if isinstance(hidden, str):
-        hidden = tuple(int(x) for x in hidden.split(",") if x)
-    config = DemoConfig(seed=int(flags["seed"]), steps=int(flags["steps"]),
-                        batch_size=int(flags["batch_size"]), lr=float(flags["lr"]),
-                        hidden=tuple(hidden))
-    config.validate()
-    return manifest, world, suite, ckpt, config
+    return manifest, world, suite, ckpt, _config_from_flags(DemoConfig, flags)
 
 
 def cmd_supervise_demo(args) -> int:
-    flags = _resolve_flags(args, DEMO_DEFAULTS)
+    flags = _resolve_flags(args, {**DEMO_DEFAULTS, "baseline": "toy", "lam": None})
     manifest, world, suite, ckpt, config = _demo_setup(flags)
     lam = (lambda_for_baseline(flags["baseline"]) if flags["lam"] is None
            else LambdaConfig(float(flags["lam"]), flags["baseline"]))
@@ -383,16 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags override it)")
         return p
 
+    def config_flags(p, cls):
+        for name, default in _config_defaults(cls).items():
+            p.add_argument("--" + name.replace("_", "-"), type=type(default))
+
     p = add("gen-corpus", cmd_gen_corpus, "generate a synthetic corpus + features")
     p.add_argument("--seed", type=int)
-    p.add_argument("--identities", type=int)
     p.add_argument("--per-emotion", dest="per_emotion", type=int)
-    p.add_argument("--gap", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--d-e", dest="d_e", type=int)
-    p.add_argument("--d-b", dest="d_b", type=int)
-    p.add_argument("--d-tok", dest="d_tok", type=int)
-    p.add_argument("--d-latent", dest="d_latent", type=int)
+    config_flags(p, WorldConfig)
 
     for name, func, help_ in [
             ("pretrain", cmd_pretrain, "contrastive pre-training"),
@@ -400,17 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
              "pre-train with the difference objective instead")]:
         p = add(name, func, help_)
         p.add_argument("--manifest")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--decay-epochs", dest="decay_epochs")
-        p.add_argument("--decay-factor", dest="decay_factor", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--projector-mode", dest="projector_mode",
-                       choices=["multi", "single_conditional"])
-        p.add_argument("--guider-tokens", dest="guider_tokens", type=int)
+        config_flags(p, TrainConfig)
         p.add_argument("--pools", help="'reference', 'all', or a pools.json path")
 
     p = add("analyze-gap", cmd_analyze_gap, "modality-gap report on a corpus")
@@ -430,17 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     def demo_flags(p):
         p.add_argument("--manifest")
         p.add_argument("--checkpoint")
-        p.add_argument("--baseline", choices=sorted(supervision.DEFAULT_LAMBDAS))
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--hidden")
+        config_flags(p, DemoConfig)
 
     p = add("supervise-demo", cmd_supervise_demo,
             "train the toy generator with and without the regularizer")
     demo_flags(p)
+    p.add_argument("--baseline", choices=sorted(supervision.DEFAULT_LAMBDAS))
+    p.add_argument("--lambda", dest="lam", type=float)
 
     p = add("sweep-lambda", cmd_sweep_lambda, "demo runs over a lambda grid")
     demo_flags(p)

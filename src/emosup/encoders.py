@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -188,10 +188,7 @@ class WorldConfig:
                                 "d_latent <= d_b")
 
     def to_dict(self) -> dict:
-        return {"n_identities": self.n_identities, "d_latent": self.d_latent,
-                "d_e": self.d_e, "d_b": self.d_b, "d_tok": self.d_tok,
-                "noise_sigma": self.noise_sigma, "gap": self.gap,
-                "word_token_scale": self.word_token_scale}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "WorldConfig":

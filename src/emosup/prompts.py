@@ -275,13 +275,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "decay_epochs": list(self.decay_epochs)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "decay_epochs" in d:
-            d["decay_epochs"] = tuple(d["decay_epochs"])
-        return TrainConfig(**d)
-
 
 @dataclass
 class LossCurve:

@@ -116,13 +116,6 @@ class DemoConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "DemoConfig":
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
-        return DemoConfig(**d)
-
 
 @dataclass
 class ToyGenerator:

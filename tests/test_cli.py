@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -345,6 +346,69 @@ def test_export_diffs_cli(tmp_path, corpus_dir, checkpoint_dir):
 
 
 # ---------------------------------------------------------------------------
+# config flags: one flag per config field
+# ---------------------------------------------------------------------------
+
+def assert_every_field_differs_from_its_default(config, unflagged=()):
+    """A field added to the config class without a flag value below keeps its
+    default and fails here."""
+    default = type(config)()
+    for f in dataclasses.fields(config):
+        if f.name not in unflagged:
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+
+
+def test_every_world_flag_reaches_its_field(tmp_path):
+    expected = es.WorldConfig(n_identities=3, d_latent=8, d_e=48, d_b=24, d_tok=16,
+                              noise_sigma=0.1, gap=0.5)
+    assert_every_field_differs_from_its_default(expected, unflagged={"word_token_scale"})
+    out = tmp_path / "c"
+    assert run("gen-corpus", "--per-emotion", 1, "--identities", 3, "--d-latent", 8,
+               "--d-e", 48, "--d-b", 24, "--d-tok", 16, "--noise", 0.1, "--gap", 0.5,
+               "--out", out) == 0
+    world = json.loads((out / "manifest.json").read_text())["world"]
+    assert world["config"] == expected.to_dict()
+
+
+def test_every_training_flag_reaches_its_field(tmp_path, corpus_dir):
+    expected = es.TrainConfig(seed=2, epochs=2, batch_size=5, steps_per_epoch=2, lr=0.05,
+                              decay_epochs=(1,), decay_factor=2.0, momentum=0.5,
+                              projector_mode="single_conditional", guider_token_count=2)
+    assert_every_field_differs_from_its_default(expected)
+    out = tmp_path / "ckpt"
+    assert run("pretrain", "--manifest", corpus_dir / "manifest.json", "--seed", 2,
+               "--epochs", 2, "--batch-size", 5, "--steps-per-epoch", 2, "--lr", 0.05,
+               "--decay-epochs", 1, "--decay-factor", 2, "--momentum", 0.5,
+               "--projector-mode", "single_conditional", "--guider-tokens", 2,
+               "--out", out) == 0
+    saved = es.AlignmentCheckpoint.load(out / "checkpoint.json")
+    assert saved.metadata["config"] == expected.to_dict()
+
+
+def test_every_demo_flag_reaches_its_field(tmp_path, corpus_dir, checkpoint_dir):
+    expected = es.DemoConfig(seed=3, steps=4, batch_size=3, lr=0.1, hidden=(8, 4))
+    assert_every_field_differs_from_its_default(expected)
+    out = tmp_path / "demo"
+    assert run("supervise-demo", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--seed", 3,
+               "--steps", 4, "--batch-size", 3, "--lr", 0.1, "--hidden", "8,4",
+               "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"] == {**expected.to_dict(), "baseline_tag": "toy"}
+
+
+@pytest.mark.parametrize("flags", [["--lambda", 5], ["--baseline", "ned"]])
+def test_sweep_lambda_refuses_lambda_and_baseline(tmp_path, corpus_dir, checkpoint_dir,
+                                                  capsys, flags):
+    out = tmp_path / "sweep"
+    assert run("sweep-lambda", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", *flags,
+               "--out", out) == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # replay from run metadata
 # ---------------------------------------------------------------------------
 
@@ -360,6 +424,48 @@ def test_replay_pretrain_from_run_metadata(tmp_path, corpus_dir, checkpoint_dir)
     assert run("pretrain", "--config", checkpoint_dir / "run.json",
                "--out", replay) == 0
     assert_dirs_byte_identical(checkpoint_dir, replay)
+
+
+def test_replay_supervise_demo_from_run_metadata(tmp_path, corpus_dir, checkpoint_dir):
+    first, replay = tmp_path / "demo", tmp_path / "replay"
+    assert run("supervise-demo", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--steps", 10,
+               "--batch-size", 4, "--hidden", "16,8", "--lambda", 0.3,
+               "--baseline", "ned", "--out", first) == 0
+    assert json.loads((first / "run.json").read_text())["flags"]["hidden"] == "16,8"
+    assert run("supervise-demo", "--config", first / "run.json", "--out", replay) == 0
+    assert_dirs_byte_identical(first, replay)
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory, corpus_dir, checkpoint_dir):
+    out = tmp_path_factory.mktemp("cli") / "sweep"
+    assert run("sweep-lambda", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--steps", 10,
+               "--batch-size", 4, "--hidden", "16,8", "--grid", "0,0.4",
+               "--out", out) == 0
+    return out
+
+
+def test_replay_sweep_lambda_from_run_metadata(tmp_path, sweep_dir):
+    assert json.loads((sweep_dir / "run.json").read_text())["flags"]["hidden"] == "16,8"
+    replay = tmp_path / "replay"
+    assert run("sweep-lambda", "--config", sweep_dir / "run.json", "--out", replay) == 0
+    assert_dirs_byte_identical(sweep_dir, replay)
+
+
+def test_sweep_replay_ignores_lambda_and_baseline_keys(tmp_path, sweep_dir):
+    # a sweep run.json written when sweep-lambda still took --lambda and
+    # --baseline records both; neither ever changed a sweep
+    meta = json.loads((sweep_dir / "run.json").read_text())
+    assert "lam" not in meta["flags"] and "baseline" not in meta["flags"]
+    meta["flags"].update(lam=5.0, baseline="ned")
+    config = tmp_path / "old_run.json"
+    config.write_text(json.dumps(meta))
+    replay = tmp_path / "replay"
+    assert run("sweep-lambda", "--config", config, "--out", replay) == 0
+    for name in ("sweep.csv", "sweep.json", "run.json"):
+        assert (replay / name).read_bytes() == (sweep_dir / name).read_bytes(), name
 
 
 def test_eval_metrics_refuses_sets_with_different_ids(tmp_path, capsys):
@@ -412,6 +518,7 @@ REJECTED = [
     ("pretrain", ["--epochs", 0], "epochs, batch_size and steps_per_epoch must be >= 1"),
     ("pretrain", ["--manifest", MISSING], "No such file"),
     ("pretrain", ["--pools", MISSING], "No such file"),
+    ("pretrain", ["--projector-mode", "bogus"], "unknown projector mode"),
     ("pretrain-diff-ablation", ["--momentum", 1], "momentum must lie in [0, 1)"),
     ("analyze-gap", ["--manifest", MISSING], "No such file"),
     ("derive-pools", ["--k", 6], "k must lie in [0, 5], got 6"),
