@@ -50,12 +50,16 @@ def _write_run_metadata(out: Path, command: str, flags: dict,
 
 
 def _resolve_flags(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicitly passed flags."""
+    """defaults < config file (flags, or this command's run.json) < passed flags."""
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path) as f:
             file_conf = json.load(f)
+        recorded = file_conf.get("command")
+        if recorded is not None and recorded != args.command:
+            raise ContractError(f"--config {config_path} records a {recorded} run; "
+                                f"it cannot configure {args.command}")
         if "flags" in file_conf:  # accept a previous run.json directly
             file_conf = file_conf["flags"]
         for key, value in file_conf.items():
@@ -289,17 +293,23 @@ def cmd_eval_metrics(args) -> int:
 DEMO_DEFAULTS = {"manifest": None, "checkpoint": None, **_config_defaults(DemoConfig)}
 
 
-def _demo_setup(flags):
+def _checkpoint_inputs(flags):
+    """Manifest, world, suite and a checkpoint whose dims match the suite's."""
     if not flags["manifest"] or not flags["checkpoint"]:
         raise ContractError("--manifest and --checkpoint are required")
     manifest, world, suite = _manifest_and_suite(flags["manifest"])
     ckpt = AlignmentCheckpoint.load(flags["checkpoint"])
-    return manifest, world, suite, ckpt, _config_from_flags(DemoConfig, flags)
+    for dim in ("d_e", "d_b", "d_tok"):
+        if getattr(ckpt, dim) != getattr(suite, dim):
+            raise ContractError(f"checkpoint {dim} is {getattr(ckpt, dim)} but the "
+                                f"manifest's world has {dim} {getattr(suite, dim)}")
+    return manifest, world, suite, ckpt
 
 
 def cmd_supervise_demo(args) -> int:
     flags = _resolve_flags(args, {**DEMO_DEFAULTS, "baseline": "toy", "lam": None})
-    manifest, world, suite, ckpt, config = _demo_setup(flags)
+    manifest, world, suite, ckpt = _checkpoint_inputs(flags)
+    config = _config_from_flags(DemoConfig, flags)
     lam = (lambda_for_baseline(flags["baseline"]) if flags["lam"] is None
            else LambdaConfig(float(flags["lam"]), flags["baseline"]))
     out = _out_dir(args)
@@ -317,7 +327,8 @@ def cmd_supervise_demo(args) -> int:
 
 def cmd_sweep_lambda(args) -> int:
     flags = _resolve_flags(args, {**DEMO_DEFAULTS, "grid": "0.1,0.2,0.4,0.8"})
-    manifest, world, suite, ckpt, config = _demo_setup(flags)
+    manifest, world, suite, ckpt = _checkpoint_inputs(flags)
+    config = _config_from_flags(DemoConfig, flags)
     grid_spec = flags["grid"]
     grid = supervision.lambda_grid([x for x in grid_spec.split(",") if x]
                                    if isinstance(grid_spec, str) else grid_spec)
@@ -336,10 +347,7 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_export_diffs(args) -> int:
     flags = _resolve_flags(args, {"manifest": None, "checkpoint": None,
                                   "include_mismatched": False})
-    if not flags["manifest"] or not flags["checkpoint"]:
-        raise ContractError("--manifest and --checkpoint are required")
-    manifest, _, suite = _manifest_and_suite(flags["manifest"])
-    ckpt = AlignmentCheckpoint.load(flags["checkpoint"])
+    manifest, _, suite, ckpt = _checkpoint_inputs(flags)
     out = _out_dir(args)
     rows = differencing.export_difference_rows(
         ckpt, manifest, suite, include_mismatched=bool(flags["include_mismatched"]))

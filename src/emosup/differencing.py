@@ -1,6 +1,7 @@
 """Difference alignment: paired embeddings, source-minus-target difference
 vectors, and the regularization loss that matches the visual change to
-the text change.
+the text change (``DifferencePair`` and ``difference_loss_with_grads``
+live in ``numerics``, beside ``cosine_grads``; this module re-exports them).
 
 Working on differences rather than absolute embeddings makes the loss
 exactly invariant to any constant displacement between the visual and
@@ -20,7 +21,7 @@ from .corpus import CorpusManifest, Sample
 from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite
 from .errors import ContractError
-from .numerics import as_vector, cosine_grads
+from .numerics import DifferencePair, as_vector, difference_loss_with_grads
 from .prompts import AlignmentCheckpoint, build_personalized_prompt, project_visual
 
 
@@ -41,15 +42,6 @@ class PairEmbeddings:
         self.text_source = as_vector(self.text_source, dim=d, name="text_source")
         self.visual_target = as_vector(self.visual_target, dim=d, name="visual_target")
         self.text_target = as_vector(self.text_target, dim=d, name="text_target")
-
-
-@dataclass
-class DifferencePair:
-    """Source-minus-target differences on both modalities, or ``(B, d)``
-    stacks of B pairs' differences."""
-
-    visual_diff: np.ndarray
-    text_diff: np.ndarray
 
 
 def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
@@ -85,26 +77,6 @@ def diff_vectors(pe: PairEmbeddings) -> DifferencePair:
     """Elementwise source-minus-target differences."""
     return DifferencePair(pe.visual_source - pe.visual_target,
                           pe.text_source - pe.text_target)
-
-
-def difference_loss_with_grads(dp: DifferencePair
-                               ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """The loss ``L2 = 1 - cosine(visual_diff, text_diff)``, in [0, 2], plus
-    its gradients w.r.t. both difference vectors.
-
-    A pair of ``(B, d)`` stacks gives the B row losses and row-stacked
-    gradients. A degenerate pair, one in ``cosine_grads``' mask of
-    (near-)zero-norm differences, gets the midpoint loss 1 and zero
-    gradients instead of NaN.
-    """
-    d_vis, d_txt, sim, degenerate = cosine_grads(dp.visual_diff, dp.text_diff)
-    keep = ~np.asarray(degenerate)
-    losses = np.where(keep, 1.0 - sim, 1.0)
-    if np.ndim(dp.visual_diff) == 1:
-        losses = float(losses)
-    else:
-        keep = keep[:, None]
-    return losses, np.where(keep, -d_vis, 0.0), np.where(keep, -d_txt, 0.0)
 
 
 def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,

@@ -124,6 +124,29 @@ def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray | float,
 
 
 @dataclass
+class DifferencePair:
+    """Source-minus-target differences on both modalities, or ``(B, d)``
+    stacks of B pairs' differences."""
+
+    visual_diff: np.ndarray
+    text_diff: np.ndarray
+
+
+def difference_loss_with_grads(dp: DifferencePair
+                               ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """The loss ``L2 = 1 - cosine(visual_diff, text_diff)``, in [0, 2], plus
+    its gradients w.r.t. both difference vectors.
+
+    A pair of ``(B, d)`` stacks gives the B row losses and row-stacked
+    gradients. A degenerate pair, one in ``cosine_grads``' mask of
+    (near-)zero-norm differences, has cosine 0 and zero cosine gradients,
+    so it gets the midpoint loss 1 and zero gradients instead of NaN.
+    """
+    d_vis, d_txt, sim, _ = cosine_grads(dp.visual_diff, dp.text_diff)
+    return 1.0 - sim, -d_vis, -d_txt
+
+
+@dataclass
 class DenseLayer:
     """One affine layer: ``act(weights @ x + bias)``, weights shaped out x in.
 

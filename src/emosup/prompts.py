@@ -23,9 +23,9 @@ from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
 from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite, TokenSequence
 from .errors import ContractError, FrozenParameterError, NumericalError
-from .numerics import (DenseLayer, MlpGrads, MlpParams, cosine_grads,
-                       cosine_with_flag, init_mlp, mlp_backward, mlp_forward,
-                       sgd_step)
+from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, cosine_grads,
+                       cosine_with_flag, difference_loss_with_grads, init_mlp,
+                       mlp_backward, mlp_forward, sgd_step)
 
 MULTI = "multi"
 SINGLE_CONDITIONAL = "single_conditional"
@@ -162,6 +162,13 @@ class AlignmentCheckpoint:
                                                         [parse(p) for p in d["projectors"]]),
                                    dims["d_e"], dims["d_b"], dims["d_tok"],
                                    dims["token_count"], metadata=dict(d["metadata"]))
+        head = guider_head_dims(ckpt.d_b, ckpt.d_tok, ckpt.token_count)
+        projector = projector_dims(ckpt.d_e, ckpt.bank.mode)
+        for name, net, (d_in, *_, d_out) in [("guider head", ckpt.guider_head, head)] + [
+                (f"projector {i}", p, projector) for i, p in enumerate(ckpt.bank.projectors)]:
+            if (net.in_dim, net.out_dim) != (d_in, d_out):
+                raise ContractError(f"checkpoint {name} maps {net.in_dim} -> {net.out_dim}, "
+                                    f"but its dims {dims} need {d_in} -> {d_out}")
         return ckpt.freeze()
 
     def canonical_json(self) -> str:
@@ -179,18 +186,10 @@ class AlignmentCheckpoint:
             return AlignmentCheckpoint.from_json_dict(json.load(f))
 
 
-def guider_tokens(ckpt: AlignmentCheckpoint, reference: Sample,
-                  suite: EncoderSuite) -> tuple[list[np.ndarray], object]:
-    """Identity prompt token(s) from the frozen backbone + learnable head."""
-    id_feat = suite.backbone_identity(reference.image_ref)
-    out, cache = mlp_forward(ckpt.guider_head, id_feat)
-    tokens = [out[i * ckpt.d_tok:(i + 1) * ckpt.d_tok] for i in range(ckpt.token_count)]
-    return tokens, cache
-
-
 def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
                               emotion: EmotionLabel, suite: EncoderSuite) -> TokenSequence:
-    """Prepend the identity token(s) to the tokenized emotion prompt.
+    """Prepend the identity token(s), the guider head's output on the frozen
+    backbone's identity features, to the tokenized emotion prompt.
 
     The reference must be neutral: an emotional reference would leak its
     own expression into the identity token.
@@ -198,9 +197,11 @@ def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
     if reference.emotion != EmotionLabel.neutral:
         raise ContractError(f"reference {reference.id!r} is {reference.emotion.name}, "
                             "not neutral")
-    tokens, _ = guider_tokens(ckpt, reference, suite)
+    head_out, _ = mlp_forward(ckpt.guider_head,
+                              suite.backbone_identity(reference.image_ref))
     prompt = suite.tokenize(prompt_for(emotion))
-    return TokenSequence(tokens + prompt.tokens)
+    return TokenSequence(list(head_out.reshape(ckpt.token_count, ckpt.d_tok))
+                         + prompt.tokens)
 
 
 def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
@@ -370,28 +371,34 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
     return embed, backward
 
 
+def project_rows(bank: EmotionProjectorBank, x: np.ndarray, codes: np.ndarray):
+    """One stacked ``project_visual`` pass per emotion in ``codes`` over its
+    rows of the ``(B, d_e)`` stack ``x``; returns the projections and, for
+    backward passes, one ``(rows, cache, net, emotion)`` per pass."""
+    out = np.empty((len(x), bank.projectors[0].out_dim))
+    passes = []
+    for emotion in EMOTIONS:
+        rows = np.flatnonzero(codes == int(emotion))
+        if rows.size:
+            out[rows], cache, net = project_visual(bank, x[rows], emotion)
+            passes.append((rows, cache, net, emotion))
+    return out, passes
+
+
 def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
                   table: _FrozenTable):
-    """Project each sample's visual embedding with its emotion's projector,
-    one stacked pass per emotion present.
+    """``project_rows`` over the samples' visual embeddings and emotions.
 
     Returns the ``(B, d_e)`` projections and ``backward(upstream, grads)``,
     which adds each pass's projector gradients into ``grads``, the
     ``ckpt.split`` views of a gradient vector.
     """
-    visual = np.stack([table.visual[s.id] for s in samples])
-    codes = np.array([int(s.emotion) for s in samples])
-    out = np.empty((len(samples), visual.shape[1]))
-    passes = []
-    for emotion in EMOTIONS:
-        rows = np.flatnonzero(codes == int(emotion))
-        if rows.size:
-            projected, cache, net = project_visual(bank, visual[rows], emotion)
-            out[rows] = projected
-            passes.append((rows, cache, net, 1 + (int(emotion) if bank.mode == MULTI else 0)))
+    out, passes = project_rows(bank, np.stack([table.visual[s.id] for s in samples]),
+                               np.array([int(s.emotion) for s in samples]))
 
     def backward(upstream: np.ndarray, grads: list[np.ndarray]) -> None:
-        for rows, cache, net, index in passes:
+        for rows, cache, net, emotion in passes:
+            index = 1 + (int(emotion) if bank.mode == MULTI else 0)
             grads[index] += mlp_backward(net, cache, upstream[rows]).vector
 
     return out, backward
@@ -455,15 +462,12 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     # sources fill the first n rows, targets the last n
     i_vis, projector_backward = _project_rows(ckpt.bank, sources + targets, table)
 
-    i_diff = i_vis[:n] - i_vis[n:]
-    t_diff = t_s - t_t
-    # degenerate rows have sim 0 and zero gradients: loss 1, no gradient
-    d_idiff, d_tdiff, sim, _ = cosine_grads(i_diff, t_diff)
-    d_idiff = -scale * d_idiff   # loss = 1 - sim
-    d_tdiff = -scale * d_tdiff
+    losses, d_idiff, d_tdiff = difference_loss_with_grads(
+        DifferencePair(i_vis[:n] - i_vis[n:], t_s - t_t))
+    d_idiff, d_tdiff = scale * d_idiff, scale * d_tdiff
     grads[0] += head_backward([(stack_s, d_tdiff), (stack_t, -d_tdiff)]).vector
     projector_backward(np.concatenate([d_idiff, -d_idiff]), grads)
-    return float(np.sum(1.0 - sim)) * scale, grad
+    return float(np.sum(losses)) * scale, grad
 
 
 def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,

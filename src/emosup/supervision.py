@@ -14,14 +14,14 @@ from typing import Callable
 import numpy as np
 
 from .corpus import TRAIN, VAL, CorpusManifest
-from .differencing import DifferencePair, difference_loss_with_grads
-from .emotions import EMOTIONS, EmotionLabel
+from .emotions import EMOTIONS
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError
-from .numerics import (MlpParams, as_same_rows, cosine_with_flag, init_mlp,
-                       mlp_backward, mlp_forward, mlp_input_grad, sgd_step)
-from .prompts import (AlignmentCheckpoint, EmotionProjectorBank,
-                      build_personalized_prompt, project_visual)
+from .numerics import (DifferencePair, MlpParams, as_same_rows, cosine_with_flag,
+                       difference_loss_with_grads, init_mlp, mlp_backward,
+                       mlp_forward, mlp_input_grad, sgd_step)
+from .prompts import (AlignmentCheckpoint, EmotionProjectorBank, _frozen_table,
+                      _personalized_rows, project_rows, project_visual)
 
 # Baseline-specific default weights for the difference-regularizer term.
 DEFAULT_LAMBDAS = {"ned": 0.4, "icface": 0.05, "sserd": 0.2, "toy": 0.4}
@@ -179,9 +179,11 @@ class _DemoContext:
     During generator training the checkpoint and encoders never change,
     so source visual embeddings, their projections, all personalized
     prompt embeddings and the clean targets are constants; only the
-    generated side moves. Each table is an array indexed by sample row
-    (``row[sample.id]``), or by reference and identity row; ``gather``
-    reads one step's batch out of them with index arrays.
+    generated side moves. Pre-training's batched passes build them:
+    ``_frozen_table``, ``project_rows`` and one ``_personalized_rows`` pass
+    over every (reference, emotion) pair. Each table is an array indexed
+    by sample row (``row[sample.id]``), or by reference and identity row;
+    ``gather`` reads one step's batch out of them with index arrays.
     """
 
     def __init__(self, manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
@@ -197,13 +199,14 @@ class _DemoContext:
         self.emotion = np.array([int(s.emotion) for s in samples])
         self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
         self.identity = np.array([identity_row[s.identity] for s in samples])
-        self.visual = np.stack([suite.visual_encode(s.image_ref) for s in samples])
-        self.projected_source = np.stack([project_visual(ckpt.bank, v, s.emotion)[0]
-                                          for v, s in zip(self.visual, samples)])
-        # (reference, emotion, d_e) and (identity, emotion, d_e)
-        self.prompts = np.stack([[suite.text_encode(build_personalized_prompt(
-            ckpt, manifest.by_id(ref), e, suite)) for e in EMOTIONS]
-            for ref in self.references])
+        references = [manifest.by_id(ref) for ref in self.references]
+        table = _frozen_table(samples, references, suite)
+        self.visual = np.stack([table.visual[s.id] for s in samples])
+        self.projected_source, _ = project_rows(ckpt.bank, self.visual, self.emotion)
+        embed, _ = _personalized_rows(ckpt, [r for r in references for _ in EMOTIONS],
+                                      table, suite)
+        self.prompts = embed(list(EMOTIONS) * len(references))[0].reshape(
+            len(references), len(EMOTIONS), -1)
         self.clean_target = np.stack([[world.clean_visual(identity, e) for e in EMOTIONS]
                                       for identity in identities])
 
@@ -211,16 +214,11 @@ class _DemoContext:
         """One step's batch: source sample ``rows`` paired with the target
         emotion codes ``targets``."""
         reference = self.reference[rows]
-        groups = []
-        for emotion in EMOTIONS:
-            group = np.flatnonzero(targets == int(emotion))
-            if group.size:
-                groups.append((emotion, group))
         return _DemoBatch(
             self.visual[rows], self.clean_target[self.identity[rows], targets],
             self.projected_source[rows],
             self.prompts[reference, self.emotion[rows]] - self.prompts[reference, targets],
-            groups)
+            targets)
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,7 @@ class _DemoBatch:
     truth: np.ndarray             # clean (identity, target) embeddings
     projected_source: np.ndarray  # sources through their own emotion's projector
     text_diff: np.ndarray         # source-emotion prompt minus target prompt
-    groups: list[tuple[EmotionLabel, np.ndarray]]  # rows of each target present
+    targets: np.ndarray           # the B target emotion codes
 
 
 def _l2_grad_on_generated(bank: EmotionProjectorBank, batch: _DemoBatch,
@@ -239,25 +237,21 @@ def _l2_grad_on_generated(bank: EmotionProjectorBank, batch: _DemoBatch,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Difference losses of one run's ``(B, d_e)`` generated stack against
     its batch, and their gradient w.r.t. the stack, through the frozen
-    projector of each row's target emotion: one pass per target emotion
-    present, over this run's rows only.
+    projector of each row's target emotion: one ``project_rows`` pass over
+    this run's rows, and an input-only backward pass (``mlp_input_grad``)
+    per target emotion present.
 
     Without ``with_grad`` only the losses are computed and the gradient is
     zeros: the backward passes through the frozen projectors are skipped.
     """
     d_e = generated.shape[1]
-    visual_gen = np.empty_like(generated)
-    passes = []
-    for emotion, rows in batch.groups:
-        projected, cache, net = project_visual(bank, generated[rows], emotion)
-        visual_gen[rows] = projected
-        passes.append((rows, cache, net))
+    visual_gen, passes = project_rows(bank, generated, batch.targets)
     # zero-norm rows are found by the loss: loss 1, zero gradient
     losses, d_vis_diff, _ = difference_loss_with_grads(
         DifferencePair(batch.projected_source - visual_gen, batch.text_diff))
     grad = np.zeros_like(generated)
     if with_grad:
-        for rows, cache, net in passes:
+        for rows, cache, net, _ in passes:
             # visual_diff = projected_source - visual_gen, so d/d visual_gen is
             # -d_vis_diff; [:, :d_e] drops a single_conditional one-hot block
             grad[rows] = mlp_input_grad(net, cache, -d_vis_diff[rows])[:, :d_e]
@@ -371,16 +365,14 @@ def supervise_demo(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
                    world: SyntheticWorld | None = None,
                    base_loss: BaseLossHook = squared_error_loss) -> DemoReport:
     """Train the toy generator with and without the difference regularizer
-    under identical seeds and report both emotion accuracies.
+    under identical seeds and report both emotion accuracies: the rows of
+    ``sweep_lambda`` over the grid ``[0, lam.value]``.
 
     The checkpoint stays frozen throughout: it only supplies gradients to
     the generator, never receives any.
     """
-    ckpt.require_frozen()
-    config.validate()
-    world = world if world is not None else manifest.rebuild_world()
-    ctx = _DemoContext(manifest, ckpt, suite, world)
-    baseline, supervised = _demo_rows(manifest, ctx, [0.0, lam.value], config, base_loss)
+    baseline, supervised = sweep_lambda(manifest, ckpt, [0.0, lam.value], suite, config,
+                                        world, base_loss)
     return DemoReport(baseline, supervised,
                       config={**config.to_dict(), "baseline_tag": lam.baseline_tag})
 

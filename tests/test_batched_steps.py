@@ -313,6 +313,50 @@ def zero_text_diffs(ctx, identity):
     return degenerate
 
 
+@pytest.mark.parametrize("mode, tokens", [(pr.MULTI, 1), (pr.SINGLE_CONDITIONAL, 1),
+                                          (pr.MULTI, 2)])
+def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools,
+                                               default_suite, default_world,
+                                               monkeypatch, mode, tokens):
+    # the per-entry demo references read the context's tables, so a wrong
+    # table would pass them; here each table entry is rebuilt per sample
+    ckpt, _ = es.pretrain_alignment(
+        default_manifest, reference_pools, default_suite,
+        es.TrainConfig(projector_mode=mode, guider_token_count=tokens, epochs=1,
+                       steps_per_epoch=3))
+    project = pr.project_visual
+    stacks = []
+
+    def stacked_only(bank, visual, emotion):
+        stacks.append(np.ndim(visual))
+        return project(bank, visual, emotion)
+
+    def refused(*args):
+        raise AssertionError("the demo built a prompt per sample")
+
+    monkeypatch.setattr(pr, "project_visual", stacked_only)
+    monkeypatch.setattr(pr, "build_personalized_prompt", refused)
+    ctx = sv._DemoContext(default_manifest, ckpt, default_suite, default_world)
+    monkeypatch.undo()
+    # one stacked projector pass per emotion, none per sample
+    assert stacks == [2] * len(EMOTIONS)
+    assert ctx.prompts.shape == (len(ctx.references), len(EMOTIONS), default_suite.d_e)
+    for i, sample in enumerate(default_manifest.samples):
+        visual = default_suite.visual_encode(sample.image_ref)
+        assert np.array_equal(ctx.visual[i], visual)
+        np.testing.assert_allclose(ctx.projected_source[i],
+                                   pr.project_visual(ckpt.bank, visual, sample.emotion)[0],
+                                   rtol=1e-12, atol=1e-15)
+        assert ctx.references[ctx.reference[i]] == sample.neutral_ref
+    for r, ref in enumerate(ctx.references):
+        reference = default_manifest.by_id(ref)
+        for k in EMOTIONS:
+            expected = default_suite.text_encode(
+                es.build_personalized_prompt(ckpt, reference, k, default_suite))
+            np.testing.assert_allclose(ctx.prompts[r, int(k)], expected,
+                                       rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("degenerate", [False, True])
 @pytest.mark.parametrize("lam, difference_path", [(0.0, True), (0.4, True), (0.4, False)])
 def test_demo_run_matches_per_entry_reference(default_manifest, demo_context, lam,

@@ -468,6 +468,40 @@ def test_sweep_replay_ignores_lambda_and_baseline_keys(tmp_path, sweep_dir):
         assert (replay / name).read_bytes() == (sweep_dir / name).read_bytes(), name
 
 
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory, corpus_dir, checkpoint_dir):
+    out = tmp_path_factory.mktemp("cli") / "demo"
+    assert run("supervise-demo", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--steps", 5,
+               "--batch-size", 4, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, config_of", [("pretrain", "demo"),
+                                                ("gen-corpus", "pretrain")])
+def test_config_of_another_command_is_refused(tmp_path, checkpoint_dir, demo_dir,
+                                              capsys, command, config_of):
+    config = {"demo": demo_dir, "pretrain": checkpoint_dir}[config_of] / "run.json"
+    recorded = json.loads(config.read_text())["command"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--config", config, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"--config {config} records a {recorded} run" in err
+    assert f"cannot configure {command}" in err
+    assert not out.exists()
+
+
+def test_plain_flags_config_still_applies(tmp_path, corpus_dir):
+    config = tmp_path / "flags.json"
+    config.write_text(json.dumps({"manifest": str(corpus_dir / "manifest.json"),
+                                  "epochs": 1, "steps_per_epoch": 2, "batch_size": 4}))
+    out = tmp_path / "ckpt"
+    assert run("pretrain", "--config", config, "--out", out) == 0
+    flags = json.loads((out / "run.json").read_text())["flags"]
+    assert (flags["epochs"], flags["steps_per_epoch"], flags["batch_size"]) == (1, 2, 4)
+
+
 def test_eval_metrics_refuses_sets_with_different_ids(tmp_path, capsys):
     # the same 84 vectors under renamed ids whose sorted order reverses the
     # original: pairing by position would compare unrelated rows
@@ -502,6 +536,43 @@ def test_cli_and_library_train_defaults_agree(tmp_path, corpus_dir, capsys):
     saved = es.AlignmentCheckpoint.load(out / "checkpoint.json")
     assert saved.content_hash() == ckpt.content_hash()
     assert f"checkpoint hash: {ckpt.content_hash()}" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# checkpoints that do not fit the corpus
+# ---------------------------------------------------------------------------
+
+FROZEN_COMMANDS = ["supervise-demo", "sweep-lambda", "export-diffs"]
+
+
+@pytest.mark.parametrize("command", FROZEN_COMMANDS)
+def test_checkpoint_of_another_world_is_refused(tmp_path, checkpoint_dir, capsys,
+                                                command):
+    corpus = tmp_path / "corpus48"
+    assert run("gen-corpus", "--identities", 2, "--per-emotion", 2, "--d-e", 48,
+               "--out", corpus) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--manifest", corpus / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--out", out) == 2
+    assert capsys.readouterr().err == \
+        "error: checkpoint d_e is 64 but the manifest's world has d_e 48\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", FROZEN_COMMANDS)
+def test_checkpoint_with_wrong_token_count_is_refused(tmp_path, corpus_dir,
+                                                      checkpoint_dir, capsys, command):
+    checkpoint = json.loads((checkpoint_dir / "checkpoint.json").read_text())
+    checkpoint["dims"]["token_count"] = 2
+    edited = tmp_path / "checkpoint.json"
+    edited.write_text(json.dumps(checkpoint))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", edited, "--out", out) == 2
+    assert "error: checkpoint guider head maps 32 -> 32" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

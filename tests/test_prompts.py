@@ -361,6 +361,27 @@ def test_checkpoint_json_roundtrip(trained_checkpoint, tmp_path):
     assert back.to_json_dict()["format_version"] == 1
 
 
+def relabel_single_conditional(d):
+    d["projector_mode"] = pr.SINGLE_CONDITIONAL
+    d["projectors"] = d["projectors"][:1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["dims"].update(token_count=2), "guider head maps 32 -> 32, .* need 32 -> 64"),
+    (lambda d: d["dims"].update(d_b=16), "guider head maps 32 -> 32, .* need 16 -> 32"),
+    (lambda d: d["dims"].update(d_tok=16), "guider head maps 32 -> 32, .* need 32 -> 16"),
+    (lambda d: d["dims"].update(d_e=48), "projector 0 maps 64 -> 64, .* need 48 -> 48"),
+    (relabel_single_conditional, "projector 0 maps 64 -> 64, .* need 71 -> 64"),
+])
+def test_checkpoint_load_refuses_dims_its_networks_do_not_have(trained_checkpoint,
+                                                               edit, message):
+    ckpt, _ = trained_checkpoint
+    d = ckpt.to_json_dict()
+    edit(d)
+    with pytest.raises(ContractError, match=message):
+        es.AlignmentCheckpoint.from_json_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # retrieval accuracy
 # ---------------------------------------------------------------------------
