@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import NegativePoolTable
 from .emotions import EMOTIONS, EmotionLabel, parse_emotion
 from .errors import ContractError
-from .numerics import as_vector
+from .numerics import EPS_NORM, as_vector
 
 
 @dataclass
@@ -148,9 +148,9 @@ def _unit_rows_or_zero(vecs: np.ndarray) -> np.ndarray:
     """Row-normalize; (near-)zero rows become zero rows so they contribute
     similarity 0, matching the degenerate-input convention."""
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    safe = np.where(norms < 1e-12, 1.0, norms)
+    safe = np.where(norms < EPS_NORM, 1.0, norms)
     out = vecs / safe
-    out[norms[:, 0] < 1e-12] = 0.0
+    out[norms[:, 0] < EPS_NORM] = 0.0
     return out
 
 

@@ -5,7 +5,8 @@ Every command takes --out and writes fixed-name outputs there plus a
 run.json capturing the fully resolved flags and output hashes, so any
 run can be reproduced from its metadata alone. Exit codes: 0 success,
 2 usage/validation problems (among them eval-metrics sets whose sample ids
-differ), 3 numerical failures.
+differ), 3 numerical failures. Each command's handler, help line and
+flag defaults are declared once, in ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -49,26 +50,36 @@ def _write_run_metadata(out: Path, command: str, flags: dict,
     return hashes
 
 
-def _resolve_flags(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file (flags, or this command's run.json) < passed flags."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as f:
+def _resolve_flags(args: argparse.Namespace) -> dict:
+    """defaults < config file (flags, or this command's run.json) < passed flags.
+
+    Refuses a config key that is no command's flag, and a flag with no
+    default that has no value after the merge."""
+    resolved = dict(COMMANDS[args.command][2])
+    if args.config:
+        with open(args.config) as f:
             file_conf = json.load(f)
-        recorded = file_conf.get("command")
+        recorded = file_conf.pop("command", None)
         if recorded is not None and recorded != args.command:
-            raise ContractError(f"--config {config_path} records a {recorded} run; "
+            raise ContractError(f"--config {args.config} records a {recorded} run; "
                                 f"it cannot configure {args.command}")
         if "flags" in file_conf:  # accept a previous run.json directly
             file_conf = file_conf["flags"]
-        for key, value in file_conf.items():
-            if key in resolved:
-                resolved[key] = value
+        unknown = sorted(set(file_conf) - ALL_FLAGS)
+        if unknown:
+            raise ContractError(f"--config {args.config} has keys that are no "
+                                f"command's flag: {', '.join(unknown)}")
+        # another command's flag is ignored: a flags file may serve several
+        resolved.update((k, v) for k, v in file_conf.items() if k in resolved)
     for key in resolved:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+    missing = [_flag(key) for key in REQUIRED
+               if key in resolved and resolved[key] in (None, "")]
+    if missing:
+        raise ContractError(f"{' and '.join(missing)} "
+                            f"{'is' if len(missing) == 1 else 'are'} required")
     return resolved
 
 
@@ -133,11 +144,8 @@ def _manifest_and_suite(manifest_path: str):
 # commands
 # ---------------------------------------------------------------------------
 
-CORPUS_DEFAULTS = {"seed": 1, "per_emotion": 3, **_config_defaults(WorldConfig)}
-
-
 def cmd_gen_corpus(args) -> int:
-    flags = _resolve_flags(args, CORPUS_DEFAULTS)
+    flags = _resolve_flags(args)
     config = _config_from_flags(WorldConfig, flags)
     world = build_synthetic_world(int(flags["seed"]), config)
     suite = synthetic_suite(world)
@@ -163,7 +171,7 @@ def cmd_gen_corpus(args) -> int:
                  "text_embeddings": text_refs})
 
     outputs = [out / "manifest.json", out / "features.json"]
-    _write_run_metadata(out, "gen-corpus", flags, outputs)
+    _write_run_metadata(out, args.command, flags, outputs)
     n_train = len(manifest.in_split("train"))
     n_val = len(manifest.in_split("val"))
     print(f"wrote {len(manifest.samples)} samples "
@@ -171,25 +179,19 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-TRAIN_DEFAULTS = {"manifest": None, **_config_defaults(TrainConfig), "pools": "reference"}
-
-
-def _cmd_train(args, objective: str, command: str) -> int:
-    flags = _resolve_flags(args, TRAIN_DEFAULTS)
-    if not flags["manifest"]:
-        raise ContractError("--manifest is required")
+def cmd_pretrain(args) -> int:
+    """pretrain and pretrain-diff-ablation: the command names the objective."""
+    flags = _resolve_flags(args)
     config = _config_from_flags(TrainConfig, flags)
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     pools = _load_pools(flags["pools"])
     out = _out_dir(args)
-    if objective == "contrastive":
-        ckpt, curve = prompts.pretrain_alignment(manifest, pools, suite, config)
-    else:
-        ckpt, curve = prompts.pretrain_with_difference_objective(
-            manifest, pools, suite, config)
+    train = (prompts.pretrain_alignment if args.command == "pretrain"
+             else prompts.pretrain_with_difference_objective)
+    ckpt, curve = train(manifest, pools, suite, config)
     ckpt.save(out / "checkpoint.json")
     curve.save_csv(out / "curve.csv")
-    hashes = _write_run_metadata(out, command, flags,
+    hashes = _write_run_metadata(out, args.command, flags,
                                  [out / "checkpoint.json", out / "curve.csv"])
     means = curve.epoch_means()
     accuracy = prompts.retrieval_accuracy(ckpt, manifest, "val", suite)
@@ -200,18 +202,8 @@ def _cmd_train(args, objective: str, command: str) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    return _cmd_train(args, "contrastive", "pretrain")
-
-
-def cmd_pretrain_diff_ablation(args) -> int:
-    return _cmd_train(args, "difference", "pretrain-diff-ablation")
-
-
 def cmd_analyze_gap(args) -> int:
-    flags = _resolve_flags(args, {"manifest": None, "compare_reference": False})
-    if not flags["manifest"]:
-        raise ContractError("--manifest is required")
+    flags = _resolve_flags(args)
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     # one (N, d_e) stack with the rows grouped by emotion, in manifest order
     # within each; every emotion reads a view of its slice
@@ -234,16 +226,14 @@ def cmd_analyze_gap(args) -> int:
     matrix.to_csv(out / "matrix.csv")
     reference = analysis.load_reference_gap_table() if flags["compare_reference"] else None
     print(analysis.format_gap_report(report, reference))
-    _write_run_metadata(out, "analyze-gap", flags,
+    _write_run_metadata(out, args.command, flags,
                         [out / "report.json", out / "report.csv",
                          out / "matrix.json", out / "matrix.csv"])
     return 0
 
 
 def cmd_derive_pools(args) -> int:
-    flags = _resolve_flags(args, {"k": None, "matrix": "reference"})
-    if flags["k"] is None:
-        raise ContractError("--k is required")
+    flags = _resolve_flags(args)
     if flags["matrix"] == "reference":
         matrix = analysis.load_reference_matrix()
     else:
@@ -262,7 +252,7 @@ def cmd_derive_pools(args) -> int:
         print(f"note: derived pools differ from the published reference for: {names}")
     else:
         print("derived pools match the published reference exactly")
-    _write_run_metadata(out, "derive-pools", flags, [out / "pools.json"])
+    _write_run_metadata(out, args.command, flags, [out / "pools.json"])
     return 0
 
 
@@ -275,9 +265,7 @@ def _feature_set_from_manifest(path: str, tag: str) -> FeatureSet:
 
 
 def cmd_eval_metrics(args) -> int:
-    flags = _resolve_flags(args, {"real": None, "gen": None})
-    if not flags["real"] or not flags["gen"]:
-        raise ContractError("--real and --gen feature manifests are required")
+    flags = _resolve_flags(args)
     real = _feature_set_from_manifest(flags["real"], "real")
     gen = _feature_set_from_manifest(flags["gen"], "gen")
     report = metric_report(real, gen)
@@ -286,17 +274,12 @@ def cmd_eval_metrics(args) -> int:
     lse = "n/a" if report["lse_d"] is None else f"{report['lse_d']:.6f}"
     cs = "n/a" if report["csim"] is None else f"{report['csim']:.6f}"
     print(f"fad={report['fad']:.6f} lse_d={lse} csim={cs}")
-    _write_run_metadata(out, "eval-metrics", flags, [out / "report.json"])
+    _write_run_metadata(out, args.command, flags, [out / "report.json"])
     return 0
-
-
-DEMO_DEFAULTS = {"manifest": None, "checkpoint": None, **_config_defaults(DemoConfig)}
 
 
 def _checkpoint_inputs(flags):
     """Manifest, world, suite and a checkpoint whose dims match the suite's."""
-    if not flags["manifest"] or not flags["checkpoint"]:
-        raise ContractError("--manifest and --checkpoint are required")
     manifest, world, suite = _manifest_and_suite(flags["manifest"])
     ckpt = AlignmentCheckpoint.load(flags["checkpoint"])
     for dim in ("d_e", "d_b", "d_tok"):
@@ -307,7 +290,7 @@ def _checkpoint_inputs(flags):
 
 
 def cmd_supervise_demo(args) -> int:
-    flags = _resolve_flags(args, {**DEMO_DEFAULTS, "baseline": "toy", "lam": None})
+    flags = _resolve_flags(args)
     manifest, world, suite, ckpt = _checkpoint_inputs(flags)
     config = _config_from_flags(DemoConfig, flags)
     lam = (lambda_for_baseline(flags["baseline"]) if flags["lam"] is None
@@ -320,13 +303,13 @@ def cmd_supervise_demo(args) -> int:
     base, sup = report.baseline, report.supervised
     print(f"lambda=0: accuracy={base.emotion_accuracy:.3f}; "
           f"lambda={sup.lam}: accuracy={sup.emotion_accuracy:.3f}")
-    _write_run_metadata(out, "supervise-demo", flags,
+    _write_run_metadata(out, args.command, flags,
                         [out / "report.json", out / "report.csv"])
     return 0
 
 
 def cmd_sweep_lambda(args) -> int:
-    flags = _resolve_flags(args, {**DEMO_DEFAULTS, "grid": "0.1,0.2,0.4,0.8"})
+    flags = _resolve_flags(args)
     manifest, world, suite, ckpt = _checkpoint_inputs(flags)
     config = _config_from_flags(DemoConfig, flags)
     grid_spec = flags["grid"]
@@ -339,94 +322,83 @@ def cmd_sweep_lambda(args) -> int:
     for r in rows:
         print(f"lambda={r.lam}: base_loss={r.base_loss:.4f} "
               f"l2={r.l2_loss:.4f} accuracy={r.emotion_accuracy:.3f}")
-    _write_run_metadata(out, "sweep-lambda", flags,
+    _write_run_metadata(out, args.command, flags,
                         [out / "sweep.csv", out / "sweep.json"])
     return 0
 
 
 def cmd_export_diffs(args) -> int:
-    flags = _resolve_flags(args, {"manifest": None, "checkpoint": None,
-                                  "include_mismatched": False})
+    flags = _resolve_flags(args)
     manifest, _, suite, ckpt = _checkpoint_inputs(flags)
     out = _out_dir(args)
     rows = differencing.export_difference_rows(
         ckpt, manifest, suite, include_mismatched=bool(flags["include_mismatched"]))
     differencing.write_difference_csv(rows, out / "diffs.csv")
     print(f"exported {len(rows)} difference rows")
-    _write_run_metadata(out, "export-diffs", flags, [out / "diffs.csv"])
+    _write_run_metadata(out, args.command, flags, [out / "diffs.csv"])
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and the parser
 # ---------------------------------------------------------------------------
+
+# command -> (handler, help, {flag: default}); a flag's type is its default's
+COMMANDS = {
+    "gen-corpus": (cmd_gen_corpus, "generate a synthetic corpus + features",
+                   {"seed": 1, "per_emotion": 3, **_config_defaults(WorldConfig)}),
+    "pretrain": (cmd_pretrain, "contrastive pre-training",
+                 {"manifest": None, **_config_defaults(TrainConfig), "pools": "reference"}),
+    "pretrain-diff-ablation": (
+        cmd_pretrain, "pre-train with the difference objective instead",
+        {"manifest": None, **_config_defaults(TrainConfig), "pools": "reference"}),
+    "analyze-gap": (cmd_analyze_gap, "modality-gap report on a corpus",
+                    {"manifest": None, "compare_reference": False}),
+    "derive-pools": (cmd_derive_pools, "derive negative pools by top-k exclusion",
+                     {"k": None, "matrix": "reference"}),
+    "eval-metrics": (cmd_eval_metrics, "fad / lse-d / csim between feature sets",
+                     {"real": None, "gen": None}),
+    "supervise-demo": (cmd_supervise_demo,
+                       "train the toy generator with and without the regularizer",
+                       {"manifest": None, "checkpoint": None,
+                        **_config_defaults(DemoConfig), "baseline": "toy", "lam": None}),
+    "sweep-lambda": (cmd_sweep_lambda, "demo runs over a lambda grid",
+                     {"manifest": None, "checkpoint": None,
+                      **_config_defaults(DemoConfig), "grid": "0.1,0.2,0.4,0.8"}),
+    "export-diffs": (cmd_export_diffs,
+                     "export difference vectors for external 2-D projection",
+                     {"manifest": None, "checkpoint": None, "include_mismatched": False}),
+}
+# every flag with no default but --lambda is required wherever it appears
+REQUIRED = ("manifest", "checkpoint", "k", "real", "gen")
+FLAG_TYPES = {"k": int, "lam": float}  # flags with no default; the rest take str
+FLAG_HELP = {"pools": "'reference', 'all', or a pools.json path",
+             "matrix": "'reference' or a matrix.json path",
+             "baseline": "one of " + ", ".join(sorted(supervision.DEFAULT_LAMBDAS))}
+# --out is always passed, so an "out" key in a config file is overridden
+ALL_FLAGS = {"out"}.union(*(flags for _, _, flags in COMMANDS.values()))
+
+
+def _flag(key: str) -> str:
+    return "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emosup",
         description="cross-modal emotional supervision toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_):
+    for name, (_, help_, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file (flags override it)")
-        return p
-
-    def config_flags(p, cls):
-        for name, default in _config_defaults(cls).items():
-            p.add_argument("--" + name.replace("_", "-"), type=type(default))
-
-    p = add("gen-corpus", cmd_gen_corpus, "generate a synthetic corpus + features")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--per-emotion", dest="per_emotion", type=int)
-    config_flags(p, WorldConfig)
-
-    for name, func, help_ in [
-            ("pretrain", cmd_pretrain, "contrastive pre-training"),
-            ("pretrain-diff-ablation", cmd_pretrain_diff_ablation,
-             "pre-train with the difference objective instead")]:
-        p = add(name, func, help_)
-        p.add_argument("--manifest")
-        config_flags(p, TrainConfig)
-        p.add_argument("--pools", help="'reference', 'all', or a pools.json path")
-
-    p = add("analyze-gap", cmd_analyze_gap, "modality-gap report on a corpus")
-    p.add_argument("--manifest")
-    p.add_argument("--compare-reference", dest="compare_reference",
-                   action="store_const", const=True)
-
-    p = add("derive-pools", cmd_derive_pools,
-            "derive negative pools by top-k exclusion")
-    p.add_argument("--k", type=int)
-    p.add_argument("--matrix", help="'reference' or a matrix.json path")
-
-    p = add("eval-metrics", cmd_eval_metrics, "fad / lse-d / csim between feature sets")
-    p.add_argument("--real")
-    p.add_argument("--gen")
-
-    def demo_flags(p):
-        p.add_argument("--manifest")
-        p.add_argument("--checkpoint")
-        config_flags(p, DemoConfig)
-
-    p = add("supervise-demo", cmd_supervise_demo,
-            "train the toy generator with and without the regularizer")
-    demo_flags(p)
-    p.add_argument("--baseline", choices=sorted(supervision.DEFAULT_LAMBDAS))
-    p.add_argument("--lambda", dest="lam", type=float)
-
-    p = add("sweep-lambda", cmd_sweep_lambda, "demo runs over a lambda grid")
-    demo_flags(p)
-    p.add_argument("--grid")
-
-    p = add("export-diffs", cmd_export_diffs,
-            "export difference vectors for external 2-D projection")
-    p.add_argument("--manifest")
-    p.add_argument("--checkpoint")
-    p.add_argument("--include-mismatched", dest="include_mismatched",
-                   action="store_const", const=True)
+        for key, default in flags.items():
+            if default is False:
+                p.add_argument(_flag(key), dest=key, action="store_const", const=True)
+            else:
+                p.add_argument(_flag(key), dest=key, help=FLAG_HELP.get(key),
+                               type=FLAG_TYPES.get(key, str) if default is None
+                               else type(default))
     return parser
 
 
@@ -437,7 +409,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

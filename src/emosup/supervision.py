@@ -41,15 +41,17 @@ class LambdaConfig:
     baseline_tag: str = "toy"
 
     def __post_init__(self):
+        if self.baseline_tag not in DEFAULT_LAMBDAS:
+            raise ContractError(f"unknown baseline tag {self.baseline_tag!r}; "
+                                f"known: {sorted(DEFAULT_LAMBDAS)}")
         if not np.isfinite(self.value) or self.value < 0:
             raise ContractError(f"lambda must be finite and >= 0, got {self.value}")
 
 
 def lambda_for_baseline(tag: str) -> LambdaConfig:
-    if tag not in DEFAULT_LAMBDAS:
-        raise ContractError(f"unknown baseline tag {tag!r}; "
-                            f"known: {sorted(DEFAULT_LAMBDAS)}")
-    return LambdaConfig(DEFAULT_LAMBDAS[tag], tag)
+    """The published weight for host model ``tag``; ``LambdaConfig``
+    refuses an unknown tag."""
+    return LambdaConfig(DEFAULT_LAMBDAS.get(tag, 0.0), tag)
 
 
 def squared_error_loss(generated: np.ndarray, target: np.ndarray

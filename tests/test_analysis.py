@@ -8,6 +8,7 @@ from emosup.analysis import (CrossModalSimilarityMatrix, GapReport,
                              load_reference_matrix, load_reference_pools,
                              modality_gap_report, pool_discrepancies)
 from emosup.errors import ContractError
+from emosup.numerics import EPS_NORM
 
 E = es.EmotionLabel
 
@@ -106,6 +107,37 @@ def test_matrix_spot_cells_against_bruteforce(rng):
             t = texts[j]
             sims.append(float(v @ t) / (np.linalg.norm(v) * np.linalg.norm(t)))
         assert matrix.cell(i, j) == pytest.approx(np.mean(sims), abs=1e-12)
+
+
+def test_an_image_row_below_eps_norm_adds_similarity_zero(rng):
+    # the degenerate row counts in every mean but adds 0 to every sum; a row
+    # just above the threshold is normalized like a unit row
+    texts = {e: rng.standard_normal(8) for e in es.EMOTIONS}
+    features = {e: rng.standard_normal((4, 8)) for e in es.EMOTIONS}
+    clean_report = modality_gap_report(features, texts)
+    clean_matrix = cross_modal_matrix(features, texts)
+    direction = rng.standard_normal(8)
+    direction /= np.linalg.norm(direction)
+
+    def with_row(row):
+        grown = {**features, E.happy: np.vstack([features[E.happy], row])}
+        return modality_gap_report(grown, texts), cross_modal_matrix(grown, texts)
+
+    report, matrix = with_row(0.5 * EPS_NORM * direction)
+    h = int(E.happy)
+    expected_image, expected_match = clean_report.s_image.copy(), clean_report.s_match.copy()
+    expected_image[h] *= 6 / 10  # 6 of the 10 pairs of 5 rows are non-degenerate
+    expected_match[h] *= 4 / 5
+    np.testing.assert_allclose(report.s_image, expected_image, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(report.s_match, expected_match, rtol=1e-12, atol=1e-15)
+    expected_values = clean_matrix.values.copy()
+    expected_values[h] *= 4 / 5
+    np.testing.assert_allclose(matrix.values, expected_values, rtol=1e-12, atol=1e-15)
+
+    small, unit = with_row(2 * EPS_NORM * direction), with_row(direction)
+    np.testing.assert_allclose(small[0].s_image, unit[0].s_image, rtol=1e-12)
+    np.testing.assert_allclose(small[0].s_match, unit[0].s_match, rtol=1e-12)
+    np.testing.assert_allclose(small[1].values, unit[1].values, rtol=1e-12)
 
 
 def test_matrix_csv_shape(tmp_path, rng):

@@ -502,6 +502,40 @@ def test_plain_flags_config_still_applies(tmp_path, corpus_dir):
     assert (flags["epochs"], flags["steps_per_epoch"], flags["batch_size"]) == (1, 2, 4)
 
 
+def test_config_key_of_no_command_is_refused(tmp_path, corpus_dir, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"manifest": str(corpus_dir / "manifest.json"),
+                                  "epoch": 1, "lrate": 0.1}))
+    out = tmp_path / "ckpt"
+    assert run("pretrain", "--config", config, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        f"error: --config {config} has keys that are no command's flag: epoch, lrate\n"
+    assert not out.exists()
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path, corpus_dir):
+    # one flags file may serve several commands; grid is a sweep-lambda flag
+    config = tmp_path / "flags.json"
+    config.write_text(json.dumps({"manifest": str(corpus_dir / "manifest.json"),
+                                  "epochs": 1, "steps_per_epoch": 2, "batch_size": 4,
+                                  "grid": "0,0.4"}))
+    out = tmp_path / "ckpt"
+    assert run("pretrain", "--config", config, "--out", out) == 0
+    flags = json.loads((out / "run.json").read_text())["flags"]
+    assert flags["epochs"] == 1 and "grid" not in flags
+
+
+def test_config_baseline_tag_is_checked(tmp_path, corpus_dir, checkpoint_dir, capsys):
+    config = tmp_path / "flags.json"
+    config.write_text(json.dumps({"baseline": "bogus", "lam": 0.7}))
+    out = tmp_path / "demo"
+    assert run("supervise-demo", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--config", config,
+               "--out", out) == 2
+    assert "error: unknown baseline tag 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_metrics_refuses_sets_with_different_ids(tmp_path, capsys):
     # the same 84 vectors under renamed ids whose sorted order reverses the
     # original: pairing by position would compare unrelated rows
@@ -603,6 +637,7 @@ REJECTED = [
     ("supervise-demo", ["--hidden", "x"], "invalid literal"),
     ("supervise-demo", ["--lambda", -1], "lambda must be finite and >= 0"),
     ("supervise-demo", ["--checkpoint", MISSING], "No such file"),
+    ("supervise-demo", ["--baseline", "bogus"], "unknown baseline tag 'bogus'"),
     ("sweep-lambda", ["--hidden", "0"], "hidden widths must be >= 1, got 0"),
     ("sweep-lambda", ["--hidden=-3"], "hidden widths must be >= 1, got -3"),
     ("sweep-lambda", ["--steps", 0], "steps and batch_size must be >= 1"),
@@ -613,19 +648,34 @@ REJECTED = [
 ]
 
 
+# the flags each command cannot run without
+REQUIRED_FLAGS = {"pretrain": ["--manifest"], "pretrain-diff-ablation": ["--manifest"],
+            "analyze-gap": ["--manifest"], "derive-pools": ["--k"],
+            "eval-metrics": ["--real", "--gen"],
+            "supervise-demo": ["--manifest", "--checkpoint"],
+            "sweep-lambda": ["--manifest", "--checkpoint"],
+            "export-diffs": ["--manifest", "--checkpoint"]}
+
+
+def required_argv(command, corpus_dir, checkpoint_dir, leave_out=None):
+    """``command`` with a valid value for each of its required flags but
+    ``leave_out``."""
+    values = {"--manifest": corpus_dir / "manifest.json",
+              "--checkpoint": checkpoint_dir / "checkpoint.json", "--k": 1,
+              "--real": corpus_dir / "features.json", "--gen": corpus_dir / "features.json"}
+    argv = [command]
+    for flag in REQUIRED_FLAGS.get(command, []):
+        if flag != leave_out:
+            argv += [flag, values[flag]]
+    return argv
+
+
 @pytest.mark.parametrize("command, flags, message", REJECTED,
                          ids=[f"{c} {' '.join(map(str, f))}" for c, f, _ in REJECTED])
 def test_rejected_command_exits_2_and_makes_no_directory(tmp_path, corpus_dir,
                                                          checkpoint_dir, capsys,
                                                          command, flags, message):
-    inputs = {"--manifest": corpus_dir / "manifest.json",
-              "--checkpoint": checkpoint_dir / "checkpoint.json"}
-    needs = {"pretrain": ["--manifest"], "pretrain-diff-ablation": ["--manifest"],
-             "analyze-gap": ["--manifest"], "supervise-demo": list(inputs),
-             "sweep-lambda": list(inputs), "export-diffs": list(inputs)}
-    argv = [command]
-    for flag in needs.get(command, []):
-        argv += [flag, inputs[flag]]
+    argv = required_argv(command, corpus_dir, checkpoint_dir)
     # a repeated flag overrides the input given above
     argv += [tmp_path / "nope.json" if f == MISSING else f for f in flags]
     out = tmp_path / "out"
@@ -633,4 +683,23 @@ def test_rejected_command_exits_2_and_makes_no_directory(tmp_path, corpus_dir,
     assert run(*argv, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items()
+                                           for f in flags])
+def test_missing_required_flag_exits_2_and_makes_no_directory(
+        tmp_path, corpus_dir, checkpoint_dir, capsys, command, flag):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*required_argv(command, corpus_dir, checkpoint_dir, leave_out=flag),
+               "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {flag} is required\n"
+    assert not out.exists()
+
+
+def test_every_required_flag_missing_is_named_at_once(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("eval-metrics", "--out", out) == 2
+    assert capsys.readouterr().err == "error: --real and --gen are required\n"
     assert not out.exists()
