@@ -20,7 +20,8 @@ from .differencing import (DifferencePair, PairEmbeddings, diff_vectors,
 from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import (EncoderSuite, SyntheticWorld, TokenSequence, WorldConfig,
                        build_synthetic_world, load_precomputed_features,
-                       read_feature_file, synthetic_suite, write_feature_file)
+                       read_feature_file, read_feature_manifest, synthetic_suite,
+                       write_feature_file)
 from .errors import (ContractError, DegenerateVectorWarning, FrozenParameterError,
                      GenerationError, NumericalError)
 from .metrics import (FeatureSet, GaussianFit, csim, fad, fit_gaussian,

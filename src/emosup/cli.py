@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, differencing, prompts, supervision
 from .corpus import CorpusManifest, NegativePoolTable, generate_synthetic_corpus
 from .emotions import EMOTIONS, prompt_for
-from .encoders import (WorldConfig, build_synthetic_world, load_precomputed_features,
+from .encoders import (WorldConfig, build_synthetic_world, read_feature_manifest,
                        synthetic_suite, write_feature_file)
 from .errors import ContractError, GenerationError, NumericalError
 from .metrics import FeatureSet, metric_report
@@ -38,14 +38,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_run_metadata(out: Path, command: str, flags: dict,
                         outputs: list[Path]) -> dict[str, str]:
     """Write run.json; returns the sha256 of each output file by name."""
-    hashes = {p.name: _sha256(p) for p in outputs}
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
     _write_json(out / "run.json", {"command": command, "flags": flags, "outputs": hashes})
     return hashes
 
@@ -53,24 +49,37 @@ def _write_run_metadata(out: Path, command: str, flags: dict,
 def _resolve_flags(args: argparse.Namespace) -> dict:
     """defaults < config file (flags, or this command's run.json) < passed flags.
 
-    Refuses a config key that is no command's flag, and a flag with no
-    default that has no value after the merge."""
+    Refuses a config file that holds no JSON object of flags, a config key
+    that is no command's flag or whose value's JSON type does not fit the
+    flag, and a flag with no default that has no value after the merge."""
     resolved = dict(COMMANDS[args.command][2])
     if args.config:
         with open(args.config) as f:
             file_conf = json.load(f)
-        recorded = file_conf.pop("command", None)
-        if recorded is not None and recorded != args.command:
-            raise ContractError(f"--config {args.config} records a {recorded} run; "
-                                f"it cannot configure {args.command}")
-        if "flags" in file_conf:  # accept a previous run.json directly
-            file_conf = file_conf["flags"]
+        if isinstance(file_conf, dict):
+            recorded = file_conf.pop("command", None)
+            if recorded is not None and recorded != args.command:
+                raise ContractError(f"--config {args.config} records a {recorded} run; "
+                                    f"it cannot configure {args.command}")
+            file_conf = file_conf.get("flags", file_conf)  # a previous run.json
+        if not isinstance(file_conf, dict):
+            raise ContractError(f"--config {args.config} holds no JSON object of flags")
         unknown = sorted(set(file_conf) - ALL_FLAGS)
         if unknown:
             raise ContractError(f"--config {args.config} has keys that are no "
                                 f"command's flag: {', '.join(unknown)}")
         # another command's flag is ignored: a flags file may serve several
-        resolved.update((k, v) for k, v in file_conf.items() if k in resolved)
+        for key, value in file_conf.items():
+            if key not in resolved:
+                continue
+            kind, item, default = FLAG_TYPES[key], LIST_FLAGS.get(key), resolved[key]
+            if not (type(value) in JSON_TYPES[kind] or value is None and default is None
+                    or item and isinstance(value, list)
+                    and all(type(x) in JSON_TYPES[item] for x in value)):
+                raise ContractError(f"--config {args.config}: {key} takes {kind.__name__}"
+                                    f"{f' or a list of {item.__name__}' if item else ''}, "
+                                    f"not {json.dumps(value)}")
+            resolved[key] = value
     for key in resolved:
         value = getattr(args, key)
         if value is not None:
@@ -257,11 +266,9 @@ def cmd_derive_pools(args) -> int:
 
 
 def _feature_set_from_manifest(path: str, tag: str) -> FeatureSet:
-    suite = load_precomputed_features(path)
-    with open(path) as f:
-        spec = json.load(f)
-    ids = sorted(entry["id"] for entry in spec["samples"])
-    return FeatureSet(np.array([suite.visual_encode(i) for i in ids]), tag, ids)
+    _, rows, _ = read_feature_manifest(path)
+    rows.sort(key=lambda row: row[0])
+    return FeatureSet(np.array([vec for _, vec in rows]), tag, [i for i, _ in rows])
 
 
 def cmd_eval_metrics(args) -> int:
@@ -371,7 +378,17 @@ COMMANDS = {
 }
 # every flag with no default but --lambda is required wherever it appears
 REQUIRED = ("manifest", "checkpoint", "k", "real", "gen")
-FLAG_TYPES = {"k": int, "lam": float}  # flags with no default; the rest take str
+# a flag's value type is its default's (bool for a store_const flag); flags
+# with no default are str but for these two
+FLAG_TYPES = {key: {"k": int, "lam": float}.get(key, str) if default is None
+              else type(default)
+              for _, _, flags in COMMANDS.values() for key, default in flags.items()}
+# flags a config file may also give as a JSON list: tuple fields (of ints) and grid
+LIST_FLAGS = {"grid": float, **{name: int for cls in (WorldConfig, TrainConfig, DemoConfig)
+              for _, name, default in _flagged_fields(cls) if isinstance(default, tuple)}}
+# the JSON types a config file may give a flag of each type: a float flag takes
+# an int too, and a bool is no number (type(True) is bool)
+JSON_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 FLAG_HELP = {"pools": "'reference', 'all', or a pools.json path",
              "matrix": "'reference' or a matrix.json path",
              "baseline": "one of " + ", ".join(sorted(supervision.DEFAULT_LAMBDAS))}
@@ -397,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(_flag(key), dest=key, action="store_const", const=True)
             else:
                 p.add_argument(_flag(key), dest=key, help=FLAG_HELP.get(key),
-                               type=FLAG_TYPES.get(key, str) if default is None
-                               else type(default))
+                               type=FLAG_TYPES[key])
     return parser
 
 

@@ -67,7 +67,11 @@ class NegativePoolTable:
 
 @dataclass
 class CorpusManifest:
-    """All samples plus their train/val tags and the generating-world config."""
+    """All samples plus their train/val tags and the generating-world config.
+
+    Indexed at construction (ids, each identity's neutrals, each split's
+    samples in manifest order and by (identity, emotion)), so a manifest
+    whose samples or tags change must be built again."""
 
     samples: list[Sample]
     split: dict[str, str]
@@ -79,9 +83,15 @@ class CorpusManifest:
         if len(self._by_id) != len(self.samples):
             raise ContractError("duplicate sample ids")
         self._neutrals: dict[str, list[Sample]] = {}
+        self._splits: dict[str, list[Sample]] = {TRAIN: [], VAL: []}
+        self._groups: dict[str, dict] = {TRAIN: {}, VAL: {}}  # by (identity, emotion)
         for s in self.samples:
             if s.emotion == EmotionLabel.neutral:
                 self._neutrals.setdefault(s.identity, []).append(s)
+            tag = self.split.get(s.id)  # validate() refuses a missing or bad tag
+            if tag in self._splits:
+                self._splits[tag].append(s)
+                self._groups[tag].setdefault((s.identity, s.emotion), []).append(s)
 
     def by_id(self, sample_id: str) -> Sample:
         try:
@@ -99,9 +109,10 @@ class CorpusManifest:
         return list(self._neutrals.get(identity, ()))
 
     def in_split(self, split: str) -> list[Sample]:
-        if split not in (TRAIN, VAL):
+        """The split's samples in manifest order, as a fresh list."""
+        if split not in self._splits:
             raise ContractError(f"unknown split {split!r}")
-        return [s for s in self.samples if self.split[s.id] == split]
+        return list(self._splits[split])
 
     def validate(self) -> None:
         if set(self.split) != set(self._by_id):
@@ -223,14 +234,11 @@ def _uniform_choice(items: list, rng: np.random.Generator):
 
 def _train_groups(manifest: CorpusManifest
                   ) -> tuple[list[Sample], dict[tuple[str, EmotionLabel], list[Sample]]]:
-    """The train split, and its samples grouped by (identity, emotion)."""
-    train = manifest.in_split(TRAIN)
-    if not train:
+    """The train split, and its samples grouped by (identity, emotion): the
+    manifest's own index, not copies, so a batch costs O(batch_size)."""
+    if not manifest._splits[TRAIN]:
         raise ContractError("train split is empty")
-    groups: dict[tuple[str, EmotionLabel], list[Sample]] = {}
-    for s in train:
-        groups.setdefault((s.identity, s.emotion), []).append(s)
-    return train, groups
+    return manifest._splits[TRAIN], manifest._groups[TRAIN]
 
 
 def _train_neutrals(groups: dict[tuple[str, EmotionLabel], list[Sample]],

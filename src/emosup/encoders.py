@@ -426,38 +426,42 @@ def read_feature_file(path: str | Path) -> np.ndarray:
     return data.astype(np.float64)
 
 
-def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
-    """Load a precomputed-feature manifest into an EncoderSuite.
-
-    Manifest schema: ``{"dim": int, "samples": [{"id", "identity",
-    "emotion", "feature_file"}], "text_embeddings": {emotion: path}}``
-    with file paths relative to the manifest. Visual features are served
-    by sample id; text encoding serves the stored per-emotion embedding
-    table (prompts are reduced to their emotion word). The schema carries
-    no identity-backbone features, so ``backbone_identity`` raises.
-    """
+def read_feature_manifest(manifest_path: str | Path
+                          ) -> tuple[int, list[tuple[str, np.ndarray]], dict[str, np.ndarray]]:
+    """Read a precomputed-feature manifest and each file it names, once: its
+    dim, its (sample id, feature) rows in file order, and its text embeddings
+    by emotion name. Schema: ``{"dim": int, "samples": [{"id", "identity",
+    "emotion", "feature_file"}], "text_embeddings": {emotion: path}}``, with
+    file paths relative to the manifest."""
     manifest_path = Path(manifest_path)
     with open(manifest_path) as f:
         spec = json.load(f)
     base = manifest_path.parent
     dim = int(spec["dim"])
 
-    features: dict[str, np.ndarray] = {}
-    for entry in spec["samples"]:
-        vec = read_feature_file(base / entry["feature_file"])
+    def read(rel, what):
+        vec = read_feature_file(base / rel)
         if vec.shape[0] != dim:
-            raise ContractError(f"sample {entry['id']!r} has dim {vec.shape[0]}, "
-                                f"manifest says {dim}")
-        features[entry["id"]] = vec
+            raise ContractError(f"{what} has dim {vec.shape[0]}, manifest says {dim}")
+        return vec
 
+    rows = [(e["id"], read(e["feature_file"], f"sample {e['id']!r}"))
+            for e in spec["samples"]]
     text_table: dict[str, np.ndarray] = {}
     for name, rel in spec["text_embeddings"].items():
         parse_emotion(name)
-        vec = read_feature_file(base / rel)
-        if vec.shape[0] != dim:
-            raise ContractError(f"text embedding {name!r} has dim {vec.shape[0]}, "
-                                f"manifest says {dim}")
-        text_table[name] = vec
+        text_table[name] = read(rel, f"text embedding {name!r}")
+    return dim, rows, text_table
+
+
+def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
+    """A precomputed-feature manifest (``read_feature_manifest``) as an
+    EncoderSuite: visual features are served by sample id, and text encoding
+    serves the stored per-emotion embedding table (prompts are reduced to
+    their emotion word). The schema carries no identity-backbone features,
+    so ``backbone_identity`` raises."""
+    dim, rows, text_table = read_feature_manifest(manifest_path)
+    features = dict(rows)
 
     def visual_encode(ref):
         if isinstance(ref, np.ndarray):

@@ -230,11 +230,10 @@ class MlpParams:
             array.flags.writeable = False
 
 
-def init_mlp(dims: list[int], rng: np.random.Generator,
-             hidden_activation: str = RELU) -> MlpParams:
+def init_mlp(dims: list[int], rng: np.random.Generator) -> MlpParams:
     """He-style fan-in uniform init for the layer chain ``dims[0] -> ... -> dims[-1]``.
 
-    Hidden layers use ``hidden_activation``; the output layer is linear.
+    Hidden layers are relu; the output layer is linear.
     """
     if len(dims) < 2:
         raise ContractError("need at least input and output dims")
@@ -247,7 +246,7 @@ def init_mlp(dims: list[int], rng: np.random.Generator,
         limit = np.sqrt(6.0 / fan_in)
         w = rng.uniform(-limit, limit, size=(dims[i + 1], dims[i]))
         b = np.zeros(dims[i + 1])
-        act = hidden_activation if i < len(dims) - 2 else IDENTITY
+        act = RELU if i < len(dims) - 2 else IDENTITY
         layers.append(DenseLayer(w, b, act))
     return MlpParams(layers)
 
@@ -289,12 +288,6 @@ class MlpGrads:
     input_grad: np.ndarray
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == RELU:
-        return np.maximum(z, 0.0)
-    return z
-
-
 def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
     """Forward pass returning the output and a cache for ``mlp_backward``.
 
@@ -308,7 +301,7 @@ def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
         inputs.append(h)
         z = h @ layer.weights.T + layer.bias
         preacts.append(z)
-        h = _apply_activation(z, layer.activation)
+        h = np.maximum(z, 0.0) if layer.activation == RELU else z
     return (h if stacked else h[0]), MlpCache(p, inputs, preacts, stacked)
 
 

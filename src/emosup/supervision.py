@@ -280,8 +280,7 @@ def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int
 
 
 def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[float],
-                      config: DemoConfig, base_loss: BaseLossHook,
-                      difference_path: bool = True
+                      config: DemoConfig, base_loss: BaseLossHook
                       ) -> list[tuple[ToyGenerator, float, float]]:
     """Train one toy generator per lambda in one step loop; returns each
     with its tail-mean base and l2 losses.
@@ -310,7 +309,7 @@ def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[fl
         for gen, lam, base_hist, l2_hist in runs:
             out, cache = gen.generate(batch.visual, targets)
             base_vals, base_grad = base_loss(out, batch.truth)
-            if difference_path and (lam.value != 0 or in_tail):
+            if lam.value != 0 or in_tail:
                 l2_vals, l2_grad = _l2_grad_on_generated(ctx.ckpt.bank, batch, out,
                                                          with_grad=lam.value != 0)
                 l2_hist.append(float(np.sum(l2_vals)) / len(targets))
@@ -323,10 +322,8 @@ def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[fl
             grads = mlp_backward(gen.params, cache, upstream / len(targets))
             sgd_step(gen.params.vector, grads.vector, config.lr)
             base_hist.append(base_mean)
-    # l2_hist holds only the steps L2 was computed on: none without the
-    # difference path, where the reported L2 is 0
-    return [(gen, float(np.mean(base_hist[-tail:])),
-             float(np.mean(l2_hist[-tail:])) if l2_hist else 0.0)
+    # l2_hist holds only the steps L2 was computed on, which include the tail
+    return [(gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:])))
             for gen, _, base_hist, l2_hist in runs]
 
 

@@ -358,12 +358,12 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
-@pytest.mark.parametrize("lam, difference_path", [(0.0, True), (0.4, True), (0.4, False)])
+@pytest.mark.parametrize("lam, difference_path", [(0.0, True), (0.4, True)])
 def test_demo_run_matches_per_entry_reference(default_manifest, demo_context, lam,
                                               difference_path, degenerate):
     ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY) if degenerate else demo_context
     [(gen, base, l2)] = sv._train_generators(default_manifest, ctx, [lam], TINY,
-                                             sv.squared_error_loss, difference_path)
+                                             sv.squared_error_loss)
     ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, ctx, lam, TINY,
                                                 difference_path)
     assert base == pytest.approx(ref_base, rel=1e-12)
@@ -408,17 +408,14 @@ def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_context)
     assert grad[1:].any(axis=1).all()
 
 
-@pytest.mark.parametrize("degenerate, difference_path",
-                         [(False, True), (True, True), (False, False)])
-def test_fused_lambda_runs_equal_separate_runs(default_manifest, demo_context,
-                                               degenerate, difference_path):
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_fused_lambda_runs_equal_separate_runs(default_manifest, demo_context, degenerate):
     ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY) if degenerate else demo_context
     grid = [0.0, 0.2, 0.4]
-    fused = sv._train_generators(default_manifest, ctx, grid, TINY,
-                                 sv.squared_error_loss, difference_path)
+    fused = sv._train_generators(default_manifest, ctx, grid, TINY, sv.squared_error_loss)
     for lam, (gen, base, l2) in zip(grid, fused):
         [(ref_gen, ref_base, ref_l2)] = sv._train_generators(
-            default_manifest, ctx, [lam], TINY, sv.squared_error_loss, difference_path)
+            default_manifest, ctx, [lam], TINY, sv.squared_error_loss)
         assert np.array_equal(gen.params.vector, ref_gen.params.vector)
         assert (base, l2) == (ref_base, ref_l2)
 

@@ -525,6 +525,59 @@ def test_config_key_of_another_command_is_ignored(tmp_path, corpus_dir):
     assert flags["epochs"] == 1 and "grid" not in flags
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("pretrain", "epochs", 1.7), ("pretrain", "epochs", True), ("pretrain", "lr", "0.1"),
+    ("supervise-demo", "hidden", None), ("pretrain", "decay_epochs", [2, 4.5]),
+    ("pretrain", "manifest", 3), ("export-diffs", "include_mismatched", "false"),
+    ("export-diffs", "include_mismatched", 0), ("supervise-demo", "lam", "0.4"),
+    ("supervise-demo", "hidden", [True]), ("sweep-lambda", "grid", [0, "0.4"])])
+def test_config_value_of_the_wrong_type_is_refused(tmp_path, corpus_dir, checkpoint_dir,
+                                                   capsys, command, key, value):
+    config = tmp_path / "flags.json"
+    config.write_text(json.dumps({"manifest": str(corpus_dir / "manifest.json"),
+                                  "checkpoint": str(checkpoint_dir / "checkpoint.json"),
+                                  key: value}))
+    out = tmp_path / "out"
+    assert run(command, "--config", config, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --config {config}: {key} takes ")
+    assert err.endswith(f", not {json.dumps(value)}\n")
+    assert not out.exists()
+
+
+def test_config_values_of_the_flag_types_apply(tmp_path, corpus_dir, checkpoint_dir):
+    # an int for a float flag, a list for a tuple field, null for a flag
+    # with no default, true for a store_const flag
+    config = tmp_path / "flags.json"
+    config.write_text(json.dumps({"manifest": str(corpus_dir / "manifest.json"),
+                                  "checkpoint": str(checkpoint_dir / "checkpoint.json"),
+                                  "steps": 5, "batch_size": 4, "lr": 1, "hidden": [16, 8],
+                                  "lam": None, "include_mismatched": True}))
+    listed, spelled = tmp_path / "listed", tmp_path / "spelled"
+    assert run("supervise-demo", "--config", config, "--out", listed) == 0
+    assert run("supervise-demo", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json", "--steps", 5,
+               "--batch-size", 4, "--lr", 1.0, "--hidden", "16,8", "--out", spelled) == 0
+    for name in ("report.json", "report.csv"):
+        assert (listed / name).read_bytes() == (spelled / name).read_bytes(), name
+    diffs = tmp_path / "diffs"
+    assert run("export-diffs", "--config", config, "--out", diffs) == 0
+    assert json.loads((diffs / "run.json").read_text())["flags"]["include_mismatched"]
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "flags", {"command": "pretrain", "flags": [1]}])
+def test_config_that_holds_no_object_of_flags_is_refused(tmp_path, corpus_dir, capsys,
+                                                         payload):
+    config = tmp_path / "l.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "ckpt"
+    assert run("pretrain", "--manifest", corpus_dir / "manifest.json",
+               "--config", config, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        f"error: --config {config} holds no JSON object of flags\n"
+    assert not out.exists()
+
+
 def test_config_baseline_tag_is_checked(tmp_path, corpus_dir, checkpoint_dir, capsys):
     config = tmp_path / "flags.json"
     config.write_text(json.dumps({"baseline": "bogus", "lam": 0.7}))
@@ -534,6 +587,32 @@ def test_config_baseline_tag_is_checked(tmp_path, corpus_dir, checkpoint_dir, ca
                "--out", out) == 2
     assert "error: unknown baseline tag 'bogus'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_metrics_reads_each_feature_file_once(tmp_path, corpus_dir, monkeypatch):
+    expected = tmp_path / "expected"
+    assert run("eval-metrics", "--real", corpus_dir / "features.json",
+               "--gen", corpus_dir / "features.json", "--out", expected) == 0
+    opened, read = [], []
+    real_open, read_feature_file = open, es.encoders.read_feature_file
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return real_open(path, *args, **kwargs)
+
+    def counted_read(path):
+        read.append(Path(path))
+        return read_feature_file(path)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    monkeypatch.setattr(es.encoders, "read_feature_file", counted_read)
+    out = tmp_path / "metrics"
+    assert run("eval-metrics", "--real", corpus_dir / "features.json",
+               "--gen", corpus_dir / "features.json", "--out", out) == 0
+    monkeypatch.undo()
+    assert opened.count("features.json") == 2  # once per set
+    assert len(read) == 2 * len(set(read))
+    assert (out / "report.json").read_bytes() == (expected / "report.json").read_bytes()
 
 
 def test_eval_metrics_refuses_sets_with_different_ids(tmp_path, capsys):

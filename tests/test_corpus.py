@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emosup as es
+from emosup import corpus
 from emosup.corpus import (TRAIN, VAL, CorpusManifest, Sample,
                            sample_pair_batch)
 from emosup.errors import ContractError
@@ -235,3 +236,73 @@ def test_identity_without_train_neutral_errors_with_identity_name():
     for sampler in (es.sample_contrastive_batch, sample_pair_batch):
         with pytest.raises(ContractError, match="idX.*train-split neutral"):
             sampler(manifest, pools, 4, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the split index
+# ---------------------------------------------------------------------------
+
+def test_pretraining_reads_the_train_split_once(monkeypatch, reference_pools):
+    # the samplers read the manifest's split index; only the run's frozen
+    # table reads in_split, once, however large the corpus or long the run
+    in_split = CorpusManifest.in_split
+    calls = []
+
+    def counted(self, split):
+        calls.append(split)
+        return in_split(self, split)
+
+    counts = []
+    for n_identities in (4, 12):
+        world = es.build_synthetic_world(1, es.WorldConfig(n_identities=n_identities))
+        manifest = es.generate_synthetic_corpus(world, 3)
+        suite = es.synthetic_suite(world)
+        for epochs in (1, 3):
+            config = es.TrainConfig(epochs=epochs, steps_per_epoch=2, batch_size=4)
+            for train in (es.pretrain_alignment, es.pretrain_with_difference_objective):
+                with monkeypatch.context() as patch:
+                    patch.setattr(CorpusManifest, "in_split", counted)
+                    calls.clear()
+                    train(manifest, reference_pools, suite, config)
+                    counts.append(len(calls))
+    assert len(set(counts)) == 1 and counts[0] <= 1
+
+
+def test_split_index_equals_a_scan():
+    # world seed 2 puts neutrals in val; shuffling the samples checks that the
+    # index keeps manifest order
+    generated = es.generate_synthetic_corpus(es.build_synthetic_world(2), 3)
+    order = np.random.default_rng(5).permutation(len(generated.samples))
+    manifest = CorpusManifest([generated.samples[i] for i in order], generated.split)
+    assert manifest.samples != generated.samples
+    assert any(s.emotion == es.EmotionLabel.neutral for s in manifest.in_split(VAL))
+    for split in (TRAIN, VAL):
+        scan = [s for s in manifest.samples if manifest.split[s.id] == split]
+        groups = {}
+        for s in scan:
+            groups.setdefault((s.identity, s.emotion), []).append(s)
+        assert manifest.in_split(split) == scan
+        assert list(manifest._groups[split].items()) == list(groups.items())
+    train, train_groups = corpus._train_groups(manifest)
+    assert train == manifest.in_split(TRAIN) and train_groups is manifest._groups[TRAIN]
+
+
+def test_in_split_returns_a_fresh_list(default_manifest, reference_pools):
+    train = default_manifest.in_split(TRAIN)
+    assert train is not default_manifest.in_split(TRAIN)
+    n_train = len(train)
+    train.clear()
+    assert len(default_manifest.in_split(TRAIN)) == n_train
+    batch = es.sample_contrastive_batch(default_manifest, reference_pools, 8,
+                                        np.random.default_rng(0))
+    assert len(batch.entries) == 8
+
+
+def test_split_missing_an_id_constructs_and_validate_refuses():
+    samples = [Sample("x_happy_00", "idX", es.EmotionLabel.happy, "img:x", "x_n"),
+               Sample("x_n", "idX", es.EmotionLabel.neutral, "img:n", "x_n")]
+    manifest = CorpusManifest(samples, {"x_n": TRAIN})
+    assert manifest.in_split(TRAIN) == [samples[1]]
+    assert manifest.in_split(VAL) == []
+    with pytest.raises(ContractError, match="split tags must cover exactly the sample ids"):
+        manifest.validate()

@@ -241,7 +241,9 @@ def test_backward_stale_cache_rejected(rng):
 @pytest.mark.parametrize("activation", [RELU, IDENTITY])
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (7, 5)])
 def test_input_grad_equals_backward_input_grad(rng, activation, shape):
-    p = init_mlp([5, 6, 4, 3], rng, hidden_activation=activation)
+    layers = init_mlp([5, 6, 4, 3], rng).layers  # relu hidden layers
+    p = MlpParams([DenseLayer(l.weights, l.bias, activation) for l in layers[:-1]]
+                  + layers[-1:])
     p.freeze()
     _, cache = mlp_forward(p, rng.standard_normal(shape))
     u = rng.standard_normal(shape[:-1] + (3,))
