@@ -23,8 +23,8 @@ import numpy as np
 from . import analysis, differencing, prompts, supervision
 from .corpus import CorpusManifest, NegativePoolTable, generate_synthetic_corpus
 from .emotions import EMOTIONS, prompt_for
-from .encoders import (WorldConfig, build_synthetic_world, read_feature_manifest,
-                       synthetic_suite, write_feature_file)
+from .encoders import (NOISE_BLOCK, WorldConfig, build_synthetic_world,
+                       read_feature_manifest, synthetic_suite, write_feature_file)
 from .errors import ContractError, GenerationError, NumericalError
 from .metrics import FeatureSet, metric_report
 from .prompts import AlignmentCheckpoint, TrainConfig
@@ -165,11 +165,15 @@ def cmd_gen_corpus(args) -> int:
     feature_dir = out / "features"
     feature_dir.mkdir(exist_ok=True)
     feature_entries = []
-    for s in sorted(manifest.samples, key=lambda s: s.id):
-        rel = f"features/{s.id}.f32"
-        write_feature_file(out / rel, suite.visual_encode(s.image_ref))
-        feature_entries.append({"id": s.id, "identity": s.identity,
-                                "emotion": s.emotion.name, "feature_file": rel})
+    samples = sorted(manifest.samples, key=lambda s: s.id)
+    # one batched encode per block of samples, so no (N, d_e) stack is held
+    for start in range(0, len(samples), NOISE_BLOCK):
+        block = samples[start:start + NOISE_BLOCK]
+        for s, vector in zip(block, suite.visual_encode(tuple(s.image_ref for s in block))):
+            rel = f"features/{s.id}.f32"
+            write_feature_file(out / rel, vector)
+            feature_entries.append({"id": s.id, "identity": s.identity,
+                                    "emotion": s.emotion.name, "feature_file": rel})
     text_refs = {}
     for e in EMOTIONS:
         rel = f"features/text_{e.name}.f32"
@@ -215,15 +219,12 @@ def cmd_analyze_gap(args) -> int:
     flags = _resolve_flags(args)
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     # one (N, d_e) stack with the rows grouped by emotion, in manifest order
-    # within each; every emotion reads a view of its slice
+    # within each (a stable sort); every emotion reads a view of its slice
     counts = np.bincount([s.emotion for s in manifest.samples], minlength=len(EMOTIONS))
+    stack = suite.visual_encode(tuple(s.image_ref for s in sorted(manifest.samples,
+                                                                   key=lambda s: s.emotion)))
     ends = np.cumsum(counts)
     starts = ends - counts
-    stack = np.empty((len(manifest.samples), suite.d_e))
-    next_row = starts.tolist()
-    for s in manifest.samples:
-        stack[next_row[s.emotion]] = suite.visual_encode(s.image_ref)
-        next_row[s.emotion] += 1
     features = {e: stack[starts[e]:ends[e]] for e in EMOTIONS}
     texts = {e: suite.text_encode(suite.tokenize(prompt_for(e))) for e in EMOTIONS}
     report = analysis.modality_gap_report(features, texts)

@@ -26,6 +26,10 @@ from .errors import ContractError, GenerationError
 from .numerics import as_matrix, as_vector
 
 FEATURE_MAGIC = b"PCMF"
+# refs per seed_state_words pass in SyntheticWorld.visual_embeddings, and per
+# batched encode in gen-corpus: large enough that the pass's fixed cost is
+# small per ref, small enough that the temporaries stay bounded
+NOISE_BLOCK = 256
 
 
 @dataclass
@@ -73,6 +77,13 @@ class EncoderSuite:
     gradient and gives a ``d_tok`` vector. Both validate the stack once,
     and raise :class:`ContractError` for a wrong shape, a wrong ``d_tok``,
     non-finite tokens, or an upstream gradient that does not match.
+
+    ``visual_encode`` takes one image ref (or sample id) and gives a
+    ``d_e`` vector; a raw ``d_e`` feature vector passes through. Both
+    backends also take a tuple of refs and give their ``(N, d_e)`` stack,
+    byte-identical to stacking the per-ref calls (an empty tuple gives
+    ``(0, d_e)``). Only callers that build their own suite use the tuple
+    form: a caller's suite may implement the per-ref contract alone.
     """
 
     visual_encode: Callable[[object], np.ndarray]
@@ -141,9 +152,86 @@ def _token_upstream(stack: np.ndarray, single: bool, index: int, upstream,
     return u.reshape(-1, d_e), position_weight(index, length)
 
 
+def _hash_seed(*parts: object) -> bytes:
+    """The first 8 bytes of the sha256 of ``parts`` joined by ':', read as a
+    little-endian uint64 seed by ``_hash_generator`` and the batched noise."""
+    return hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()[:8]
+
+
 def _hash_generator(*parts: object) -> np.random.Generator:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
+    return np.random.Generator(np.random.PCG64(int.from_bytes(_hash_seed(*parts), "little")))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def seed_state_words(seeds) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    uint64 seed ``s``, as one ``(N, 4)`` uint64 array (what ``PCG64(s)``
+    seeds itself with).
+
+    numpy does the uint32 arithmetic one seed at a time; here each step runs
+    over all N seeds in uint64 lanes, masked back to 32 bits (a product of
+    two uint32 values is exact in 64 bits). A seed below 2**64 is at most
+    two uint32 entropy words, and the pool of four hashes a missing word as
+    0, so every seed fills the pool from (low word, high word, 0, 0). The
+    hash constant steps the same way for every seed, so it stays a Python
+    int. Its fixed cost (about 0.2 ms) pays off only for many seeds at
+    once."""
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    mask, shift = np.uint64(_MASK32), np.uint64(16)
+
+    def hasher(const: int, mult: int):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint64(const)
+            const = const * mult & _MASK32
+            value = value * np.uint64(const) & mask
+            return value ^ value >> shift
+        return hashmix
+
+    def mix(x, y):
+        value = (x * np.uint64(_MIX_MULT_L) - y * np.uint64(_MIX_MULT_R)) & mask
+        return value ^ value >> shift
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(seeds)
+    pool = [hashmix(word) for word in (seeds & mask, seeds >> np.uint64(32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool, read
+    # in little-endian pairs
+    hashmix = hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[i % 4]) for i in range(8)]
+    return np.stack([halves[2 * j] | halves[2 * j + 1] << np.uint64(32)
+                     for j in range(4)], axis=1)
+
+
+@functools.cache
+def _fixed_seed_type() -> type:
+    """An ``ISeedSequence`` that hands a bit generator four precomputed
+    uint64 state words (``PCG64(FixedSeed(words))`` equals ``PCG64(s)`` for
+    ``words = seed_state_words(s)[0]``) and refuses any other request.
+    Defined on first use, so that importing emosup does not import
+    ``numpy.random``."""
+
+    class FixedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ContractError(f"a fixed seed holds 4 uint64 state words; "
+                                    f"{n_words} words of {np.dtype(dtype)} were asked for")
+            return self.words
+
+    return FixedSeed
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -281,6 +369,43 @@ class SyntheticWorld:
         identity, emotion = self._parse_ref(ref)
         return self.clean_visual(identity, emotion) + self._noise(ref)
 
+    def visual_embeddings(self, refs) -> np.ndarray:
+        """``np.stack([visual_embedding(r) for r in refs])``, byte for byte,
+        as one ``(N, d_e)`` array; no refs give a ``(0, d_e)`` array.
+
+        Every ref passes the same canonical check. ``clean_visual`` runs once
+        per run of refs with one (identity, emotion), so once per distinct
+        pair when refs come grouped, as both CLI callers pass them. The noise
+        seeds of each block of ``NOISE_BLOCK`` refs go through one
+        ``seed_state_words`` pass instead of a ``SeedSequence`` each. Each
+        row is written in place as ``sigma * z + clean``, the same two
+        rounded operations as ``clean + sigma * z``."""
+        sigma = self.config.noise_sigma
+        out = np.empty((len(refs), self.config.d_e))
+        last = clean = None
+        for start in range(0, len(refs), NOISE_BLOCK):
+            block = refs[start:start + NOISE_BLOCK]
+            rows = out[start:start + len(block)]
+            keys = [self._parse_ref(ref) for ref in block]
+            if sigma == 0:
+                rows.fill(0.0)
+            else:
+                seeds = np.frombuffer(b"".join(_hash_seed(self.seed, "noise", ref)
+                                               for ref in block), dtype="<u8")
+                fixed_seed = _fixed_seed_type()
+                for row, words in zip(rows, seed_state_words(seeds)):
+                    np.random.Generator(np.random.PCG64(fixed_seed(words))
+                                        ).standard_normal(out=row)
+                rows *= sigma
+            # row by row, keeping only the last pair's clean row: a table of
+            # every distinct one, or a (block, d_e) stack of them, raised the
+            # peak RSS of analyze-gap
+            for row, key in zip(rows, keys):
+                if key != last:
+                    last, clean = key, self.clean_visual(*key)
+                row += clean
+        return out
+
     def _parse_ref(self, ref: str) -> tuple[str, EmotionLabel]:
         """Identity and emotion of an image ref. Only the canonical
         spelling ``image_ref`` gives, with a replicate >= 0, is accepted: the
@@ -367,6 +492,8 @@ def synthetic_suite(world: SyntheticWorld) -> EncoderSuite:
     def visual_encode(ref):
         if isinstance(ref, np.ndarray):
             return as_vector(ref, dim=world.config.d_e, name="visual feature")
+        if isinstance(ref, tuple):
+            return world.visual_embeddings(ref)
         return world.visual_embedding(ref)
 
     def backbone_identity(ref):
@@ -432,10 +559,16 @@ def read_feature_manifest(manifest_path: str | Path
     dim, its (sample id, feature) rows in file order, and its text embeddings
     by emotion name. Schema: ``{"dim": int, "samples": [{"id", "identity",
     "emotion", "feature_file"}], "text_embeddings": {emotion: path}}``, with
-    file paths relative to the manifest."""
+    file paths relative to the manifest. A sample id listed twice is refused
+    before any feature file is read."""
     manifest_path = Path(manifest_path)
     with open(manifest_path) as f:
         spec = json.load(f)
+    seen = set()
+    for e in spec["samples"]:
+        if e["id"] in seen:
+            raise ContractError(f"{manifest_path}: sample id {e['id']!r} is listed twice")
+        seen.add(e["id"])
     base = manifest_path.parent
     dim = int(spec["dim"])
 
@@ -463,13 +596,18 @@ def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
     dim, rows, text_table = read_feature_manifest(manifest_path)
     features = dict(rows)
 
+    def feature(sample_id):
+        try:
+            return features[sample_id]
+        except KeyError:
+            raise KeyError(f"unknown sample id {sample_id!r}") from None
+
     def visual_encode(ref):
         if isinstance(ref, np.ndarray):
             return as_vector(ref, dim=dim, name="visual feature")
-        try:
-            return features[ref]
-        except KeyError:
-            raise KeyError(f"unknown sample id {ref!r}") from None
+        if isinstance(ref, tuple):
+            return np.array([feature(r) for r in ref]).reshape(len(ref), dim)
+        return feature(ref)
 
     def backbone_identity(ref):
         raise ContractError("precomputed manifests carry no identity-backbone features")

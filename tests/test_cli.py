@@ -636,6 +636,21 @@ def test_eval_metrics_refuses_sets_with_different_ids(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_eval_metrics_refuses_a_feature_manifest_that_lists_an_id_twice(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run("gen-corpus", "--identities", 2, "--per-emotion", 1, "--out", corpus) == 0
+    spec = json.loads((corpus / "features.json").read_text())
+    twice = spec["samples"][0]["id"]
+    spec["samples"].append({**spec["samples"][1], "id": twice})
+    (corpus / "twice.json").write_text(json.dumps(spec))
+    capsys.readouterr()
+    out = tmp_path / "metrics"
+    assert run("eval-metrics", "--real", corpus / "features.json",
+               "--gen", corpus / "twice.json", "--out", out) == 2
+    assert f"sample id {twice!r} is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_and_library_train_defaults_agree(tmp_path, corpus_dir, capsys):
     # no --seed and no TrainConfig seed: both fall back to the same default
     out = tmp_path / "ckpt"

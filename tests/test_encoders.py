@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import strategies as st
 
 import emosup as es
 from emosup.emotions import EMOTION_WORD_POSITION
-from emosup.encoders import position_weight
+from emosup.encoders import NOISE_BLOCK, position_weight, seed_state_words
 from emosup.errors import ContractError
 
 
@@ -207,6 +212,120 @@ def test_identity_index_is_the_position_in_the_name_list():
 
 
 # ---------------------------------------------------------------------------
+# batched visual encoding and the vectorized SeedSequence
+# ---------------------------------------------------------------------------
+
+def numpy_state_words(seed: int) -> np.ndarray:
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_seed_state_words_match_numpy_at_word_boundaries(seed):
+    words = seed_state_words(np.array([seed], dtype=np.uint64))
+    assert words.shape == (1, 4) and words.dtype == np.uint64
+    assert np.array_equal(words[0], numpy_state_words(seed))
+
+
+@settings(max_examples=50)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
+def test_seed_state_words_match_numpy(seeds):
+    expected = np.array([numpy_state_words(s) for s in seeds])
+    assert np.array_equal(seed_state_words(np.array(seeds, dtype=np.uint64)), expected)
+
+
+def test_seed_state_words_match_numpy_on_every_noise_seed_of_a_large_manifest():
+    world = es.build_synthetic_world(3, es.WorldConfig(n_identities=48))
+    refs = [s.image_ref for s in es.generate_synthetic_corpus(world, 30).samples]
+    assert len(refs) == 48 * 7 * 30
+    seeds = [int.from_bytes(hashlib.sha256(f"3:noise:{ref}".encode()).digest()[:8],
+                            "little") for ref in refs]
+    expected = np.array([numpy_state_words(s) for s in seeds])
+    assert np.array_equal(seed_state_words(np.array(seeds, dtype=np.uint64)), expected)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (3, np.uint64),
+                                            (2, np.uint64), (8, np.uint64), (4, np.int64)])
+def test_fixed_seed_serves_only_four_uint64_words(n_words, dtype):
+    words = seed_state_words(np.array([7], dtype=np.uint64))[0]
+    fixed = es.encoders._fixed_seed_type()(words)
+    assert isinstance(fixed, np.random.bit_generator.ISeedSequence)
+    assert fixed.generate_state(4, np.uint64) is words
+    assert np.random.PCG64(fixed).state == np.random.PCG64(7).state
+    with pytest.raises(ContractError, match="4 uint64 state words"):
+        fixed.generate_state(n_words, dtype)
+
+
+def per_ref_stack(suite, refs) -> np.ndarray:
+    return np.stack([suite.visual_encode(ref) for ref in refs])
+
+
+def assert_same_bytes(a: np.ndarray, b: np.ndarray):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("noise", [0.05, 0.0])
+def test_batched_visual_encode_equals_the_per_ref_calls(noise):
+    world = es.build_synthetic_world(4, es.WorldConfig(noise_sigma=noise))
+    suite = es.synthetic_suite(world)
+    distinct = [world.image_ref(i, e, j) for i in world.identity_names
+                for e in es.EMOTIONS for j in range(10)]
+    # one block + 1 refs, three of them repeats, shuffled so that runs of
+    # one (identity, emotion) are short and a repeat may sit in either block
+    refs = distinct[:NOISE_BLOCK - 2] + [distinct[0], distinct[100], distinct[NOISE_BLOCK - 3]]
+    refs = tuple(np.random.default_rng(0).permutation(refs).tolist())
+    assert len(refs) == NOISE_BLOCK + 1 and len(set(refs)) == NOISE_BLOCK - 2
+    assert_same_bytes(suite.visual_encode(refs), per_ref_stack(suite, refs))
+    assert_same_bytes(world.visual_embeddings(refs[:5]), per_ref_stack(suite, refs[:5]))
+
+
+def test_batched_precomputed_encode_equals_the_per_id_calls(precomputed_suite):
+    ids = ("s2", "s0", "s2", "s1")
+    assert_same_bytes(precomputed_suite.visual_encode(ids),
+                      per_ref_stack(precomputed_suite, ids))
+
+
+def test_batched_visual_encode_of_no_refs_is_an_empty_stack(any_suite):
+    empty = any_suite.visual_encode(())
+    assert empty.shape == (0, any_suite.d_e) and empty.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", ["img:id000:happy:01", "img:id000:happy:x",
+                                 "img:id099:happy:0", "img:id000:bored:0"])
+@pytest.mark.parametrize("position", [0, 7, NOISE_BLOCK + 3, -1])
+def test_batched_visual_encode_refuses_a_bad_ref_anywhere(default_world, default_suite,
+                                                          bad, position):
+    # the same error as the per-ref call: a KeyError, or the ValueError of
+    # parse_emotion for an unknown emotion name
+    with pytest.raises((KeyError, ValueError)) as scalar:
+        default_suite.visual_encode(bad)
+    refs = [default_world.image_ref("id001", es.EmotionLabel.sad, j)
+            for j in range(NOISE_BLOCK + 10)]
+    refs[position] = bad
+    with pytest.raises(type(scalar.value)) as batched:
+        default_suite.visual_encode(tuple(refs))
+    assert type(batched.value) is type(scalar.value)
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_batched_precomputed_encode_refuses_an_unknown_id(precomputed_suite):
+    with pytest.raises(KeyError, match="unknown sample id 'nope'"):
+        precomputed_suite.visual_encode(("s0", "nope", "s1"))
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy 1.x loads numpy.random with numpy itself, numpy 2.x on first use;
+    # either way emosup adds none of it at import time
+    code = ("import sys, numpy; before = set(sys.modules); import emosup.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m == 'numpy.random' or m.startswith('numpy.random.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(es.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
 # feature files / precomputed suite
 # ---------------------------------------------------------------------------
 
@@ -252,6 +371,16 @@ def test_precomputed_unknown_id_names_sample(tmp_path):
     suite = es.load_precomputed_features(write_precomputed(tmp_path))
     with pytest.raises(KeyError, match="nope"):
         suite.visual_encode("nope")
+
+
+def test_a_sample_id_listed_twice_is_refused(tmp_path):
+    path = write_precomputed(tmp_path)
+    spec = json.loads(path.read_text())
+    spec["samples"].append({**spec["samples"][1], "id": "s0"})
+    path.write_text(json.dumps(spec))
+    for load in (es.read_feature_manifest, es.load_precomputed_features):
+        with pytest.raises(ContractError, match="sample id 's0' is listed twice"):
+            load(path)
 
 
 def test_precomputed_dim_inconsistency_rejected(tmp_path):
