@@ -22,7 +22,7 @@ from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite
 from .errors import ContractError
 from .numerics import DifferencePair, as_vector, difference_loss_with_grads
-from .prompts import AlignmentCheckpoint, build_personalized_prompt, project_visual
+from .prompts import AlignmentCheckpoint, _FrozenEmbeddings
 
 
 @dataclass
@@ -46,30 +46,36 @@ class PairEmbeddings:
 
 def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
                target_emotion: EmotionLabel, reference: Sample,
-               suite: EncoderSuite) -> PairEmbeddings:
+               suite: EncoderSuite, *,
+               frozen: _FrozenEmbeddings | None = None) -> PairEmbeddings:
     """Embed source and target through the frozen checkpoint.
 
     ``target_image`` may be an image ref or a raw visual feature vector
     (the latter is how generator outputs enter the supervision path).
     Both prompts are personalized with the same neutral reference of the
     source identity.
+
+    The embeddings are read through ``frozen``, a ``_FrozenEmbeddings`` memo
+    built on this checkpoint and suite (one built on others raises
+    ``ContractError``); without one, a throwaway memo is made. A caller that
+    embeds many pairs shares one memo, so each image and (reference,
+    emotion) prompt is embedded once. Reuse is sound because the checkpoint
+    is frozen and the encoders are deterministic.
     """
     ckpt.require_frozen()
+    if frozen is None:
+        frozen = _FrozenEmbeddings(ckpt, suite)
+    elif frozen.ckpt is not ckpt or frozen.suite is not suite:
+        raise ContractError("embedding memo was built for another checkpoint or suite")
     if reference.emotion != EmotionLabel.neutral:
         raise ContractError(f"reference {reference.id!r} must be neutral")
     if reference.identity != source.identity:
         raise ContractError("reference identity must match the source identity")
     target_emotion = EmotionLabel(target_emotion)
-
-    visual_source = project_visual(ckpt.bank, suite.visual_encode(source.image_ref),
-                                   source.emotion)[0]
-    visual_target = project_visual(ckpt.bank, suite.visual_encode(target_image),
-                                   target_emotion)[0]
-    text_source = suite.text_encode(
-        build_personalized_prompt(ckpt, reference, source.emotion, suite))
-    text_target = suite.text_encode(
-        build_personalized_prompt(ckpt, reference, target_emotion, suite))
-    return PairEmbeddings(visual_source, text_source, visual_target, text_target,
+    return PairEmbeddings(frozen.visual(source.image_ref, source.emotion),
+                          frozen.text(reference, source.emotion),
+                          frozen.visual(target_image, target_emotion),
+                          frozen.text(reference, target_emotion),
                           source.emotion, target_emotion)
 
 
@@ -90,8 +96,15 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
     whose text difference targets a different emotion than the image
     difference (useful for external 2-D projections; no loss is defined
     over them).
+
+    One memo serves every row and fills inside the row loop, by the calls a
+    row would make, so each image and (reference, emotion) prompt is
+    embedded once per export, not once per row, with byte-identical rows
+    (see ``embed_pair``). Each row still makes one ``embed_pair`` and one
+    ``diff_vectors`` call.
     """
     ckpt.require_frozen()
+    frozen = _FrozenEmbeddings(ckpt, suite)
     first_of: dict[tuple[str, EmotionLabel], Sample] = {}
     for s in sorted(manifest.samples, key=lambda s: s.id):
         first_of.setdefault((s.identity, s.emotion), s)
@@ -106,7 +119,7 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
             if target is None:
                 continue
             pe = embed_pair(ckpt, source, target.image_ref, target_emotion,
-                            reference, suite)
+                            reference, suite, frozen=frozen)
             dp = diff_vectors(pe)
             prompt_emotions = [target_emotion]
             if include_mismatched:
@@ -116,10 +129,7 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
                 if prompt_emotion == target_emotion:
                     text_diff = dp.text_diff
                 else:
-                    t_alt = suite.text_encode(
-                        build_personalized_prompt(ckpt, reference, prompt_emotion,
-                                                  suite))
-                    text_diff = pe.text_source - t_alt
+                    text_diff = pe.text_source - frozen.text(reference, prompt_emotion)
                 rows.append({"identity": source.identity,
                              "source_emotion": source.emotion.name,
                              "target_emotion": target_emotion.name,

@@ -412,11 +412,14 @@ class SyntheticWorld:
         noise is hashed from the ref string, so any other spelling of one
         image would get an embedding of its own."""
         parts = ref.split(":")
-        if len(parts) == 4 and parts[0] == "img":
-            identity, emotion = parts[1], parse_emotion(parts[2])
-            if (parts[3].isdecimal()
-                    and self.image_ref(identity, emotion, int(parts[3])) == ref):
-                return identity, emotion
+        if len(parts) == 4 and parts[0] == "img" and parts[3].isdecimal():
+            try:
+                identity, emotion = parts[1], EmotionLabel[parts[2]]
+            except KeyError:  # an unknown emotion name is a bad ref like any other
+                pass
+            else:
+                if self.image_ref(identity, emotion, int(parts[3])) == ref:
+                    return identity, emotion
         raise KeyError(f"unknown image ref {ref!r}")
 
 

@@ -224,6 +224,45 @@ def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
     return out, cache, net
 
 
+class _FrozenEmbeddings:
+    """Frozen-side embeddings through one frozen checkpoint and suite, each
+    computed once, on first use, by the per-sample call:
+
+    - ``visual(image_ref, emotion)``: ``project_visual`` of the ref's
+      ``visual_encode``. A raw feature vector in place of a ref is
+      projected on every call and not kept.
+    - ``text(reference, emotion)``: ``text_encode`` of
+      ``build_personalized_prompt``.
+
+    Reusing an entry is sound because the checkpoint is frozen (its
+    parameters are write-protected) and the encoders are deterministic, so
+    a repeated call would return the same bytes.
+    """
+
+    def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite):
+        ckpt.require_frozen()
+        self.ckpt, self.suite = ckpt, suite
+        self._visual: dict[tuple[str, EmotionLabel], np.ndarray] = {}
+        self._text: dict[tuple[Sample, EmotionLabel], np.ndarray] = {}
+
+    def visual(self, image_ref, emotion: EmotionLabel) -> np.ndarray:
+        key = (image_ref, EmotionLabel(emotion)) if isinstance(image_ref, str) else None
+        embedding = self._visual.get(key)
+        if embedding is None:
+            embedding = project_visual(self.ckpt.bank, self.suite.visual_encode(image_ref),
+                                       emotion)[0]
+            if key is not None:
+                self._visual[key] = embedding
+        return embedding
+
+    def text(self, reference: Sample, emotion: EmotionLabel) -> np.ndarray:
+        key = (reference, EmotionLabel(emotion))
+        if key not in self._text:
+            self._text[key] = self.suite.text_encode(
+                build_personalized_prompt(self.ckpt, reference, emotion, self.suite))
+        return self._text[key]
+
+
 def contrastive_loss(t_pos: np.ndarray, t_neg: np.ndarray, i_vis: np.ndarray) -> float:
     """(1 - sim(positive text, visual)) + sim(negative text, visual).
 
@@ -525,21 +564,22 @@ def pretrain_with_difference_objective(manifest: CorpusManifest,
 def retrieval_accuracy(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
                        split: str, suite: EncoderSuite) -> float:
     """Fraction of samples whose emotion wins the 7-way personalized-prompt
-    retrieval against their projected visual embedding."""
+    retrieval against their projected visual embedding.
+
+    The candidate prompt embeddings are read through one
+    ``_FrozenEmbeddings``, so each (reference, emotion) prompt is built and
+    encoded once per call rather than once per sample."""
     ckpt.require_frozen()
     samples = manifest.in_split(split)
     if not samples:
         raise ContractError(f"split {split!r} is empty")
+    frozen = _FrozenEmbeddings(ckpt, suite)
     hits = 0
     for sample in samples:
         reference = manifest.by_id(sample.neutral_ref)
-        i_vis = project_visual(ckpt.bank, suite.visual_encode(sample.image_ref),
-                               sample.emotion)[0]
-        sims = []
-        for candidate in EMOTIONS:
-            prompt = build_personalized_prompt(ckpt, reference, candidate, suite)
-            t_emb = suite.text_encode(prompt)
-            sims.append(cosine_with_flag(t_emb, i_vis)[0])
+        i_vis = frozen.visual(sample.image_ref, sample.emotion)
+        sims = [cosine_with_flag(frozen.text(reference, candidate), i_vis)[0]
+                for candidate in EMOTIONS]
         if int(np.argmax(sims)) == int(sample.emotion):
             hits += 1
     return hits / len(samples)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import emosup as es
+import emosup.differencing as df
 import emosup.prompts as pr
 from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
                                  difference_loss_with_grads, embed_pair,
@@ -19,6 +20,50 @@ def passthrough_checkpoint(suite, seed=0):
     ckpt = dataclasses.replace(ckpt, bank=es.EmotionProjectorBank(
         "multi", [identity_mlp(suite.d_e) for _ in range(7)]))
     return ckpt.freeze()
+
+
+def single_conditional_checkpoint(suite, seed=0):
+    cfg = es.TrainConfig(projector_mode=pr.SINGLE_CONDITIONAL)
+    return pr._fresh_checkpoint(suite, cfg,
+                                np.random.Generator(np.random.PCG64(seed))).freeze()
+
+
+def per_row_export(ckpt, manifest, suite, include_mismatched=False):
+    """Oracle: the export loop as it ran before rows shared one memo. Each
+    row embeds its pair from scratch and encodes every mismatched prompt
+    inline."""
+    first_of = {}
+    for s in sorted(manifest.samples, key=lambda s: s.id):
+        first_of.setdefault((s.identity, s.emotion), s)
+    rows = []
+    for source in sorted(manifest.samples, key=lambda s: s.id):
+        reference = manifest.by_id(source.neutral_ref)
+        for target_emotion in es.EMOTIONS:
+            target = first_of.get((source.identity, target_emotion))
+            if target_emotion == source.emotion or target is None:
+                continue
+            pe = embed_pair(ckpt, source, target.image_ref, target_emotion, reference,
+                            suite)
+            dp = diff_vectors(pe)
+            prompt_emotions = [target_emotion]
+            if include_mismatched:
+                prompt_emotions += [e for e in es.EMOTIONS
+                                    if e not in (target_emotion, source.emotion)]
+            for prompt_emotion in prompt_emotions:
+                if prompt_emotion == target_emotion:
+                    text_diff = dp.text_diff
+                else:
+                    t_alt = suite.text_encode(
+                        es.build_personalized_prompt(ckpt, reference, prompt_emotion,
+                                                     suite))
+                    text_diff = pe.text_source - t_alt
+                rows.append({"identity": source.identity,
+                             "source_emotion": source.emotion.name,
+                             "target_emotion": target_emotion.name,
+                             "prompt_emotion": prompt_emotion.name,
+                             "visual_diff": dp.visual_diff.copy(),
+                             "text_diff": text_diff.copy()})
+    return rows
 
 
 def difference_loss(dp):
@@ -112,6 +157,62 @@ def test_embed_pair_requires_frozen(default_manifest, default_suite):
     with pytest.raises(ContractError):
         embed_pair(ckpt, s, s.image_ref, s.emotion,
                    default_manifest.by_id(s.neutral_ref), default_suite)
+
+
+def test_embed_pair_refuses_a_memo_of_another_checkpoint_or_suite(
+        trained_checkpoint, default_world, default_manifest, default_suite):
+    ckpt, _ = trained_checkpoint
+    source = default_manifest.samples[0]
+    reference = default_manifest.by_id(source.neutral_ref)
+    other_ckpt = single_conditional_checkpoint(default_suite)
+    other_suite = es.synthetic_suite(default_world)
+    for memo in (pr._FrozenEmbeddings(other_ckpt, default_suite),
+                 pr._FrozenEmbeddings(ckpt, other_suite)):
+        with pytest.raises(ContractError, match="another checkpoint"):
+            embed_pair(ckpt, source, source.image_ref, es.EmotionLabel.sad, reference,
+                       default_suite, frozen=memo)
+    memo = pr._FrozenEmbeddings(ckpt, default_suite)
+    pe = embed_pair(ckpt, source, source.image_ref, es.EmotionLabel.sad, reference,
+                    default_suite, frozen=memo)
+    assert np.array_equal(pe.text_target, memo.text(reference, es.EmotionLabel.sad))
+
+
+def test_embed_pair_checks_frozen_before_the_memo(default_manifest, default_suite):
+    # the memo is only sound for a frozen checkpoint, so the frozen check
+    # comes first, whichever memo is passed
+    ckpt = pr._fresh_checkpoint(default_suite, es.TrainConfig(),
+                                np.random.Generator(np.random.PCG64(0)))
+    memo = pr._FrozenEmbeddings(single_conditional_checkpoint(default_suite),
+                                default_suite)
+    s = default_manifest.samples[0]
+    with pytest.raises(ContractError, match="must be frozen"):
+        embed_pair(ckpt, s, s.image_ref, s.emotion, default_manifest.by_id(s.neutral_ref),
+                   default_suite, frozen=memo)
+    with pytest.raises(ContractError, match="must be frozen"):
+        pr._FrozenEmbeddings(ckpt, default_suite)
+
+
+def test_memo_keys_an_image_by_its_projector_and_keeps_no_raw_vector(
+        trained_checkpoint, default_manifest, default_suite):
+    ckpt, _ = trained_checkpoint
+    source = default_manifest.samples[1]
+    reference = default_manifest.by_id(source.neutral_ref)
+    memo = pr._FrozenEmbeddings(ckpt, default_suite)
+    raw = default_suite.visual_encode(source.image_ref)
+
+    def projected(visual, emotion):
+        return pr.project_visual(ckpt.bank, visual, emotion)[0]
+
+    for emotion in (es.EmotionLabel.happy, es.EmotionLabel.sad):
+        # the source image again, projected for another emotion
+        pe = embed_pair(ckpt, source, source.image_ref, emotion, reference, default_suite,
+                        frozen=memo)
+        assert np.array_equal(pe.visual_source, projected(raw, source.emotion))
+        assert np.array_equal(pe.visual_target, projected(raw, emotion))
+    for visual in (raw, raw + 1.0):
+        pe = embed_pair(ckpt, source, visual, es.EmotionLabel.happy, reference,
+                        default_suite, frozen=memo)
+        assert np.array_equal(pe.visual_target, projected(visual, es.EmotionLabel.happy))
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +359,51 @@ def test_export_mismatched_rows(trained_checkpoint, default_manifest,
     assert mismatched
     for row in mismatched[:10]:
         assert row["prompt_emotion"] != row["source_emotion"]
+
+
+@pytest.mark.parametrize("mode", [pr.MULTI, pr.SINGLE_CONDITIONAL])
+@pytest.mark.parametrize("include_mismatched", [False, True])
+def test_memoized_export_equals_the_per_row_loop(trained_checkpoint, default_manifest,
+                                                 default_suite, tmp_path, mode,
+                                                 include_mismatched):
+    ckpt = (trained_checkpoint[0] if mode == pr.MULTI
+            else single_conditional_checkpoint(default_suite))
+    assert ckpt.bank.mode == mode
+    rows = export_difference_rows(ckpt, default_manifest, default_suite,
+                                  include_mismatched=include_mismatched)
+    expected = per_row_export(ckpt, default_manifest, default_suite,
+                              include_mismatched=include_mismatched)
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert row.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(row[key], value)
+            else:
+                assert row[key] == value
+    write_difference_csv(rows, tmp_path / "memo.csv")
+    write_difference_csv(expected, tmp_path / "per_row.csv")
+    assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+
+
+def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_manifest,
+                                                  default_suite, monkeypatch):
+    ckpt, _ = trained_checkpoint
+    calls = {"build_personalized_prompt": 0, "project_visual": 0, "embed_pair": 0}
+
+    def counting(module, name):
+        wrapped = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counting(pr, "build_personalized_prompt")
+    counting(pr, "project_visual")
+    counting(df, "embed_pair")
+    rows = export_difference_rows(ckpt, default_manifest, default_suite)
+    references = {s.neutral_ref for s in default_manifest.samples}
+    assert calls["embed_pair"] == len(rows) == len(default_manifest.samples) * 6
+    assert 0 < calls["build_personalized_prompt"] <= len(references) * len(es.EMOTIONS)
+    assert 0 < calls["project_visual"] <= len(default_manifest.samples)

@@ -295,9 +295,9 @@ def test_batched_visual_encode_of_no_refs_is_an_empty_stack(any_suite):
 @pytest.mark.parametrize("position", [0, 7, NOISE_BLOCK + 3, -1])
 def test_batched_visual_encode_refuses_a_bad_ref_anywhere(default_world, default_suite,
                                                           bad, position):
-    # the same error as the per-ref call: a KeyError, or the ValueError of
-    # parse_emotion for an unknown emotion name
-    with pytest.raises((KeyError, ValueError)) as scalar:
+    # the same error as the per-ref call: a KeyError, also for an unknown
+    # emotion name
+    with pytest.raises(KeyError) as scalar:
         default_suite.visual_encode(bad)
     refs = [default_world.image_ref("id001", es.EmotionLabel.sad, j)
             for j in range(NOISE_BLOCK + 10)]
