@@ -20,12 +20,13 @@ x = rng.standard_normal(6)
 u = rng.standard_normal(4)
 out, cache = mlp_forward(net, x)
 grads = mlp_backward(net, cache, u)
+weight_grad, _ = net.views(grads.vector)[0]  # layer 0's share of the gradient vector
 
 # spot-check one weight against central finite differences: the one with
 # the largest gradient, so it feeds a hidden unit the relu keeps active
 h = 1e-5
 layer = net.layers[0]
-idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(grads.weight_grads[0])),
+idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(weight_grad)),
                                                layer.weights.shape))
 orig = layer.weights[idx]
 layer.weights[idx] = orig + h
@@ -34,7 +35,7 @@ layer.weights[idx] = orig - h
 down = float(mlp_forward(net, x)[0] @ u)
 layer.weights[idx] = orig
 fd = (up - down) / (2 * h)
-print(f"analytic dL/dW{list(idx)} = {grads.weight_grads[0][idx]:+.8f}")
+print(f"analytic dL/dW{list(idx)} = {weight_grad[idx]:+.8f}")
 print(f"finite-difference   = {fd:+.8f}")
 
 # the layers are views of one parameter vector: SGD updates it in place

@@ -18,10 +18,9 @@ from .differencing import (DifferencePair, PairEmbeddings, diff_vectors,
                            difference_loss_with_grads, embed_pair,
                            export_difference_rows)
 from .emotions import EMOTIONS, EmotionLabel, prompt_for
-from .encoders import (EncoderSuite, SyntheticWorld, TokenSequence, WorldConfig,
-                       build_synthetic_world, load_precomputed_features,
-                       read_feature_file, read_feature_manifest, synthetic_suite,
-                       write_feature_file)
+from .encoders import (EncoderSuite, SyntheticWorld, WorldConfig, build_synthetic_world,
+                       load_precomputed_features, read_feature_file,
+                       read_feature_manifest, synthetic_suite, write_feature_file)
 from .errors import (ContractError, DegenerateVectorWarning, FrozenParameterError,
                      GenerationError, NumericalError)
 from .metrics import (FeatureSet, GaussianFit, csim, fad, fit_gaussian,

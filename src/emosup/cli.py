@@ -25,7 +25,7 @@ from .corpus import CorpusManifest, NegativePoolTable, generate_synthetic_corpus
 from .emotions import EMOTIONS, prompt_for
 from .encoders import (NOISE_BLOCK, WorldConfig, build_synthetic_world,
                        read_feature_manifest, synthetic_suite, write_feature_file)
-from .errors import ContractError, GenerationError, NumericalError
+from .errors import ContractError, GenerationError, NumericalError, load_json_object
 from .metrics import FeatureSet, metric_report
 from .prompts import AlignmentCheckpoint, TrainConfig
 from .supervision import DemoConfig, LambdaConfig, lambda_for_baseline
@@ -139,8 +139,7 @@ def _load_pools(spec: str) -> NegativePoolTable:
         return analysis.load_reference_pools()
     if spec == "all":
         return NegativePoolTable.all_others()
-    with open(spec) as f:
-        return NegativePoolTable.from_names(json.load(f)["pools"])
+    return NegativePoolTable.from_names(load_json_object(spec)["pools"])
 
 
 def _manifest_and_suite(manifest_path: str):
@@ -247,8 +246,8 @@ def cmd_derive_pools(args) -> int:
     if flags["matrix"] == "reference":
         matrix = analysis.load_reference_matrix()
     else:
-        with open(flags["matrix"]) as f:
-            matrix = analysis.CrossModalSimilarityMatrix.from_json_dict(json.load(f))
+        matrix = analysis.CrossModalSimilarityMatrix.from_json_dict(
+            load_json_object(flags["matrix"]))
     derived = analysis.derive_negative_pools(matrix, int(flags["k"]))
     out = _out_dir(args)
     reference = analysis.load_reference_pools()

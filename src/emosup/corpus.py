@@ -12,7 +12,7 @@ import numpy as np
 
 from .emotions import EMOTIONS, EmotionLabel, parse_emotion
 from .encoders import SyntheticWorld, WorldConfig, build_synthetic_world
-from .errors import ContractError
+from .errors import ContractError, load_json_object
 
 TRAIN, VAL = "train", "val"
 VAL_FRACTION = 0.1
@@ -164,8 +164,7 @@ class CorpusManifest:
 
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":
-        with open(path) as f:
-            return CorpusManifest.from_json_dict(json.load(f))
+        return CorpusManifest.from_json_dict(load_json_object(path))
 
 
 def _split_rank(world_seed: int, sample_id: str) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,8 +21,8 @@ import numpy as np
 
 from .emotions import (EMOTION_WORD_POSITION, EMOTIONS, EmotionLabel,
                        parse_emotion, prompt_for)
-from .errors import ContractError, GenerationError
-from .numerics import as_matrix, as_vector
+from .errors import ContractError, GenerationError, load_json_object
+from .numerics import as_vector
 
 FEATURE_MAGIC = b"PCMF"
 # refs per seed_state_words pass in SyntheticWorld.visual_embeddings, and per
@@ -32,51 +31,27 @@ FEATURE_MAGIC = b"PCMF"
 NOISE_BLOCK = 256
 
 
-@dataclass
-class TokenSequence:
-    """Ordered token vectors of uniform dimension."""
-
-    tokens: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise ContractError("token sequence must contain at least one token")
-        self.tokens = [np.asarray(t, dtype=np.float64) for t in self.tokens]
-        shape = self.tokens[0].shape
-        if any(t.shape != shape for t in self.tokens):
-            raise ContractError("tokens must share one dimension")
-        if len(shape) != 1 or shape[0] == 0:
-            raise ContractError(f"tokens must be non-empty 1-D arrays, got shape {shape}")
-        as_matrix(self.tokens, name="tokens")  # one finiteness check for all tokens
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def token_dim(self) -> int:
-        return self.tokens[0].shape[0]
-
-
 @dataclass(frozen=True)
 class EncoderSuite:
     """Bundle of frozen encoder callables over a shared embedding space.
 
     ``visual_encode`` and ``text_encode`` both land in dimension ``d_e``;
     ``backbone_identity`` produces ``d_b``-dim identity features and
-    ``tokenize`` produces ``d_tok``-dim token sequences. All maps are
-    deterministic and never change once the suite is built.
+    ``tokenize`` turns a prompt into its tokens, an ``(L, d_tok)`` float64
+    array of its own. All maps are deterministic and never change once the
+    suite is built.
 
     The text encoder works on token stacks: ``text_encode`` maps a
     ``(B, L, d_tok)`` array of B sequences of L tokens to a ``(B, d_e)``
     stack, and ``text_token_vjp(stack, i, u)`` backpropagates a
     ``(B, d_e)`` upstream embedding gradient ``u`` onto token ``i`` of
     every sequence, giving ``(B, d_tok)`` (the encoders are frozen; only
-    prompt tokens ever receive gradients). A :class:`TokenSequence` is the
-    B = 1 case: it encodes to a ``d_e`` vector, and its VJP takes a ``d_e``
-    gradient and gives a ``d_tok`` vector. Both validate the stack once,
-    and raise :class:`ContractError` for a wrong shape, a wrong ``d_tok``,
-    non-finite tokens, or an upstream gradient that does not match.
+    prompt tokens ever receive gradients). One ``(L, d_tok)`` sequence is
+    the B = 1 case: it encodes to a ``d_e`` vector, and its VJP takes a
+    ``d_e`` gradient and gives a ``d_tok`` vector. Both validate their
+    token input once, and raise :class:`ContractError` for a wrong rank, no
+    tokens, ragged tokens, a wrong ``d_tok``, non-finite tokens, or an
+    upstream gradient that does not match.
 
     ``visual_encode`` takes one image ref (or sample id) and gives a
     ``d_e`` vector; a raw ``d_e`` feature vector passes through. Both
@@ -88,9 +63,9 @@ class EncoderSuite:
 
     visual_encode: Callable[[object], np.ndarray]
     backbone_identity: Callable[[object], np.ndarray]
-    tokenize: Callable[[str], TokenSequence]
-    text_encode: Callable[[TokenSequence | np.ndarray], np.ndarray]
-    text_token_vjp: Callable[[TokenSequence | np.ndarray, int, np.ndarray], np.ndarray]
+    tokenize: Callable[[str], np.ndarray]
+    text_encode: Callable[[np.ndarray], np.ndarray]
+    text_token_vjp: Callable[[np.ndarray, int, np.ndarray], np.ndarray]
     d_e: int
     d_b: int
     d_tok: int
@@ -108,18 +83,23 @@ def position_weight(i, length: int):
 
 
 def _token_stack(tokens, d_tok: int) -> tuple[np.ndarray, bool]:
-    """Validate a ``(B, L, d_tok)`` token stack, or lift a TokenSequence to
-    one sequence; returns the stack and whether the input was a sequence."""
-    single = isinstance(tokens, TokenSequence)
-    stack = np.array(tokens.tokens)[None] if single else np.asarray(tokens, dtype=np.float64)
+    """Validate the token input of the text encoder: a ``(B, L, d_tok)``
+    stack, or one ``(L, d_tok)`` sequence lifted to a B = 1 stack. Returns
+    the stack and whether the input was one sequence."""
+    try:
+        stack = np.asarray(tokens, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric nested lists
+        raise ContractError(f"tokens must be numbers of one shape: {exc}") from None
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
     if stack.ndim != 3 or 0 in stack.shape:
-        raise ContractError(f"token stack must be a non-empty (B, L, d_tok) array, "
-                            f"got shape {stack.shape}")
+        raise ContractError(f"tokens must be a non-empty (L, d_tok) sequence or "
+                            f"(B, L, d_tok) stack, got shape {np.shape(tokens)}")
     if stack.shape[2] != d_tok:
         raise ContractError(f"token dim {stack.shape[2]} != d_tok {d_tok}")
-    # a TokenSequence checked its tokens for finiteness when it was built
-    if not single and not np.isfinite(stack).all():
-        raise ContractError("token stack contains non-finite entries")
+    if not np.isfinite(stack).all():
+        raise ContractError("tokens contain non-finite entries")
     return stack, single
 
 
@@ -505,11 +485,11 @@ def synthetic_suite(world: SyntheticWorld) -> EncoderSuite:
         identity, _ = world._parse_ref(ref)
         return world.backbone_map @ world.identity_latents[world.identity_index(identity)]
 
-    def tokenize(prompt: str) -> TokenSequence:
+    def tokenize(prompt: str) -> np.ndarray:
         words = prompt.split()
         if not words:
             raise ContractError("cannot tokenize an empty prompt")
-        return TokenSequence([world.word_token(w) for w in words])
+        return np.array([world.word_token(w) for w in words])
 
     def text_encode(tokens):
         stack, single = _token_stack(tokens, world.config.d_tok)
@@ -545,12 +525,20 @@ def write_feature_file(path: str | Path, vector: np.ndarray) -> None:
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FEATURE_MAGIC:
-            raise ContractError(f"{path}: bad magic {magic!r}")
-        (dim,) = struct.unpack("<I", f.read(4))
-        data = np.frombuffer(f.read(), dtype="<f4")
+    """The float64 vector of a ``write_feature_file`` file. A file shorter
+    than its 8-byte header, or whose payload is no whole number of float32
+    entries or not the header's dim of them, raises ContractError."""
+    with open(path, "rb") as f:  # pathlib's read_bytes costs about 5 us more a file
+        raw = f.read()
+    if raw[:4] != FEATURE_MAGIC:
+        raise ContractError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 8:
+        raise ContractError(f"{path}: truncated header, {len(raw)} bytes")
+    (dim,) = struct.unpack_from("<I", raw, 4)
+    if (len(raw) - 8) % 4:
+        raise ContractError(f"{path}: payload of {len(raw) - 8} bytes is not a whole "
+                            "number of float32 entries")
+    data = np.frombuffer(raw, dtype="<f4", offset=8)
     if data.shape[0] != dim:
         raise ContractError(f"{path}: header says dim {dim}, file holds {data.shape[0]}")
     return data.astype(np.float64)
@@ -565,8 +553,7 @@ def read_feature_manifest(manifest_path: str | Path
     file paths relative to the manifest. A sample id listed twice is refused
     before any feature file is read."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as f:
-        spec = json.load(f)
+    spec = load_json_object(manifest_path)
     seen = set()
     for e in spec["samples"]:
         if e["id"] in seen:
@@ -615,13 +602,13 @@ def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
     def backbone_identity(ref):
         raise ContractError("precomputed manifests carry no identity-backbone features")
 
-    def tokenize(prompt: str) -> TokenSequence:
+    def tokenize(prompt: str) -> np.ndarray:
         words = prompt.split()
         if not words:
             raise ContractError("cannot tokenize an empty prompt")
         for w in words:
             if w in text_table:
-                return TokenSequence([text_table[w]])
+                return text_table[w][None].copy()
         raise ContractError(f"prompt {prompt!r} names no known emotion")
 
     def text_encode(tokens):

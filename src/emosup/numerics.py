@@ -275,16 +275,14 @@ class MlpCache:
 @dataclass
 class MlpGrads:
     """Parameter gradients as one ``vector`` in the layout of
-    ``MlpParams.vector``, its per-layer views ``weight_grads`` and
-    ``bias_grads``, and the gradient w.r.t. the network input.
+    ``MlpParams.vector`` (``p.views(vector)`` gives its per-layer weight and
+    bias gradients), and the gradient w.r.t. the network input.
 
     After a row-stacked backward pass ``input_grad`` holds one row per
     input row; the parameter gradients are summed over the rows.
     """
 
     vector: np.ndarray
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
     input_grad: np.ndarray
 
 
@@ -345,10 +343,8 @@ def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
     """
     u = _upstream_rows(p, cache, upstream_grad)
     vector = np.empty(p.vector.size)
-    views = p.views(vector)
-    u = _backward_rows(p, cache, u, views)
-    return MlpGrads(vector, [dw for dw, _ in views], [db for _, db in views],
-                    u if cache.stacked else u[0])
+    u = _backward_rows(p, cache, u, p.views(vector))
+    return MlpGrads(vector, u if cache.stacked else u[0])
 
 
 def mlp_input_grad(p: MlpParams, cache: MlpCache, upstream_grad) -> np.ndarray:

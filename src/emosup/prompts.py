@@ -21,8 +21,8 @@ import numpy as np
 from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
                      PairDraw, Sample, sample_contrastive_batch, sample_pair_batch)
 from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
-from .encoders import EncoderSuite, TokenSequence
-from .errors import ContractError, FrozenParameterError, NumericalError
+from .encoders import EncoderSuite
+from .errors import ContractError, FrozenParameterError, NumericalError, load_json_object
 from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, cosine_grads,
                        cosine_with_flag, difference_loss_with_grads, init_mlp,
                        mlp_backward, mlp_forward, sgd_step)
@@ -182,14 +182,14 @@ class AlignmentCheckpoint:
 
     @staticmethod
     def load(path: str | Path) -> "AlignmentCheckpoint":
-        with open(path) as f:
-            return AlignmentCheckpoint.from_json_dict(json.load(f))
+        return AlignmentCheckpoint.from_json_dict(load_json_object(path))
 
 
 def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
-                              emotion: EmotionLabel, suite: EncoderSuite) -> TokenSequence:
+                              emotion: EmotionLabel, suite: EncoderSuite) -> np.ndarray:
     """Prepend the identity token(s), the guider head's output on the frozen
-    backbone's identity features, to the tokenized emotion prompt.
+    backbone's identity features, to the tokenized emotion prompt: one
+    ``(token_count + L, d_tok)`` sequence.
 
     The reference must be neutral: an emotional reference would leak its
     own expression into the identity token.
@@ -199,9 +199,8 @@ def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
                             "not neutral")
     head_out, _ = mlp_forward(ckpt.guider_head,
                               suite.backbone_identity(reference.image_ref))
-    prompt = suite.tokenize(prompt_for(emotion))
-    return TokenSequence(list(head_out.reshape(ckpt.token_count, ckpt.d_tok))
-                         + prompt.tokens)
+    return np.concatenate([head_out.reshape(ckpt.token_count, ckpt.d_tok),
+                           suite.tokenize(prompt_for(emotion))])
 
 
 def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
@@ -366,7 +365,7 @@ class _FrozenTable:
 
 def _frozen_table(samples: list[Sample], references: list[Sample],
                   suite: EncoderSuite) -> _FrozenTable:
-    prompts = [suite.tokenize(prompt_for(e)).tokens for e in EMOTIONS]
+    prompts = [suite.tokenize(prompt_for(e)) for e in EMOTIONS]
     if len({len(tokens) for tokens in prompts}) != 1:
         raise ContractError("batched training needs emotion prompts of one token "
                             f"length, got lengths {[len(t) for t in prompts]}")
@@ -444,19 +443,17 @@ def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
 
 
 def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
-                           suite: EncoderSuite, table: _FrozenTable | None = None
+                           suite: EncoderSuite, table: _FrozenTable
                            ) -> tuple[float, np.ndarray]:
     """Mean contrastive loss over a batch plus its gradient for head and
     bank, one vector in the layout of ``ckpt.vector``.
 
-    ``table`` holds the frozen-encoder outputs; without one they are
-    computed for this batch.
+    ``table`` holds the frozen-encoder outputs of the batch's anchors and
+    references (``_frozen_table``).
     """
     entries = batch.entries
     anchors = [e.anchor for e in entries]
     references = [e.reference for e in entries]
-    if table is None:
-        table = _frozen_table(anchors, references, suite)
     grad = np.zeros_like(ckpt.vector)
     grads = ckpt.split(grad)
     scale = 1.0 / len(entries)
@@ -475,10 +472,10 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
 
 
 def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
-                          suite: EncoderSuite, table: _FrozenTable | None = None
+                          suite: EncoderSuite, table: _FrozenTable
                           ) -> tuple[float, np.ndarray]:
     """Mean difference-alignment loss over sampled pairs plus its gradient,
-    laid out as in ``contrastive_step_grads``.
+    laid out and with a ``table`` as in ``contrastive_step_grads``.
 
     Used by the ablation that pre-trains with the difference objective
     instead of the contrastive one. Note the identity token cancels in
@@ -490,8 +487,6 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     sources = [d.source for d in draws]
     targets = [d.target for d in draws]
     references = [d.reference for d in draws]
-    if table is None:
-        table = _frozen_table(sources + targets, references, suite)
     grad = np.zeros_like(ckpt.vector)
     grads = ckpt.split(grad)
     scale = 1.0 / n

@@ -38,15 +38,14 @@ def pinned():
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_gradient_correctness(default_manifest, default_suite,
-                                          reference_pools):
+                                          reference_pools, default_table):
     start = time.monotonic()
     h = 1e-5
 
     def fd_check_all_params(value_fn, params_list, analytic, rel=1e-4):
         for p, g in zip(params_list, analytic):
-            for li, layer in enumerate(p.layers):
-                for arr, grads in ((layer.weights, g.weight_grads[li]),
-                                   (layer.bias, g.bias_grads[li])):
+            for layer, (weight_grad, bias_grad) in zip(p.layers, p.views(g.vector)):
+                for arr, grads in ((layer.weights, weight_grad), (layer.bias, bias_grad)):
                     flat = arr.reshape(-1)
                     gflat = grads.reshape(-1)
                     for idx in range(flat.size):
@@ -83,10 +82,10 @@ def test_criterion_1_gradient_correctness(default_manifest, default_suite,
                                 np.random.Generator(np.random.PCG64(77)))
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, 4,
                                         np.random.default_rng(77))
-    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)
 
     def path_value():
-        return pr.contrastive_step_grads(ckpt, batch, default_suite)[0]
+        return pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)[0]
 
     pick = np.random.default_rng(0)
     for p, g in zip(ckpt.all_params(), ckpt.split(grad)):

@@ -19,7 +19,7 @@ import emosup.prompts as pr
 import emosup.supervision as sv
 from emosup.differencing import DifferencePair, difference_loss_with_grads
 from emosup.emotions import EMOTIONS, one_hot
-from emosup.encoders import TokenSequence, _hash_generator
+from emosup.encoders import _hash_generator
 from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, init_mlp,
                              mlp_backward, mlp_forward, sgd_step)
 
@@ -35,7 +35,7 @@ def personalized_per_entry(ckpt, reference, emotion, suite):
     head_out, head_cache = mlp_forward(ckpt.guider_head, id_feat)
     tokens = [head_out[i * ckpt.d_tok:(i + 1) * ckpt.d_tok]
               for i in range(ckpt.token_count)]
-    seq = TokenSequence(tokens + suite.tokenize(es.prompt_for(emotion)).tokens)
+    seq = np.concatenate([tokens, suite.tokenize(es.prompt_for(emotion))])
     return suite.text_encode(seq), seq, head_cache
 
 
@@ -120,6 +120,16 @@ def assert_grads_close(batched, reference):
     np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=1e-12)
 
 
+def batch_table(drawn, suite):
+    """The frozen table of only the samples a contrastive batch or a list of
+    pair draws reads."""
+    if isinstance(drawn, es.corpus.ContrastiveBatch):
+        return pr._frozen_table([e.anchor for e in drawn.entries],
+                                [e.reference for e in drawn.entries], suite)
+    return pr._frozen_table([d.source for d in drawn] + [d.target for d in drawn],
+                            [d.reference for d in drawn], suite)
+
+
 def step_setup(suite, mode, tokens, seed, degenerate_identity):
     """A fresh checkpoint and a suite whose visual encoder maps every image
     of ``degenerate_identity`` to zero. Fresh projectors have zero biases,
@@ -163,7 +173,7 @@ def test_contrastive_step_matches_per_entry_reference(default_manifest, default_
         projected, _, _ = pr.project_visual(ckpt.bank, suite.visual_encode(anchor.image_ref),
                                             anchor.emotion)
         assert not projected.any()
-    loss, grad = pr.contrastive_step_grads(ckpt, batch, suite)
+    loss, grad = pr.contrastive_step_grads(ckpt, batch, suite, batch_table(batch, suite))
     ref_loss, ref_grad = contrastive_per_entry(ckpt, batch, suite)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
     assert_grads_close(grad, ref_grad)
@@ -185,7 +195,7 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
         pair = [pr.project_visual(ckpt.bank, suite.visual_encode(s.image_ref), s.emotion)[0]
                 for s in (draws[0].source, draws[0].target)]
         assert not (pair[0] - pair[1]).any()
-    loss, grad = pr.difference_step_grads(ckpt, draws, suite)
+    loss, grad = pr.difference_step_grads(ckpt, draws, suite, batch_table(draws, suite))
     ref_loss, ref_grad = difference_per_entry(ckpt, draws, suite)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
     assert_grads_close(grad, ref_grad)
@@ -203,7 +213,8 @@ def test_step_with_run_table_equals_step_without(default_manifest, default_suite
     draws = es.sample_pair_batch(default_manifest, reference_pools, 16, rng)
     for step, drawn in ((pr.contrastive_step_grads, batch), (pr.difference_step_grads, draws)):
         loss, grad = step(ckpt, drawn, default_suite, table)
-        ref_loss, ref_grad = step(ckpt, drawn, default_suite)
+        ref_loss, ref_grad = step(ckpt, drawn, default_suite,
+                                  batch_table(drawn, default_suite))
         assert loss == ref_loss
         assert_grads_close(grad, ref_grad)
 

@@ -8,6 +8,7 @@ import pytest
 
 import emosup as es
 from emosup.cli import main
+from test_encoders import TRUNCATED  # feature files cut short
 
 
 def run(*argv):
@@ -651,6 +652,22 @@ def test_eval_metrics_refuses_a_feature_manifest_that_lists_an_id_twice(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["header", "entry"])
+def test_eval_metrics_refuses_a_truncated_feature_file(tmp_path, corpus_dir, capsys, case):
+    raw, message = TRUNCATED[case]
+    corpus = tmp_path / "corpus"
+    assert run("gen-corpus", "--identities", 2, "--per-emotion", 1, "--out", corpus) == 0
+    spec = json.loads((corpus / "features.json").read_text())
+    cut = corpus / spec["samples"][-1]["feature_file"]
+    cut.write_bytes(raw)
+    out = tmp_path / "metrics"
+    capsys.readouterr()
+    assert run("eval-metrics", "--real", corpus_dir / "features.json",
+               "--gen", corpus / "features.json", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {cut}: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_and_library_train_defaults_agree(tmp_path, corpus_dir, capsys):
     # no --seed and no TrainConfig seed: both fall back to the same default
     out = tmp_path / "ckpt"
@@ -777,6 +794,27 @@ def test_rejected_command_exits_2_and_makes_no_directory(tmp_path, corpus_dir,
     assert run(*argv, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+# each JSON input file a command reads, besides --config
+JSON_INPUTS = [("analyze-gap", "--manifest"), ("pretrain", "--manifest"),
+               ("pretrain", "--pools"), ("export-diffs", "--checkpoint"),
+               ("derive-pools", "--matrix"), ("eval-metrics", "--gen")]
+
+
+@pytest.mark.parametrize("command, flag", JSON_INPUTS)
+def test_json_input_that_holds_no_object_exits_2_and_makes_no_directory(
+        tmp_path, corpus_dir, checkpoint_dir, capsys, command, flag):
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # a repeated flag overrides the valid input required_argv gives
+    assert run(*required_argv(command, corpus_dir, checkpoint_dir), flag, listed,
+               "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {listed}: expected a JSON object at the top level, got list\n")
     assert not out.exists()
 
 

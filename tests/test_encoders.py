@@ -92,21 +92,20 @@ def test_generation_validation_errors():
 
 def test_tokenize_word_count(default_suite):
     seq = default_suite.tokenize("a photo of a happy face")
-    assert seq.length == 6
+    assert seq.shape == (6, default_suite.d_tok) and seq.dtype == np.float64
 
 
 def test_tokenize_deterministic(default_suite):
     a = default_suite.tokenize("a photo of a sad face")
     b = default_suite.tokenize("a photo of a sad face")
-    for x, y in zip(a.tokens, b.tokens):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a, b)
 
 
 def test_tokenize_prompts_differ_only_at_emotion_word(default_suite):
     a = default_suite.tokenize(es.prompt_for(es.EmotionLabel.happy))
     b = default_suite.tokenize(es.prompt_for(es.EmotionLabel.sad))
-    for i in range(a.length):
-        same = np.array_equal(a.tokens[i], b.tokens[i])
+    for i in range(len(a)):
+        same = np.array_equal(a[i], b[i])
         assert same == (i != EMOTION_WORD_POSITION)
 
 
@@ -115,27 +114,8 @@ def test_tokenize_empty_prompt(default_suite):
         default_suite.tokenize("   ")
 
 
-@pytest.mark.parametrize("tokens, message", [
-    ([], "at least one token"),
-    ([np.ones(3), np.ones(4)], "share one dimension"),
-    ([np.ones((2, 3))], "non-empty 1-D"),
-    ([np.ones(0)], "non-empty 1-D"),
-    ([np.ones(3), np.array([1.0, np.nan, 0.0])], "non-finite"),
-])
-def test_token_sequence_rejects_malformed_tokens(tokens, message):
-    with pytest.raises(ContractError, match=message):
-        es.TokenSequence(tokens)
-
-
-def test_token_sequence_keeps_float64_tokens_as_given(default_world):
-    token = default_world.word_token("photo")
-    seq = es.TokenSequence([token, [0.0] * token.shape[0]])
-    assert seq.tokens[0] is token
-    assert seq.tokens[1].dtype == np.float64 and seq.token_dim == token.shape[0]
-
-
 def test_text_encode_zero_token_is_zero(default_suite, default_world):
-    seq = es.TokenSequence([np.zeros(default_world.config.d_tok)])
+    seq = np.zeros((1, default_world.config.d_tok))
     assert np.array_equal(default_suite.text_encode(seq),
                           np.zeros(default_world.config.d_e))
 
@@ -148,10 +128,9 @@ def test_text_encode_deterministic(default_suite):
 
 def test_text_encode_prepending_changes_output(default_suite, default_world, rng):
     for _ in range(5):
-        base = es.TokenSequence([rng.standard_normal(default_world.config.d_tok)
-                                 for _ in range(4)])
-        extra = rng.standard_normal(default_world.config.d_tok)
-        prepended = es.TokenSequence([extra] + base.tokens)
+        base = rng.standard_normal((4, default_world.config.d_tok))
+        extra = rng.standard_normal((1, default_world.config.d_tok))
+        prepended = np.concatenate([extra, base])
         assert not np.allclose(default_suite.text_encode(base),
                                default_suite.text_encode(prepended))
 
@@ -160,9 +139,9 @@ def test_text_encode_prepend_additivity(default_suite, default_world, rng):
     # prepending adds exactly the weighted image of the new token
     seq = default_suite.tokenize(es.prompt_for(es.EmotionLabel.happy))
     tau = rng.standard_normal(default_world.config.d_tok)
-    lhs = default_suite.text_encode(es.TokenSequence([tau] + seq.tokens))
+    lhs = default_suite.text_encode(np.concatenate([tau[None], seq]))
     rhs = (default_suite.text_encode(seq)
-           + position_weight(0, seq.length + 1) * (default_world.token_map @ tau))
+           + position_weight(0, len(seq) + 1) * (default_world.token_map @ tau))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -339,6 +318,21 @@ def test_feature_file_roundtrip(tmp_path, rng):
     assert raw[:4] == b"PCMF" and len(raw) == 8 + 4 * 17
 
 
+# a feature file cut inside its header, and one cut inside an entry
+TRUNCATED = {"header": (b"PCMF\x02", "truncated header, 5 bytes"),
+             "entry": (b"PCMF\x02\x00\x00\x00" + bytes(7),
+                       "payload of 7 bytes is not a whole number of float32 entries")}
+
+
+@pytest.mark.parametrize("case", list(TRUNCATED))
+def test_a_truncated_feature_file_is_refused_by_name(tmp_path, case):
+    raw, message = TRUNCATED[case]
+    path = tmp_path / "cut.f32"
+    path.write_bytes(raw)
+    with pytest.raises(ContractError, match=re.escape(f"{path}: {message}")):
+        es.read_feature_file(path)
+
+
 def write_precomputed(tmp_path, dim=12, n=3):
     rng = np.random.default_rng(5)
     samples = []
@@ -394,9 +388,11 @@ def test_precomputed_text_encoding_serves_table(tmp_path):
     path = write_precomputed(tmp_path)
     suite = es.load_precomputed_features(path)
     seq = suite.tokenize(es.prompt_for(es.EmotionLabel.angry))
-    assert seq.length == 1
+    assert seq.shape == (1, suite.d_tok)
     enc = suite.text_encode(seq)
     assert np.array_equal(enc, es.read_feature_file(tmp_path / "t_angry.f32"))
+    seq[0] = 0.0  # the tokens are a copy: the suite's table does not change
+    assert np.array_equal(suite.tokenize("angry"), enc[None])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +430,7 @@ def test_stacked_text_calls_equal_per_sequence_calls(default_suite, precomputed_
         assert encoded.shape == (rows, suite.d_e)
         vjps = [suite.text_token_vjp(stack, i, upstream) for i in range(stack.shape[1])]
         for b in range(rows):
-            seq = es.TokenSequence(list(stack[b]))
+            seq = stack[b]
             np.testing.assert_allclose(encoded[b], suite.text_encode(seq),
                                        rtol=1e-12, atol=1e-12)
             for i, vjp in enumerate(vjps):
@@ -444,33 +440,43 @@ def test_stacked_text_calls_equal_per_sequence_calls(default_suite, precomputed_
 
 
 def test_a_token_sequence_is_the_one_row_stack(any_suite, rng):
-    seq = es.TokenSequence(list(rng.standard_normal((3, any_suite.d_tok))))
+    seq = rng.standard_normal((3, any_suite.d_tok))
     upstream = rng.standard_normal(any_suite.d_e)
-    stack = np.stack(seq.tokens)[None]
+    stack = seq[None]
     assert any_suite.text_encode(seq).shape == (any_suite.d_e,)
     assert np.array_equal(any_suite.text_encode(seq), any_suite.text_encode(stack)[0])
-    for i in range(seq.length):
+    assert np.array_equal(any_suite.text_encode(seq.tolist()), any_suite.text_encode(seq))
+    for i in range(len(seq)):
         vjp = any_suite.text_token_vjp(seq, i, upstream)
         assert vjp.shape == (any_suite.d_tok,)
         assert np.array_equal(vjp, any_suite.text_token_vjp(stack, i, upstream[None])[0])
 
 
 def bad_stacks(d_tok):
+    """Token input both text calls refuse: stacks, and ``(L, d_tok)``
+    sequences given as arrays or as lists of tokens."""
     nan_stack = np.ones((2, 3, d_tok))
     nan_stack[1, 2, 0] = np.nan
     inf_stack = np.ones((2, 3, d_tok))
     inf_stack[0, 0, -1] = np.inf
+    nan_sequence = np.ones((3, d_tok))
+    nan_sequence[1, 0] = np.nan
+    shape = r"\(L, d_tok\) sequence or \(B, L, d_tok\) stack"
     return {"wrong d_tok": (np.ones((2, 3, d_tok + 1)), "d_tok"),
-            "wrong d_tok sequence": (es.TokenSequence([np.ones(3)]), "d_tok"),
-            "2-D": (np.ones((3, d_tok)), r"\(B, L, d_tok\)"),
-            "4-D": (np.ones((1, 2, 3, d_tok)), r"\(B, L, d_tok\)"),
-            "empty": (np.ones((0, 3, d_tok)), r"\(B, L, d_tok\)"),
+            "wrong d_tok sequence": (np.ones((3, d_tok + 1)), "d_tok"),
+            "1-D": (np.ones(d_tok), shape),
+            "4-D": (np.ones((1, 2, 3, d_tok)), shape),
+            "empty": (np.ones((0, 3, d_tok)), shape),
+            "no tokens": ([], shape),
+            "empty sequence": (np.ones((0, d_tok)), shape),
+            "zero-width tokens": ([np.ones(0), np.ones(0)], shape),
+            "ragged": ([np.ones(d_tok), np.ones(d_tok + 1)], "one shape"),
             "nan": (nan_stack, "non-finite"),
-            "inf": (inf_stack, "non-finite")}
+            "inf": (inf_stack, "non-finite"),
+            "nan sequence": (nan_sequence, "non-finite")}
 
 
-@pytest.mark.parametrize("case", ["wrong d_tok", "wrong d_tok sequence", "2-D", "4-D",
-                                  "empty", "nan", "inf"])
+@pytest.mark.parametrize("case", list(bad_stacks(1)))
 def test_text_calls_reject_malformed_stacks(any_suite, case):
     stack, message = bad_stacks(any_suite.d_tok)[case]
     with pytest.raises(ContractError, match=message):

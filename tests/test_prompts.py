@@ -38,7 +38,7 @@ def test_prompt_length_is_word_count_plus_one(default_manifest, default_suite):
     reference = default_manifest.by_id(sample.neutral_ref)
     seq = es.build_personalized_prompt(ckpt, reference, es.EmotionLabel.happy,
                                        default_suite)
-    assert seq.length == 7
+    assert seq.shape == (7, default_suite.d_tok)
 
 
 def test_zero_guider_head_gives_zero_token_and_plain_tail(default_manifest,
@@ -47,10 +47,9 @@ def test_zero_guider_head_gives_zero_token_and_plain_tail(default_manifest,
     reference = default_manifest.by_id(default_manifest.samples[0].neutral_ref)
     seq = es.build_personalized_prompt(ckpt, reference, es.EmotionLabel.sad,
                                        default_suite)
-    assert np.array_equal(seq.tokens[0], np.zeros(default_suite.d_tok))
+    assert np.array_equal(seq[0], np.zeros(default_suite.d_tok))
     plain = default_suite.tokenize(es.prompt_for(es.EmotionLabel.sad))
-    for mine, theirs in zip(seq.tokens[1:], plain.tokens):
-        assert np.array_equal(mine, theirs)
+    assert np.array_equal(seq[1:], plain)
 
 
 def test_different_identities_differ_only_in_first_token(default_manifest,
@@ -65,9 +64,8 @@ def test_different_identities_differ_only_in_first_token(default_manifest,
                                          default_suite)
     seq_b = es.build_personalized_prompt(ckpt, ref_b, es.EmotionLabel.fear,
                                          default_suite)
-    assert not np.array_equal(seq_a.tokens[0], seq_b.tokens[0])
-    for x, y in zip(seq_a.tokens[1:], seq_b.tokens[1:]):
-        assert np.array_equal(x, y)
+    assert not np.array_equal(seq_a[0], seq_b[0])
+    assert np.array_equal(seq_a[1:], seq_b[1:])
 
 
 def test_emotional_reference_rejected(default_manifest, default_suite):
@@ -94,7 +92,7 @@ def test_personalized_embedding_linearity(default_manifest, default_world,
     lhs = default_suite.text_encode(seq)
     plain = default_suite.tokenize(es.prompt_for(es.EmotionLabel.angry))
     rhs = (default_suite.text_encode(plain)
-           + position_weight(0, seq.length) * (default_world.token_map @ seq.tokens[0]))
+           + position_weight(0, len(seq)) * (default_world.token_map @ seq[0]))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -120,7 +118,7 @@ def test_identity_projector_passes_nonnegative_through(default_suite):
 
 
 def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
-                                             reference_pools):
+                                             reference_pools, default_table):
     # a batch holding only emotion k leaves all other projectors at zero grads
     ckpt = fresh_checkpoint(default_suite)
     anchor = next(s for s in default_manifest.in_split(TRAIN)
@@ -129,7 +127,7 @@ def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
     entry = es.corpus.ContrastiveEntry(anchor, anchor.emotion,
                                        es.EmotionLabel.sad, reference)
     batch = es.corpus.ContrastiveBatch([entry] * 4)
-    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)
     grads = layer_grads(ckpt, grad)
     for idx, emotion in enumerate(es.EMOTIONS):
         g = grads[1 + idx]
@@ -190,17 +188,17 @@ def test_contrastive_loss_bounds_and_degenerates(rng):
 # gradients through the full loss path
 # ---------------------------------------------------------------------------
 
-def loss_on_batch(ckpt, batch, suite):
-    return pr.contrastive_step_grads(ckpt, batch, suite)[0]
+def loss_on_batch(ckpt, batch, suite, table):
+    return pr.contrastive_step_grads(ckpt, batch, suite, table)[0]
 
 
 def test_full_path_gradients_match_finite_differences(default_manifest,
                                                       default_suite,
-                                                      reference_pools):
+                                                      reference_pools, default_table):
     ckpt = fresh_checkpoint(default_suite, seed=5)
     rng = np.random.default_rng(5)
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, 3, rng)
-    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite)
+    _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)
     grads = layer_grads(ckpt, grad)
 
     h = 1e-5
@@ -214,9 +212,9 @@ def test_full_path_gradients_match_finite_differences(default_manifest,
                 idx = np.unravel_index(flat_idx, layer.weights.shape)
                 orig = layer.weights[idx]
                 layer.weights[idx] = orig + h
-                up = loss_on_batch(ckpt, batch, default_suite)
+                up = loss_on_batch(ckpt, batch, default_suite, default_table)
                 layer.weights[idx] = orig - h
-                down = loss_on_batch(ckpt, batch, default_suite)
+                down = loss_on_batch(ckpt, batch, default_suite, default_table)
                 layer.weights[idx] = orig
                 fd = (up - down) / (2 * h)
                 analytic = g[l_idx][0][idx]
@@ -262,18 +260,18 @@ def test_difference_objective_deterministic_and_same_schema(
 
 
 def test_difference_objective_gives_guider_zero_gradient(
-        default_manifest, default_suite, reference_pools):
+        default_manifest, default_suite, reference_pools, default_table):
     # the identity token cancels in the text difference, so the guider head
     # receives exactly zero gradient under the linear text encoder
     ckpt = fresh_checkpoint(default_suite, seed=2)
     rng = np.random.default_rng(3)
     draws = es.sample_pair_batch(default_manifest, reference_pools, 8, rng)
-    _, grad = pr.difference_step_grads(ckpt, draws, default_suite)
+    _, grad = pr.difference_step_grads(ckpt, draws, default_suite, default_table)
     assert max(np.max(np.abs(w)) for w, _ in layer_grads(ckpt, grad)[0]) == 0.0
 
 
 def test_momentum_matches_hand_written_loop(default_manifest, default_suite,
-                                            reference_pools):
+                                            reference_pools, default_table):
     cfg = es.TrainConfig(seed=3, epochs=2, steps_per_epoch=3, batch_size=8,
                          decay_epochs=(1,), momentum=0.9)
     ckpt, curve = es.pretrain_alignment(default_manifest, reference_pools,
@@ -287,7 +285,7 @@ def test_momentum_matches_hand_written_loop(default_manifest, default_suite,
         for _ in range(cfg.steps_per_epoch):
             batch = es.sample_contrastive_batch(default_manifest, reference_pools,
                                                 cfg.batch_size, rng)
-            loss, grad = pr.contrastive_step_grads(ref, batch, default_suite)
+            loss, grad = pr.contrastive_step_grads(ref, batch, default_suite, default_table)
             velocity = cfg.momentum * velocity + grad
             ref.vector -= cfg.learning_rate_at(epoch) * velocity
             losses.append(loss)
