@@ -8,7 +8,6 @@ numbers without re-running the original extraction.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .corpus import NegativePoolTable
 from .emotions import EMOTIONS, EmotionLabel, parse_emotion
-from .errors import ContractError
+from .errors import ContractError, write_csv
 from .numerics import EPS_NORM, as_vector
 
 
@@ -48,11 +47,8 @@ class CrossModalSimilarityMatrix:
         return float(self.values[int(image_emotion), int(text_emotion)])
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["image_emotion"] + [e.name for e in EMOTIONS])
-            for e in EMOTIONS:
-                writer.writerow([e.name] + [repr(float(v)) for v in self.values[int(e)]])
+        write_csv(path, ["image_emotion"] + [e.name for e in EMOTIONS],
+                  ([e.name, *row] for e, row in zip(EMOTIONS, self.values.tolist())))
 
     def to_json_dict(self) -> dict:
         return {"rows": {i.name: {j.name: float(self.values[int(i), int(j)])
@@ -118,15 +114,9 @@ class GapReport:
                             "gap": self.avg_gap}}
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["emotion", "s_image", "s_match", "gap"])
-            for e in EMOTIONS:
-                writer.writerow([e.name, repr(float(self.s_image[int(e)])),
-                                 repr(float(self.s_match[int(e)])),
-                                 repr(float(self.gap[int(e)]))])
-            writer.writerow(["average", repr(self.avg_s_image),
-                             repr(self.avg_s_match), repr(self.avg_gap)])
+        write_csv(path, ["emotion", "s_image", "s_match", "gap"],
+                  [*zip([e.name for e in EMOTIONS], self.s_image, self.s_match, self.gap),
+                   ("average", self.avg_s_image, self.avg_s_match, self.avg_gap)])
 
 
 def _validate_inputs(features_by_emotion: Mapping, text_embeddings: Mapping,

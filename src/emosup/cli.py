@@ -25,7 +25,8 @@ from .corpus import CorpusManifest, NegativePoolTable, generate_synthetic_corpus
 from .emotions import EMOTIONS, prompt_for
 from .encoders import (NOISE_BLOCK, WorldConfig, build_synthetic_world,
                        read_feature_manifest, synthetic_suite, write_feature_file)
-from .errors import ContractError, GenerationError, NumericalError, load_json_object
+from .errors import (ContractError, GenerationError, NumericalError, load_json_object,
+                     write_json)
 from .metrics import FeatureSet, metric_report
 from .prompts import AlignmentCheckpoint, TrainConfig
 from .supervision import DemoConfig, LambdaConfig, lambda_for_baseline
@@ -34,15 +35,11 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_run_metadata(out: Path, command: str, flags: dict,
                         outputs: list[Path]) -> dict[str, str]:
     """Write run.json; returns the sha256 of each output file by name."""
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
-    _write_json(out / "run.json", {"command": command, "flags": flags, "outputs": hashes})
+    write_json(out / "run.json", {"command": command, "flags": flags, "outputs": hashes})
     return hashes
 
 
@@ -139,7 +136,7 @@ def _load_pools(spec: str) -> NegativePoolTable:
         return analysis.load_reference_pools()
     if spec == "all":
         return NegativePoolTable.all_others()
-    return NegativePoolTable.from_names(load_json_object(spec)["pools"])
+    return load_json_object(spec, lambda d: NegativePoolTable.from_names(d["pools"]))
 
 
 def _manifest_and_suite(manifest_path: str):
@@ -178,9 +175,9 @@ def cmd_gen_corpus(args) -> int:
         rel = f"features/text_{e.name}.f32"
         write_feature_file(out / rel, world.text_prototype(e))
         text_refs[e.name] = rel
-    _write_json(out / "features.json",
-                {"dim": world.config.d_e, "samples": feature_entries,
-                 "text_embeddings": text_refs})
+    write_json(out / "features.json",
+               {"dim": world.config.d_e, "samples": feature_entries,
+                "text_embeddings": text_refs})
 
     outputs = [out / "manifest.json", out / "features.json"]
     _write_run_metadata(out, args.command, flags, outputs)
@@ -229,9 +226,9 @@ def cmd_analyze_gap(args) -> int:
     report = analysis.modality_gap_report(features, texts)
     matrix = analysis.cross_modal_matrix(features, texts)
     out = _out_dir(args)
-    _write_json(out / "report.json", report.to_json_dict())
+    write_json(out / "report.json", report.to_json_dict())
     report.to_csv(out / "report.csv")
-    _write_json(out / "matrix.json", matrix.to_json_dict())
+    write_json(out / "matrix.json", matrix.to_json_dict())
     matrix.to_csv(out / "matrix.csv")
     reference = analysis.load_reference_gap_table() if flags["compare_reference"] else None
     print(analysis.format_gap_report(report, reference))
@@ -246,16 +243,16 @@ def cmd_derive_pools(args) -> int:
     if flags["matrix"] == "reference":
         matrix = analysis.load_reference_matrix()
     else:
-        matrix = analysis.CrossModalSimilarityMatrix.from_json_dict(
-            load_json_object(flags["matrix"]))
+        matrix = load_json_object(flags["matrix"],
+                                  analysis.CrossModalSimilarityMatrix.from_json_dict)
     derived = analysis.derive_negative_pools(matrix, int(flags["k"]))
     out = _out_dir(args)
     reference = analysis.load_reference_pools()
     discrepancies = analysis.pool_discrepancies(derived, reference)
-    _write_json(out / "pools.json",
-                {"k": int(flags["k"]), "pools": derived.to_names(),
-                 "reference_pools": reference.to_names(),
-                 "discrepancies": {e.name: d for e, d in discrepancies.items()}})
+    write_json(out / "pools.json",
+               {"k": int(flags["k"]), "pools": derived.to_names(),
+                "reference_pools": reference.to_names(),
+                "discrepancies": {e.name: d for e, d in discrepancies.items()}})
     if discrepancies:
         names = ", ".join(e.name for e in discrepancies)
         print(f"note: derived pools differ from the published reference for: {names}")
@@ -277,7 +274,7 @@ def cmd_eval_metrics(args) -> int:
     gen = _feature_set_from_manifest(flags["gen"], "gen")
     report = metric_report(real, gen)
     out = _out_dir(args)
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     lse = "n/a" if report["lse_d"] is None else f"{report['lse_d']:.6f}"
     cs = "n/a" if report["csim"] is None else f"{report['csim']:.6f}"
     print(f"fad={report['fad']:.6f} lse_d={lse} csim={cs}")
@@ -304,8 +301,8 @@ def cmd_supervise_demo(args) -> int:
            else LambdaConfig(float(flags["lam"]), flags["baseline"]))
     out = _out_dir(args)
     report = supervision.supervise_demo(manifest, ckpt, lam, suite, config, world=world)
-    _write_json(out / "report.json",
-                {**report.to_json_dict(), "content_hash": report.content_hash()})
+    write_json(out / "report.json",
+               {**report.to_json_dict(), "content_hash": report.content_hash()})
     supervision.write_demo_csv(report.rows(), out / "report.csv")
     base, sup = report.baseline, report.supervised
     print(f"lambda=0: accuracy={base.emotion_accuracy:.3f}; "
@@ -325,7 +322,7 @@ def cmd_sweep_lambda(args) -> int:
     out = _out_dir(args)
     rows = supervision.sweep_lambda(manifest, ckpt, grid, suite, config, world=world)
     supervision.write_demo_csv(rows, out / "sweep.csv")
-    _write_json(out / "sweep.json", {"rows": [r.to_dict() for r in rows]})
+    write_json(out / "sweep.json", {"rows": [r.to_dict() for r in rows]})
     for r in rows:
         print(f"lambda={r.lam}: base_loss={r.base_loss:.4f} "
               f"l2={r.l2_loss:.4f} accuracy={r.emotion_accuracy:.3f}")
@@ -429,8 +426,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ContractError, GenerationError, KeyError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (ContractError, GenerationError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -4,7 +4,6 @@ and contrastive pair sampling under negative pools."""
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .emotions import EMOTIONS, EmotionLabel, parse_emotion
 from .encoders import SyntheticWorld, WorldConfig, build_synthetic_world
-from .errors import ContractError, load_json_object
+from .errors import ContractError, load_json_object, write_json
 
 TRAIN, VAL = "train", "val"
 VAL_FRACTION = 0.1
@@ -146,9 +145,7 @@ class CorpusManifest:
         }
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def from_json_dict(d: dict) -> "CorpusManifest":
@@ -164,7 +161,7 @@ class CorpusManifest:
 
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":
-        return CorpusManifest.from_json_dict(load_json_object(path))
+        return load_json_object(path, CorpusManifest.from_json_dict)
 
 
 def _split_rank(world_seed: int, sample_id: str) -> str:

@@ -11,7 +11,6 @@ source and target images.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 from .corpus import CorpusManifest, Sample
 from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite
-from .errors import ContractError
+from .errors import ContractError, write_csv
 from .numerics import DifferencePair, as_vector, difference_loss_with_grads
 from .prompts import AlignmentCheckpoint, _FrozenEmbeddings
 
@@ -50,10 +49,10 @@ def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
                frozen: _FrozenEmbeddings | None = None) -> PairEmbeddings:
     """Embed source and target through the frozen checkpoint.
 
-    ``target_image`` may be an image ref or a raw visual feature vector
-    (the latter is how generator outputs enter the supervision path).
-    Both prompts are personalized with the same neutral reference of the
-    source identity.
+    ``target_image`` may be an image ref (what the export passes) or a raw
+    visual feature vector, projected on every call and not kept. No gradient
+    flows back through it: the demo reads its own precomputed tables. Both
+    prompts are personalized with the source identity's neutral reference.
 
     The embeddings are read through ``frozen``, a ``_FrozenEmbeddings`` memo
     built on this checkpoint and suite (one built on others raises
@@ -145,11 +144,6 @@ def write_difference_csv(rows: list[dict], path: str | Path) -> None:
     d = rows[0]["visual_diff"].shape[0]
     header = (["identity", "source_emotion", "target_emotion", "prompt_emotion"]
               + [f"i_diff_{j}" for j in range(d)] + [f"t_diff_{j}" for j in range(d)])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row["identity"], row["source_emotion"],
-                             row["target_emotion"], row["prompt_emotion"]]
-                            + [repr(float(x)) for x in row["visual_diff"]]
-                            + [repr(float(x)) for x in row["text_diff"]])
+    write_csv(path, header, ([r["identity"], r["source_emotion"], r["target_emotion"],
+                              r["prompt_emotion"], *r["visual_diff"].tolist(),
+                              *r["text_diff"].tolist()] for r in rows))

@@ -550,30 +550,31 @@ def read_feature_manifest(manifest_path: str | Path
     dim, its (sample id, feature) rows in file order, and its text embeddings
     by emotion name. Schema: ``{"dim": int, "samples": [{"id", "identity",
     "emotion", "feature_file"}], "text_embeddings": {emotion: path}}``, with
-    file paths relative to the manifest. A sample id listed twice is refused
-    before any feature file is read."""
+    file paths relative to the manifest. The whole spec is parsed, and a
+    sample id listed twice refused, before any feature file is read."""
     manifest_path = Path(manifest_path)
-    spec = load_json_object(manifest_path)
-    seen = set()
-    for e in spec["samples"]:
-        if e["id"] in seen:
-            raise ContractError(f"{manifest_path}: sample id {e['id']!r} is listed twice")
-        seen.add(e["id"])
     base = manifest_path.parent
-    dim = int(spec["dim"])
 
-    def read(rel, what):
-        vec = read_feature_file(base / rel)
+    def parse(spec):
+        files = {}
+        for e in spec["samples"]:
+            if e["id"] in files:
+                raise ContractError(f"{manifest_path}: sample id {e['id']!r} is listed twice")
+            files[e["id"]] = base / e["feature_file"]
+        texts = {parse_emotion(name).name: base / rel
+                 for name, rel in spec["text_embeddings"].items()}
+        return int(spec["dim"]), files, texts
+
+    dim, files, texts = load_json_object(manifest_path, parse)
+
+    def read(path, what):
+        vec = read_feature_file(path)
         if vec.shape[0] != dim:
             raise ContractError(f"{what} has dim {vec.shape[0]}, manifest says {dim}")
         return vec
 
-    rows = [(e["id"], read(e["feature_file"], f"sample {e['id']!r}"))
-            for e in spec["samples"]]
-    text_table: dict[str, np.ndarray] = {}
-    for name, rel in spec["text_embeddings"].items():
-        parse_emotion(name)
-        text_table[name] = read(rel, f"text embedding {name!r}")
+    rows = [(i, read(path, f"sample {i!r}")) for i, path in files.items()]
+    text_table = {name: read(path, f"text embedding {name!r}") for name, path in texts.items()}
     return dim, rows, text_table
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,8 @@ from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
                      PairDraw, Sample, sample_contrastive_batch, sample_pair_batch)
 from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite
-from .errors import ContractError, FrozenParameterError, NumericalError, load_json_object
+from .errors import (ContractError, FrozenParameterError, NumericalError, canonical_json,
+                     load_json_object, write_csv, write_json)
 from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, cosine_grads,
                        cosine_with_flag, difference_loss_with_grads, init_mlp,
                        mlp_backward, mlp_forward, sgd_step)
@@ -85,8 +85,9 @@ class AlignmentCheckpoint:
     the projectors, in ``all_params()`` order, are views into it, so one
     in-place update of the vector trains them all. Build a new checkpoint
     (``dataclasses.replace``) to swap a network. Once frozen the vector
-    and every view of it are write-protected and every training entry
-    point refuses the checkpoint.
+    and every view of it are write-protected: the step functions still
+    compute gradients on it, but ``sgd_step`` raises numpy's ValueError, and
+    ``require_trainable`` raises FrozenParameterError.
     """
 
     guider_head: MlpParams
@@ -171,18 +172,16 @@ class AlignmentCheckpoint:
                                     f"but its dims {dims} need {d_in} -> {d_out}")
         return ckpt.freeze()
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """The sha256 of the file ``save`` writes."""
+        return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.canonical_json())
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path: str | Path) -> "AlignmentCheckpoint":
-        return AlignmentCheckpoint.from_json_dict(load_json_object(path))
+        return load_json_object(path, AlignmentCheckpoint.from_json_dict)
 
 
 def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
@@ -328,11 +327,7 @@ class LossCurve:
         return [float(np.mean(sums[e])) for e in sorted(sums)]
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "step", "loss", "lr"])
-            for epoch, step, loss, lr in self.records:
-                writer.writerow([epoch, step, repr(loss), repr(lr)])
+        write_csv(path, ["epoch", "step", "loss", "lr"], self.records)
 
     @staticmethod
     def load_csv(path: str | Path) -> "LossCurve":

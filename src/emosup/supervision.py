@@ -4,7 +4,6 @@ difference regularizer."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -16,7 +15,7 @@ import numpy as np
 from .corpus import TRAIN, VAL, CorpusManifest
 from .emotions import EMOTIONS
 from .encoders import EncoderSuite, SyntheticWorld
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, write_csv
 from .numerics import (DifferencePair, MlpParams, as_same_rows, cosine_with_flag,
                        difference_loss_with_grads, init_mlp, mlp_backward,
                        mlp_forward, mlp_input_grad, sgd_step)
@@ -404,9 +403,5 @@ def sweep_lambda(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
 
 
 def write_demo_csv(rows: list[DemoRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["lambda", "base_loss", "l2_loss", "emotion_accuracy", "seed"])
-        for row in rows:
-            writer.writerow([repr(row.lam), repr(row.base_loss), repr(row.l2_loss),
-                             repr(row.emotion_accuracy), row.seed])
+    write_csv(path, ["lambda", "base_loss", "l2_loss", "emotion_accuracy", "seed"],
+              [(r.lam, r.base_loss, r.l2_loss, r.emotion_accuracy, r.seed) for r in rows])

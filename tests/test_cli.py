@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -797,25 +799,88 @@ def test_rejected_command_exits_2_and_makes_no_directory(tmp_path, corpus_dir,
     assert not out.exists()
 
 
-# each JSON input file a command reads, besides --config
-JSON_INPUTS = [("analyze-gap", "--manifest"), ("pretrain", "--manifest"),
-               ("pretrain", "--pools"), ("export-diffs", "--checkpoint"),
-               ("derive-pools", "--matrix"), ("eval-metrics", "--gen")]
+# each JSON input file a command reads, besides --config, holding a list;
+# then malformed files: a field of the wrong type, a missing key, no JSON
+JSON_INPUTS = [(command, flag, [1, 2]) for command, flag in [
+    ("analyze-gap", "--manifest"), ("pretrain", "--manifest"), ("pretrain", "--pools"),
+    ("export-diffs", "--checkpoint"), ("derive-pools", "--matrix"), ("eval-metrics", "--gen")]]
+MALFORMED = [
+    ("analyze-gap", "--manifest", {"samples": 3}),
+    ("pretrain", "--pools", {"pools": 3}),
+    ("eval-metrics", "--gen", {"samples": [1], "dim": 3, "text_embeddings": {}}),
+    ("export-diffs", "--checkpoint", {"format_version": 1}),
+    ("derive-pools", "--matrix", {"k": 1}),
+    ("analyze-gap", "--manifest", "{nope"),  # written as is, not as a JSON string
+]
 
 
-@pytest.mark.parametrize("command, flag", JSON_INPUTS)
+@pytest.mark.parametrize("command, flag, payload", JSON_INPUTS + MALFORMED,
+                         ids=[f"{c}-{f}" for c, f, _ in JSON_INPUTS]
+                         + [f"{c}-{f}-{json.dumps(p)}" for c, f, p in MALFORMED])
 def test_json_input_that_holds_no_object_exits_2_and_makes_no_directory(
-        tmp_path, corpus_dir, checkpoint_dir, capsys, command, flag):
-    listed = tmp_path / "listed.json"
-    listed.write_text("[1, 2]")
+        tmp_path, corpus_dir, checkpoint_dir, capsys, command, flag, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     out = tmp_path / "out"
     capsys.readouterr()
     # a repeated flag overrides the valid input required_argv gives
-    assert run(*required_argv(command, corpus_dir, checkpoint_dir), flag, listed,
+    assert run(*required_argv(command, corpus_dir, checkpoint_dir), flag, bad,
                "--out", out) == 2
-    assert capsys.readouterr().err == (
-        f"error: {listed}: expected a JSON object at the top level, got list\n")
+    err = capsys.readouterr().err
+    if isinstance(payload, list):
+        assert err == f"error: {bad}: expected a JSON object at the top level, got list\n"
+    else:
+        assert err.startswith(f"error: {bad}: malformed (") and err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# file formats
+# ---------------------------------------------------------------------------
+
+TEXT_COLUMNS = {"identity", "source_emotion", "target_emotion", "prompt_emotion",
+                "emotion", "image_emotion"}
+INT_COLUMNS = {"epoch", "step", "seed"}
+
+
+def rewritten_csv(path: Path) -> bytes:
+    """The file's cells written again by ``csv.writer``: an int column as
+    ``int``, a float column as ``repr(float(x))``, a text column as read."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        assert len(row) == len(header)
+        writer.writerow([cell if name in TEXT_COLUMNS
+                         else int(cell) if name in INT_COLUMNS
+                         else repr(float(cell)) for name, cell in zip(header, row)])
+    return buf.getvalue().encode()
+
+
+def test_outputs_follow_the_file_format_rules(tmp_path, corpus_dir, checkpoint_dir,
+                                              demo_dir, sweep_dir):
+    """Every CSV float is ``repr(float(x))`` and every JSON output is canonical
+    (indent 2, sorted keys, a trailing newline); the reference is built here,
+    so the check holds on any numpy or BLAS."""
+    assert run("export-diffs", "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", checkpoint_dir / "checkpoint.json",
+               "--out", tmp_path / "diffs") == 0
+    assert run("analyze-gap", "--manifest", corpus_dir / "manifest.json",
+               "--out", tmp_path / "gap") == 0
+    csvs = [checkpoint_dir / "curve.csv", demo_dir / "report.csv", sweep_dir / "sweep.csv",
+            tmp_path / "diffs" / "diffs.csv", tmp_path / "gap" / "report.csv",
+            tmp_path / "gap" / "matrix.csv"]
+    for path in csvs:
+        assert path.read_bytes() == rewritten_csv(path), path
+    jsons = [p for d in (corpus_dir, checkpoint_dir, demo_dir, tmp_path / "gap")
+             for p in d.glob("*.json")]
+    assert {p.name for p in jsons} >= {"manifest.json", "checkpoint.json"}
+    for path in jsons:
+        with open(path) as f:
+            canonical = json.dumps(json.load(f), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == canonical, path
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items()

@@ -377,6 +377,28 @@ def test_a_sample_id_listed_twice_is_refused(tmp_path):
             load(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda spec: spec["text_embeddings"].update(bored="t_happy.f32"),
+    lambda spec: spec.pop("dim"),
+    lambda spec: spec["samples"][-1].pop("feature_file"),
+    lambda spec: spec["samples"].append(3)],
+    ids=["unknown text emotion", "no dim", "a sample with no file",
+         "a sample that is a number"])
+def test_a_malformed_feature_manifest_is_refused_by_name_before_any_file_is_read(
+        tmp_path, monkeypatch, edit):
+    path = write_precomputed(tmp_path)
+    spec = json.loads(path.read_text())
+    edit(spec)
+    path.write_text(json.dumps(spec))
+
+    def read_feature_file(path):
+        raise AssertionError(f"read {path} before the spec was parsed")
+
+    monkeypatch.setattr("emosup.encoders.read_feature_file", read_feature_file)
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: malformed"):
+        es.read_feature_manifest(path)
+
+
 def test_precomputed_dim_inconsistency_rejected(tmp_path):
     path = write_precomputed(tmp_path, dim=12)
     es.write_feature_file(tmp_path / "s0.f32", np.zeros(9, dtype=np.float32))
