@@ -46,27 +46,28 @@ def _write_run_metadata(out: Path, command: str, flags: dict,
 def _resolve_flags(args: argparse.Namespace) -> dict:
     """defaults < config file (flags, or this command's run.json) < passed flags.
 
-    Refuses a config file that holds no JSON object of flags, a config key
-    that is no command's flag or whose value's JSON type does not fit the
-    flag, and a flag with no default that has no value after the merge."""
+    Refuses, naming it, a config file that is not JSON or holds no JSON
+    object of flags (read by ``load_json_object``), a config key that is no
+    command's flag or whose value's JSON type does not fit the flag, and a
+    flag with no default that has no value after the merge."""
     resolved = dict(COMMANDS[args.command][2])
     if args.config:
-        with open(args.config) as f:
-            file_conf = json.load(f)
-        if isinstance(file_conf, dict):
+        def parse(file_conf):
             recorded = file_conf.pop("command", None)
             if recorded is not None and recorded != args.command:
                 raise ContractError(f"--config {args.config} records a {recorded} run; "
                                     f"it cannot configure {args.command}")
             file_conf = file_conf.get("flags", file_conf)  # a previous run.json
-        if not isinstance(file_conf, dict):
-            raise ContractError(f"--config {args.config} holds no JSON object of flags")
-        unknown = sorted(set(file_conf) - ALL_FLAGS)
-        if unknown:
-            raise ContractError(f"--config {args.config} has keys that are no "
-                                f"command's flag: {', '.join(unknown)}")
+            if not isinstance(file_conf, dict):
+                raise ContractError(f"--config {args.config} holds no JSON object of flags")
+            unknown = sorted(set(file_conf) - ALL_FLAGS)
+            if unknown:
+                raise ContractError(f"--config {args.config} has keys that are no "
+                                    f"command's flag: {', '.join(unknown)}")
+            return file_conf
+
         # another command's flag is ignored: a flags file may serve several
-        for key, value in file_conf.items():
+        for key, value in load_json_object(args.config, parse).items():
             if key not in resolved:
                 continue
             kind, item, default = FLAG_TYPES[key], LIST_FLAGS.get(key), resolved[key]

@@ -50,9 +50,11 @@ def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
     """Embed source and target through the frozen checkpoint.
 
     ``target_image`` may be an image ref (what the export passes) or a raw
-    visual feature vector, projected on every call and not kept. No gradient
-    flows back through it: the demo reads its own precomputed tables. Both
-    prompts are personalized with the source identity's neutral reference.
+    ``d_e`` visual feature vector, validated and projected on every call and
+    not kept. This is the one place a raw vector is accepted: a suite's
+    ``visual_encode`` takes refs only. No gradient flows back through it:
+    the demo reads its own precomputed tables. Both prompts are
+    personalized with the source identity's neutral reference.
 
     The embeddings are read through ``frozen``, a ``_FrozenEmbeddings`` memo
     built on this checkpoint and suite (one built on others raises

@@ -22,7 +22,6 @@ import numpy as np
 from .emotions import (EMOTION_WORD_POSITION, EMOTIONS, EmotionLabel,
                        parse_emotion, prompt_for)
 from .errors import ContractError, GenerationError, load_json_object
-from .numerics import as_vector
 
 FEATURE_MAGIC = b"PCMF"
 # refs per seed_state_words pass in SyntheticWorld.visual_embeddings, and per
@@ -54,11 +53,11 @@ class EncoderSuite:
     upstream gradient that does not match.
 
     ``visual_encode`` takes one image ref (or sample id) and gives a
-    ``d_e`` vector; a raw ``d_e`` feature vector passes through. Both
-    backends also take a tuple of refs and give their ``(N, d_e)`` stack,
-    byte-identical to stacking the per-ref calls (an empty tuple gives
-    ``(0, d_e)``). Only callers that build their own suite use the tuple
-    form: a caller's suite may implement the per-ref contract alone.
+    ``d_e`` vector. Both backends also take a tuple of refs and give their
+    ``(N, d_e)`` stack, byte-identical to stacking the per-ref calls (an
+    empty tuple gives ``(0, d_e)``). Only callers that build their own
+    suite use the tuple form: a caller's suite may implement the per-ref
+    contract alone.
     """
 
     visual_encode: Callable[[object], np.ndarray]
@@ -390,8 +389,9 @@ class SyntheticWorld:
         """Identity and emotion of an image ref. Only the canonical
         spelling ``image_ref`` gives, with a replicate >= 0, is accepted: the
         noise is hashed from the ref string, so any other spelling of one
-        image would get an embedding of its own."""
-        parts = ref.split(":")
+        image would get an embedding of its own. A ref that is no string is
+        refused the same way."""
+        parts = ref.split(":") if isinstance(ref, str) else ()
         if len(parts) == 4 and parts[0] == "img" and parts[3].isdecimal():
             try:
                 identity, emotion = parts[1], EmotionLabel[parts[2]]
@@ -464,48 +464,51 @@ def build_synthetic_world(seed: int, config: WorldConfig | None = None) -> Synth
     return world
 
 
-def synthetic_suite(world: SyntheticWorld) -> EncoderSuite:
-    """Wrap a synthetic world as a frozen EncoderSuite.
-
-    ``visual_encode`` resolves string image refs through the world's
-    generative model and passes raw feature vectors through unchanged
-    (generated embeddings enter the supervision path this way).
-    """
+def _linear_suite(visual_one: Callable, visual_many: Callable,
+                  backbone_identity: Callable, word_tokens: Callable,
+                  token_map: np.ndarray, d_b: int) -> EncoderSuite:
+    """The EncoderSuite both backends are: ``visual_encode`` serves one ref
+    through ``visual_one`` and a tuple of refs through ``visual_many``;
+    ``tokenize`` maps a prompt's words to its tokens through ``word_tokens``;
+    and the text encoder is the position-weighted token sum mapped by the
+    ``(d_e, d_tok)`` matrix ``token_map``."""
+    d_e, d_tok = token_map.shape
 
     def visual_encode(ref):
-        if isinstance(ref, np.ndarray):
-            return as_vector(ref, dim=world.config.d_e, name="visual feature")
-        if isinstance(ref, tuple):
-            return world.visual_embeddings(ref)
-        return world.visual_embedding(ref)
-
-    def backbone_identity(ref):
-        if isinstance(ref, np.ndarray):
-            raise ContractError("identity backbone needs an image ref, not a raw vector")
-        identity, _ = world._parse_ref(ref)
-        return world.backbone_map @ world.identity_latents[world.identity_index(identity)]
+        return visual_many(ref) if isinstance(ref, tuple) else visual_one(ref)
 
     def tokenize(prompt: str) -> np.ndarray:
         words = prompt.split()
         if not words:
             raise ContractError("cannot tokenize an empty prompt")
-        return np.array([world.word_token(w) for w in words])
+        return word_tokens(words)
 
     def text_encode(tokens):
-        stack, single = _token_stack(tokens, world.config.d_tok)
-        out = _positional_sum(stack) @ world.token_map.T
+        stack, single = _token_stack(tokens, d_tok)
+        out = _positional_sum(stack) @ token_map.T
         return out[0] if single else out
 
     def text_token_vjp(tokens, index: int, upstream):
-        stack, single = _token_stack(tokens, world.config.d_tok)
-        u, weight = _token_upstream(stack, single, index, upstream, world.config.d_e)
-        out = weight * (u @ world.token_map)
+        stack, single = _token_stack(tokens, d_tok)
+        u, weight = _token_upstream(stack, single, index, upstream, d_e)
+        out = weight * (u @ token_map)
         return out[0] if single else out
 
     return EncoderSuite(visual_encode, backbone_identity, tokenize, text_encode,
-                        text_token_vjp,
-                        d_e=world.config.d_e, d_b=world.config.d_b,
-                        d_tok=world.config.d_tok)
+                        text_token_vjp, d_e=d_e, d_b=d_b, d_tok=d_tok)
+
+
+def synthetic_suite(world: SyntheticWorld) -> EncoderSuite:
+    """Wrap a synthetic world as a frozen EncoderSuite: ``visual_encode``
+    resolves image refs through the world's generative model."""
+
+    def backbone_identity(ref):
+        identity, _ = world._parse_ref(ref)
+        return world.backbone_map @ world.identity_latents[world.identity_index(identity)]
+
+    return _linear_suite(world.visual_embedding, world.visual_embeddings, backbone_identity,
+                         lambda words: np.array([world.word_token(w) for w in words]),
+                         world.token_map, world.config.d_b)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +584,9 @@ def read_feature_manifest(manifest_path: str | Path
 def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
     """A precomputed-feature manifest (``read_feature_manifest``) as an
     EncoderSuite: visual features are served by sample id, and text encoding
-    serves the stored per-emotion embedding table (prompts are reduced to
-    their emotion word). The schema carries no identity-backbone features,
+    serves the stored per-emotion embedding table (a prompt is reduced to
+    its emotion word, whose one token is that embedding, and the token map
+    is the identity). The schema carries no identity-backbone features,
     so ``backbone_identity`` raises."""
     dim, rows, text_table = read_feature_manifest(manifest_path)
     features = dict(rows)
@@ -590,37 +594,18 @@ def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
     def feature(sample_id):
         try:
             return features[sample_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable non-id
             raise KeyError(f"unknown sample id {sample_id!r}") from None
-
-    def visual_encode(ref):
-        if isinstance(ref, np.ndarray):
-            return as_vector(ref, dim=dim, name="visual feature")
-        if isinstance(ref, tuple):
-            return np.array([feature(r) for r in ref]).reshape(len(ref), dim)
-        return feature(ref)
 
     def backbone_identity(ref):
         raise ContractError("precomputed manifests carry no identity-backbone features")
 
-    def tokenize(prompt: str) -> np.ndarray:
-        words = prompt.split()
-        if not words:
-            raise ContractError("cannot tokenize an empty prompt")
+    def word_tokens(words):
         for w in words:
             if w in text_table:
                 return text_table[w][None].copy()
-        raise ContractError(f"prompt {prompt!r} names no known emotion")
+        raise ContractError(f"prompt {' '.join(words)!r} names no known emotion")
 
-    def text_encode(tokens):
-        stack, single = _token_stack(tokens, dim)
-        out = _positional_sum(stack)
-        return out[0] if single else out
-
-    def text_token_vjp(tokens, index: int, upstream):
-        stack, single = _token_stack(tokens, dim)
-        u, weight = _token_upstream(stack, single, index, upstream, dim)
-        return weight * (u[0] if single else u)
-
-    return EncoderSuite(visual_encode, backbone_identity, tokenize, text_encode,
-                        text_token_vjp, d_e=dim, d_b=dim, d_tok=dim)
+    return _linear_suite(
+        feature, lambda ids: np.array([feature(i) for i in ids]).reshape(len(ids), dim),
+        backbone_identity, word_tokens, np.eye(dim), dim)

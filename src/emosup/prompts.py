@@ -23,8 +23,8 @@ from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite
 from .errors import (ContractError, FrozenParameterError, NumericalError, canonical_json,
                      load_json_object, write_csv, write_json)
-from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, cosine_grads,
-                       cosine_with_flag, difference_loss_with_grads, init_mlp,
+from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, as_vector,
+                       cosine_grads, cosine_with_flag, difference_loss_with_grads, init_mlp,
                        mlp_backward, mlp_forward, sgd_step)
 
 MULTI = "multi"
@@ -227,8 +227,8 @@ class _FrozenEmbeddings:
     computed once, on first use, by the per-sample call:
 
     - ``visual(image_ref, emotion)``: ``project_visual`` of the ref's
-      ``visual_encode``. A raw feature vector in place of a ref is
-      projected on every call and not kept.
+      ``visual_encode``. A raw ``d_e`` feature vector in place of a ref is
+      validated and projected on every call, and not kept.
     - ``text(reference, emotion)``: ``text_encode`` of
       ``build_personalized_prompt``.
 
@@ -244,14 +244,14 @@ class _FrozenEmbeddings:
         self._text: dict[tuple[Sample, EmotionLabel], np.ndarray] = {}
 
     def visual(self, image_ref, emotion: EmotionLabel) -> np.ndarray:
-        key = (image_ref, EmotionLabel(emotion)) if isinstance(image_ref, str) else None
-        embedding = self._visual.get(key)
-        if embedding is None:
-            embedding = project_visual(self.ckpt.bank, self.suite.visual_encode(image_ref),
-                                       emotion)[0]
-            if key is not None:
-                self._visual[key] = embedding
-        return embedding
+        if not isinstance(image_ref, str):
+            vector = as_vector(image_ref, dim=self.suite.d_e, name="visual feature")
+            return project_visual(self.ckpt.bank, vector, emotion)[0]
+        key = (image_ref, EmotionLabel(emotion))
+        if key not in self._visual:
+            self._visual[key] = project_visual(self.ckpt.bank,
+                                               self.suite.visual_encode(image_ref), emotion)[0]
+        return self._visual[key]
 
     def text(self, reference: Sample, emotion: EmotionLabel) -> np.ndarray:
         key = (reference, EmotionLabel(emotion))

@@ -568,16 +568,24 @@ def test_config_values_of_the_flag_types_apply(tmp_path, corpus_dir, checkpoint_
     assert json.loads((diffs / "run.json").read_text())["flags"]["include_mismatched"]
 
 
-@pytest.mark.parametrize("payload", [[1, 2], "flags", {"command": "pretrain", "flags": [1]}])
+@pytest.mark.parametrize("payload", [[1, 2], "flags", {"command": "pretrain", "flags": [1]},
+                                     b"{nope", b"\xff{}"])
 def test_config_that_holds_no_object_of_flags_is_refused(tmp_path, corpus_dir, capsys,
                                                          payload):
+    # bytes are written as they are: a file that is not JSON, or not UTF-8
     config = tmp_path / "l.json"
-    config.write_text(json.dumps(payload))
+    config.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     out = tmp_path / "ckpt"
     assert run("pretrain", "--manifest", corpus_dir / "manifest.json",
                "--config", config, "--out", out) == 2
-    assert capsys.readouterr().err == \
-        f"error: --config {config} holds no JSON object of flags\n"
+    err = capsys.readouterr().err
+    if isinstance(payload, bytes):
+        assert err.startswith(f"error: {config}: malformed (") and err.count("\n") == 1
+    elif isinstance(payload, dict):  # a run.json whose "flags" is no object
+        assert err == f"error: --config {config} holds no JSON object of flags\n"
+    else:
+        assert err == (f"error: {config}: expected a JSON object at the top level, "
+                       f"got {type(payload).__name__}\n")
     assert not out.exists()
 
 

@@ -213,6 +213,10 @@ def test_memo_keys_an_image_by_its_projector_and_keeps_no_raw_vector(
         pe = embed_pair(ckpt, source, visual, es.EmotionLabel.happy, reference,
                         default_suite, frozen=memo)
         assert np.array_equal(pe.visual_target, projected(visual, es.EmotionLabel.happy))
+    # the suite takes refs only, so embed_pair validates a raw vector itself
+    with pytest.raises(ContractError, match=f"visual feature has dim {raw.size - 1}"):
+        embed_pair(ckpt, source, raw[:-1], es.EmotionLabel.happy, reference, default_suite,
+                   frozen=memo)
 
 
 # ---------------------------------------------------------------------------

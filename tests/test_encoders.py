@@ -109,9 +109,10 @@ def test_tokenize_prompts_differ_only_at_emotion_word(default_suite):
         assert same == (i != EMOTION_WORD_POSITION)
 
 
-def test_tokenize_empty_prompt(default_suite):
-    with pytest.raises(ContractError):
-        default_suite.tokenize("   ")
+def test_tokenize_empty_prompt(default_suite, precomputed_suite):
+    for suite in (default_suite, precomputed_suite):
+        with pytest.raises(ContractError, match="cannot tokenize an empty prompt"):
+            suite.tokenize("   ")
 
 
 def test_text_encode_zero_token_is_zero(default_suite, default_world):
@@ -496,6 +497,40 @@ def bad_stacks(d_tok):
             "nan": (nan_stack, "non-finite"),
             "inf": (inf_stack, "non-finite"),
             "nan sequence": (nan_sequence, "non-finite")}
+
+
+def test_token_vjp_is_the_adjoint_of_text_encode(any_suite, rng):
+    # the text encoder is linear, so <vjp(u, i), delta> is exactly the change
+    # of <u, encode> when delta is added at token i of every sequence
+    stack = rng.standard_normal((3, 4, any_suite.d_tok))
+    upstream = rng.standard_normal((3, any_suite.d_e))
+    delta = rng.standard_normal((3, any_suite.d_tok))
+    encoded = any_suite.text_encode(stack)
+    for i in range(stack.shape[1]):
+        moved = stack.copy()
+        moved[:, i] += delta
+        change = np.sum(upstream * (any_suite.text_encode(moved) - encoded))
+        assert abs(np.sum(any_suite.text_token_vjp(stack, i, upstream) * delta)
+                   - change) < 1e-12
+
+
+def test_visual_encode_refuses_a_raw_vector(any_suite):
+    # a suite takes refs only; embed_pair is the one caller that accepts a
+    # raw vector, and it projects the vector itself
+    vector = np.ones(any_suite.d_e)
+    for ref in (vector, (vector,)):
+        with pytest.raises(KeyError, match="unknown (image ref|sample id)"):
+            any_suite.visual_encode(ref)
+
+
+def test_the_identity_backbone_refuses_a_raw_vector(default_suite):
+    with pytest.raises(KeyError, match="unknown image ref"):
+        default_suite.backbone_identity(np.ones(default_suite.d_e))
+
+
+def test_a_precomputed_prompt_that_names_no_emotion_is_refused(precomputed_suite):
+    with pytest.raises(ContractError, match="'a photo of a face' names no known emotion"):
+        precomputed_suite.tokenize("a photo of a face")
 
 
 @pytest.mark.parametrize("case", list(bad_stacks(1)))
