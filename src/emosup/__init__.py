@@ -26,8 +26,8 @@ from .errors import (ContractError, DegenerateVectorWarning, FrozenParameterErro
 from .metrics import (FeatureSet, GaussianFit, csim, fad, fit_gaussian,
                       frechet_distance, lse_d, metric_report)
 from .numerics import (DenseLayer, MlpParams, cosine_similarity, cosine_with_flag,
-                       init_mlp, mlp_backward, mlp_forward, mlp_input_grad,
-                       psd_sqrt_trace, sgd_step)
+                       init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace,
+                       sgd_step)
 from .prompts import (AlignmentCheckpoint, EmotionProjectorBank, LossCurve,
                       TrainConfig, build_personalized_prompt, contrastive_loss,
                       pretrain_alignment, pretrain_with_difference_objective,

@@ -405,6 +405,8 @@ class SyntheticWorld:
 
 def build_synthetic_world(seed: int, config: WorldConfig | None = None) -> SyntheticWorld:
     """Build a reproducible synthetic world; same seed gives identical worlds."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     config = config or WorldConfig()
     config.validate()
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -7,8 +7,7 @@ in-place ``sgd_step``, is a pure function of its inputs. Vectors are 1-D
 arrays, matrices 2-D row-major arrays. The MLP passes and ``cosine_grads``
 also take a row-stacked ``(B, d)`` batch; a 1-D input is the B = 1 case
 and comes back 1-D. An MLP's parameters are views of one flat vector, so
-an SGD step is one in-place update of that vector. ``mlp_input_grad`` is
-the backward pass of a frozen MLP: only the gradient w.r.t. its input.
+an SGD step is one in-place update of that vector.
 """
 
 from __future__ import annotations
@@ -303,35 +302,6 @@ def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
     return (h if stacked else h[0]), MlpCache(p, inputs, preacts, stacked)
 
 
-def _upstream_rows(p: MlpParams, cache: MlpCache, upstream_grad) -> np.ndarray:
-    """Check that ``cache`` and ``upstream_grad`` belong to a forward pass of
-    ``p``; returns the upstream gradient as rows."""
-    if cache.params is not p:
-        raise ContractError("stale cache: produced by a different parameter set")
-    u = _as_rows(upstream_grad, p.out_dim, "upstream grad")
-    if cache.stacked != (np.ndim(upstream_grad) == 2) \
-            or u.shape[0] != cache.inputs[0].shape[0]:
-        raise ContractError(f"upstream grad shape {np.shape(upstream_grad)} does not "
-                            f"match the forward batch")
-    return u
-
-
-def _backward_rows(p: MlpParams, cache: MlpCache, u: np.ndarray,
-                   param_views: list | None = None) -> np.ndarray:
-    """The reverse-layer recurrence from the output rows ``u`` to the input
-    rows. With ``param_views`` (``p.views`` of a gradient vector) each
-    layer's weight and bias gradients are written into its views."""
-    for i in range(len(p.layers) - 1, -1, -1):
-        layer = p.layers[i]
-        dz = u if layer.activation == IDENTITY else u * (cache.preactivations[i] > 0.0)
-        if param_views is not None:
-            dw, db = param_views[i]
-            np.matmul(dz.T, cache.inputs[i], out=dw)
-            dz.sum(axis=0, out=db)
-        u = dz @ layer.weights
-    return u
-
-
 def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
     """Analytic gradients of ``dot(output, upstream_grad)`` w.r.t. all
     weights, biases, and the input.
@@ -341,18 +311,21 @@ def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
     row; the weight and bias gradients are then sums over the rows and the
     input gradient keeps one row per input.
     """
-    u = _upstream_rows(p, cache, upstream_grad)
+    if cache.params is not p:
+        raise ContractError("stale cache: produced by a different parameter set")
+    u = _as_rows(upstream_grad, p.out_dim, "upstream grad")
+    if cache.stacked != (np.ndim(upstream_grad) == 2) \
+            or u.shape[0] != cache.inputs[0].shape[0]:
+        raise ContractError(f"upstream grad shape {np.shape(upstream_grad)} does not "
+                            f"match the forward batch")
     vector = np.empty(p.vector.size)
-    u = _backward_rows(p, cache, u, p.views(vector))
+    for layer, (dw, db), x, z in reversed(list(zip(p.layers, p.views(vector),
+                                                   cache.inputs, cache.preactivations))):
+        dz = u if layer.activation == IDENTITY else u * (z > 0.0)
+        np.matmul(dz.T, x, out=dw)
+        dz.sum(axis=0, out=db)
+        u = dz @ layer.weights
     return MlpGrads(vector, u if cache.stacked else u[0])
-
-
-def mlp_input_grad(p: MlpParams, cache: MlpCache, upstream_grad) -> np.ndarray:
-    """``mlp_backward(p, cache, upstream_grad).input_grad``, bit for bit,
-    without computing or allocating any weight or bias gradient: the
-    backward pass through a frozen network."""
-    u = _backward_rows(p, cache, _upstream_rows(p, cache, upstream_grad))
-    return u if cache.stacked else u[0]
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:

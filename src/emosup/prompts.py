@@ -23,9 +23,9 @@ from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite
 from .errors import (ContractError, FrozenParameterError, NumericalError, canonical_json,
                      load_json_object, write_csv, write_json)
-from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, as_vector,
-                       cosine_grads, cosine_with_flag, difference_loss_with_grads, init_mlp,
-                       mlp_backward, mlp_forward, sgd_step)
+from .numerics import (IDENTITY, DenseLayer, DifferencePair, MlpGrads, MlpParams,
+                       as_vector, cosine_grads, cosine_with_flag, difference_loss_with_grads,
+                       init_mlp, mlp_backward, mlp_forward, sgd_step)
 
 MULTI = "multi"
 SINGLE_CONDITIONAL = "single_conditional"
@@ -222,6 +222,64 @@ def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
     return out, cache, net
 
 
+class ProjectorStack:
+    """A frozen checkpoint's projector bank stacked per layer: ``layers``
+    hold write-protected ``(P, out, in)`` weight and ``(P, out)`` bias
+    copies over the bank's P networks (7 in ``multi`` mode, 1 in
+    ``single_conditional``).
+
+    ``forward`` and ``input_grad`` run one gathered pass over rows that each
+    go through their own emotion's projector: per layer, one stacked
+    ``np.matmul`` against each row's own weights. Each row then equals the
+    1-D ``mlp_forward`` / ``mlp_backward(...).input_grad`` of that row, bit
+    for bit, whatever rows stand beside it.
+    """
+
+    def __init__(self, ckpt: AlignmentCheckpoint):
+        ckpt.require_frozen()
+        self.mode, self.d_e = ckpt.bank.mode, ckpt.d_e
+        nets = ckpt.bank.projectors
+        self.layers = []
+        for i, layer in enumerate(nets[0].layers):
+            weights = np.stack([net.layers[i].weights for net in nets])
+            bias = np.stack([net.layers[i].bias for net in nets])
+            weights.flags.writeable = bias.flags.writeable = False
+            self.layers.append(DenseLayer(weights, bias, layer.activation))
+
+    def forward(self, x: np.ndarray, codes: np.ndarray, for_backward: bool = False
+                ) -> tuple[np.ndarray, list | None]:
+        """Project row n of the ``(B, d_e)`` stack ``x`` through the projector
+        of emotion code ``codes[n]`` (in single_conditional mode, the one
+        network with the row's one-hot code appended).
+
+        Returns the ``(B, d_e)`` projections and, ``for_backward``, the cache
+        ``input_grad`` reads (each layer's gathered weights and
+        preactivations), else None, so no layer's gathered weights outlive it.
+        """
+        index = codes
+        if self.mode == SINGLE_CONDITIONAL:
+            x = np.concatenate([x, np.eye(len(EMOTIONS))[codes]], axis=1)
+            index = [0]  # the one network, broadcast over the rows
+        h, cache = x, [] if for_backward else None
+        for layer in self.layers:
+            weights = layer.weights[index]
+            z = np.matmul(weights, h[:, :, None])[:, :, 0] + layer.bias[index]
+            if for_backward:
+                cache.append((weights, z))
+            h = z if layer.activation == IDENTITY else np.maximum(z, 0.0)
+        return h, cache
+
+    def input_grad(self, cache: list, upstream: np.ndarray) -> np.ndarray:
+        """The gradient of each row's ``dot(projection, upstream row)`` w.r.t.
+        its ``d_e`` input row (a single_conditional one-hot block is dropped),
+        through the saved ReLU masks of a ``forward`` cache."""
+        u = upstream
+        for layer, (weights, z) in zip(reversed(self.layers), reversed(cache)):
+            dz = u if layer.activation == IDENTITY else u * (z > 0.0)
+            u = np.matmul(dz[:, None, :], weights)[:, 0, :]
+        return u[:, :self.d_e]
+
+
 class _FrozenEmbeddings:
     """Frozen-side embeddings through one frozen checkpoint and suite, each
     computed once, on first use, by the per-sample call:
@@ -293,6 +351,8 @@ class TrainConfig:
     guider_token_count: int = 1
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1 or self.steps_per_epoch < 1:
             raise ContractError("epochs, batch_size and steps_per_epoch must be >= 1")
         for name in ("lr", "decay_factor"):
@@ -404,10 +464,17 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
     return embed, backward
 
 
-def project_rows(bank: EmotionProjectorBank, x: np.ndarray, codes: np.ndarray):
-    """One stacked ``project_visual`` pass per emotion in ``codes`` over its
-    rows of the ``(B, d_e)`` stack ``x``; returns the projections and, for
-    backward passes, one ``(rows, cache, net, emotion)`` per pass."""
+def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
+                  table: _FrozenTable):
+    """One stacked ``project_visual`` pass per emotion present, each over
+    the visual embeddings of that emotion's samples.
+
+    Returns the ``(B, d_e)`` projections and ``backward(upstream, grads)``,
+    which adds each pass's projector gradients into ``grads``, the
+    ``ckpt.split`` views of a gradient vector.
+    """
+    x = np.stack([table.visual[s.id] for s in samples])
+    codes = np.array([int(s.emotion) for s in samples])
     out = np.empty((len(x), bank.projectors[0].out_dim))
     passes = []
     for emotion in EMOTIONS:
@@ -415,19 +482,6 @@ def project_rows(bank: EmotionProjectorBank, x: np.ndarray, codes: np.ndarray):
         if rows.size:
             out[rows], cache, net = project_visual(bank, x[rows], emotion)
             passes.append((rows, cache, net, emotion))
-    return out, passes
-
-
-def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
-                  table: _FrozenTable):
-    """``project_rows`` over the samples' visual embeddings and emotions.
-
-    Returns the ``(B, d_e)`` projections and ``backward(upstream, grads)``,
-    which adds each pass's projector gradients into ``grads``, the
-    ``ckpt.split`` views of a gradient vector.
-    """
-    out, passes = project_rows(bank, np.stack([table.visual[s.id] for s in samples]),
-                               np.array([int(s.emotion) for s in samples]))
 
     def backward(upstream: np.ndarray, grads: list[np.ndarray]) -> None:
         for rows, cache, net, emotion in passes:

@@ -18,9 +18,9 @@ from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError, write_csv
 from .numerics import (DifferencePair, MlpParams, as_same_rows, cosine_with_flag,
                        difference_loss_with_grads, init_mlp, mlp_backward,
-                       mlp_forward, mlp_input_grad, sgd_step)
-from .prompts import (AlignmentCheckpoint, EmotionProjectorBank, _frozen_table,
-                      _personalized_rows, project_rows, project_visual)
+                       mlp_forward, sgd_step)
+from .prompts import (AlignmentCheckpoint, ProjectorStack, _frozen_table,
+                      _personalized_rows, project_visual)
 
 # Baseline-specific default weights for the difference-regularizer term.
 DEFAULT_LAMBDAS = {"ned": 0.4, "icface": 0.05, "sserd": 0.2, "toy": 0.4}
@@ -106,6 +106,8 @@ class DemoConfig:
     hidden: tuple[int, ...] = (96,)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 1 or self.batch_size < 1:
             raise ContractError("steps and batch_size must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -174,17 +176,25 @@ class DemoReport:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# source rows per gathered projector pass when the demo builds its tables
+_SOURCE_BLOCK = 16
+
+
 class _DemoContext:
     """Precomputed frozen-side tables for the demo runs.
 
     During generator training the checkpoint and encoders never change,
     so source visual embeddings, their projections, all personalized
     prompt embeddings and the clean targets are constants; only the
-    generated side moves. Pre-training's batched passes build them:
-    ``_frozen_table``, ``project_rows`` and one ``_personalized_rows`` pass
-    over every (reference, emotion) pair. Each table is an array indexed
-    by sample row (``row[sample.id]``), or by reference and identity row;
-    ``gather`` reads one step's batch out of them with index arrays.
+    generated side moves. Batched passes build them: the training run's
+    ``_frozen_table``, one ``_personalized_rows`` pass over every
+    (reference, emotion) pair, and gathered passes of the sources, in
+    blocks of ``_SOURCE_BLOCK`` rows, through ``projectors``: the
+    checkpoint's bank stacked once per context (``ProjectorStack``), which
+    every step's ``L2`` reads too. Each table
+    is an array indexed by sample row (``row[sample.id]``), or by reference
+    and identity row; ``gather`` reads one step's batch out of them with
+    index arrays.
     """
 
     def __init__(self, manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
@@ -203,7 +213,13 @@ class _DemoContext:
         references = [manifest.by_id(ref) for ref in self.references]
         table = _frozen_table(samples, references, suite)
         self.visual = np.stack([table.visual[s.id] for s in samples])
-        self.projected_source, _ = project_rows(ckpt.bank, self.visual, self.emotion)
+        self.projectors = ProjectorStack(ckpt)
+        # the gather copies each row's weights (96 KB at d_e = 64), so the
+        # sources go through in blocks; a row's result does not depend on its block
+        self.projected_source = np.concatenate([
+            self.projectors.forward(self.visual[i:i + _SOURCE_BLOCK],
+                                    self.emotion[i:i + _SOURCE_BLOCK])[0]
+            for i in range(0, len(samples), _SOURCE_BLOCK)])
         embed, _ = _personalized_rows(ckpt, [r for r in references for _ in EMOTIONS],
                                       table, suite)
         self.prompts = embed(list(EMOTIONS) * len(references))[0].reshape(
@@ -233,30 +249,27 @@ class _DemoBatch:
     targets: np.ndarray           # the B target emotion codes
 
 
-def _l2_grad_on_generated(bank: EmotionProjectorBank, batch: _DemoBatch,
+def _l2_grad_on_generated(projectors: ProjectorStack, batch: _DemoBatch,
                           generated: np.ndarray, with_grad: bool = True
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Difference losses of one run's ``(B, d_e)`` generated stack against
     its batch, and their gradient w.r.t. the stack, through the frozen
-    projector of each row's target emotion: one ``project_rows`` pass over
-    this run's rows, and an input-only backward pass (``mlp_input_grad``)
-    per target emotion present.
+    projector of each row's target emotion: one gathered forward pass over
+    all rows, then one gathered input-only backward pass. Every step works
+    row by row, so a row's loss and gradient do not depend on the other
+    rows of the batch.
 
     Without ``with_grad`` only the losses are computed and the gradient is
-    zeros: the backward passes through the frozen projectors are skipped.
+    zeros: the backward pass through the frozen projectors is skipped.
     """
-    d_e = generated.shape[1]
-    visual_gen, passes = project_rows(bank, generated, batch.targets)
+    visual_gen, cache = projectors.forward(generated, batch.targets, with_grad)
     # zero-norm rows are found by the loss: loss 1, zero gradient
     losses, d_vis_diff, _ = difference_loss_with_grads(
         DifferencePair(batch.projected_source - visual_gen, batch.text_diff))
-    grad = np.zeros_like(generated)
-    if with_grad:
-        for rows, cache, net, _ in passes:
-            # visual_diff = projected_source - visual_gen, so d/d visual_gen is
-            # -d_vis_diff; [:, :d_e] drops a single_conditional one-hot block
-            grad[rows] = mlp_input_grad(net, cache, -d_vis_diff[rows])[:, :d_e]
-    return losses, grad
+    if not with_grad:
+        return losses, np.zeros_like(generated)
+    # visual_diff = projected_source - visual_gen, so d/d visual_gen is -d_vis_diff
+    return losses, projectors.input_grad(cache, -d_vis_diff)
 
 
 # the target emotion codes a source of each emotion may be paired with, in
@@ -309,7 +322,7 @@ def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[fl
             out, cache = gen.generate(batch.visual, targets)
             base_vals, base_grad = base_loss(out, batch.truth)
             if lam.value != 0 or in_tail:
-                l2_vals, l2_grad = _l2_grad_on_generated(ctx.ckpt.bank, batch, out,
+                l2_vals, l2_grad = _l2_grad_on_generated(ctx.projectors, batch, out,
                                                          with_grad=lam.value != 0)
                 l2_hist.append(float(np.sum(l2_vals)) / len(targets))
             else:

@@ -349,15 +349,15 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
     monkeypatch.setattr(pr, "build_personalized_prompt", refused)
     ctx = sv._DemoContext(default_manifest, ckpt, default_suite, default_world)
     monkeypatch.undo()
-    # one stacked projector pass per emotion, none per sample
-    assert stacks == [2] * len(EMOTIONS)
+    # the sources go through the bank's gathered passes, none per sample
+    assert stacks == []
     assert ctx.prompts.shape == (len(ctx.references), len(EMOTIONS), default_suite.d_e)
     for i, sample in enumerate(default_manifest.samples):
         visual = default_suite.visual_encode(sample.image_ref)
         assert np.array_equal(ctx.visual[i], visual)
-        np.testing.assert_allclose(ctx.projected_source[i],
-                                   pr.project_visual(ckpt.bank, visual, sample.emotion)[0],
-                                   rtol=1e-12, atol=1e-15)
+        # the gathered pass equals the per-sample projection bit for bit
+        assert np.array_equal(ctx.projected_source[i],
+                              pr.project_visual(ckpt.bank, visual, sample.emotion)[0])
         assert ctx.references[ctx.reference[i]] == sample.neutral_ref
     for r, ref in enumerate(ctx.references):
         reference = default_manifest.by_id(ref)
@@ -406,17 +406,48 @@ def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_context)
     ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY)
     train = default_manifest.in_split("train")
     sources = [s for s in train if s.identity == DEGENERATE_IDENTITY][:1] + train[-5:]
-    targets = [EMOTIONS[(int(s.emotion) + 1) % len(EMOTIONS)] for s in sources]
+    rows = np.array([ctx.row[s.id] for s in sources])
     generated = np.random.default_rng(0).standard_normal((len(sources), ctx.suite.d_e))
-    batch = ctx.gather(np.array([ctx.row[s.id] for s in sources]),
-                       np.array([int(t) for t in targets]))
-    losses, grad = sv._l2_grad_on_generated(ctx.ckpt.bank, batch, generated)
-    for i, (source, target) in enumerate(zip(sources, targets)):
-        ref_loss, ref_grad = l2_grad_per_entry(ctx, source, generated[i], target, True)
-        assert losses[i] == pytest.approx(ref_loss, rel=1e-12)
-        np.testing.assert_allclose(grad[i], ref_grad, rtol=1e-12, atol=1e-15)
-    assert losses[0] == 1.0 and not grad[0].any()
-    assert grad[1:].any(axis=1).all()
+    mixed = np.array([(int(s.emotion) + 1) % len(EMOTIONS) for s in sources])
+    assert 1 in np.bincount(mixed)  # one target emotion holds a single row
+    happy = int(es.EmotionLabel.happy)
+    assert all(s.emotion != happy for s in sources)
+    for targets in (mixed, np.full(len(sources), happy)):
+        batch = ctx.gather(rows, targets)
+        losses, grad = sv._l2_grad_on_generated(ctx.projectors, batch, generated)
+        for i, (source, target) in enumerate(zip(sources, targets)):
+            ref_loss, ref_grad = l2_grad_per_entry(ctx, source, generated[i],
+                                                   EMOTIONS[target], True)
+            assert losses[i] == pytest.approx(ref_loss, rel=1e-12)
+            np.testing.assert_allclose(grad[i], ref_grad, rtol=1e-12, atol=1e-15)
+            # a row's result does not depend on the rows beside it
+            alone = sv._l2_grad_on_generated(ctx.projectors,
+                                             ctx.gather(rows[i:i + 1], targets[i:i + 1]),
+                                             generated[i:i + 1])
+            assert np.array_equal(alone[0], losses[i:i + 1])
+            assert np.array_equal(alone[1], grad[i:i + 1])
+        assert losses[0] == 1.0 and not grad[0].any()
+        assert grad[1:].any(axis=1).all()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_projector_stack_is_a_read_only_copy_of_a_frozen_bank(default_suite, mode):
+    config = es.TrainConfig(projector_mode=mode)
+    ckpt = pr._fresh_checkpoint(default_suite, config, np.random.default_rng(5))
+    with pytest.raises(es.ContractError, match="frozen"):
+        pr.ProjectorStack(ckpt)
+    stack = pr.ProjectorStack(ckpt.freeze())
+    nets = ckpt.bank.projectors
+    assert len(stack.layers) == len(nets[0].layers)
+    for i, layer in enumerate(stack.layers):
+        assert np.array_equal(layer.weights, [net.layers[i].weights for net in nets])
+        assert np.array_equal(layer.bias, [net.layers[i].bias for net in nets])
+        assert layer.activation == nets[0].layers[i].activation
+        for array in (layer.weights, layer.bias):
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, ckpt.vector)
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

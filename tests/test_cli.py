@@ -740,12 +740,15 @@ REJECTED = [
     ("gen-corpus", ["--identities", 1], "need at least 2 identities"),
     ("gen-corpus", ["--d-e", 0], "d_e must be positive, got 0"),
     ("gen-corpus", ["--per-emotion", 0], "per_identity_per_emotion must be >= 1"),
+    ("gen-corpus", ["--seed", -1], "seed must be >= 0, got -1"),
     ("pretrain", ["--lr", "nan"], "lr must be finite and positive"),
     ("pretrain", ["--epochs", 0], "epochs, batch_size and steps_per_epoch must be >= 1"),
     ("pretrain", ["--manifest", MISSING], "No such file"),
     ("pretrain", ["--pools", MISSING], "No such file"),
     ("pretrain", ["--projector-mode", "bogus"], "unknown projector mode"),
+    ("pretrain", ["--seed", -1], "seed must be >= 0, got -1"),
     ("pretrain-diff-ablation", ["--momentum", 1], "momentum must lie in [0, 1)"),
+    ("pretrain-diff-ablation", ["--seed", -1], "seed must be >= 0, got -1"),
     ("analyze-gap", ["--manifest", MISSING], "No such file"),
     ("derive-pools", ["--k", 6], "k must lie in [0, 5], got 6"),
     ("derive-pools", ["--k", 1, "--matrix", MISSING], "No such file"),
@@ -759,12 +762,14 @@ REJECTED = [
     ("supervise-demo", ["--lambda", -1], "lambda must be finite and >= 0"),
     ("supervise-demo", ["--checkpoint", MISSING], "No such file"),
     ("supervise-demo", ["--baseline", "bogus"], "unknown baseline tag 'bogus'"),
+    ("supervise-demo", ["--seed", -1], "seed must be >= 0, got -1"),
     ("sweep-lambda", ["--hidden", "0"], "hidden widths must be >= 1, got 0"),
     ("sweep-lambda", ["--hidden=-3"], "hidden widths must be >= 1, got -3"),
     ("sweep-lambda", ["--steps", 0], "steps and batch_size must be >= 1"),
     ("sweep-lambda", ["--grid", "0,-0.4"], "lambda must be finite and >= 0"),
     ("sweep-lambda", ["--grid", "0,nan"], "lambda must be finite and >= 0"),
     ("sweep-lambda", ["--grid", ","], "lambda grid must be non-empty"),
+    ("sweep-lambda", ["--seed", -1], "seed must be >= 0, got -1"),
     ("export-diffs", ["--checkpoint", MISSING], "No such file"),
 ]
 

@@ -8,9 +8,11 @@ from emosup.emotions import EMOTIONS
 from emosup.errors import ContractError, DegenerateVectorWarning, NumericalError
 from emosup.numerics import (IDENTITY, RELU, DenseLayer, MlpParams, cosine_grads,
                              cosine_similarity, cosine_with_flag, identity_mlp,
-                             init_mlp, mlp_backward, mlp_forward, mlp_input_grad,
-                             psd_sqrt_trace, sgd_step)
-from emosup.prompts import SINGLE_CONDITIONAL, build_projector_bank, project_visual
+                             init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace,
+                             sgd_step)
+from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, AlignmentCheckpoint,
+                            EmotionProjectorBank, ProjectorStack, build_projector_bank,
+                            project_visual)
 
 
 def random_psd(rng, d):
@@ -238,43 +240,51 @@ def test_backward_stale_cache_rejected(rng):
         mlp_backward(q, cache, np.zeros(3))
 
 
+def frozen_checkpoint(rng, d_e, mode, activation=RELU):
+    """A frozen checkpoint whose projectors' hidden layers use ``activation``."""
+    bank = build_projector_bank(d_e, mode, rng)
+    nets = [MlpParams([DenseLayer(l.weights, l.bias, activation) for l in p.layers[:-1]]
+                      + p.layers[-1:]) for p in bank.projectors]
+    return AlignmentCheckpoint(init_mlp([3, 3, 2], rng), EmotionProjectorBank(mode, nets),
+                               d_e, 3, 2, 1).freeze()
+
+
+def gathered_pass(ckpt, x, codes, u):
+    stack = ProjectorStack(ckpt)
+    out, cache = stack.forward(x, codes, for_backward=True)
+    return out, stack.input_grad(cache, u)
+
+
 @pytest.mark.parametrize("activation", [RELU, IDENTITY])
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (7, 5)])
 def test_input_grad_equals_backward_input_grad(rng, activation, shape):
-    layers = init_mlp([5, 6, 4, 3], rng).layers  # relu hidden layers
-    p = MlpParams([DenseLayer(l.weights, l.bias, activation) for l in layers[:-1]]
-                  + layers[-1:])
-    p.freeze()
-    _, cache = mlp_forward(p, rng.standard_normal(shape))
-    u = rng.standard_normal(shape[:-1] + (3,))
-    expected = mlp_backward(p, cache, u).input_grad
-    got = mlp_input_grad(p, cache, u)
-    assert got.shape == expected.shape == shape
-    assert np.array_equal(got, expected)
+    # the gathered pass through a frozen bank gives each row the 1-D
+    # mlp_forward output and mlp_backward input gradient of its own
+    # projector, bit for bit; a 1-D shape is fed as the one-row batch
+    ckpt = frozen_checkpoint(rng, shape[-1], MULTI, activation)
+    x = np.atleast_2d(rng.standard_normal(shape))
+    codes = rng.integers(0, len(EMOTIONS), len(x))
+    u = rng.standard_normal(x.shape)
+    out, got = gathered_pass(ckpt, x, codes, u)
+    assert out.shape == got.shape == x.shape
+    for row, code in enumerate(codes):
+        net = ckpt.bank.projectors[code]
+        expected_out, cache = mlp_forward(net, x[row])
+        assert np.array_equal(out[row], expected_out)
+        assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad)
 
 
 def test_input_grad_of_a_single_conditional_projector(rng):
-    bank = build_projector_bank(8, SINGLE_CONDITIONAL, rng)
-    for visual in (rng.standard_normal(8), rng.standard_normal((6, 8))):
-        for emotion in EMOTIONS:
-            out, cache, net = project_visual(bank, visual, emotion)
-            u = rng.standard_normal(out.shape)
-            expected = mlp_backward(net, cache, u).input_grad
-            assert np.array_equal(mlp_input_grad(net, cache, u), expected)
-
-
-def test_input_grad_rejects_what_backward_rejects(rng):
-    p = init_mlp([3, 4, 2], rng)
-    q = init_mlp([3, 4, 2], rng)
-    _, cache = mlp_forward(p, rng.standard_normal((4, 3)))
-    for net, upstream in ((q, np.zeros((4, 2))),      # stale cache
-                          (p, np.zeros((3, 2))),      # row-count mismatch
-                          (p, np.zeros(2))):          # 1-D after a stacked pass
-        with pytest.raises(ContractError) as backward_error:
-            mlp_backward(net, cache, upstream)
-        with pytest.raises(ContractError) as input_grad_error:
-            mlp_input_grad(net, cache, upstream)
-        assert str(input_grad_error.value) == str(backward_error.value)
+    ckpt = frozen_checkpoint(rng, 8, SINGLE_CONDITIONAL)
+    for codes in (np.array([3]), np.arange(len(EMOTIONS)), rng.integers(0, 7, 9)):
+        x = rng.standard_normal((len(codes), 8))
+        u = rng.standard_normal(x.shape)
+        out, got = gathered_pass(ckpt, x, codes, u)
+        for row, code in enumerate(codes):
+            expected_out, cache, net = project_visual(ckpt.bank, x[row], EMOTIONS[code])
+            assert np.array_equal(out[row], expected_out)
+            # the input gradient w.r.t. the one-hot block is dropped
+            assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:8])
 
 
 # ---------------------------------------------------------------------------

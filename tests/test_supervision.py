@@ -235,27 +235,26 @@ def test_lambda_zero_row_unchanged_without_the_frozen_backward(demo_env, monkeyp
 def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypatch):
     manifest, _, _, _, ctx = demo_env
     cfg = es.DemoConfig(seed=12, **TINY)
-    calls = {"frozen": 0, "trainable": 0, "input_grad": 0}
-    backward, input_grad = sv.mlp_backward, sv.mlp_input_grad
+    calls = {"frozen": 0, "trainable": 0, "gathered": 0}
+    backward, input_grad = sv.mlp_backward, sv.ProjectorStack.input_grad
 
     def counting_backward(p, cache, upstream):
         calls["trainable" if p.layers[0].weights.flags.writeable else "frozen"] += 1
         return backward(p, cache, upstream)
 
-    def counting_input_grad(p, cache, upstream):
-        assert not p.layers[0].weights.flags.writeable
-        calls["input_grad"] += 1
-        return input_grad(p, cache, upstream)
+    def counting_input_grad(stack, cache, upstream):
+        assert not any(l.weights.flags.writeable for l in stack.layers)
+        calls["gathered"] += 1
+        return input_grad(stack, cache, upstream)
 
     monkeypatch.setattr(sv, "mlp_backward", counting_backward)
-    monkeypatch.setattr(sv, "mlp_input_grad", counting_input_grad)
+    monkeypatch.setattr(sv.ProjectorStack, "input_grad", counting_input_grad)
     sv._demo_rows(manifest, ctx, [0.0], cfg, sv.squared_error_loss)
     # one generator backward per step over the stacked batch
-    assert calls == {"frozen": 0, "trainable": cfg.steps, "input_grad": 0}
+    assert calls == {"frozen": 0, "trainable": cfg.steps, "gathered": 0}
     sv._demo_rows(manifest, ctx, [0.4], cfg, sv.squared_error_loss)
-    assert calls["frozen"] == 0 and calls["trainable"] == 2 * cfg.steps
-    # at least one frozen pass per step, one per target emotion in the batch
-    assert calls["input_grad"] >= cfg.steps
+    # one gathered backward pass through the frozen bank per step
+    assert calls == {"frozen": 0, "trainable": 2 * cfg.steps, "gathered": cfg.steps}
 
 
 @pytest.mark.parametrize("steps", [1, 7, 25])
