@@ -4,15 +4,16 @@ square-root trace behind the Frechet metric."""
 
 import numpy as np
 
-from emosup.numerics import (cosine_similarity, init_mlp, mlp_backward,
+from emosup.numerics import (cosine_with_flag, init_mlp, mlp_backward,
                              mlp_forward, psd_sqrt_trace, sgd_step)
 
 rng = np.random.default_rng(0)
 
-print("== cosine similarity ==")
-print("parallel      :", cosine_similarity([1, 0], [2, 0]))
-print("orthogonal    :", cosine_similarity([1, 0], [0, 1]))
-print("[1,2] vs [2,1]:", cosine_similarity([1, 2], [2, 1]))
+print("== cosine similarity: (cosine, degenerate) ==")
+print("parallel      :", cosine_with_flag([1, 0], [2, 0]))
+print("orthogonal    :", cosine_with_flag([1, 0], [0, 1]))
+print("[1,2] vs [2,1]:", cosine_with_flag([1, 2], [2, 1]))
+print("zero vector   :", cosine_with_flag([0, 0], [1, 2]))
 
 print("\n== MLP with analytic gradients ==")
 net = init_mlp([6, 8, 4], rng)

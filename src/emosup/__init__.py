@@ -21,19 +21,17 @@ from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import (EncoderSuite, SyntheticWorld, WorldConfig, build_synthetic_world,
                        load_precomputed_features, read_feature_file,
                        read_feature_manifest, synthetic_suite, write_feature_file)
-from .errors import (ContractError, DegenerateVectorWarning, FrozenParameterError,
-                     GenerationError, NumericalError)
+from .errors import ContractError, GenerationError, NumericalError
 from .metrics import (FeatureSet, GaussianFit, csim, fad, fit_gaussian,
                       frechet_distance, lse_d, metric_report)
-from .numerics import (DenseLayer, MlpParams, cosine_similarity, cosine_with_flag,
-                       init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace,
-                       sgd_step)
+from .numerics import (DenseLayer, MlpParams, contrastive_loss_with_grads,
+                       cosine_with_flag, init_mlp, mlp_backward, mlp_forward,
+                       psd_sqrt_trace, sgd_step)
 from .prompts import (AlignmentCheckpoint, EmotionProjectorBank, LossCurve,
-                      TrainConfig, build_personalized_prompt, contrastive_loss,
-                      pretrain_alignment, pretrain_with_difference_objective,
-                      retrieval_accuracy)
-from .supervision import (DEFAULT_LAMBDAS, DemoConfig, DemoReport, LambdaConfig,
-                          lambda_for_baseline, squared_error_loss, supervise_demo,
-                          sweep_lambda, total_loss)
+                      TrainConfig, build_personalized_prompt, pretrain_alignment,
+                      pretrain_with_difference_objective, retrieval_accuracy)
+from .supervision import (DEFAULT_LAMBDAS, DemoConfig, DemoReport, DifferenceRegularizer,
+                          LambdaConfig, lambda_for_baseline, squared_error_loss,
+                          supervise_demo, sweep_lambda, total_loss)
 
 __version__ = "0.1.0"

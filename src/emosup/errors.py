@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit, the one writer of
+"""Exception types shared across the toolkit, the one writer of
 each output format (CSV, JSON) and the one reader of JSON input files."""
 
 from __future__ import annotations
@@ -21,15 +21,6 @@ class NumericalError(ArithmeticError):
 
 class GenerationError(RuntimeError):
     """Synthetic-world construction failed (e.g. rank-deficient mixing map)."""
-
-
-class FrozenParameterError(RuntimeError):
-    """Attempted update of a frozen checkpoint's parameters."""
-
-
-class DegenerateVectorWarning(UserWarning):
-    """A (near-)zero-norm vector entered a similarity computation; the
-    convention sim = 0 was applied instead of producing NaN."""
 
 
 def canonical_json(value) -> str:

@@ -1,13 +1,14 @@
-"""Dense linear algebra primitives: cosine similarity, small MLPs with
-analytic gradients, SGD updates, and the PSD square-root trace term used
-by Frechet-style distances.
+"""Dense linear algebra primitives: cosine similarity, the contrastive
+(``L1``) and difference (``L2``) losses with their gradients, small MLPs
+with analytic gradients, SGD updates, and the PSD square-root trace term
+used by Frechet-style distances.
 
 Everything here operates on float64 numpy arrays and, apart from the
 in-place ``sgd_step``, is a pure function of its inputs. Vectors are 1-D
-arrays, matrices 2-D row-major arrays. The MLP passes and ``cosine_grads``
-also take a row-stacked ``(B, d)`` batch; a 1-D input is the B = 1 case
-and comes back 1-D. An MLP's parameters are views of one flat vector, so
-an SGD step is one in-place update of that vector.
+arrays, matrices 2-D row-major arrays. The MLP passes, ``cosine_grads``
+and the losses also take a row-stacked ``(B, d)`` batch; a 1-D input is
+the B = 1 case and comes back 1-D. An MLP's parameters are views of one
+flat vector, so an SGD step is one in-place update of that vector.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateVectorWarning, NumericalError
+from .errors import ContractError, NumericalError
 
 EPS_NORM = 1e-12
 
@@ -64,15 +65,6 @@ def cosine_with_flag(a, b) -> tuple[float, bool]:
     if na < EPS_NORM or nb < EPS_NORM:
         return 0.0, True
     return float(np.dot(a, b) / (na * nb)), False
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine similarity in [-1, 1]; degenerate inputs yield 0 plus a warning."""
-    sim, degenerate = cosine_with_flag(a, b)
-    if degenerate:
-        warnings.warn("zero-norm vector in cosine similarity, returning 0",
-                      DegenerateVectorWarning, stacklevel=2)
-    return sim
 
 
 def _as_rows(x, dim: int | None, name: str) -> np.ndarray:
@@ -143,6 +135,21 @@ def difference_loss_with_grads(dp: DifferencePair
     """
     d_vis, d_txt, sim, _ = cosine_grads(dp.visual_diff, dp.text_diff)
     return 1.0 - sim, -d_vis, -d_txt
+
+
+def contrastive_loss_with_grads(t_pos, t_neg, i_vis
+                                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """The loss ``L1 = (1 - cosine(t_pos, i_vis)) + cosine(t_neg, i_vis)``, in
+    [-1, 3], plus its gradients w.r.t. ``t_pos``, ``t_neg`` and ``i_vis``.
+
+    ``(B, d)`` stacks give the B row losses and row-stacked gradients; 1-D
+    inputs are the B = 1 case and give a float. A zero-norm input makes
+    each cosine it enters 0, with zero gradients, as in ``cosine_grads``.
+    """
+    d_tpos, d_ivis_pos, sim_pos, _ = cosine_grads(t_pos, i_vis)
+    d_tneg, d_ivis_neg, sim_neg, _ = cosine_grads(t_neg, i_vis)
+    return (1.0 - sim_pos) + sim_neg, -d_tpos, d_tneg, d_ivis_neg - d_ivis_pos
 
 
 @dataclass
@@ -247,16 +254,6 @@ def init_mlp(dims: list[int], rng: np.random.Generator) -> MlpParams:
         b = np.zeros(dims[i + 1])
         act = RELU if i < len(dims) - 2 else IDENTITY
         layers.append(DenseLayer(w, b, act))
-    return MlpParams(layers)
-
-
-def identity_mlp(dim: int, depth: int = 1, activation: str = IDENTITY) -> MlpParams:
-    """Square identity-weight MLP (passthrough for identity activation, or for
-    nonnegative inputs under relu hidden layers)."""
-    layers = []
-    for i in range(depth):
-        act = activation if i < depth - 1 else IDENTITY
-        layers.append(DenseLayer(np.eye(dim), np.zeros(dim), act))
     return MlpParams(layers)
 
 

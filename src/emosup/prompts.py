@@ -10,7 +10,6 @@ emotion-centric embeddings. Everything else stays frozen.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,11 +20,12 @@ from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
                      PairDraw, Sample, sample_contrastive_batch, sample_pair_batch)
 from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
 from .encoders import EncoderSuite
-from .errors import (ContractError, FrozenParameterError, NumericalError, canonical_json,
-                     load_json_object, write_csv, write_json)
-from .numerics import (IDENTITY, DenseLayer, DifferencePair, MlpGrads, MlpParams,
-                       as_vector, cosine_grads, cosine_with_flag, difference_loss_with_grads,
-                       init_mlp, mlp_backward, mlp_forward, sgd_step)
+from .errors import (ContractError, NumericalError, canonical_json, load_json_object,
+                     write_csv, write_json)
+from .numerics import (IDENTITY, RELU, DenseLayer, DifferencePair, MlpGrads, MlpParams,
+                       as_vector, contrastive_loss_with_grads, cosine_with_flag,
+                       difference_loss_with_grads, init_mlp, mlp_backward, mlp_forward,
+                       sgd_step)
 
 MULTI = "multi"
 SINGLE_CONDITIONAL = "single_conditional"
@@ -86,8 +86,7 @@ class AlignmentCheckpoint:
     in-place update of the vector trains them all. Build a new checkpoint
     (``dataclasses.replace``) to swap a network. Once frozen the vector
     and every view of it are write-protected: the step functions still
-    compute gradients on it, but ``sgd_step`` raises numpy's ValueError, and
-    ``require_trainable`` raises FrozenParameterError.
+    compute gradients on it, but ``sgd_step`` raises numpy's ValueError.
     """
 
     guider_head: MlpParams
@@ -127,10 +126,6 @@ class AlignmentCheckpoint:
         if not self.frozen:
             raise ContractError("checkpoint must be frozen for inference use")
 
-    def require_trainable(self) -> None:
-        if self.frozen:
-            raise FrozenParameterError("checkpoint is frozen; parameters are immutable")
-
     def all_params(self) -> list[MlpParams]:
         return [self.guider_head] + list(self.bank.projectors)
 
@@ -165,11 +160,18 @@ class AlignmentCheckpoint:
                                    dims["token_count"], metadata=dict(d["metadata"]))
         head = guider_head_dims(ckpt.d_b, ckpt.d_tok, ckpt.token_count)
         projector = projector_dims(ckpt.d_e, ckpt.bank.mode)
-        for name, net, (d_in, *_, d_out) in [("guider head", ckpt.guider_head, head)] + [
+        # each network must be the chain init_mlp builds for its dims
+        for name, net, want in [("guider head", ckpt.guider_head, head)] + [
                 (f"projector {i}", p, projector) for i, p in enumerate(ckpt.bank.projectors)]:
-            if (net.in_dim, net.out_dim) != (d_in, d_out):
-                raise ContractError(f"checkpoint {name} maps {net.in_dim} -> {net.out_dim}, "
-                                    f"but its dims {dims} need {d_in} -> {d_out}")
+            widths = [net.in_dim] + [layer.out_dim for layer in net.layers]
+            activations = [layer.activation for layer in net.layers]
+            want_activations = [RELU] * (len(want) - 2) + [IDENTITY]
+            if (widths, activations) != (want, want_activations):
+                raise ContractError(
+                    f"checkpoint {name} maps {net.in_dim} -> {net.out_dim}, through "
+                    f"widths {widths} with activations {activations}, but its dims "
+                    f"{dims} need {want[0]} -> {want[-1]}, through widths {want} "
+                    f"with activations {want_activations}")
         return ckpt.freeze()
 
     def content_hash(self) -> str:
@@ -319,17 +321,6 @@ class _FrozenEmbeddings:
         return self._text[key]
 
 
-def contrastive_loss(t_pos: np.ndarray, t_neg: np.ndarray, i_vis: np.ndarray) -> float:
-    """(1 - sim(positive text, visual)) + sim(negative text, visual).
-
-    Ranges over [-1, 3]; zero-norm inputs make the affected similarity
-    term 0 under the degenerate-input convention.
-    """
-    sim_pos, _ = cosine_with_flag(t_pos, i_vis)
-    sim_neg, _ = cosine_with_flag(t_neg, i_vis)
-    return (1.0 - sim_pos) + sim_neg
-
-
 @dataclass
 class TrainConfig:
     """Pre-training hyperparameters.
@@ -388,13 +379,6 @@ class LossCurve:
 
     def save_csv(self, path: str | Path) -> None:
         write_csv(path, ["epoch", "step", "loss", "lr"], self.records)
-
-    @staticmethod
-    def load_csv(path: str | Path) -> "LossCurve":
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
-        return LossCurve([(int(r["epoch"]), int(r["step"]), float(r["loss"]),
-                           float(r["lr"])) for r in rows])
 
 
 def _fresh_checkpoint(suite: EncoderSuite, config: TrainConfig,
@@ -511,13 +495,11 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
     t_neg, stack_neg = embed([e.negative_prompt for e in entries])
     i_vis, projector_backward = _project_rows(ckpt.bank, anchors, table)
 
-    d_tpos, d_ivis_pos, sim_pos, _ = cosine_grads(t_pos, i_vis)
-    d_tneg, d_ivis_neg, sim_neg, _ = cosine_grads(t_neg, i_vis)
-    # d loss / d t_pos = -d sim_pos, d loss / d t_neg = +d sim_neg
-    grads[0] += head_backward([(stack_pos, -scale * d_tpos),
+    losses, d_tpos, d_tneg, d_ivis = contrastive_loss_with_grads(t_pos, t_neg, i_vis)
+    grads[0] += head_backward([(stack_pos, scale * d_tpos),
                                (stack_neg, scale * d_tneg)]).vector
-    projector_backward(scale * (d_ivis_neg - d_ivis_pos), grads)
-    return float(np.sum((1.0 - sim_pos) + sim_neg)) * scale, grad
+    projector_backward(scale * d_ivis, grads)
+    return float(np.sum(losses)) * scale, grad
 
 
 def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],

@@ -1,6 +1,6 @@
-"""Composite supervision: the total objective around an opaque base loss,
-plus a desk-scale generator demo showing the supervisory effect of the
-difference regularizer."""
+"""Composite supervision: the difference regularizer as a plug-in object
+for any generator, the total objective around an opaque base loss, and a
+desk-scale generator demo showing the regularizer's supervisory effect."""
 
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from .corpus import TRAIN, VAL, CorpusManifest
 from .emotions import EMOTIONS
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError, write_csv
-from .numerics import (DifferencePair, MlpParams, as_same_rows, cosine_with_flag,
-                       difference_loss_with_grads, init_mlp, mlp_backward,
-                       mlp_forward, sgd_step)
+from .numerics import (DifferencePair, MlpParams, as_matrix, as_same_rows,
+                       cosine_with_flag, difference_loss_with_grads, init_mlp,
+                       mlp_backward, mlp_forward, sgd_step)
 from .prompts import (AlignmentCheckpoint, ProjectorStack, _frozen_table,
                       _personalized_rows, project_visual)
 
@@ -176,40 +176,53 @@ class DemoReport:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# source rows per gathered projector pass when the demo builds its tables
+# source rows per gathered projector pass when the regularizer builds its tables
 _SOURCE_BLOCK = 16
 
 
-class _DemoContext:
-    """Precomputed frozen-side tables for the demo runs.
+def _index_array(x, bound: int, name: str) -> np.ndarray:
+    """``x`` as a non-empty 1-D integer array whose entries lie in [0, bound)."""
+    a = np.asarray(x)
+    if a.ndim != 1 or a.size == 0 or a.dtype.kind not in "iu":
+        raise ContractError(f"{name} must be a non-empty 1-D integer array, "
+                            f"got {a.dtype} of shape {a.shape}")
+    if a.min() < 0 or a.max() >= bound:
+        raise ContractError(f"{name} must lie in [0, {bound}), got values from "
+                            f"{a.min()} to {a.max()}")
+    return a
 
-    During generator training the checkpoint and encoders never change,
-    so source visual embeddings, their projections, all personalized
-    prompt embeddings and the clean targets are constants; only the
-    generated side moves. Batched passes build them: the training run's
-    ``_frozen_table``, one ``_personalized_rows`` pass over every
-    (reference, emotion) pair, and gathered passes of the sources, in
-    blocks of ``_SOURCE_BLOCK`` rows, through ``projectors``: the
-    checkpoint's bank stacked once per context (``ProjectorStack``), which
-    every step's ``L2`` reads too. Each table
-    is an array indexed by sample row (``row[sample.id]``), or by reference
-    and identity row; ``gather`` reads one step's batch out of them with
-    index arrays.
+
+class DifferenceRegularizer:
+    """The difference regularizer ``L2`` of a frozen checkpoint, as a plug-in
+    for any generator of visual embeddings.
+
+    A host turns source samples of ``manifest`` and target emotions into
+    generated ``d_e`` embeddings; ``loss_and_grad`` scores them by
+    ``L2 = 1 - cosine(P_src(source) - P_tgt(generated), T_src - T_tgt)``,
+    with P the frozen projectors and T the personalized prompt embeddings
+    of the source's neutral reference. The host adds the result, times
+    lambda, to its own loss (``total_loss``).
+
+    The constructor builds the frozen side once, in manifest order (sample
+    ``s`` is row ``row[s.id]``), as write-protected tables: the sources'
+    ``visual`` embeddings ``(N, d_e)`` and ``emotion`` codes; their
+    ``projected_source`` through their own projectors, in gathered passes
+    of ``_SOURCE_BLOCK`` rows through ``projectors`` (the bank's
+    ``ProjectorStack``); and ``prompts``, the ``(R, 7, d_e)`` prompt
+    embeddings of the R ``references`` (``reference`` holds each row's),
+    from one ``_personalized_rows`` pass.
     """
 
-    def __init__(self, manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
-                 suite: EncoderSuite, world: SyntheticWorld):
+    def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite,
+                 manifest: CorpusManifest):
+        ckpt.require_frozen()
         self.ckpt = ckpt
-        self.suite = suite
         samples = manifest.samples
         self.row = {s.id: i for i, s in enumerate(samples)}
         self.references = list(dict.fromkeys(s.neutral_ref for s in samples))
-        identities = list(dict.fromkeys(s.identity for s in samples))
         reference_row = {ref: i for i, ref in enumerate(self.references)}
-        identity_row = {identity: i for i, identity in enumerate(identities)}
         self.emotion = np.array([int(s.emotion) for s in samples])
         self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
-        self.identity = np.array([identity_row[s.identity] for s in samples])
         references = [manifest.by_id(ref) for ref in self.references]
         table = _frozen_table(samples, references, suite)
         self.visual = np.stack([table.visual[s.id] for s in samples])
@@ -224,52 +237,51 @@ class _DemoContext:
                                       table, suite)
         self.prompts = embed(list(EMOTIONS) * len(references))[0].reshape(
             len(references), len(EMOTIONS), -1)
-        self.clean_target = np.stack([[world.clean_visual(identity, e) for e in EMOTIONS]
-                                      for identity in identities])
+        for array in (self.emotion, self.reference, self.visual, self.projected_source,
+                      self.prompts):
+            array.flags.writeable = False
 
-    def gather(self, rows: np.ndarray, targets: np.ndarray) -> "_DemoBatch":
-        """One step's batch: source sample ``rows`` paired with the target
-        emotion codes ``targets``."""
+    def loss_and_grad(self, rows, generated, targets, with_grad: bool = True
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """The difference losses of a ``(B, d_e)`` stack of generated
+        embeddings, row n made from source row ``rows[n]`` for target
+        emotion code ``targets[n]``, and their ``(B, d_e)`` gradient w.r.t.
+        the stack: one gathered forward pass through the frozen projectors
+        of the targets, then one gathered input-only backward pass. A row's
+        loss and gradient do not depend on the other rows of the batch; a
+        zero-norm difference gets loss 1 and a zero gradient.
+
+        Without ``with_grad`` only the losses are computed and the gradient
+        is zeros: the backward pass through the frozen projectors is skipped.
+        Rows outside the manifest, target codes outside [0, 7) and a
+        ``generated`` that is not a finite ``(B, d_e)`` stack are refused.
+        """
+        rows = _index_array(rows, len(self.emotion), "rows")
+        targets = _index_array(targets, len(EMOTIONS), "target codes")
+        if targets.shape != rows.shape:
+            raise ContractError(f"{len(targets)} target codes for {len(rows)} rows")
+        generated = as_matrix(generated, (len(rows), self.ckpt.d_e), "generated")
+        visual_gen, cache = self.projectors.forward(generated, targets, with_grad)
         reference = self.reference[rows]
-        return _DemoBatch(
-            self.visual[rows], self.clean_target[self.identity[rows], targets],
-            self.projected_source[rows],
-            self.prompts[reference, self.emotion[rows]] - self.prompts[reference, targets],
-            targets)
+        losses, d_vis_diff, _ = difference_loss_with_grads(DifferencePair(
+            self.projected_source[rows] - visual_gen,
+            self.prompts[reference, self.emotion[rows]] - self.prompts[reference, targets]))
+        if not with_grad:
+            return losses, np.zeros_like(generated)
+        # visual_diff = projected_source - visual_gen, so d/d visual_gen is -d_vis_diff
+        return losses, self.projectors.input_grad(cache, -d_vis_diff)
 
 
-@dataclass(frozen=True)
-class _DemoBatch:
-    """One step's batch, as ``(B, d_e)`` stacks that every run shares."""
-
-    visual: np.ndarray            # source visual embeddings
-    truth: np.ndarray             # clean (identity, target) embeddings
-    projected_source: np.ndarray  # sources through their own emotion's projector
-    text_diff: np.ndarray         # source-emotion prompt minus target prompt
-    targets: np.ndarray           # the B target emotion codes
-
-
-def _l2_grad_on_generated(projectors: ProjectorStack, batch: _DemoBatch,
-                          generated: np.ndarray, with_grad: bool = True
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Difference losses of one run's ``(B, d_e)`` generated stack against
-    its batch, and their gradient w.r.t. the stack, through the frozen
-    projector of each row's target emotion: one gathered forward pass over
-    all rows, then one gathered input-only backward pass. Every step works
-    row by row, so a row's loss and gradient do not depend on the other
-    rows of the batch.
-
-    Without ``with_grad`` only the losses are computed and the gradient is
-    zeros: the backward pass through the frozen projectors is skipped.
-    """
-    visual_gen, cache = projectors.forward(generated, batch.targets, with_grad)
-    # zero-norm rows are found by the loss: loss 1, zero gradient
-    losses, d_vis_diff, _ = difference_loss_with_grads(
-        DifferencePair(batch.projected_source - visual_gen, batch.text_diff))
-    if not with_grad:
-        return losses, np.zeros_like(generated)
-    # visual_diff = projected_source - visual_gen, so d/d visual_gen is -d_vis_diff
-    return losses, projectors.input_grad(cache, -d_vis_diff)
+def _clean_targets(manifest: CorpusManifest, world: SyntheticWorld):
+    """The demo's ground truth: ``truth(rows, targets)`` gives the world's
+    clean visual embedding of each row's identity at its target emotion,
+    read from one ``(identities, 7, d_e)`` table."""
+    identities = list(dict.fromkeys(s.identity for s in manifest.samples))
+    identity_row = {identity: i for i, identity in enumerate(identities)}
+    identity = np.array([identity_row[s.identity] for s in manifest.samples])
+    table = np.stack([[world.clean_visual(name, e) for e in EMOTIONS]
+                      for name in identities])
+    return lambda rows, targets: table[identity[rows], targets]
 
 
 # the target emotion codes a source of each emotion may be paired with, in
@@ -291,39 +303,40 @@ def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int
     return picks[:, 0], _OTHER_EMOTIONS[emotions[picks[:, 0]], picks[:, 1]]
 
 
-def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[float],
-                      config: DemoConfig, base_loss: BaseLossHook
+def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,
+                      lams: list[float], config: DemoConfig, base_loss: BaseLossHook
                       ) -> list[tuple[ToyGenerator, float, float]]:
     """Train one toy generator per lambda in one step loop; returns each
     with its tail-mean base and l2 losses.
 
     Every run starts from the same initial parameters and sees the same
-    batches, so each step draws and gathers its batch once. Each run then
+    batches, so each step draws its batch and reads its ``truth`` once. Each run then
     makes its own stacked passes over it, so its result does not depend
     on the other lambdas in ``lams``. A lambda 0 run needs no L2 gradient
     (``total_loss`` would multiply it by 0), so it computes L2 only on the
     last ``tail`` steps, the ones its reported mean reads.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    initial = build_toy_generator(ctx.suite.d_e, config.hidden, rng)
+    initial = build_toy_generator(reg.ckpt.d_e, config.hidden, rng)
     runs = [(ToyGenerator(initial.params.copy(), initial.d_e), LambdaConfig(lam), [], [])
             for lam in lams]
     train = manifest.in_split(TRAIN)
     if not train:
         raise ContractError("train split is empty")
-    train_rows = np.array([ctx.row[s.id] for s in train])
-    train_emotions = ctx.emotion[train_rows]
+    train_rows = np.array([reg.row[s.id] for s in train])
+    train_emotions = reg.emotion[train_rows]
     tail = max(1, config.steps // 10)
     for step in range(config.steps):
         picks, targets = _demo_pairs(train_emotions, rng, config.batch_size)
-        batch = ctx.gather(train_rows[picks], targets)
+        rows = train_rows[picks]
+        visual, clean = reg.visual[rows], truth(rows, targets)
         in_tail = step >= config.steps - tail
         for gen, lam, base_hist, l2_hist in runs:
-            out, cache = gen.generate(batch.visual, targets)
-            base_vals, base_grad = base_loss(out, batch.truth)
+            out, cache = gen.generate(visual, targets)
+            base_vals, base_grad = base_loss(out, clean)
             if lam.value != 0 or in_tail:
-                l2_vals, l2_grad = _l2_grad_on_generated(ctx.projectors, batch, out,
-                                                         with_grad=lam.value != 0)
+                l2_vals, l2_grad = reg.loss_and_grad(rows, out, targets,
+                                                     with_grad=lam.value != 0)
                 l2_hist.append(float(np.sum(l2_vals)) / len(targets))
             else:
                 l2_vals, l2_grad = np.zeros(len(targets)), np.zeros_like(out)
@@ -340,7 +353,7 @@ def _train_generators(manifest: CorpusManifest, ctx: _DemoContext, lams: list[fl
 
 
 def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
-                           ctx: _DemoContext) -> float:
+                           reg: DifferenceRegularizer) -> float:
     """Retrieval-style emotion accuracy of generated embeddings on the val
     split: each (val sample, target emotion) output is classified by the
     jointly best-matching (prompt, projector) candidate pair. Scoring
@@ -349,12 +362,12 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     val = sorted(manifest.in_split(VAL), key=lambda s: s.id)
     if not val:
         raise ContractError("val split is empty")
-    val_rows = np.array([ctx.row[s.id] for s in val])
+    val_rows = np.array([reg.row[s.id] for s in val])
     rows = np.repeat(val_rows, _OTHER_EMOTIONS.shape[1])
-    targets = _OTHER_EMOTIONS[ctx.emotion[val_rows]].ravel()
-    out, _ = gen.generate(ctx.visual[rows], targets)
-    projected = [project_visual(ctx.ckpt.bank, out, k)[0] for k in EMOTIONS]
-    prompts = ctx.prompts[ctx.reference[rows]]
+    targets = _OTHER_EMOTIONS[reg.emotion[val_rows]].ravel()
+    out, _ = gen.generate(reg.visual[rows], targets)
+    projected = [project_visual(reg.ckpt.bank, out, k)[0] for k in EMOTIONS]
+    prompts = reg.prompts[reg.reference[rows]]
     hits = 0
     for r, target in enumerate(targets.tolist()):
         sims = [cosine_with_flag(prompts[r, int(k)],
@@ -363,10 +376,11 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     return hits / len(rows)
 
 
-def _demo_rows(manifest: CorpusManifest, ctx: _DemoContext, lams: list[float],
-               config: DemoConfig, base_loss: BaseLossHook) -> list[DemoRow]:
-    runs = _train_generators(manifest, ctx, lams, config, base_loss)
-    return [DemoRow(lam, base_val, l2_val, _eval_emotion_accuracy(gen, manifest, ctx),
+def _demo_rows(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,
+               lams: list[float], config: DemoConfig, base_loss: BaseLossHook
+               ) -> list[DemoRow]:
+    runs = _train_generators(manifest, reg, truth, lams, config, base_loss)
+    return [DemoRow(lam, base_val, l2_val, _eval_emotion_accuracy(gen, manifest, reg),
                     config.seed)
             for lam, (gen, base_val, l2_val) in zip(lams, runs)]
 
@@ -408,11 +422,10 @@ def sweep_lambda(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
     given lambda is identical across grids and equals ``supervise_demo``'s.
     """
     lams = lambda_grid(grid)
-    ckpt.require_frozen()
     config.validate()
     world = world if world is not None else manifest.rebuild_world()
-    ctx = _DemoContext(manifest, ckpt, suite, world)
-    return _demo_rows(manifest, ctx, lams, config, base_loss)
+    return _demo_rows(manifest, DifferenceRegularizer(ckpt, suite, manifest),
+                      _clean_targets(manifest, world), lams, config, base_loss)
 
 
 def write_demo_csv(rows: list[DemoRow], path: str | Path) -> None:

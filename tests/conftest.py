@@ -10,6 +10,14 @@ settings.register_profile("emosup", derandomize=True, deadline=None)
 settings.load_profile("emosup")
 
 
+def identity_mlp(dim: int, depth: int = 1, activation: str = "identity") -> es.MlpParams:
+    """Square identity-weight MLP: a passthrough under identity activations,
+    or for nonnegative inputs under relu hidden layers."""
+    return es.MlpParams([es.DenseLayer(np.eye(dim), np.zeros(dim),
+                                       activation if i < depth - 1 else "identity")
+                         for i in range(depth)])
+
+
 @pytest.fixture(scope="session")
 def default_world():
     return es.build_synthetic_world(1)

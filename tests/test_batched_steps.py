@@ -227,11 +227,11 @@ def generate_per_entry(gen, visual, target):
     return mlp_forward(gen.params, np.concatenate([visual, one_hot(target)]))
 
 
-def l2_grad_per_entry(ctx, source, generated, target, with_grad):
-    ckpt, row = ctx.ckpt, ctx.row[source.id]
+def l2_grad_per_entry(reg, source, generated, target, with_grad):
+    ckpt, row = reg.ckpt, reg.row[source.id]
     visual_gen, gen_cache, net = pr.project_visual(ckpt.bank, generated, target)
-    visual_diff = ctx.projected_source[row] - visual_gen
-    prompts = ctx.prompts[ctx.reference[row]]
+    visual_diff = reg.projected_source[row] - visual_gen
+    prompts = reg.prompts[reg.reference[row]]
     text_diff = prompts[int(source.emotion)] - prompts[int(target)]
     degenerate = bool(np.linalg.norm(visual_diff) < EPS_NORM
                       or np.linalg.norm(text_diff) < EPS_NORM)
@@ -247,9 +247,9 @@ def l2_grad_per_entry(ctx, source, generated, target, with_grad):
     return loss, input_grad
 
 
-def train_per_entry(manifest, ctx, lam, config, difference_path):
+def train_per_entry(manifest, reg, world, lam, config, difference_path):
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    gen = sv.build_toy_generator(ctx.suite.d_e, config.hidden, rng)
+    gen = sv.build_toy_generator(reg.ckpt.d_e, config.hidden, rng)
     train = manifest.in_split("train")
     base_hist, l2_hist = [], []
     for _ in range(config.steps):
@@ -259,12 +259,12 @@ def train_per_entry(manifest, ctx, lam, config, difference_path):
             source = train[int(rng.integers(len(train)))]
             others = [e for e in EMOTIONS if e != source.emotion]
             target = others[int(rng.integers(len(others)))]
-            row = ctx.row[source.id]
-            out, cache = generate_per_entry(gen, ctx.visual[row], target)
-            diff = out - ctx.clean_target[ctx.identity[row], int(target)]
+            row = reg.row[source.id]
+            out, cache = generate_per_entry(gen, reg.visual[row], target)
+            diff = out - world.clean_visual(source.identity, target)
             base_val, base_grad = float(np.mean(diff * diff)), 2.0 * diff / diff.shape[0]
             if difference_path:
-                l2_val, l2_grad = l2_grad_per_entry(ctx, source, out, target, lam != 0)
+                l2_val, l2_grad = l2_grad_per_entry(reg, source, out, target, lam != 0)
             else:
                 l2_val, l2_grad = 0.0, np.zeros_like(out)
             upstream = base_grad + lam * l2_grad
@@ -278,17 +278,17 @@ def train_per_entry(manifest, ctx, lam, config, difference_path):
     return gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:]))
 
 
-def accuracy_per_entry(gen, manifest, ctx):
+def accuracy_per_entry(gen, manifest, reg):
     hits = total = 0
     for source in sorted(manifest.in_split("val"), key=lambda s: s.id):
-        row = ctx.row[source.id]
-        prompts = [ctx.prompts[ctx.reference[row], int(k)] for k in EMOTIONS]
+        row = reg.row[source.id]
+        prompts = [reg.prompts[reg.reference[row], int(k)] for k in EMOTIONS]
         for target in EMOTIONS:
             if target == source.emotion:
                 continue
-            out, _ = generate_per_entry(gen, ctx.visual[row], target)
+            out, _ = generate_per_entry(gen, reg.visual[row], target)
             sims = [cosine_with_flag(prompts[int(k)],
-                                     pr.project_visual(ctx.ckpt.bank, out, k)[0])[0]
+                                     pr.project_visual(reg.ckpt.bank, out, k)[0])[0]
                     for k in EMOTIONS]
             hits += int(np.argmax(sims)) == int(target)
             total += 1
@@ -303,33 +303,37 @@ TINY = es.DemoConfig(seed=3, steps=15, batch_size=4, lr=0.05, hidden=(16,))
 DEGENERATE_IDENTITY = "id001"
 
 
+def train_demo(manifest, reg, world, lams, config):
+    """The demo's fused training loop over ``lams``, against ``world``'s clean targets."""
+    return sv._train_generators(manifest, reg, sv._clean_targets(manifest, world), lams,
+                                config, sv.squared_error_loss)
+
+
 @pytest.fixture(scope="module", params=MODES)
-def demo_context(request, default_manifest, reference_pools, default_suite,
-                 default_world):
+def demo_regularizer(request, default_manifest, reference_pools, default_suite):
     ckpt, _ = es.pretrain_alignment(
         default_manifest, reference_pools, default_suite,
         es.TrainConfig(projector_mode=request.param, epochs=2, steps_per_epoch=10))
-    return sv._DemoContext(default_manifest, ckpt, default_suite, default_world)
+    return es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
 
 
-def zero_text_diffs(ctx, identity):
-    """A copy of ``ctx`` in which every prompt of ``identity``'s references is
+def zero_text_diffs(reg, identity):
+    """A copy of ``reg`` in which every prompt of ``identity``'s references is
     its neutral prompt, so each of its (source, target) rows has a zero-norm
     text difference."""
-    degenerate = copy.copy(ctx)
-    degenerate.prompts = ctx.prompts.copy()
-    for i, ref in enumerate(ctx.references):
+    degenerate = copy.copy(reg)
+    degenerate.prompts = reg.prompts.copy()
+    for i, ref in enumerate(reg.references):
         if ref.startswith(identity + "_"):
-            degenerate.prompts[i] = ctx.prompts[i, int(es.EmotionLabel.neutral)]
+            degenerate.prompts[i] = reg.prompts[i, int(es.EmotionLabel.neutral)]
     return degenerate
 
 
 @pytest.mark.parametrize("mode, tokens", [(pr.MULTI, 1), (pr.SINGLE_CONDITIONAL, 1),
                                           (pr.MULTI, 2)])
 def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools,
-                                               default_suite, default_world,
-                                               monkeypatch, mode, tokens):
-    # the per-entry demo references read the context's tables, so a wrong
+                                               default_suite, monkeypatch, mode, tokens):
+    # the per-entry demo references read the regularizer's tables, so a wrong
     # table would pass them; here each table entry is rebuilt per sample
     ckpt, _ = es.pretrain_alignment(
         default_manifest, reference_pools, default_suite,
@@ -347,83 +351,86 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
 
     monkeypatch.setattr(pr, "project_visual", stacked_only)
     monkeypatch.setattr(pr, "build_personalized_prompt", refused)
-    ctx = sv._DemoContext(default_manifest, ckpt, default_suite, default_world)
+    reg = es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
     monkeypatch.undo()
     # the sources go through the bank's gathered passes, none per sample
     assert stacks == []
-    assert ctx.prompts.shape == (len(ctx.references), len(EMOTIONS), default_suite.d_e)
+    assert reg.prompts.shape == (len(reg.references), len(EMOTIONS), default_suite.d_e)
+    for array in (reg.emotion, reg.reference, reg.visual, reg.projected_source,
+                  reg.prompts):
+        assert not array.flags.writeable
     for i, sample in enumerate(default_manifest.samples):
         visual = default_suite.visual_encode(sample.image_ref)
-        assert np.array_equal(ctx.visual[i], visual)
+        assert reg.row[sample.id] == i and reg.emotion[i] == int(sample.emotion)
+        assert np.array_equal(reg.visual[i], visual)
         # the gathered pass equals the per-sample projection bit for bit
-        assert np.array_equal(ctx.projected_source[i],
+        assert np.array_equal(reg.projected_source[i],
                               pr.project_visual(ckpt.bank, visual, sample.emotion)[0])
-        assert ctx.references[ctx.reference[i]] == sample.neutral_ref
-    for r, ref in enumerate(ctx.references):
+        assert reg.references[reg.reference[i]] == sample.neutral_ref
+    for r, ref in enumerate(reg.references):
         reference = default_manifest.by_id(ref)
         for k in EMOTIONS:
             expected = default_suite.text_encode(
                 es.build_personalized_prompt(ckpt, reference, k, default_suite))
-            np.testing.assert_allclose(ctx.prompts[r, int(k)], expected,
+            np.testing.assert_allclose(reg.prompts[r, int(k)], expected,
                                        rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 @pytest.mark.parametrize("lam, difference_path", [(0.0, True), (0.4, True)])
-def test_demo_run_matches_per_entry_reference(default_manifest, demo_context, lam,
-                                              difference_path, degenerate):
-    ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY) if degenerate else demo_context
-    [(gen, base, l2)] = sv._train_generators(default_manifest, ctx, [lam], TINY,
-                                             sv.squared_error_loss)
-    ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, ctx, lam, TINY,
-                                                difference_path)
+def test_demo_run_matches_per_entry_reference(default_manifest, default_world,
+                                              demo_regularizer, lam, difference_path,
+                                              degenerate):
+    reg = (zero_text_diffs(demo_regularizer, DEGENERATE_IDENTITY) if degenerate
+           else demo_regularizer)
+    [(gen, base, l2)] = train_demo(default_manifest, reg, default_world, [lam], TINY)
+    ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, reg, default_world, lam,
+                                                TINY, difference_path)
     assert base == pytest.approx(ref_base, rel=1e-12)
     assert l2 == pytest.approx(ref_l2, rel=1e-12)
     for mine, theirs in zip(gen.params.layers, ref_gen.params.layers):
         np.testing.assert_allclose(mine.weights, theirs.weights, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(mine.bias, theirs.bias, rtol=1e-12, atol=1e-15)
-    assert (sv._eval_emotion_accuracy(gen, default_manifest, ctx)
-            == accuracy_per_entry(gen, default_manifest, ctx))
+    assert (sv._eval_emotion_accuracy(gen, default_manifest, reg)
+            == accuracy_per_entry(gen, default_manifest, reg))
 
 
 @pytest.mark.parametrize("steps", [1, 7, 25])
-def test_lambda_zero_tail_l2_matches_per_entry_reference(default_manifest, demo_context,
-                                                         steps):
+def test_lambda_zero_tail_l2_matches_per_entry_reference(default_manifest, default_world,
+                                                         demo_regularizer, steps):
     # the reference computes L2 on every step; the demo's lambda 0 run only
     # on the last max(1, steps // 10), the steps its row averages
     config = dataclasses.replace(TINY, steps=steps)
-    [(gen, base, l2)] = sv._train_generators(default_manifest, demo_context, [0.0],
-                                             config, sv.squared_error_loss)
-    ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, demo_context, 0.0,
-                                                config, True)
+    [(gen, base, l2)] = train_demo(default_manifest, demo_regularizer, default_world,
+                                   [0.0], config)
+    ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, demo_regularizer,
+                                                default_world, 0.0, config, True)
     assert base == pytest.approx(ref_base, rel=1e-12)
     assert l2 == pytest.approx(ref_l2, rel=1e-12)
     np.testing.assert_allclose(gen.params.vector, ref_gen.params.vector,
                                rtol=1e-12, atol=1e-15)
 
 
-def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_context):
-    ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY)
+def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_regularizer):
+    reg = zero_text_diffs(demo_regularizer, DEGENERATE_IDENTITY)
     train = default_manifest.in_split("train")
     sources = [s for s in train if s.identity == DEGENERATE_IDENTITY][:1] + train[-5:]
-    rows = np.array([ctx.row[s.id] for s in sources])
-    generated = np.random.default_rng(0).standard_normal((len(sources), ctx.suite.d_e))
+    rows = np.array([reg.row[s.id] for s in sources])
+    generated = np.random.default_rng(0).standard_normal((len(sources), reg.ckpt.d_e))
     mixed = np.array([(int(s.emotion) + 1) % len(EMOTIONS) for s in sources])
     assert 1 in np.bincount(mixed)  # one target emotion holds a single row
     happy = int(es.EmotionLabel.happy)
     assert all(s.emotion != happy for s in sources)
     for targets in (mixed, np.full(len(sources), happy)):
-        batch = ctx.gather(rows, targets)
-        losses, grad = sv._l2_grad_on_generated(ctx.projectors, batch, generated)
+        losses, grad = reg.loss_and_grad(rows, generated, targets)
         for i, (source, target) in enumerate(zip(sources, targets)):
-            ref_loss, ref_grad = l2_grad_per_entry(ctx, source, generated[i],
+            ref_loss, ref_grad = l2_grad_per_entry(reg, source, generated[i],
                                                    EMOTIONS[target], True)
             assert losses[i] == pytest.approx(ref_loss, rel=1e-12)
             np.testing.assert_allclose(grad[i], ref_grad, rtol=1e-12, atol=1e-15)
             # a row's result does not depend on the rows beside it
-            alone = sv._l2_grad_on_generated(ctx.projectors,
-                                             ctx.gather(rows[i:i + 1], targets[i:i + 1]),
-                                             generated[i:i + 1])
+            alone = reg.loss_and_grad(rows[i:i + 1], generated[i:i + 1],
+                                      targets[i:i + 1])
             assert np.array_equal(alone[0], losses[i:i + 1])
             assert np.array_equal(alone[1], grad[i:i + 1])
         assert losses[0] == 1.0 and not grad[0].any()
@@ -451,13 +458,15 @@ def test_projector_stack_is_a_read_only_copy_of_a_frozen_bank(default_suite, mod
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
-def test_fused_lambda_runs_equal_separate_runs(default_manifest, demo_context, degenerate):
-    ctx = zero_text_diffs(demo_context, DEGENERATE_IDENTITY) if degenerate else demo_context
+def test_fused_lambda_runs_equal_separate_runs(default_manifest, default_world,
+                                               demo_regularizer, degenerate):
+    reg = (zero_text_diffs(demo_regularizer, DEGENERATE_IDENTITY) if degenerate
+           else demo_regularizer)
     grid = [0.0, 0.2, 0.4]
-    fused = sv._train_generators(default_manifest, ctx, grid, TINY, sv.squared_error_loss)
+    fused = train_demo(default_manifest, reg, default_world, grid, TINY)
     for lam, (gen, base, l2) in zip(grid, fused):
-        [(ref_gen, ref_base, ref_l2)] = sv._train_generators(
-            default_manifest, ctx, [lam], TINY, sv.squared_error_loss)
+        [(ref_gen, ref_base, ref_l2)] = train_demo(default_manifest, reg, default_world,
+                                                   [lam], TINY)
         assert np.array_equal(gen.params.vector, ref_gen.params.vector)
         assert (base, l2) == (ref_base, ref_l2)
 
@@ -525,22 +534,29 @@ def test_stacked_losses_equal_per_row_calls(seed, rows, dim, zero_row, lam):
     total, grad = sv.total_loss(base, base_grad, l2, l2_grad, es.LambdaConfig(lam))
     dp = DifferencePair(visual_diff, text_diff)
     losses, d_vis, d_txt = difference_loss_with_grads(dp)
-    assert base.shape == total.shape == losses.shape == (rows,)
+    # L1 of (t_pos, t_neg, i_vis) = (text_diff, target, visual_diff)
+    l1, *l1_grads = es.contrastive_loss_with_grads(text_diff, target, visual_diff)
+    assert base.shape == total.shape == losses.shape == l1.shape == (rows,)
     for i in range(rows):
         base_i, base_grad_i = sv.squared_error_loss(generated[i], target[i])
         total_i, grad_i = sv.total_loss(base_i, base_grad_i, l2[i], l2_grad[i],
                                         es.LambdaConfig(lam))
         loss_i, d_vis_i, d_txt_i = difference_loss_with_grads(
             DifferencePair(visual_diff[i], text_diff[i]))
-        assert type(base_i) is type(total_i) is type(loss_i) is float
+        l1_i, *l1_grads_i = es.contrastive_loss_with_grads(text_diff[i], target[i],
+                                                           visual_diff[i])
+        assert type(base_i) is type(total_i) is type(loss_i) is type(l1_i) is float
         assert (base[i], total[i]) == pytest.approx((base_i, total_i), rel=1e-12)
         assert losses[i] == pytest.approx(loss_i, rel=1e-12)
+        assert l1[i] == pytest.approx(l1_i, rel=1e-12)
         for mine, theirs in ((base_grad[i], base_grad_i), (grad[i], grad_i),
-                             (d_vis[i], d_vis_i), (d_txt[i], d_txt_i)):
+                             (d_vis[i], d_vis_i), (d_txt[i], d_txt_i),
+                             *((g[i], g_i) for g, g_i in zip(l1_grads, l1_grads_i))):
             np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-15)
     if zero_row:
-        assert losses[rows // 2] == 1.0
+        assert losses[rows // 2] == l1[rows // 2] == 1.0
         assert not d_vis[rows // 2].any() and not d_txt[rows // 2].any()
+        assert not any(g[rows // 2].any() for g in l1_grads)
 
 
 def test_stacked_losses_need_matching_shapes(rng):

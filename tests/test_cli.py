@@ -11,6 +11,7 @@ import pytest
 import emosup as es
 from emosup.cli import main
 from test_encoders import TRUNCATED  # feature files cut short
+from test_prompts import PROJECTOR_EDITS  # checkpoint edits that keep each network's dims
 
 
 def run(*argv):
@@ -107,8 +108,7 @@ def test_pretrain_outputs_and_determinism(tmp_path, corpus_dir):
     assert_dirs_byte_identical(a, b)
     ckpt = es.AlignmentCheckpoint.load(a / "checkpoint.json")
     assert ckpt.frozen
-    curve = es.LossCurve.load_csv(a / "curve.csv")
-    assert len(curve.records) == 2 * 3
+    assert len((a / "curve.csv").read_text().splitlines()) == 1 + 2 * 3
     run_meta = json.loads((a / "run.json").read_text())
     assert run_meta["command"] == "pretrain"
     assert set(run_meta["outputs"]) == {"checkpoint.json", "curve.csv"}
@@ -727,6 +727,23 @@ def test_checkpoint_with_wrong_token_count_is_refused(tmp_path, corpus_dir,
     assert run(command, "--manifest", corpus_dir / "manifest.json",
                "--checkpoint", edited, "--out", out) == 2
     assert "error: checkpoint guider head maps 32 -> 32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", sorted(PROJECTOR_EDITS))
+@pytest.mark.parametrize("command", FROZEN_COMMANDS)
+def test_checkpoint_whose_projector_is_not_the_chain_of_its_dims_is_refused(
+        tmp_path, corpus_dir, checkpoint_dir, capsys, command, edit):
+    checkpoint = json.loads((checkpoint_dir / "checkpoint.json").read_text())
+    PROJECTOR_EDITS[edit][0](checkpoint)
+    edited = tmp_path / "checkpoint.json"
+    edited.write_text(json.dumps(checkpoint))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--manifest", corpus_dir / "manifest.json",
+               "--checkpoint", edited, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint projector 3 maps 64 -> 64, through widths ")
     assert not out.exists()
 
 

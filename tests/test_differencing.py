@@ -10,7 +10,7 @@ from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
                                  difference_loss_with_grads, embed_pair,
                                  export_difference_rows, write_difference_csv)
 from emosup.errors import ContractError
-from emosup.numerics import identity_mlp
+from conftest import identity_mlp
 
 
 def passthrough_checkpoint(suite, seed=0):

@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emosup.emotions import EMOTIONS
-from emosup.errors import ContractError, DegenerateVectorWarning, NumericalError
+from emosup.errors import ContractError, NumericalError
 from emosup.numerics import (IDENTITY, RELU, DenseLayer, MlpParams, cosine_grads,
-                             cosine_similarity, cosine_with_flag, identity_mlp,
-                             init_mlp, mlp_backward, mlp_forward, psd_sqrt_trace,
-                             sgd_step)
+                             cosine_with_flag, init_mlp, mlp_backward, mlp_forward,
+                             psd_sqrt_trace, sgd_step)
 from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, AlignmentCheckpoint,
                             EmotionProjectorBank, ProjectorStack, build_projector_bank,
                             project_visual)
+from conftest import identity_mlp
 
 
 def random_psd(rng, d):
@@ -25,11 +25,11 @@ def random_psd(rng, d):
 # ---------------------------------------------------------------------------
 
 def test_cosine_identical_direction():
-    assert cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)
+    assert cosine_with_flag([1, 0], [1, 0]) == (pytest.approx(1.0), False)
 
 
 def test_cosine_orthogonal():
-    assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
+    assert cosine_with_flag([1, 0], [0, 1]) == (pytest.approx(0.0), False)
 
 
 def test_cosine_derived_value():
@@ -37,12 +37,10 @@ def test_cosine_derived_value():
     a, b = np.array([1.0, 2.0]), np.array([2.0, 1.0])
     expected = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert expected == pytest.approx(0.8)
-    assert cosine_similarity(a, b) == pytest.approx(expected, abs=1e-15)
+    assert cosine_with_flag(a, b)[0] == pytest.approx(expected, abs=1e-15)
 
 
-def test_cosine_degenerate_flag_and_warning():
-    with pytest.warns(DegenerateVectorWarning):
-        assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
+def test_cosine_degenerate_flag():
     sim, degenerate = cosine_with_flag([0.0, 0.0], [1.0, 2.0])
     assert sim == 0.0 and degenerate
 

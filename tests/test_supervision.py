@@ -4,7 +4,7 @@ import pytest
 import emosup as es
 import emosup.supervision as sv
 from emosup.errors import ContractError
-from test_batched_steps import train_per_entry  # the per-entry demo oracle
+from test_batched_steps import train_demo, train_per_entry  # the loop and its oracle
 
 
 TINY = dict(steps=15, batch_size=4, lr=0.05, hidden=(16,))
@@ -13,8 +13,8 @@ TINY = dict(steps=15, batch_size=4, lr=0.05, hidden=(16,))
 @pytest.fixture(scope="module")
 def demo_env(default_manifest, trained_checkpoint, default_suite, default_world):
     ckpt, _ = trained_checkpoint
-    ctx = sv._DemoContext(default_manifest, ckpt, default_suite, default_world)
-    return default_manifest, ckpt, default_suite, default_world, ctx
+    reg = es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
+    return default_manifest, ckpt, default_suite, default_world, reg
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +127,16 @@ def test_lambda_zero_bit_identical_to_disabled_path(demo_env):
     # on the per-entry oracle, lambda 0 trains bit-identically to a run that
     # never computes L2; the demo's lambda 0 run matches that run to 1e-12
     # (its stacked backward pass sums in another order)
-    manifest, ckpt, suite, world, ctx = demo_env
+    manifest, ckpt, suite, world, reg = demo_env
     cfg = es.DemoConfig(seed=4, **TINY)
-    gen_zero, base_zero, _ = train_per_entry(manifest, ctx, 0.0, cfg, difference_path=True)
-    gen_off, base_off, l2_off = train_per_entry(manifest, ctx, 0.0, cfg,
+    gen_zero, base_zero, _ = train_per_entry(manifest, reg, world, 0.0, cfg,
+                                             difference_path=True)
+    gen_off, base_off, l2_off = train_per_entry(manifest, reg, world, 0.0, cfg,
                                                 difference_path=False)
     assert base_zero == base_off
     assert l2_off == 0.0
     assert np.array_equal(gen_zero.params.vector, gen_off.params.vector)
-    [(gen, base, _)] = sv._train_generators(manifest, ctx, [0.0], cfg, sv.squared_error_loss)
+    [(gen, base, _)] = train_demo(manifest, reg, world, [0.0], cfg)
     assert base == pytest.approx(base_off, rel=1e-12)
     np.testing.assert_allclose(gen.params.vector, gen_off.params.vector,
                                rtol=1e-12, atol=1e-15)
@@ -218,22 +219,27 @@ def test_demo_csv_schema(demo_env, tmp_path):
     assert len(lines) == 3
 
 
+def demo_rows(manifest, reg, world, lams, config):
+    return sv._demo_rows(manifest, reg, sv._clean_targets(manifest, world), lams, config,
+                         sv.squared_error_loss)
+
+
 def test_lambda_zero_row_unchanged_without_the_frozen_backward(demo_env, monkeypatch):
-    manifest, _, _, _, ctx = demo_env
+    manifest, _, _, world, reg = demo_env
     cfg = es.DemoConfig(seed=11, **TINY)
-    [row] = sv._demo_rows(manifest, ctx, [0.0], cfg, sv.squared_error_loss)
-    full = sv._l2_grad_on_generated
+    [row] = demo_rows(manifest, reg, world, [0.0], cfg)
+    full = es.DifferenceRegularizer.loss_and_grad
 
-    def always_with_grad(*args, with_grad=True):
-        return full(*args)
+    def always_with_grad(self, *args, with_grad=True):
+        return full(self, *args)
 
-    monkeypatch.setattr(sv, "_l2_grad_on_generated", always_with_grad)
-    assert sv._demo_rows(manifest, ctx, [0.0], cfg, sv.squared_error_loss) == [row]
+    monkeypatch.setattr(es.DifferenceRegularizer, "loss_and_grad", always_with_grad)
+    assert demo_rows(manifest, reg, world, [0.0], cfg) == [row]
     assert row.l2_loss > 0
 
 
 def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypatch):
-    manifest, _, _, _, ctx = demo_env
+    manifest, _, _, world, reg = demo_env
     cfg = es.DemoConfig(seed=12, **TINY)
     calls = {"frozen": 0, "trainable": 0, "gathered": 0}
     backward, input_grad = sv.mlp_backward, sv.ProjectorStack.input_grad
@@ -249,17 +255,17 @@ def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypat
 
     monkeypatch.setattr(sv, "mlp_backward", counting_backward)
     monkeypatch.setattr(sv.ProjectorStack, "input_grad", counting_input_grad)
-    sv._demo_rows(manifest, ctx, [0.0], cfg, sv.squared_error_loss)
+    demo_rows(manifest, reg, world, [0.0], cfg)
     # one generator backward per step over the stacked batch
     assert calls == {"frozen": 0, "trainable": cfg.steps, "gathered": 0}
-    sv._demo_rows(manifest, ctx, [0.4], cfg, sv.squared_error_loss)
+    demo_rows(manifest, reg, world, [0.4], cfg)
     # one gathered backward pass through the frozen bank per step
     assert calls == {"frozen": 0, "trainable": 2 * cfg.steps, "gathered": cfg.steps}
 
 
 @pytest.mark.parametrize("steps", [1, 7, 25])
 def test_lambda_zero_computes_l2_only_in_the_reported_tail(demo_env, monkeypatch, steps):
-    manifest, _, _, _, ctx = demo_env
+    manifest, _, _, world, reg = demo_env
     cfg = es.DemoConfig(seed=13, steps=steps, batch_size=4, lr=0.05, hidden=(16,))
     tail = max(1, steps // 10)
     calls = []
@@ -274,11 +280,114 @@ def test_lambda_zero_computes_l2_only_in_the_reported_tail(demo_env, monkeypatch
     runs = {}
     for lams, count in expected.items():
         calls.clear()
-        runs[lams] = sv._train_generators(manifest, ctx, list(lams), cfg,
-                                          sv.squared_error_loss)
+        runs[lams] = train_demo(manifest, reg, world, list(lams), cfg)
         assert len(calls) == count, lams
         assert set(calls) == {cfg.batch_size}
     # the fused pair gives each run's lone result
     assert runs[(0.0, 0.4)][0][1:] == runs[(0.0,)][0][1:]
     assert runs[(0.0, 0.4)][1][1:] == runs[(0.4,)][0][1:]
     assert runs[(0.0,)][0][2] > 0
+
+
+# ---------------------------------------------------------------------------
+# the regularizer as a plug-in
+# ---------------------------------------------------------------------------
+
+def test_regularizer_refuses_an_unfrozen_checkpoint(default_manifest, default_suite):
+    import emosup.prompts as pr
+    unfrozen = pr._fresh_checkpoint(default_suite, es.TrainConfig(),
+                                    np.random.Generator(np.random.PCG64(0)))
+    with pytest.raises(ContractError, match="must be frozen"):
+        es.DifferenceRegularizer(unfrozen, default_suite, default_manifest)
+
+
+def regularizer_batch(reg, size=3):
+    rows = np.arange(size)
+    return rows, reg.visual[rows], (reg.emotion[rows] + 1) % 7
+
+
+@pytest.mark.parametrize("code", [-1, 7])
+def test_regularizer_refuses_a_target_code_outside_the_emotions(demo_env, code):
+    reg = demo_env[-1]
+    rows, generated, targets = regularizer_batch(reg)
+    targets[1] = code
+    with pytest.raises(ContractError, match=r"target codes must lie in \[0, 7\)"):
+        reg.loss_and_grad(rows, generated, targets)
+
+
+@pytest.mark.parametrize("row", [-1, "N"])
+def test_regularizer_refuses_a_row_outside_the_manifest(demo_env, row):
+    manifest, reg = demo_env[0], demo_env[-1]
+    n = len(manifest.samples)
+    rows, generated, targets = regularizer_batch(reg)
+    rows[1] = n if row == "N" else row
+    with pytest.raises(ContractError, match=rf"rows must lie in \[0, {n}\)"):
+        reg.loss_and_grad(rows, generated, targets)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda g: g[:2], r"shape \(2, 64\), expected \(3, 64\)"),
+    (lambda g: g[:, :63], r"shape \(3, 63\), expected \(3, 64\)"),
+    (lambda g: g[0], r"2-D array, got shape \(64,\)"),
+    (lambda g: np.where(np.arange(64) == 5, np.nan, g), "non-finite"),
+])
+def test_regularizer_refuses_a_generated_stack_of_another_shape_or_not_finite(
+        demo_env, edit, message):
+    reg = demo_env[-1]
+    rows, generated, targets = regularizer_batch(reg)
+    with pytest.raises(ContractError, match=message):
+        reg.loss_and_grad(rows, edit(generated), targets)
+
+
+def test_regularizer_refuses_index_arrays_that_are_not_integer_rows(demo_env):
+    reg = demo_env[-1]
+    rows, generated, targets = regularizer_batch(reg)
+    for bad_rows, bad_targets in [(rows.astype(float), targets), (rows[:, None], targets),
+                                  (rows, targets[:2])]:
+        with pytest.raises(ContractError):
+            reg.loss_and_grad(bad_rows, generated, bad_targets)
+
+
+def train_linear_host(reg, manifest, world, lam, steps=400, batch=16, lr=0.05):
+    """A host other than the toy generator, written against ``emosup``'s public
+    names alone: a linear map from (source visual ++ target one-hot) to d_e,
+    started as a passthrough of the source. Returns the tail-mean L2."""
+    d, k = reg.visual.shape[1], len(es.EMOTIONS)
+    weights = np.hstack([np.eye(d), np.zeros((d, k))])
+    train = np.array([reg.row[s.id] for s in manifest.in_split("train")])
+    rng = np.random.default_rng(0)
+    history = []
+    for _ in range(steps):
+        rows = rng.choice(train, batch)
+        targets = (reg.emotion[rows] + rng.integers(1, k, batch)) % k  # never the source's
+        x = np.hstack([reg.visual[rows], np.eye(k)[targets]])
+        out = x @ weights.T
+        truth = np.stack([world.clean_visual(manifest.samples[r].identity, t)
+                          for r, t in zip(rows, targets)])
+        base, base_grad = es.squared_error_loss(out, truth)
+        l2, l2_grad = reg.loss_and_grad(rows, out, targets)
+        _, grad = es.total_loss(base, base_grad, l2, l2_grad, es.LambdaConfig(lam))
+        weights -= lr * grad.T @ x / batch
+        history.append(float(np.mean(l2)))
+    return float(np.mean(history[-steps // 10:]))
+
+
+def test_a_second_host_trains_through_the_public_regularizer(demo_env):
+    manifest, ckpt, suite, world, _ = demo_env
+    reg = es.DifferenceRegularizer(ckpt, suite, manifest)
+    # the gradient is the finite-difference slope of each row's own loss
+    rows = np.array([0, 5, 17, 40])
+    targets = (reg.emotion[rows] + 3) % 7
+    generated = reg.visual[rows] + 0.1 * np.random.default_rng(1).standard_normal(
+        (len(rows), reg.visual.shape[1]))
+    _, grad = reg.loss_and_grad(rows, generated, targets)
+    h = 1e-6
+    for j in range(generated.shape[1]):
+        step = np.zeros_like(generated)
+        step[:, j] = h
+        up = reg.loss_and_grad(rows, generated + step, targets, with_grad=False)[0]
+        down = reg.loss_and_grad(rows, generated - step, targets, with_grad=False)[0]
+        np.testing.assert_allclose(grad[:, j], (up - down) / (2 * h), rtol=1e-5, atol=1e-8)
+    # and it supervises: L2 trained in lowers the L2 the host ends at
+    assert train_linear_host(reg, manifest, world, 0.4) < \
+        train_linear_host(reg, manifest, world, 0.0)
