@@ -287,10 +287,7 @@ def _checkpoint_inputs(flags):
     """Manifest, world, suite and a checkpoint whose dims match the suite's."""
     manifest, world, suite = _manifest_and_suite(flags["manifest"])
     ckpt = AlignmentCheckpoint.load(flags["checkpoint"])
-    for dim in ("d_e", "d_b", "d_tok"):
-        if getattr(ckpt, dim) != getattr(suite, dim):
-            raise ContractError(f"checkpoint {dim} is {getattr(ckpt, dim)} but the "
-                                f"manifest's world has {dim} {getattr(suite, dim)}")
+    ckpt.require_suite(suite)
     return manifest, world, suite, ckpt
 
 

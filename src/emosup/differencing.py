@@ -1,7 +1,9 @@
-"""Difference alignment: paired embeddings, source-minus-target difference
-vectors, and the regularization loss that matches the visual change to
-the text change (``DifferencePair`` and ``difference_loss_with_grads``
-live in ``numerics``, beside ``cosine_grads``; this module re-exports them).
+"""Difference alignment: paired embeddings read from the frozen tables of
+a ``DifferenceRegularizer`` (``prompts``), source-minus-target difference
+vectors, their CSV export, and the regularization loss that matches the
+visual change to the text change (``DifferencePair`` and
+``difference_loss_with_grads`` live in ``numerics``, beside
+``cosine_grads``; this module re-exports them).
 
 Working on differences rather than absolute embeddings makes the loss
 exactly invariant to any constant displacement between the visual and
@@ -21,7 +23,7 @@ from .emotions import EMOTIONS, EmotionLabel
 from .encoders import EncoderSuite
 from .errors import ContractError, write_csv
 from .numerics import DifferencePair, as_vector, difference_loss_with_grads
-from .prompts import AlignmentCheckpoint, _FrozenEmbeddings
+from .prompts import AlignmentCheckpoint, DifferenceRegularizer
 
 
 @dataclass
@@ -43,41 +45,29 @@ class PairEmbeddings:
         self.text_target = as_vector(self.text_target, dim=d, name="text_target")
 
 
-def embed_pair(ckpt: AlignmentCheckpoint, source: Sample, target_image,
-               target_emotion: EmotionLabel, reference: Sample,
-               suite: EncoderSuite, *,
-               frozen: _FrozenEmbeddings | None = None) -> PairEmbeddings:
-    """Embed source and target through the frozen checkpoint.
+def embed_pair(reg: DifferenceRegularizer, source: Sample, target: Sample
+               ) -> PairEmbeddings:
+    """The four embeddings of a (source, target) pair of ``reg``'s manifest,
+    read from its frozen tables: each image's ``projected_source`` row (its
+    own emotion's projector), and the prompt rows of both emotions,
+    personalized with the source's neutral reference.
 
-    ``target_image`` may be an image ref (what the export passes) or a raw
-    ``d_e`` visual feature vector, validated and projected on every call and
-    not kept. This is the one place a raw vector is accepted: a suite's
-    ``visual_encode`` takes refs only. No gradient flows back through it:
-    the demo reads its own precomputed tables. Both prompts are
-    personalized with the source identity's neutral reference.
-
-    The embeddings are read through ``frozen``, a ``_FrozenEmbeddings`` memo
-    built on this checkpoint and suite (one built on others raises
-    ``ContractError``); without one, a throwaway memo is made. A caller that
-    embeds many pairs shares one memo, so each image and (reference,
-    emotion) prompt is embedded once. Reuse is sound because the checkpoint
-    is frozen and the encoders are deterministic.
+    A sample that is not in ``reg``'s manifest and a target of another
+    identity than the source are refused. No gradient flows back through
+    the result: a host trains through ``reg.loss_and_grad``.
     """
-    ckpt.require_frozen()
-    if frozen is None:
-        frozen = _FrozenEmbeddings(ckpt, suite)
-    elif frozen.ckpt is not ckpt or frozen.suite is not suite:
-        raise ContractError("embedding memo was built for another checkpoint or suite")
-    if reference.emotion != EmotionLabel.neutral:
-        raise ContractError(f"reference {reference.id!r} must be neutral")
-    if reference.identity != source.identity:
-        raise ContractError("reference identity must match the source identity")
-    target_emotion = EmotionLabel(target_emotion)
-    return PairEmbeddings(frozen.visual(source.image_ref, source.emotion),
-                          frozen.text(reference, source.emotion),
-                          frozen.visual(target_image, target_emotion),
-                          frozen.text(reference, target_emotion),
-                          source.emotion, target_emotion)
+    for sample in (source, target):
+        i = reg.row.get(sample.id)
+        if i is None or reg.samples[i] != sample:
+            raise ContractError(f"sample {sample.id!r} is not in the regularizer's manifest")
+    if target.identity != source.identity:
+        raise ContractError(f"target {target.id!r} is not of the source's identity "
+                            f"{source.identity!r}")
+    s, t = reg.row[source.id], reg.row[target.id]
+    prompts = reg.prompts[reg.reference[s]]
+    return PairEmbeddings(reg.projected_source[s], prompts[int(source.emotion)],
+                          reg.projected_source[t], prompts[int(target.emotion)],
+                          source.emotion, target.emotion)
 
 
 def diff_vectors(pe: PairEmbeddings) -> DifferencePair:
@@ -93,34 +83,33 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
 
     Each row holds the identity, the source and target emotions, the
     prompt emotion used for the text difference, and the flattened
-    difference vectors. With ``include_mismatched`` the export adds rows
-    whose text difference targets a different emotion than the image
-    difference (useful for external 2-D projections; no loss is defined
-    over them).
+    difference vectors. The target is the first sample, by id, of the
+    source's identity at the target emotion. With ``include_mismatched`` the
+    export adds rows whose text difference targets a different emotion than
+    the image difference (useful for external 2-D projections; no loss is
+    defined over them).
 
-    One memo serves every row and fills inside the row loop, by the calls a
-    row would make, so each image and (reference, emotion) prompt is
-    embedded once per export, not once per row, with byte-identical rows
-    (see ``embed_pair``). Each row still makes one ``embed_pair`` and one
-    ``diff_vectors`` call.
+    Every row is read from one ``DifferenceRegularizer`` over the manifest,
+    built before the first row, so each image is encoded and projected and
+    each (reference, emotion) prompt embedded once per export. Each row
+    makes one ``embed_pair`` and one ``diff_vectors`` call; a mismatched
+    prompt is read from ``reg.prompts``.
     """
-    ckpt.require_frozen()
-    frozen = _FrozenEmbeddings(ckpt, suite)
+    reg = DifferenceRegularizer(ckpt, suite, manifest)
     first_of: dict[tuple[str, EmotionLabel], Sample] = {}
     for s in sorted(manifest.samples, key=lambda s: s.id):
         first_of.setdefault((s.identity, s.emotion), s)
 
     rows = []
     for source in sorted(manifest.samples, key=lambda s: s.id):
-        reference = manifest.by_id(source.neutral_ref)
+        prompts = reg.prompts[reg.reference[reg.row[source.id]]]
         for target_emotion in EMOTIONS:
             if target_emotion == source.emotion:
                 continue
             target = first_of.get((source.identity, target_emotion))
             if target is None:
                 continue
-            pe = embed_pair(ckpt, source, target.image_ref, target_emotion,
-                            reference, suite, frozen=frozen)
+            pe = embed_pair(reg, source, target)
             dp = diff_vectors(pe)
             prompt_emotions = [target_emotion]
             if include_mismatched:
@@ -130,7 +119,7 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
                 if prompt_emotion == target_emotion:
                     text_diff = dp.text_diff
                 else:
-                    text_diff = pe.text_source - frozen.text(reference, prompt_emotion)
+                    text_diff = pe.text_source - prompts[int(prompt_emotion)]
                 rows.append({"identity": source.identity,
                              "source_emotion": source.emotion.name,
                              "target_emotion": target_emotion.name,

@@ -246,6 +246,9 @@ class WorldConfig:
                 raise ContractError(f"{name} must be positive, got {d}")
         if self.n_identities < 2:
             raise ContractError("need at least 2 identities")
+        for name in ("noise_sigma", "gap", "word_token_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ContractError("noise_sigma must be >= 0")
         if self.gap < 0:

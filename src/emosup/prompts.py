@@ -1,6 +1,8 @@
 """Personalized prompt alignment: an identity-conditioned prompt token,
 per-emotion visual projectors, the contrastive objective tying them to
-frozen encoder embeddings, and the pre-training loop.
+frozen encoder embeddings, the pre-training loop, and the frozen side of a
+trained checkpoint (``DifferenceRegularizer``), the one table that the
+difference regularizer, retrieval and the difference export read.
 
 The trainable pieces are deliberately small: a guider head that turns
 frozen identity-backbone features into prompt tokens, and a bank of
@@ -23,7 +25,7 @@ from .encoders import EncoderSuite
 from .errors import (ContractError, NumericalError, canonical_json, load_json_object,
                      write_csv, write_json)
 from .numerics import (IDENTITY, RELU, DenseLayer, DifferencePair, MlpGrads, MlpParams,
-                       as_vector, contrastive_loss_with_grads, cosine_with_flag,
+                       as_matrix, contrastive_loss_with_grads, cosine_with_flag,
                        difference_loss_with_grads, init_mlp, mlp_backward, mlp_forward,
                        sgd_step)
 
@@ -125,6 +127,14 @@ class AlignmentCheckpoint:
     def require_frozen(self) -> None:
         if not self.frozen:
             raise ContractError("checkpoint must be frozen for inference use")
+
+    def require_suite(self, suite: EncoderSuite) -> None:
+        """Refuse, naming the field and both values, a suite whose ``d_e``,
+        ``d_b`` or ``d_tok`` differs from this checkpoint's."""
+        for dim in ("d_e", "d_b", "d_tok"):
+            if getattr(self, dim) != getattr(suite, dim):
+                raise ContractError(f"checkpoint {dim} is {getattr(self, dim)} but the "
+                                    f"encoder suite has {dim} {getattr(suite, dim)}")
 
     def all_params(self) -> list[MlpParams]:
         return [self.guider_head] + list(self.bank.projectors)
@@ -282,43 +292,105 @@ class ProjectorStack:
         return u[:, :self.d_e]
 
 
-class _FrozenEmbeddings:
-    """Frozen-side embeddings through one frozen checkpoint and suite, each
-    computed once, on first use, by the per-sample call:
+# source rows per gathered projector pass when the regularizer builds its tables
+_SOURCE_BLOCK = 16
 
-    - ``visual(image_ref, emotion)``: ``project_visual`` of the ref's
-      ``visual_encode``. A raw ``d_e`` feature vector in place of a ref is
-      validated and projected on every call, and not kept.
-    - ``text(reference, emotion)``: ``text_encode`` of
-      ``build_personalized_prompt``.
 
-    Reusing an entry is sound because the checkpoint is frozen (its
-    parameters are write-protected) and the encoders are deterministic, so
-    a repeated call would return the same bytes.
+def _index_array(x, bound: int, name: str) -> np.ndarray:
+    """``x`` as a non-empty 1-D integer array whose entries lie in [0, bound)."""
+    a = np.asarray(x)
+    if a.ndim != 1 or a.size == 0 or a.dtype.kind not in "iu":
+        raise ContractError(f"{name} must be a non-empty 1-D integer array, "
+                            f"got {a.dtype} of shape {a.shape}")
+    if a.min() < 0 or a.max() >= bound:
+        raise ContractError(f"{name} must lie in [0, {bound}), got values from "
+                            f"{a.min()} to {a.max()}")
+    return a
+
+
+class DifferenceRegularizer:
+    """The frozen side of a checkpoint over one manifest, and the difference
+    regularizer ``L2`` it defines, as a plug-in for any generator of visual
+    embeddings.
+
+    A host turns source samples of ``manifest`` and target emotions into
+    generated ``d_e`` embeddings; ``loss_and_grad`` scores them by
+    ``L2 = 1 - cosine(P_src(source) - P_tgt(generated), T_src - T_tgt)``,
+    with P the frozen projectors and T the personalized prompt embeddings
+    of the source's neutral reference. The host adds the result, times
+    lambda, to its own loss (``total_loss``).
+
+    The constructor refuses an unfrozen checkpoint and a suite of other
+    dims (``require_suite``), then builds the frozen side once, in manifest
+    order (sample ``s`` is row ``row[s.id]`` of ``samples``), as
+    write-protected tables: the sources' ``visual`` embeddings ``(N, d_e)``,
+    one ``visual_encode`` per ref, and their ``emotion`` codes; their
+    ``projected_source`` through their own projectors, in gathered passes
+    of ``_SOURCE_BLOCK`` rows through ``projectors`` (the bank's
+    ``ProjectorStack``); and ``prompts``, the ``(R, 7, d_e)`` prompt
+    embeddings of the R ``references`` (``reference`` holds each row's),
+    one ``text_encode(build_personalized_prompt(...))`` per (reference,
+    emotion). Every entry equals its per-sample computation bit for bit, so
+    ``retrieval_accuracy`` and ``export_difference_rows`` read the same
+    tables the demo trains against.
     """
 
-    def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite):
+    def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite,
+                 manifest: CorpusManifest):
         ckpt.require_frozen()
-        self.ckpt, self.suite = ckpt, suite
-        self._visual: dict[tuple[str, EmotionLabel], np.ndarray] = {}
-        self._text: dict[tuple[Sample, EmotionLabel], np.ndarray] = {}
+        ckpt.require_suite(suite)
+        self.ckpt = ckpt
+        self.samples = samples = manifest.samples
+        self.row = {s.id: i for i, s in enumerate(samples)}
+        self.references = list(dict.fromkeys(s.neutral_ref for s in samples))
+        reference_row = {ref: i for i, ref in enumerate(self.references)}
+        self.emotion = np.array([int(s.emotion) for s in samples])
+        self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
+        self.visual = np.stack([suite.visual_encode(s.image_ref) for s in samples])
+        self.projectors = ProjectorStack(ckpt)
+        # the gather copies each row's weights (96 KB at d_e = 64), so the
+        # sources go through in blocks; a row's result does not depend on its block
+        self.projected_source = np.concatenate([
+            self.projectors.forward(self.visual[i:i + _SOURCE_BLOCK],
+                                    self.emotion[i:i + _SOURCE_BLOCK])[0]
+            for i in range(0, len(samples), _SOURCE_BLOCK)])
+        # one encode per prompt: a batched encode differs in the last bits
+        self.prompts = np.array([[suite.text_encode(build_personalized_prompt(
+            ckpt, manifest.by_id(ref), e, suite)) for e in EMOTIONS]
+            for ref in self.references])
+        for array in (self.emotion, self.reference, self.visual, self.projected_source,
+                      self.prompts):
+            array.flags.writeable = False
 
-    def visual(self, image_ref, emotion: EmotionLabel) -> np.ndarray:
-        if not isinstance(image_ref, str):
-            vector = as_vector(image_ref, dim=self.suite.d_e, name="visual feature")
-            return project_visual(self.ckpt.bank, vector, emotion)[0]
-        key = (image_ref, EmotionLabel(emotion))
-        if key not in self._visual:
-            self._visual[key] = project_visual(self.ckpt.bank,
-                                               self.suite.visual_encode(image_ref), emotion)[0]
-        return self._visual[key]
+    def loss_and_grad(self, rows, generated, targets, with_grad: bool = True
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """The difference losses of a ``(B, d_e)`` stack of generated
+        embeddings, row n made from source row ``rows[n]`` for target
+        emotion code ``targets[n]``, and their ``(B, d_e)`` gradient w.r.t.
+        the stack: one gathered forward pass through the frozen projectors
+        of the targets, then one gathered input-only backward pass. A row's
+        loss and gradient do not depend on the other rows of the batch; a
+        zero-norm difference gets loss 1 and a zero gradient.
 
-    def text(self, reference: Sample, emotion: EmotionLabel) -> np.ndarray:
-        key = (reference, EmotionLabel(emotion))
-        if key not in self._text:
-            self._text[key] = self.suite.text_encode(
-                build_personalized_prompt(self.ckpt, reference, emotion, self.suite))
-        return self._text[key]
+        Without ``with_grad`` only the losses are computed and the gradient
+        is zeros: the backward pass through the frozen projectors is skipped.
+        Rows outside the manifest, target codes outside [0, 7) and a
+        ``generated`` that is not a finite ``(B, d_e)`` stack are refused.
+        """
+        rows = _index_array(rows, len(self.emotion), "rows")
+        targets = _index_array(targets, len(EMOTIONS), "target codes")
+        if targets.shape != rows.shape:
+            raise ContractError(f"{len(targets)} target codes for {len(rows)} rows")
+        generated = as_matrix(generated, (len(rows), self.ckpt.d_e), "generated")
+        visual_gen, cache = self.projectors.forward(generated, targets, with_grad)
+        reference = self.reference[rows]
+        losses, d_vis_diff, _ = difference_loss_with_grads(DifferencePair(
+            self.projected_source[rows] - visual_gen,
+            self.prompts[reference, self.emotion[rows]] - self.prompts[reference, targets]))
+        if not with_grad:
+            return losses, np.zeros_like(generated)
+        # visual_diff = projected_source - visual_gen, so d/d visual_gen is -d_vis_diff
+        return losses, self.projectors.input_grad(cache, -d_vis_diff)
 
 
 @dataclass
@@ -592,20 +664,17 @@ def retrieval_accuracy(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
     """Fraction of samples whose emotion wins the 7-way personalized-prompt
     retrieval against their projected visual embedding.
 
-    The candidate prompt embeddings are read through one
-    ``_FrozenEmbeddings``, so each (reference, emotion) prompt is built and
-    encoded once per call rather than once per sample."""
-    ckpt.require_frozen()
+    Every row is read from one ``DifferenceRegularizer`` over the manifest:
+    a sample's ``projected_source`` row is scored against the seven prompt
+    rows of its reference, one ``cosine_with_flag`` each."""
     samples = manifest.in_split(split)
     if not samples:
         raise ContractError(f"split {split!r} is empty")
-    frozen = _FrozenEmbeddings(ckpt, suite)
+    reg = DifferenceRegularizer(ckpt, suite, manifest)
     hits = 0
     for sample in samples:
-        reference = manifest.by_id(sample.neutral_ref)
-        i_vis = frozen.visual(sample.image_ref, sample.emotion)
-        sims = [cosine_with_flag(frozen.text(reference, candidate), i_vis)[0]
-                for candidate in EMOTIONS]
-        if int(np.argmax(sims)) == int(sample.emotion):
-            hits += 1
+        n = reg.row[sample.id]
+        sims = [cosine_with_flag(reg.prompts[reg.reference[n], int(k)],
+                                 reg.projected_source[n])[0] for k in EMOTIONS]
+        hits += int(np.argmax(sims)) == int(sample.emotion)
     return hits / len(samples)

@@ -1,6 +1,7 @@
-"""Composite supervision: the difference regularizer as a plug-in object
-for any generator, the total objective around an opaque base loss, and a
-desk-scale generator demo showing the regularizer's supervisory effect."""
+"""Composite supervision: the total objective around an opaque base loss,
+and a desk-scale generator demo showing the supervisory effect of the
+difference regularizer (``prompts.DifferenceRegularizer``), the plug-in
+the demo's generator trains against."""
 
 from __future__ import annotations
 
@@ -16,11 +17,9 @@ from .corpus import TRAIN, VAL, CorpusManifest
 from .emotions import EMOTIONS
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError, write_csv
-from .numerics import (DifferencePair, MlpParams, as_matrix, as_same_rows,
-                       cosine_with_flag, difference_loss_with_grads, init_mlp,
+from .numerics import (MlpParams, as_same_rows, cosine_with_flag, init_mlp,
                        mlp_backward, mlp_forward, sgd_step)
-from .prompts import (AlignmentCheckpoint, ProjectorStack, _frozen_table,
-                      _personalized_rows, project_visual)
+from .prompts import AlignmentCheckpoint, DifferenceRegularizer, project_visual
 
 # Baseline-specific default weights for the difference-regularizer term.
 DEFAULT_LAMBDAS = {"ned": 0.4, "icface": 0.05, "sserd": 0.2, "toy": 0.4}
@@ -174,102 +173,6 @@ class DemoReport:
     def content_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-# source rows per gathered projector pass when the regularizer builds its tables
-_SOURCE_BLOCK = 16
-
-
-def _index_array(x, bound: int, name: str) -> np.ndarray:
-    """``x`` as a non-empty 1-D integer array whose entries lie in [0, bound)."""
-    a = np.asarray(x)
-    if a.ndim != 1 or a.size == 0 or a.dtype.kind not in "iu":
-        raise ContractError(f"{name} must be a non-empty 1-D integer array, "
-                            f"got {a.dtype} of shape {a.shape}")
-    if a.min() < 0 or a.max() >= bound:
-        raise ContractError(f"{name} must lie in [0, {bound}), got values from "
-                            f"{a.min()} to {a.max()}")
-    return a
-
-
-class DifferenceRegularizer:
-    """The difference regularizer ``L2`` of a frozen checkpoint, as a plug-in
-    for any generator of visual embeddings.
-
-    A host turns source samples of ``manifest`` and target emotions into
-    generated ``d_e`` embeddings; ``loss_and_grad`` scores them by
-    ``L2 = 1 - cosine(P_src(source) - P_tgt(generated), T_src - T_tgt)``,
-    with P the frozen projectors and T the personalized prompt embeddings
-    of the source's neutral reference. The host adds the result, times
-    lambda, to its own loss (``total_loss``).
-
-    The constructor builds the frozen side once, in manifest order (sample
-    ``s`` is row ``row[s.id]``), as write-protected tables: the sources'
-    ``visual`` embeddings ``(N, d_e)`` and ``emotion`` codes; their
-    ``projected_source`` through their own projectors, in gathered passes
-    of ``_SOURCE_BLOCK`` rows through ``projectors`` (the bank's
-    ``ProjectorStack``); and ``prompts``, the ``(R, 7, d_e)`` prompt
-    embeddings of the R ``references`` (``reference`` holds each row's),
-    from one ``_personalized_rows`` pass.
-    """
-
-    def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite,
-                 manifest: CorpusManifest):
-        ckpt.require_frozen()
-        self.ckpt = ckpt
-        samples = manifest.samples
-        self.row = {s.id: i for i, s in enumerate(samples)}
-        self.references = list(dict.fromkeys(s.neutral_ref for s in samples))
-        reference_row = {ref: i for i, ref in enumerate(self.references)}
-        self.emotion = np.array([int(s.emotion) for s in samples])
-        self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
-        references = [manifest.by_id(ref) for ref in self.references]
-        table = _frozen_table(samples, references, suite)
-        self.visual = np.stack([table.visual[s.id] for s in samples])
-        self.projectors = ProjectorStack(ckpt)
-        # the gather copies each row's weights (96 KB at d_e = 64), so the
-        # sources go through in blocks; a row's result does not depend on its block
-        self.projected_source = np.concatenate([
-            self.projectors.forward(self.visual[i:i + _SOURCE_BLOCK],
-                                    self.emotion[i:i + _SOURCE_BLOCK])[0]
-            for i in range(0, len(samples), _SOURCE_BLOCK)])
-        embed, _ = _personalized_rows(ckpt, [r for r in references for _ in EMOTIONS],
-                                      table, suite)
-        self.prompts = embed(list(EMOTIONS) * len(references))[0].reshape(
-            len(references), len(EMOTIONS), -1)
-        for array in (self.emotion, self.reference, self.visual, self.projected_source,
-                      self.prompts):
-            array.flags.writeable = False
-
-    def loss_and_grad(self, rows, generated, targets, with_grad: bool = True
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """The difference losses of a ``(B, d_e)`` stack of generated
-        embeddings, row n made from source row ``rows[n]`` for target
-        emotion code ``targets[n]``, and their ``(B, d_e)`` gradient w.r.t.
-        the stack: one gathered forward pass through the frozen projectors
-        of the targets, then one gathered input-only backward pass. A row's
-        loss and gradient do not depend on the other rows of the batch; a
-        zero-norm difference gets loss 1 and a zero gradient.
-
-        Without ``with_grad`` only the losses are computed and the gradient
-        is zeros: the backward pass through the frozen projectors is skipped.
-        Rows outside the manifest, target codes outside [0, 7) and a
-        ``generated`` that is not a finite ``(B, d_e)`` stack are refused.
-        """
-        rows = _index_array(rows, len(self.emotion), "rows")
-        targets = _index_array(targets, len(EMOTIONS), "target codes")
-        if targets.shape != rows.shape:
-            raise ContractError(f"{len(targets)} target codes for {len(rows)} rows")
-        generated = as_matrix(generated, (len(rows), self.ckpt.d_e), "generated")
-        visual_gen, cache = self.projectors.forward(generated, targets, with_grad)
-        reference = self.reference[rows]
-        losses, d_vis_diff, _ = difference_loss_with_grads(DifferencePair(
-            self.projected_source[rows] - visual_gen,
-            self.prompts[reference, self.emotion[rows]] - self.prompts[reference, targets]))
-        if not with_grad:
-            return losses, np.zeros_like(generated)
-        # visual_diff = projected_source - visual_gen, so d/d visual_gen is -d_vis_diff
-        return losses, self.projectors.input_grad(cache, -d_vis_diff)
 
 
 def _clean_targets(manifest: CorpusManifest, world: SyntheticWorld):

@@ -175,7 +175,7 @@ def test_criterion_4_identity_cancellation(noise_free_world):
     ckpt = pr._fresh_checkpoint(suite, cfg, np.random.Generator(np.random.PCG64(4)))
     ckpt = dataclasses.replace(ckpt, bank=es.EmotionProjectorBank(
         "multi", [identity_mlp(suite.d_e) for _ in range(7)]))
-    ckpt.freeze()
+    reg = es.DifferenceRegularizer(ckpt.freeze(), suite, manifest)
     worst = 0.0
     pairs = [(es.EmotionLabel.angry, es.EmotionLabel.happy),
              (es.EmotionLabel.neutral, es.EmotionLabel.surprised),
@@ -187,8 +187,7 @@ def test_criterion_4_identity_cancellation(noise_free_world):
                           if s.identity == identity and s.emotion == source_emotion)
             target = next(s for s in manifest.samples
                           if s.identity == identity and s.emotion == target_emotion)
-            pe = embed_pair(ckpt, source, target.image_ref, target_emotion,
-                            manifest.by_id(source.neutral_ref), suite)
+            pe = embed_pair(reg, source, target)
             diffs.append(diff_vectors(pe).visual_diff)
         for d in diffs[1:]:
             worst = max(worst, float(np.max(np.abs(d - diffs[0]))))

@@ -339,22 +339,25 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
         default_manifest, reference_pools, default_suite,
         es.TrainConfig(projector_mode=mode, guider_token_count=tokens, epochs=1,
                        steps_per_epoch=3))
-    project = pr.project_visual
-    stacks = []
+    project, build = pr.project_visual, pr.build_personalized_prompt
+    stacks, prompts = [], []
 
     def stacked_only(bank, visual, emotion):
         stacks.append(np.ndim(visual))
         return project(bank, visual, emotion)
 
-    def refused(*args):
-        raise AssertionError("the demo built a prompt per sample")
+    def counted(*args):
+        prompts.append(args[1:3])
+        return build(*args)
 
     monkeypatch.setattr(pr, "project_visual", stacked_only)
-    monkeypatch.setattr(pr, "build_personalized_prompt", refused)
+    monkeypatch.setattr(pr, "build_personalized_prompt", counted)
     reg = es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
     monkeypatch.undo()
     # the sources go through the bank's gathered passes, none per sample
     assert stacks == []
+    # one prompt per (reference, emotion), none per sample
+    assert len(prompts) == len(set(prompts)) == len(reg.references) * len(EMOTIONS)
     assert reg.prompts.shape == (len(reg.references), len(EMOTIONS), default_suite.d_e)
     for array in (reg.emotion, reg.reference, reg.visual, reg.projected_source,
                   reg.prompts):
@@ -372,8 +375,7 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
         for k in EMOTIONS:
             expected = default_suite.text_encode(
                 es.build_personalized_prompt(ckpt, reference, k, default_suite))
-            np.testing.assert_allclose(reg.prompts[r, int(k)], expected,
-                                       rtol=1e-12, atol=1e-15)
+            assert np.array_equal(reg.prompts[r, int(k)], expected)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

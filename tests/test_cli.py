@@ -711,7 +711,7 @@ def test_checkpoint_of_another_world_is_refused(tmp_path, checkpoint_dir, capsys
     assert run(command, "--manifest", corpus / "manifest.json",
                "--checkpoint", checkpoint_dir / "checkpoint.json", "--out", out) == 2
     assert capsys.readouterr().err == \
-        "error: checkpoint d_e is 64 but the manifest's world has d_e 48\n"
+        "error: checkpoint d_e is 64 but the encoder suite has d_e 48\n"
     assert not out.exists()
 
 
@@ -758,6 +758,10 @@ REJECTED = [
     ("gen-corpus", ["--d-e", 0], "d_e must be positive, got 0"),
     ("gen-corpus", ["--per-emotion", 0], "per_identity_per_emotion must be >= 1"),
     ("gen-corpus", ["--seed", -1], "seed must be >= 0, got -1"),
+    ("gen-corpus", ["--noise", "nan"], "noise_sigma must be finite, got nan"),
+    ("gen-corpus", ["--noise", "inf"], "noise_sigma must be finite, got inf"),
+    ("gen-corpus", ["--gap", "nan"], "gap must be finite, got nan"),
+    ("gen-corpus", ["--gap", "inf"], "gap must be finite, got inf"),
     ("pretrain", ["--lr", "nan"], "lr must be finite and positive"),
     ("pretrain", ["--epochs", 0], "epochs, batch_size and steps_per_epoch must be >= 1"),
     ("pretrain", ["--manifest", MISSING], "No such file"),

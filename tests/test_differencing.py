@@ -29,9 +29,16 @@ def single_conditional_checkpoint(suite, seed=0):
 
 
 def per_row_export(ckpt, manifest, suite, include_mismatched=False):
-    """Oracle: the export loop as it ran before rows shared one memo. Each
-    row embeds its pair from scratch and encodes every mismatched prompt
-    inline."""
+    """Oracle: each row composed on its own from the suite, ``project_visual``
+    and ``build_personalized_prompt``, sharing no table with the export."""
+    def visual(sample):
+        return pr.project_visual(ckpt.bank, suite.visual_encode(sample.image_ref),
+                                 sample.emotion)[0]
+
+    def text(reference, emotion):
+        return suite.text_encode(es.build_personalized_prompt(ckpt, reference, emotion,
+                                                              suite))
+
     first_of = {}
     for s in sorted(manifest.samples, key=lambda s: s.id):
         first_of.setdefault((s.identity, s.emotion), s)
@@ -42,27 +49,19 @@ def per_row_export(ckpt, manifest, suite, include_mismatched=False):
             target = first_of.get((source.identity, target_emotion))
             if target_emotion == source.emotion or target is None:
                 continue
-            pe = embed_pair(ckpt, source, target.image_ref, target_emotion, reference,
-                            suite)
-            dp = diff_vectors(pe)
+            visual_diff = visual(source) - visual(target)
             prompt_emotions = [target_emotion]
             if include_mismatched:
                 prompt_emotions += [e for e in es.EMOTIONS
                                     if e not in (target_emotion, source.emotion)]
             for prompt_emotion in prompt_emotions:
-                if prompt_emotion == target_emotion:
-                    text_diff = dp.text_diff
-                else:
-                    t_alt = suite.text_encode(
-                        es.build_personalized_prompt(ckpt, reference, prompt_emotion,
-                                                     suite))
-                    text_diff = pe.text_source - t_alt
                 rows.append({"identity": source.identity,
                              "source_emotion": source.emotion.name,
                              "target_emotion": target_emotion.name,
                              "prompt_emotion": prompt_emotion.name,
-                             "visual_diff": dp.visual_diff.copy(),
-                             "text_diff": text_diff.copy()})
+                             "visual_diff": visual_diff,
+                             "text_diff": (text(reference, source.emotion)
+                                           - text(reference, prompt_emotion))})
     return rows
 
 
@@ -80,143 +79,86 @@ def random_pair(rng, d=16):
 # embed_pair
 # ---------------------------------------------------------------------------
 
-def test_embed_pair_same_target_gives_equal_embeddings(trained_checkpoint,
-                                                       default_manifest,
-                                                       default_suite):
-    ckpt, _ = trained_checkpoint
+@pytest.fixture(scope="module")
+def trained_reg(trained_checkpoint, default_manifest, default_suite):
+    return es.DifferenceRegularizer(trained_checkpoint[0], default_suite, default_manifest)
+
+
+def of_same_identity(manifest, source, emotion):
+    return next(s for s in manifest.samples
+                if s.identity == source.identity and s.emotion == emotion)
+
+
+def test_embed_pair_same_target_gives_equal_embeddings(trained_reg, default_manifest):
     source = default_manifest.samples[3]
-    reference = default_manifest.by_id(source.neutral_ref)
-    pe = embed_pair(ckpt, source, source.image_ref, source.emotion, reference,
-                    default_suite)
+    pe = embed_pair(trained_reg, source, source)
     assert np.array_equal(pe.visual_source, pe.visual_target)
     assert np.array_equal(pe.text_source, pe.text_target)
 
 
-def test_embed_pair_deterministic(trained_checkpoint, default_manifest,
+def test_embed_pair_deterministic(trained_checkpoint, trained_reg, default_manifest,
                                   default_suite):
-    ckpt, _ = trained_checkpoint
+    # a second regularizer, built on its own, gives the same bytes
     source = default_manifest.samples[4]
-    target = default_manifest.samples[10]
-    reference = default_manifest.by_id(source.neutral_ref)
-    a = embed_pair(ckpt, source, target.image_ref, target.emotion, reference,
-                   default_suite)
-    b = embed_pair(ckpt, source, target.image_ref, target.emotion, reference,
-                   default_suite)
+    target = of_same_identity(default_manifest, source, es.EmotionLabel.happy)
+    rebuilt = es.DifferenceRegularizer(trained_checkpoint[0], default_suite,
+                                       default_manifest)
+    a = embed_pair(trained_reg, source, target)
+    b = embed_pair(rebuilt, source, target)
     for field in ("visual_source", "text_source", "visual_target", "text_target"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert (a.source_emotion, a.target_emotion) == (source.emotion, target.emotion)
 
 
-def test_embed_pair_matches_direct_composition(trained_checkpoint,
-                                               default_manifest, default_suite):
+@pytest.mark.parametrize("mode", [pr.MULTI, pr.SINGLE_CONDITIONAL])
+def test_embed_pair_matches_direct_composition(trained_checkpoint, default_manifest,
+                                               default_suite, mode):
     # compositional oracle: recompute each of the four embeddings through
     # the public single-embedding operations
-    ckpt, _ = trained_checkpoint
+    ckpt = (trained_checkpoint[0] if mode == pr.MULTI
+            else single_conditional_checkpoint(default_suite))
+    reg = es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
     source = default_manifest.samples[5]
-    target_emotion = es.EmotionLabel.surprised
-    target = next(s for s in default_manifest.samples
-                  if s.identity == source.identity and s.emotion == target_emotion)
+    target = of_same_identity(default_manifest, source, es.EmotionLabel.surprised)
     reference = default_manifest.by_id(source.neutral_ref)
-    pe = embed_pair(ckpt, source, target.image_ref, target_emotion, reference,
-                    default_suite)
+    pe = embed_pair(reg, source, target)
 
     vis_s = pr.project_visual(ckpt.bank, default_suite.visual_encode(source.image_ref),
                               source.emotion)[0]
     vis_t = pr.project_visual(ckpt.bank, default_suite.visual_encode(target.image_ref),
-                              target_emotion)[0]
+                              target.emotion)[0]
     txt_s = default_suite.text_encode(
         es.build_personalized_prompt(ckpt, reference, source.emotion, default_suite))
     txt_t = default_suite.text_encode(
-        es.build_personalized_prompt(ckpt, reference, target_emotion, default_suite))
+        es.build_personalized_prompt(ckpt, reference, target.emotion, default_suite))
     assert np.array_equal(pe.visual_source, vis_s)
     assert np.array_equal(pe.visual_target, vis_t)
     assert np.array_equal(pe.text_source, txt_s)
     assert np.array_equal(pe.text_target, txt_t)
 
 
-def test_embed_pair_contract_errors(trained_checkpoint, default_manifest,
-                                    default_suite):
-    ckpt, _ = trained_checkpoint
+def test_embed_pair_refuses_a_sample_outside_the_manifest_or_of_another_identity(
+        trained_reg, default_manifest):
     source = default_manifest.samples[0]
-    emotional = next(s for s in default_manifest.samples
-                     if s.emotion != es.EmotionLabel.neutral)
-    with pytest.raises(ContractError):
-        embed_pair(ckpt, source, source.image_ref, es.EmotionLabel.sad, emotional,
-                   default_suite)
-    other_identity_neutral = next(
-        s for s in default_manifest.samples
-        if s.emotion == es.EmotionLabel.neutral and s.identity != source.identity)
-    with pytest.raises(ContractError):
-        embed_pair(ckpt, source, source.image_ref, es.EmotionLabel.sad,
-                   other_identity_neutral, default_suite)
+    target = of_same_identity(default_manifest, source, es.EmotionLabel.angry)
+    # an unknown id, and a known id whose sample differs from the manifest's
+    for stranger in (dataclasses.replace(target, id="nobody"),
+                     dataclasses.replace(target, emotion=es.EmotionLabel.happy)):
+        with pytest.raises(ContractError, match="not in the regularizer's manifest"):
+            embed_pair(trained_reg, source, stranger)
+        with pytest.raises(ContractError, match="not in the regularizer's manifest"):
+            embed_pair(trained_reg, stranger, target)
+    other_identity = next(s for s in default_manifest.samples
+                          if s.identity != source.identity)
+    with pytest.raises(ContractError, match="not of the source's identity"):
+        embed_pair(trained_reg, source, other_identity)
 
 
-def test_embed_pair_requires_frozen(default_manifest, default_suite):
+def test_export_requires_a_frozen_checkpoint(default_manifest, default_suite):
     ckpt = pr._fresh_checkpoint(default_suite, es.TrainConfig(),
                                 np.random.Generator(np.random.PCG64(0)))
-    s = default_manifest.samples[0]
-    with pytest.raises(ContractError):
-        embed_pair(ckpt, s, s.image_ref, s.emotion,
-                   default_manifest.by_id(s.neutral_ref), default_suite)
-
-
-def test_embed_pair_refuses_a_memo_of_another_checkpoint_or_suite(
-        trained_checkpoint, default_world, default_manifest, default_suite):
-    ckpt, _ = trained_checkpoint
-    source = default_manifest.samples[0]
-    reference = default_manifest.by_id(source.neutral_ref)
-    other_ckpt = single_conditional_checkpoint(default_suite)
-    other_suite = es.synthetic_suite(default_world)
-    for memo in (pr._FrozenEmbeddings(other_ckpt, default_suite),
-                 pr._FrozenEmbeddings(ckpt, other_suite)):
-        with pytest.raises(ContractError, match="another checkpoint"):
-            embed_pair(ckpt, source, source.image_ref, es.EmotionLabel.sad, reference,
-                       default_suite, frozen=memo)
-    memo = pr._FrozenEmbeddings(ckpt, default_suite)
-    pe = embed_pair(ckpt, source, source.image_ref, es.EmotionLabel.sad, reference,
-                    default_suite, frozen=memo)
-    assert np.array_equal(pe.text_target, memo.text(reference, es.EmotionLabel.sad))
-
-
-def test_embed_pair_checks_frozen_before_the_memo(default_manifest, default_suite):
-    # the memo is only sound for a frozen checkpoint, so the frozen check
-    # comes first, whichever memo is passed
-    ckpt = pr._fresh_checkpoint(default_suite, es.TrainConfig(),
-                                np.random.Generator(np.random.PCG64(0)))
-    memo = pr._FrozenEmbeddings(single_conditional_checkpoint(default_suite),
-                                default_suite)
-    s = default_manifest.samples[0]
     with pytest.raises(ContractError, match="must be frozen"):
-        embed_pair(ckpt, s, s.image_ref, s.emotion, default_manifest.by_id(s.neutral_ref),
-                   default_suite, frozen=memo)
-    with pytest.raises(ContractError, match="must be frozen"):
-        pr._FrozenEmbeddings(ckpt, default_suite)
-
-
-def test_memo_keys_an_image_by_its_projector_and_keeps_no_raw_vector(
-        trained_checkpoint, default_manifest, default_suite):
-    ckpt, _ = trained_checkpoint
-    source = default_manifest.samples[1]
-    reference = default_manifest.by_id(source.neutral_ref)
-    memo = pr._FrozenEmbeddings(ckpt, default_suite)
-    raw = default_suite.visual_encode(source.image_ref)
-
-    def projected(visual, emotion):
-        return pr.project_visual(ckpt.bank, visual, emotion)[0]
-
-    for emotion in (es.EmotionLabel.happy, es.EmotionLabel.sad):
-        # the source image again, projected for another emotion
-        pe = embed_pair(ckpt, source, source.image_ref, emotion, reference, default_suite,
-                        frozen=memo)
-        assert np.array_equal(pe.visual_source, projected(raw, source.emotion))
-        assert np.array_equal(pe.visual_target, projected(raw, emotion))
-    for visual in (raw, raw + 1.0):
-        pe = embed_pair(ckpt, source, visual, es.EmotionLabel.happy, reference,
-                        default_suite, frozen=memo)
-        assert np.array_equal(pe.visual_target, projected(visual, es.EmotionLabel.happy))
-    # the suite takes refs only, so embed_pair validates a raw vector itself
-    with pytest.raises(ContractError, match=f"visual feature has dim {raw.size - 1}"):
-        embed_pair(ckpt, source, raw[:-1], es.EmotionLabel.happy, reference, default_suite,
-                   frozen=memo)
+        export_difference_rows(ckpt, default_manifest, default_suite)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +260,7 @@ def test_identity_cancellation_in_noise_free_world(noise_free_world):
     # prototype difference, identical across identities
     suite = es.synthetic_suite(noise_free_world)
     manifest = es.generate_synthetic_corpus(noise_free_world, 1)
-    ckpt = passthrough_checkpoint(suite)
+    reg = es.DifferenceRegularizer(passthrough_checkpoint(suite), suite, manifest)
     source_emotion, target_emotion = es.EmotionLabel.angry, es.EmotionLabel.happy
     diffs = []
     for identity in noise_free_world.identity_names:
@@ -326,9 +268,7 @@ def test_identity_cancellation_in_noise_free_world(noise_free_world):
                       if s.identity == identity and s.emotion == source_emotion)
         target = next(s for s in manifest.samples
                       if s.identity == identity and s.emotion == target_emotion)
-        reference = manifest.by_id(source.neutral_ref)
-        pe = embed_pair(ckpt, source, target.image_ref, target_emotion, reference,
-                        suite)
+        pe = embed_pair(reg, source, target)
         diffs.append(diff_vectors(pe).visual_diff)
     for d in diffs[1:]:
         assert np.max(np.abs(d - diffs[0])) < 1e-9
@@ -367,9 +307,9 @@ def test_export_mismatched_rows(trained_checkpoint, default_manifest,
 
 @pytest.mark.parametrize("mode", [pr.MULTI, pr.SINGLE_CONDITIONAL])
 @pytest.mark.parametrize("include_mismatched", [False, True])
-def test_memoized_export_equals_the_per_row_loop(trained_checkpoint, default_manifest,
-                                                 default_suite, tmp_path, mode,
-                                                 include_mismatched):
+def test_export_equals_the_per_row_composition(trained_checkpoint, default_manifest,
+                                               default_suite, tmp_path, mode,
+                                               include_mismatched):
     ckpt = (trained_checkpoint[0] if mode == pr.MULTI
             else single_conditional_checkpoint(default_suite))
     assert ckpt.bank.mode == mode
@@ -385,15 +325,16 @@ def test_memoized_export_equals_the_per_row_loop(trained_checkpoint, default_man
                 assert np.array_equal(row[key], value)
             else:
                 assert row[key] == value
-    write_difference_csv(rows, tmp_path / "memo.csv")
+    write_difference_csv(rows, tmp_path / "export.csv")
     write_difference_csv(expected, tmp_path / "per_row.csv")
-    assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+    assert (tmp_path / "export.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
 
 def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_manifest,
                                                   default_suite, monkeypatch):
     ckpt, _ = trained_checkpoint
-    calls = {"build_personalized_prompt": 0, "project_visual": 0, "embed_pair": 0}
+    calls = {"build_personalized_prompt": 0, "project_visual": 0, "embed_pair": 0,
+             "visual_encode": 0}
 
     def counting(module, name):
         wrapped = getattr(module, name)
@@ -401,13 +342,18 @@ def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_ma
         def call(*args, **kwargs):
             calls[name] += 1
             return wrapped(*args, **kwargs)
-        monkeypatch.setattr(module, name, call)
+        return call
 
-    counting(pr, "build_personalized_prompt")
-    counting(pr, "project_visual")
-    counting(df, "embed_pair")
-    rows = export_difference_rows(ckpt, default_manifest, default_suite)
+    monkeypatch.setattr(pr, "build_personalized_prompt",
+                        counting(pr, "build_personalized_prompt"))
+    monkeypatch.setattr(pr, "project_visual", counting(pr, "project_visual"))
+    monkeypatch.setattr(df, "embed_pair", counting(df, "embed_pair"))
+    suite = dataclasses.replace(default_suite,
+                                visual_encode=counting(default_suite, "visual_encode"))
+    rows = export_difference_rows(ckpt, default_manifest, suite)
     references = {s.neutral_ref for s in default_manifest.samples}
     assert calls["embed_pair"] == len(rows) == len(default_manifest.samples) * 6
-    assert 0 < calls["build_personalized_prompt"] <= len(references) * len(es.EMOTIONS)
-    assert 0 < calls["project_visual"] <= len(default_manifest.samples)
+    assert calls["build_personalized_prompt"] == len(references) * len(es.EMOTIONS)
+    assert calls["visual_encode"] == len(default_manifest.samples)
+    # the sources go through the bank's gathered passes, none per sample
+    assert calls["project_visual"] == 0

@@ -78,12 +78,17 @@ def test_mean_cross_modal_offset_matches_designed_gap():
 
 
 def test_generation_validation_errors():
-    with pytest.raises(ContractError):
-        es.build_synthetic_world(1, es.WorldConfig(n_identities=1))
-    with pytest.raises(ContractError):
-        es.build_synthetic_world(1, es.WorldConfig(noise_sigma=-0.1))
-    with pytest.raises(ContractError):
-        es.build_synthetic_world(1, es.WorldConfig(d_latent=64, d_tok=32))
+    for config, message in [
+            (es.WorldConfig(n_identities=1), "need at least 2 identities"),
+            (es.WorldConfig(noise_sigma=-0.1), "noise_sigma must be >= 0"),
+            (es.WorldConfig(noise_sigma=np.nan), "noise_sigma must be finite, got nan"),
+            (es.WorldConfig(gap=np.nan), "gap must be finite, got nan"),
+            (es.WorldConfig(gap=np.inf), "gap must be finite, got inf"),
+            (es.WorldConfig(word_token_scale=np.nan),
+             "word_token_scale must be finite, got nan"),
+            (es.WorldConfig(d_latent=64, d_tok=32), "dims must satisfy")]:
+        with pytest.raises(ContractError, match=message):
+            es.build_synthetic_world(1, config)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +520,7 @@ def test_token_vjp_is_the_adjoint_of_text_encode(any_suite, rng):
 
 
 def test_visual_encode_refuses_a_raw_vector(any_suite):
-    # a suite takes refs only; embed_pair is the one caller that accepts a
-    # raw vector, and it projects the vector itself
+    # a suite takes refs only, and no caller passes it a raw vector
     vector = np.ones(any_suite.d_e)
     for ref in (vector, (vector,)):
         with pytest.raises(KeyError, match="unknown (image ref|sample id)"):

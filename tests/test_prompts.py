@@ -453,6 +453,66 @@ def test_empty_split_rejected(trained_checkpoint, default_manifest, default_suit
         es.retrieval_accuracy(ckpt, manifest, VAL, default_suite)
 
 
+def retrieval_oracle(ckpt, manifest, split, suite):
+    """Per sample: ``visual_encode`` then ``project_visual``; per candidate
+    emotion: ``text_encode`` of ``build_personalized_prompt``; a hit when the
+    argmax of the ``cosine_with_flag`` scores is the sample's emotion."""
+    samples = manifest.in_split(split)
+    hits = 0
+    for sample in samples:
+        reference = manifest.by_id(sample.neutral_ref)
+        visual = pr.project_visual(ckpt.bank, suite.visual_encode(sample.image_ref),
+                                   sample.emotion)[0]
+        sims = [es.cosine_with_flag(suite.text_encode(
+                    es.build_personalized_prompt(ckpt, reference, k, suite)), visual)[0]
+                for k in es.EMOTIONS]
+        hits += int(np.argmax(sims)) == int(sample.emotion)
+    return hits / len(samples)
+
+
+@pytest.mark.parametrize("tokens", [1, 2])
+@pytest.mark.parametrize("mode", [pr.MULTI, pr.SINGLE_CONDITIONAL])
+@pytest.mark.parametrize("world_seed", [1, 2, 3])
+def test_retrieval_equals_the_per_sample_oracle(reference_pools, world_seed, mode,
+                                                tokens):
+    # weakly trained, so both figures lie strictly between 0 and 1 and a
+    # wrong row would move them (fully trained, val reads 1.0)
+    world = es.build_synthetic_world(world_seed)
+    suite = es.synthetic_suite(world)
+    manifest = es.generate_synthetic_corpus(world, 3)
+    ckpt, _ = es.pretrain_alignment(
+        manifest, reference_pools, suite,
+        es.TrainConfig(projector_mode=mode, guider_token_count=tokens, epochs=1,
+                       steps_per_epoch=3))
+    for split in (TRAIN, VAL):
+        accuracy = es.retrieval_accuracy(ckpt, manifest, split, suite)
+        assert 0 < accuracy < 1
+        assert accuracy == retrieval_oracle(ckpt, manifest, split, suite)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ckpt, manifest, suite: es.DifferenceRegularizer(ckpt, suite, manifest),
+    lambda ckpt, manifest, suite: es.retrieval_accuracy(ckpt, manifest, VAL, suite),
+    lambda ckpt, manifest, suite: es.export_difference_rows(ckpt, manifest, suite)],
+    ids=["DifferenceRegularizer", "retrieval_accuracy", "export_difference_rows"])
+def test_a_suite_of_other_dims_is_refused_by_name(trained_checkpoint, call):
+    world = es.build_synthetic_world(1, es.WorldConfig(d_e=48))
+    with pytest.raises(ContractError,
+                       match="^checkpoint d_e is 64 but the encoder suite has d_e 48$"):
+        call(trained_checkpoint[0], es.generate_synthetic_corpus(world, 1),
+             es.synthetic_suite(world))
+
+
+@pytest.mark.parametrize("dims, message", [
+    (dict(d_b=24), "checkpoint d_b is 32 but the encoder suite has d_b 24"),
+    (dict(d_tok=24), "checkpoint d_tok is 32 but the encoder suite has d_tok 24")])
+def test_require_suite_names_each_dim(trained_checkpoint, dims, message):
+    ckpt, _ = trained_checkpoint
+    suite = es.synthetic_suite(es.build_synthetic_world(1, es.WorldConfig(**dims)))
+    with pytest.raises(ContractError, match=message):
+        ckpt.require_suite(suite)
+
+
 def test_identity_sensitivity_of_trained_prompts(trained_checkpoint,
                                                  default_manifest, default_suite):
     ckpt, _ = trained_checkpoint

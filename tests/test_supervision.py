@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import emosup as es
+import emosup.prompts as pr
 import emosup.supervision as sv
 from emosup.errors import ContractError
 from test_batched_steps import train_demo, train_per_entry  # the loop and its oracle
@@ -162,7 +163,6 @@ def test_demo_report_reproducible_hash(demo_env):
 
 
 def test_demo_requires_frozen_checkpoint(demo_env, default_suite):
-    import emosup.prompts as pr
     manifest, _, suite, world, _ = demo_env
     unfrozen = pr._fresh_checkpoint(suite, es.TrainConfig(),
                                     np.random.Generator(np.random.PCG64(0)))
@@ -242,7 +242,7 @@ def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypat
     manifest, _, _, world, reg = demo_env
     cfg = es.DemoConfig(seed=12, **TINY)
     calls = {"frozen": 0, "trainable": 0, "gathered": 0}
-    backward, input_grad = sv.mlp_backward, sv.ProjectorStack.input_grad
+    backward, input_grad = sv.mlp_backward, pr.ProjectorStack.input_grad
 
     def counting_backward(p, cache, upstream):
         calls["trainable" if p.layers[0].weights.flags.writeable else "frozen"] += 1
@@ -254,7 +254,7 @@ def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypat
         return input_grad(stack, cache, upstream)
 
     monkeypatch.setattr(sv, "mlp_backward", counting_backward)
-    monkeypatch.setattr(sv.ProjectorStack, "input_grad", counting_input_grad)
+    monkeypatch.setattr(pr.ProjectorStack, "input_grad", counting_input_grad)
     demo_rows(manifest, reg, world, [0.0], cfg)
     # one generator backward per step over the stacked batch
     assert calls == {"frozen": 0, "trainable": cfg.steps, "gathered": 0}
@@ -269,13 +269,13 @@ def test_lambda_zero_computes_l2_only_in_the_reported_tail(demo_env, monkeypatch
     cfg = es.DemoConfig(seed=13, steps=steps, batch_size=4, lr=0.05, hidden=(16,))
     tail = max(1, steps // 10)
     calls = []
-    loss = sv.difference_loss_with_grads
+    loss = pr.difference_loss_with_grads
 
     def counting_loss(pair):
         calls.append(len(pair.visual_diff))
         return loss(pair)
 
-    monkeypatch.setattr(sv, "difference_loss_with_grads", counting_loss)
+    monkeypatch.setattr(pr, "difference_loss_with_grads", counting_loss)
     expected = {(0.0,): tail, (0.4,): steps, (0.0, 0.4): steps + tail}
     runs = {}
     for lams, count in expected.items():
@@ -294,7 +294,6 @@ def test_lambda_zero_computes_l2_only_in_the_reported_tail(demo_env, monkeypatch
 # ---------------------------------------------------------------------------
 
 def test_regularizer_refuses_an_unfrozen_checkpoint(default_manifest, default_suite):
-    import emosup.prompts as pr
     unfrozen = pr._fresh_checkpoint(default_suite, es.TrainConfig(),
                                     np.random.Generator(np.random.PCG64(0)))
     with pytest.raises(ContractError, match="must be frozen"):
