@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Callable, Iterable
 
 _JSON_FORM = {"indent": 2, "sort_keys": True}  # the one JSON output form
@@ -29,9 +30,51 @@ def canonical_json(value) -> str:
 
 
 def write_json(path: str | Path, value) -> None:
-    with open(path, "w") as f:  # streamed, so a large manifest is never one string
-        json.dump(value, f, **_JSON_FORM)
+    """Write ``canonical_json(value)``, byte for byte, streamed so a large
+    manifest or checkpoint is never one string."""
+    with open(path, "w") as f:
+        _write_json_node(f.write, value, "\n")
         f.write("\n")
+
+
+def _write_json_node(write, value, newline: str) -> None:
+    """Write ``value`` as json.dumps does under ``_JSON_FORM`` at the nesting
+    whose line break (with indentation) is ``newline``. A non-empty list of
+    finite floats is one joined ``float.__repr__`` string and a string is
+    json's C-escaped text, as json would write them; any other scalar or an
+    empty container is json's own text, which the indent does not change; a
+    dict with a non-string key is json's indented text, re-indented."""
+    if isinstance(value, str):
+        write(_json_string(value))
+        return
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        text = None
+        if isinstance(value[0], float):
+            try:
+                text = ("," + inner).join(map(float.__repr__, value))
+            except TypeError:  # a later item that is not a float
+                pass
+        if text is not None and "n" not in text:  # no nan or inf, which json spells out
+            write("[" + inner + text + newline + "]")
+            return
+        write("[")
+        for i, item in enumerate(value):
+            write(("," if i else "") + inner)
+            _write_json_node(write, item, inner)
+        write(newline + "]")
+    elif isinstance(value, dict) and value:
+        if not all(isinstance(k, str) for k in value):
+            # json escapes every line break inside a string, so only indents change
+            write(json.dumps(value, **_JSON_FORM).replace("\n", newline))
+            return
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            write(("," if i else "") + inner + _json_string(key) + ": ")
+            _write_json_node(write, value[key], inner)
+        write(newline + "}")
+    else:  # the default encoder: no indent, so no per-call encoder to collect
+        write(json.dumps(value))
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:

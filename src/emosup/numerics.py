@@ -330,11 +330,11 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
     vector (``MlpParams.vector`` or a checkpoint's) and a gradient in its
     layout.
 
-    lr may be 0, in which case the parameters stay unchanged. A
-    write-protected (frozen) vector raises ``ValueError``.
+    lr must be finite and may be 0, in which case the parameters stay
+    unchanged. A write-protected (frozen) vector raises ``ValueError``.
     """
-    if lr < 0:
-        raise ContractError(f"learning rate must be >= 0, got {lr}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ContractError(f"lr must be finite and >= 0, got {lr}")
     if grad.shape != theta.shape:
         raise ContractError(f"gradient shape {grad.shape} does not match the "
                             f"parameters' {theta.shape}")

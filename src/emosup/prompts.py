@@ -113,6 +113,22 @@ class AlignmentCheckpoint:
         ends = np.cumsum([p.vector.size for p in self.all_params()])
         return np.split(vector, ends[:-1])
 
+    def bank_layers(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(weights, bias)`` views of the projector bank's block of ``vector``,
+        a vector in this checkpoint's layout, one pair per layer: ``(P, out,
+        in)`` weights and ``(P, out)`` biases over the bank's P networks (7 in
+        ``multi`` mode, 1 in ``single_conditional``). The networks are laid
+        out one after another with equal sizes, so these are plain reshapes."""
+        nets = self.bank.projectors
+        block = vector[self.guider_head.vector.size:].reshape(len(nets), -1)
+        out, offset = [], 0
+        for layer in nets[0].layers:
+            (rows, cols), end = layer.weights.shape, offset + layer.weights.size
+            out.append((block[:, offset:end].reshape(len(nets), rows, cols),
+                        block[:, end:end + rows]))
+            offset = end + rows
+        return out
+
     def freeze(self) -> "AlignmentCheckpoint":
         params = self.all_params()
         if any(p.vector.base is not self.vector for p in params):
@@ -236,8 +252,9 @@ def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
 
 class ProjectorStack:
     """A frozen checkpoint's projector bank stacked per layer: ``layers``
-    hold write-protected ``(P, out, in)`` weight and ``(P, out)`` bias
-    copies over the bank's P networks (7 in ``multi`` mode, 1 in
+    hold the ``(P, out, in)`` weight and ``(P, out)`` bias views of
+    ``ckpt.bank_layers(ckpt.vector)``, write-protected because the frozen
+    vector is, over the bank's P networks (7 in ``multi`` mode, 1 in
     ``single_conditional``).
 
     ``forward`` and ``input_grad`` run one gathered pass over rows that each
@@ -250,13 +267,8 @@ class ProjectorStack:
     def __init__(self, ckpt: AlignmentCheckpoint):
         ckpt.require_frozen()
         self.mode, self.d_e = ckpt.bank.mode, ckpt.d_e
-        nets = ckpt.bank.projectors
-        self.layers = []
-        for i, layer in enumerate(nets[0].layers):
-            weights = np.stack([net.layers[i].weights for net in nets])
-            bias = np.stack([net.layers[i].bias for net in nets])
-            weights.flags.writeable = bias.flags.writeable = False
-            self.layers.append(DenseLayer(weights, bias, layer.activation))
+        self.layers = [DenseLayer(weights, bias, layer.activation) for (weights, bias), layer
+                       in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
 
     def forward(self, x: np.ndarray, codes: np.ndarray, for_backward: bool = False
                 ) -> tuple[np.ndarray, list | None]:
@@ -292,10 +304,6 @@ class ProjectorStack:
         return u[:, :self.d_e]
 
 
-# source rows per gathered projector pass when the regularizer builds its tables
-_SOURCE_BLOCK = 16
-
-
 def _index_array(x, bound: int, name: str) -> np.ndarray:
     """``x`` as a non-empty 1-D integer array whose entries lie in [0, bound)."""
     a = np.asarray(x)
@@ -325,14 +333,14 @@ class DifferenceRegularizer:
     order (sample ``s`` is row ``row[s.id]`` of ``samples``), as
     write-protected tables: the sources' ``visual`` embeddings ``(N, d_e)``,
     one ``visual_encode`` per ref, and their ``emotion`` codes; their
-    ``projected_source`` through their own projectors, in gathered passes
-    of ``_SOURCE_BLOCK`` rows through ``projectors`` (the bank's
-    ``ProjectorStack``); and ``prompts``, the ``(R, 7, d_e)`` prompt
-    embeddings of the R ``references`` (``reference`` holds each row's),
-    one ``text_encode(build_personalized_prompt(...))`` per (reference,
-    emotion). Every entry equals its per-sample computation bit for bit, so
+    ``projected_source`` through their own projectors, one ``project_visual``
+    per sample; and ``prompts``, the ``(R, 7, d_e)`` prompt embeddings of the
+    R ``references`` (``reference`` holds each row's), one
+    ``text_encode(build_personalized_prompt(...))`` per (reference,
+    emotion). Every entry is its per-sample computation, so
     ``retrieval_accuracy`` and ``export_difference_rows`` read the same
-    tables the demo trains against.
+    tables the demo trains against. ``projectors`` is the bank's
+    ``ProjectorStack``, which ``loss_and_grad`` runs.
     """
 
     def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite,
@@ -348,12 +356,8 @@ class DifferenceRegularizer:
         self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
         self.visual = np.stack([suite.visual_encode(s.image_ref) for s in samples])
         self.projectors = ProjectorStack(ckpt)
-        # the gather copies each row's weights (96 KB at d_e = 64), so the
-        # sources go through in blocks; a row's result does not depend on its block
-        self.projected_source = np.concatenate([
-            self.projectors.forward(self.visual[i:i + _SOURCE_BLOCK],
-                                    self.emotion[i:i + _SOURCE_BLOCK])[0]
-            for i in range(0, len(samples), _SOURCE_BLOCK)])
+        self.projected_source = np.array([project_visual(ckpt.bank, visual, s.emotion)[0]
+                                          for visual, s in zip(self.visual, samples)])
         # one encode per prompt: a batched encode differs in the last bits
         self.prompts = np.array([[suite.text_encode(build_personalized_prompt(
             ckpt, manifest.by_id(ref), e, suite)) for e in EMOTIONS]
@@ -520,31 +524,54 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
     return embed, backward
 
 
-def _project_rows(bank: EmotionProjectorBank, samples: list[Sample],
+def _project_rows(ckpt: AlignmentCheckpoint, samples: list[Sample],
                   table: _FrozenTable):
-    """One stacked ``project_visual`` pass per emotion present, each over
-    the visual embeddings of that emotion's samples.
+    """One stacked pass through the whole projector bank: the samples'
+    visual embeddings (in single_conditional mode with their one-hot codes
+    appended) are grouped by projector into a zero-padded ``(P, m, in)``
+    stack, m the largest group, and each layer makes one ``np.matmul`` over
+    ``ckpt.bank_layers(ckpt.vector)``.
 
-    Returns the ``(B, d_e)`` projections and ``backward(upstream, grads)``,
-    which adds each pass's projector gradients into ``grads``, the
-    ``ckpt.split`` views of a gradient vector.
+    Returns the ``(B, d_e)`` projections and ``backward(upstream, grad)``,
+    which writes every projector's weight and bias gradients into
+    ``ckpt.bank_layers(grad)`` (a step makes one bank pass, so it writes
+    rather than adds). A padded slot gets zero upstream gradient, so it
+    adds exactly 0, and a projector with no rows gets zeros.
     """
     x = np.stack([table.visual[s.id] for s in samples])
-    codes = np.array([int(s.emotion) for s in samples])
-    out = np.empty((len(x), bank.projectors[0].out_dim))
-    passes = []
-    for emotion in EMOTIONS:
-        rows = np.flatnonzero(codes == int(emotion))
-        if rows.size:
-            out[rows], cache, net = project_visual(bank, x[rows], emotion)
-            passes.append((rows, cache, net, emotion))
+    group = codes = np.array([int(s.emotion) for s in samples])
+    if ckpt.bank.mode == SINGLE_CONDITIONAL:
+        x = np.concatenate([x, np.eye(len(EMOTIONS))[codes]], axis=1)
+        group = np.zeros_like(codes)
+    counts = np.bincount(group, minlength=len(ckpt.bank.projectors))
+    # each row's slot within its group: its rank in a stable sort by group
+    order = np.argsort(group, kind="stable")
+    slot = np.empty_like(group)
+    slot[order] = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+    h = np.zeros((len(counts), counts.max(), x.shape[1]))
+    h[group, slot] = x
+    layers = [(weights, bias, layer.activation) for (weights, bias), layer
+              in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
+    inputs, preacts = [], []
+    for weights, bias, activation in layers:
+        inputs.append(h)
+        z = np.matmul(h, weights.transpose(0, 2, 1)) + bias[:, None, :]
+        preacts.append(z)
+        h = z if activation == IDENTITY else np.maximum(z, 0.0)
 
-    def backward(upstream: np.ndarray, grads: list[np.ndarray]) -> None:
-        for rows, cache, net, emotion in passes:
-            index = 1 + (int(emotion) if bank.mode == MULTI else 0)
-            grads[index] += mlp_backward(net, cache, upstream[rows]).vector
+    def backward(upstream: np.ndarray, grad: np.ndarray) -> None:
+        u = np.zeros_like(h)
+        u[group, slot] = upstream
+        grads = ckpt.bank_layers(grad)
+        for i in reversed(range(len(layers))):
+            (weights, _, activation), (dw, db) = layers[i], grads[i]
+            dz = u if activation == IDENTITY else u * (preacts[i] > 0.0)
+            np.matmul(dz.transpose(0, 2, 1), inputs[i], out=dw)
+            dz.sum(axis=1, out=db)
+            if i:  # the gradient w.r.t. the bank's input is not needed
+                u = np.matmul(dz, weights)
 
-    return out, backward
+    return h[group, slot], backward
 
 
 def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
@@ -554,9 +581,11 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
     bank, one vector in the layout of ``ckpt.vector``.
 
     ``table`` holds the frozen-encoder outputs of the batch's anchors and
-    references (``_frozen_table``).
+    references (``_frozen_table``). An empty batch is refused.
     """
     entries = batch.entries
+    if not entries:
+        raise ContractError("contrastive_step_grads needs a batch of at least one entry")
     anchors = [e.anchor for e in entries]
     references = [e.reference for e in entries]
     grad = np.zeros_like(ckpt.vector)
@@ -565,12 +594,12 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
     embed, head_backward = _personalized_rows(ckpt, references, table, suite)
     t_pos, stack_pos = embed([e.positive_prompt for e in entries])
     t_neg, stack_neg = embed([e.negative_prompt for e in entries])
-    i_vis, projector_backward = _project_rows(ckpt.bank, anchors, table)
+    i_vis, projector_backward = _project_rows(ckpt, anchors, table)
 
     losses, d_tpos, d_tneg, d_ivis = contrastive_loss_with_grads(t_pos, t_neg, i_vis)
     grads[0] += head_backward([(stack_pos, scale * d_tpos),
                                (stack_neg, scale * d_tneg)]).vector
-    projector_backward(scale * d_ivis, grads)
+    projector_backward(scale * d_ivis, grad)
     return float(np.sum(losses)) * scale, grad
 
 
@@ -584,9 +613,12 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     instead of the contrastive one. Note the identity token cancels in
     the text difference, so under a linear text encoder the guider head
     receives exactly zero gradient here. A degenerate pair (a zero-norm
-    difference) counts as loss 1 and contributes no gradient.
+    difference) counts as loss 1 and contributes no gradient. An empty list
+    of draws is refused.
     """
     n = len(draws)
+    if not n:
+        raise ContractError("difference_step_grads needs at least one pair draw")
     sources = [d.source for d in draws]
     targets = [d.target for d in draws]
     references = [d.reference for d in draws]
@@ -597,13 +629,13 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     t_s, stack_s = embed([s.emotion for s in sources])
     t_t, stack_t = embed([s.emotion for s in targets])
     # sources fill the first n rows, targets the last n
-    i_vis, projector_backward = _project_rows(ckpt.bank, sources + targets, table)
+    i_vis, projector_backward = _project_rows(ckpt, sources + targets, table)
 
     losses, d_idiff, d_tdiff = difference_loss_with_grads(
         DifferencePair(i_vis[:n] - i_vis[n:], t_s - t_t))
     d_idiff, d_tdiff = scale * d_idiff, scale * d_tdiff
     grads[0] += head_backward([(stack_s, d_tdiff), (stack_t, -d_tdiff)]).vector
-    projector_backward(np.concatenate([d_idiff, -d_idiff]), grads)
+    projector_backward(np.concatenate([d_idiff, -d_idiff]), grad)
     return float(np.sum(losses)) * scale, grad
 
 

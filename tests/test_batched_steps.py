@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emosup as es
@@ -201,6 +201,70 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
     assert_grads_close(grad, ref_grad)
 
 
+def bank_pass_per_row(ckpt, samples, table, upstream):
+    """Oracle of ``_project_rows``: each row's own ``mlp_forward`` and
+    ``mlp_backward`` on ``bank.projector_for(emotion)``, the parameter
+    gradients added up per projector (keyed by ``ckpt.split`` index)."""
+    outs, grads = [], {}
+    for sample, u in zip(samples, upstream):
+        net = ckpt.bank.projector_for(sample.emotion)
+        x = table.visual[sample.id]
+        if ckpt.bank.mode == pr.SINGLE_CONDITIONAL:
+            x = np.concatenate([x, one_hot(sample.emotion)])
+        out, cache = mlp_forward(net, x)
+        outs.append(out)
+        index = projector_index(ckpt, sample.emotion)
+        grads[index] = grads.get(index, 0.0) + mlp_backward(net, cache, u).vector
+    return np.array(outs), grads
+
+
+one_emotion_batch = st.tuples(st.integers(0, 6), st.integers(1, 12)).map(
+    lambda c: [c[0]] * c[1])
+
+
+@settings(max_examples=30)
+@given(mode=st.sampled_from(MODES), seed=st.integers(0, 10_000),
+       codes=st.one_of(st.lists(st.integers(0, 6), min_size=1, max_size=12),
+                       one_emotion_batch))
+@example(mode=pr.MULTI, seed=0, codes=[4])
+@example(mode=pr.SINGLE_CONDITIONAL, seed=0, codes=[2])
+@example(mode=pr.MULTI, seed=1, codes=[5] * 9)
+def test_bank_pass_matches_per_row_oracle(default_manifest, default_suite, default_table,
+                                          mode, seed, codes):
+    rng = np.random.default_rng(seed)
+    ckpt = pr._fresh_checkpoint(default_suite, es.TrainConfig(projector_mode=mode), rng)
+    for net in ckpt.bank.projectors:  # padded slots then project to non-zero rows
+        for layer in net.layers:
+            layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+    train = default_manifest.in_split("train")
+    samples = [train[rng.choice([i for i, s in enumerate(train) if int(s.emotion) == c])]
+               for c in codes]
+    upstream = rng.standard_normal((len(samples), default_suite.d_e))
+    out, backward = pr._project_rows(ckpt, samples, default_table)
+    grad = rng.standard_normal(ckpt.vector.shape)
+    head = grad[:ckpt.guider_head.vector.size].copy()
+    backward(upstream, grad)
+    expected_out, expected_grads = bank_pass_per_row(ckpt, samples, default_table, upstream)
+    np.testing.assert_allclose(out, expected_out, rtol=1e-12, atol=1e-12)
+    parts = ckpt.split(grad)
+    assert np.array_equal(parts[0], head)  # the guider head's block is untouched
+    for index in range(1, len(parts)):
+        if index in expected_grads:
+            np.testing.assert_allclose(parts[index], expected_grads[index], rtol=1e-12,
+                                       atol=1e-12)
+        else:  # a projector with no rows gets exactly zero gradient
+            assert not parts[index].any()
+
+
+def test_steps_refuse_an_empty_batch(default_suite, default_table):
+    ckpt, _ = step_setup(default_suite, pr.MULTI, 1, 0, None)
+    with pytest.raises(es.ContractError, match="contrastive_step_grads"):
+        pr.contrastive_step_grads(ckpt, es.corpus.ContrastiveBatch([]), default_suite,
+                                  default_table)
+    with pytest.raises(es.ContractError, match="difference_step_grads"):
+        pr.difference_step_grads(ckpt, [], default_suite, default_table)
+
+
 def test_step_with_run_table_equals_step_without(default_manifest, default_suite,
                                                  reference_pools):
     # the table a training run builds once serves every batch it draws
@@ -342,7 +406,7 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
     project, build = pr.project_visual, pr.build_personalized_prompt
     stacks, prompts = [], []
 
-    def stacked_only(bank, visual, emotion):
+    def counted_projection(bank, visual, emotion):
         stacks.append(np.ndim(visual))
         return project(bank, visual, emotion)
 
@@ -350,12 +414,12 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
         prompts.append(args[1:3])
         return build(*args)
 
-    monkeypatch.setattr(pr, "project_visual", stacked_only)
+    monkeypatch.setattr(pr, "project_visual", counted_projection)
     monkeypatch.setattr(pr, "build_personalized_prompt", counted)
     reg = es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
     monkeypatch.undo()
-    # the sources go through the bank's gathered passes, none per sample
-    assert stacks == []
+    # one 1-D project_visual per source sample
+    assert stacks == [1] * len(default_manifest.samples)
     # one prompt per (reference, emotion), none per sample
     assert len(prompts) == len(set(prompts)) == len(reg.references) * len(EMOTIONS)
     assert reg.prompts.shape == (len(reg.references), len(EMOTIONS), default_suite.d_e)
@@ -366,7 +430,6 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
         visual = default_suite.visual_encode(sample.image_ref)
         assert reg.row[sample.id] == i and reg.emotion[i] == int(sample.emotion)
         assert np.array_equal(reg.visual[i], visual)
-        # the gathered pass equals the per-sample projection bit for bit
         assert np.array_equal(reg.projected_source[i],
                               pr.project_visual(ckpt.bank, visual, sample.emotion)[0])
         assert reg.references[reg.reference[i]] == sample.neutral_ref
@@ -440,7 +503,7 @@ def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_regulari
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_projector_stack_is_a_read_only_copy_of_a_frozen_bank(default_suite, mode):
+def test_projector_stack_is_a_read_only_view_of_a_frozen_bank(default_suite, mode):
     config = es.TrainConfig(projector_mode=mode)
     ckpt = pr._fresh_checkpoint(default_suite, config, np.random.default_rng(5))
     with pytest.raises(es.ContractError, match="frozen"):
@@ -454,7 +517,7 @@ def test_projector_stack_is_a_read_only_copy_of_a_frozen_bank(default_suite, mod
         assert layer.activation == nets[0].layers[i].activation
         for array in (layer.weights, layer.bias):
             assert not array.flags.writeable
-            assert not np.shares_memory(array, ckpt.vector)
+            assert np.shares_memory(array, ckpt.vector)
             with pytest.raises(ValueError):
                 array[0] = 0.0
 

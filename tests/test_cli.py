@@ -895,26 +895,49 @@ def rewritten_csv(path: Path) -> bytes:
 
 def test_outputs_follow_the_file_format_rules(tmp_path, corpus_dir, checkpoint_dir,
                                               demo_dir, sweep_dir):
-    """Every CSV float is ``repr(float(x))`` and every JSON output is canonical
-    (indent 2, sorted keys, a trailing newline); the reference is built here,
-    so the check holds on any numpy or BLAS."""
-    assert run("export-diffs", "--manifest", corpus_dir / "manifest.json",
+    """Every CSV float is ``repr(float(x))`` and every JSON output, of every
+    command, is the stdlib's ``json.dumps(indent=2, sort_keys=True)`` plus a
+    newline, byte for byte; the reference is built here, so the check holds
+    on any numpy or BLAS."""
+    manifest = corpus_dir / "manifest.json"
+    assert run("export-diffs", "--manifest", manifest,
                "--checkpoint", checkpoint_dir / "checkpoint.json",
                "--out", tmp_path / "diffs") == 0
-    assert run("analyze-gap", "--manifest", corpus_dir / "manifest.json",
-               "--out", tmp_path / "gap") == 0
+    assert run("analyze-gap", "--manifest", manifest, "--out", tmp_path / "gap") == 0
+    assert run("pretrain-diff-ablation", "--manifest", manifest, "--epochs", 1,
+               "--steps-per-epoch", 2, "--batch-size", 4, "--out", tmp_path / "ablation") == 0
+    assert run("derive-pools", "--k", 1, "--out", tmp_path / "pools") == 0
+    assert run("eval-metrics", "--real", corpus_dir / "features.json",
+               "--gen", corpus_dir / "features.json", "--out", tmp_path / "metrics") == 0
     csvs = [checkpoint_dir / "curve.csv", demo_dir / "report.csv", sweep_dir / "sweep.csv",
             tmp_path / "diffs" / "diffs.csv", tmp_path / "gap" / "report.csv",
             tmp_path / "gap" / "matrix.csv"]
     for path in csvs:
         assert path.read_bytes() == rewritten_csv(path), path
-    jsons = [p for d in (corpus_dir, checkpoint_dir, demo_dir, tmp_path / "gap")
-             for p in d.glob("*.json")]
-    assert {p.name for p in jsons} >= {"manifest.json", "checkpoint.json"}
+    jsons = [p for d in (corpus_dir, checkpoint_dir, demo_dir, sweep_dir)
+             for p in d.glob("*.json")] + list(tmp_path.rglob("*.json"))
+    assert {p.name for p in jsons} >= {"manifest.json", "features.json", "checkpoint.json",
+                                       "run.json", "report.json", "matrix.json",
+                                       "pools.json", "sweep.json"}
     for path in jsons:
         with open(path) as f:
             canonical = json.dumps(json.load(f), indent=2, sort_keys=True) + "\n"
-        assert path.read_text() == canonical, path
+        assert path.read_bytes() == canonical.encode(), path
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": [], "b": {}}, 0.5, "text", None, True, 7,
+    [0.1, -0.0, 1e300, 5e-324, -2.5], [[1.0, 2.0], [3.0]], (1.0, 2.0),
+    [1.0, float("nan")], [float("inf"), -float("inf")], {"x": float("nan")},
+    [1, 2.0, True, None, "s"], [1.5, "s", 2], [True, False], [np.float64(0.1), 2.0],
+    {"a": np.float64(0.25), "b": -3},
+    {"é": "ü\n\t\"", "ключ": ["значение", 1.5]}, {"z": {"y": [[0.1], []]}},
+    {1: "int key", 2: [1.0]}, {"k": {2.5: 1, 3.5: [1.0]}}])
+def test_write_json_equals_the_stdlib_writer(tmp_path, value):
+    es.errors.write_json(tmp_path / "out.json", value)
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "out.json").read_bytes() == expected.encode()
+    assert es.errors.canonical_json(value) == expected
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items()

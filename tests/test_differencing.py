@@ -355,5 +355,5 @@ def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_ma
     assert calls["embed_pair"] == len(rows) == len(default_manifest.samples) * 6
     assert calls["build_personalized_prompt"] == len(references) * len(es.EMOTIONS)
     assert calls["visual_encode"] == len(default_manifest.samples)
-    # the sources go through the bank's gathered passes, none per sample
-    assert calls["project_visual"] == 0
+    # one projection per source sample, none per exported row
+    assert calls["project_visual"] == len(default_manifest.samples)

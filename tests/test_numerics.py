@@ -334,6 +334,15 @@ def test_sgd_nonfinite_gradient_aborts(rng):
         sgd_step(p.vector, g, 0.1)
 
 
+@pytest.mark.parametrize("lr, grad", [(np.nan, np.ones(3)), (np.inf, np.zeros(3)),
+                                      (np.inf, np.ones(3)), (-0.1, np.ones(3))])
+def test_sgd_rejects_a_non_finite_or_negative_lr(lr, grad):
+    theta = np.ones(3)
+    with pytest.raises(ContractError, match="lr"):
+        sgd_step(theta, grad, lr)
+    assert np.array_equal(theta, np.ones(3))
+
+
 def test_sgd_rejects_a_mismatched_gradient(rng):
     p = init_mlp([2, 2], rng)
     with pytest.raises(ContractError):
