@@ -9,6 +9,8 @@ arrays, matrices 2-D row-major arrays. The MLP passes, ``cosine_grads``
 and the losses also take a row-stacked ``(B, d)`` batch; a 1-D input is
 the B = 1 case and comes back 1-D. An MLP's parameters are views of one
 flat vector, so an SGD step is one in-place update of that vector.
+``layers_forward`` and ``layers_backward`` are the one dense-layer pass:
+the MLP passes and the projector bank's stacked passes run it.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ def contrastive_loss_with_grads(t_pos, t_neg, i_vis
 
 @dataclass
 class DenseLayer:
-    """One affine layer: ``act(weights @ x + bias)``, weights shaped out x in.
+    """One affine layer: ``act(weights @ x + bias)``, weights shaped out x in
+    (or a ``(..., out, in)`` stack of them, for ``layers_forward``).
 
     A plain record: ``MlpParams`` validates the layers it is built from.
     """
@@ -201,11 +204,13 @@ class MlpParams:
 
     def views(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(weights, bias)`` views of ``vector``, a vector in this chain's
-        layout (such as a gradient), one pair per layer."""
+        layout (such as a gradient), one pair per layer; a ``(P, size)`` block
+        of P such vectors gives ``(P, out, in)`` and ``(P, out)`` views."""
         out, offset = [], 0
         for layer in self.layers:
             (rows, cols), end = layer.weights.shape, offset + layer.weights.size
-            out.append((vector[offset:end].reshape(rows, cols), vector[end:end + rows]))
+            out.append((vector[..., offset:end].reshape(*vector.shape[:-1], rows, cols),
+                        vector[..., end:end + rows]))
             offset = end + rows
         return out
 
@@ -282,6 +287,38 @@ class MlpGrads:
     input_grad: np.ndarray
 
 
+def layers_forward(layers: list[DenseLayer], h: np.ndarray):
+    """Unchecked forward pass of a chain of dense layers over an ``(..., m,
+    in)`` stack of rows, one ``np.matmul`` per layer; ``(..., out, in)``
+    weights and ``(..., out)`` biases broadcast over the leading axes.
+    Returns the output and each layer's input and preactivation."""
+    inputs, preacts = [], []
+    for layer in layers:
+        inputs.append(h)
+        z = np.matmul(h, layer.weights.swapaxes(-1, -2))
+        z += layer.bias[..., None, :]
+        preacts.append(z)
+        h = z if layer.activation == IDENTITY else np.maximum(z, 0.0)
+    return h, inputs, preacts
+
+
+def layers_backward(layers: list[DenseLayer], inputs: list, preacts: list, u: np.ndarray,
+                    grads: list | None = None, input_grad: bool = True):
+    """Unchecked backward pass of ``layers_forward`` for the upstream gradient
+    ``u`` of its output. Given ``grads``, ``(weights, bias)`` arrays shaped
+    as the layers', each layer's gradients, summed over the rows, are
+    written into them. Returns the gradient w.r.t. the input rows, or None
+    without ``input_grad``."""
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        dz = u if layer.activation == IDENTITY else u * (preacts[i] > 0.0)
+        if grads is not None:
+            np.matmul(dz.swapaxes(-1, -2), inputs[i], out=grads[i][0])
+            dz.sum(axis=-2, out=grads[i][1])
+        u = np.matmul(dz, layer.weights) if i or input_grad else None
+    return u
+
+
 def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
     """Forward pass returning the output and a cache for ``mlp_backward``.
 
@@ -289,13 +326,7 @@ def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
     has the same layout.
     """
     stacked = np.ndim(x) == 2
-    h = _as_rows(x, p.in_dim, "mlp input")
-    inputs, preacts = [], []
-    for layer in p.layers:
-        inputs.append(h)
-        z = h @ layer.weights.T + layer.bias
-        preacts.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == RELU else z
+    h, inputs, preacts = layers_forward(p.layers, _as_rows(x, p.in_dim, "mlp input"))
     return (h if stacked else h[0]), MlpCache(p, inputs, preacts, stacked)
 
 
@@ -316,12 +347,7 @@ def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
         raise ContractError(f"upstream grad shape {np.shape(upstream_grad)} does not "
                             f"match the forward batch")
     vector = np.empty(p.vector.size)
-    for layer, (dw, db), x, z in reversed(list(zip(p.layers, p.views(vector),
-                                                   cache.inputs, cache.preactivations))):
-        dz = u if layer.activation == IDENTITY else u * (z > 0.0)
-        np.matmul(dz.T, x, out=dw)
-        dz.sum(axis=0, out=db)
-        u = dz @ layer.weights
+    u = layers_backward(p.layers, cache.inputs, cache.preactivations, u, p.views(vector))
     return MlpGrads(vector, u if cache.stacked else u[0])
 
 

@@ -20,14 +20,14 @@ import numpy as np
 
 from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
                      PairDraw, Sample, sample_contrastive_batch, sample_pair_batch)
-from .emotions import EMOTIONS, EmotionLabel, one_hot, prompt_for
+from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import EncoderSuite
 from .errors import (ContractError, NumericalError, canonical_json, load_json_object,
                      write_csv, write_json)
 from .numerics import (IDENTITY, RELU, DenseLayer, DifferencePair, MlpGrads, MlpParams,
                        as_matrix, contrastive_loss_with_grads, cosine_with_flag,
-                       difference_loss_with_grads, init_mlp, mlp_backward, mlp_forward,
-                       sgd_step)
+                       difference_loss_with_grads, init_mlp, layers_backward,
+                       layers_forward, mlp_backward, mlp_forward, sgd_step)
 
 MULTI = "multi"
 SINGLE_CONDITIONAL = "single_conditional"
@@ -118,16 +118,10 @@ class AlignmentCheckpoint:
         a vector in this checkpoint's layout, one pair per layer: ``(P, out,
         in)`` weights and ``(P, out)`` biases over the bank's P networks (7 in
         ``multi`` mode, 1 in ``single_conditional``). The networks are laid
-        out one after another with equal sizes, so these are plain reshapes."""
+        out one after another with equal sizes, so the block is a ``(P,
+        size)`` reshape and these are its ``MlpParams.views``."""
         nets = self.bank.projectors
-        block = vector[self.guider_head.vector.size:].reshape(len(nets), -1)
-        out, offset = [], 0
-        for layer in nets[0].layers:
-            (rows, cols), end = layer.weights.shape, offset + layer.weights.size
-            out.append((block[:, offset:end].reshape(len(nets), rows, cols),
-                        block[:, end:end + rows]))
-            offset = end + rows
-        return out
+        return nets[0].views(vector[self.guider_head.vector.size:].reshape(len(nets), -1))
 
     def freeze(self) -> "AlignmentCheckpoint":
         params = self.all_params()
@@ -241,67 +235,64 @@ def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
     """
     emotion = EmotionLabel(emotion)
     net = bank.projector_for(emotion)
-    x = visual
-    if bank.mode == SINGLE_CONDITIONAL:
-        code = one_hot(emotion)
-        x = np.concatenate([visual, np.broadcast_to(code, np.shape(visual)[:-1] + code.shape)],
-                           axis=-1)
-    out, cache = mlp_forward(net, x)
+    codes = np.broadcast_to(int(emotion), np.shape(visual)[:-1])
+    out, cache = mlp_forward(net, _with_codes(bank.mode, visual, codes))
     return out, cache, net
 
 
-class ProjectorStack:
-    """A frozen checkpoint's projector bank stacked per layer: ``layers``
-    hold the ``(P, out, in)`` weight and ``(P, out)`` bias views of
-    ``ckpt.bank_layers(ckpt.vector)``, write-protected because the frozen
-    vector is, over the bank's P networks (7 in ``multi`` mode, 1 in
-    ``single_conditional``).
+def _with_codes(mode: str, x, codes):
+    """``x``, a row or a row stack, as projector input: in single_conditional
+    mode each row gets the one-hot code of its entry of ``codes`` appended."""
+    if mode == SINGLE_CONDITIONAL:
+        x = np.concatenate([x, np.eye(len(EMOTIONS))[codes]], axis=-1)
+    return x
 
-    ``forward`` and ``input_grad`` run one gathered pass over rows that each
-    go through their own emotion's projector: per layer, one stacked
-    ``np.matmul`` against each row's own weights. Each row then equals the
-    1-D ``mlp_forward`` / ``mlp_backward(...).input_grad`` of that row, bit
-    for bit, whatever rows stand beside it.
-    """
 
-    def __init__(self, ckpt: AlignmentCheckpoint):
-        ckpt.require_frozen()
-        self.mode, self.d_e = ckpt.bank.mode, ckpt.d_e
-        self.layers = [DenseLayer(weights, bias, layer.activation) for (weights, bias), layer
-                       in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
+def _group_rows(bank: EmotionProjectorBank, x: np.ndarray, codes: np.ndarray
+                ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Group the rows of the ``(B, d_e)`` stack ``x``, as ``_with_codes``
+    inputs, by the projector of their emotion codes into a zero-padded ``(P,
+    m, in)`` stack, m the largest group. Returns the stack and the index
+    that reads the rows back in order (``stack[index]``)."""
+    x = _with_codes(bank.mode, x, codes)
+    group = codes if bank.mode == MULTI else np.zeros_like(codes)
+    counts = np.bincount(group, minlength=len(bank.projectors))
+    # each row's slot within its group: its rank in a stable sort by group
+    order = np.argsort(group, kind="stable")
+    slot = np.empty_like(group)
+    slot[order] = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+    stack = np.zeros((len(counts), counts.max(), x.shape[1]))
+    stack[group, slot] = x
+    return stack, (group, slot)
 
-    def forward(self, x: np.ndarray, codes: np.ndarray, for_backward: bool = False
-                ) -> tuple[np.ndarray, list | None]:
-        """Project row n of the ``(B, d_e)`` stack ``x`` through the projector
-        of emotion code ``codes[n]`` (in single_conditional mode, the one
-        network with the row's one-hot code appended).
 
-        Returns the ``(B, d_e)`` projections and, ``for_backward``, the cache
-        ``input_grad`` reads (each layer's gathered weights and
-        preactivations), else None, so no layer's gathered weights outlive it.
-        """
-        index = codes
-        if self.mode == SINGLE_CONDITIONAL:
-            x = np.concatenate([x, np.eye(len(EMOTIONS))[codes]], axis=1)
-            index = [0]  # the one network, broadcast over the rows
-        h, cache = x, [] if for_backward else None
-        for layer in self.layers:
-            weights = layer.weights[index]
-            z = np.matmul(weights, h[:, :, None])[:, :, 0] + layer.bias[index]
-            if for_backward:
-                cache.append((weights, z))
-            h = z if layer.activation == IDENTITY else np.maximum(z, 0.0)
-        return h, cache
+def _frozen_bank(ckpt: AlignmentCheckpoint) -> list[DenseLayer]:
+    """The bank's layers with a singleton row axis: ``(P, 1, out, in)`` and
+    ``(P, 1, out)`` views of ``ckpt.bank_layers(ckpt.vector)``, read-only
+    when the checkpoint is frozen."""
+    return [DenseLayer(w[:, None], b[:, None], layer.activation) for (w, b), layer
+            in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
 
-    def input_grad(self, cache: list, upstream: np.ndarray) -> np.ndarray:
-        """The gradient of each row's ``dot(projection, upstream row)`` w.r.t.
-        its ``d_e`` input row (a single_conditional one-hot block is dropped),
-        through the saved ReLU masks of a ``forward`` cache."""
-        u = upstream
-        for layer, (weights, z) in zip(reversed(self.layers), reversed(cache)):
-            dz = u if layer.activation == IDENTITY else u * (z > 0.0)
-            u = np.matmul(dz[:, None, :], weights)[:, 0, :]
-        return u[:, :self.d_e]
+
+def _project_frozen(bank: EmotionProjectorBank, layers: list[DenseLayer], x: np.ndarray,
+                    codes: np.ndarray):
+    """Project row n of the ``(B, d_e)`` stack ``x`` through the projector of
+    code ``codes[n]`` in ``layers`` (``_frozen_bank``): the ``_group_rows``
+    stack with a singleton row axis, ``(P, m, 1, in)``, so each row makes
+    the ``(1, in) @ (in, out)`` products of a 1-D ``mlp_forward``. Returns
+    the projections and ``input_grad(upstream)``, the gradient of each
+    row's ``dot(projection, upstream row)`` w.r.t. its ``d_e`` input row.
+    Each row equals its 1-D ``mlp_forward`` / ``mlp_backward(...).input_grad``
+    bit for bit, whatever rows stand beside it."""
+    stack, index = _group_rows(bank, x, codes)
+    out, inputs, preacts = layers_forward(layers, stack[:, :, None])
+
+    def input_grad(upstream: np.ndarray) -> np.ndarray:
+        u = np.zeros_like(out)
+        u[index] = upstream[:, None]
+        return layers_backward(layers, inputs, preacts, u)[index][:, 0, :x.shape[1]]
+
+    return out[index][:, 0], input_grad
 
 
 def _index_array(x, bound: int, name: str) -> np.ndarray:
@@ -339,8 +330,8 @@ class DifferenceRegularizer:
     ``text_encode(build_personalized_prompt(...))`` per (reference,
     emotion). Every entry is its per-sample computation, so
     ``retrieval_accuracy`` and ``export_difference_rows`` read the same
-    tables the demo trains against. ``projectors`` is the bank's
-    ``ProjectorStack``, which ``loss_and_grad`` runs.
+    tables the demo trains against. ``layers`` is the frozen bank that
+    ``loss_and_grad`` runs (``_frozen_bank``): views that copy nothing.
     """
 
     def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite,
@@ -355,7 +346,7 @@ class DifferenceRegularizer:
         self.emotion = np.array([int(s.emotion) for s in samples])
         self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
         self.visual = np.stack([suite.visual_encode(s.image_ref) for s in samples])
-        self.projectors = ProjectorStack(ckpt)
+        self.layers = _frozen_bank(ckpt)
         self.projected_source = np.array([project_visual(ckpt.bank, visual, s.emotion)[0]
                                           for visual, s in zip(self.visual, samples)])
         # one encode per prompt: a batched encode differs in the last bits
@@ -371,8 +362,8 @@ class DifferenceRegularizer:
         """The difference losses of a ``(B, d_e)`` stack of generated
         embeddings, row n made from source row ``rows[n]`` for target
         emotion code ``targets[n]``, and their ``(B, d_e)`` gradient w.r.t.
-        the stack: one gathered forward pass through the frozen projectors
-        of the targets, then one gathered input-only backward pass. A row's
+        the stack: one ``_project_frozen`` pass through the frozen
+        projectors of the targets, forward and input-only backward. A row's
         loss and gradient do not depend on the other rows of the batch; a
         zero-norm difference gets loss 1 and a zero gradient.
 
@@ -386,7 +377,8 @@ class DifferenceRegularizer:
         if targets.shape != rows.shape:
             raise ContractError(f"{len(targets)} target codes for {len(rows)} rows")
         generated = as_matrix(generated, (len(rows), self.ckpt.d_e), "generated")
-        visual_gen, cache = self.projectors.forward(generated, targets, with_grad)
+        visual_gen, input_grad = _project_frozen(self.ckpt.bank, self.layers, generated,
+                                                 targets)
         reference = self.reference[rows]
         losses, d_vis_diff, _ = difference_loss_with_grads(DifferencePair(
             self.projected_source[rows] - visual_gen,
@@ -394,7 +386,7 @@ class DifferenceRegularizer:
         if not with_grad:
             return losses, np.zeros_like(generated)
         # visual_diff = projected_source - visual_gen, so d/d visual_gen is -d_vis_diff
-        return losses, self.projectors.input_grad(cache, -d_vis_diff)
+        return losses, input_grad(-d_vis_diff)
 
 
 @dataclass
@@ -527,10 +519,9 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
 def _project_rows(ckpt: AlignmentCheckpoint, samples: list[Sample],
                   table: _FrozenTable):
     """One stacked pass through the whole projector bank: the samples'
-    visual embeddings (in single_conditional mode with their one-hot codes
-    appended) are grouped by projector into a zero-padded ``(P, m, in)``
-    stack, m the largest group, and each layer makes one ``np.matmul`` over
-    ``ckpt.bank_layers(ckpt.vector)``.
+    visual embeddings are grouped by projector into a zero-padded ``(P, m,
+    in)`` stack (``_group_rows``), and ``layers_forward`` makes one
+    ``np.matmul`` per layer over ``ckpt.bank_layers(ckpt.vector)``.
 
     Returns the ``(B, d_e)`` projections and ``backward(upstream, grad)``,
     which writes every projector's weight and bias gradients into
@@ -538,40 +529,19 @@ def _project_rows(ckpt: AlignmentCheckpoint, samples: list[Sample],
     rather than adds). A padded slot gets zero upstream gradient, so it
     adds exactly 0, and a projector with no rows gets zeros.
     """
-    x = np.stack([table.visual[s.id] for s in samples])
-    group = codes = np.array([int(s.emotion) for s in samples])
-    if ckpt.bank.mode == SINGLE_CONDITIONAL:
-        x = np.concatenate([x, np.eye(len(EMOTIONS))[codes]], axis=1)
-        group = np.zeros_like(codes)
-    counts = np.bincount(group, minlength=len(ckpt.bank.projectors))
-    # each row's slot within its group: its rank in a stable sort by group
-    order = np.argsort(group, kind="stable")
-    slot = np.empty_like(group)
-    slot[order] = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
-    h = np.zeros((len(counts), counts.max(), x.shape[1]))
-    h[group, slot] = x
-    layers = [(weights, bias, layer.activation) for (weights, bias), layer
+    stack, index = _group_rows(ckpt.bank, np.stack([table.visual[s.id] for s in samples]),
+                               np.array([int(s.emotion) for s in samples]))
+    layers = [DenseLayer(w, b, layer.activation) for (w, b), layer
               in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
-    inputs, preacts = [], []
-    for weights, bias, activation in layers:
-        inputs.append(h)
-        z = np.matmul(h, weights.transpose(0, 2, 1)) + bias[:, None, :]
-        preacts.append(z)
-        h = z if activation == IDENTITY else np.maximum(z, 0.0)
+    out, inputs, preacts = layers_forward(layers, stack)
 
     def backward(upstream: np.ndarray, grad: np.ndarray) -> None:
-        u = np.zeros_like(h)
-        u[group, slot] = upstream
-        grads = ckpt.bank_layers(grad)
-        for i in reversed(range(len(layers))):
-            (weights, _, activation), (dw, db) = layers[i], grads[i]
-            dz = u if activation == IDENTITY else u * (preacts[i] > 0.0)
-            np.matmul(dz.transpose(0, 2, 1), inputs[i], out=dw)
-            dz.sum(axis=1, out=db)
-            if i:  # the gradient w.r.t. the bank's input is not needed
-                u = np.matmul(dz, weights)
+        u = np.zeros_like(out)
+        u[index] = upstream
+        # the gradient w.r.t. the bank's input is not needed
+        layers_backward(layers, inputs, preacts, u, ckpt.bank_layers(grad), input_grad=False)
 
-    return h[group, slot], backward
+    return out[index], backward
 
 
 def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,

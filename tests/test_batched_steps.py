@@ -503,23 +503,51 @@ def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_regulari
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_projector_stack_is_a_read_only_view_of_a_frozen_bank(default_suite, mode):
+def test_regularizer_layers_are_read_only_views_of_a_frozen_bank(default_manifest,
+                                                                 default_suite, mode):
     config = es.TrainConfig(projector_mode=mode)
     ckpt = pr._fresh_checkpoint(default_suite, config, np.random.default_rng(5))
     with pytest.raises(es.ContractError, match="frozen"):
-        pr.ProjectorStack(ckpt)
-    stack = pr.ProjectorStack(ckpt.freeze())
+        es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
+    reg = es.DifferenceRegularizer(ckpt.freeze(), default_suite, default_manifest)
     nets = ckpt.bank.projectors
-    assert len(stack.layers) == len(nets[0].layers)
-    for i, layer in enumerate(stack.layers):
-        assert np.array_equal(layer.weights, [net.layers[i].weights for net in nets])
-        assert np.array_equal(layer.bias, [net.layers[i].bias for net in nets])
+    assert len(reg.layers) == len(nets[0].layers)
+    for i, layer in enumerate(reg.layers):
+        # (P, 1, out, in) and (P, 1, out): a singleton row axis after the bank's P
+        assert np.array_equal(layer.weights[:, 0], [net.layers[i].weights for net in nets])
+        assert np.array_equal(layer.bias[:, 0], [net.layers[i].bias for net in nets])
+        assert layer.weights.shape[1] == layer.bias.shape[1] == 1
         assert layer.activation == nets[0].layers[i].activation
         for array in (layer.weights, layer.bias):
             assert not array.flags.writeable
             assert np.shares_memory(array, ckpt.vector)
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bank_layers_are_each_networks_views(default_suite, mode):
+    # the bank's block as a (P, size) reshape, through MlpParams.views: layer
+    # i of network p is each network's own views of that vector, P = 7 or 1
+    config = es.TrainConfig(projector_mode=mode)
+    ckpt = pr._fresh_checkpoint(default_suite, config, np.random.default_rng(6))
+    nets = ckpt.bank.projectors
+    assert len(nets) == {pr.MULTI: 7, pr.SINGLE_CONDITIONAL: 1}[mode]
+    grad = np.random.default_rng(7).standard_normal(ckpt.vector.shape)
+    for vector in (ckpt.vector, grad):
+        layers = ckpt.bank_layers(vector)
+        assert len(layers) == len(nets[0].layers)
+        for p, (net, part) in enumerate(zip(nets, ckpt.split(vector)[1:])):
+            for (weights, bias), (net_weights, net_bias) in zip(layers, net.views(part)):
+                assert weights.shape[0] == bias.shape[0] == len(nets)
+                assert np.array_equal(weights[p], net_weights)
+                assert np.array_equal(bias[p], net_bias)
+        for weights, bias in layers:
+            assert np.shares_memory(weights, vector) and np.shares_memory(bias, vector)
+    for i, (weights, bias) in enumerate(ckpt.bank_layers(ckpt.vector)):
+        for p, net in enumerate(nets):  # the very memory each network's layers view
+            assert np.shares_memory(weights[p], net.layers[i].weights)
+            assert np.shares_memory(bias[p], net.layers[i].bias)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

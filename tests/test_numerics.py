@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emosup.emotions import EMOTIONS
@@ -10,8 +10,8 @@ from emosup.numerics import (IDENTITY, RELU, DenseLayer, MlpParams, cosine_grads
                              cosine_with_flag, init_mlp, mlp_backward, mlp_forward,
                              psd_sqrt_trace, sgd_step)
 from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, AlignmentCheckpoint,
-                            EmotionProjectorBank, ProjectorStack, build_projector_bank,
-                            project_visual)
+                            EmotionProjectorBank, _frozen_bank, _project_frozen,
+                            build_projector_bank, project_visual)
 from conftest import identity_mlp
 
 
@@ -247,23 +247,22 @@ def frozen_checkpoint(rng, d_e, mode, activation=RELU):
                                d_e, 3, 2, 1).freeze()
 
 
-def gathered_pass(ckpt, x, codes, u):
-    stack = ProjectorStack(ckpt)
-    out, cache = stack.forward(x, codes, for_backward=True)
-    return out, stack.input_grad(cache, u)
+def frozen_pass(ckpt, x, codes, u):
+    out, input_grad = _project_frozen(ckpt.bank, _frozen_bank(ckpt), x, codes)
+    return out, input_grad(u)
 
 
 @pytest.mark.parametrize("activation", [RELU, IDENTITY])
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (7, 5)])
 def test_input_grad_equals_backward_input_grad(rng, activation, shape):
-    # the gathered pass through a frozen bank gives each row the 1-D
-    # mlp_forward output and mlp_backward input gradient of its own
-    # projector, bit for bit; a 1-D shape is fed as the one-row batch
+    # the frozen bank's pass gives each row the 1-D mlp_forward output and
+    # mlp_backward input gradient of its own projector, bit for bit; a 1-D
+    # shape is fed as the one-row batch
     ckpt = frozen_checkpoint(rng, shape[-1], MULTI, activation)
     x = np.atleast_2d(rng.standard_normal(shape))
     codes = rng.integers(0, len(EMOTIONS), len(x))
     u = rng.standard_normal(x.shape)
-    out, got = gathered_pass(ckpt, x, codes, u)
+    out, got = frozen_pass(ckpt, x, codes, u)
     assert out.shape == got.shape == x.shape
     for row, code in enumerate(codes):
         net = ckpt.bank.projectors[code]
@@ -277,12 +276,54 @@ def test_input_grad_of_a_single_conditional_projector(rng):
     for codes in (np.array([3]), np.arange(len(EMOTIONS)), rng.integers(0, 7, 9)):
         x = rng.standard_normal((len(codes), 8))
         u = rng.standard_normal(x.shape)
-        out, got = gathered_pass(ckpt, x, codes, u)
+        out, got = frozen_pass(ckpt, x, codes, u)
         for row, code in enumerate(codes):
             expected_out, cache, net = project_visual(ckpt.bank, x[row], EMOTIONS[code])
             assert np.array_equal(out[row], expected_out)
             # the input gradient w.r.t. the one-hot block is dropped
             assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:8])
+
+
+# a batch of up to 128 codes: uniform, or shuffled with one emotion holding
+# at least 7 rows in 8 and the rest drawn from up to 3 others, so some
+# emotions are absent and one group is padded far past the others
+skewed_codes = st.one_of(
+    st.lists(st.integers(0, 6), min_size=1, max_size=128),
+    st.tuples(st.integers(0, 6), st.integers(1, 128),
+              st.lists(st.integers(0, 6), max_size=3, unique=True),
+              st.integers(0, 2 ** 31)).map(
+        lambda c: np.random.default_rng(c[3]).permutation(
+            [c[2][i // 8 % len(c[2])] if c[2] and i % 8 == 7 else c[0]
+             for i in range(c[1])])))
+
+
+@settings(max_examples=25, deadline=None)
+@example(mode=MULTI, activation=RELU, d_e=64, seed=0,
+         codes=[2] * 100 + [5] * 20 + [0] * 8)
+@example(mode=SINGLE_CONDITIONAL, activation=IDENTITY, d_e=64, seed=1,
+         codes=[6] * 120 + [1] * 8)
+@given(mode=st.sampled_from([MULTI, SINGLE_CONDITIONAL]),
+       activation=st.sampled_from([RELU, IDENTITY]), d_e=st.integers(1, 64),
+       codes=skewed_codes, seed=st.integers(0, 2 ** 31))
+def test_frozen_pass_is_exact_per_row_on_large_skewed_batches(mode, activation, d_e,
+                                                              codes, seed):
+    # each row is the 1-D mlp_forward / mlp_backward input gradient of its
+    # own projector, and the same row computed alone, bit for bit, however
+    # far its group is padded
+    rng = np.random.default_rng(seed)
+    ckpt = frozen_checkpoint(rng, d_e, mode, activation)
+    codes = np.asarray(codes, dtype=np.int64)
+    x = rng.standard_normal((len(codes), d_e))
+    u = rng.standard_normal(x.shape)
+    out, got = frozen_pass(ckpt, x, codes, u)
+    assert out.shape == got.shape == x.shape
+    for row, code in enumerate(codes):
+        expected_out, cache, net = project_visual(ckpt.bank, x[row], EMOTIONS[code])
+        assert np.array_equal(out[row], expected_out)
+        assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:d_e])
+        alone = frozen_pass(ckpt, x[row:row + 1], codes[row:row + 1], u[row:row + 1])
+        assert np.array_equal(alone[0][0], out[row])
+        assert np.array_equal(alone[1][0], got[row])
 
 
 # ---------------------------------------------------------------------------

@@ -241,26 +241,28 @@ def test_lambda_zero_row_unchanged_without_the_frozen_backward(demo_env, monkeyp
 def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypatch):
     manifest, _, _, world, reg = demo_env
     cfg = es.DemoConfig(seed=12, **TINY)
-    calls = {"frozen": 0, "trainable": 0, "gathered": 0}
-    backward, input_grad = sv.mlp_backward, pr.ProjectorStack.input_grad
+    calls = {"frozen": 0, "trainable": 0, "bank": 0}
+    backward, bank_backward = sv.mlp_backward, pr.layers_backward
 
     def counting_backward(p, cache, upstream):
         calls["trainable" if p.layers[0].weights.flags.writeable else "frozen"] += 1
         return backward(p, cache, upstream)
 
-    def counting_input_grad(stack, cache, upstream):
-        assert not any(l.weights.flags.writeable for l in stack.layers)
-        calls["gathered"] += 1
-        return input_grad(stack, cache, upstream)
+    def counting_bank_backward(layers, *args, **kwargs):
+        # the frozen bank's input-only pass: read-only layers, no parameter grads
+        assert not any(l.weights.flags.writeable for l in layers)
+        assert layers is reg.layers and not args[3:] and not kwargs
+        calls["bank"] += 1
+        return bank_backward(layers, *args, **kwargs)
 
     monkeypatch.setattr(sv, "mlp_backward", counting_backward)
-    monkeypatch.setattr(pr.ProjectorStack, "input_grad", counting_input_grad)
+    monkeypatch.setattr(pr, "layers_backward", counting_bank_backward)
     demo_rows(manifest, reg, world, [0.0], cfg)
     # one generator backward per step over the stacked batch
-    assert calls == {"frozen": 0, "trainable": cfg.steps, "gathered": 0}
+    assert calls == {"frozen": 0, "trainable": cfg.steps, "bank": 0}
     demo_rows(manifest, reg, world, [0.4], cfg)
-    # one gathered backward pass through the frozen bank per step
-    assert calls == {"frozen": 0, "trainable": 2 * cfg.steps, "gathered": cfg.steps}
+    # one backward pass through the frozen bank per step
+    assert calls == {"frozen": 0, "trainable": 2 * cfg.steps, "bank": cfg.steps}
 
 
 @pytest.mark.parametrize("steps", [1, 7, 25])
