@@ -3,13 +3,14 @@ each output format (CSV, JSON) and the one reader of JSON input files."""
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Callable, Iterable
 
 _JSON_FORM = {"indent": 2, "sort_keys": True}  # the one JSON output form
+_CSV_QUOTED = frozenset(',"\r\n')  # a CSV cell holding any of these is quoted
 
 
 class ContractError(ValueError):
@@ -77,14 +78,28 @@ def _write_json_node(write, value, newline: str) -> None:
         write(json.dumps(value))
 
 
+def _csv_field(x) -> str:
+    """One cell as csv's default dialect writes it, but a float (np.float64
+    too) as ``float.__repr__``: None as nothing, any other value as ``str``,
+    quoted when it holds a comma, a quote or a line break."""
+    if isinstance(x, float):
+        return float.__repr__(x)
+    text = "" if x is None else str(x)
+    if _CSV_QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """The header, then ``rows``. A float cell (np.float64 too) is written as
-    ``repr(float(x))``, which reads back to the same double; any other as csv does."""
+    """The header, then ``rows``, each as one joined line: the bytes
+    ``csv.writer`` writes once every float cell (np.float64 too) is
+    ``repr(float(x))``, which reads back to the same double."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
-                         for row in rows)
+        for row in itertools.chain([header], rows):
+            # a plain float, most cells of a float table, skips the call
+            cells = [float.__repr__(x) if type(x) is float else _csv_field(x) for x in row]
+            # csv quotes a row's one empty cell, so that the line is not blank
+            f.write((",".join(cells) if cells != [""] else '""') + "\r\n")
 
 
 def load_json_object(path: str | Path, parse: Callable[[dict], Any]) -> Any:

@@ -8,7 +8,9 @@ in-place ``sgd_step``, is a pure function of its inputs. Vectors are 1-D
 arrays, matrices 2-D row-major arrays. The MLP passes, ``cosine_grads``
 and the losses also take a row-stacked ``(B, d)`` batch; a 1-D input is
 the B = 1 case and comes back 1-D. An MLP's parameters are views of one
-flat vector, so an SGD step is one in-place update of that vector.
+flat vector, so an SGD step is one in-place update of that vector; a
+``(R, size)`` block of R such vectors is a run axis of R networks, which
+the MLP passes run at once.
 ``layers_forward`` and ``layers_backward`` are the one dense-layer pass:
 the MLP passes and the projector bank's stacked passes run it.
 """
@@ -168,11 +170,11 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 class MlpParams:
@@ -208,7 +210,8 @@ class MlpParams:
         of P such vectors gives ``(P, out, in)`` and ``(P, out)`` views."""
         out, offset = [], 0
         for layer in self.layers:
-            (rows, cols), end = layer.weights.shape, offset + layer.weights.size
+            rows, cols = layer.weights.shape[-2:]
+            end = offset + rows * cols
             out.append((vector[..., offset:end].reshape(*vector.shape[:-1], rows, cols),
                         vector[..., end:end + rows]))
             offset = end + rows
@@ -216,7 +219,10 @@ class MlpParams:
 
     def move_into(self, vector: np.ndarray) -> None:
         """Copy the parameters into ``vector`` (float64, one entry per
-        parameter) and make it the storage every layer views."""
+        parameter) and make it the storage every layer views. A ``(R, size)``
+        block gets R copies and gives a run axis: ``(R, out, in)`` and ``(R,
+        out)`` layers, R networks that ``mlp_forward`` and ``mlp_backward``
+        run at once and that ``sgd_step`` updates one ``vector[r]`` at a time."""
         layers = []
         for layer, (weights, bias) in zip(self.layers, self.views(vector)):
             weights[...], bias[...] = layer.weights, layer.bias
@@ -268,8 +274,8 @@ class MlpCache:
     row stacks; ``stacked`` records whether the input was ``(B, d)``."""
 
     params: MlpParams
-    inputs: list[np.ndarray]          # input to each layer, (B, in)
-    preactivations: list[np.ndarray]  # z = x W^T + b per layer, (B, out)
+    inputs: list[np.ndarray]          # input to each layer, (B, in) or (R, B, in)
+    preactivations: list[np.ndarray]  # z = x W^T + b per layer, (B, out) or (R, B, out)
     stacked: bool
 
 
@@ -323,11 +329,12 @@ def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
     """Forward pass returning the output and a cache for ``mlp_backward``.
 
     ``x`` is one input vector or a ``(B, in)`` stack of them; the output
-    has the same layout.
+    has the same layout. With a run axis of R networks (``move_into``) every
+    network takes the same ``x``, and the output has a leading R axis.
     """
     stacked = np.ndim(x) == 2
     h, inputs, preacts = layers_forward(p.layers, _as_rows(x, p.in_dim, "mlp input"))
-    return (h if stacked else h[0]), MlpCache(p, inputs, preacts, stacked)
+    return (h if stacked else h[..., 0, :]), MlpCache(p, inputs, preacts, stacked)
 
 
 def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
@@ -337,18 +344,24 @@ def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
     The cache must come from a forward call on the same parameter object.
     After a stacked forward pass ``upstream_grad`` holds one row per input
     row; the weight and bias gradients are then sums over the rows and the
-    input gradient keeps one row per input.
+    input gradient keeps one row per input. With a run axis ``upstream_grad``
+    has the output's leading R axis, and so do both gradients: a ``(R,
+    size)`` block of each network's parameter gradient, and each network's
+    input gradient.
     """
     if cache.params is not p:
         raise ContractError("stale cache: produced by a different parameter set")
-    u = _as_rows(upstream_grad, p.out_dim, "upstream grad")
-    if cache.stacked != (np.ndim(upstream_grad) == 2) \
-            or u.shape[0] != cache.inputs[0].shape[0]:
-        raise ContractError(f"upstream grad shape {np.shape(upstream_grad)} does not "
-                            f"match the forward batch")
-    vector = np.empty(p.vector.size)
-    u = layers_backward(p.layers, cache.inputs, cache.preactivations, u, p.views(vector))
-    return MlpGrads(vector, u if cache.stacked else u[0])
+    u = np.asarray(upstream_grad, dtype=np.float64)
+    out = cache.preactivations[-1].shape  # the forward output's rows: (..., B, out)
+    if u.shape != (out if cache.stacked else out[:-2] + out[-1:]):
+        raise ContractError(f"upstream grad shape {u.shape} does not match the forward "
+                            f"batch")
+    if not np.isfinite(u).all():
+        raise ContractError("upstream grad contains non-finite entries")
+    vector = np.empty(p.vector.shape)
+    u = layers_backward(p.layers, cache.inputs, cache.preactivations,
+                        u if cache.stacked else u[..., None, :], p.views(vector))
+    return MlpGrads(vector, u if cache.stacked else u[..., 0, :])
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:

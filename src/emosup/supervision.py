@@ -17,7 +17,7 @@ from .corpus import TRAIN, VAL, CorpusManifest
 from .emotions import EMOTIONS
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError, write_csv
-from .numerics import (MlpParams, as_same_rows, cosine_with_flag, init_mlp,
+from .numerics import (DenseLayer, MlpParams, as_same_rows, cosine_with_flag, init_mlp,
                        mlp_backward, mlp_forward, sgd_step)
 from .prompts import AlignmentCheckpoint, DifferenceRegularizer, project_visual
 
@@ -25,8 +25,10 @@ from .prompts import AlignmentCheckpoint, DifferenceRegularizer, project_visual
 DEFAULT_LAMBDAS = {"ned": 0.4, "icface": 0.05, "sserd": 0.2, "toy": 0.4}
 
 # Contract for pluggable base losses: (generated, target) -> (values, grad
-# w.r.t. generated). Both inputs are (B, d_e) stacks, one row per batch
-# entry; the hook returns the B per-row values and the (B, d_e) gradient.
+# w.r.t. generated). Both inputs are (N, d_e) stacks, one row per batch
+# entry; the hook returns the N per-row values and the (N, d_e) gradient.
+# The demo passes the N = R * B rows of all R lambda runs in one call, so
+# row n's value and gradient must depend only on row n.
 # Stands in for whatever objective the host generator already trains with.
 BaseLossHook = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -130,7 +132,7 @@ class ToyGenerator:
     def generate(self, source_visual: np.ndarray, target):
         """One source embedding and target emotion, or a ``(B, d_e)`` stack
         with a sequence of B target emotions; returns ``mlp_forward``'s
-        output and cache."""
+        output and cache (with a leading run axis if ``params`` has one)."""
         codes = np.eye(len(EMOTIONS))[np.asarray(target, dtype=int)]
         return mlp_forward(self.params, np.concatenate([source_visual, codes], axis=-1))
 
@@ -192,67 +194,87 @@ def _clean_targets(manifest: CorpusManifest, world: SyntheticWorld):
 _OTHER_EMOTIONS = np.array([[int(o) for o in EMOTIONS if o != e] for e in EMOTIONS])
 
 
-def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``batch_size`` (source, target) pairs: returns the positions of
-    the sources in ``emotions`` (the source emotion codes) and the target
-    emotion codes, one source draw then one target draw per pair.
+def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int,
+                steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``batch_size`` (source, target) pairs for each of ``steps``
+    steps: returns the ``(steps, batch_size)`` positions of the sources in
+    ``emotions`` (the source emotion codes) and their target emotion codes,
+    one source draw then one target draw per pair, step after step.
 
     All draws are one array-bounded call, which consumes the stream as
     the scalar calls ``integers(len(emotions))``, ``integers(6)``, ... do.
     """
-    bounds = np.tile([len(emotions), _OTHER_EMOTIONS.shape[1]], batch_size)
-    picks = rng.integers(0, bounds).reshape(batch_size, 2)
-    return picks[:, 0], _OTHER_EMOTIONS[emotions[picks[:, 0]], picks[:, 1]]
+    bounds = np.tile([len(emotions), _OTHER_EMOTIONS.shape[1]], batch_size * steps)
+    picks = rng.integers(0, bounds).reshape(steps, batch_size, 2)
+    return picks[..., 0], _OTHER_EMOTIONS[emotions[picks[..., 0]], picks[..., 1]]
 
 
 def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,
                       lams: list[float], config: DemoConfig, base_loss: BaseLossHook
                       ) -> list[tuple[ToyGenerator, float, float]]:
-    """Train one toy generator per lambda in one step loop; returns each
+    """Train one toy generator per lambda as one stacked run; returns each
     with its tail-mean base and l2 losses.
 
     Every run starts from the same initial parameters and sees the same
-    batches, so each step draws its batch and reads its ``truth`` once. Each run then
-    makes its own stacked passes over it, so its result does not depend
-    on the other lambdas in ``lams``. A lambda 0 run needs no L2 gradient
-    (``total_loss`` would multiply it by 0), so it computes L2 only on the
-    last ``tail`` steps, the ones its reported mean reads.
+    batches, drawn once before the loop. The R runs' parameters are one
+    ``(R, size)`` block (``MlpParams.move_into``), so each step makes one
+    generator forward and backward over all runs, one ``base_loss`` call on
+    their R * B rows and one ``loss_and_grad`` on the rows of the runs that
+    need L2, then one ``total_loss`` and one ``sgd_step`` per run. Each of
+    these passes is row- or run-independent, so a run's result does not
+    depend on the other lambdas in ``lams``. A lambda 0 run needs no L2
+    gradient (``total_loss`` would multiply it by 0), so it joins the L2
+    pass only on the last ``tail`` steps, the ones its reported mean reads,
+    and takes a zero L2 gradient there.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    initial = build_toy_generator(reg.ckpt.d_e, config.hidden, rng)
-    runs = [(ToyGenerator(initial.params.copy(), initial.d_e), LambdaConfig(lam), [], [])
-            for lam in lams]
+    gen = build_toy_generator(reg.ckpt.d_e, config.hidden, rng)
     train = manifest.in_split(TRAIN)
     if not train:
         raise ContractError("train split is empty")
     train_rows = np.array([reg.row[s.id] for s in train])
-    train_emotions = reg.emotion[train_rows]
+    picks, targets = _demo_pairs(reg.emotion[train_rows], rng, config.batch_size,
+                                 config.steps)
+    runs = [LambdaConfig(lam) for lam in lams]
+    weighted = np.array([lam.value != 0 for lam in runs])
+    n_runs, batch, d_e, params = len(runs), config.batch_size, gen.d_e, gen.params
+    params.move_into(np.empty((n_runs, params.vector.size)))
     tail = max(1, config.steps // 10)
+    base_hist, l2_hist = [[] for _ in runs], [[] for _ in runs]
     for step in range(config.steps):
-        picks, targets = _demo_pairs(train_emotions, rng, config.batch_size)
-        rows = train_rows[picks]
-        visual, clean = reg.visual[rows], truth(rows, targets)
-        in_tail = step >= config.steps - tail
-        for gen, lam, base_hist, l2_hist in runs:
-            out, cache = gen.generate(visual, targets)
-            base_vals, base_grad = base_loss(out, clean)
-            if lam.value != 0 or in_tail:
-                l2_vals, l2_grad = reg.loss_and_grad(rows, out, targets,
-                                                     with_grad=lam.value != 0)
-                l2_hist.append(float(np.sum(l2_vals)) / len(targets))
-            else:
-                l2_vals, l2_grad = np.zeros(len(targets)), np.zeros_like(out)
-            _, upstream = total_loss(base_vals, base_grad, l2_vals, l2_grad, lam)
-            base_mean = float(np.sum(base_vals)) / len(targets)
-            if not np.isfinite(base_mean):
+        rows = train_rows[picks[step]]
+        visual, clean = reg.visual[rows], truth(rows, targets[step])
+        out, cache = gen.generate(visual, targets[step])  # (n_runs, batch, d_e)
+        base_vals, base_grad = base_loss(out.reshape(-1, d_e),
+                                         np.concatenate([clean] * n_runs))
+        base_vals, base_grad = base_vals.reshape(n_runs, batch), base_grad.reshape(out.shape)
+        l2_vals, l2_grad = np.zeros((n_runs, batch)), np.zeros_like(out)
+        scored = weighted | (step >= config.steps - tail)
+        if scored.any():
+            n = int(scored.sum())
+            vals, grad = reg.loss_and_grad(np.concatenate([rows] * n),
+                                           out[scored].reshape(-1, d_e),
+                                           np.concatenate([targets[step]] * n),
+                                           with_grad=bool(weighted.any()))
+            l2_vals[scored] = vals.reshape(n, batch)
+            l2_grad[weighted] = grad.reshape(n, batch, d_e)[weighted[scored]]
+        upstream = np.empty_like(out)
+        for r, lam in enumerate(runs):
+            _, upstream[r] = total_loss(base_vals[r], base_grad[r], l2_vals[r], l2_grad[r],
+                                        lam)
+            base_hist[r].append(float(np.sum(base_vals[r])) / batch)
+            if not np.isfinite(base_hist[r][-1]):
                 raise NumericalError(f"non-finite demo loss at step {step}")
-            grads = mlp_backward(gen.params, cache, upstream / len(targets))
-            sgd_step(gen.params.vector, grads.vector, config.lr)
-            base_hist.append(base_mean)
+            if scored[r]:
+                l2_hist[r].append(float(np.sum(l2_vals[r])) / batch)
+        grads = mlp_backward(params, cache, upstream / batch)
+        for r in range(n_runs):
+            sgd_step(params.vector[r], grads.vector[r], config.lr)
     # l2_hist holds only the steps L2 was computed on, which include the tail
-    return [(gen, float(np.mean(base_hist[-tail:])), float(np.mean(l2_hist[-tail:])))
-            for gen, _, base_hist, l2_hist in runs]
+    return [(ToyGenerator(MlpParams([DenseLayer(l.weights[r], l.bias[r], l.activation)
+                                     for l in params.layers]), d_e),
+             float(np.mean(base_hist[r][-tail:])), float(np.mean(l2_hist[r][-tail:])))
+            for r in range(n_runs)]
 
 
 def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,

@@ -553,15 +553,28 @@ def test_bank_layers_are_each_networks_views(default_suite, mode):
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_fused_lambda_runs_equal_separate_runs(default_manifest, default_world,
                                                demo_regularizer, degenerate):
+    # a grid trains as one stacked block; each run must be its lone run, bit
+    # for bit, whatever runs stand beside it, in whichever order, at any batch
     reg = (zero_text_diffs(demo_regularizer, DEGENERATE_IDENTITY) if degenerate
            else demo_regularizer)
-    grid = [0.0, 0.2, 0.4]
-    fused = train_demo(default_manifest, reg, default_world, grid, TINY)
-    for lam, (gen, base, l2) in zip(grid, fused):
-        [(ref_gen, ref_base, ref_l2)] = train_demo(default_manifest, reg, default_world,
-                                                   [lam], TINY)
-        assert np.array_equal(gen.params.vector, ref_gen.params.vector)
-        assert (base, l2) == (ref_base, ref_l2)
+    truth = sv._clean_targets(default_manifest, default_world)
+    for batch_size in (1, 4, 128):
+        config = dataclasses.replace(TINY, batch_size=batch_size)
+        lone = {lam: train_demo(default_manifest, reg, default_world, [lam], config)[0]
+                for lam in (0.0, 0.4, 1.0)}
+        lone_rows = {lam: sv._demo_rows(default_manifest, reg, truth, [lam], config,
+                                        sv.squared_error_loss)[0] for lam in lone}
+        for grid in ([0.4], [0.0, 0.4], [0.0, 0.4, 1.0], [1.0, 0.0, 1.0]):
+            fused = train_demo(default_manifest, reg, default_world, grid, config)
+            for lam, (gen, base, l2) in zip(grid, fused):
+                ref_gen, ref_base, ref_l2 = lone[lam]
+                assert gen.params.vector.shape == ref_gen.params.vector.shape
+                assert np.array_equal(gen.params.vector, ref_gen.params.vector), \
+                    (grid, batch_size, lam)
+                assert (base, l2) == (ref_base, ref_l2), (grid, batch_size, lam)
+            rows = sv._demo_rows(default_manifest, reg, truth, grid, config,
+                                 sv.squared_error_loss)
+            assert rows == [lone_rows[lam] for lam in grid], (grid, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +601,35 @@ def test_stacked_mlp_passes_equal_per_row_calls(seed, rows, dims):
                                    rtol=1e-12, atol=1e-12)
         summed += grads_i.vector
     np.testing.assert_allclose(grads.vector, summed, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10_000), runs=st.integers(1, 4), rows=st.integers(1, 9),
+       dims=st.lists(st.integers(1, 7), min_size=2, max_size=4), stacked=st.booleans())
+def test_run_axis_mlp_passes_equal_each_networks_own(seed, runs, rows, dims, stacked):
+    # R networks in one (R, size) block, all fed the same input: each
+    # network's output and gradients are its own passes', bit for bit
+    rng = np.random.default_rng(seed)
+    nets = [init_mlp(dims, rng) for _ in range(runs)]
+    block = nets[0].copy()
+    block.move_into(np.empty((runs, block.vector.size)))
+    assert all(np.array_equal(row, nets[0].vector) for row in block.vector)
+    block.vector[...] = [net.vector for net in nets]
+    x = rng.standard_normal((rows, dims[0]) if stacked else dims[0])
+    u = rng.standard_normal((runs, *np.shape(x)[:-1], dims[-1]))
+    out, cache = mlp_forward(block, x)
+    grads = mlp_backward(block, cache, u)
+    assert out.shape == u.shape and grads.vector.shape == block.vector.shape
+    for r, net in enumerate(nets):
+        for layer, own in zip(block.layers, net.layers):
+            assert np.array_equal(layer.weights[r], own.weights)
+        out_r, cache_r = mlp_forward(net, x)
+        grads_r = mlp_backward(net, cache_r, u[r])
+        assert np.array_equal(out[r], out_r)
+        assert np.array_equal(grads.vector[r], grads_r.vector)
+        assert np.array_equal(grads.input_grad[r], grads_r.input_grad)
+    with pytest.raises(es.ContractError, match="does not match the forward batch"):
+        mlp_backward(block, cache, u[0])
 
 
 @settings(max_examples=40)

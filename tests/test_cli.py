@@ -940,6 +940,25 @@ def test_write_json_equals_the_stdlib_writer(tmp_path, value):
     assert es.errors.canonical_json(value) == expected
 
 
+@pytest.mark.parametrize("rows", [
+    [], [[0.1, -0.0, 1e300, 5e-324, float("nan"), float("inf"), -float("inf")]],
+    [["a,b", 'say "hi"', "x\ny", "cr\r", "", None, 7, -3, True, 1.5]],
+    [[np.float64(0.1), np.float64(-2.5e-17), np.int64(4), np.float32(0.5)]],
+    [[""], [None], [], ["", ""], [" lead", "trail "], ["é", "ключ", "\t"]],
+    [["id001", "happy", "sad", *np.linspace(-1.0, 1.0, 9).tolist()]] * 3])
+def test_write_csv_equals_the_stdlib_writer(tmp_path, rows):
+    # the reference: csv.writer with every float cell (np.float64 too) as
+    # repr(float(x)), which is what write_csv promises byte for byte
+    header = ["h,1", 'h"2', "h3"]
+    es.errors.write_csv(tmp_path / "out.csv", header, rows)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
+                     for row in rows)
+    assert (tmp_path / "out.csv").read_bytes() == buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items()
                                            for f in flags])
 def test_missing_required_flag_exits_2_and_makes_no_directory(

@@ -107,17 +107,24 @@ def scalar_demo_pairs(emotions, rng, batch_size):
 @pytest.mark.parametrize("emotions", [np.array([3]), np.arange(76) % 7])
 def test_demo_pairs_draw_the_scalar_stream(seed, batch_size, emotions):
     # a numpy whose array-bounded draws consume the stream differently from
-    # scalar draws fails here, not through the pinned demo accuracies
-    mine = np.random.Generator(np.random.PCG64(seed))
-    scalar = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(3):
-        picks, targets = sv._demo_pairs(emotions, mine, batch_size)
+    # scalar draws fails here, not through the pinned demo accuracies. The
+    # demo draws every step's batch in one call before its first step; that
+    # draw must equal one draw per step, and leave the stream where they do.
+    steps = 40
+    upfront, per_step, scalar = (np.random.Generator(np.random.PCG64(seed))
+                                 for _ in range(3))
+    picks, targets = sv._demo_pairs(emotions, upfront, batch_size, steps)
+    assert picks.shape == targets.shape == (steps, batch_size)
+    for step in range(steps):
+        step_picks, step_targets = sv._demo_pairs(emotions, per_step, batch_size, 1)
         ref_picks, ref_targets = scalar_demo_pairs(emotions, scalar, batch_size)
-        assert picks.tolist() == ref_picks
-        assert targets.tolist() == ref_targets
-        assert (targets != emotions[picks]).all()
-    assert mine.integers(2 ** 40) == scalar.integers(2 ** 40)
-    assert mine.random() == scalar.random()
+        assert step_picks.tolist() == [picks[step].tolist()] == [ref_picks]
+        assert step_targets.tolist() == [targets[step].tolist()] == [ref_targets]
+    assert (targets != emotions[picks]).all()
+    states = [g.bit_generator.state for g in (upfront, per_step, scalar)]
+    assert states[0] == states[1] == states[2]
+    draws = [(g.integers(2 ** 40), g.random()) for g in (upfront, per_step, scalar)]
+    assert draws[0] == draws[1] == draws[2]
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +285,16 @@ def test_lambda_zero_computes_l2_only_in_the_reported_tail(demo_env, monkeypatch
         return loss(pair)
 
     monkeypatch.setattr(pr, "difference_loss_with_grads", counting_loss)
-    expected = {(0.0,): tail, (0.4,): steps, (0.0, 0.4): steps + tail}
+    # L2 rows per grid, and the steps that score any: one L2 pass a step
+    # over the rows of every run that needs it
+    expected = {(0.0,): (tail, tail), (0.4,): (steps, steps),
+                (0.0, 0.4): (steps + tail, steps)}
     runs = {}
-    for lams, count in expected.items():
+    for lams, (rows, passes) in expected.items():
         calls.clear()
         runs[lams] = train_demo(manifest, reg, world, list(lams), cfg)
-        assert len(calls) == count, lams
-        assert set(calls) == {cfg.batch_size}
+        assert sum(calls) == cfg.batch_size * rows, lams
+        assert len(calls) == passes, lams
     # the fused pair gives each run's lone result
     assert runs[(0.0, 0.4)][0][1:] == runs[(0.0,)][0][1:]
     assert runs[(0.0, 0.4)][1][1:] == runs[(0.4,)][0][1:]
