@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,12 @@ class CorpusManifest:
             raise ContractError(f"unknown split {split!r}")
         return list(self._splits[split])
 
+    @cached_property
+    def _train(self) -> "_TrainIndex":
+        """The train split's positional index for the samplers, built on
+        first use."""
+        return _TrainIndex(self._splits[TRAIN])
+
     def validate(self) -> None:
         if set(self.split) != set(self._by_id):
             raise ContractError("split tags must cover exactly the sample ids")
@@ -210,7 +217,23 @@ class ContrastiveEntry:
 
 @dataclass
 class ContrastiveBatch:
-    entries: list[ContrastiveEntry]
+    """A contrastive batch as index arrays into ``samples``, the train split
+    it was drawn from. Entry n takes the anchor ``samples[anchor[n]]``, whose
+    own emotion is the positive prompt, the negative prompt of emotion code
+    ``negative[n]`` and the neutral reference ``samples[reference[n]]``; the
+    three arrays are ``(B,)`` integers. ``entries`` is the per-entry view."""
+
+    samples: list[Sample]
+    anchor: np.ndarray
+    negative: np.ndarray
+    reference: np.ndarray
+
+    @property
+    def entries(self) -> list[ContrastiveEntry]:
+        s = self.samples
+        return [ContrastiveEntry(s[a], s[a].emotion, EmotionLabel(k), s[r])
+                for a, k, r in zip(self.anchor.tolist(), self.negative.tolist(),
+                                   self.reference.tolist())]
 
     def validate(self, pools: NegativePoolTable) -> None:
         for e in self.entries:
@@ -224,48 +247,6 @@ class ContrastiveBatch:
                 raise ContractError("reference must share the anchor's identity")
 
 
-def _uniform_choice(items: list, rng: np.random.Generator):
-    return items[int(rng.integers(len(items)))]
-
-
-def _train_groups(manifest: CorpusManifest
-                  ) -> tuple[list[Sample], dict[tuple[str, EmotionLabel], list[Sample]]]:
-    """The train split, and its samples grouped by (identity, emotion): the
-    manifest's own index, not copies, so a batch costs O(batch_size)."""
-    if not manifest._splits[TRAIN]:
-        raise ContractError("train split is empty")
-    return manifest._splits[TRAIN], manifest._groups[TRAIN]
-
-
-def _train_neutrals(groups: dict[tuple[str, EmotionLabel], list[Sample]],
-                    identity: str) -> list[Sample]:
-    """The identity's train-split neutrals: the only references a training
-    draw may use, so no val sample reaches training through a prompt."""
-    neutrals = groups.get((identity, EmotionLabel.neutral))
-    if not neutrals:
-        raise ContractError(f"identity {identity!r} has no train-split neutral sample")
-    return neutrals
-
-
-def sample_contrastive_batch(manifest: CorpusManifest, pools: NegativePoolTable,
-                             batch_size: int,
-                             rng: np.random.Generator) -> ContrastiveBatch:
-    """Draw anchors uniformly from the train split, a negative prompt
-    uniformly from the anchor emotion's pool, and a uniform train-split
-    neutral reference of the anchor's identity."""
-    if batch_size < 1:
-        raise ContractError("batch_size must be >= 1")
-    train, groups = _train_groups(manifest)
-    entries = []
-    for _ in range(batch_size):
-        anchor = _uniform_choice(train, rng)
-        negatives = sorted(pools.pool[anchor.emotion])
-        negative = _uniform_choice(negatives, rng)
-        reference = _uniform_choice(_train_neutrals(groups, anchor.identity), rng)
-        entries.append(ContrastiveEntry(anchor, anchor.emotion, negative, reference))
-    return ContrastiveBatch(entries)
-
-
 @dataclass(frozen=True)
 class PairDraw:
     """A same-identity (source, target) pair plus a neutral reference."""
@@ -275,29 +256,172 @@ class PairDraw:
     reference: Sample
 
 
+@dataclass
+class PairBatch:
+    """Pair draws as ``(B,)`` integer index arrays into ``samples``, the train
+    split they were drawn from: draw n is ``samples[source[n]]``,
+    ``samples[target[n]]`` and ``samples[reference[n]]``. ``draws`` is the
+    per-draw view."""
+
+    samples: list[Sample]
+    source: np.ndarray
+    target: np.ndarray
+    reference: np.ndarray
+
+    @property
+    def draws(self) -> list[PairDraw]:
+        s = self.samples
+        return [PairDraw(s[a], s[t], s[r]) for a, t, r
+                in zip(self.source.tolist(), self.target.tolist(), self.reference.tolist())]
+
+
+class _Replay:
+    """``int(rng.integers(n))`` calls, replayed from bulk draws of 32-bit words.
+
+    For a bound n in [1, 2**32] numpy draws no word when n is 1. Otherwise
+    it maps one word w to ``(w * n) >> 32`` (Lemire's multiply-shift) and
+    takes the next word while ``(w * n) % 2**32 < (2**32 - n) % n``. A word
+    is one ``next_uint32`` of the bit generator, which is also what each
+    entry of ``rng.integers(0, 2**32, size=k, dtype=np.uint32)`` takes.
+
+    As a context manager it draws ``size`` words on entry and yields
+    ``draw(n)``, which draws more words if the walk runs out. On exit, also
+    after an error, it leaves ``rng`` in the state the scalar calls would
+    have: if it used fewer words than it drew, it restores the entry state
+    and redraws exactly the words it used.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self.rng, self.size = rng, size
+
+    def _words(self) -> list[int]:
+        return self.rng.integers(0, 2 ** 32, size=self.size, dtype=np.uint32).tolist()
+
+    def __enter__(self):
+        self.state = self.rng.bit_generator.state
+        self.words, self.used = self._words(), 0
+        return self.draw
+
+    def draw(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            if self.used == len(self.words):
+                self.words += self._words()
+            m = self.words[self.used] * n
+            self.used += 1
+            low = m & 0xFFFFFFFF
+            # the threshold is below n, so most words pass the first test
+            if low >= n or low >= (2 ** 32 - n) % n:
+                return m >> 32
+
+    def __exit__(self, *exc) -> None:
+        if self.used < len(self.words):
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(0, 2 ** 32, size=self.used, dtype=np.uint32)
+
+
+class _TrainIndex:
+    """The train split by position, as the samplers read it: each position's
+    emotion code, (identity, emotion) group and identity's train-neutral
+    positions (the only references a training draw may use, so no val sample
+    reaches training through a prompt), and each group's positions, all in
+    manifest order. ``pool_tables`` adds the sampling tables of a pool
+    table."""
+
+    def __init__(self, train: list[Sample]):
+        if not train:
+            raise ContractError("train split is empty")
+        self.samples = train
+        self.emotion = [int(s.emotion) for s in train]
+        groups: dict[tuple[str, EmotionLabel], int] = {}
+        self.group = [groups.setdefault((s.identity, s.emotion), len(groups))
+                      for s in train]
+        self.members: list[list[int]] = [[] for _ in groups]
+        for position, g in enumerate(self.group):
+            self.members[g].append(position)
+        self.groups = groups
+        self.neutrals = [self.members[groups[(s.identity, EmotionLabel.neutral)]]
+                         if (s.identity, EmotionLabel.neutral) in groups else []
+                         for s in train]
+        self._pools_key = None
+
+    def pool_tables(self, pools: NegativePoolTable
+                    ) -> tuple[list[list[int]], list[list[list[int]]]]:
+        """Each emotion code's sorted negative codes, and each group's
+        admissible targets: for each emotion of its pool that its identity
+        has in the train split, in code order, that group's positions. Built
+        again only when the pools' contents change."""
+        key = tuple(pools.pool[e] for e in EMOTIONS)
+        if key != self._pools_key:
+            self.negatives = [[int(k) for k in sorted(pool)] for pool in key]
+            self.targets = [[self.members[self.groups[(identity, k)]]
+                             for k in sorted(key[emotion]) if (identity, k) in self.groups]
+                            for identity, emotion in self.groups]
+            self._pools_key = key
+        return self.negatives, self.targets
+
+    def neutrals_of(self, position: int) -> list[int]:
+        neutrals = self.neutrals[position]
+        if not neutrals:
+            raise ContractError(f"identity {self.samples[position].identity!r} has no "
+                                "train-split neutral sample")
+        return neutrals
+
+
+def sample_contrastive_batch(manifest: CorpusManifest, pools: NegativePoolTable,
+                             batch_size: int,
+                             rng: np.random.Generator) -> ContrastiveBatch:
+    """Draw anchors uniformly from the train split, a negative prompt
+    uniformly from the anchor emotion's pool, and a uniform train-split
+    neutral reference of the anchor's identity: per entry, the three
+    ``int(rng.integers(n))`` draws in that order, replayed from one bulk
+    draw (``_Replay``)."""
+    if batch_size < 1:
+        raise ContractError("batch_size must be >= 1")
+    index = manifest._train
+    negatives, _ = index.pool_tables(pools)
+    n_train = len(index.samples)
+    anchors, codes, references = [], [], []
+    with _Replay(rng, 3 * batch_size) as draw:
+        for _ in range(batch_size):
+            anchor = draw(n_train)
+            options = negatives[index.emotion[anchor]]
+            codes.append(options[draw(len(options))])
+            neutrals = index.neutrals_of(anchor)
+            references.append(neutrals[draw(len(neutrals))])
+            anchors.append(anchor)
+    return ContrastiveBatch(index.samples, *np.array([anchors, codes, references]))
+
+
 def sample_pair_batch(manifest: CorpusManifest, pools: NegativePoolTable,
-                      batch_size: int, rng: np.random.Generator) -> list[PairDraw]:
+                      batch_size: int, rng: np.random.Generator) -> PairBatch:
     """Draw same-identity source/target pairs for difference objectives,
     each with a uniform train-split neutral reference of the identity.
 
     The target emotion is drawn uniformly from the source emotion's pool,
     restricted to emotions the identity actually has in the train split
     (same-emotion pairs never occur since pools exclude their own key).
+    Per pair the draws are the source, the target emotion, the target and
+    the reference, replayed as in ``sample_contrastive_batch``.
     """
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
-    train, by_identity_emotion = _train_groups(manifest)
-    draws = []
-    for _ in range(batch_size):
-        source = _uniform_choice(train, rng)
-        candidates = sorted(e for e in pools.pool[source.emotion]
-                            if (source.identity, e) in by_identity_emotion)
-        if not candidates:
-            raise ContractError(f"identity {source.identity!r} has no admissible "
-                                f"target emotion for {source.emotion.name}")
-        target_emotion = _uniform_choice(candidates, rng)
-        target = _uniform_choice(by_identity_emotion[(source.identity, target_emotion)], rng)
-        reference = _uniform_choice(_train_neutrals(by_identity_emotion,
-                                                    source.identity), rng)
-        draws.append(PairDraw(source, target, reference))
-    return draws
+    index = manifest._train
+    _, targets = index.pool_tables(pools)
+    n_train = len(index.samples)
+    sources, chosen, references = [], [], []
+    with _Replay(rng, 4 * batch_size) as draw:
+        for _ in range(batch_size):
+            source = draw(n_train)
+            options = targets[index.group[source]]
+            if not options:
+                sample = index.samples[source]
+                raise ContractError(f"identity {sample.identity!r} has no admissible "
+                                    f"target emotion for {sample.emotion.name}")
+            members = options[draw(len(options))]
+            chosen.append(members[draw(len(members))])
+            neutrals = index.neutrals_of(source)
+            references.append(neutrals[draw(len(neutrals))])
+            sources.append(source)
+    return PairBatch(index.samples, *np.array([sources, chosen, references]))

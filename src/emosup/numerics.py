@@ -107,12 +107,20 @@ def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray | float,
     a2, b2 = as_same_rows(a, b)
     na = np.linalg.norm(a2, axis=1, keepdims=True)
     nb = np.linalg.norm(b2, axis=1, keepdims=True)
-    keep = (na >= EPS_NORM) & (nb >= EPS_NORM)
-    na, nb = np.where(keep, na, 1.0), np.where(keep, nb, 1.0)
-    c = np.where(keep, np.einsum("ij,ij->i", a2, b2)[:, None] / (na * nb), 0.0)
-    da = np.where(keep, b2 / (na * nb) - c * a2 / (na * na), 0.0)
-    db = np.where(keep, a2 / (na * nb) - c * b2 / (nb * nb), 0.0)
-    cos, degenerate = c[:, 0], ~keep[:, 0]
+    degenerate = ~((na >= EPS_NORM) & (nb >= EPS_NORM))[:, 0]
+    # degenerate rows are computed with unit norms and a zero cosine, then zeroed
+    bad = np.flatnonzero(degenerate)
+    if bad.size:
+        na[bad] = nb[bad] = 1.0
+    nab = na * nb
+    c = np.einsum("ij,ij->i", a2, b2)[:, None] / nab
+    if bad.size:
+        c[bad] = 0.0
+    da = b2 / nab - c * a2 / (na * na)
+    db = a2 / nab - c * b2 / (nb * nb)
+    if bad.size:
+        da[bad] = db[bad] = 0.0
+    cos = c[:, 0]
     if np.ndim(a) == 1:
         return da[0], db[0], float(cos[0]), bool(degenerate[0])
     return da, db, cos, degenerate

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
-                     PairDraw, Sample, sample_contrastive_batch, sample_pair_batch)
+                     PairBatch, Sample, sample_contrastive_batch, sample_pair_batch)
 from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import EncoderSuite
 from .errors import (ContractError, NumericalError, canonical_json, load_json_object,
@@ -459,35 +459,53 @@ def _fresh_checkpoint(suite: EncoderSuite, config: TrainConfig,
 
 @dataclass
 class _FrozenTable:
-    """Frozen-encoder outputs a training step reads: visual embeddings by
-    sample id, identity-backbone features by reference id, and the tokens
-    of each emotion's plain prompt as a ``(7, L0, d_tok)`` array indexed by
-    emotion code. The encoders never change, so a training run computes
-    these once instead of once per entry."""
+    """Frozen-encoder outputs a training step reads, by position in the
+    train split that the batches index (``ContrastiveBatch``, ``PairBatch``):
+    the ``(n, d_e)`` visual embeddings, the ``(n,)`` emotion codes, and the
+    ``(n, d_b)`` identity-backbone features of the train neutrals, the only
+    references a batch holds (other rows are NaN, which the guider head
+    refuses). ``prompt_tokens`` holds the tokens of each emotion's plain
+    prompt as a ``(7, L0, d_tok)`` array indexed by emotion code. The
+    encoders never change, so a training run computes these once instead of
+    once per entry."""
 
-    visual: dict[str, np.ndarray]
-    identity: dict[str, np.ndarray]
+    visual: np.ndarray
+    emotion: np.ndarray
+    identity: np.ndarray
     prompt_tokens: np.ndarray
 
 
-def _frozen_table(samples: list[Sample], references: list[Sample],
-                  suite: EncoderSuite) -> _FrozenTable:
+def _frozen_table(train: list[Sample], suite: EncoderSuite) -> _FrozenTable:
     prompts = [suite.tokenize(prompt_for(e)) for e in EMOTIONS]
     if len({len(tokens) for tokens in prompts}) != 1:
         raise ContractError("batched training needs emotion prompts of one token "
                             f"length, got lengths {[len(t) for t in prompts]}")
-    return _FrozenTable(
-        {s.id: suite.visual_encode(s.image_ref) for s in dict.fromkeys(samples)},
-        {r.id: suite.backbone_identity(r.image_ref) for r in dict.fromkeys(references)},
-        np.array(prompts))
+    visual = np.array([suite.visual_encode(s.image_ref) for s in train])
+    identity = np.full((len(train), suite.d_b), np.nan)
+    for position, s in enumerate(train):
+        if s.emotion == EmotionLabel.neutral:
+            identity[position] = suite.backbone_identity(s.image_ref)
+    return _FrozenTable(visual, np.array([int(s.emotion) for s in train]), identity,
+                        np.array(prompts))
 
 
-def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
+def _check_batch(step: str, n: int, samples: list[Sample], table: _FrozenTable) -> None:
+    """Refuse an empty batch, and one drawn from a train split of another
+    length than the table's."""
+    if not n:
+        raise ContractError(f"{step} needs a batch of at least one entry")
+    if len(samples) != len(table.emotion):
+        raise ContractError(f"{step}: the batch indexes a train split of "
+                            f"{len(samples)} samples, the table holds {len(table.emotion)}")
+
+
+def _personalized_rows(ckpt: AlignmentCheckpoint, identity: np.ndarray,
                        table: _FrozenTable, suite: EncoderSuite):
-    """One guider-head forward pass over the references' identity features.
+    """One guider-head forward pass over the ``(B, d_b)`` identity features
+    of a batch's references.
 
-    Returns two functions. ``embed(emotions)`` stacks each reference's
-    guider tokens in front of the tokens of the matching emotion's prompt
+    Returns two functions. ``embed(codes)`` stacks each reference's guider
+    tokens in front of the tokens of the prompt of the matching emotion code
     and encodes the stack in one ``text_encode`` call: a ``(B, d_e)``
     embedding stack plus the ``(B, L, d_tok)`` token stack. ``backward(terms)``
     takes ``(stack, upstream)`` pairs of such token stacks and ``(B, d_e)``
@@ -496,14 +514,12 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
     pass on their sum (the head's backward is linear in its upstream
     gradient).
     """
-    head_out, head_cache = mlp_forward(
-        ckpt.guider_head, np.stack([table.identity[r.id] for r in references]))
+    head_out, head_cache = mlp_forward(ckpt.guider_head, identity)
     count = ckpt.token_count
-    guider = head_out.reshape(len(references), count, ckpt.d_tok)
+    guider = head_out.reshape(len(identity), count, ckpt.d_tok)
 
-    def embed(emotions: list[EmotionLabel]):
-        prompts = table.prompt_tokens[[int(e) for e in emotions]]
-        stack = np.concatenate([guider, prompts], axis=1)
+    def embed(codes: np.ndarray):
+        stack = np.concatenate([guider, table.prompt_tokens[codes]], axis=1)
         return suite.text_encode(stack), stack
 
     def backward(terms) -> MlpGrads:
@@ -516,12 +532,12 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, references: list[Sample],
     return embed, backward
 
 
-def _project_rows(ckpt: AlignmentCheckpoint, samples: list[Sample],
-                  table: _FrozenTable):
-    """One stacked pass through the whole projector bank: the samples'
-    visual embeddings are grouped by projector into a zero-padded ``(P, m,
-    in)`` stack (``_group_rows``), and ``layers_forward`` makes one
-    ``np.matmul`` per layer over ``ckpt.bank_layers(ckpt.vector)``.
+def _project_rows(ckpt: AlignmentCheckpoint, visual: np.ndarray, codes: np.ndarray):
+    """One stacked pass through the whole projector bank: the ``(B, d_e)``
+    visual embeddings, each to the projector of its emotion code, are
+    grouped by projector into a zero-padded ``(P, m, in)`` stack
+    (``_group_rows``), and ``layers_forward`` makes one ``np.matmul`` per
+    layer over ``ckpt.bank_layers(ckpt.vector)``.
 
     Returns the ``(B, d_e)`` projections and ``backward(upstream, grad)``,
     which writes every projector's weight and bias gradients into
@@ -529,8 +545,7 @@ def _project_rows(ckpt: AlignmentCheckpoint, samples: list[Sample],
     rather than adds). A padded slot gets zero upstream gradient, so it
     adds exactly 0, and a projector with no rows gets zeros.
     """
-    stack, index = _group_rows(ckpt.bank, np.stack([table.visual[s.id] for s in samples]),
-                               np.array([int(s.emotion) for s in samples]))
+    stack, index = _group_rows(ckpt.bank, visual, codes)
     layers = [DenseLayer(w, b, layer.activation) for (w, b), layer
               in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
     out, inputs, preacts = layers_forward(layers, stack)
@@ -550,30 +565,29 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
     """Mean contrastive loss over a batch plus its gradient for head and
     bank, one vector in the layout of ``ckpt.vector``.
 
-    ``table`` holds the frozen-encoder outputs of the batch's anchors and
-    references (``_frozen_table``). An empty batch is refused.
+    ``table`` holds the frozen-encoder outputs of the train split the batch
+    indexes (``_frozen_table``). An empty batch is refused.
     """
-    entries = batch.entries
-    if not entries:
-        raise ContractError("contrastive_step_grads needs a batch of at least one entry")
-    anchors = [e.anchor for e in entries]
-    references = [e.reference for e in entries]
-    grad = np.zeros_like(ckpt.vector)
-    grads = ckpt.split(grad)
-    scale = 1.0 / len(entries)
-    embed, head_backward = _personalized_rows(ckpt, references, table, suite)
-    t_pos, stack_pos = embed([e.positive_prompt for e in entries])
-    t_neg, stack_neg = embed([e.negative_prompt for e in entries])
-    i_vis, projector_backward = _project_rows(ckpt, anchors, table)
+    n = len(batch.anchor)
+    _check_batch("contrastive_step_grads", n, batch.samples, table)
+    # the head block is assigned and the bank pass writes the rest
+    grad = np.empty_like(ckpt.vector)
+    scale = 1.0 / n
+    embed, head_backward = _personalized_rows(ckpt, table.identity[batch.reference],
+                                              table, suite)
+    codes = table.emotion[batch.anchor]
+    t_pos, stack_pos = embed(codes)
+    t_neg, stack_neg = embed(batch.negative)
+    i_vis, projector_backward = _project_rows(ckpt, table.visual[batch.anchor], codes)
 
     losses, d_tpos, d_tneg, d_ivis = contrastive_loss_with_grads(t_pos, t_neg, i_vis)
-    grads[0] += head_backward([(stack_pos, scale * d_tpos),
-                               (stack_neg, scale * d_tneg)]).vector
+    grad[:ckpt.guider_head.vector.size] = head_backward([(stack_pos, scale * d_tpos),
+                                                         (stack_neg, scale * d_tneg)]).vector
     projector_backward(scale * d_ivis, grad)
     return float(np.sum(losses)) * scale, grad
 
 
-def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
+def difference_step_grads(ckpt: AlignmentCheckpoint, batch: PairBatch,
                           suite: EncoderSuite, table: _FrozenTable
                           ) -> tuple[float, np.ndarray]:
     """Mean difference-alignment loss over sampled pairs plus its gradient,
@@ -583,28 +597,27 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, draws: list[PairDraw],
     instead of the contrastive one. Note the identity token cancels in
     the text difference, so under a linear text encoder the guider head
     receives exactly zero gradient here. A degenerate pair (a zero-norm
-    difference) counts as loss 1 and contributes no gradient. An empty list
-    of draws is refused.
+    difference) counts as loss 1 and contributes no gradient. An empty
+    batch is refused.
     """
-    n = len(draws)
-    if not n:
-        raise ContractError("difference_step_grads needs at least one pair draw")
-    sources = [d.source for d in draws]
-    targets = [d.target for d in draws]
-    references = [d.reference for d in draws]
-    grad = np.zeros_like(ckpt.vector)
-    grads = ckpt.split(grad)
+    n = len(batch.source)
+    _check_batch("difference_step_grads", n, batch.samples, table)
+    grad = np.empty_like(ckpt.vector)
     scale = 1.0 / n
-    embed, head_backward = _personalized_rows(ckpt, references, table, suite)
-    t_s, stack_s = embed([s.emotion for s in sources])
-    t_t, stack_t = embed([s.emotion for s in targets])
+    embed, head_backward = _personalized_rows(ckpt, table.identity[batch.reference],
+                                              table, suite)
     # sources fill the first n rows, targets the last n
-    i_vis, projector_backward = _project_rows(ckpt, sources + targets, table)
+    rows = np.concatenate([batch.source, batch.target])
+    codes = table.emotion[rows]
+    t_s, stack_s = embed(codes[:n])
+    t_t, stack_t = embed(codes[n:])
+    i_vis, projector_backward = _project_rows(ckpt, table.visual[rows], codes)
 
     losses, d_idiff, d_tdiff = difference_loss_with_grads(
         DifferencePair(i_vis[:n] - i_vis[n:], t_s - t_t))
     d_idiff, d_tdiff = scale * d_idiff, scale * d_tdiff
-    grads[0] += head_backward([(stack_s, d_tdiff), (stack_t, -d_tdiff)]).vector
+    grad[:ckpt.guider_head.vector.size] = head_backward([(stack_s, d_tdiff),
+                                                         (stack_t, -d_tdiff)]).vector
     projector_backward(np.concatenate([d_idiff, -d_idiff]), grad)
     return float(np.sum(losses)) * scale, grad
 
@@ -616,10 +629,9 @@ def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
     rng = np.random.Generator(np.random.PCG64(config.seed))
     ckpt = _fresh_checkpoint(suite, config, rng)
     velocity = np.zeros_like(ckpt.vector)
-    # the samplers draw anchors, pairs and neutral references from train only
-    train = manifest.in_split(TRAIN)
-    table = _frozen_table(train, [s for s in train if s.emotion == EmotionLabel.neutral],
-                          suite)
+    # the samplers draw anchors, pairs and neutral references from train
+    # only, as positions in it
+    table = _frozen_table(manifest.in_split(TRAIN), suite)
     records = []
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
@@ -628,8 +640,8 @@ def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
                 batch = sample_contrastive_batch(manifest, pools, config.batch_size, rng)
                 loss, grad = contrastive_step_grads(ckpt, batch, suite, table)
             else:
-                draws = sample_pair_batch(manifest, pools, config.batch_size, rng)
-                loss, grad = difference_step_grads(ckpt, draws, suite, table)
+                batch = sample_pair_batch(manifest, pools, config.batch_size, rng)
+                loss, grad = difference_step_grads(ckpt, batch, suite, table)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
             if config.momentum:

@@ -35,11 +35,9 @@ def default_manifest(default_world):
 
 @pytest.fixture(scope="session")
 def default_table(default_manifest, default_suite):
-    """The frozen-encoder table of every default-manifest sample, with every
-    neutral sample as a reference: it serves any batch drawn from it."""
-    samples = default_manifest.samples
-    return es.prompts._frozen_table(
-        samples, [s for s in samples if s.emotion == es.EmotionLabel.neutral], default_suite)
+    """The frozen-encoder table of the default manifest's train split, which
+    every batch drawn from that manifest indexes."""
+    return es.prompts._frozen_table(default_manifest.in_split("train"), default_suite)
 
 
 @pytest.fixture(scope="session")

@@ -80,12 +80,12 @@ def contrastive_per_entry(ckpt, batch, suite):
     return total * scale, grad
 
 
-def difference_per_entry(ckpt, draws, suite):
+def difference_per_entry(ckpt, batch, suite):
     grad = np.zeros_like(ckpt.vector)
     grads = ckpt.split(grad)
     total = 0.0
-    scale = 1.0 / len(draws)
-    for draw in draws:
+    scale = 1.0 / len(batch.source)
+    for draw in batch.draws:
         t_s, seq_s, cache_s = personalized_per_entry(ckpt, draw.reference,
                                                      draw.source.emotion, suite)
         t_t, seq_t, cache_t = personalized_per_entry(ckpt, draw.reference,
@@ -120,14 +120,10 @@ def assert_grads_close(batched, reference):
     np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=1e-12)
 
 
-def batch_table(drawn, suite):
-    """The frozen table of only the samples a contrastive batch or a list of
-    pair draws reads."""
-    if isinstance(drawn, es.corpus.ContrastiveBatch):
-        return pr._frozen_table([e.anchor for e in drawn.entries],
-                                [e.reference for e in drawn.entries], suite)
-    return pr._frozen_table([d.source for d in drawn] + [d.target for d in drawn],
-                            [d.reference for d in drawn], suite)
+def train_table(manifest, suite):
+    """The frozen table of ``manifest``'s train split under ``suite``, which
+    every batch drawn from the manifest indexes."""
+    return pr._frozen_table(manifest.in_split("train"), suite)
 
 
 def step_setup(suite, mode, tokens, seed, degenerate_identity):
@@ -166,14 +162,18 @@ def test_contrastive_step_matches_per_entry_reference(default_manifest, default_
     rng = np.random.default_rng(seed)
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, batch_size, rng)
     if degenerate:  # make sure the batch holds a zero-norm row
-        anchor = next(s for s in default_manifest.in_split("train") if s.identity == "id001")
-        batch.entries[0] = es.corpus.ContrastiveEntry(
-            anchor, anchor.emotion, sorted(reference_pools.pool[anchor.emotion])[0],
-            default_manifest.by_id(anchor.neutral_ref))
+        train = batch.samples
+        position = next(i for i, s in enumerate(train) if s.identity == "id001")
+        anchor = train[position]
+        batch.anchor[0] = position
+        batch.negative[0] = min(reference_pools.pool[anchor.emotion])
+        batch.reference[0] = next(i for i, s in enumerate(train) if s.identity == "id001"
+                                  and s.emotion == es.EmotionLabel.neutral)
         projected, _, _ = pr.project_visual(ckpt.bank, suite.visual_encode(anchor.image_ref),
                                             anchor.emotion)
         assert not projected.any()
-    loss, grad = pr.contrastive_step_grads(ckpt, batch, suite, batch_table(batch, suite))
+    loss, grad = pr.contrastive_step_grads(ckpt, batch, suite,
+                                           train_table(default_manifest, suite))
     ref_loss, ref_grad = contrastive_per_entry(ckpt, batch, suite)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
     assert_grads_close(grad, ref_grad)
@@ -187,28 +187,32 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
     ckpt, suite = step_setup(default_suite, mode, tokens, seed,
                              "id002" if degenerate else None)
     rng = np.random.default_rng(seed)
-    draws = es.sample_pair_batch(default_manifest, reference_pools, batch_size, rng)
+    batch = es.sample_pair_batch(default_manifest, reference_pools, batch_size, rng)
     if degenerate:  # a same-identity pair of zero images: a zero visual difference
-        draws[0] = next(d for d in es.sample_pair_batch(default_manifest, reference_pools,
-                                                        64, np.random.default_rng(0))
-                        if d.source.identity == "id002")
+        other = es.sample_pair_batch(default_manifest, reference_pools, 64,
+                                     np.random.default_rng(0))
+        n = next(i for i, d in enumerate(other.draws) if d.source.identity == "id002")
+        for name in ("source", "target", "reference"):
+            getattr(batch, name)[0] = getattr(other, name)[n]
+        draw = batch.draws[0]
         pair = [pr.project_visual(ckpt.bank, suite.visual_encode(s.image_ref), s.emotion)[0]
-                for s in (draws[0].source, draws[0].target)]
+                for s in (draw.source, draw.target)]
         assert not (pair[0] - pair[1]).any()
-    loss, grad = pr.difference_step_grads(ckpt, draws, suite, batch_table(draws, suite))
-    ref_loss, ref_grad = difference_per_entry(ckpt, draws, suite)
+    loss, grad = pr.difference_step_grads(ckpt, batch, suite,
+                                          train_table(default_manifest, suite))
+    ref_loss, ref_grad = difference_per_entry(ckpt, batch, suite)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
     assert_grads_close(grad, ref_grad)
 
 
-def bank_pass_per_row(ckpt, samples, table, upstream):
+def bank_pass_per_row(ckpt, samples, suite, upstream):
     """Oracle of ``_project_rows``: each row's own ``mlp_forward`` and
     ``mlp_backward`` on ``bank.projector_for(emotion)``, the parameter
     gradients added up per projector (keyed by ``ckpt.split`` index)."""
     outs, grads = [], {}
     for sample, u in zip(samples, upstream):
         net = ckpt.bank.projector_for(sample.emotion)
-        x = table.visual[sample.id]
+        x = suite.visual_encode(sample.image_ref)
         if ckpt.bank.mode == pr.SINGLE_CONDITIONAL:
             x = np.concatenate([x, one_hot(sample.emotion)])
         out, cache = mlp_forward(net, x)
@@ -237,14 +241,16 @@ def test_bank_pass_matches_per_row_oracle(default_manifest, default_suite, defau
         for layer in net.layers:
             layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
     train = default_manifest.in_split("train")
-    samples = [train[rng.choice([i for i, s in enumerate(train) if int(s.emotion) == c])]
-               for c in codes]
-    upstream = rng.standard_normal((len(samples), default_suite.d_e))
-    out, backward = pr._project_rows(ckpt, samples, default_table)
+    positions = [rng.choice([i for i, s in enumerate(train) if int(s.emotion) == c])
+                 for c in codes]
+    upstream = rng.standard_normal((len(positions), default_suite.d_e))
+    out, backward = pr._project_rows(ckpt, default_table.visual[positions],
+                                     default_table.emotion[positions])
     grad = rng.standard_normal(ckpt.vector.shape)
     head = grad[:ckpt.guider_head.vector.size].copy()
     backward(upstream, grad)
-    expected_out, expected_grads = bank_pass_per_row(ckpt, samples, default_table, upstream)
+    expected_out, expected_grads = bank_pass_per_row(ckpt, [train[i] for i in positions],
+                                                     default_suite, upstream)
     np.testing.assert_allclose(out, expected_out, rtol=1e-12, atol=1e-12)
     parts = ckpt.split(grad)
     assert np.array_equal(parts[0], head)  # the guider head's block is untouched
@@ -256,31 +262,56 @@ def test_bank_pass_matches_per_row_oracle(default_manifest, default_suite, defau
             assert not parts[index].any()
 
 
-def test_steps_refuse_an_empty_batch(default_suite, default_table):
+def test_steps_refuse_an_empty_batch_and_another_splits_batch(default_manifest,
+                                                               default_suite, default_table,
+                                                               reference_pools):
     ckpt, _ = step_setup(default_suite, pr.MULTI, 1, 0, None)
-    with pytest.raises(es.ContractError, match="contrastive_step_grads"):
-        pr.contrastive_step_grads(ckpt, es.corpus.ContrastiveBatch([]), default_suite,
-                                  default_table)
-    with pytest.raises(es.ContractError, match="difference_step_grads"):
-        pr.difference_step_grads(ckpt, [], default_suite, default_table)
-
-
-def test_step_with_run_table_equals_step_without(default_manifest, default_suite,
-                                                 reference_pools):
-    # the table a training run builds once serves every batch it draws
     train = default_manifest.in_split("train")
-    table = pr._frozen_table(train, [s for s in train
-                                     if s.emotion == es.EmotionLabel.neutral], default_suite)
-    ckpt, _ = step_setup(default_suite, pr.MULTI, 1, 3, None)
-    rng = np.random.default_rng(3)
-    batch = es.sample_contrastive_batch(default_manifest, reference_pools, 16, rng)
-    draws = es.sample_pair_batch(default_manifest, reference_pools, 16, rng)
-    for step, drawn in ((pr.contrastive_step_grads, batch), (pr.difference_step_grads, draws)):
-        loss, grad = step(ckpt, drawn, default_suite, table)
-        ref_loss, ref_grad = step(ckpt, drawn, default_suite,
-                                  batch_table(drawn, default_suite))
-        assert loss == ref_loss
-        assert_grads_close(grad, ref_grad)
+    empty = np.zeros(0, dtype=int)
+    with pytest.raises(es.ContractError, match="contrastive_step_grads needs a batch"):
+        pr.contrastive_step_grads(ckpt,
+                                  es.corpus.ContrastiveBatch(train, empty, empty, empty),
+                                  default_suite, default_table)
+    with pytest.raises(es.ContractError, match="difference_step_grads needs a batch"):
+        pr.difference_step_grads(ckpt, es.corpus.PairBatch(train, empty, empty, empty),
+                                 default_suite, default_table)
+    # a batch of a larger corpus's train split does not index this table
+    other = es.generate_synthetic_corpus(es.build_synthetic_world(1), 4)
+    rng = np.random.default_rng(0)
+    for sampler, step in ((es.sample_contrastive_batch, pr.contrastive_step_grads),
+                          (es.sample_pair_batch, pr.difference_step_grads)):
+        with pytest.raises(es.ContractError, match=f"the table holds {len(train)}$"):
+            step(ckpt, sampler(other, reference_pools, 4, rng), default_suite,
+                 default_table)
+
+
+def test_frozen_table_rows_are_each_samples_encodings(default_manifest, default_suite,
+                                                      default_table):
+    # row n of each array belongs to train position n; only the train
+    # neutrals, the batches' references, have identity features
+    train = default_manifest.in_split("train")
+    table = default_table
+    assert table.visual.shape == (len(train), default_suite.d_e)
+    assert table.identity.shape == (len(train), default_suite.d_b)
+    for n, s in enumerate(train):
+        assert np.array_equal(table.visual[n], default_suite.visual_encode(s.image_ref))
+        assert table.emotion[n] == int(s.emotion)
+        if s.emotion == es.EmotionLabel.neutral:
+            assert np.array_equal(table.identity[n],
+                                  default_suite.backbone_identity(s.image_ref))
+        else:
+            assert np.isnan(table.identity[n]).all()
+    for k, e in enumerate(es.EMOTIONS):
+        assert np.array_equal(table.prompt_tokens[k],
+                              default_suite.tokenize(es.prompt_for(e)))
+    # a reference that is not a train neutral reaches the guider head as NaN
+    ckpt, _ = step_setup(default_suite, pr.MULTI, 1, 0, None)
+    batch = es.sample_contrastive_batch(default_manifest, es.load_reference_pools(), 4,
+                                        np.random.default_rng(0))
+    batch.reference[0] = next(n for n, s in enumerate(train)
+                              if s.emotion != es.EmotionLabel.neutral)
+    with pytest.raises(es.ContractError, match="non-finite"):
+        pr.contrastive_step_grads(ckpt, batch, default_suite, table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emosup as es
@@ -197,7 +198,7 @@ def test_split_equals_a_per_identity_scan():
 
 def test_pair_batch_same_identity_different_emotion(default_manifest, reference_pools):
     rng = np.random.default_rng(11)
-    draws = sample_pair_batch(default_manifest, reference_pools, 64, rng)
+    draws = sample_pair_batch(default_manifest, reference_pools, 64, rng).draws
     for d in draws:
         assert d.source.identity == d.target.identity
         assert d.source.emotion != d.target.emotion
@@ -219,7 +220,8 @@ def test_references_come_from_train_neutrals_only():
     for _ in range(40):
         references += [e.reference for e in
                        es.sample_contrastive_batch(manifest, pools, 32, rng).entries]
-        references += [d.reference for d in sample_pair_batch(manifest, pools, 32, rng)]
+        references += [d.reference
+                       for d in sample_pair_batch(manifest, pools, 32, rng).draws]
     assert len(references) == 2 * 1280
     assert all(manifest.split[r.id] == TRAIN for r in references)
     assert {r.identity for r in references} == set(manifest.identities())
@@ -236,6 +238,161 @@ def test_identity_without_train_neutral_errors_with_identity_name():
     for sampler in (es.sample_contrastive_batch, sample_pair_batch):
         with pytest.raises(ContractError, match="idX.*train-split neutral"):
             sampler(manifest, pools, 4, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the samplers against the per-entry scalar draws they replay
+# ---------------------------------------------------------------------------
+
+def uniform_choice(items, rng):
+    return items[int(rng.integers(len(items)))]
+
+
+def train_neutrals(groups, identity):
+    neutrals = groups.get((identity, es.EmotionLabel.neutral))
+    if not neutrals:
+        raise ContractError(f"identity {identity!r} has no train-split neutral sample")
+    return neutrals
+
+
+def train_groups(manifest):
+    train = manifest.in_split(TRAIN)
+    groups = {}
+    for s in train:
+        groups.setdefault((s.identity, s.emotion), []).append(s)
+    return train, groups
+
+
+def contrastive_per_entry(manifest, pools, batch_size, rng):
+    """The contrastive sampler as per-entry records: a scalar
+    ``rng.integers`` draw of the anchor, the negative and the reference."""
+    train, groups = train_groups(manifest)
+    entries = []
+    for _ in range(batch_size):
+        anchor = uniform_choice(train, rng)
+        negative = uniform_choice(sorted(pools.pool[anchor.emotion]), rng)
+        reference = uniform_choice(train_neutrals(groups, anchor.identity), rng)
+        entries.append(corpus.ContrastiveEntry(anchor, anchor.emotion, negative, reference))
+    return entries
+
+
+def pairs_per_entry(manifest, pools, batch_size, rng):
+    """The pair sampler as per-entry records: scalar draws of the source, the
+    target emotion, the target and the reference."""
+    train, groups = train_groups(manifest)
+    draws = []
+    for _ in range(batch_size):
+        source = uniform_choice(train, rng)
+        candidates = sorted(e for e in pools.pool[source.emotion]
+                            if (source.identity, e) in groups)
+        if not candidates:
+            raise ContractError(f"identity {source.identity!r} has no admissible "
+                                f"target emotion for {source.emotion.name}")
+        target_emotion = uniform_choice(candidates, rng)
+        target = uniform_choice(groups[(source.identity, target_emotion)], rng)
+        reference = uniform_choice(train_neutrals(groups, source.identity), rng)
+        draws.append(corpus.PairDraw(source, target, reference))
+    return draws
+
+
+SAMPLERS = [(es.sample_contrastive_batch, contrastive_per_entry, "entries"),
+            (sample_pair_batch, pairs_per_entry, "draws")]
+POOLS = {"reference": es.load_reference_pools(),
+         "all": es.NegativePoolTable.all_others(),
+         # one admissible emotion: a source whose identity lacks it in train
+         # has no target
+         "next": es.NegativePoolTable({e: frozenset({es.EmotionLabel((int(e) + 1) % 7)})
+                                       for e in es.EMOTIONS})}
+
+
+@pytest.fixture(scope="module")
+def one_per_emotion_manifest():
+    """The corpus of ``gen-corpus --seed 1 --per-emotion 1``: every identity
+    has one train neutral, and every train group holds one sample."""
+    manifest = es.generate_synthetic_corpus(es.build_synthetic_world(1), 1)
+    index = manifest._train
+    assert all(len(neutrals) == 1 for neutrals in index.neutrals)
+    assert sum(len(members) == 1 for members in index.members) == 24
+    return manifest
+
+
+def outcome(sampler, view, manifest, pools, batch_size, rng):
+    """The sampler's records, or the message of the ContractError it raised."""
+    try:
+        drawn = sampler(manifest, pools, batch_size, rng)
+    except ContractError as error:
+        return str(error)
+    return drawn if view is None else getattr(drawn, view)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 64 - 1), batch_size=st.integers(1, 64),
+       one_per_emotion=st.booleans(), pools=st.sampled_from(["reference", "all"]),
+       calls=st.integers(1, 3))
+def test_samplers_equal_the_per_entry_draws(default_manifest, one_per_emotion_manifest,
+                                            seed, batch_size, one_per_emotion, pools,
+                                            calls):
+    manifest = one_per_emotion_manifest if one_per_emotion else default_manifest
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(calls):
+        for sampler, oracle, view in SAMPLERS:
+            drawn = getattr(sampler(manifest, POOLS[pools], batch_size, batched), view)
+            assert drawn == oracle(manifest, POOLS[pools], batch_size, scalar)
+            assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def test_samplers_raise_where_the_per_entry_draws_raise():
+    # world seed 4 at one sample per emotion leaves an identity whose only
+    # neutral is in val, and identities without some train emotions
+    manifest = es.generate_synthetic_corpus(es.build_synthetic_world(4), 1)
+    assert any(not neutrals for neutrals in manifest._train.neutrals)
+    messages = set()
+    for (sampler, oracle, view), pools, seed in itertools.product(
+            SAMPLERS, POOLS.values(), range(3)):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(12):
+            got = outcome(sampler, view, manifest, pools, 4, batched)
+            assert got == outcome(oracle, None, manifest, pools, 4, scalar)
+            assert batched.bit_generator.state == scalar.bit_generator.state
+            messages.add(got.split(" has ")[1] if isinstance(got, str) else "a batch")
+    # both errors are reached, and so are batches between them
+    assert {"a batch", "no train-split neutral sample"} < messages
+    assert any(m.startswith("no admissible target emotion for ") for m in messages)
+
+
+# n = 1 takes no word; 2**31 + 1 rejects about half the words; the largest
+# bounds reject rarely but use the whole word
+bounds = st.one_of(st.just(1), st.integers(2, 9),
+                   st.sampled_from([2 ** 31 + 1, 2 ** 31 + 3]),
+                   st.integers(2 ** 31, 2 ** 32 - 1), st.integers(2, 2 ** 32 - 1))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 64 - 1), earlier=st.integers(0, 4).map(lambda k: 2 * k + 1),
+       ns=st.lists(bounds, max_size=40), size=st.integers(1, 12))
+@example(seed=0, earlier=1, ns=[2 ** 31 + 1] * 30, size=4)
+@example(seed=1, earlier=3, ns=[1] * 5, size=5)
+@example(seed=2, earlier=1, ns=[2 ** 32 - 1, 1, 2, 2 ** 31 + 1], size=40)
+def test_replay_equals_scalar_integers(seed, earlier, ns, size):
+    # an odd number of earlier 32-bit draws leaves half a 64-bit output cached
+    scalar, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (scalar, replayed):
+        rng.integers(0, 2 ** 32, size=earlier, dtype=np.uint32)
+    want = [int(scalar.integers(n)) for n in ns]
+    with corpus._Replay(replayed, size) as draw:
+        got = [draw(n) for n in ns]
+    assert got == want
+    assert replayed.bit_generator.state == scalar.bit_generator.state
+
+
+def test_replay_leaves_the_scalar_state_when_the_walk_raises():
+    scalar, replayed = np.random.default_rng(7), np.random.default_rng(7)
+    want = [int(scalar.integers(n)) for n in (5, 2 ** 31 + 1, 1, 3)]
+    with pytest.raises(ContractError, match="stop"):
+        with corpus._Replay(replayed, 20) as draw:
+            assert [draw(n) for n in (5, 2 ** 31 + 1, 1, 3)] == want
+            raise ContractError("stop")
+    assert replayed.bit_generator.state == scalar.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +440,19 @@ def test_split_index_equals_a_scan():
             groups.setdefault((s.identity, s.emotion), []).append(s)
         assert manifest.in_split(split) == scan
         assert list(manifest._groups[split].items()) == list(groups.items())
-    train, train_groups = corpus._train_groups(manifest)
-    assert train == manifest.in_split(TRAIN) and train_groups is manifest._groups[TRAIN]
+    # the samplers' positional index of the train split is the same scan
+    index = manifest._train
+    train = manifest.in_split(TRAIN)
+    assert index.samples == train and index.samples is manifest._splits[TRAIN]
+    assert index.emotion == [int(s.emotion) for s in train]
+    keys = list(manifest._groups[TRAIN])
+    assert [keys[g] for g in index.group] == [(s.identity, s.emotion) for s in train]
+    assert [[train[n] for n in members] for members in index.members] \
+        == list(manifest._groups[TRAIN].values())
+    for s, neutrals in zip(train, index.neutrals):
+        assert [train[n] for n in neutrals] == manifest._groups[TRAIN].get(
+            (s.identity, es.EmotionLabel.neutral), [])
+    assert manifest._train is index
 
 
 def test_in_split_returns_a_fresh_list(default_manifest, reference_pools):

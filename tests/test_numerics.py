@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from emosup.emotions import EMOTIONS
 from emosup.errors import ContractError, NumericalError
-from emosup.numerics import (IDENTITY, RELU, DenseLayer, MlpParams, cosine_grads,
-                             cosine_with_flag, init_mlp, mlp_backward, mlp_forward,
-                             psd_sqrt_trace, sgd_step)
+from emosup.numerics import (EPS_NORM, IDENTITY, RELU, DenseLayer, MlpParams,
+                             cosine_grads, cosine_with_flag, init_mlp, mlp_backward,
+                             mlp_forward, psd_sqrt_trace, sgd_step)
 from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, AlignmentCheckpoint,
                             EmotionProjectorBank, _frozen_bank, _project_frozen,
                             build_projector_bank, project_visual)
@@ -93,6 +93,46 @@ def test_cosine_grads_match_finite_differences(rng):
         fd_b = (cosine_with_flag(a, b + e)[0] - cosine_with_flag(a, b - e)[0]) / (2 * h)
         assert da[i] == pytest.approx(fd_a, rel=1e-5, abs=1e-8)
         assert db[i] == pytest.approx(fd_b, rel=1e-5, abs=1e-8)
+
+
+def cosine_grads_by_where(a, b):
+    """``cosine_grads`` as it was written with five ``np.where`` passes over
+    every row: the reference its degenerate-row indexing must equal."""
+    a2, b2 = np.atleast_2d(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    na = np.linalg.norm(a2, axis=1, keepdims=True)
+    nb = np.linalg.norm(b2, axis=1, keepdims=True)
+    keep = (na >= EPS_NORM) & (nb >= EPS_NORM)
+    na, nb = np.where(keep, na, 1.0), np.where(keep, nb, 1.0)
+    c = np.where(keep, np.einsum("ij,ij->i", a2, b2)[:, None] / (na * nb), 0.0)
+    da = np.where(keep, b2 / (na * nb) - c * a2 / (na * na), 0.0)
+    db = np.where(keep, a2 / (na * nb) - c * b2 / (nb * nb), 0.0)
+    cos, degenerate = c[:, 0], ~keep[:, 0]
+    if np.ndim(a) == 1:
+        return da[0], db[0], float(cos[0]), bool(degenerate[0])
+    return da, db, cos, degenerate
+
+
+# per row: zero, scaled to a norm below EPS_NORM, or not degenerate
+row_scales = st.sampled_from([0.0, 1e-14, 1e-3, 1.0, 1e3])
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 8), one_d=st.booleans(),
+       scales=st.lists(st.tuples(row_scales, row_scales), min_size=1, max_size=9))
+@example(seed=0, dim=3, one_d=True, scales=[(0.0, 1.0)])
+@example(seed=1, dim=2, one_d=False, scales=[(1e-14, 1e-14)] * 4)
+@example(seed=2, dim=4, one_d=False, scales=[(1.0, 1.0)] * 5)
+def test_cosine_grads_are_bytes_of_the_where_formula(seed, dim, one_d, scales):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal((len(scales), dim)) * np.array(column)[:, None]
+            for column in zip(*scales))
+    if one_d:
+        a, b = a[0], b[0]
+    got, want = cosine_grads(a, b), cosine_grads_by_where(a, b)
+    assert [type(g) for g in got] == [type(w) for w in want]
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,13 @@ def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
                                              reference_pools, default_table):
     # a batch holding only emotion k leaves all other projectors at zero grads
     ckpt = fresh_checkpoint(default_suite)
-    anchor = next(s for s in default_manifest.in_split(TRAIN)
-                  if s.emotion == es.EmotionLabel.happy)
-    reference = default_manifest.by_id(anchor.neutral_ref)
-    entry = es.corpus.ContrastiveEntry(anchor, anchor.emotion,
-                                       es.EmotionLabel.sad, reference)
-    batch = es.corpus.ContrastiveBatch([entry] * 4)
+    train = default_manifest.in_split(TRAIN)
+    anchor = next(n for n, s in enumerate(train) if s.emotion == es.EmotionLabel.happy)
+    reference = next(n for n, s in enumerate(train) if s.emotion == es.EmotionLabel.neutral
+                     and s.identity == train[anchor].identity)
+    batch = es.corpus.ContrastiveBatch(train, np.full(4, anchor),
+                                       np.full(4, int(es.EmotionLabel.sad)),
+                                       np.full(4, reference))
     _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)
     grads = layer_grads(ckpt, grad)
     for idx, emotion in enumerate(es.EMOTIONS):
