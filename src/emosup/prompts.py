@@ -22,7 +22,7 @@ from .corpus import (TRAIN, ContrastiveBatch, CorpusManifest, NegativePoolTable,
                      PairBatch, Sample, sample_contrastive_batch, sample_pair_batch)
 from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import EncoderSuite
-from .errors import (ContractError, NumericalError, canonical_json, load_json_object,
+from .errors import (ContractError, NumericalError, load_json_object, stream_json,
                      write_csv, write_json)
 from .numerics import (IDENTITY, RELU, DenseLayer, DifferencePair, MlpGrads, MlpParams,
                        as_matrix, contrastive_loss_with_grads, cosine_with_flag,
@@ -149,9 +149,11 @@ class AlignmentCheckpoint:
     def all_params(self) -> list[MlpParams]:
         return [self.guider_head] + list(self.bank.projectors)
 
-    def to_json_dict(self) -> dict:
+    def _layout(self, values) -> dict:
+        """The checkpoint file's object, each layer's weights and bias given
+        as ``values`` of its array."""
         def dump(p: MlpParams):
-            return [{"weights": l.weights.tolist(), "bias": l.bias.tolist(),
+            return [{"weights": values(l.weights), "bias": values(l.bias),
                      "activation": l.activation} for l in p.layers]
 
         return {"format_version": 1,
@@ -162,14 +164,20 @@ class AlignmentCheckpoint:
                 "projectors": [dump(p) for p in self.bank.projectors],
                 "metadata": self.metadata}
 
+    def to_json_dict(self) -> dict:
+        """The checkpoint file's object with every array as nested lists."""
+        return self._layout(np.ndarray.tolist)
+
     @staticmethod
     def from_json_dict(d: dict) -> "AlignmentCheckpoint":
+        """Inverse of ``to_json_dict``; a layer's weights and bias may also be
+        float64 arrays already (``load``'s parse), which are not copied here."""
         if d.get("format_version") != 1:
             raise ContractError(f"unsupported checkpoint format {d.get('format_version')!r}")
 
         def parse(layers):  # MlpParams validates the arrays
-            return MlpParams([DenseLayer(np.array(l["weights"], dtype=np.float64),
-                                         np.array(l["bias"], dtype=np.float64),
+            return MlpParams([DenseLayer(np.asarray(l["weights"], dtype=np.float64),
+                                         np.asarray(l["bias"], dtype=np.float64),
                                          l["activation"]) for l in layers])
 
         dims = d["dims"]
@@ -196,14 +204,49 @@ class AlignmentCheckpoint:
 
     def content_hash(self) -> str:
         """The sha256 of the file ``save`` writes."""
-        return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()
+        digest = hashlib.sha256()
+        stream_json(lambda text: digest.update(text.encode()), self._layout(np.asarray))
+        return digest.hexdigest()
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json_dict())
+        """Write ``canonical_json(self.to_json_dict())``, streamed from the
+        layer arrays one row at a time."""
+        write_json(path, self._layout(np.asarray))
 
     @staticmethod
     def load(path: str | Path) -> "AlignmentCheckpoint":
-        return load_json_object(path, AlignmentCheckpoint.from_json_dict)
+        """The checkpoint ``save`` wrote to ``path``, frozen. Each layer's lists
+        become arrays as the parser closes that layer (``_layer_arrays``)."""
+        ckpt = load_json_object(path, AlignmentCheckpoint.from_json_dict, _layer_arrays)
+        if _holds_array(ckpt.metadata):
+            # a layer-shaped object inside the metadata: read it back as written
+            ckpt.metadata = load_json_object(path, lambda d: d["metadata"])
+        return ckpt
+
+
+_LAYER_KEYS = {"activation", "bias", "weights"}
+
+
+def _layer_arrays(obj: dict) -> dict:
+    """json's ``object_hook`` for a checkpoint: an object whose keys are a
+    layer's gets its weights and bias as float64 arrays, so the parse never
+    holds more than one layer's Python floats. Lists that are no float array
+    stay as they are, for ``from_json_dict`` to refuse."""
+    if obj.keys() == _LAYER_KEYS:
+        try:
+            obj["weights"], obj["bias"] = (np.array(obj["weights"], dtype=np.float64),
+                                           np.array(obj["bias"], dtype=np.float64))
+        except (OverflowError, TypeError, ValueError):
+            pass
+    return obj
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, dict):
+        return any(_holds_array(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_holds_array(v) for v in value)
+    return isinstance(value, np.ndarray)
 
 
 def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,

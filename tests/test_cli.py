@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import emosup as es
 from emosup.cli import main
@@ -938,6 +941,37 @@ def test_write_json_equals_the_stdlib_writer(tmp_path, value):
     expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "out.json").read_bytes() == expected.encode()
     assert es.errors.canonical_json(value) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+                  hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)))
+def test_write_json_writes_an_array_as_its_list_form(tmp_path_factory, array):
+    # NaN and inf included: hypothesis draws them for the float dtypes
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    es.errors.write_json(path, {"k": [array, {"z": array}], "top": array})
+    listed = array.tolist()
+    expected = es.errors.canonical_json({"k": [listed, {"z": listed}], "top": listed})
+    assert path.read_bytes() == expected.encode()
+
+
+def test_a_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    es.errors.write_json(path, {"kept": 1})
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        es.errors.write_json(path, {"a": [1.0, 2.0], "b": {1, 2}})
+    assert path.read_text() == '{\n  "kept": 1\n}\n'
+
+    def rows():
+        yield [1.0, 2.0]
+        raise RuntimeError("cut")
+
+    csv_path = tmp_path / "out.csv"
+    es.errors.write_csv(csv_path, ["a", "b"], [[3.0, 4.0]])
+    with pytest.raises(RuntimeError, match="cut"):
+        es.errors.write_csv(csv_path, ["a", "b"], rows())
+    assert csv_path.read_bytes() == b"a,b\r\n3.0,4.0\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
 
 
 @pytest.mark.parametrize("rows", [

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ import emosup as es
 import emosup.prompts as pr
 from emosup.corpus import TRAIN, VAL
 from emosup.encoders import position_weight
-from emosup.errors import ContractError
+from emosup.errors import ContractError, canonical_json, load_json_object
 from conftest import identity_mlp
 
 
@@ -403,6 +407,144 @@ def test_checkpoint_load_refuses_dims_its_networks_do_not_have(trained_checkpoin
     edit(d)
     with pytest.raises(ContractError, match=message):
         es.AlignmentCheckpoint.from_json_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint file I/O, streamed from and into the layer arrays
+# ---------------------------------------------------------------------------
+
+ODD_METADATA = {"nan": float("nan"), "inf": [float("inf"), -float("inf")],
+                "nested": {"b": [1, 2.5, None, {"c": "\u00e9\n"}], "a": [], "z": {}},
+                "seed": 3}
+
+
+@pytest.mark.parametrize("mode", [pr.MULTI, pr.SINGLE_CONDITIONAL])
+@pytest.mark.parametrize("token_count", [1, 2])
+def test_streamed_save_is_the_canonical_text_of_the_list_form(default_suite, tmp_path,
+                                                              mode, token_count):
+    ckpt = fresh_checkpoint(default_suite, projector_mode=mode,
+                            guider_token_count=token_count)
+    ckpt.metadata = ODD_METADATA
+    path = tmp_path / "checkpoint.json"
+    ckpt.save(path)
+    text = canonical_json(ckpt.to_json_dict()).encode()
+    assert path.read_bytes() == text
+    assert ckpt.content_hash() == hashlib.sha256(text).hexdigest()
+
+
+@pytest.mark.parametrize("mode", [pr.MULTI, pr.SINGLE_CONDITIONAL])
+def test_load_gives_the_arrays_and_metadata_of_the_list_form_parse(default_suite, tmp_path,
+                                                                   mode):
+    ckpt = fresh_checkpoint(default_suite, projector_mode=mode, guider_token_count=2)
+    ckpt.metadata = ODD_METADATA
+    path = tmp_path / "checkpoint.json"
+    ckpt.save(path)
+    loaded = es.AlignmentCheckpoint.load(path)
+    listed = es.AlignmentCheckpoint.from_json_dict(json.loads(path.read_text()))
+    assert loaded.frozen and listed.frozen
+    assert loaded.vector.tobytes() == listed.vector.tobytes() == ckpt.vector.tobytes()
+    for a, b in zip(loaded.all_params(), listed.all_params(), strict=True):
+        for la, lb in zip(a.layers, b.layers, strict=True):
+            assert la.weights.shape == lb.weights.shape and la.bias.shape == lb.bias.shape
+            assert la.activation == lb.activation
+    assert ((loaded.d_e, loaded.d_b, loaded.d_tok, loaded.token_count, loaded.bank.mode)
+            == (listed.d_e, listed.d_b, listed.d_tok, listed.token_count, listed.bank.mode))
+    # NaN is not equal to itself, so the metadata is compared as text
+    assert canonical_json(loaded.metadata) == canonical_json(listed.metadata) \
+        == canonical_json(ODD_METADATA)
+
+
+def ragged_weights(d):
+    rows = d["projectors"][2][1]["weights"]
+    rows[3] = rows[3][:-1]
+
+
+def string_weights(d):
+    d["guider_head"][0]["weights"][0][0] = "w"
+
+
+def string_bias(d):
+    d["projectors"][0][3]["bias"] = "b"
+
+
+def huge_integer_weight(d):
+    d["projectors"][5][0]["weights"][1][2] = 10**400
+
+
+@pytest.mark.parametrize("edit", [
+    ragged_weights, string_weights, string_bias, huge_integer_weight,
+    lambda d: d["guider_head"][1].pop("activation"),
+    lambda d: d["projectors"][6][0].pop("weights"),
+    lambda d: d["projectors"][4][2].pop("bias"),
+    lambda d: d.pop("metadata"),
+])
+def test_load_refuses_what_the_list_form_parse_refuses(trained_checkpoint, tmp_path, edit):
+    ckpt, _ = trained_checkpoint
+    d = ckpt.to_json_dict()
+    edit(d)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ContractError) as streamed:
+        es.AlignmentCheckpoint.load(path)
+    with pytest.raises(ContractError) as listed:
+        load_json_object(path, es.AlignmentCheckpoint.from_json_dict)
+    assert str(streamed.value) == str(listed.value)
+    assert str(streamed.value).startswith(f"{path}: malformed (")
+
+
+def test_a_layer_shaped_object_in_the_metadata_round_trips(default_suite, tmp_path):
+    metadata = {"layer": {"activation": "relu", "bias": [1, 2], "weights": [[0.5, 3]]},
+                "layers": [{"activation": "x", "bias": "b", "weights": "w"}], "seed": 1}
+    ckpt = fresh_checkpoint(default_suite)
+    ckpt.metadata = metadata
+    path, again = tmp_path / "checkpoint.json", tmp_path / "again.json"
+    ckpt.save(path)
+    loaded = es.AlignmentCheckpoint.load(path)
+    # the integers stay integers, which == alone would not show
+    assert canonical_json(loaded.metadata) == canonical_json(metadata)
+    assert loaded.vector.tobytes() == ckpt.vector.tobytes()
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_failed_save_leaves_the_old_checkpoint(trained_checkpoint, tmp_path):
+    ckpt, _ = trained_checkpoint
+    path = tmp_path / "checkpoint.json"
+    ckpt.save(path)
+    before = path.read_bytes()
+    copy = es.AlignmentCheckpoint.load(path)
+    copy.metadata["bad"] = {1, 2}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        copy.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_hold_one_layer_of_python_floats_at_most(default_suite, tmp_path):
+    ckpt = fresh_checkpoint(default_suite).freeze()
+    assert ckpt.vector.size == 89_696  # the default checkpoint
+    path = tmp_path / "checkpoint.json"
+    # one row's floats at a time; a whole 64 x 64 layer's lists would read
+    # about 0.16 MB, and the whole list form about 3 MB
+    assert traced_peak(lambda: ckpt.save(path)) < 0.1e6
+    text = path.read_text()
+
+    def parse(hook):
+        return lambda: es.AlignmentCheckpoint.from_json_dict(json.loads(text, object_hook=hook))
+
+    assert traced_peak(parse(pr._layer_arrays)) < 2.5e6
+    # the list form holds every parameter as a Python float (32 B with its
+    # list slot), so the same measure reads it above the bound
+    assert traced_peak(parse(None)) > 2.5e6
 
 
 # ---------------------------------------------------------------------------
