@@ -69,9 +69,10 @@ class NegativePoolTable:
 class CorpusManifest:
     """All samples plus their train/val tags and the generating-world config.
 
-    Indexed at construction (ids, each identity's neutrals, each split's
-    samples in manifest order and by (identity, emotion)), so a manifest
-    whose samples or tags change must be built again."""
+    Indexed at construction (ids, each identity's neutrals, and each split's
+    samples in manifest order), and the samplers' train-split index
+    (``_train``) on first use, so a manifest whose samples or tags change
+    must be built again."""
 
     samples: list[Sample]
     split: dict[str, str]
@@ -84,14 +85,12 @@ class CorpusManifest:
             raise ContractError("duplicate sample ids")
         self._neutrals: dict[str, list[Sample]] = {}
         self._splits: dict[str, list[Sample]] = {TRAIN: [], VAL: []}
-        self._groups: dict[str, dict] = {TRAIN: {}, VAL: {}}  # by (identity, emotion)
         for s in self.samples:
             if s.emotion == EmotionLabel.neutral:
                 self._neutrals.setdefault(s.identity, []).append(s)
             tag = self.split.get(s.id)  # validate() refuses a missing or bad tag
             if tag in self._splits:
                 self._splits[tag].append(s)
-                self._groups[tag].setdefault((s.identity, s.emotion), []).append(s)
 
     def by_id(self, sample_id: str) -> Sample:
         try:

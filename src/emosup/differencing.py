@@ -92,16 +92,18 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
     Every row is read from one ``DifferenceRegularizer`` over the manifest,
     built before the first row, so each image is encoded and projected and
     each (reference, emotion) prompt embedded once per export. Each row
-    makes one ``embed_pair`` and one ``diff_vectors`` call; a mismatched
-    prompt is read from ``reg.prompts``.
+    makes one ``embed_pair`` and one ``diff_vectors`` call, and every text
+    difference, matched or mismatched, is the source's prompt minus the
+    prompt row of its prompt emotion in ``reg.prompts``.
     """
     reg = DifferenceRegularizer(ckpt, suite, manifest)
+    ordered = sorted(manifest.samples, key=lambda s: s.id)
     first_of: dict[tuple[str, EmotionLabel], Sample] = {}
-    for s in sorted(manifest.samples, key=lambda s: s.id):
+    for s in ordered:
         first_of.setdefault((s.identity, s.emotion), s)
 
     rows = []
-    for source in sorted(manifest.samples, key=lambda s: s.id):
+    for source in ordered:
         prompts = reg.prompts[reg.reference[reg.row[source.id]]]
         for target_emotion in EMOTIONS:
             if target_emotion == source.emotion:
@@ -110,22 +112,18 @@ def export_difference_rows(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
             if target is None:
                 continue
             pe = embed_pair(reg, source, target)
-            dp = diff_vectors(pe)
+            visual_diff = diff_vectors(pe).visual_diff
             prompt_emotions = [target_emotion]
             if include_mismatched:
                 prompt_emotions += [e for e in EMOTIONS
                                     if e not in (target_emotion, source.emotion)]
             for prompt_emotion in prompt_emotions:
-                if prompt_emotion == target_emotion:
-                    text_diff = dp.text_diff
-                else:
-                    text_diff = pe.text_source - prompts[int(prompt_emotion)]
                 rows.append({"identity": source.identity,
                              "source_emotion": source.emotion.name,
                              "target_emotion": target_emotion.name,
                              "prompt_emotion": prompt_emotion.name,
-                             "visual_diff": dp.visual_diff.copy(),
-                             "text_diff": text_diff.copy()})
+                             "visual_diff": visual_diff.copy(),
+                             "text_diff": pe.text_source - prompts[int(prompt_emotion)]})
     return rows
 
 

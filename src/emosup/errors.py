@@ -46,14 +46,15 @@ def stream_json(write: Callable[[str], Any], value) -> None:
 
 
 def _write_replacing(path: str | Path, newline: str | None, fill: Callable) -> None:
-    """``fill`` an open text file that then replaces the one at ``path``: it
-    is a hidden sibling until ``fill`` returns, so a write that fails leaves
-    the old file as it was and no temporary file behind."""
+    """``fill`` an open text file, UTF-8 whatever the locale, that then
+    replaces the one at ``path``: it is a hidden sibling until ``fill``
+    returns, so a write that fails leaves the old file as it was and no
+    temporary file behind."""
     import os
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as f:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as f:
             fill(f)
         os.replace(tmp, path)
     except BaseException:
@@ -133,14 +134,14 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> 
 
 def load_json_object(path: str | Path, parse: Callable[[dict], Any],
                      object_hook: Callable[[dict], Any] | None = None) -> Any:
-    """``parse`` of the JSON object in the file at ``path``, each object of
-    which ``object_hook`` (json's) may replace as the parser closes it. A
-    file that is not JSON, holds no object at the top level, or that
-    ``parse`` finds malformed (a KeyError, TypeError, AttributeError,
-    ValueError, or the OverflowError of an integer too large for a float)
-    raises ContractError naming the path; a ContractError of ``parse``
-    passes through unchanged."""
-    with open(path) as f:
+    """``parse`` of the JSON object in the file at ``path``, read as UTF-8
+    whatever the locale, each object of which ``object_hook`` (json's) may
+    replace as the parser closes it. A file that is not UTF-8 JSON, holds no
+    object at the top level, or that ``parse`` finds malformed (a KeyError,
+    TypeError, AttributeError, ValueError, or the OverflowError of an integer
+    too large for a float) raises ContractError naming the path; a
+    ContractError of ``parse`` passes through unchanged."""
+    with open(path, encoding="utf-8") as f:
         try:
             value = json.load(f, object_hook=object_hook)
             if not isinstance(value, dict):

@@ -375,6 +375,8 @@ class DifferenceRegularizer:
     ``retrieval_accuracy`` and ``export_difference_rows`` read the same
     tables the demo trains against. ``layers`` is the frozen bank that
     ``loss_and_grad`` runs (``_frozen_bank``): views that copy nothing.
+    ``nearest_prompt`` is the 7-way prompt read that retrieval and the demo's
+    judge share.
     """
 
     def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite,
@@ -430,6 +432,28 @@ class DifferenceRegularizer:
             return losses, np.zeros_like(generated)
         # visual_diff = projected_source - visual_gen, so d/d visual_gen is -d_vis_diff
         return losses, input_grad(-d_vis_diff)
+
+    def nearest_prompt(self, rows, projected) -> np.ndarray:
+        """The 7-way personalized-prompt read: for each manifest row
+        ``rows[n]``, the emotion code k whose prompt of that row's reference
+        has the largest cosine with ``projected[n]``, a ``(B, d_e)`` stack
+        scored against all seven prompts, or with ``projected[n, k]``, a
+        ``(B, 7, d_e)`` stack whose entry k is scored against prompt k.
+
+        One ``cosine_with_flag`` per candidate, so a zero-norm candidate
+        scores 0, and a tie goes to the first code (``np.argmax``). Rows
+        outside the manifest and a ``projected`` of another shape are
+        refused."""
+        rows = _index_array(rows, len(self.emotion), "rows")
+        shape = (len(rows), len(EMOTIONS), self.ckpt.d_e)
+        projected = np.asarray(projected)
+        if projected.shape not in (shape[::2], shape):
+            raise ContractError(f"projected must be of shape {shape[::2]} or {shape}, "
+                                f"got {projected.shape}")
+        # a (B, d_e) row is each of its seven candidates
+        projected = np.broadcast_to(projected.reshape(len(rows), -1, shape[2]), shape)
+        return np.array([np.argmax([cosine_with_flag(p, v)[0] for p, v in zip(ps, vs)])
+                         for ps, vs in zip(self.prompts[self.reference[rows]], projected)])
 
 
 @dataclass
@@ -532,14 +556,16 @@ def _frozen_table(train: list[Sample], suite: EncoderSuite) -> _FrozenTable:
                         np.array(prompts))
 
 
-def _check_batch(step: str, n: int, samples: list[Sample], table: _FrozenTable) -> None:
+def _check_batch(step: str, batch: ContrastiveBatch | PairBatch,
+                 table: _FrozenTable) -> None:
     """Refuse an empty batch, and one drawn from a train split of another
     length than the table's."""
-    if not n:
+    if not len(batch.reference):
         raise ContractError(f"{step} needs a batch of at least one entry")
-    if len(samples) != len(table.emotion):
+    if len(batch.samples) != len(table.emotion):
         raise ContractError(f"{step}: the batch indexes a train split of "
-                            f"{len(samples)} samples, the table holds {len(table.emotion)}")
+                            f"{len(batch.samples)} samples, the table holds "
+                            f"{len(table.emotion)}")
 
 
 def _personalized_rows(ckpt: AlignmentCheckpoint, identity: np.ndarray,
@@ -602,39 +628,63 @@ def _project_rows(ckpt: AlignmentCheckpoint, visual: np.ndarray, codes: np.ndarr
     return out[index], backward
 
 
+def _step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch | PairBatch,
+                suite: EncoderSuite, table: _FrozenTable, rows: np.ndarray,
+                codes: np.ndarray, prompt_codes: tuple[np.ndarray, np.ndarray], loss
+                ) -> tuple[float, np.ndarray]:
+    """The one body of both pre-training steps: the mean loss over the batch's
+    n entries plus its gradient for head and bank, one vector in the layout
+    of ``ckpt.vector``.
+
+    One guider-head pass over the entries' references embeds two prompt
+    stacks, ``t_1`` and ``t_2``, of the emotion codes ``prompt_codes``
+    (``_personalized_rows``); one bank pass projects the train positions
+    ``rows`` of ``table.visual``, row m through the projector of ``codes[m]``,
+    into ``i_vis`` (``_project_rows``). ``loss(t_1, t_2, i_vis)`` returns the
+    n losses and their gradients w.r.t. ``t_1``, ``t_2`` and ``i_vis``; the
+    ``1/n`` mean scale is applied here, once. The caller runs
+    ``_check_batch`` before it gathers ``codes``.
+    """
+    scale = 1.0 / len(batch.reference)
+    # the head block is assigned and the bank pass writes the rest
+    grad = np.empty_like(ckpt.vector)
+    embed, head_backward = _personalized_rows(ckpt, table.identity[batch.reference],
+                                              table, suite)
+    (t_1, stack_1), (t_2, stack_2) = map(embed, prompt_codes)
+    i_vis, projector_backward = _project_rows(ckpt, table.visual[rows], codes)
+
+    losses, d_1, d_2, d_vis = loss(t_1, t_2, i_vis)
+    grad[:ckpt.guider_head.vector.size] = head_backward([(stack_1, scale * d_1),
+                                                         (stack_2, scale * d_2)]).vector
+    projector_backward(scale * d_vis, grad)
+    return float(np.sum(losses)) * scale, grad
+
+
 def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
                            suite: EncoderSuite, table: _FrozenTable
                            ) -> tuple[float, np.ndarray]:
     """Mean contrastive loss over a batch plus its gradient for head and
-    bank, one vector in the layout of ``ckpt.vector``.
+    bank, one vector in the layout of ``ckpt.vector``: ``_step_grads`` with
+    the positive and negative prompts and each anchor through its own
+    emotion's projector.
 
     ``table`` holds the frozen-encoder outputs of the train split the batch
     indexes (``_frozen_table``). An empty batch is refused.
     """
-    n = len(batch.anchor)
-    _check_batch("contrastive_step_grads", n, batch.samples, table)
-    # the head block is assigned and the bank pass writes the rest
-    grad = np.empty_like(ckpt.vector)
-    scale = 1.0 / n
-    embed, head_backward = _personalized_rows(ckpt, table.identity[batch.reference],
-                                              table, suite)
+    _check_batch("contrastive_step_grads", batch, table)
     codes = table.emotion[batch.anchor]
-    t_pos, stack_pos = embed(codes)
-    t_neg, stack_neg = embed(batch.negative)
-    i_vis, projector_backward = _project_rows(ckpt, table.visual[batch.anchor], codes)
-
-    losses, d_tpos, d_tneg, d_ivis = contrastive_loss_with_grads(t_pos, t_neg, i_vis)
-    grad[:ckpt.guider_head.vector.size] = head_backward([(stack_pos, scale * d_tpos),
-                                                         (stack_neg, scale * d_tneg)]).vector
-    projector_backward(scale * d_ivis, grad)
-    return float(np.sum(losses)) * scale, grad
+    return _step_grads(ckpt, batch, suite, table, batch.anchor, codes,
+                       (codes, batch.negative), contrastive_loss_with_grads)
 
 
 def difference_step_grads(ckpt: AlignmentCheckpoint, batch: PairBatch,
                           suite: EncoderSuite, table: _FrozenTable
                           ) -> tuple[float, np.ndarray]:
     """Mean difference-alignment loss over sampled pairs plus its gradient,
-    laid out and with a ``table`` as in ``contrastive_step_grads``.
+    laid out and with a ``table`` as in ``contrastive_step_grads``:
+    ``_step_grads`` with the source and target prompts, and the sources
+    (the first n projected rows) and targets (the last n) each through its
+    own emotion's projector.
 
     Used by the ablation that pre-trains with the difference objective
     instead of the contrastive one. Note the identity token cancels in
@@ -643,26 +693,18 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, batch: PairBatch,
     difference) counts as loss 1 and contributes no gradient. An empty
     batch is refused.
     """
+    _check_batch("difference_step_grads", batch, table)
     n = len(batch.source)
-    _check_batch("difference_step_grads", n, batch.samples, table)
-    grad = np.empty_like(ckpt.vector)
-    scale = 1.0 / n
-    embed, head_backward = _personalized_rows(ckpt, table.identity[batch.reference],
-                                              table, suite)
-    # sources fill the first n rows, targets the last n
     rows = np.concatenate([batch.source, batch.target])
     codes = table.emotion[rows]
-    t_s, stack_s = embed(codes[:n])
-    t_t, stack_t = embed(codes[n:])
-    i_vis, projector_backward = _project_rows(ckpt, table.visual[rows], codes)
 
-    losses, d_idiff, d_tdiff = difference_loss_with_grads(
-        DifferencePair(i_vis[:n] - i_vis[n:], t_s - t_t))
-    d_idiff, d_tdiff = scale * d_idiff, scale * d_tdiff
-    grad[:ckpt.guider_head.vector.size] = head_backward([(stack_s, d_tdiff),
-                                                         (stack_t, -d_tdiff)]).vector
-    projector_backward(np.concatenate([d_idiff, -d_idiff]), grad)
-    return float(np.sum(losses)) * scale, grad
+    def loss(t_s, t_t, i_vis):
+        losses, d_idiff, d_tdiff = difference_loss_with_grads(
+            DifferencePair(i_vis[:n] - i_vis[n:], t_s - t_t))
+        # scaling commutes exactly with negation and concatenation
+        return losses, d_tdiff, -d_tdiff, np.concatenate([d_idiff, -d_idiff])
+
+    return _step_grads(ckpt, batch, suite, table, rows, codes, (codes[:n], codes[n:]), loss)
 
 
 def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
@@ -723,15 +765,11 @@ def retrieval_accuracy(ckpt: AlignmentCheckpoint, manifest: CorpusManifest,
 
     Every row is read from one ``DifferenceRegularizer`` over the manifest:
     a sample's ``projected_source`` row is scored against the seven prompt
-    rows of its reference, one ``cosine_with_flag`` each."""
+    rows of its reference (``nearest_prompt``)."""
     samples = manifest.in_split(split)
     if not samples:
         raise ContractError(f"split {split!r} is empty")
     reg = DifferenceRegularizer(ckpt, suite, manifest)
-    hits = 0
-    for sample in samples:
-        n = reg.row[sample.id]
-        sims = [cosine_with_flag(reg.prompts[reg.reference[n], int(k)],
-                                 reg.projected_source[n])[0] for k in EMOTIONS]
-        hits += int(np.argmax(sims)) == int(sample.emotion)
-    return hits / len(samples)
+    rows = np.array([reg.row[s.id] for s in samples])
+    return float(np.mean(reg.nearest_prompt(rows, reg.projected_source[rows])
+                         == reg.emotion[rows]))

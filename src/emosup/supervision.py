@@ -17,8 +17,8 @@ from .corpus import TRAIN, VAL, CorpusManifest
 from .emotions import EMOTIONS
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError, write_csv
-from .numerics import (DenseLayer, MlpParams, as_same_rows, cosine_with_flag, init_mlp,
-                       mlp_backward, mlp_forward, sgd_step)
+from .numerics import (DenseLayer, MlpParams, as_same_rows, init_mlp, mlp_backward,
+                       mlp_forward, sgd_step)
 from .prompts import AlignmentCheckpoint, DifferenceRegularizer, project_visual
 
 # Baseline-specific default weights for the difference-regularizer term.
@@ -281,7 +281,8 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
                            reg: DifferenceRegularizer) -> float:
     """Retrieval-style emotion accuracy of generated embeddings on the val
     split: each (val sample, target emotion) output is classified by the
-    jointly best-matching (prompt, projector) candidate pair. Scoring
+    jointly best-matching (prompt, projector) candidate pair, prompt k
+    against the output through projector k (``nearest_prompt``). Scoring
     every candidate with its own projector keeps the target label out of
     the scoring path."""
     val = sorted(manifest.in_split(VAL), key=lambda s: s.id)
@@ -291,14 +292,9 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     rows = np.repeat(val_rows, _OTHER_EMOTIONS.shape[1])
     targets = _OTHER_EMOTIONS[reg.emotion[val_rows]].ravel()
     out, _ = gen.generate(reg.visual[rows], targets)
-    projected = [project_visual(reg.ckpt.bank, out, k)[0] for k in EMOTIONS]
-    prompts = reg.prompts[reg.reference[rows]]
-    hits = 0
-    for r, target in enumerate(targets.tolist()):
-        sims = [cosine_with_flag(prompts[r, int(k)],
-                                 projected[int(k)][r])[0] for k in EMOTIONS]
-        hits += int(np.argmax(sims)) == target
-    return hits / len(rows)
+    projected = np.stack([project_visual(reg.ckpt.bank, out, k)[0] for k in EMOTIONS],
+                         axis=1)
+    return float(np.mean(reg.nearest_prompt(rows, projected) == targets))
 
 
 def _demo_rows(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,

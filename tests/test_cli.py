@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -349,6 +352,40 @@ def test_export_diffs_cli(tmp_path, corpus_dir, checkpoint_dir):
     lines = (out / "diffs.csv").read_text().splitlines()
     manifest = es.CorpusManifest.load(corpus_dir / "manifest.json")
     assert len(lines) == 1 + len(manifest.samples) * 6
+
+
+# the C locale with neither locale coercion nor UTF-8 mode: Python's locale
+# encoding is then ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf-8", "ascii-escaped"])
+def test_export_diffs_reads_and_writes_utf8_under_an_ascii_locale(
+        tmp_path, corpus_dir, checkpoint_dir, ensure_ascii):
+    # one identity renamed to a non-ASCII name, in a manifest written as UTF-8
+    # text or with the name escaped; the CSV holds the name, so it must be
+    # written as UTF-8 too
+    d = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
+    renamed = d["samples"][0]["identity"]
+    for entry in d["samples"]:
+        if entry["identity"] == renamed:
+            entry["identity"] = "Zo\u00eb"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(d, ensure_ascii=ensure_ascii), encoding="utf-8")
+    out = tmp_path / "diffs"
+    env = {**os.environ, **ASCII_LOCALE,
+           "PYTHONPATH": str(Path(es.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "emosup.cli", "export-diffs", "--manifest", str(manifest),
+         "--checkpoint", str(checkpoint_dir / "checkpoint.json"), "--out", str(out)],
+        env=env, capture_output=True, text=True, encoding="utf-8", errors="replace")
+    assert result.returncode == 0, result.stderr
+    with open(out / "diffs.csv", encoding="utf-8", newline="") as f:
+        identities = [row[0] for row in csv.reader(f)][1:]
+    # six target emotions for each of the renamed identity's samples
+    assert identities.count("Zo\u00eb") == 6 * sum(entry["identity"] == "Zo\u00eb"
+                                                   for entry in d["samples"])
+    assert renamed not in identities
 
 
 # ---------------------------------------------------------------------------

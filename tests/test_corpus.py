@@ -435,22 +435,22 @@ def test_split_index_equals_a_scan():
     assert any(s.emotion == es.EmotionLabel.neutral for s in manifest.in_split(VAL))
     for split in (TRAIN, VAL):
         scan = [s for s in manifest.samples if manifest.split[s.id] == split]
-        groups = {}
-        for s in scan:
-            groups.setdefault((s.identity, s.emotion), []).append(s)
         assert manifest.in_split(split) == scan
-        assert list(manifest._groups[split].items()) == list(groups.items())
-    # the samplers' positional index of the train split is the same scan
+    # the samplers' positional index of the train split is the same scan,
+    # grouped by (identity, emotion) in order of first appearance
+    train = [s for s in manifest.samples if manifest.split[s.id] == TRAIN]
+    groups = {}
+    for s in train:
+        groups.setdefault((s.identity, s.emotion), []).append(s)
     index = manifest._train
-    train = manifest.in_split(TRAIN)
     assert index.samples == train and index.samples is manifest._splits[TRAIN]
     assert index.emotion == [int(s.emotion) for s in train]
-    keys = list(manifest._groups[TRAIN])
+    keys = list(groups)
     assert [keys[g] for g in index.group] == [(s.identity, s.emotion) for s in train]
     assert [[train[n] for n in members] for members in index.members] \
-        == list(manifest._groups[TRAIN].values())
+        == list(groups.values())
     for s, neutrals in zip(train, index.neutrals):
-        assert [train[n] for n in neutrals] == manifest._groups[TRAIN].get(
+        assert [train[n] for n in neutrals] == groups.get(
             (s.identity, es.EmotionLabel.neutral), [])
     assert manifest._train is index
 

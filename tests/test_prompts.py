@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import tracemalloc
@@ -631,6 +632,46 @@ def test_retrieval_equals_the_per_sample_oracle(reference_pools, world_seed, mod
         accuracy = es.retrieval_accuracy(ckpt, manifest, split, suite)
         assert 0 < accuracy < 1
         assert accuracy == retrieval_oracle(ckpt, manifest, split, suite)
+
+
+def nearest_prompt_oracle(reg, rows, projected):
+    """Per row, one ``cosine_with_flag`` per candidate code k: prompt k of the
+    row's reference against the row's projection, or against entry k of its
+    seven; the first code of the largest score."""
+    codes = []
+    for row, candidates in zip(rows, projected):
+        if candidates.ndim == 1:
+            candidates = [candidates] * len(es.EMOTIONS)
+        sims = [es.cosine_with_flag(reg.prompts[reg.reference[row], k], candidates[k])[0]
+                for k in range(len(es.EMOTIONS))]
+        codes.append(max(range(len(sims)), key=lambda k: (sims[k], -k)))
+    return codes
+
+
+@pytest.mark.parametrize("entries", [False, True], ids=["(B, d_e)", "(B, 7, d_e)"])
+def test_nearest_prompt_equals_the_per_candidate_oracle(trained_checkpoint,
+                                                        default_manifest, default_suite,
+                                                        entries):
+    reg = es.DifferenceRegularizer(trained_checkpoint[0], default_suite, default_manifest)
+    # a copy in which prompt 5 of reference 0 is its prompt 2, for an exact tie
+    tied = copy.copy(reg)
+    tied.prompts = reg.prompts.copy()
+    tied.prompts[0, 5] = reg.prompts[0, 2]
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, len(reg.samples), 40)
+    rows[:2] = np.flatnonzero(reg.reference == 0)[:2]
+    d_e = reg.ckpt.d_e
+    projected = rng.normal(size=(40, 7, d_e) if entries else (40, d_e))
+    projected[0] = 0.0  # a zero-norm projection: every candidate scores 0
+    projected[1] = tied.prompts[0, 2]  # prompts 2 and 5 score the same pair
+    got = tied.nearest_prompt(rows, projected)
+    assert got.tolist() == nearest_prompt_oracle(tied, rows, projected)
+    assert got[:2].tolist() == [0, 2]  # the first code wins a tie
+    assert len(set(got[2:].tolist())) > 1
+    with pytest.raises(ContractError, match="projected must be of shape"):
+        tied.nearest_prompt(rows, projected[:, :6] if entries else projected[:, :-1])
+    with pytest.raises(ContractError, match="rows must lie in"):
+        tied.nearest_prompt(rows + len(reg.samples), projected)
 
 
 @pytest.mark.parametrize("call", [
