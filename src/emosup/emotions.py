@@ -18,7 +18,6 @@ class EmotionLabel(IntEnum):
 
 
 EMOTIONS: tuple[EmotionLabel, ...] = tuple(EmotionLabel)
-N_EMOTIONS = len(EMOTIONS)
 
 PROMPT_TEMPLATE = "a photo of a {} face"
 EMOTION_WORD_POSITION = 4  # index of the emotion word in the template's word list
@@ -36,10 +35,3 @@ def parse_emotion(name: str) -> EmotionLabel:
         raise ValueError(f"unknown emotion {name!r}; expected one of "
                          f"{[e.name for e in EMOTIONS]}") from None
 
-
-def one_hot(emotion: EmotionLabel):
-    import numpy as np
-
-    v = np.zeros(N_EMOTIONS)
-    v[int(emotion)] = 1.0
-    return v

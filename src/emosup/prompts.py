@@ -98,8 +98,9 @@ class AlignmentCheckpoint:
     d_tok: int
     token_count: int
     metadata: dict = field(default_factory=dict)
-    frozen: bool = False
     vector: np.ndarray = field(init=False, repr=False, compare=False)
+    frozen_bank: list[DenseLayer] | None = field(init=False, default=None, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         params = self.all_params()
@@ -131,8 +132,16 @@ class AlignmentCheckpoint:
         self.vector.flags.writeable = False
         for p in params:
             p.freeze()
-        self.frozen = True
+        # the bank's layers with a singleton row axis, (P, 1, out, in) and
+        # (P, 1, out) read-only views, built once for project_visual
+        self.frozen_bank = [DenseLayer(w[:, None], b[:, None], layer.activation)
+                            for (w, b), layer in zip(self.bank_layers(self.vector),
+                                                     self.bank.projectors[0].layers)]
         return self
+
+    @property
+    def frozen(self) -> bool:
+        return self.frozen_bank is not None
 
     def require_frozen(self) -> None:
         if not self.frozen:
@@ -267,22 +276,6 @@ def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
                            suite.tokenize(prompt_for(emotion))])
 
 
-def project_visual(bank: EmotionProjectorBank, visual: np.ndarray,
-                   emotion: EmotionLabel) -> tuple[np.ndarray, object, MlpParams]:
-    """Apply the projector for ``emotion`` to a visual embedding, or to a
-    ``(B, d_e)`` stack of embeddings that share the emotion.
-
-    Returns (embedding, forward cache, the projector used) so callers can
-    backpropagate. In single_conditional mode the one-hot emotion code is
-    appended to each input.
-    """
-    emotion = EmotionLabel(emotion)
-    net = bank.projector_for(emotion)
-    codes = np.broadcast_to(int(emotion), np.shape(visual)[:-1])
-    out, cache = mlp_forward(net, _with_codes(bank.mode, visual, codes))
-    return out, cache, net
-
-
 def _with_codes(mode: str, x, codes):
     """``x``, a row or a row stack, as projector input: in single_conditional
     mode each row gets the one-hot code of its entry of ``codes`` appended."""
@@ -309,25 +302,19 @@ def _group_rows(bank: EmotionProjectorBank, x: np.ndarray, codes: np.ndarray
     return stack, (group, slot)
 
 
-def _frozen_bank(ckpt: AlignmentCheckpoint) -> list[DenseLayer]:
-    """The bank's layers with a singleton row axis: ``(P, 1, out, in)`` and
-    ``(P, 1, out)`` views of ``ckpt.bank_layers(ckpt.vector)``, read-only
-    when the checkpoint is frozen."""
-    return [DenseLayer(w[:, None], b[:, None], layer.activation) for (w, b), layer
-            in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
-
-
-def _project_frozen(bank: EmotionProjectorBank, layers: list[DenseLayer], x: np.ndarray,
-                    codes: np.ndarray):
-    """Project row n of the ``(B, d_e)`` stack ``x`` through the projector of
-    code ``codes[n]`` in ``layers`` (``_frozen_bank``): the ``_group_rows``
-    stack with a singleton row axis, ``(P, m, 1, in)``, so each row makes
-    the ``(1, in) @ (in, out)`` products of a 1-D ``mlp_forward``. Returns
-    the projections and ``input_grad(upstream)``, the gradient of each
-    row's ``dot(projection, upstream row)`` w.r.t. its ``d_e`` input row.
-    Each row equals its 1-D ``mlp_forward`` / ``mlp_backward(...).input_grad``
-    bit for bit, whatever rows stand beside it."""
-    stack, index = _group_rows(bank, x, codes)
+def project_visual(ckpt: AlignmentCheckpoint, x: np.ndarray, codes: np.ndarray):
+    """Project row n of the ``(B, d_e)`` stack ``x`` through the frozen
+    projector of emotion code ``codes[n]``: one pass of the ``_group_rows``
+    stack with a singleton row axis, ``(P, m, 1, in)``, against the frozen
+    checkpoint's ``frozen_bank``, so each row makes the ``(1, in) @ (in,
+    out)`` products of a 1-D ``mlp_forward``. Returns the projections and
+    ``input_grad(upstream)``, the gradient of each row's ``dot(projection,
+    upstream row)`` w.r.t. its ``d_e`` input row. Each row equals its 1-D
+    ``mlp_forward`` / ``mlp_backward(...).input_grad`` bit for bit, whatever
+    rows stand beside it."""
+    ckpt.require_frozen()
+    layers = ckpt.frozen_bank
+    stack, index = _group_rows(ckpt.bank, x, codes)
     out, inputs, preacts = layers_forward(layers, stack[:, :, None])
 
     def input_grad(upstream: np.ndarray) -> np.ndarray:
@@ -368,15 +355,13 @@ class DifferenceRegularizer:
     write-protected tables: the sources' ``visual`` embeddings ``(N, d_e)``,
     one ``visual_encode`` per ref, and their ``emotion`` codes; their
     ``projected_source`` through their own projectors, one ``project_visual``
-    per sample; and ``prompts``, the ``(R, 7, d_e)`` prompt embeddings of the
-    R ``references`` (``reference`` holds each row's), one
+    over the whole stack; and ``prompts``, the ``(R, 7, d_e)`` prompt
+    embeddings of the R ``references`` (``reference`` holds each row's), one
     ``text_encode(build_personalized_prompt(...))`` per (reference,
-    emotion). Every entry is its per-sample computation, so
+    emotion). Every entry is its per-sample computation bit for bit, so
     ``retrieval_accuracy`` and ``export_difference_rows`` read the same
-    tables the demo trains against. ``layers`` is the frozen bank that
-    ``loss_and_grad`` runs (``_frozen_bank``): views that copy nothing.
-    ``nearest_prompt`` is the 7-way prompt read that retrieval and the demo's
-    judge share.
+    tables the demo trains against. ``nearest_prompt`` is the 7-way prompt
+    read that retrieval and the demo's judge share.
     """
 
     def __init__(self, ckpt: AlignmentCheckpoint, suite: EncoderSuite,
@@ -391,9 +376,7 @@ class DifferenceRegularizer:
         self.emotion = np.array([int(s.emotion) for s in samples])
         self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
         self.visual = np.stack([suite.visual_encode(s.image_ref) for s in samples])
-        self.layers = _frozen_bank(ckpt)
-        self.projected_source = np.array([project_visual(ckpt.bank, visual, s.emotion)[0]
-                                          for visual, s in zip(self.visual, samples)])
+        self.projected_source, _ = project_visual(ckpt, self.visual, self.emotion)
         # one encode per prompt: a batched encode differs in the last bits
         self.prompts = np.array([[suite.text_encode(build_personalized_prompt(
             ckpt, manifest.by_id(ref), e, suite)) for e in EMOTIONS]
@@ -407,7 +390,7 @@ class DifferenceRegularizer:
         """The difference losses of a ``(B, d_e)`` stack of generated
         embeddings, row n made from source row ``rows[n]`` for target
         emotion code ``targets[n]``, and their ``(B, d_e)`` gradient w.r.t.
-        the stack: one ``_project_frozen`` pass through the frozen
+        the stack: one ``project_visual`` pass through the frozen
         projectors of the targets, forward and input-only backward. A row's
         loss and gradient do not depend on the other rows of the batch; a
         zero-norm difference gets loss 1 and a zero gradient.
@@ -422,8 +405,7 @@ class DifferenceRegularizer:
         if targets.shape != rows.shape:
             raise ContractError(f"{len(targets)} target codes for {len(rows)} rows")
         generated = as_matrix(generated, (len(rows), self.ckpt.d_e), "generated")
-        visual_gen, input_grad = _project_frozen(self.ckpt.bank, self.layers, generated,
-                                                 targets)
+        visual_gen, input_grad = project_visual(self.ckpt, generated, targets)
         reference = self.reference[rows]
         losses, d_vis_diff, _ = difference_loss_with_grads(DifferencePair(
             self.projected_source[rows] - visual_gen,

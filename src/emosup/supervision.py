@@ -284,7 +284,8 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     jointly best-matching (prompt, projector) candidate pair, prompt k
     against the output through projector k (``nearest_prompt``). Scoring
     every candidate with its own projector keeps the target label out of
-    the scoring path."""
+    the scoring path. All outputs go through all seven projectors in one
+    ``project_visual`` pass, each row bit-equal to its 1-D projection."""
     val = sorted(manifest.in_split(VAL), key=lambda s: s.id)
     if not val:
         raise ContractError("val split is empty")
@@ -292,9 +293,11 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     rows = np.repeat(val_rows, _OTHER_EMOTIONS.shape[1])
     targets = _OTHER_EMOTIONS[reg.emotion[val_rows]].ravel()
     out, _ = gen.generate(reg.visual[rows], targets)
-    projected = np.stack([project_visual(reg.ckpt.bank, out, k)[0] for k in EMOTIONS],
-                         axis=1)
-    return float(np.mean(reg.nearest_prompt(rows, projected) == targets))
+    k = len(EMOTIONS)  # output n through projector c is row k * n + c
+    projected, _ = project_visual(reg.ckpt, np.repeat(out, k, axis=0),
+                                  np.tile(np.arange(k), len(out)))
+    return float(np.mean(reg.nearest_prompt(rows, projected.reshape(len(out), k, -1))
+                         == targets))
 
 
 def _demo_rows(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,

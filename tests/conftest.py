@@ -18,6 +18,16 @@ def identity_mlp(dim: int, depth: int = 1, activation: str = "identity") -> es.M
                          for i in range(depth)])
 
 
+def project_row(bank: es.EmotionProjectorBank, x, emotion):
+    """Oracle of ``prompts.project_visual`` for one row: the 1-D
+    ``mlp_forward`` of ``x`` through ``bank.projector_for(emotion)``, on its
+    ``_with_codes`` input. Returns the projection, the forward cache and the
+    projector, for ``mlp_backward``."""
+    net = bank.projector_for(emotion)
+    out, cache = es.mlp_forward(net, es.prompts._with_codes(bank.mode, x, int(emotion)))
+    return out, cache, net
+
+
 @pytest.fixture(scope="session")
 def default_world():
     return es.build_synthetic_world(1)

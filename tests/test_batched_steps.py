@@ -18,10 +18,11 @@ import emosup as es
 import emosup.prompts as pr
 import emosup.supervision as sv
 from emosup.differencing import DifferencePair, difference_loss_with_grads
-from emosup.emotions import EMOTIONS, one_hot
+from emosup.emotions import EMOTIONS
 from emosup.encoders import _hash_generator
 from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, init_mlp,
                              mlp_backward, mlp_forward, sgd_step)
+from conftest import project_row
 
 MODES = [pr.MULTI, pr.SINGLE_CONDITIONAL]
 
@@ -67,7 +68,7 @@ def contrastive_per_entry(ckpt, batch, suite):
         t_neg, seq_neg, cache_neg = personalized_per_entry(
             ckpt, entry.reference, entry.negative_prompt, suite)
         visual = suite.visual_encode(entry.anchor.image_ref)
-        i_vis, proj_cache, net = pr.project_visual(ckpt.bank, visual, entry.anchor.emotion)
+        i_vis, proj_cache, net = project_row(ckpt.bank, visual, entry.anchor.emotion)
         sim_pos, d_tpos, d_ivis_pos = sim_and_grads(t_pos, i_vis)
         sim_neg, d_tneg, d_ivis_neg = sim_and_grads(t_neg, i_vis)
         total += (1.0 - sim_pos) + sim_neg
@@ -90,9 +91,9 @@ def difference_per_entry(ckpt, batch, suite):
                                                      draw.source.emotion, suite)
         t_t, seq_t, cache_t = personalized_per_entry(ckpt, draw.reference,
                                                      draw.target.emotion, suite)
-        i_s, cache_is, net_s = pr.project_visual(
+        i_s, cache_is, net_s = project_row(
             ckpt.bank, suite.visual_encode(draw.source.image_ref), draw.source.emotion)
-        i_t, cache_it, net_t = pr.project_visual(
+        i_t, cache_it, net_t = project_row(
             ckpt.bank, suite.visual_encode(draw.target.image_ref), draw.target.emotion)
         i_diff, t_diff = i_s - i_t, t_s - t_t
         sim, degenerate = cosine_with_flag(i_diff, t_diff)
@@ -169,8 +170,8 @@ def test_contrastive_step_matches_per_entry_reference(default_manifest, default_
         batch.negative[0] = min(reference_pools.pool[anchor.emotion])
         batch.reference[0] = next(i for i, s in enumerate(train) if s.identity == "id001"
                                   and s.emotion == es.EmotionLabel.neutral)
-        projected, _, _ = pr.project_visual(ckpt.bank, suite.visual_encode(anchor.image_ref),
-                                            anchor.emotion)
+        projected, _, _ = project_row(ckpt.bank, suite.visual_encode(anchor.image_ref),
+                                      anchor.emotion)
         assert not projected.any()
     loss, grad = pr.contrastive_step_grads(ckpt, batch, suite,
                                            train_table(default_manifest, suite))
@@ -195,7 +196,7 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
         for name in ("source", "target", "reference"):
             getattr(batch, name)[0] = getattr(other, name)[n]
         draw = batch.draws[0]
-        pair = [pr.project_visual(ckpt.bank, suite.visual_encode(s.image_ref), s.emotion)[0]
+        pair = [project_row(ckpt.bank, suite.visual_encode(s.image_ref), s.emotion)[0]
                 for s in (draw.source, draw.target)]
         assert not (pair[0] - pair[1]).any()
     loss, grad = pr.difference_step_grads(ckpt, batch, suite,
@@ -214,7 +215,7 @@ def bank_pass_per_row(ckpt, samples, suite, upstream):
         net = ckpt.bank.projector_for(sample.emotion)
         x = suite.visual_encode(sample.image_ref)
         if ckpt.bank.mode == pr.SINGLE_CONDITIONAL:
-            x = np.concatenate([x, one_hot(sample.emotion)])
+            x = np.concatenate([x, np.eye(len(EMOTIONS))[sample.emotion]])
         out, cache = mlp_forward(net, x)
         outs.append(out)
         index = projector_index(ckpt, sample.emotion)
@@ -319,12 +320,12 @@ def test_frozen_table_rows_are_each_samples_encodings(default_manifest, default_
 # ---------------------------------------------------------------------------
 
 def generate_per_entry(gen, visual, target):
-    return mlp_forward(gen.params, np.concatenate([visual, one_hot(target)]))
+    return mlp_forward(gen.params, np.concatenate([visual, np.eye(len(EMOTIONS))[target]]))
 
 
 def l2_grad_per_entry(reg, source, generated, target, with_grad):
     ckpt, row = reg.ckpt, reg.row[source.id]
-    visual_gen, gen_cache, net = pr.project_visual(ckpt.bank, generated, target)
+    visual_gen, gen_cache, net = project_row(ckpt.bank, generated, target)
     visual_diff = reg.projected_source[row] - visual_gen
     prompts = reg.prompts[reg.reference[row]]
     text_diff = prompts[int(source.emotion)] - prompts[int(target)]
@@ -383,7 +384,7 @@ def accuracy_per_entry(gen, manifest, reg):
                 continue
             out, _ = generate_per_entry(gen, reg.visual[row], target)
             sims = [cosine_with_flag(prompts[int(k)],
-                                     pr.project_visual(reg.ckpt.bank, out, k)[0])[0]
+                                     project_row(reg.ckpt.bank, out, k)[0])[0]
                     for k in EMOTIONS]
             hits += int(np.argmax(sims)) == int(target)
             total += 1
@@ -437,9 +438,9 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
     project, build = pr.project_visual, pr.build_personalized_prompt
     stacks, prompts = [], []
 
-    def counted_projection(bank, visual, emotion):
-        stacks.append(np.ndim(visual))
-        return project(bank, visual, emotion)
+    def counted_projection(ckpt, visual, codes):
+        stacks.append(np.shape(visual))
+        return project(ckpt, visual, codes)
 
     def counted(*args):
         prompts.append(args[1:3])
@@ -449,8 +450,8 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
     monkeypatch.setattr(pr, "build_personalized_prompt", counted)
     reg = es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
     monkeypatch.undo()
-    # one 1-D project_visual per source sample
-    assert stacks == [1] * len(default_manifest.samples)
+    # one project_visual over the stack of every source sample
+    assert stacks == [(len(default_manifest.samples), default_suite.d_e)]
     # one prompt per (reference, emotion), none per sample
     assert len(prompts) == len(set(prompts)) == len(reg.references) * len(EMOTIONS)
     assert reg.prompts.shape == (len(reg.references), len(EMOTIONS), default_suite.d_e)
@@ -462,7 +463,7 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
         assert reg.row[sample.id] == i and reg.emotion[i] == int(sample.emotion)
         assert np.array_equal(reg.visual[i], visual)
         assert np.array_equal(reg.projected_source[i],
-                              pr.project_visual(ckpt.bank, visual, sample.emotion)[0])
+                              project_row(ckpt.bank, visual, sample.emotion)[0])
         assert reg.references[reg.reference[i]] == sample.neutral_ref
     for r, ref in enumerate(reg.references):
         reference = default_manifest.by_id(ref)
@@ -470,6 +471,49 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
             expected = default_suite.text_encode(
                 es.build_personalized_prompt(ckpt, reference, k, default_suite))
             assert np.array_equal(reg.prompts[r, int(k)], expected)
+
+
+def test_judge_projects_each_output_through_all_seven_projectors(default_manifest,
+                                                                 demo_regularizer,
+                                                                 monkeypatch):
+    # the judge's one project_visual pass: output n through projector c is row
+    # 7n + c of a repeat/tile stack, bit-equal to its 1-D projection, a zero
+    # output row included, and the accuracy is the per-row oracle's
+    reg, k = demo_regularizer, len(EMOTIONS)
+    generated, calls = [], []
+
+    class Outputs:  # stands in for the generator: random rows, the first zero
+        def generate(self, visual, targets):
+            out = np.random.default_rng(0).standard_normal(visual.shape)
+            out[0] = 0.0
+            generated.append(out)
+            return out, None
+
+    project = sv.project_visual
+
+    def recorded(*args):
+        result = project(*args)
+        calls.append((*args[1:], result[0]))
+        return result
+
+    monkeypatch.setattr(sv, "project_visual", recorded)
+    accuracy = sv._eval_emotion_accuracy(Outputs(), default_manifest, reg)
+    [out], [(stack, codes, projected)] = generated, calls
+    assert np.array_equal(stack, np.repeat(out, k, axis=0))
+    assert np.array_equal(codes, np.tile(np.arange(k), len(out)))
+    val = sorted(default_manifest.in_split("val"), key=lambda s: s.id)
+    pairs = [(s, t) for s in val for t in EMOTIONS if t != s.emotion]
+    assert len(pairs) == len(out)
+    hits = 0
+    for n, ((source, target), row) in enumerate(zip(pairs, out)):
+        prompts = reg.prompts[reg.reference[reg.row[source.id]]]
+        sims = []
+        for c in range(k):
+            expected = project_row(reg.ckpt.bank, row, c)[0]
+            assert np.array_equal(projected[k * n + c], expected)
+            sims.append(cosine_with_flag(prompts[c], expected)[0])
+        hits += int(np.argmax(sims)) == int(target)
+    assert accuracy == hits / len(out)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -534,16 +578,18 @@ def test_l2_grad_of_a_batch_with_a_zero_norm_row(default_manifest, demo_regulari
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_regularizer_layers_are_read_only_views_of_a_frozen_bank(default_manifest,
-                                                                 default_suite, mode):
+def test_frozen_bank_is_read_only_views_of_the_checkpoint(default_manifest, default_suite,
+                                                          mode):
     config = es.TrainConfig(projector_mode=mode)
     ckpt = pr._fresh_checkpoint(default_suite, config, np.random.default_rng(5))
+    assert ckpt.frozen_bank is None
     with pytest.raises(es.ContractError, match="frozen"):
         es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
     reg = es.DifferenceRegularizer(ckpt.freeze(), default_suite, default_manifest)
+    assert reg.ckpt.frozen_bank is ckpt.frozen_bank  # built once, by freeze
     nets = ckpt.bank.projectors
-    assert len(reg.layers) == len(nets[0].layers)
-    for i, layer in enumerate(reg.layers):
+    assert len(ckpt.frozen_bank) == len(nets[0].layers)
+    for i, layer in enumerate(ckpt.frozen_bank):
         # (P, 1, out, in) and (P, 1, out): a singleton row axis after the bank's P
         assert np.array_equal(layer.weights[:, 0], [net.layers[i].weights for net in nets])
         assert np.array_equal(layer.bias[:, 0], [net.layers[i].bias for net in nets])

@@ -388,6 +388,23 @@ def test_export_diffs_reads_and_writes_utf8_under_an_ascii_locale(
     assert renamed not in identities
 
 
+def test_a_key_error_prints_its_message_as_written(tmp_path, corpus_dir, checkpoint_dir,
+                                                   capsys):
+    # str() of a KeyError is the repr of its argument; the CLI prints the
+    # message itself, as it prints a ContractError's
+    d = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
+    renamed = d["samples"][0]["identity"]
+    for entry in d["samples"]:
+        if entry["identity"] == renamed:
+            entry["identity"] = "Zo\u00eb"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(d), encoding="utf-8")
+    assert run("supervise-demo", "--manifest", manifest, "--checkpoint",
+               checkpoint_dir / "checkpoint.json", "--steps", 1,
+               "--out", tmp_path / "demo") == 2
+    assert capsys.readouterr().err == "error: unknown identity 'Zo\u00eb'\n"
+
+
 # ---------------------------------------------------------------------------
 # config flags: one flag per config field
 # ---------------------------------------------------------------------------

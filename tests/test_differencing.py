@@ -10,7 +10,7 @@ from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
                                  difference_loss_with_grads, embed_pair,
                                  export_difference_rows, write_difference_csv)
 from emosup.errors import ContractError
-from conftest import identity_mlp
+from conftest import identity_mlp, project_row
 
 
 def passthrough_checkpoint(suite, seed=0):
@@ -29,11 +29,11 @@ def single_conditional_checkpoint(suite, seed=0):
 
 
 def per_row_export(ckpt, manifest, suite, include_mismatched=False):
-    """Oracle: each row composed on its own from the suite, ``project_visual``
+    """Oracle: each row composed on its own from the suite, ``project_row``
     and ``build_personalized_prompt``, sharing no table with the export."""
     def visual(sample):
-        return pr.project_visual(ckpt.bank, suite.visual_encode(sample.image_ref),
-                                 sample.emotion)[0]
+        return project_row(ckpt.bank, suite.visual_encode(sample.image_ref),
+                           sample.emotion)[0]
 
     def text(reference, emotion):
         return suite.text_encode(es.build_personalized_prompt(ckpt, reference, emotion,
@@ -123,10 +123,10 @@ def test_embed_pair_matches_direct_composition(trained_checkpoint, default_manif
     reference = default_manifest.by_id(source.neutral_ref)
     pe = embed_pair(reg, source, target)
 
-    vis_s = pr.project_visual(ckpt.bank, default_suite.visual_encode(source.image_ref),
-                              source.emotion)[0]
-    vis_t = pr.project_visual(ckpt.bank, default_suite.visual_encode(target.image_ref),
-                              target.emotion)[0]
+    vis_s = project_row(ckpt.bank, default_suite.visual_encode(source.image_ref),
+                        source.emotion)[0]
+    vis_t = project_row(ckpt.bank, default_suite.visual_encode(target.image_ref),
+                        target.emotion)[0]
     txt_s = default_suite.text_encode(
         es.build_personalized_prompt(ckpt, reference, source.emotion, default_suite))
     txt_t = default_suite.text_encode(
@@ -333,8 +333,7 @@ def test_export_equals_the_per_row_composition(trained_checkpoint, default_manif
 def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_manifest,
                                                   default_suite, monkeypatch):
     ckpt, _ = trained_checkpoint
-    calls = {"build_personalized_prompt": 0, "project_visual": 0, "embed_pair": 0,
-             "visual_encode": 0}
+    calls = {"build_personalized_prompt": 0, "embed_pair": 0, "visual_encode": 0}
 
     def counting(module, name):
         wrapped = getattr(module, name)
@@ -344,9 +343,16 @@ def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_ma
             return wrapped(*args, **kwargs)
         return call
 
+    project, projections = pr.project_visual, []
+
+    def recorded_projection(*args):
+        result = project(*args)
+        projections.append(result[0])
+        return result
+
     monkeypatch.setattr(pr, "build_personalized_prompt",
                         counting(pr, "build_personalized_prompt"))
-    monkeypatch.setattr(pr, "project_visual", counting(pr, "project_visual"))
+    monkeypatch.setattr(pr, "project_visual", recorded_projection)
     monkeypatch.setattr(df, "embed_pair", counting(df, "embed_pair"))
     suite = dataclasses.replace(default_suite,
                                 visual_encode=counting(default_suite, "visual_encode"))
@@ -355,5 +361,8 @@ def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_ma
     assert calls["embed_pair"] == len(rows) == len(default_manifest.samples) * 6
     assert calls["build_personalized_prompt"] == len(references) * len(es.EMOTIONS)
     assert calls["visual_encode"] == len(default_manifest.samples)
-    # one projection per source sample, none per exported row
-    assert calls["project_visual"] == len(default_manifest.samples)
+    # one projection pass over every source sample, none per exported row
+    assert len(projections) == 1
+    for n, sample in enumerate(default_manifest.samples):
+        assert np.array_equal(projections[0][n], project_row(
+            ckpt.bank, default_suite.visual_encode(sample.image_ref), sample.emotion)[0])

@@ -10,9 +10,8 @@ from emosup.numerics import (EPS_NORM, IDENTITY, RELU, DenseLayer, MlpParams,
                              cosine_grads, cosine_with_flag, init_mlp, mlp_backward,
                              mlp_forward, psd_sqrt_trace, sgd_step)
 from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, AlignmentCheckpoint,
-                            EmotionProjectorBank, _frozen_bank, _project_frozen,
-                            build_projector_bank, project_visual)
-from conftest import identity_mlp
+                            EmotionProjectorBank, build_projector_bank, project_visual)
+from conftest import identity_mlp, project_row
 
 
 def random_psd(rng, d):
@@ -288,7 +287,7 @@ def frozen_checkpoint(rng, d_e, mode, activation=RELU):
 
 
 def frozen_pass(ckpt, x, codes, u):
-    out, input_grad = _project_frozen(ckpt.bank, _frozen_bank(ckpt), x, codes)
+    out, input_grad = project_visual(ckpt, x, codes)
     return out, input_grad(u)
 
 
@@ -318,7 +317,7 @@ def test_input_grad_of_a_single_conditional_projector(rng):
         u = rng.standard_normal(x.shape)
         out, got = frozen_pass(ckpt, x, codes, u)
         for row, code in enumerate(codes):
-            expected_out, cache, net = project_visual(ckpt.bank, x[row], EMOTIONS[code])
+            expected_out, cache, net = project_row(ckpt.bank, x[row], code)
             assert np.array_equal(out[row], expected_out)
             # the input gradient w.r.t. the one-hot block is dropped
             assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:8])
@@ -358,7 +357,7 @@ def test_frozen_pass_is_exact_per_row_on_large_skewed_batches(mode, activation, 
     out, got = frozen_pass(ckpt, x, codes, u)
     assert out.shape == got.shape == x.shape
     for row, code in enumerate(codes):
-        expected_out, cache, net = project_visual(ckpt.bank, x[row], EMOTIONS[code])
+        expected_out, cache, net = project_row(ckpt.bank, x[row], code)
         assert np.array_equal(out[row], expected_out)
         assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:d_e])
         alone = frozen_pass(ckpt, x[row:row + 1], codes[row:row + 1], u[row:row + 1])

@@ -11,7 +11,7 @@ import emosup.prompts as pr
 from emosup.corpus import TRAIN, VAL
 from emosup.encoders import position_weight
 from emosup.errors import ContractError, canonical_json, load_json_object
-from conftest import identity_mlp
+from conftest import identity_mlp, project_row
 
 
 def fresh_checkpoint(suite, seed=0, **kwargs):
@@ -115,10 +115,13 @@ def test_personalized_embedding_deterministic(default_manifest, default_suite):
 
 def test_identity_projector_passes_nonnegative_through(default_suite):
     d = default_suite.d_e
-    net = identity_mlp(d, depth=3, activation="relu")
-    bank = es.EmotionProjectorBank("multi", [net] * 7)
-    x = np.abs(np.random.default_rng(0).standard_normal(d))
-    out, _, _ = pr.project_visual(bank, x, es.EmotionLabel.happy)
+    bank = es.EmotionProjectorBank(
+        "multi", [identity_mlp(d, depth=3, activation="relu") for _ in es.EMOTIONS])
+    ckpt = es.AlignmentCheckpoint(fresh_checkpoint(default_suite).guider_head, bank, d,
+                                  default_suite.d_b, default_suite.d_tok, 1).freeze()
+    # one nonnegative row through each of the seven projectors
+    x = np.tile(np.abs(np.random.default_rng(0).standard_normal(d)), (len(es.EMOTIONS), 1))
+    out, _ = pr.project_visual(ckpt, x, np.arange(len(es.EMOTIONS)))
     assert np.array_equal(out, x)
 
 
@@ -144,18 +147,20 @@ def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
             assert magnitude == 0.0
 
 
-def test_unknown_emotion_code_rejected(default_suite):
-    bank = es.EmotionProjectorBank("multi", [identity_mlp(default_suite.d_e)] * 7)
-    with pytest.raises(ValueError):
-        pr.project_visual(bank, np.zeros(default_suite.d_e), 9)
+def test_project_visual_refuses_an_unfrozen_checkpoint(default_suite):
+    ckpt = fresh_checkpoint(default_suite)
+    x, codes = np.zeros((1, default_suite.d_e)), np.array([0])
+    with pytest.raises(ContractError, match="must be frozen"):
+        pr.project_visual(ckpt, x, codes)
+    assert pr.project_visual(ckpt.freeze(), x, codes)[0].shape == x.shape
 
 
 def test_single_conditional_mode_shapes(default_manifest, default_suite):
-    ckpt = fresh_checkpoint(default_suite, projector_mode="single_conditional")
+    ckpt = fresh_checkpoint(default_suite, projector_mode="single_conditional").freeze()
     sample = default_manifest.samples[0]
-    out, _, _ = pr.project_visual(ckpt.bank, default_suite.visual_encode(sample.image_ref),
-                                  sample.emotion)
-    assert out.shape == (default_suite.d_e,)
+    out, _ = pr.project_visual(ckpt, default_suite.visual_encode(sample.image_ref)[None],
+                               np.array([int(sample.emotion)]))
+    assert out.shape == (1, default_suite.d_e)
     assert ckpt.bank.projectors[0].in_dim == default_suite.d_e + 7
 
 
@@ -598,15 +603,15 @@ def test_empty_split_rejected(trained_checkpoint, default_manifest, default_suit
 
 
 def retrieval_oracle(ckpt, manifest, split, suite):
-    """Per sample: ``visual_encode`` then ``project_visual``; per candidate
+    """Per sample: ``visual_encode`` then ``project_row``; per candidate
     emotion: ``text_encode`` of ``build_personalized_prompt``; a hit when the
     argmax of the ``cosine_with_flag`` scores is the sample's emotion."""
     samples = manifest.in_split(split)
     hits = 0
     for sample in samples:
         reference = manifest.by_id(sample.neutral_ref)
-        visual = pr.project_visual(ckpt.bank, suite.visual_encode(sample.image_ref),
-                                   sample.emotion)[0]
+        visual = project_row(ckpt.bank, suite.visual_encode(sample.image_ref),
+                             sample.emotion)[0]
         sims = [es.cosine_with_flag(suite.text_encode(
                     es.build_personalized_prompt(ckpt, reference, k, suite)), visual)[0]
                 for k in es.EMOTIONS]

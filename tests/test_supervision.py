@@ -258,7 +258,7 @@ def test_lambda_zero_makes_no_backward_through_frozen_params(demo_env, monkeypat
     def counting_bank_backward(layers, *args, **kwargs):
         # the frozen bank's input-only pass: read-only layers, no parameter grads
         assert not any(l.weights.flags.writeable for l in layers)
-        assert layers is reg.layers and not args[3:] and not kwargs
+        assert layers is reg.ckpt.frozen_bank and not args[3:] and not kwargs
         calls["bank"] += 1
         return bank_backward(layers, *args, **kwargs)
 
