@@ -39,6 +39,7 @@ print(f"example sample: id={sample.id} emotion={sample.emotion.name} "
 pools = es.load_reference_pools()
 batch = es.sample_contrastive_batch(manifest, pools, 4, np.random.default_rng(0))
 print("\none contrastive batch (anchor emotion / negative prompt / reference):")
-for entry in batch.entries:
-    print(f"  {entry.anchor.id:<22} +{entry.positive_prompt.name:<10}"
-          f" -{entry.negative_prompt.name:<10} ref={entry.reference.id}")
+for a, k, r in zip(batch.anchor, batch.negative, batch.reference):
+    anchor = batch.samples[a]
+    print(f"  {anchor.id:<22} +{anchor.emotion.name:<10}"
+          f" -{es.EmotionLabel(k).name:<10} ref={batch.samples[r].id}")

@@ -27,10 +27,9 @@ from .metrics import (FeatureSet, GaussianFit, csim, fad, fit_gaussian,
 from .numerics import (DenseLayer, MlpParams, contrastive_loss_with_grads,
                        cosine_with_flag, init_mlp, mlp_backward, mlp_forward,
                        psd_sqrt_trace, sgd_step)
-from .prompts import (AlignmentCheckpoint, DifferenceRegularizer, EmotionProjectorBank,
-                      LossCurve, TrainConfig, build_personalized_prompt,
-                      pretrain_alignment, pretrain_with_difference_objective,
-                      retrieval_accuracy)
+from .prompts import (AlignmentCheckpoint, DifferenceRegularizer, LossCurve, TrainConfig,
+                      build_personalized_prompt, pretrain_alignment,
+                      pretrain_with_difference_objective, retrieval_accuracy)
 from .supervision import (DEFAULT_LAMBDAS, DemoConfig, DemoReport, LambdaConfig,
                           lambda_for_baseline, squared_error_loss, supervise_demo,
                           sweep_lambda, total_loss)

@@ -206,72 +206,30 @@ def generate_synthetic_corpus(world: SyntheticWorld,
     return manifest
 
 
-@dataclass(frozen=True)
-class ContrastiveEntry:
-    anchor: Sample
-    positive_prompt: EmotionLabel
-    negative_prompt: EmotionLabel
-    reference: Sample
-
-
 @dataclass
 class ContrastiveBatch:
     """A contrastive batch as index arrays into ``samples``, the train split
     it was drawn from. Entry n takes the anchor ``samples[anchor[n]]``, whose
     own emotion is the positive prompt, the negative prompt of emotion code
     ``negative[n]`` and the neutral reference ``samples[reference[n]]``; the
-    three arrays are ``(B,)`` integers. ``entries`` is the per-entry view."""
+    three arrays are ``(B,)`` integers."""
 
     samples: list[Sample]
     anchor: np.ndarray
     negative: np.ndarray
     reference: np.ndarray
 
-    @property
-    def entries(self) -> list[ContrastiveEntry]:
-        s = self.samples
-        return [ContrastiveEntry(s[a], s[a].emotion, EmotionLabel(k), s[r])
-                for a, k, r in zip(self.anchor.tolist(), self.negative.tolist(),
-                                   self.reference.tolist())]
-
-    def validate(self, pools: NegativePoolTable) -> None:
-        for e in self.entries:
-            if e.positive_prompt != e.anchor.emotion:
-                raise ContractError("positive prompt must match the anchor emotion")
-            if e.negative_prompt not in pools.pool[e.anchor.emotion]:
-                raise ContractError("negative prompt outside the anchor's pool")
-            if e.reference.emotion != EmotionLabel.neutral:
-                raise ContractError("reference must be neutral")
-            if e.reference.identity != e.anchor.identity:
-                raise ContractError("reference must share the anchor's identity")
-
-
-@dataclass(frozen=True)
-class PairDraw:
-    """A same-identity (source, target) pair plus a neutral reference."""
-
-    source: Sample
-    target: Sample
-    reference: Sample
-
 
 @dataclass
 class PairBatch:
     """Pair draws as ``(B,)`` integer index arrays into ``samples``, the train
     split they were drawn from: draw n is ``samples[source[n]]``,
-    ``samples[target[n]]`` and ``samples[reference[n]]``. ``draws`` is the
-    per-draw view."""
+    ``samples[target[n]]`` and ``samples[reference[n]]``."""
 
     samples: list[Sample]
     source: np.ndarray
     target: np.ndarray
     reference: np.ndarray
-
-    @property
-    def draws(self) -> list[PairDraw]:
-        s = self.samples
-        return [PairDraw(s[a], s[t], s[r]) for a, t, r
-                in zip(self.source.tolist(), self.target.tolist(), self.reference.tolist())]
 
 
 class _Replay:

@@ -191,7 +191,8 @@ class MlpParams:
     The layout is layer by layer, the weights (row-major) then the bias;
     each layer's ``weights`` and ``bias`` are views into ``vector``, so one
     in-place update of the vector updates every layer. The final layer
-    must have identity activation.
+    must have identity activation. ``view_of`` gives the chain of given
+    dims over a given vector, with relu hidden layers.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -216,14 +217,23 @@ class MlpParams:
         """``(weights, bias)`` views of ``vector``, a vector in this chain's
         layout (such as a gradient), one pair per layer; a ``(P, size)`` block
         of P such vectors gives ``(P, out, in)`` and ``(P, out)`` views."""
-        out, offset = [], 0
-        for layer in self.layers:
-            rows, cols = layer.weights.shape[-2:]
-            end = offset + rows * cols
-            out.append((vector[..., offset:end].reshape(*vector.shape[:-1], rows, cols),
-                        vector[..., end:end + rows]))
-            offset = end + rows
-        return out
+        return _chain_views([l.weights.shape[-2:] for l in self.layers], vector)
+
+    @classmethod
+    def view_of(cls, dims: list[int], vector: np.ndarray) -> "MlpParams":
+        """The chain ``dims[0] -> ... -> dims[-1]`` with relu hidden layers
+        and an identity last layer, whose layers view ``vector`` (no copy):
+        ``chain_size(dims)`` entries, or a ``(P, size)`` block for a run axis
+        of P networks, as ``move_into`` gives."""
+        shapes, size = _chain_shapes(dims), chain_size(dims)
+        if vector.shape[-1:] != (size,):
+            raise ContractError(f"the chain {dims} holds {size} parameters, got a vector "
+                                f"of shape {vector.shape}")
+        p = cls.__new__(cls)
+        p.layers = [DenseLayer(w, b, RELU if i < len(shapes) - 1 else IDENTITY)
+                    for i, (w, b) in enumerate(_chain_views(shapes, vector))]
+        p.vector = vector
+        return p
 
     def move_into(self, vector: np.ndarray) -> None:
         """Copy the parameters into ``vector`` (float64, one entry per
@@ -245,9 +255,6 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.layers)
-
     def freeze(self) -> None:
         """Write-protect the vector and every layer view of it (a view made
         before its base was write-protected stays writable)."""
@@ -255,25 +262,42 @@ class MlpParams:
             array.flags.writeable = False
 
 
-def init_mlp(dims: list[int], rng: np.random.Generator) -> MlpParams:
-    """He-style fan-in uniform init for the layer chain ``dims[0] -> ... -> dims[-1]``.
-
-    Hidden layers are relu; the output layer is linear.
-    """
+def _chain_shapes(dims: list[int]) -> list[tuple[int, int]]:
+    """The ``(out, in)`` weight shape of each layer of the chain ``dims``."""
     if len(dims) < 2:
         raise ContractError("need at least input and output dims")
     for dim in dims:
         if dim < 1:
             raise ContractError(f"layer dims must be >= 1, got {dim}")
-    layers = []
-    for i in range(len(dims) - 1):
-        fan_in = dims[i]
-        limit = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-limit, limit, size=(dims[i + 1], dims[i]))
-        b = np.zeros(dims[i + 1])
-        act = RELU if i < len(dims) - 2 else IDENTITY
-        layers.append(DenseLayer(w, b, act))
-    return MlpParams(layers)
+    return list(zip(dims[1:], dims[:-1]))
+
+
+def chain_size(dims: list[int]) -> int:
+    """Parameters of the chain ``dims``: each layer's weights and bias."""
+    return sum(rows * cols + rows for rows, cols in _chain_shapes(dims))
+
+
+def _chain_views(shapes, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(weights, bias)`` views of ``vector``'s last axis, laid out layer by
+    layer as ``(out, in)`` ``shapes`` give: the weights row-major, then the
+    bias."""
+    out, offset = [], 0
+    for rows, cols in shapes:
+        end = offset + rows * cols
+        out.append((vector[..., offset:end].reshape(*vector.shape[:-1], rows, cols),
+                    vector[..., end:end + rows]))
+        offset = end + rows
+    return out
+
+
+def init_mlp(dims: list[int], rng: np.random.Generator) -> MlpParams:
+    """He-style fan-in uniform init of ``MlpParams.view_of(dims, ...)``,
+    layer by layer, with zero biases."""
+    p = MlpParams.view_of(dims, np.zeros(chain_size(dims)))
+    for layer in p.layers:
+        limit = np.sqrt(6.0 / layer.in_dim)
+        layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
+    return p
 
 
 @dataclass

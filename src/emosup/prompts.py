@@ -24,41 +24,13 @@ from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import EncoderSuite
 from .errors import (ContractError, NumericalError, load_json_object, stream_json,
                      write_csv, write_json)
-from .numerics import (IDENTITY, RELU, DenseLayer, DifferencePair, MlpGrads, MlpParams,
-                       as_matrix, contrastive_loss_with_grads, cosine_with_flag,
+from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, as_matrix,
+                       chain_size, contrastive_loss_with_grads, cosine_with_flag,
                        difference_loss_with_grads, init_mlp, layers_backward,
                        layers_forward, mlp_backward, mlp_forward, sgd_step)
 
 MULTI = "multi"
 SINGLE_CONDITIONAL = "single_conditional"
-
-
-@dataclass
-class EmotionProjectorBank:
-    """Learnable visual projectors.
-
-    ``multi`` mode keeps one specialized MLP per emotion; the
-    ``single_conditional`` ablation shares one MLP that takes the one-hot
-    emotion code appended to the visual embedding.
-    """
-
-    mode: str
-    projectors: list[MlpParams]
-
-    def __post_init__(self):
-        if self.mode == MULTI:
-            if len(self.projectors) != len(EMOTIONS):
-                raise ContractError("multi mode needs one projector per emotion")
-        elif self.mode == SINGLE_CONDITIONAL:
-            if len(self.projectors) != 1:
-                raise ContractError("single_conditional mode holds exactly one network")
-        else:
-            raise ContractError(f"unknown projector mode {self.mode!r}")
-
-    def projector_for(self, emotion: EmotionLabel) -> MlpParams:
-        if self.mode == MULTI:
-            return self.projectors[int(emotion)]
-        return self.projectors[0]
 
 
 def projector_dims(d_e: int, mode: str) -> list[int]:
@@ -71,62 +43,70 @@ def guider_head_dims(d_b: int, d_tok: int, token_count: int) -> list[int]:
     return [d_b, d_b, token_count * d_tok]
 
 
-def build_projector_bank(d_e: int, mode: str, rng: np.random.Generator) -> EmotionProjectorBank:
-    if mode == MULTI:
-        nets = [init_mlp(projector_dims(d_e, mode), rng) for _ in EMOTIONS]
-    else:
-        nets = [init_mlp(projector_dims(d_e, mode), rng)]
-    return EmotionProjectorBank(mode, nets)
+def _network_dims(d_e: int, d_b: int, d_tok: int, token_count: int,
+                  mode: str) -> list[list[int]]:
+    """The layer chain of each network of a checkpoint, in vector order: the
+    guider head, then the bank's projectors, one per emotion in ``multi``
+    mode and one shared network in ``single_conditional``."""
+    if mode not in (MULTI, SINGLE_CONDITIONAL):
+        raise ContractError(f"unknown projector mode {mode!r}")
+    count = len(EMOTIONS) if mode == MULTI else 1
+    return [guider_head_dims(d_b, d_tok, token_count)] + [projector_dims(d_e, mode)] * count
 
 
-@dataclass
+@dataclass(eq=False)
 class AlignmentCheckpoint:
     """Trained guider head + projector bank with training metadata.
 
-    All parameters live in one float64 ``vector``: the guider head and
-    the projectors, in ``all_params()`` order, are views into it, so one
-    in-place update of the vector trains them all. Build a new checkpoint
-    (``dataclasses.replace``) to swap a network. Once frozen the vector
-    and every view of it are write-protected: the step functions still
-    compute gradients on it, but ``sgd_step`` raises numpy's ValueError.
+    All parameters live in one float64 ``vector``, the guider head's and
+    then the projectors', one network after another. The networks are views
+    of it that the constructor builds from the dims: ``guider_head``, and
+    ``bank``, the P projectors (7 in ``multi`` mode, 1 in
+    ``single_conditional``) as one ``MlpParams`` with a run axis, ``(P, out,
+    in)`` weights and ``(P, out)`` biases. So one in-place update of the
+    vector trains them all. The constructor takes ``vector`` as it is,
+    without a copy: ``dataclasses.replace`` gives a checkpoint that shares
+    its original's vector (pass ``vector=ckpt.vector.copy()`` for one of its
+    own) and leaves the original as it was. ``==`` is identity. Once frozen
+    the vector and every view of it are write-protected: the step functions
+    still compute gradients on it, but ``sgd_step`` raises numpy's
+    ValueError.
     """
 
-    guider_head: MlpParams
-    bank: EmotionProjectorBank
     d_e: int
     d_b: int
     d_tok: int
     token_count: int
+    mode: str
+    vector: np.ndarray = field(repr=False)
     metadata: dict = field(default_factory=dict)
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
-    frozen_bank: list[DenseLayer] | None = field(init=False, default=None, repr=False,
-                                                 compare=False)
+    guider_head: MlpParams = field(init=False, repr=False)
+    bank: MlpParams = field(init=False, repr=False)
+    frozen_bank: list[DenseLayer] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        params = self.all_params()
-        self.vector = np.empty(sum(p.vector.size for p in params))
-        for p, part in zip(params, self.split(self.vector)):
-            p.move_into(part)
+        chains = _network_dims(self.d_e, self.d_b, self.d_tok, self.token_count, self.mode)
+        n, size = chain_size(chains[0]), sum(map(chain_size, chains))
+        if not (isinstance(self.vector, np.ndarray) and self.vector.dtype == np.float64
+                and self.vector.shape == (size,)):
+            raise ContractError(f"a checkpoint of these dims holds a float64 vector of "
+                                f"{size} parameters, got {np.asarray(self.vector).dtype} "
+                                f"of shape {np.shape(self.vector)}")
+        self.guider_head = MlpParams.view_of(chains[0], self.vector[:n])
+        count = len(chains) - 1  # the bank's networks
+        self.bank = MlpParams.view_of(chains[1], self.vector[n:].reshape(count, -1))
 
     def split(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of ``vector``, a vector in this checkpoint's layout (such
-        as a gradient), one per ``all_params()`` entry."""
-        ends = np.cumsum([p.vector.size for p in self.all_params()])
-        return np.split(vector, ends[:-1])
-
-    def bank_layers(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(weights, bias)`` views of the projector bank's block of ``vector``,
-        a vector in this checkpoint's layout, one pair per layer: ``(P, out,
-        in)`` weights and ``(P, out)`` biases over the bank's P networks (7 in
-        ``multi`` mode, 1 in ``single_conditional``). The networks are laid
-        out one after another with equal sizes, so the block is a ``(P,
-        size)`` reshape and these are its ``MlpParams.views``."""
-        nets = self.bank.projectors
-        return nets[0].views(vector[self.guider_head.vector.size:].reshape(len(nets), -1))
+        as a gradient), one per ``all_params()`` entry: the guider head's
+        block, and the bank's as a ``(P, size)`` block."""
+        n = self.guider_head.vector.size
+        return [vector[:n], vector[n:].reshape(self.bank.vector.shape)]
 
     def freeze(self) -> "AlignmentCheckpoint":
         params = self.all_params()
-        if any(p.vector.base is not self.vector for p in params):
+        owner = self.vector if self.vector.base is None else self.vector.base
+        if any(p.vector.base is not owner for p in params):
             raise ContractError("a network was swapped in after construction; "
                                 "build a new checkpoint instead")
         self.vector.flags.writeable = False
@@ -134,9 +114,8 @@ class AlignmentCheckpoint:
             p.freeze()
         # the bank's layers with a singleton row axis, (P, 1, out, in) and
         # (P, 1, out) read-only views, built once for project_visual
-        self.frozen_bank = [DenseLayer(w[:, None], b[:, None], layer.activation)
-                            for (w, b), layer in zip(self.bank_layers(self.vector),
-                                                     self.bank.projectors[0].layers)]
+        self.frozen_bank = [DenseLayer(l.weights[:, None], l.bias[:, None], l.activation)
+                            for l in self.bank.layers]
         return self
 
     @property
@@ -156,21 +135,23 @@ class AlignmentCheckpoint:
                                     f"encoder suite has {dim} {getattr(suite, dim)}")
 
     def all_params(self) -> list[MlpParams]:
-        return [self.guider_head] + list(self.bank.projectors)
+        return [self.guider_head, self.bank]
 
     def _layout(self, values) -> dict:
         """The checkpoint file's object, each layer's weights and bias given
-        as ``values`` of its array."""
-        def dump(p: MlpParams):
-            return [{"weights": values(l.weights), "bias": values(l.bias),
-                     "activation": l.activation} for l in p.layers]
+        as ``values`` of its array; the bank is written one network at a
+        time."""
+        def dump(layers, r=...):
+            return [{"weights": values(l.weights[r]), "bias": values(l.bias[r]),
+                     "activation": l.activation} for l in layers]
 
         return {"format_version": 1,
                 "dims": {"d_e": self.d_e, "d_b": self.d_b, "d_tok": self.d_tok,
                          "token_count": self.token_count},
-                "projector_mode": self.bank.mode,
-                "guider_head": dump(self.guider_head),
-                "projectors": [dump(p) for p in self.bank.projectors],
+                "projector_mode": self.mode,
+                "guider_head": dump(self.guider_head.layers),
+                "projectors": [dump(self.bank.layers, r)
+                               for r in range(len(self.bank.vector))],
                 "metadata": self.metadata}
 
     def to_json_dict(self) -> dict:
@@ -179,36 +160,41 @@ class AlignmentCheckpoint:
 
     @staticmethod
     def from_json_dict(d: dict) -> "AlignmentCheckpoint":
-        """Inverse of ``to_json_dict``; a layer's weights and bias may also be
-        float64 arrays already (``load``'s parse), which are not copied here."""
+        """Inverse of ``to_json_dict``, frozen; a layer's weights and bias may
+        also be float64 arrays already (``load``'s parse). Each network is
+        checked, then copied into its block of the one vector."""
         if d.get("format_version") != 1:
             raise ContractError(f"unsupported checkpoint format {d.get('format_version')!r}")
+        dims, mode = d["dims"], d["projector_mode"]
+        chains = _network_dims(dims["d_e"], dims["d_b"], dims["d_tok"], dims["token_count"],
+                               mode)
+        if len(d["projectors"]) != len(chains) - 1:
+            raise ContractError("multi mode needs one projector per emotion" if mode == MULTI
+                                else "single_conditional mode holds exactly one network")
+        ckpt = AlignmentCheckpoint(dims["d_e"], dims["d_b"], dims["d_tok"],
+                                   dims["token_count"], mode,
+                                   np.empty(sum(map(chain_size, chains))),
+                                   metadata=dict(d["metadata"]))
 
-        def parse(layers):  # MlpParams validates the arrays
-            return MlpParams([DenseLayer(np.asarray(l["weights"], dtype=np.float64),
-                                         np.asarray(l["bias"], dtype=np.float64),
-                                         l["activation"]) for l in layers])
+        def chain(p: MlpParams):
+            return [p.in_dim] + [l.out_dim for l in p.layers], [l.activation for l in p.layers]
 
-        dims = d["dims"]
-        ckpt = AlignmentCheckpoint(parse(d["guider_head"]),
-                                   EmotionProjectorBank(d["projector_mode"],
-                                                        [parse(p) for p in d["projectors"]]),
-                                   dims["d_e"], dims["d_b"], dims["d_tok"],
-                                   dims["token_count"], metadata=dict(d["metadata"]))
-        head = guider_head_dims(ckpt.d_b, ckpt.d_tok, ckpt.token_count)
-        projector = projector_dims(ckpt.d_e, ckpt.bank.mode)
-        # each network must be the chain init_mlp builds for its dims
-        for name, net, want in [("guider head", ckpt.guider_head, head)] + [
-                (f"projector {i}", p, projector) for i, p in enumerate(ckpt.bank.projectors)]:
-            widths = [net.in_dim] + [layer.out_dim for layer in net.layers]
-            activations = [layer.activation for layer in net.layers]
-            want_activations = [RELU] * (len(want) - 2) + [IDENTITY]
-            if (widths, activations) != (want, want_activations):
+        head, bank = ckpt.split(ckpt.vector)
+        networks = [("guider head", d["guider_head"], ckpt.guider_head, head)] + [
+            (f"projector {i}", p, ckpt.bank, bank[i]) for i, p in enumerate(d["projectors"])]
+        # each network must be the chain its dims give
+        for name, layers, want, block in networks:
+            net = MlpParams([DenseLayer(np.asarray(l["weights"], dtype=np.float64),
+                                        np.asarray(l["bias"], dtype=np.float64),
+                                        l["activation"]) for l in layers])
+            (widths, activations), (want_widths, want_activations) = chain(net), chain(want)
+            if (widths, activations) != (want_widths, want_activations):
                 raise ContractError(
                     f"checkpoint {name} maps {net.in_dim} -> {net.out_dim}, through "
-                    f"widths {widths} with activations {activations}, but its dims "
-                    f"{dims} need {want[0]} -> {want[-1]}, through widths {want} "
+                    f"widths {widths} with activations {activations}, but its dims {dims} "
+                    f"need {want.in_dim} -> {want.out_dim}, through widths {want_widths} "
                     f"with activations {want_activations}")
+            block[...] = net.vector
         return ckpt.freeze()
 
     def content_hash(self) -> str:
@@ -284,15 +270,15 @@ def _with_codes(mode: str, x, codes):
     return x
 
 
-def _group_rows(bank: EmotionProjectorBank, x: np.ndarray, codes: np.ndarray
+def _group_rows(ckpt: AlignmentCheckpoint, x: np.ndarray, codes: np.ndarray
                 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Group the rows of the ``(B, d_e)`` stack ``x``, as ``_with_codes``
-    inputs, by the projector of their emotion codes into a zero-padded ``(P,
-    m, in)`` stack, m the largest group. Returns the stack and the index
-    that reads the rows back in order (``stack[index]``)."""
-    x = _with_codes(bank.mode, x, codes)
-    group = codes if bank.mode == MULTI else np.zeros_like(codes)
-    counts = np.bincount(group, minlength=len(bank.projectors))
+    inputs, by the checkpoint's projector of their emotion codes into a
+    zero-padded ``(P, m, in)`` stack, m the largest group. Returns the stack
+    and the index that reads the rows back in order (``stack[index]``)."""
+    x = _with_codes(ckpt.mode, x, codes)
+    group = codes if ckpt.mode == MULTI else np.zeros_like(codes)
+    counts = np.bincount(group, minlength=len(ckpt.bank.vector))
     # each row's slot within its group: its rank in a stable sort by group
     order = np.argsort(group, kind="stable")
     slot = np.empty_like(group)
@@ -314,7 +300,7 @@ def project_visual(ckpt: AlignmentCheckpoint, x: np.ndarray, codes: np.ndarray):
     rows stand beside it."""
     ckpt.require_frozen()
     layers = ckpt.frozen_bank
-    stack, index = _group_rows(ckpt.bank, x, codes)
+    stack, index = _group_rows(ckpt, x, codes)
     out, inputs, preacts = layers_forward(layers, stack[:, :, None])
 
     def input_grad(upstream: np.ndarray) -> np.ndarray:
@@ -500,10 +486,11 @@ class LossCurve:
 
 def _fresh_checkpoint(suite: EncoderSuite, config: TrainConfig,
                       rng: np.random.Generator) -> AlignmentCheckpoint:
-    head = init_mlp(guider_head_dims(suite.d_b, suite.d_tok, config.guider_token_count), rng)
-    bank = build_projector_bank(suite.d_e, config.projector_mode, rng)
-    return AlignmentCheckpoint(head, bank, suite.d_e, suite.d_b, suite.d_tok,
-                               config.guider_token_count)
+    """Each network's ``init_mlp`` draw, in vector order, from one stream."""
+    dims = (suite.d_e, suite.d_b, suite.d_tok, config.guider_token_count,
+            config.projector_mode)
+    return AlignmentCheckpoint(*dims, np.concatenate(
+        [init_mlp(chain, rng).vector for chain in _network_dims(*dims)]))
 
 
 @dataclass
@@ -588,24 +575,25 @@ def _project_rows(ckpt: AlignmentCheckpoint, visual: np.ndarray, codes: np.ndarr
     visual embeddings, each to the projector of its emotion code, are
     grouped by projector into a zero-padded ``(P, m, in)`` stack
     (``_group_rows``), and ``layers_forward`` makes one ``np.matmul`` per
-    layer over ``ckpt.bank_layers(ckpt.vector)``.
+    layer over the bank's ``(P, out, in)`` layers.
 
     Returns the ``(B, d_e)`` projections and ``backward(upstream, grad)``,
-    which writes every projector's weight and bias gradients into
-    ``ckpt.bank_layers(grad)`` (a step makes one bank pass, so it writes
-    rather than adds). A padded slot gets zero upstream gradient, so it
-    adds exactly 0, and a projector with no rows gets zeros.
+    which writes every projector's weight and bias gradients into the
+    bank's block of ``grad``, a vector in the layout of ``ckpt.vector`` (a
+    step makes one bank pass, so it writes rather than adds). A padded slot
+    gets zero upstream gradient, so it adds exactly 0, and a projector with
+    no rows gets zeros.
     """
-    stack, index = _group_rows(ckpt.bank, visual, codes)
-    layers = [DenseLayer(w, b, layer.activation) for (w, b), layer
-              in zip(ckpt.bank_layers(ckpt.vector), ckpt.bank.projectors[0].layers)]
-    out, inputs, preacts = layers_forward(layers, stack)
+    stack, index = _group_rows(ckpt, visual, codes)
+    bank = ckpt.bank
+    out, inputs, preacts = layers_forward(bank.layers, stack)
 
     def backward(upstream: np.ndarray, grad: np.ndarray) -> None:
         u = np.zeros_like(out)
         u[index] = upstream
         # the gradient w.r.t. the bank's input is not needed
-        layers_backward(layers, inputs, preacts, u, ckpt.bank_layers(grad), input_grad=False)
+        layers_backward(bank.layers, inputs, preacts, u, bank.views(ckpt.split(grad)[1]),
+                        input_grad=False)
 
     return out[index], backward
 

@@ -17,8 +17,8 @@ from .corpus import TRAIN, VAL, CorpusManifest
 from .emotions import EMOTIONS
 from .encoders import EncoderSuite, SyntheticWorld
 from .errors import ContractError, NumericalError, write_csv
-from .numerics import (DenseLayer, MlpParams, as_same_rows, init_mlp, mlp_backward,
-                       mlp_forward, sgd_step)
+from .numerics import (MlpParams, as_same_rows, init_mlp, mlp_backward, mlp_forward,
+                       sgd_step)
 from .prompts import AlignmentCheckpoint, DifferenceRegularizer, project_visual
 
 # Baseline-specific default weights for the difference-regularizer term.
@@ -211,9 +211,10 @@ def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int,
 
 def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,
                       lams: list[float], config: DemoConfig, base_loss: BaseLossHook
-                      ) -> list[tuple[ToyGenerator, float, float]]:
-    """Train one toy generator per lambda as one stacked run; returns each
-    with its tail-mean base and l2 losses.
+                      ) -> tuple[ToyGenerator, list[float], list[float]]:
+    """Train one toy generator per lambda as one stacked run; returns the
+    trained generator, whose parameters have a run axis of one network per
+    lambda, and each run's tail-mean base and l2 losses.
 
     Every run starts from the same initial parameters and sees the same
     batches, drawn once before the loop. The R runs' parameters are one
@@ -268,24 +269,27 @@ def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, trut
             if scored[r]:
                 l2_hist[r].append(float(np.sum(l2_vals[r])) / batch)
         grads = mlp_backward(params, cache, upstream / batch)
+        # one update per run, not one over the block: perfbench's supervise
+        # rate counts sgd_step calls (ROADMAP, Measurements)
         for r in range(n_runs):
             sgd_step(params.vector[r], grads.vector[r], config.lr)
     # l2_hist holds only the steps L2 was computed on, which include the tail
-    return [(ToyGenerator(MlpParams([DenseLayer(l.weights[r], l.bias[r], l.activation)
-                                     for l in params.layers]), d_e),
-             float(np.mean(base_hist[r][-tail:])), float(np.mean(l2_hist[r][-tail:])))
-            for r in range(n_runs)]
+    return (gen, [float(np.mean(h[-tail:])) for h in base_hist],
+            [float(np.mean(h[-tail:])) for h in l2_hist])
 
 
 def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
-                           reg: DifferenceRegularizer) -> float:
+                           reg: DifferenceRegularizer) -> list[float]:
     """Retrieval-style emotion accuracy of generated embeddings on the val
-    split: each (val sample, target emotion) output is classified by the
-    jointly best-matching (prompt, projector) candidate pair, prompt k
+    split, one per network of ``gen``'s run axis (one for a generator
+    without one): each (val sample, target emotion) output is classified by
+    the jointly best-matching (prompt, projector) candidate pair, prompt k
     against the output through projector k (``nearest_prompt``). Scoring
     every candidate with its own projector keeps the target label out of
-    the scoring path. All outputs go through all seven projectors in one
-    ``project_visual`` pass, each row bit-equal to its 1-D projection."""
+    the scoring path. All R runs' outputs come from one generator forward
+    and go through all seven projectors in one ``project_visual`` pass,
+    each row bit-equal to its 1-D projection, and one ``nearest_prompt``
+    scores them all."""
     val = sorted(manifest.in_split(VAL), key=lambda s: s.id)
     if not val:
         raise ContractError("val split is empty")
@@ -293,20 +297,23 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     rows = np.repeat(val_rows, _OTHER_EMOTIONS.shape[1])
     targets = _OTHER_EMOTIONS[reg.emotion[val_rows]].ravel()
     out, _ = gen.generate(reg.visual[rows], targets)
-    k = len(EMOTIONS)  # output n through projector c is row k * n + c
+    out = out.reshape(-1, reg.ckpt.d_e)  # run r's output n is row len(rows) * r + n
+    n_runs, k = len(out) // len(rows), len(EMOTIONS)
+    # output n through projector c is row k * n + c
     projected, _ = project_visual(reg.ckpt, np.repeat(out, k, axis=0),
                                   np.tile(np.arange(k), len(out)))
-    return float(np.mean(reg.nearest_prompt(rows, projected.reshape(len(out), k, -1))
-                         == targets))
+    hits = (reg.nearest_prompt(np.tile(rows, n_runs), projected.reshape(len(out), k, -1))
+            == np.tile(targets, n_runs))
+    return [float(np.mean(run)) for run in hits.reshape(n_runs, len(rows))]
 
 
 def _demo_rows(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,
                lams: list[float], config: DemoConfig, base_loss: BaseLossHook
                ) -> list[DemoRow]:
-    runs = _train_generators(manifest, reg, truth, lams, config, base_loss)
-    return [DemoRow(lam, base_val, l2_val, _eval_emotion_accuracy(gen, manifest, reg),
-                    config.seed)
-            for lam, (gen, base_val, l2_val) in zip(lams, runs)]
+    gen, base_vals, l2_vals = _train_generators(manifest, reg, truth, lams, config,
+                                                base_loss)
+    return [DemoRow(*row, config.seed) for row in zip(
+        lams, base_vals, l2_vals, _eval_emotion_accuracy(gen, manifest, reg))]
 
 
 def supervise_demo(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,

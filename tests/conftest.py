@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,22 +12,95 @@ settings.register_profile("emosup", derandomize=True, deadline=None)
 settings.load_profile("emosup")
 
 
-def identity_mlp(dim: int, depth: int = 1, activation: str = "identity") -> es.MlpParams:
-    """Square identity-weight MLP: a passthrough under identity activations,
-    or for nonnegative inputs under relu hidden layers."""
-    return es.MlpParams([es.DenseLayer(np.eye(dim), np.zeros(dim),
-                                       activation if i < depth - 1 else "identity")
-                         for i in range(depth)])
+def network(params: es.MlpParams, r: int) -> es.MlpParams:
+    """A copy of network ``r`` of ``params``' run axis (``move_into``), as a
+    1-D ``MlpParams`` with the same activations."""
+    return es.MlpParams([es.DenseLayer(l.weights[r], l.bias[r], l.activation)
+                         for l in params.layers])
 
 
-def project_row(bank: es.EmotionProjectorBank, x, emotion):
+def bank_index(ckpt: es.AlignmentCheckpoint, emotion) -> int:
+    """The network of ``ckpt.bank`` that projects ``emotion``: its own in
+    ``multi`` mode, the shared one in ``single_conditional``."""
+    return int(emotion) if ckpt.mode == es.prompts.MULTI else 0
+
+
+def network_views(ckpt: es.AlignmentCheckpoint, vector) -> list:
+    """Per network, the guider head and then each of the bank's projectors,
+    the ``(weights, bias)`` views of a vector in the checkpoint's layout (a
+    gradient, or the parameters), one pair per layer."""
+    head, bank = ckpt.split(vector)
+    return [ckpt.guider_head.views(head)] + [[(w[p], b[p]) for w, b in ckpt.bank.views(bank)]
+                                             for p in range(len(bank))]
+
+
+def project_row(ckpt: es.AlignmentCheckpoint, x, emotion):
     """Oracle of ``prompts.project_visual`` for one row: the 1-D
-    ``mlp_forward`` of ``x`` through ``bank.projector_for(emotion)``, on its
-    ``_with_codes`` input. Returns the projection, the forward cache and the
-    projector, for ``mlp_backward``."""
-    net = bank.projector_for(emotion)
-    out, cache = es.mlp_forward(net, es.prompts._with_codes(bank.mode, x, int(emotion)))
+    ``mlp_forward`` of ``x`` through the bank's network for ``emotion``,
+    sliced out of the run axis, on its ``_with_codes`` input. Returns the
+    projection, the forward cache and the projector, for ``mlp_backward``."""
+    net = network(ckpt.bank, bank_index(ckpt, emotion))
+    out, cache = es.mlp_forward(net, es.prompts._with_codes(ckpt.mode, x, int(emotion)))
     return out, cache, net
+
+
+def passthrough_checkpoint(suite, seed: int = 0, shift: float = 100.0):
+    """A frozen ``multi`` checkpoint whose seven projectors pass the first
+    ``d_e // 2`` entries of an input through and output 0 for the rest:
+    identity weights through the ``d_e -> d_e -> d_e/2 -> d_e -> d_e``
+    chain, with ``shift`` added before the relu layers and taken off by the
+    last one. Exact up to rounding for inputs above ``-shift``."""
+    ckpt = es.prompts._fresh_checkpoint(suite, es.TrainConfig(),
+                                        np.random.Generator(np.random.PCG64(seed)))
+    d, h = suite.d_e, suite.d_e // 2
+    for layer, weights, bias in zip(ckpt.bank.layers,
+                                    [np.eye(d), np.eye(h, d), np.eye(d, h), np.eye(d)],
+                                    [shift, 0.0, 0.0, -shift * (np.arange(d) < h)]):
+        layer.weights[...], layer.bias[...] = weights, bias
+    return ckpt.freeze()
+
+
+@dataclass(frozen=True)
+class ContrastiveEntry:
+    anchor: es.Sample
+    positive_prompt: es.EmotionLabel
+    negative_prompt: es.EmotionLabel
+    reference: es.Sample
+
+
+@dataclass(frozen=True)
+class PairDraw:
+    """A same-identity (source, target) pair plus a neutral reference."""
+
+    source: es.Sample
+    target: es.Sample
+    reference: es.Sample
+
+
+def entries(batch) -> list[ContrastiveEntry]:
+    """The per-entry view of a ``ContrastiveBatch``'s index arrays."""
+    s = batch.samples
+    return [ContrastiveEntry(s[a], s[a].emotion, es.EmotionLabel(k), s[r])
+            for a, k, r in zip(batch.anchor.tolist(), batch.negative.tolist(),
+                               batch.reference.tolist())]
+
+
+def draws(batch) -> list[PairDraw]:
+    """The per-draw view of a ``PairBatch``'s index arrays."""
+    s = batch.samples
+    return [PairDraw(s[a], s[t], s[r]) for a, t, r
+            in zip(batch.source.tolist(), batch.target.tolist(), batch.reference.tolist())]
+
+
+def check_contrastive_entries(batch, pools) -> None:
+    """Each entry's positive prompt is its anchor's emotion, its negative is
+    in the anchor's pool, and its reference is a neutral of the anchor's
+    identity."""
+    for e in entries(batch):
+        assert e.positive_prompt == e.anchor.emotion
+        assert e.negative_prompt in pools.pool[e.anchor.emotion]
+        assert e.reference.emotion == es.EmotionLabel.neutral
+        assert e.reference.identity == e.anchor.identity
 
 
 @pytest.fixture(scope="session")

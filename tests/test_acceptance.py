@@ -4,7 +4,6 @@ Pinned regression values live in tests/data/pinned_default_run.json and
 were recorded from the first verified run of the default configuration.
 """
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -20,7 +19,7 @@ from emosup.differencing import PairEmbeddings, diff_vectors, \
     difference_loss_with_grads, embed_pair
 from emosup.metrics import FeatureSet, GaussianFit, fad, frechet_distance
 from emosup.numerics import init_mlp, mlp_backward, mlp_forward
-from conftest import identity_mlp
+from conftest import network_views, passthrough_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,9 +88,9 @@ def test_criterion_1_gradient_correctness(default_manifest, default_suite,
         return pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)[0]
 
     pick = np.random.default_rng(0)
-    for p, g in zip(ckpt.all_params(), ckpt.split(grad)):
-        for layer, (weight_grad, _) in zip(p.layers, p.views(g)):
-            flat = layer.weights.reshape(-1)
+    for p, g in zip(network_views(ckpt, ckpt.vector), network_views(ckpt, grad)):
+        for (weights, _), (weight_grad, _) in zip(p, g):
+            flat = weights.reshape(-1)
             gflat = weight_grad.reshape(-1)
             for idx in pick.choice(flat.size, size=min(4, flat.size), replace=False):
                 orig = flat[idx]
@@ -171,11 +170,10 @@ def test_criterion_3_offset_cancellation():
 def test_criterion_4_identity_cancellation(noise_free_world):
     suite = es.synthetic_suite(noise_free_world)
     manifest = es.generate_synthetic_corpus(noise_free_world, 1)
-    cfg = es.TrainConfig()
-    ckpt = pr._fresh_checkpoint(suite, cfg, np.random.Generator(np.random.PCG64(4)))
-    ckpt = dataclasses.replace(ckpt, bank=es.EmotionProjectorBank(
-        "multi", [identity_mlp(suite.d_e) for _ in range(7)]))
-    reg = es.DifferenceRegularizer(ckpt.freeze(), suite, manifest)
+    reg = es.DifferenceRegularizer(passthrough_checkpoint(suite, seed=4), suite, manifest)
+    half = suite.d_e // 2  # the projectors pass the first half through
+    np.testing.assert_allclose(reg.projected_source[:, :half], reg.visual[:, :half],
+                               rtol=0, atol=1e-12)
     worst = 0.0
     pairs = [(es.EmotionLabel.angry, es.EmotionLabel.happy),
              (es.EmotionLabel.neutral, es.EmotionLabel.surprised),

@@ -22,7 +22,7 @@ from emosup.emotions import EMOTIONS
 from emosup.encoders import _hash_generator
 from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, init_mlp,
                              mlp_backward, mlp_forward, sgd_step)
-from conftest import project_row
+from conftest import bank_index, draws, entries, network, project_row
 
 MODES = [pr.MULTI, pr.SINGLE_CONDITIONAL]
 
@@ -53,22 +53,18 @@ def sim_and_grads(a, b):
     return sim, da, db
 
 
-def projector_index(ckpt, emotion):
-    return 1 + (int(emotion) if ckpt.bank.mode == pr.MULTI else 0)
-
-
 def contrastive_per_entry(ckpt, batch, suite):
     grad = np.zeros_like(ckpt.vector)
     grads = ckpt.split(grad)
     total = 0.0
-    scale = 1.0 / len(batch.entries)
-    for entry in batch.entries:
+    scale = 1.0 / len(batch.anchor)
+    for entry in entries(batch):
         t_pos, seq_pos, cache_pos = personalized_per_entry(
             ckpt, entry.reference, entry.positive_prompt, suite)
         t_neg, seq_neg, cache_neg = personalized_per_entry(
             ckpt, entry.reference, entry.negative_prompt, suite)
         visual = suite.visual_encode(entry.anchor.image_ref)
-        i_vis, proj_cache, net = project_row(ckpt.bank, visual, entry.anchor.emotion)
+        i_vis, proj_cache, net = project_row(ckpt, visual, entry.anchor.emotion)
         sim_pos, d_tpos, d_ivis_pos = sim_and_grads(t_pos, i_vis)
         sim_neg, d_tneg, d_ivis_neg = sim_and_grads(t_neg, i_vis)
         total += (1.0 - sim_pos) + sim_neg
@@ -76,7 +72,7 @@ def contrastive_per_entry(ckpt, batch, suite):
                                          suite).vector
         grads[0] += head_grads_per_entry(ckpt, seq_neg, cache_neg, scale * d_tneg,
                                          suite).vector
-        grads[projector_index(ckpt, entry.anchor.emotion)] += mlp_backward(
+        grads[1][bank_index(ckpt, entry.anchor.emotion)] += mlp_backward(
             net, proj_cache, scale * (d_ivis_neg - d_ivis_pos)).vector
     return total * scale, grad
 
@@ -86,15 +82,15 @@ def difference_per_entry(ckpt, batch, suite):
     grads = ckpt.split(grad)
     total = 0.0
     scale = 1.0 / len(batch.source)
-    for draw in batch.draws:
+    for draw in draws(batch):
         t_s, seq_s, cache_s = personalized_per_entry(ckpt, draw.reference,
                                                      draw.source.emotion, suite)
         t_t, seq_t, cache_t = personalized_per_entry(ckpt, draw.reference,
                                                      draw.target.emotion, suite)
         i_s, cache_is, net_s = project_row(
-            ckpt.bank, suite.visual_encode(draw.source.image_ref), draw.source.emotion)
+            ckpt, suite.visual_encode(draw.source.image_ref), draw.source.emotion)
         i_t, cache_it, net_t = project_row(
-            ckpt.bank, suite.visual_encode(draw.target.image_ref), draw.target.emotion)
+            ckpt, suite.visual_encode(draw.target.image_ref), draw.target.emotion)
         i_diff, t_diff = i_s - i_t, t_s - t_t
         sim, degenerate = cosine_with_flag(i_diff, t_diff)
         if degenerate:
@@ -105,9 +101,9 @@ def difference_per_entry(ckpt, batch, suite):
         d_idiff, d_tdiff = -scale * d_idiff, -scale * d_tdiff
         grads[0] += head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite).vector
         grads[0] += head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite).vector
-        grads[projector_index(ckpt, draw.source.emotion)] += mlp_backward(
+        grads[1][bank_index(ckpt, draw.source.emotion)] += mlp_backward(
             net_s, cache_is, d_idiff).vector
-        grads[projector_index(ckpt, draw.target.emotion)] += mlp_backward(
+        grads[1][bank_index(ckpt, draw.target.emotion)] += mlp_backward(
             net_t, cache_it, -d_idiff).vector
     return total * scale, grad
 
@@ -138,7 +134,7 @@ def step_setup(suite, mode, tokens, seed, degenerate_identity):
     if degenerate_identity is None:
         return ckpt, suite
     if mode == pr.SINGLE_CONDITIONAL:
-        ckpt.bank.projectors[0].layers[0].weights[:, suite.d_e:] = 0.0
+        ckpt.bank.layers[0].weights[0, :, suite.d_e:] = 0.0
     prefix = f"img:{degenerate_identity}:"
 
     def visual_encode(ref):
@@ -170,7 +166,7 @@ def test_contrastive_step_matches_per_entry_reference(default_manifest, default_
         batch.negative[0] = min(reference_pools.pool[anchor.emotion])
         batch.reference[0] = next(i for i, s in enumerate(train) if s.identity == "id001"
                                   and s.emotion == es.EmotionLabel.neutral)
-        projected, _, _ = project_row(ckpt.bank, suite.visual_encode(anchor.image_ref),
+        projected, _, _ = project_row(ckpt, suite.visual_encode(anchor.image_ref),
                                       anchor.emotion)
         assert not projected.any()
     loss, grad = pr.contrastive_step_grads(ckpt, batch, suite,
@@ -192,11 +188,11 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
     if degenerate:  # a same-identity pair of zero images: a zero visual difference
         other = es.sample_pair_batch(default_manifest, reference_pools, 64,
                                      np.random.default_rng(0))
-        n = next(i for i, d in enumerate(other.draws) if d.source.identity == "id002")
+        n = next(i for i, d in enumerate(draws(other)) if d.source.identity == "id002")
         for name in ("source", "target", "reference"):
             getattr(batch, name)[0] = getattr(other, name)[n]
-        draw = batch.draws[0]
-        pair = [project_row(ckpt.bank, suite.visual_encode(s.image_ref), s.emotion)[0]
+        draw = draws(batch)[0]
+        pair = [project_row(ckpt, suite.visual_encode(s.image_ref), s.emotion)[0]
                 for s in (draw.source, draw.target)]
         assert not (pair[0] - pair[1]).any()
     loss, grad = pr.difference_step_grads(ckpt, batch, suite,
@@ -208,17 +204,17 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
 
 def bank_pass_per_row(ckpt, samples, suite, upstream):
     """Oracle of ``_project_rows``: each row's own ``mlp_forward`` and
-    ``mlp_backward`` on ``bank.projector_for(emotion)``, the parameter
-    gradients added up per projector (keyed by ``ckpt.split`` index)."""
+    ``mlp_backward`` on its emotion's network, sliced out of the bank, the
+    parameter gradients added up per network (keyed by ``bank_index``)."""
     outs, grads = [], {}
     for sample, u in zip(samples, upstream):
-        net = ckpt.bank.projector_for(sample.emotion)
+        index = bank_index(ckpt, sample.emotion)
+        net = network(ckpt.bank, index)
         x = suite.visual_encode(sample.image_ref)
-        if ckpt.bank.mode == pr.SINGLE_CONDITIONAL:
+        if ckpt.mode == pr.SINGLE_CONDITIONAL:
             x = np.concatenate([x, np.eye(len(EMOTIONS))[sample.emotion]])
         out, cache = mlp_forward(net, x)
         outs.append(out)
-        index = projector_index(ckpt, sample.emotion)
         grads[index] = grads.get(index, 0.0) + mlp_backward(net, cache, u).vector
     return np.array(outs), grads
 
@@ -238,9 +234,9 @@ def test_bank_pass_matches_per_row_oracle(default_manifest, default_suite, defau
                                           mode, seed, codes):
     rng = np.random.default_rng(seed)
     ckpt = pr._fresh_checkpoint(default_suite, es.TrainConfig(projector_mode=mode), rng)
-    for net in ckpt.bank.projectors:  # padded slots then project to non-zero rows
-        for layer in net.layers:
-            layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+    for p in range(len(ckpt.bank.vector)):  # padded slots then project to non-zero rows
+        for layer in ckpt.bank.layers:
+            layer.bias[p] = rng.uniform(-0.5, 0.5, layer.bias.shape[1:])
     train = default_manifest.in_split("train")
     positions = [rng.choice([i for i, s in enumerate(train) if int(s.emotion) == c])
                  for c in codes]
@@ -253,14 +249,13 @@ def test_bank_pass_matches_per_row_oracle(default_manifest, default_suite, defau
     expected_out, expected_grads = bank_pass_per_row(ckpt, [train[i] for i in positions],
                                                      default_suite, upstream)
     np.testing.assert_allclose(out, expected_out, rtol=1e-12, atol=1e-12)
-    parts = ckpt.split(grad)
-    assert np.array_equal(parts[0], head)  # the guider head's block is untouched
-    for index in range(1, len(parts)):
+    head_part, bank_part = ckpt.split(grad)
+    assert np.array_equal(head_part, head)  # the guider head's block is untouched
+    for index, part in enumerate(bank_part):
         if index in expected_grads:
-            np.testing.assert_allclose(parts[index], expected_grads[index], rtol=1e-12,
-                                       atol=1e-12)
+            np.testing.assert_allclose(part, expected_grads[index], rtol=1e-12, atol=1e-12)
         else:  # a projector with no rows gets exactly zero gradient
-            assert not parts[index].any()
+            assert not part.any()
 
 
 def test_steps_refuse_an_empty_batch_and_another_splits_batch(default_manifest,
@@ -325,7 +320,7 @@ def generate_per_entry(gen, visual, target):
 
 def l2_grad_per_entry(reg, source, generated, target, with_grad):
     ckpt, row = reg.ckpt, reg.row[source.id]
-    visual_gen, gen_cache, net = project_row(ckpt.bank, generated, target)
+    visual_gen, gen_cache, net = project_row(ckpt, generated, target)
     visual_diff = reg.projected_source[row] - visual_gen
     prompts = reg.prompts[reg.reference[row]]
     text_diff = prompts[int(source.emotion)] - prompts[int(target)]
@@ -338,7 +333,7 @@ def l2_grad_per_entry(reg, source, generated, target, with_grad):
     # loss = 1 - sim and visual_diff = projected_source - visual_gen, so
     # d loss / d visual_gen = d sim / d visual_diff
     input_grad = mlp_backward(net, gen_cache, d_sim).input_grad
-    if ckpt.bank.mode != pr.MULTI:
+    if ckpt.mode != pr.MULTI:
         input_grad = input_grad[:ckpt.d_e]  # drop the one-hot block
     return loss, input_grad
 
@@ -384,7 +379,7 @@ def accuracy_per_entry(gen, manifest, reg):
                 continue
             out, _ = generate_per_entry(gen, reg.visual[row], target)
             sims = [cosine_with_flag(prompts[int(k)],
-                                     project_row(reg.ckpt.bank, out, k)[0])[0]
+                                     project_row(reg.ckpt, out, k)[0])[0]
                     for k in EMOTIONS]
             hits += int(np.argmax(sims)) == int(target)
             total += 1
@@ -400,7 +395,8 @@ DEGENERATE_IDENTITY = "id001"
 
 
 def train_demo(manifest, reg, world, lams, config):
-    """The demo's fused training loop over ``lams``, against ``world``'s clean targets."""
+    """The demo's fused training loop over ``lams``, against ``world``'s clean
+    targets: the run-axis generator and each run's base and l2 losses."""
     return sv._train_generators(manifest, reg, sv._clean_targets(manifest, world), lams,
                                 config, sv.squared_error_loss)
 
@@ -463,7 +459,7 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
         assert reg.row[sample.id] == i and reg.emotion[i] == int(sample.emotion)
         assert np.array_equal(reg.visual[i], visual)
         assert np.array_equal(reg.projected_source[i],
-                              project_row(ckpt.bank, visual, sample.emotion)[0])
+                              project_row(ckpt, visual, sample.emotion)[0])
         assert reg.references[reg.reference[i]] == sample.neutral_ref
     for r, ref in enumerate(reg.references):
         reference = default_manifest.by_id(ref)
@@ -473,47 +469,60 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
             assert np.array_equal(reg.prompts[r, int(k)], expected)
 
 
+@pytest.mark.parametrize("runs", [(), (2,)], ids=["no_run_axis", "two_runs"])
 def test_judge_projects_each_output_through_all_seven_projectors(default_manifest,
                                                                  demo_regularizer,
-                                                                 monkeypatch):
-    # the judge's one project_visual pass: output n through projector c is row
-    # 7n + c of a repeat/tile stack, bit-equal to its 1-D projection, a zero
-    # output row included, and the accuracy is the per-row oracle's
+                                                                 monkeypatch, runs):
+    # the judge's one project_visual pass over every run's outputs: output n
+    # of the run-major rows through projector c is row 7n + c of a
+    # repeat/tile stack, bit-equal to its 1-D projection, a zero output row
+    # included; one nearest_prompt reads them all, and each run's accuracy
+    # is the per-row oracle's over its own outputs
     reg, k = demo_regularizer, len(EMOTIONS)
-    generated, calls = [], []
+    generated, calls, reads = [], [], []
 
-    class Outputs:  # stands in for the generator: random rows, the first zero
+    class Outputs:  # stands in for the generator: random rows, each run's first zero
         def generate(self, visual, targets):
-            out = np.random.default_rng(0).standard_normal(visual.shape)
-            out[0] = 0.0
+            out = np.random.default_rng(0).standard_normal((*runs, *visual.shape))
+            out[..., 0, :] = 0.0
             generated.append(out)
             return out, None
 
-    project = sv.project_visual
+    project, nearest = sv.project_visual, pr.DifferenceRegularizer.nearest_prompt
 
     def recorded(*args):
         result = project(*args)
         calls.append((*args[1:], result[0]))
         return result
 
+    def read(*args):
+        reads.append(args)
+        return nearest(*args)
+
     monkeypatch.setattr(sv, "project_visual", recorded)
-    accuracy = sv._eval_emotion_accuracy(Outputs(), default_manifest, reg)
+    monkeypatch.setattr(pr.DifferenceRegularizer, "nearest_prompt", read)
+    accuracies = sv._eval_emotion_accuracy(Outputs(), default_manifest, reg)
+    monkeypatch.undo()
     [out], [(stack, codes, projected)] = generated, calls
-    assert np.array_equal(stack, np.repeat(out, k, axis=0))
-    assert np.array_equal(codes, np.tile(np.arange(k), len(out)))
+    assert len(reads) == 1
+    outputs = out.reshape(-1, reg.ckpt.d_e)
+    assert np.array_equal(stack, np.repeat(outputs, k, axis=0))
+    assert np.array_equal(codes, np.tile(np.arange(k), len(outputs)))
     val = sorted(default_manifest.in_split("val"), key=lambda s: s.id)
     pairs = [(s, t) for s in val for t in EMOTIONS if t != s.emotion]
-    assert len(pairs) == len(out)
-    hits = 0
-    for n, ((source, target), row) in enumerate(zip(pairs, out)):
-        prompts = reg.prompts[reg.reference[reg.row[source.id]]]
-        sims = []
-        for c in range(k):
-            expected = project_row(reg.ckpt.bank, row, c)[0]
-            assert np.array_equal(projected[k * n + c], expected)
-            sims.append(cosine_with_flag(prompts[c], expected)[0])
-        hits += int(np.argmax(sims)) == int(target)
-    assert accuracy == hits / len(out)
+    assert len(outputs) == len(pairs) * int(np.prod(runs))
+    hits = []
+    for r, run in enumerate(outputs.reshape(-1, len(pairs), reg.ckpt.d_e)):
+        hits.append(0)
+        for n, ((source, target), row) in enumerate(zip(pairs, run)):
+            prompts = reg.prompts[reg.reference[reg.row[source.id]]]
+            sims = []
+            for c in range(k):
+                expected = project_row(reg.ckpt, row, c)[0]
+                assert np.array_equal(projected[k * (len(pairs) * r + n) + c], expected)
+                sims.append(cosine_with_flag(prompts[c], expected)[0])
+            hits[r] += int(np.argmax(sims)) == int(target)
+    assert accuracies == [h / len(pairs) for h in hits]
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -523,16 +532,17 @@ def test_demo_run_matches_per_entry_reference(default_manifest, default_world,
                                               degenerate):
     reg = (zero_text_diffs(demo_regularizer, DEGENERATE_IDENTITY) if degenerate
            else demo_regularizer)
-    [(gen, base, l2)] = train_demo(default_manifest, reg, default_world, [lam], TINY)
+    gen, [base], [l2] = train_demo(default_manifest, reg, default_world, [lam], TINY)
     ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, reg, default_world, lam,
                                                 TINY, difference_path)
     assert base == pytest.approx(ref_base, rel=1e-12)
     assert l2 == pytest.approx(ref_l2, rel=1e-12)
-    for mine, theirs in zip(gen.params.layers, ref_gen.params.layers):
+    lone = sv.ToyGenerator(network(gen.params, 0), gen.d_e)  # the one run of the block
+    for mine, theirs in zip(lone.params.layers, ref_gen.params.layers):
         np.testing.assert_allclose(mine.weights, theirs.weights, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(mine.bias, theirs.bias, rtol=1e-12, atol=1e-15)
     assert (sv._eval_emotion_accuracy(gen, default_manifest, reg)
-            == accuracy_per_entry(gen, default_manifest, reg))
+            == [accuracy_per_entry(lone, default_manifest, reg)])
 
 
 @pytest.mark.parametrize("steps", [1, 7, 25])
@@ -541,13 +551,13 @@ def test_lambda_zero_tail_l2_matches_per_entry_reference(default_manifest, defau
     # the reference computes L2 on every step; the demo's lambda 0 run only
     # on the last max(1, steps // 10), the steps its row averages
     config = dataclasses.replace(TINY, steps=steps)
-    [(gen, base, l2)] = train_demo(default_manifest, demo_regularizer, default_world,
+    gen, [base], [l2] = train_demo(default_manifest, demo_regularizer, default_world,
                                    [0.0], config)
     ref_gen, ref_base, ref_l2 = train_per_entry(default_manifest, demo_regularizer,
                                                 default_world, 0.0, config, True)
     assert base == pytest.approx(ref_base, rel=1e-12)
     assert l2 == pytest.approx(ref_l2, rel=1e-12)
-    np.testing.assert_allclose(gen.params.vector, ref_gen.params.vector,
+    np.testing.assert_allclose(gen.params.vector, [ref_gen.params.vector],
                                rtol=1e-12, atol=1e-15)
 
 
@@ -587,7 +597,7 @@ def test_frozen_bank_is_read_only_views_of_the_checkpoint(default_manifest, defa
         es.DifferenceRegularizer(ckpt, default_suite, default_manifest)
     reg = es.DifferenceRegularizer(ckpt.freeze(), default_suite, default_manifest)
     assert reg.ckpt.frozen_bank is ckpt.frozen_bank  # built once, by freeze
-    nets = ckpt.bank.projectors
+    nets = [network(ckpt.bank, p) for p in range(len(ckpt.bank.vector))]
     assert len(ckpt.frozen_bank) == len(nets[0].layers)
     for i, layer in enumerate(ckpt.frozen_bank):
         # (P, 1, out, in) and (P, 1, out): a singleton row axis after the bank's P
@@ -602,29 +612,56 @@ def test_frozen_bank_is_read_only_views_of_the_checkpoint(default_manifest, defa
                 array[0] = 0.0
 
 
+def chain_blocks(dims, start):
+    """Per layer of the chain ``dims`` laid out from ``start`` of a vector:
+    the weights' slice and shape, then the bias's slice."""
+    blocks = []
+    for cols, rows in zip(dims, dims[1:]):
+        end = start + rows * cols
+        blocks.append((slice(start, end), (rows, cols), slice(end, end + rows)))
+        start = end + rows
+    return blocks
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_bank_layers_are_each_networks_views(default_suite, mode):
-    # the bank's block as a (P, size) reshape, through MlpParams.views: layer
-    # i of network p is each network's own views of that vector, P = 7 or 1
-    config = es.TrainConfig(projector_mode=mode)
-    ckpt = pr._fresh_checkpoint(default_suite, config, np.random.default_rng(6))
-    nets = ckpt.bank.projectors
-    assert len(nets) == {pr.MULTI: 7, pr.SINGLE_CONDITIONAL: 1}[mode]
-    grad = np.random.default_rng(7).standard_normal(ckpt.vector.shape)
-    for vector in (ckpt.vector, grad):
-        layers = ckpt.bank_layers(vector)
-        assert len(layers) == len(nets[0].layers)
-        for p, (net, part) in enumerate(zip(nets, ckpt.split(vector)[1:])):
-            for (weights, bias), (net_weights, net_bias) in zip(layers, net.views(part)):
-                assert weights.shape[0] == bias.shape[0] == len(nets)
-                assert np.array_equal(weights[p], net_weights)
-                assert np.array_equal(bias[p], net_bias)
-        for weights, bias in layers:
-            assert np.shares_memory(weights, vector) and np.shares_memory(bias, vector)
-    for i, (weights, bias) in enumerate(ckpt.bank_layers(ckpt.vector)):
-        for p, net in enumerate(nets):  # the very memory each network's layers view
-            assert np.shares_memory(weights[p], net.layers[i].weights)
-            assert np.shares_memory(bias[p], net.layers[i].bias)
+def test_networks_are_views_of_the_vector_and_the_bank_pass_writes_its_block(
+        default_suite, default_table, mode):
+    # the guider head's layers, then network p's of the (P, out, in) / (P, out)
+    # bank, read the checkpoint vector where the file layout puts them: the
+    # head's block, then P = 7 or 1 equal network blocks
+    ckpt = pr._fresh_checkpoint(default_suite, es.TrainConfig(projector_mode=mode),
+                                np.random.default_rng(6))
+    head = pr.guider_head_dims(ckpt.d_b, ckpt.d_tok, ckpt.token_count)
+    projector = pr.projector_dims(ckpt.d_e, mode)
+    n_head, size = es.numerics.chain_size(head), es.numerics.chain_size(projector)
+    count = {pr.MULTI: 7, pr.SINGLE_CONDITIONAL: 1}[mode]
+    assert ckpt.vector.shape == (n_head + count * size,)
+    assert ckpt.bank.vector.shape == (count, size)
+    views = [(ckpt.guider_head.layers, None, chain_blocks(head, 0))] + [
+        (ckpt.bank.layers, p, chain_blocks(projector, n_head + p * size))
+        for p in range(count)]
+    for layers, p, blocks in views:
+        assert [l.activation for l in layers] == ["relu"] * (len(layers) - 1) + ["identity"]
+        for layer, (weights, shape, bias) in zip(layers, blocks, strict=True):
+            w, b = (layer.weights, layer.bias) if p is None else (layer.weights[p],
+                                                                  layer.bias[p])
+            assert w.shape == shape
+            assert np.array_equal(w, ckpt.vector[weights].reshape(shape))
+            assert np.array_equal(b, ckpt.vector[bias])
+            assert np.shares_memory(w, ckpt.vector[weights])
+            assert np.shares_memory(b, ckpt.vector[bias])
+    # read-only once frozen, every view and the vector
+    ckpt.freeze()
+    for layer in ckpt.guider_head.layers + ckpt.bank.layers:
+        for array in (layer.weights, layer.bias):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+    # the bank pass writes exactly the bank's block of a gradient
+    _, backward = pr._project_rows(ckpt, default_table.visual[:12], default_table.emotion[:12])
+    grad = np.full(ckpt.vector.shape, np.nan)
+    backward(np.ones((12, ckpt.d_e)), grad)
+    assert np.isnan(grad[:n_head]).all() and np.isfinite(grad[n_head:]).all()
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -637,18 +674,18 @@ def test_fused_lambda_runs_equal_separate_runs(default_manifest, default_world,
     truth = sv._clean_targets(default_manifest, default_world)
     for batch_size in (1, 4, 128):
         config = dataclasses.replace(TINY, batch_size=batch_size)
-        lone = {lam: train_demo(default_manifest, reg, default_world, [lam], config)[0]
+        lone = {lam: train_demo(default_manifest, reg, default_world, [lam], config)
                 for lam in (0.0, 0.4, 1.0)}
         lone_rows = {lam: sv._demo_rows(default_manifest, reg, truth, [lam], config,
                                         sv.squared_error_loss)[0] for lam in lone}
         for grid in ([0.4], [0.0, 0.4], [0.0, 0.4, 1.0], [1.0, 0.0, 1.0]):
-            fused = train_demo(default_manifest, reg, default_world, grid, config)
-            for lam, (gen, base, l2) in zip(grid, fused):
-                ref_gen, ref_base, ref_l2 = lone[lam]
-                assert gen.params.vector.shape == ref_gen.params.vector.shape
-                assert np.array_equal(gen.params.vector, ref_gen.params.vector), \
+            gen, bases, l2s = train_demo(default_manifest, reg, default_world, grid, config)
+            assert gen.params.vector.shape == (len(grid), lone[0.0][0].params.vector.size)
+            for r, lam in enumerate(grid):
+                ref_gen, [ref_base], [ref_l2] = lone[lam]
+                assert np.array_equal(gen.params.vector[r], ref_gen.params.vector[0]), \
                     (grid, batch_size, lam)
-                assert (base, l2) == (ref_base, ref_l2), (grid, batch_size, lam)
+                assert (bases[r], l2s[r]) == (ref_base, ref_l2), (grid, batch_size, lam)
             rows = sv._demo_rows(default_manifest, reg, truth, grid, config,
                                  sv.squared_error_loss)
             assert rows == [lone_rows[lam] for lam in grid], (grid, batch_size)
@@ -688,7 +725,7 @@ def test_run_axis_mlp_passes_equal_each_networks_own(seed, runs, rows, dims, sta
     # network's output and gradients are its own passes', bit for bit
     rng = np.random.default_rng(seed)
     nets = [init_mlp(dims, rng) for _ in range(runs)]
-    block = nets[0].copy()
+    block = es.MlpParams(nets[0].layers)
     block.move_into(np.empty((runs, block.vector.size)))
     assert all(np.array_equal(row, nets[0].vector) for row in block.vector)
     block.vector[...] = [net.vector for net in nets]

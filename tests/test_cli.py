@@ -142,8 +142,8 @@ def test_pretrain_single_conditional_mode(tmp_path, corpus_dir):
                "--epochs", 1, "--steps-per-epoch", 2, "--batch-size", 4,
                "--projector-mode", "single_conditional", "--out", out) == 0
     ckpt = es.AlignmentCheckpoint.load(out / "checkpoint.json")
-    assert ckpt.bank.mode == "single_conditional"
-    assert len(ckpt.bank.projectors) == 1
+    assert ckpt.mode == "single_conditional"
+    assert ckpt.bank.vector.shape[0] == 1
 
 
 def test_pretrain_diff_ablation_same_curve_schema(tmp_path, corpus_dir):

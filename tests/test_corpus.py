@@ -12,6 +12,7 @@ from emosup import corpus
 from emosup.corpus import (TRAIN, VAL, CorpusManifest, Sample,
                            sample_pair_batch)
 from emosup.errors import ContractError
+from conftest import ContrastiveEntry, PairDraw, check_contrastive_entries, draws, entries
 
 
 def test_sample_counts():
@@ -88,7 +89,7 @@ def test_singleton_pool_fully_determines_negative(default_manifest):
         {e: frozenset({es.EmotionLabel((int(e) + 1) % 7)}) for e in es.EMOTIONS})
     rng = np.random.default_rng(0)
     batch = es.sample_contrastive_batch(default_manifest, pools, 64, rng)
-    for entry in batch.entries:
+    for entry in entries(batch):
         assert entry.negative_prompt == es.EmotionLabel((int(entry.anchor.emotion) + 1) % 7)
 
 
@@ -97,7 +98,7 @@ def test_reference_pool_angry_never_draws_disgusted(default_manifest, reference_
     seen = 0
     for _ in range(50):
         batch = es.sample_contrastive_batch(default_manifest, reference_pools, 32, rng)
-        for e in batch.entries:
+        for e in entries(batch):
             if e.anchor.emotion == es.EmotionLabel.angry:
                 seen += 1
                 assert e.negative_prompt != es.EmotionLabel.disgusted
@@ -114,7 +115,7 @@ def test_negative_draw_uniformity_chi_squared(default_manifest):
     n_draws = 0
     while n_draws < 100_000:
         batch = es.sample_contrastive_batch(default_manifest, pools, 500, rng)
-        for e in batch.entries:
+        for e in entries(batch):
             n_draws += 1
             if e.anchor.emotion == es.EmotionLabel.happy:
                 counts[e.negative_prompt] = counts.get(e.negative_prompt, 0) + 1
@@ -132,10 +133,10 @@ def test_batch_invariants_property(seed, batch_size):
     pools = es.load_reference_pools()
     rng = np.random.default_rng(seed)
     batch = es.sample_contrastive_batch(m, pools, batch_size, rng)
-    assert len(batch.entries) == batch_size
-    batch.validate(pools)
+    assert len(entries(batch)) == batch_size
+    check_contrastive_entries(batch, pools)
     train_ids = {s.id for s in m.in_split(TRAIN)}
-    for entry in batch.entries:
+    for entry in entries(batch):
         assert entry.anchor.id in train_ids
 
 
@@ -144,8 +145,8 @@ def test_sampling_pure_function_of_rng_state(default_manifest, reference_pools):
                                      np.random.default_rng(9))
     b2 = es.sample_contrastive_batch(default_manifest, reference_pools, 16,
                                      np.random.default_rng(9))
-    assert [(e.anchor.id, e.negative_prompt, e.reference.id) for e in b1.entries] \
-        == [(e.anchor.id, e.negative_prompt, e.reference.id) for e in b2.entries]
+    assert [(e.anchor.id, e.negative_prompt, e.reference.id) for e in entries(b1)] \
+        == [(e.anchor.id, e.negative_prompt, e.reference.id) for e in entries(b2)]
 
 
 def test_missing_neutral_sample_errors_with_identity_name():
@@ -198,8 +199,8 @@ def test_split_equals_a_per_identity_scan():
 
 def test_pair_batch_same_identity_different_emotion(default_manifest, reference_pools):
     rng = np.random.default_rng(11)
-    draws = sample_pair_batch(default_manifest, reference_pools, 64, rng).draws
-    for d in draws:
+    pairs = draws(sample_pair_batch(default_manifest, reference_pools, 64, rng))
+    for d in pairs:
         assert d.source.identity == d.target.identity
         assert d.source.emotion != d.target.emotion
         assert d.target.emotion in reference_pools.pool[d.source.emotion]
@@ -219,9 +220,9 @@ def test_references_come_from_train_neutrals_only():
     references = []
     for _ in range(40):
         references += [e.reference for e in
-                       es.sample_contrastive_batch(manifest, pools, 32, rng).entries]
+                       entries(es.sample_contrastive_batch(manifest, pools, 32, rng))]
         references += [d.reference
-                       for d in sample_pair_batch(manifest, pools, 32, rng).draws]
+                       for d in draws(sample_pair_batch(manifest, pools, 32, rng))]
     assert len(references) == 2 * 1280
     assert all(manifest.split[r.id] == TRAIN for r in references)
     assert {r.identity for r in references} == set(manifest.identities())
@@ -267,20 +268,20 @@ def contrastive_per_entry(manifest, pools, batch_size, rng):
     """The contrastive sampler as per-entry records: a scalar
     ``rng.integers`` draw of the anchor, the negative and the reference."""
     train, groups = train_groups(manifest)
-    entries = []
+    records = []
     for _ in range(batch_size):
         anchor = uniform_choice(train, rng)
         negative = uniform_choice(sorted(pools.pool[anchor.emotion]), rng)
         reference = uniform_choice(train_neutrals(groups, anchor.identity), rng)
-        entries.append(corpus.ContrastiveEntry(anchor, anchor.emotion, negative, reference))
-    return entries
+        records.append(ContrastiveEntry(anchor, anchor.emotion, negative, reference))
+    return records
 
 
 def pairs_per_entry(manifest, pools, batch_size, rng):
     """The pair sampler as per-entry records: scalar draws of the source, the
     target emotion, the target and the reference."""
     train, groups = train_groups(manifest)
-    draws = []
+    pairs = []
     for _ in range(batch_size):
         source = uniform_choice(train, rng)
         candidates = sorted(e for e in pools.pool[source.emotion]
@@ -291,12 +292,12 @@ def pairs_per_entry(manifest, pools, batch_size, rng):
         target_emotion = uniform_choice(candidates, rng)
         target = uniform_choice(groups[(source.identity, target_emotion)], rng)
         reference = uniform_choice(train_neutrals(groups, source.identity), rng)
-        draws.append(corpus.PairDraw(source, target, reference))
-    return draws
+        pairs.append(PairDraw(source, target, reference))
+    return pairs
 
 
-SAMPLERS = [(es.sample_contrastive_batch, contrastive_per_entry, "entries"),
-            (sample_pair_batch, pairs_per_entry, "draws")]
+SAMPLERS = [(es.sample_contrastive_batch, contrastive_per_entry, entries),
+            (sample_pair_batch, pairs_per_entry, draws)]
 POOLS = {"reference": es.load_reference_pools(),
          "all": es.NegativePoolTable.all_others(),
          # one admissible emotion: a source whose identity lacks it in train
@@ -322,7 +323,7 @@ def outcome(sampler, view, manifest, pools, batch_size, rng):
         drawn = sampler(manifest, pools, batch_size, rng)
     except ContractError as error:
         return str(error)
-    return drawn if view is None else getattr(drawn, view)
+    return drawn if view is None else view(drawn)
 
 
 @settings(max_examples=40)
@@ -336,7 +337,7 @@ def test_samplers_equal_the_per_entry_draws(default_manifest, one_per_emotion_ma
     batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(calls):
         for sampler, oracle, view in SAMPLERS:
-            drawn = getattr(sampler(manifest, POOLS[pools], batch_size, batched), view)
+            drawn = view(sampler(manifest, POOLS[pools], batch_size, batched))
             assert drawn == oracle(manifest, POOLS[pools], batch_size, scalar)
             assert batched.bit_generator.state == scalar.bit_generator.state
 
@@ -463,7 +464,7 @@ def test_in_split_returns_a_fresh_list(default_manifest, reference_pools):
     assert len(default_manifest.in_split(TRAIN)) == n_train
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, 8,
                                         np.random.default_rng(0))
-    assert len(batch.entries) == 8
+    assert len(entries(batch)) == 8
 
 
 def test_split_missing_an_id_constructs_and_validate_refuses():

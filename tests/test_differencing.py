@@ -10,16 +10,7 @@ from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
                                  difference_loss_with_grads, embed_pair,
                                  export_difference_rows, write_difference_csv)
 from emosup.errors import ContractError
-from conftest import identity_mlp, project_row
-
-
-def passthrough_checkpoint(suite, seed=0):
-    """Frozen checkpoint whose projectors are exact identity maps."""
-    cfg = es.TrainConfig()
-    ckpt = pr._fresh_checkpoint(suite, cfg, np.random.Generator(np.random.PCG64(seed)))
-    ckpt = dataclasses.replace(ckpt, bank=es.EmotionProjectorBank(
-        "multi", [identity_mlp(suite.d_e) for _ in range(7)]))
-    return ckpt.freeze()
+from conftest import passthrough_checkpoint, project_row
 
 
 def single_conditional_checkpoint(suite, seed=0):
@@ -32,7 +23,7 @@ def per_row_export(ckpt, manifest, suite, include_mismatched=False):
     """Oracle: each row composed on its own from the suite, ``project_row``
     and ``build_personalized_prompt``, sharing no table with the export."""
     def visual(sample):
-        return project_row(ckpt.bank, suite.visual_encode(sample.image_ref),
+        return project_row(ckpt, suite.visual_encode(sample.image_ref),
                            sample.emotion)[0]
 
     def text(reference, emotion):
@@ -123,9 +114,9 @@ def test_embed_pair_matches_direct_composition(trained_checkpoint, default_manif
     reference = default_manifest.by_id(source.neutral_ref)
     pe = embed_pair(reg, source, target)
 
-    vis_s = project_row(ckpt.bank, default_suite.visual_encode(source.image_ref),
+    vis_s = project_row(ckpt, default_suite.visual_encode(source.image_ref),
                         source.emotion)[0]
-    vis_t = project_row(ckpt.bank, default_suite.visual_encode(target.image_ref),
+    vis_t = project_row(ckpt, default_suite.visual_encode(target.image_ref),
                         target.emotion)[0]
     txt_s = default_suite.text_encode(
         es.build_personalized_prompt(ckpt, reference, source.emotion, default_suite))
@@ -261,6 +252,10 @@ def test_identity_cancellation_in_noise_free_world(noise_free_world):
     suite = es.synthetic_suite(noise_free_world)
     manifest = es.generate_synthetic_corpus(noise_free_world, 1)
     reg = es.DifferenceRegularizer(passthrough_checkpoint(suite), suite, manifest)
+    half = suite.d_e // 2  # the projectors pass the first half through
+    np.testing.assert_allclose(reg.projected_source[:, :half], reg.visual[:, :half],
+                               rtol=0, atol=1e-12)
+    assert not reg.projected_source[:, half:].any()
     source_emotion, target_emotion = es.EmotionLabel.angry, es.EmotionLabel.happy
     diffs = []
     for identity in noise_free_world.identity_names:
@@ -312,7 +307,7 @@ def test_export_equals_the_per_row_composition(trained_checkpoint, default_manif
                                                include_mismatched):
     ckpt = (trained_checkpoint[0] if mode == pr.MULTI
             else single_conditional_checkpoint(default_suite))
-    assert ckpt.bank.mode == mode
+    assert ckpt.mode == mode
     rows = export_difference_rows(ckpt, default_manifest, default_suite,
                                   include_mismatched=include_mismatched)
     expected = per_row_export(ckpt, default_manifest, default_suite,
@@ -365,4 +360,4 @@ def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_ma
     assert len(projections) == 1
     for n, sample in enumerate(default_manifest.samples):
         assert np.array_equal(projections[0][n], project_row(
-            ckpt.bank, default_suite.visual_encode(sample.image_ref), sample.emotion)[0])
+            ckpt, default_suite.visual_encode(sample.image_ref), sample.emotion)[0])

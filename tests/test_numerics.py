@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,11 +9,11 @@ from hypothesis import strategies as st
 from emosup.emotions import EMOTIONS
 from emosup.errors import ContractError, NumericalError
 from emosup.numerics import (EPS_NORM, IDENTITY, RELU, DenseLayer, MlpParams,
-                             cosine_grads, cosine_with_flag, init_mlp, mlp_backward,
-                             mlp_forward, psd_sqrt_trace, sgd_step)
-from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, AlignmentCheckpoint,
-                            EmotionProjectorBank, build_projector_bank, project_visual)
-from conftest import identity_mlp, project_row
+                             chain_size, cosine_grads, cosine_with_flag, init_mlp,
+                             mlp_backward, mlp_forward, psd_sqrt_trace, sgd_step)
+from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, TrainConfig, _fresh_checkpoint,
+                            project_visual)
+from conftest import project_row
 
 
 def random_psd(rng, d):
@@ -171,7 +173,7 @@ def test_forward_matches_straight_line_oracle(rng):
 
 
 def test_forward_dim_mismatch():
-    p = identity_mlp(3)
+    p = MlpParams([DenseLayer(np.eye(3), np.zeros(3), "identity")])
     with pytest.raises(ContractError):
         mlp_forward(p, [1.0, 2.0])
 
@@ -189,6 +191,42 @@ def test_mlp_chain_validation():
 def test_init_mlp_rejects_a_dim_below_one(rng, dims, bad):
     with pytest.raises(ContractError, match=f"layer dims must be >= 1, got {bad}$"):
         init_mlp(dims, rng)
+
+
+def test_init_mlp_draws_each_layers_weights_in_order():
+    dims = [5, 7, 4, 3]
+    p, draws = init_mlp(dims, np.random.default_rng(3)), np.random.default_rng(3)
+    for layer, (fan_in, fan_out) in zip(p.layers, zip(dims, dims[1:]), strict=True):
+        limit = np.sqrt(6.0 / fan_in)
+        assert np.array_equal(layer.weights, draws.uniform(-limit, limit, (fan_out, fan_in)))
+        assert np.array_equal(layer.bias, np.zeros(fan_out))
+
+
+@pytest.mark.parametrize("runs", [(), (3,)])
+def test_view_of_is_the_chain_of_dims_over_the_given_vector(rng, runs):
+    # layer by layer, the weights row-major then the bias, as views; a
+    # (P, size) block gives a run axis of P networks
+    dims = [4, 5, 2, 3]
+    vector = rng.standard_normal((*runs, chain_size(dims)))
+    p = MlpParams.view_of(dims, vector)
+    assert p.vector is vector and (p.in_dim, p.out_dim) == (4, 3)
+    assert [layer.activation for layer in p.layers] == [RELU, RELU, IDENTITY]
+    offset = 0
+    for layer, (cols, rows) in zip(p.layers, zip(dims, dims[1:]), strict=True):
+        weights = vector[..., offset:offset + rows * cols].reshape(*runs, rows, cols)
+        offset += rows * cols
+        assert np.array_equal(layer.weights, weights)
+        assert np.array_equal(layer.bias, vector[..., offset:offset + rows])
+        offset += rows
+        assert np.shares_memory(layer.weights, vector)
+        assert np.shares_memory(layer.bias, vector)
+    assert offset == vector.shape[-1] == 46
+    vector[..., -1] = 9.0
+    assert (p.layers[-1].bias[..., -1] == 9.0).all()
+    with pytest.raises(ContractError, match="the chain \\[4, 5, 2, 3\\] holds 46 parameters"):
+        MlpParams.view_of(dims, vector[..., :-1])
+    with pytest.raises(ContractError, match="need at least input and output dims"):
+        MlpParams.view_of([4], vector)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +265,13 @@ def fd_param_grads(p: MlpParams, x, upstream, h=1e-5):
         dw = np.zeros_like(layer.weights)
         for idx in np.ndindex(layer.weights.shape):
             for sign in (1, -1):
-                q = p.copy()
+                q = MlpParams(p.layers)
                 q.layers[li].weights[idx] += sign * h
                 dw[idx] += sign * value(q)
         db = np.zeros_like(layer.bias)
         for i in range(layer.bias.shape[0]):
             for sign in (1, -1):
-                q = p.copy()
+                q = MlpParams(p.layers)
                 q.layers[li].bias[i] += sign * h
                 db[i] += sign * value(q)
         grads.append((dw / (2 * h), db / (2 * h)))
@@ -279,11 +317,11 @@ def test_backward_stale_cache_rejected(rng):
 
 def frozen_checkpoint(rng, d_e, mode, activation=RELU):
     """A frozen checkpoint whose projectors' hidden layers use ``activation``."""
-    bank = build_projector_bank(d_e, mode, rng)
-    nets = [MlpParams([DenseLayer(l.weights, l.bias, activation) for l in p.layers[:-1]]
-                      + p.layers[-1:]) for p in bank.projectors]
-    return AlignmentCheckpoint(init_mlp([3, 3, 2], rng), EmotionProjectorBank(mode, nets),
-                               d_e, 3, 2, 1).freeze()
+    suite = types.SimpleNamespace(d_e=d_e, d_b=3, d_tok=2)
+    ckpt = _fresh_checkpoint(suite, TrainConfig(projector_mode=mode), rng)
+    for layer in ckpt.bank.layers[:-1]:
+        layer.activation = activation
+    return ckpt.freeze()
 
 
 def frozen_pass(ckpt, x, codes, u):
@@ -304,8 +342,7 @@ def test_input_grad_equals_backward_input_grad(rng, activation, shape):
     out, got = frozen_pass(ckpt, x, codes, u)
     assert out.shape == got.shape == x.shape
     for row, code in enumerate(codes):
-        net = ckpt.bank.projectors[code]
-        expected_out, cache = mlp_forward(net, x[row])
+        expected_out, cache, net = project_row(ckpt, x[row], code)
         assert np.array_equal(out[row], expected_out)
         assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad)
 
@@ -317,7 +354,7 @@ def test_input_grad_of_a_single_conditional_projector(rng):
         u = rng.standard_normal(x.shape)
         out, got = frozen_pass(ckpt, x, codes, u)
         for row, code in enumerate(codes):
-            expected_out, cache, net = project_row(ckpt.bank, x[row], code)
+            expected_out, cache, net = project_row(ckpt, x[row], code)
             assert np.array_equal(out[row], expected_out)
             # the input gradient w.r.t. the one-hot block is dropped
             assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:8])
@@ -357,7 +394,7 @@ def test_frozen_pass_is_exact_per_row_on_large_skewed_batches(mode, activation, 
     out, got = frozen_pass(ckpt, x, codes, u)
     assert out.shape == got.shape == x.shape
     for row, code in enumerate(codes):
-        expected_out, cache, net = project_row(ckpt.bank, x[row], code)
+        expected_out, cache, net = project_row(ckpt, x[row], code)
         assert np.array_equal(out[row], expected_out)
         assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:d_e])
         alone = frozen_pass(ckpt, x[row:row + 1], codes[row:row + 1], u[row:row + 1])
@@ -378,7 +415,7 @@ def test_sgd_basic_update():
 
 def test_sgd_zero_grad_is_identity(rng):
     p = init_mlp([3, 4, 2], rng)
-    before = p.copy()
+    before = MlpParams(p.layers)
     sgd_step(p.vector, np.zeros_like(p.vector), 0.3)
     for a, b in zip(before.layers, p.layers):
         assert np.array_equal(a.weights, b.weights)
@@ -387,7 +424,7 @@ def test_sgd_zero_grad_is_identity(rng):
 
 def test_sgd_zero_lr_is_identity(rng):
     p = init_mlp([3, 2], rng)
-    before = p.copy()
+    before = MlpParams(p.layers)
     sgd_step(p.vector, rng.standard_normal(p.vector.shape), 0.0)
     assert np.array_equal(before.layers[0].weights, p.layers[0].weights)
 
@@ -397,7 +434,7 @@ def test_sgd_two_steps_equal_summed_update(rng):
     p = init_mlp([4, 3], rng)
     g1, g2 = rng.standard_normal((2, p.vector.size))
     lr = 0.05
-    one = p.copy()
+    one = MlpParams(p.layers)
     sgd_step(p.vector, g1, lr)
     sgd_step(p.vector, g2, lr)
     sgd_step(one.vector, g1 + g2, lr)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -11,18 +12,12 @@ import emosup.prompts as pr
 from emosup.corpus import TRAIN, VAL
 from emosup.encoders import position_weight
 from emosup.errors import ContractError, canonical_json, load_json_object
-from conftest import identity_mlp, project_row
+from conftest import network_views, project_row
 
 
 def fresh_checkpoint(suite, seed=0, **kwargs):
     cfg = es.TrainConfig(**kwargs)
     return pr._fresh_checkpoint(suite, cfg, np.random.Generator(np.random.PCG64(seed)))
-
-
-def layer_grads(ckpt, grad):
-    """Per network in ``all_params()`` order, the ``(weights, bias)`` views
-    of a checkpoint gradient vector, one pair per layer."""
-    return [p.views(g) for p, g in zip(ckpt.all_params(), ckpt.split(grad))]
 
 
 def zero_head_checkpoint(suite):
@@ -114,15 +109,21 @@ def test_personalized_embedding_deterministic(default_manifest, default_suite):
 # ---------------------------------------------------------------------------
 
 def test_identity_projector_passes_nonnegative_through(default_suite):
+    # identity weights through the d -> d -> d/2 -> d -> d chain, projector k
+    # scaling its last layer by k + 1: a nonnegative row keeps its first d/2
+    # entries, times k + 1, and the rest read 0
     d = default_suite.d_e
-    bank = es.EmotionProjectorBank(
-        "multi", [identity_mlp(d, depth=3, activation="relu") for _ in es.EMOTIONS])
-    ckpt = es.AlignmentCheckpoint(fresh_checkpoint(default_suite).guider_head, bank, d,
-                                  default_suite.d_b, default_suite.d_tok, 1).freeze()
+    ckpt = fresh_checkpoint(default_suite)
+    for layer, weights in zip(ckpt.bank.layers, [np.eye(d), np.eye(d // 2, d),
+                                                 np.eye(d, d // 2), np.eye(d)]):
+        layer.weights[...], layer.bias[...] = weights, 0.0
+    ckpt.bank.layers[-1].weights[...] *= np.arange(1, 8)[:, None, None]
+    ckpt.freeze()
     # one nonnegative row through each of the seven projectors
     x = np.tile(np.abs(np.random.default_rng(0).standard_normal(d)), (len(es.EMOTIONS), 1))
     out, _ = pr.project_visual(ckpt, x, np.arange(len(es.EMOTIONS)))
-    assert np.array_equal(out, x)
+    passed = np.concatenate([x[:, :d // 2], np.zeros((len(x), d - d // 2))], axis=1)
+    assert np.array_equal(out, passed * np.arange(1, 8)[:, None])
 
 
 def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
@@ -137,7 +138,7 @@ def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
                                        np.full(4, int(es.EmotionLabel.sad)),
                                        np.full(4, reference))
     _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)
-    grads = layer_grads(ckpt, grad)
+    grads = network_views(ckpt, grad)
     for idx, emotion in enumerate(es.EMOTIONS):
         g = grads[1 + idx]
         magnitude = max(np.max(np.abs(w)) for w, _ in g)
@@ -161,7 +162,8 @@ def test_single_conditional_mode_shapes(default_manifest, default_suite):
     out, _ = pr.project_visual(ckpt, default_suite.visual_encode(sample.image_ref)[None],
                                np.array([int(sample.emotion)]))
     assert out.shape == (1, default_suite.d_e)
-    assert ckpt.bank.projectors[0].in_dim == default_suite.d_e + 7
+    assert ckpt.bank.vector.shape[0] == 1  # one shared network
+    assert ckpt.bank.in_dim == default_suite.d_e + 7
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +212,23 @@ def test_full_path_gradients_match_finite_differences(default_manifest,
     rng = np.random.default_rng(5)
     batch = es.sample_contrastive_batch(default_manifest, reference_pools, 3, rng)
     _, grad = pr.contrastive_step_grads(ckpt, batch, default_suite, default_table)
-    grads = layer_grads(ckpt, grad)
+    grads = network_views(ckpt, grad)
 
     h = 1e-5
-    params = ckpt.all_params()
+    params = network_views(ckpt, ckpt.vector)  # per network, views of the parameters
     rng_pick = np.random.default_rng(0)
     for p_idx, (p, g) in enumerate(zip(params, grads)):
-        for l_idx, layer in enumerate(p.layers):
-            flat = layer.weights.reshape(-1)
+        for l_idx, (weights, _) in enumerate(p):
+            flat = weights.reshape(-1)
             for flat_idx in rng_pick.choice(flat.size, size=min(6, flat.size),
                                             replace=False):
-                idx = np.unravel_index(flat_idx, layer.weights.shape)
-                orig = layer.weights[idx]
-                layer.weights[idx] = orig + h
+                idx = np.unravel_index(flat_idx, weights.shape)
+                orig = weights[idx]
+                weights[idx] = orig + h
                 up = loss_on_batch(ckpt, batch, default_suite, default_table)
-                layer.weights[idx] = orig - h
+                weights[idx] = orig - h
                 down = loss_on_batch(ckpt, batch, default_suite, default_table)
-                layer.weights[idx] = orig
+                weights[idx] = orig
                 fd = (up - down) / (2 * h)
                 analytic = g[l_idx][0][idx]
                 assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-7), \
@@ -277,7 +279,7 @@ def test_difference_objective_gives_guider_zero_gradient(
     rng = np.random.default_rng(3)
     draws = es.sample_pair_batch(default_manifest, reference_pools, 8, rng)
     _, grad = pr.difference_step_grads(ckpt, draws, default_suite, default_table)
-    assert max(np.max(np.abs(w)) for w, _ in layer_grads(ckpt, grad)[0]) == 0.0
+    assert max(np.max(np.abs(w)) for w, _ in network_views(ckpt, grad)[0]) == 0.0
 
 
 def test_momentum_matches_hand_written_loop(default_manifest, default_suite,
@@ -334,17 +336,57 @@ def test_checkpoint_networks_are_views_of_one_vector(default_suite):
     ckpt = fresh_checkpoint(default_suite, projector_mode="single_conditional")
     params = ckpt.all_params()
     assert ckpt.vector.size == sum(p.vector.size for p in params)
-    for p, part in zip(params, ckpt.split(ckpt.vector)):
+    for p, part in zip(params, ckpt.split(ckpt.vector), strict=True):
         assert p.vector.base is ckpt.vector and np.shares_memory(p.vector, part)
+        assert p.vector.shape == part.shape
     ckpt.vector[-1] = 7.0
-    assert ckpt.bank.projectors[-1].layers[-1].bias[-1] == 7.0
+    assert ckpt.bank.layers[-1].bias[-1, -1] == 7.0
 
 
-def test_swapped_network_cannot_be_frozen(default_suite):
+@pytest.mark.parametrize("name", ["guider_head", "bank"])
+def test_swapped_network_cannot_be_frozen(default_suite, name):
     ckpt = fresh_checkpoint(default_suite)
-    ckpt.bank = es.EmotionProjectorBank("multi", [identity_mlp(default_suite.d_e)] * 7)
-    with pytest.raises(ContractError):
+    setattr(ckpt, name, copy.deepcopy(getattr(ckpt, name)))  # a vector of its own
+    with pytest.raises(ContractError, match="swapped in"):
         ckpt.freeze()
+
+
+def test_a_replacement_leaves_its_frozen_original_as_it_was(default_suite):
+    ckpt = fresh_checkpoint(default_suite).freeze()
+    before = ckpt.vector.copy()
+    other = dataclasses.replace(ckpt, metadata={"note": 1})
+    # the replacement shares the vector, still read-only; the original keeps
+    # its own read-only views of it
+    assert other.vector is ckpt.vector and not other.frozen and ckpt.metadata == {}
+    for p in ckpt.all_params():
+        assert p.vector.base is ckpt.vector
+        assert not any(array.flags.writeable for layer in p.layers
+                       for array in (layer.weights, layer.bias))
+    with pytest.raises(ValueError):
+        other.vector[0] = 123.0
+    # a replacement with a vector of its own trains without touching the original
+    own = dataclasses.replace(ckpt, vector=ckpt.vector.copy())
+    own.vector[0] = 123.0
+    assert own.guider_head.layers[0].weights[0, 0] == 123.0
+    assert np.array_equal(ckpt.vector, before) and ckpt.guider_head.vector[0] == before[0]
+    assert ckpt.frozen and ckpt.frozen_bank[0].weights.base is ckpt.vector
+
+
+def test_checkpoint_equality_is_identity(default_suite):
+    # the vector is a field, but == never compares it: two checkpoints are
+    # equal only when they are one object
+    ckpt = fresh_checkpoint(default_suite)
+    assert ckpt == ckpt
+    nudged = dataclasses.replace(ckpt, vector=ckpt.vector.copy())
+    nudged.vector[-1] += 1e-12
+    assert nudged != ckpt and dataclasses.replace(ckpt) != ckpt
+
+
+def test_checkpoint_refuses_a_vector_of_another_size(default_suite):
+    ckpt = fresh_checkpoint(default_suite)
+    for vector in (ckpt.vector[:-1], ckpt.vector.astype(np.float32), list(ckpt.vector)):
+        with pytest.raises(ContractError, match="holds a float64 vector of 89696 param"):
+            dataclasses.replace(ckpt, vector=vector)
 
 
 def test_frozen_checkpoint_rejects_mutation(trained_checkpoint):
@@ -354,7 +396,7 @@ def test_frozen_checkpoint_rejects_mutation(trained_checkpoint):
     with pytest.raises(ValueError):
         ckpt.guider_head.layers[0].weights[0, 0] = 5.0
     with pytest.raises(ValueError):
-        ckpt.bank.projectors[0].layers[0].bias[0] = 1.0
+        ckpt.bank.layers[0].bias[0, 0] = 1.0
 
 
 def test_checkpoint_json_roundtrip(trained_checkpoint, tmp_path):
@@ -453,8 +495,8 @@ def test_load_gives_the_arrays_and_metadata_of_the_list_form_parse(default_suite
         for la, lb in zip(a.layers, b.layers, strict=True):
             assert la.weights.shape == lb.weights.shape and la.bias.shape == lb.bias.shape
             assert la.activation == lb.activation
-    assert ((loaded.d_e, loaded.d_b, loaded.d_tok, loaded.token_count, loaded.bank.mode)
-            == (listed.d_e, listed.d_b, listed.d_tok, listed.token_count, listed.bank.mode))
+    assert ((loaded.d_e, loaded.d_b, loaded.d_tok, loaded.token_count, loaded.mode)
+            == (listed.d_e, listed.d_b, listed.d_tok, listed.token_count, listed.mode))
     # NaN is not equal to itself, so the metadata is compared as text
     assert canonical_json(loaded.metadata) == canonical_json(listed.metadata) \
         == canonical_json(ODD_METADATA)
@@ -553,6 +595,16 @@ def test_save_and_load_hold_one_layer_of_python_floats_at_most(default_suite, tm
     assert traced_peak(parse(None)) > 2.5e6
 
 
+def test_from_json_dict_holds_the_vector_and_one_network_more(default_suite, tmp_path):
+    ckpt = fresh_checkpoint(default_suite).freeze()
+    path = tmp_path / "checkpoint.json"
+    ckpt.save(path)
+    parsed = json.loads(path.read_text(), object_hook=pr._layer_arrays)
+    # the 0.72 MB vector and one network's checked copy at a time; a copy of
+    # every network before the vector would read about 1.45 MB
+    assert traced_peak(lambda: es.AlignmentCheckpoint.from_json_dict(parsed)) < 1.1e6
+
+
 # ---------------------------------------------------------------------------
 # retrieval accuracy
 # ---------------------------------------------------------------------------
@@ -610,7 +662,7 @@ def retrieval_oracle(ckpt, manifest, split, suite):
     hits = 0
     for sample in samples:
         reference = manifest.by_id(sample.neutral_ref)
-        visual = project_row(ckpt.bank, suite.visual_encode(sample.image_ref),
+        visual = project_row(ckpt, suite.visual_encode(sample.image_ref),
                              sample.emotion)[0]
         sims = [es.cosine_with_flag(suite.text_encode(
                     es.build_personalized_prompt(ckpt, reference, k, suite)), visual)[0]

@@ -144,9 +144,9 @@ def test_lambda_zero_bit_identical_to_disabled_path(demo_env):
     assert base_zero == base_off
     assert l2_off == 0.0
     assert np.array_equal(gen_zero.params.vector, gen_off.params.vector)
-    [(gen, base, _)] = train_demo(manifest, reg, world, [0.0], cfg)
+    gen, [base], _ = train_demo(manifest, reg, world, [0.0], cfg)
     assert base == pytest.approx(base_off, rel=1e-12)
-    np.testing.assert_allclose(gen.params.vector, gen_off.params.vector,
+    np.testing.assert_allclose(gen.params.vector, [gen_off.params.vector],
                                rtol=1e-12, atol=1e-15)
 
 
@@ -295,10 +295,10 @@ def test_lambda_zero_computes_l2_only_in_the_reported_tail(demo_env, monkeypatch
         runs[lams] = train_demo(manifest, reg, world, list(lams), cfg)
         assert sum(calls) == cfg.batch_size * rows, lams
         assert len(calls) == passes, lams
-    # the fused pair gives each run's lone result
-    assert runs[(0.0, 0.4)][0][1:] == runs[(0.0,)][0][1:]
-    assert runs[(0.0, 0.4)][1][1:] == runs[(0.4,)][0][1:]
-    assert runs[(0.0,)][0][2] > 0
+    # the fused pair gives each run's lone result: (base, l2) per run
+    losses = {lams: list(zip(bases, l2s)) for lams, (_, bases, l2s) in runs.items()}
+    assert losses[(0.0, 0.4)] == losses[(0.0,)] + losses[(0.4,)]
+    assert losses[(0.0,)][0][1] > 0
 
 
 # ---------------------------------------------------------------------------
