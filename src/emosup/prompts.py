@@ -65,9 +65,11 @@ class AlignmentCheckpoint:
     ``single_conditional``) as one ``MlpParams`` with a run axis, ``(P, out,
     in)`` weights and ``(P, out)`` biases. So one in-place update of the
     vector trains them all. The constructor takes ``vector`` as it is,
-    without a copy: ``dataclasses.replace`` gives a checkpoint that shares
-    its original's vector (pass ``vector=ckpt.vector.copy()`` for one of its
-    own) and leaves the original as it was. ``==`` is identity. Once frozen
+    without a copy, and refuses a view of another array, whose owner would
+    stay writable after ``freeze``. So ``dataclasses.replace`` gives a
+    checkpoint that shares its original's vector (pass
+    ``vector=ckpt.vector.copy()`` for one of its own) and leaves the
+    original as it was. ``==`` is identity. Once frozen
     the vector and every view of it are write-protected: the step functions
     still compute gradients on it, but ``sgd_step`` raises numpy's
     ValueError.
@@ -92,6 +94,9 @@ class AlignmentCheckpoint:
             raise ContractError(f"a checkpoint of these dims holds a float64 vector of "
                                 f"{size} parameters, got {np.asarray(self.vector).dtype} "
                                 f"of shape {np.shape(self.vector)}")
+        if self.vector.base is not None:
+            raise ContractError("a checkpoint's vector must own its memory, not view "
+                                "another array; pass a copy")
         self.guider_head = MlpParams.view_of(chains[0], self.vector[:n])
         count = len(chains) - 1  # the bank's networks
         self.bank = MlpParams.view_of(chains[1], self.vector[n:].reshape(count, -1))
@@ -105,8 +110,7 @@ class AlignmentCheckpoint:
 
     def freeze(self) -> "AlignmentCheckpoint":
         params = self.all_params()
-        owner = self.vector if self.vector.base is None else self.vector.base
-        if any(p.vector.base is not owner for p in params):
+        if any(p.vector.base is not self.vector for p in params):
             raise ContractError("a network was swapped in after construction; "
                                 "build a new checkpoint instead")
         self.vector.flags.writeable = False

@@ -286,25 +286,26 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     the jointly best-matching (prompt, projector) candidate pair, prompt k
     against the output through projector k (``nearest_prompt``). Scoring
     every candidate with its own projector keeps the target label out of
-    the scoring path. All R runs' outputs come from one generator forward
-    and go through all seven projectors in one ``project_visual`` pass,
-    each row bit-equal to its 1-D projection, and one ``nearest_prompt``
-    scores them all."""
+    the scoring path. All R runs' outputs come from one generator forward;
+    each run's block then goes through all seven projectors in one
+    ``project_visual`` pass, each row bit-equal to its 1-D projection, and
+    one ``nearest_prompt`` scores it. No forward cache is kept, so the
+    memory held at once is about one run's projection, whatever R is."""
     val = sorted(manifest.in_split(VAL), key=lambda s: s.id)
     if not val:
         raise ContractError("val split is empty")
     val_rows = np.array([reg.row[s.id] for s in val])
     rows = np.repeat(val_rows, _OTHER_EMOTIONS.shape[1])
     targets = _OTHER_EMOTIONS[reg.emotion[val_rows]].ravel()
-    out, _ = gen.generate(reg.visual[rows], targets)
-    out = out.reshape(-1, reg.ckpt.d_e)  # run r's output n is row len(rows) * r + n
-    n_runs, k = len(out) // len(rows), len(EMOTIONS)
-    # output n through projector c is row k * n + c
-    projected, _ = project_visual(reg.ckpt, np.repeat(out, k, axis=0),
-                                  np.tile(np.arange(k), len(out)))
-    hits = (reg.nearest_prompt(np.tile(rows, n_runs), projected.reshape(len(out), k, -1))
-            == np.tile(targets, n_runs))
-    return [float(np.mean(run)) for run in hits.reshape(n_runs, len(rows))]
+    out = gen.generate(reg.visual[rows], targets)[0]
+    k = len(EMOTIONS)
+    codes = np.tile(np.arange(k), len(rows))  # output n through projector c is row k * n + c
+    accuracies = []
+    for block in out.reshape(-1, len(rows), reg.ckpt.d_e):  # one block per run
+        projected = project_visual(reg.ckpt, np.repeat(block, k, axis=0), codes)[0]
+        accuracies.append(float(np.mean(
+            reg.nearest_prompt(rows, projected.reshape(len(rows), k, -1)) == targets)))
+    return accuracies
 
 
 def _demo_rows(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,

@@ -44,19 +44,27 @@ def project_row(ckpt: es.AlignmentCheckpoint, x, emotion):
     return out, cache, net
 
 
-def passthrough_checkpoint(suite, seed: int = 0, shift: float = 100.0):
-    """A frozen ``multi`` checkpoint whose seven projectors pass the first
-    ``d_e // 2`` entries of an input through and output 0 for the rest:
-    identity weights through the ``d_e -> d_e -> d_e/2 -> d_e -> d_e``
-    chain, with ``shift`` added before the relu layers and taken off by the
-    last one. Exact up to rounding for inputs above ``-shift``."""
+def passthrough_layers(d: int, half: int):
+    """Identity weights through the ``d -> d -> d/2 -> d -> d`` projector
+    chain that carry one half of an input's entries, the first ``d // 2``
+    (``half`` 0) or the last (``half`` 1), and give 0 for the other half.
+    Returns the four layers' weights and the mask of the carried entries."""
+    h = d // 2
+    k = half * (d - h)  # the first carried entry
+    return ([np.eye(d), np.eye(h, d, k=k), np.eye(d, h, k=-k), np.eye(d)],
+            (np.arange(d) >= k) & (np.arange(d) < k + h))
+
+
+def passthrough_checkpoint(suite, seed: int = 0, shift: float = 100.0, half: int = 0):
+    """A frozen ``multi`` checkpoint whose seven projectors pass one half of
+    an input through (``passthrough_layers``), with ``shift`` added before
+    the relu layers and taken off by the last one. Exact up to rounding for
+    inputs above ``-shift``."""
     ckpt = es.prompts._fresh_checkpoint(suite, es.TrainConfig(),
                                         np.random.Generator(np.random.PCG64(seed)))
-    d, h = suite.d_e, suite.d_e // 2
-    for layer, weights, bias in zip(ckpt.bank.layers,
-                                    [np.eye(d), np.eye(h, d), np.eye(d, h), np.eye(d)],
-                                    [shift, 0.0, 0.0, -shift * (np.arange(d) < h)]):
-        layer.weights[...], layer.bias[...] = weights, bias
+    weights, carried = passthrough_layers(suite.d_e, half)
+    for layer, w, bias in zip(ckpt.bank.layers, weights, [shift, 0.0, 0.0, -shift * carried]):
+        layer.weights[...], layer.bias[...] = w, bias
     return ckpt.freeze()
 
 

@@ -19,7 +19,7 @@ from emosup.differencing import PairEmbeddings, diff_vectors, \
     difference_loss_with_grads, embed_pair
 from emosup.metrics import FeatureSet, GaussianFit, fad, frechet_distance
 from emosup.numerics import init_mlp, mlp_backward, mlp_forward
-from conftest import network_views, passthrough_checkpoint
+from conftest import network_views, passthrough_checkpoint, passthrough_layers
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,12 +167,16 @@ def test_criterion_3_offset_cancellation():
 # 4. synthetic identity cancellation
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_identity_cancellation(noise_free_world):
+@pytest.mark.parametrize("half", [0, 1])
+def test_criterion_4_identity_cancellation(noise_free_world, half):
+    # the projectors pass one half of the entries through; the two halves
+    # together check every entry
     suite = es.synthetic_suite(noise_free_world)
     manifest = es.generate_synthetic_corpus(noise_free_world, 1)
-    reg = es.DifferenceRegularizer(passthrough_checkpoint(suite, seed=4), suite, manifest)
-    half = suite.d_e // 2  # the projectors pass the first half through
-    np.testing.assert_allclose(reg.projected_source[:, :half], reg.visual[:, :half],
+    reg = es.DifferenceRegularizer(passthrough_checkpoint(suite, seed=4, half=half),
+                                   suite, manifest)
+    _, carried = passthrough_layers(suite.d_e, half)
+    np.testing.assert_allclose(reg.projected_source[:, carried], reg.visual[:, carried],
                                rtol=0, atol=1e-12)
     worst = 0.0
     pairs = [(es.EmotionLabel.angry, es.EmotionLabel.happy),

@@ -473,11 +473,11 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
 def test_judge_projects_each_output_through_all_seven_projectors(default_manifest,
                                                                  demo_regularizer,
                                                                  monkeypatch, runs):
-    # the judge's one project_visual pass over every run's outputs: output n
-    # of the run-major rows through projector c is row 7n + c of a
-    # repeat/tile stack, bit-equal to its 1-D projection, a zero output row
-    # included; one nearest_prompt reads them all, and each run's accuracy
-    # is the per-row oracle's over its own outputs
+    # one generator forward for every run, then per run one project_visual
+    # pass: output n through projector c is row 7n + c of a repeat/tile
+    # stack, bit-equal to its 1-D projection, a zero output row included;
+    # one nearest_prompt per run reads them, and each run's accuracy is the
+    # per-row oracle's over its own outputs
     reg, k = demo_regularizer, len(EMOTIONS)
     generated, calls, reads = [], [], []
 
@@ -503,25 +503,24 @@ def test_judge_projects_each_output_through_all_seven_projectors(default_manifes
     monkeypatch.setattr(pr.DifferenceRegularizer, "nearest_prompt", read)
     accuracies = sv._eval_emotion_accuracy(Outputs(), default_manifest, reg)
     monkeypatch.undo()
-    [out], [(stack, codes, projected)] = generated, calls
-    assert len(reads) == 1
-    outputs = out.reshape(-1, reg.ckpt.d_e)
-    assert np.array_equal(stack, np.repeat(outputs, k, axis=0))
-    assert np.array_equal(codes, np.tile(np.arange(k), len(outputs)))
+    [out] = generated
     val = sorted(default_manifest.in_split("val"), key=lambda s: s.id)
     pairs = [(s, t) for s in val for t in EMOTIONS if t != s.emotion]
-    assert len(outputs) == len(pairs) * int(np.prod(runs))
+    outputs = out.reshape(-1, len(pairs), reg.ckpt.d_e)
+    assert len(outputs) == int(np.prod(runs)) == len(calls) == len(reads)
     hits = []
-    for r, run in enumerate(outputs.reshape(-1, len(pairs), reg.ckpt.d_e)):
+    for run, (stack, codes, projected) in zip(outputs, calls, strict=True):
+        assert np.array_equal(stack, np.repeat(run, k, axis=0))
+        assert np.array_equal(codes, np.tile(np.arange(k), len(pairs)))
         hits.append(0)
         for n, ((source, target), row) in enumerate(zip(pairs, run)):
             prompts = reg.prompts[reg.reference[reg.row[source.id]]]
             sims = []
             for c in range(k):
                 expected = project_row(reg.ckpt, row, c)[0]
-                assert np.array_equal(projected[k * (len(pairs) * r + n) + c], expected)
+                assert np.array_equal(projected[k * n + c], expected)
                 sims.append(cosine_with_flag(prompts[c], expected)[0])
-            hits[r] += int(np.argmax(sims)) == int(target)
+            hits[-1] += int(np.argmax(sims)) == int(target)
     assert accuracies == [h / len(pairs) for h in hits]
 
 

@@ -10,7 +10,7 @@ from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
                                  difference_loss_with_grads, embed_pair,
                                  export_difference_rows, write_difference_csv)
 from emosup.errors import ContractError
-from conftest import passthrough_checkpoint, project_row
+from conftest import passthrough_checkpoint, passthrough_layers, project_row
 
 
 def single_conditional_checkpoint(suite, seed=0):
@@ -246,16 +246,18 @@ def test_positive_scale_invariance(rng):
                                                         abs=1e-11)
 
 
-def test_identity_cancellation_in_noise_free_world(noise_free_world):
+@pytest.mark.parametrize("half", [0, 1])
+def test_identity_cancellation_in_noise_free_world(noise_free_world, half):
     # with identity projectors the visual difference reduces to the mapped
-    # prototype difference, identical across identities
+    # prototype difference, identical across identities; the two halves
+    # together check every entry
     suite = es.synthetic_suite(noise_free_world)
     manifest = es.generate_synthetic_corpus(noise_free_world, 1)
-    reg = es.DifferenceRegularizer(passthrough_checkpoint(suite), suite, manifest)
-    half = suite.d_e // 2  # the projectors pass the first half through
-    np.testing.assert_allclose(reg.projected_source[:, :half], reg.visual[:, :half],
+    reg = es.DifferenceRegularizer(passthrough_checkpoint(suite, half=half), suite, manifest)
+    _, carried = passthrough_layers(suite.d_e, half)
+    np.testing.assert_allclose(reg.projected_source[:, carried], reg.visual[:, carried],
                                rtol=0, atol=1e-12)
-    assert not reg.projected_source[:, half:].any()
+    assert not reg.projected_source[:, ~carried].any()
     source_emotion, target_emotion = es.EmotionLabel.angry, es.EmotionLabel.happy
     diffs = []
     for identity in noise_free_world.identity_names:

@@ -12,7 +12,7 @@ import emosup.prompts as pr
 from emosup.corpus import TRAIN, VAL
 from emosup.encoders import position_weight
 from emosup.errors import ContractError, canonical_json, load_json_object
-from conftest import network_views, project_row
+from conftest import network_views, passthrough_layers, project_row
 
 
 def fresh_checkpoint(suite, seed=0, **kwargs):
@@ -108,22 +108,23 @@ def test_personalized_embedding_deterministic(default_manifest, default_suite):
 # emotion visual embedding
 # ---------------------------------------------------------------------------
 
-def test_identity_projector_passes_nonnegative_through(default_suite):
+@pytest.mark.parametrize("half", [0, 1])
+def test_identity_projector_passes_nonnegative_through(default_suite, half):
     # identity weights through the d -> d -> d/2 -> d -> d chain, projector k
-    # scaling its last layer by k + 1: a nonnegative row keeps its first d/2
-    # entries, times k + 1, and the rest read 0
+    # scaling its last layer by k + 1: a nonnegative row keeps one half of
+    # its entries, times k + 1, and the rest read 0; the two halves together
+    # check every entry
     d = default_suite.d_e
     ckpt = fresh_checkpoint(default_suite)
-    for layer, weights in zip(ckpt.bank.layers, [np.eye(d), np.eye(d // 2, d),
-                                                 np.eye(d, d // 2), np.eye(d)]):
-        layer.weights[...], layer.bias[...] = weights, 0.0
+    weights, carried = passthrough_layers(d, half)
+    for layer, w in zip(ckpt.bank.layers, weights):
+        layer.weights[...], layer.bias[...] = w, 0.0
     ckpt.bank.layers[-1].weights[...] *= np.arange(1, 8)[:, None, None]
     ckpt.freeze()
     # one nonnegative row through each of the seven projectors
     x = np.tile(np.abs(np.random.default_rng(0).standard_normal(d)), (len(es.EMOTIONS), 1))
     out, _ = pr.project_visual(ckpt, x, np.arange(len(es.EMOTIONS)))
-    passed = np.concatenate([x[:, :d // 2], np.zeros((len(x), d - d // 2))], axis=1)
-    assert np.array_equal(out, passed * np.arange(1, 8)[:, None])
+    assert np.array_equal(out, np.where(carried, x, 0.0) * np.arange(1, 8)[:, None])
 
 
 def test_multi_mode_uses_disjoint_parameters(default_manifest, default_suite,
@@ -387,6 +388,14 @@ def test_checkpoint_refuses_a_vector_of_another_size(default_suite):
     for vector in (ckpt.vector[:-1], ckpt.vector.astype(np.float32), list(ckpt.vector)):
         with pytest.raises(ContractError, match="holds a float64 vector of 89696 param"):
             dataclasses.replace(ckpt, vector=vector)
+
+
+def test_checkpoint_refuses_a_view_of_another_array(default_suite):
+    # freezing a view would leave its owner writable
+    ckpt = fresh_checkpoint(default_suite)
+    big = np.concatenate([ckpt.vector, [0.0]])
+    with pytest.raises(ContractError, match="must own its memory"):
+        dataclasses.replace(ckpt, vector=big[:-1])
 
 
 def test_frozen_checkpoint_rejects_mutation(trained_checkpoint):
