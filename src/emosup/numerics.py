@@ -28,7 +28,6 @@ EPS_NORM = 1e-12
 
 RELU = "relu"
 IDENTITY = "identity"
-_ACTIVATIONS = (RELU, IDENTITY)
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -169,7 +168,7 @@ class DenseLayer:
     """One affine layer: ``act(weights @ x + bias)``, weights shaped out x in
     (or a ``(..., out, in)`` stack of them, for ``layers_forward``).
 
-    A plain record: ``MlpParams`` validates the layers it is built from.
+    A plain record; an ``MlpParams``' layers view its vector.
     """
 
     weights: np.ndarray
@@ -186,66 +185,33 @@ class DenseLayer:
 
 
 class MlpParams:
-    """Chain of dense layers held in one contiguous float64 ``vector``.
+    """The chain of dense layers ``dims[0] -> ... -> dims[-1]``, relu hidden
+    layers and an identity last layer, held in one float64 ``vector``.
 
     The layout is layer by layer, the weights (row-major) then the bias;
-    each layer's ``weights`` and ``bias`` are views into ``vector``, so one
-    in-place update of the vector updates every layer. The final layer
-    must have identity activation. ``view_of`` gives the chain of given
-    dims over a given vector, with relu hidden layers.
+    each layer's ``weights`` and ``bias`` are views into ``vector``, which
+    is taken as given, without a copy, so one in-place update of the vector
+    updates every layer. A vector of ``chain_size(dims)`` entries holds one
+    network; a ``(R, size)`` block holds a run axis of R networks, with
+    ``(R, out, in)`` and ``(R, out)`` layers, that ``mlp_forward`` and
+    ``mlp_backward`` run at once and ``sgd_step`` updates one ``vector[r]``
+    at a time.
     """
 
-    def __init__(self, layers: list[DenseLayer]):
-        if not layers:
-            raise ContractError("MLP needs at least one layer")
-        checked = []
-        for i, layer in enumerate(layers):
-            weights = as_matrix(layer.weights, name=f"layer {i} weights")
-            bias = as_vector(layer.bias, dim=weights.shape[0], name=f"layer {i} bias")
-            if layer.activation not in _ACTIVATIONS:
-                raise ContractError(f"unknown activation {layer.activation!r}")
-            if checked and checked[-1].out_dim != weights.shape[1]:
-                raise ContractError(f"layer {i - 1} outputs {checked[-1].out_dim} but "
-                                    f"layer {i} expects {weights.shape[1]}")
-            checked.append(DenseLayer(weights, bias, layer.activation))
-        if checked[-1].activation != IDENTITY:
-            raise ContractError("last layer activation must be identity")
-        self.layers = checked
-        self.move_into(np.empty(sum(l.weights.size + l.bias.size for l in checked)))
+    def __init__(self, dims: list[int], vector: np.ndarray):
+        shapes, size = _chain_shapes(dims), chain_size(dims)
+        if vector.shape[-1:] != (size,):
+            raise ContractError(f"the chain {dims} holds {size} parameters, got a vector "
+                                f"of shape {vector.shape}")
+        self.layers = [DenseLayer(w, b, RELU if i < len(shapes) - 1 else IDENTITY)
+                       for i, (w, b) in enumerate(_chain_views(shapes, vector))]
+        self.vector = vector
 
     def views(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(weights, bias)`` views of ``vector``, a vector in this chain's
         layout (such as a gradient), one pair per layer; a ``(P, size)`` block
         of P such vectors gives ``(P, out, in)`` and ``(P, out)`` views."""
         return _chain_views([l.weights.shape[-2:] for l in self.layers], vector)
-
-    @classmethod
-    def view_of(cls, dims: list[int], vector: np.ndarray) -> "MlpParams":
-        """The chain ``dims[0] -> ... -> dims[-1]`` with relu hidden layers
-        and an identity last layer, whose layers view ``vector`` (no copy):
-        ``chain_size(dims)`` entries, or a ``(P, size)`` block for a run axis
-        of P networks, as ``move_into`` gives."""
-        shapes, size = _chain_shapes(dims), chain_size(dims)
-        if vector.shape[-1:] != (size,):
-            raise ContractError(f"the chain {dims} holds {size} parameters, got a vector "
-                                f"of shape {vector.shape}")
-        p = cls.__new__(cls)
-        p.layers = [DenseLayer(w, b, RELU if i < len(shapes) - 1 else IDENTITY)
-                    for i, (w, b) in enumerate(_chain_views(shapes, vector))]
-        p.vector = vector
-        return p
-
-    def move_into(self, vector: np.ndarray) -> None:
-        """Copy the parameters into ``vector`` (float64, one entry per
-        parameter) and make it the storage every layer views. A ``(R, size)``
-        block gets R copies and gives a run axis: ``(R, out, in)`` and ``(R,
-        out)`` layers, R networks that ``mlp_forward`` and ``mlp_backward``
-        run at once and that ``sgd_step`` updates one ``vector[r]`` at a time."""
-        layers = []
-        for layer, (weights, bias) in zip(self.layers, self.views(vector)):
-            weights[...], bias[...] = layer.weights, layer.bias
-            layers.append(DenseLayer(weights, bias, layer.activation))
-        self.layers, self.vector = layers, vector
 
     @property
     def in_dim(self) -> int:
@@ -291,9 +257,9 @@ def _chain_views(shapes, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarra
 
 
 def init_mlp(dims: list[int], rng: np.random.Generator) -> MlpParams:
-    """He-style fan-in uniform init of ``MlpParams.view_of(dims, ...)``,
-    layer by layer, with zero biases."""
-    p = MlpParams.view_of(dims, np.zeros(chain_size(dims)))
+    """He-style fan-in uniform init of ``MlpParams(dims, ...)``, layer by
+    layer, with zero biases."""
+    p = MlpParams(dims, np.zeros(chain_size(dims)))
     for layer in p.layers:
         limit = np.sqrt(6.0 / layer.in_dim)
         layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
@@ -361,8 +327,9 @@ def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
     """Forward pass returning the output and a cache for ``mlp_backward``.
 
     ``x`` is one input vector or a ``(B, in)`` stack of them; the output
-    has the same layout. With a run axis of R networks (``move_into``) every
-    network takes the same ``x``, and the output has a leading R axis.
+    has the same layout. With a run axis of R networks (an ``MlpParams``
+    over a ``(R, size)`` block) every network takes the same ``x``, and the
+    output has a leading R axis.
     """
     stacked = np.ndim(x) == 2
     h, inputs, preacts = layers_forward(p.layers, _as_rows(x, p.in_dim, "mlp input"))

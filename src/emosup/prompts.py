@@ -97,9 +97,9 @@ class AlignmentCheckpoint:
         if self.vector.base is not None:
             raise ContractError("a checkpoint's vector must own its memory, not view "
                                 "another array; pass a copy")
-        self.guider_head = MlpParams.view_of(chains[0], self.vector[:n])
+        self.guider_head = MlpParams(chains[0], self.vector[:n])
         count = len(chains) - 1  # the bank's networks
-        self.bank = MlpParams.view_of(chains[1], self.vector[n:].reshape(count, -1))
+        self.bank = MlpParams(chains[1], self.vector[n:].reshape(count, -1))
 
     def split(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of ``vector``, a vector in this checkpoint's layout (such
@@ -165,8 +165,9 @@ class AlignmentCheckpoint:
     @staticmethod
     def from_json_dict(d: dict) -> "AlignmentCheckpoint":
         """Inverse of ``to_json_dict``, frozen; a layer's weights and bias may
-        also be float64 arrays already (``load``'s parse). Each network is
-        checked, then copied into its block of the one vector."""
+        also be float64 arrays already (``load``'s parse). Each network's
+        layers are checked against, then written into, their views of the one
+        vector; the vector is then checked for non-finite entries once."""
         if d.get("format_version") != 1:
             raise ContractError(f"unsupported checkpoint format {d.get('format_version')!r}")
         dims, mode = d["dims"], d["projector_mode"]
@@ -179,26 +180,21 @@ class AlignmentCheckpoint:
                                    dims["token_count"], mode,
                                    np.empty(sum(map(chain_size, chains))),
                                    metadata=dict(d["metadata"]))
-
-        def chain(p: MlpParams):
-            return [p.in_dim] + [l.out_dim for l in p.layers], [l.activation for l in p.layers]
-
-        head, bank = ckpt.split(ckpt.vector)
-        networks = [("guider head", d["guider_head"], ckpt.guider_head, head)] + [
-            (f"projector {i}", p, ckpt.bank, bank[i]) for i, p in enumerate(d["projectors"])]
-        # each network must be the chain its dims give
-        for name, layers, want, block in networks:
-            net = MlpParams([DenseLayer(np.asarray(l["weights"], dtype=np.float64),
-                                        np.asarray(l["bias"], dtype=np.float64),
-                                        l["activation"]) for l in layers])
-            (widths, activations), (want_widths, want_activations) = chain(net), chain(want)
-            if (widths, activations) != (want_widths, want_activations):
-                raise ContractError(
-                    f"checkpoint {name} maps {net.in_dim} -> {net.out_dim}, through "
-                    f"widths {widths} with activations {activations}, but its dims {dims} "
-                    f"need {want.in_dim} -> {want.out_dim}, through widths {want_widths} "
-                    f"with activations {want_activations}")
-            block[...] = net.vector
+        networks = [("guider head", d["guider_head"], ckpt.guider_head)] + [
+            (f"projector {i}", p, MlpParams(chains[1], ckpt.bank.vector[i]))
+            for i, p in enumerate(d["projectors"])]
+        for name, layers, net in networks:
+            arrays = [(np.asarray(l["weights"], dtype=np.float64),
+                       np.asarray(l["bias"], dtype=np.float64), l["activation"])
+                      for l in layers]
+            got = [(w.shape, b.shape, act) for w, b, act in arrays]
+            want = [(l.weights.shape, l.bias.shape, l.activation) for l in net.layers]
+            if got != want:
+                raise ContractError(_network_refusal(name, got, want, dims))
+            for (w, b, _), layer in zip(arrays, net.layers):
+                layer.weights[...], layer.bias[...] = w, b
+        if not np.isfinite(ckpt.vector).all():
+            raise ContractError("checkpoint parameters contain non-finite entries")
         return ckpt.freeze()
 
     def content_hash(self) -> str:
@@ -246,6 +242,27 @@ def _holds_array(value) -> bool:
     if isinstance(value, list):
         return any(_holds_array(v) for v in value)
     return isinstance(value, np.ndarray)
+
+
+def _network_refusal(name: str, got: list, want: list, dims: dict) -> str:
+    """Why a checkpoint file's network, whose layers have the ``(weights
+    shape, bias shape, activation)`` of ``got``, is not the chain ``want``
+    that the file's dims give: both chains' widths and activations, or,
+    where those agree or the file's layers are no chain of matrices, both
+    lists of layer shapes."""
+    def chain(layers):
+        return ([layers[0][0][-1]] + [w[0] for w, _, _ in layers],
+                [act for _, _, act in layers])
+
+    if got and all(len(w) == 2 for w, _, _ in got) and chain(got) != chain(want):
+        (widths, activations), (want_widths, want_activations) = chain(got), chain(want)
+        return (f"checkpoint {name} maps {widths[0]} -> {widths[-1]}, through widths "
+                f"{widths} with activations {activations}, but its dims {dims} need "
+                f"{want_widths[0]} -> {want_widths[-1]}, through widths {want_widths} "
+                f"with activations {want_activations}")
+    return (f"checkpoint {name} has layers of (weights, bias) shapes "
+            f"{[(w, b) for w, b, _ in got]}, but its dims {dims} need "
+            f"{[(w, b) for w, b, _ in want]}")
 
 
 def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,

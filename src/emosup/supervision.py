@@ -121,28 +121,6 @@ class DemoConfig:
         return {**asdict(self), "hidden": list(self.hidden)}
 
 
-@dataclass
-class ToyGenerator:
-    """MLP mapping (source visual embedding ++ target one-hot) to a
-    generated visual embedding."""
-
-    params: MlpParams
-    d_e: int
-
-    def generate(self, source_visual: np.ndarray, target):
-        """One source embedding and target emotion, or a ``(B, d_e)`` stack
-        with a sequence of B target emotions; returns ``mlp_forward``'s
-        output and cache (with a leading run axis if ``params`` has one)."""
-        codes = np.eye(len(EMOTIONS))[np.asarray(target, dtype=int)]
-        return mlp_forward(self.params, np.concatenate([source_visual, codes], axis=-1))
-
-
-def build_toy_generator(d_e: int, hidden: tuple[int, ...],
-                        rng: np.random.Generator) -> ToyGenerator:
-    dims = [d_e + len(EMOTIONS), *hidden, d_e]
-    return ToyGenerator(init_mlp(dims, rng), d_e)
-
-
 @dataclass(frozen=True)
 class DemoRow:
     lam: float
@@ -209,16 +187,26 @@ def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int,
     return picks[..., 0], _OTHER_EMOTIONS[emotions[picks[..., 0]], picks[..., 1]]
 
 
+def _generate(params: MlpParams, visual: np.ndarray, targets):
+    """The toy generator: ``params``, an MLP from (source visual embedding ++
+    target one-hot) to a generated visual embedding, on one source embedding
+    and target emotion, or a ``(B, d_e)`` stack with a sequence of B target
+    emotions; returns ``mlp_forward``'s output and cache (with a leading run
+    axis if ``params`` has one)."""
+    codes = np.eye(len(EMOTIONS))[np.asarray(targets, dtype=int)]
+    return mlp_forward(params, np.concatenate([visual, codes], axis=-1))
+
+
 def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,
                       lams: list[float], config: DemoConfig, base_loss: BaseLossHook
-                      ) -> tuple[ToyGenerator, list[float], list[float]]:
+                      ) -> tuple[MlpParams, list[float], list[float]]:
     """Train one toy generator per lambda as one stacked run; returns the
-    trained generator, whose parameters have a run axis of one network per
-    lambda, and each run's tail-mean base and l2 losses.
+    trained generators' parameters, a run axis of one network per lambda,
+    and each run's tail-mean base and l2 losses.
 
-    Every run starts from the same initial parameters and sees the same
-    batches, drawn once before the loop. The R runs' parameters are one
-    ``(R, size)`` block (``MlpParams.move_into``), so each step makes one
+    Every run starts from the same initial parameters, one ``init_mlp``
+    draw, and sees the same batches, drawn once before the loop. The R
+    runs' parameters are one ``(R, size)`` block, so each step makes one
     generator forward and backward over all runs, one ``base_loss`` call on
     their R * B rows and one ``loss_and_grad`` on the rows of the runs that
     need L2, then one ``total_loss`` and one ``sgd_step`` per run. Each of
@@ -228,24 +216,24 @@ def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, trut
     pass only on the last ``tail`` steps, the ones its reported mean reads,
     and takes a zero L2 gradient there.
     """
+    runs = [LambdaConfig(lam) for lam in lams]
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    gen = build_toy_generator(reg.ckpt.d_e, config.hidden, rng)
+    dims = [reg.ckpt.d_e + len(EMOTIONS), *config.hidden, reg.ckpt.d_e]
+    params = MlpParams(dims, np.tile(init_mlp(dims, rng).vector, (len(runs), 1)))
     train = manifest.in_split(TRAIN)
     if not train:
         raise ContractError("train split is empty")
     train_rows = np.array([reg.row[s.id] for s in train])
     picks, targets = _demo_pairs(reg.emotion[train_rows], rng, config.batch_size,
                                  config.steps)
-    runs = [LambdaConfig(lam) for lam in lams]
     weighted = np.array([lam.value != 0 for lam in runs])
-    n_runs, batch, d_e, params = len(runs), config.batch_size, gen.d_e, gen.params
-    params.move_into(np.empty((n_runs, params.vector.size)))
+    n_runs, batch, d_e = len(runs), config.batch_size, reg.ckpt.d_e
     tail = max(1, config.steps // 10)
     base_hist, l2_hist = [[] for _ in runs], [[] for _ in runs]
     for step in range(config.steps):
         rows = train_rows[picks[step]]
         visual, clean = reg.visual[rows], truth(rows, targets[step])
-        out, cache = gen.generate(visual, targets[step])  # (n_runs, batch, d_e)
+        out, cache = _generate(params, visual, targets[step])  # (n_runs, batch, d_e)
         base_vals, base_grad = base_loss(out.reshape(-1, d_e),
                                          np.concatenate([clean] * n_runs))
         base_vals, base_grad = base_vals.reshape(n_runs, batch), base_grad.reshape(out.shape)
@@ -274,17 +262,18 @@ def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, trut
         for r in range(n_runs):
             sgd_step(params.vector[r], grads.vector[r], config.lr)
     # l2_hist holds only the steps L2 was computed on, which include the tail
-    return (gen, [float(np.mean(h[-tail:])) for h in base_hist],
+    return (params, [float(np.mean(h[-tail:])) for h in base_hist],
             [float(np.mean(h[-tail:])) for h in l2_hist])
 
 
-def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
+def _eval_emotion_accuracy(params: MlpParams, manifest: CorpusManifest,
                            reg: DifferenceRegularizer) -> list[float]:
     """Retrieval-style emotion accuracy of generated embeddings on the val
-    split, one per network of ``gen``'s run axis (one for a generator
-    without one): each (val sample, target emotion) output is classified by
-    the jointly best-matching (prompt, projector) candidate pair, prompt k
-    against the output through projector k (``nearest_prompt``). Scoring
+    split, one per network of the generator ``params``' run axis (one for
+    a generator without one): each (val sample, target emotion) output is
+    classified by the jointly best-matching (prompt, projector) candidate
+    pair, prompt k against the output through projector k
+    (``nearest_prompt``). Scoring
     every candidate with its own projector keeps the target label out of
     the scoring path. All R runs' outputs come from one generator forward;
     each run's block then goes through all seven projectors in one
@@ -297,7 +286,7 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
     val_rows = np.array([reg.row[s.id] for s in val])
     rows = np.repeat(val_rows, _OTHER_EMOTIONS.shape[1])
     targets = _OTHER_EMOTIONS[reg.emotion[val_rows]].ravel()
-    out = gen.generate(reg.visual[rows], targets)[0]
+    out = _generate(params, reg.visual[rows], targets)[0]
     k = len(EMOTIONS)
     codes = np.tile(np.arange(k), len(rows))  # output n through projector c is row k * n + c
     accuracies = []
@@ -306,15 +295,6 @@ def _eval_emotion_accuracy(gen: ToyGenerator, manifest: CorpusManifest,
         accuracies.append(float(np.mean(
             reg.nearest_prompt(rows, projected.reshape(len(rows), k, -1)) == targets)))
     return accuracies
-
-
-def _demo_rows(manifest: CorpusManifest, reg: DifferenceRegularizer, truth,
-               lams: list[float], config: DemoConfig, base_loss: BaseLossHook
-               ) -> list[DemoRow]:
-    gen, base_vals, l2_vals = _train_generators(manifest, reg, truth, lams, config,
-                                                base_loss)
-    return [DemoRow(*row, config.seed) for row in zip(
-        lams, base_vals, l2_vals, _eval_emotion_accuracy(gen, manifest, reg))]
 
 
 def supervise_demo(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
@@ -356,8 +336,12 @@ def sweep_lambda(manifest: CorpusManifest, ckpt: AlignmentCheckpoint,
     lams = lambda_grid(grid)
     config.validate()
     world = world if world is not None else manifest.rebuild_world()
-    return _demo_rows(manifest, DifferenceRegularizer(ckpt, suite, manifest),
-                      _clean_targets(manifest, world), lams, config, base_loss)
+    reg = DifferenceRegularizer(ckpt, suite, manifest)
+    params, base_vals, l2_vals = _train_generators(manifest, reg,
+                                                   _clean_targets(manifest, world), lams,
+                                                   config, base_loss)
+    return [DemoRow(*row, config.seed) for row in zip(
+        lams, base_vals, l2_vals, _eval_emotion_accuracy(params, manifest, reg))]
 
 
 def write_demo_csv(rows: list[DemoRow], path: str | Path) -> None:

@@ -12,11 +12,26 @@ settings.register_profile("emosup", derandomize=True, deadline=None)
 settings.load_profile("emosup")
 
 
-def network(params: es.MlpParams, r: int) -> es.MlpParams:
-    """A copy of network ``r`` of ``params``' run axis (``move_into``), as a
-    1-D ``MlpParams`` with the same activations."""
-    return es.MlpParams([es.DenseLayer(l.weights[r], l.bias[r], l.activation)
-                         for l in params.layers])
+def network(params: es.MlpParams, r=...) -> es.MlpParams:
+    """A copy of network ``r`` of ``params``' run axis, or of ``params``
+    itself without ``r``, as a 1-D ``MlpParams`` with each layer's
+    activation (which a test may have changed from the dims' rule)."""
+    net = es.MlpParams([params.in_dim] + [l.out_dim for l in params.layers],
+                       params.vector[r].copy())
+    for layer, own in zip(net.layers, params.layers, strict=True):
+        layer.activation = own.activation
+    return net
+
+
+def demo_rows(manifest, reg, truth, lams, config) -> list:
+    """``sweep_lambda``'s rows for the regularizer ``reg`` and the ground
+    truth ``truth`` (``supervision._clean_targets``): the demo's fused
+    training, then its judge of each run."""
+    sv = es.supervision
+    params, bases, l2s = sv._train_generators(manifest, reg, truth, lams, config,
+                                              sv.squared_error_loss)
+    accuracies = sv._eval_emotion_accuracy(params, manifest, reg)
+    return [sv.DemoRow(*row, config.seed) for row in zip(lams, bases, l2s, accuracies)]
 
 
 def bank_index(ckpt: es.AlignmentCheckpoint, emotion) -> int:

@@ -22,7 +22,7 @@ from emosup.emotions import EMOTIONS
 from emosup.encoders import _hash_generator
 from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, init_mlp,
                              mlp_backward, mlp_forward, sgd_step)
-from conftest import bank_index, draws, entries, network, project_row
+from conftest import bank_index, demo_rows, draws, entries, network, project_row
 
 MODES = [pr.MULTI, pr.SINGLE_CONDITIONAL]
 
@@ -315,7 +315,7 @@ def test_frozen_table_rows_are_each_samples_encodings(default_manifest, default_
 # ---------------------------------------------------------------------------
 
 def generate_per_entry(gen, visual, target):
-    return mlp_forward(gen.params, np.concatenate([visual, np.eye(len(EMOTIONS))[target]]))
+    return mlp_forward(gen, np.concatenate([visual, np.eye(len(EMOTIONS))[target]]))
 
 
 def l2_grad_per_entry(reg, source, generated, target, with_grad):
@@ -340,11 +340,11 @@ def l2_grad_per_entry(reg, source, generated, target, with_grad):
 
 def train_per_entry(manifest, reg, world, lam, config, difference_path):
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    gen = sv.build_toy_generator(reg.ckpt.d_e, config.hidden, rng)
+    gen = init_mlp([reg.ckpt.d_e + len(EMOTIONS), *config.hidden, reg.ckpt.d_e], rng)
     train = manifest.in_split("train")
     base_hist, l2_hist = [], []
     for _ in range(config.steps):
-        grad = np.zeros_like(gen.params.vector)
+        grad = np.zeros_like(gen.vector)
         base_sum = l2_sum = 0.0
         for _ in range(config.batch_size):
             source = train[int(rng.integers(len(train)))]
@@ -359,10 +359,10 @@ def train_per_entry(manifest, reg, world, lam, config, difference_path):
             else:
                 l2_val, l2_grad = 0.0, np.zeros_like(out)
             upstream = base_grad + lam * l2_grad
-            grad += mlp_backward(gen.params, cache, upstream / config.batch_size).vector
+            grad += mlp_backward(gen, cache, upstream / config.batch_size).vector
             base_sum += base_val
             l2_sum += l2_val
-        sgd_step(gen.params.vector, grad, config.lr)
+        sgd_step(gen.vector, grad, config.lr)
         base_hist.append(base_sum / config.batch_size)
         l2_hist.append(l2_sum / config.batch_size)
     tail = max(1, config.steps // 10)
@@ -481,12 +481,12 @@ def test_judge_projects_each_output_through_all_seven_projectors(default_manifes
     reg, k = demo_regularizer, len(EMOTIONS)
     generated, calls, reads = [], [], []
 
-    class Outputs:  # stands in for the generator: random rows, each run's first zero
-        def generate(self, visual, targets):
-            out = np.random.default_rng(0).standard_normal((*runs, *visual.shape))
-            out[..., 0, :] = 0.0
-            generated.append(out)
-            return out, None
+    # stands in for the generator: random rows, each run's first zero
+    def outputs(params, visual, targets):
+        out = np.random.default_rng(0).standard_normal((*runs, *visual.shape))
+        out[..., 0, :] = 0.0
+        generated.append(out)
+        return out, None
 
     project, nearest = sv.project_visual, pr.DifferenceRegularizer.nearest_prompt
 
@@ -499,9 +499,10 @@ def test_judge_projects_each_output_through_all_seven_projectors(default_manifes
         reads.append(args)
         return nearest(*args)
 
+    monkeypatch.setattr(sv, "_generate", outputs)
     monkeypatch.setattr(sv, "project_visual", recorded)
     monkeypatch.setattr(pr.DifferenceRegularizer, "nearest_prompt", read)
-    accuracies = sv._eval_emotion_accuracy(Outputs(), default_manifest, reg)
+    accuracies = sv._eval_emotion_accuracy(None, default_manifest, reg)
     monkeypatch.undo()
     [out] = generated
     val = sorted(default_manifest.in_split("val"), key=lambda s: s.id)
@@ -536,8 +537,8 @@ def test_demo_run_matches_per_entry_reference(default_manifest, default_world,
                                                 TINY, difference_path)
     assert base == pytest.approx(ref_base, rel=1e-12)
     assert l2 == pytest.approx(ref_l2, rel=1e-12)
-    lone = sv.ToyGenerator(network(gen.params, 0), gen.d_e)  # the one run of the block
-    for mine, theirs in zip(lone.params.layers, ref_gen.params.layers):
+    lone = network(gen, 0)  # the one run of the block
+    for mine, theirs in zip(lone.layers, ref_gen.layers):
         np.testing.assert_allclose(mine.weights, theirs.weights, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(mine.bias, theirs.bias, rtol=1e-12, atol=1e-15)
     assert (sv._eval_emotion_accuracy(gen, default_manifest, reg)
@@ -556,7 +557,7 @@ def test_lambda_zero_tail_l2_matches_per_entry_reference(default_manifest, defau
                                                 default_world, 0.0, config, True)
     assert base == pytest.approx(ref_base, rel=1e-12)
     assert l2 == pytest.approx(ref_l2, rel=1e-12)
-    np.testing.assert_allclose(gen.params.vector, [ref_gen.params.vector],
+    np.testing.assert_allclose(gen.vector, [ref_gen.vector],
                                rtol=1e-12, atol=1e-15)
 
 
@@ -675,18 +676,17 @@ def test_fused_lambda_runs_equal_separate_runs(default_manifest, default_world,
         config = dataclasses.replace(TINY, batch_size=batch_size)
         lone = {lam: train_demo(default_manifest, reg, default_world, [lam], config)
                 for lam in (0.0, 0.4, 1.0)}
-        lone_rows = {lam: sv._demo_rows(default_manifest, reg, truth, [lam], config,
-                                        sv.squared_error_loss)[0] for lam in lone}
+        lone_rows = {lam: demo_rows(default_manifest, reg, truth, [lam], config)[0]
+                     for lam in lone}
         for grid in ([0.4], [0.0, 0.4], [0.0, 0.4, 1.0], [1.0, 0.0, 1.0]):
             gen, bases, l2s = train_demo(default_manifest, reg, default_world, grid, config)
-            assert gen.params.vector.shape == (len(grid), lone[0.0][0].params.vector.size)
+            assert gen.vector.shape == (len(grid), lone[0.0][0].vector.size)
             for r, lam in enumerate(grid):
                 ref_gen, [ref_base], [ref_l2] = lone[lam]
-                assert np.array_equal(gen.params.vector[r], ref_gen.params.vector[0]), \
+                assert np.array_equal(gen.vector[r], ref_gen.vector[0]), \
                     (grid, batch_size, lam)
                 assert (bases[r], l2s[r]) == (ref_base, ref_l2), (grid, batch_size, lam)
-            rows = sv._demo_rows(default_manifest, reg, truth, grid, config,
-                                 sv.squared_error_loss)
+            rows = demo_rows(default_manifest, reg, truth, grid, config)
             assert rows == [lone_rows[lam] for lam in grid], (grid, batch_size)
 
 
@@ -724,8 +724,7 @@ def test_run_axis_mlp_passes_equal_each_networks_own(seed, runs, rows, dims, sta
     # network's output and gradients are its own passes', bit for bit
     rng = np.random.default_rng(seed)
     nets = [init_mlp(dims, rng) for _ in range(runs)]
-    block = es.MlpParams(nets[0].layers)
-    block.move_into(np.empty((runs, block.vector.size)))
+    block = es.MlpParams(dims, np.tile(nets[0].vector, (runs, 1)))
     assert all(np.array_equal(row, nets[0].vector) for row in block.vector)
     block.vector[...] = [net.vector for net in nets]
     x = rng.standard_normal((rows, dims[0]) if stacked else dims[0])

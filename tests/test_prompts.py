@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -449,6 +450,19 @@ PROJECTOR_EDITS = {
 }
 
 
+def unchained_projector_3(d):
+    """Layer 2 reads 16 inputs where layer 1 gives 32: the widths the
+    weights' rows give still match, the shapes do not."""
+    after = d["projectors"][3][2]
+    after["weights"] = [row[:16] for row in after["weights"]]
+
+
+def set_weight(value):
+    def edit(d):
+        d["projectors"][5][1]["weights"][7][3] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["dims"].update(token_count=2), "guider head maps 32 -> 32, .* need 32 -> 64"),
     (lambda d: d["dims"].update(d_b=16), "guider head maps 32 -> 32, .* need 16 -> 32"),
@@ -456,6 +470,19 @@ PROJECTOR_EDITS = {
     (lambda d: d["dims"].update(d_e=48), "projector 0 maps 64 -> 64, .* need 48 -> 48"),
     (relabel_single_conditional, "projector 0 maps 64 -> 64, .* need 71 -> 64"),
     *PROJECTOR_EDITS.values(),
+    (lambda d: d["projectors"][6][-1].update(activation="relu"),
+     r"projector 6 .* activations \['relu', 'relu', 'relu', 'relu'\], but"),
+    (unchained_projector_3,
+     re.escape("projector 3 has layers of (weights, bias) shapes [((64, 64), (64,)), "
+               "((32, 64), (32,)), ((64, 16), (64,)), ((64, 64), (64,))], but its dims ")
+     + ".* need " + re.escape("[((64, 64), (64,)), ((32, 64), (32,)), ((64, 32), (64,)), "
+                              "((64, 64), (64,))]") + "$"),
+    (lambda d: d["projectors"][2].clear(),
+     re.escape("projector 2 has layers of (weights, bias) shapes [], but")),
+    (lambda d: d["projectors"][1][0].update(weights=1.5),
+     re.escape("projector 1 has layers of (weights, bias) shapes [((), (64,)), ")),
+    (set_weight(float("nan")), "^checkpoint parameters contain non-finite entries$"),
+    (set_weight(float("inf")), "^checkpoint parameters contain non-finite entries$"),
 ])
 def test_checkpoint_load_refuses_dims_its_networks_do_not_have(trained_checkpoint,
                                                                edit, message):
@@ -609,8 +636,9 @@ def test_from_json_dict_holds_the_vector_and_one_network_more(default_suite, tmp
     path = tmp_path / "checkpoint.json"
     ckpt.save(path)
     parsed = json.loads(path.read_text(), object_hook=pr._layer_arrays)
-    # the 0.72 MB vector and one network's checked copy at a time; a copy of
-    # every network before the vector would read about 1.45 MB
+    # the 0.72 MB vector, each layer written into its view, and at most one
+    # network more; a copy of every network before the vector would read
+    # about 1.45 MB
     assert traced_peak(lambda: es.AlignmentCheckpoint.from_json_dict(parsed)) < 1.1e6
 
 

@@ -5,6 +5,7 @@ import emosup as es
 import emosup.prompts as pr
 import emosup.supervision as sv
 from emosup.errors import ContractError
+import conftest
 from test_batched_steps import train_demo, train_per_entry  # the loop and its oracle
 
 
@@ -143,10 +144,10 @@ def test_lambda_zero_bit_identical_to_disabled_path(demo_env):
                                                 difference_path=False)
     assert base_zero == base_off
     assert l2_off == 0.0
-    assert np.array_equal(gen_zero.params.vector, gen_off.params.vector)
+    assert np.array_equal(gen_zero.vector, gen_off.vector)
     gen, [base], _ = train_demo(manifest, reg, world, [0.0], cfg)
     assert base == pytest.approx(base_off, rel=1e-12)
-    np.testing.assert_allclose(gen.params.vector, [gen_off.params.vector],
+    np.testing.assert_allclose(gen.vector, [gen_off.vector],
                                rtol=1e-12, atol=1e-15)
 
 
@@ -227,8 +228,8 @@ def test_demo_csv_schema(demo_env, tmp_path):
 
 
 def demo_rows(manifest, reg, world, lams, config):
-    return sv._demo_rows(manifest, reg, sv._clean_targets(manifest, world), lams, config,
-                         sv.squared_error_loss)
+    return conftest.demo_rows(manifest, reg, sv._clean_targets(manifest, world), lams,
+                              config)
 
 
 def test_lambda_zero_row_unchanged_without_the_frozen_backward(demo_env, monkeypatch):
