@@ -20,8 +20,8 @@ net = init_mlp([6, 8, 4], rng)
 x = rng.standard_normal(6)
 u = rng.standard_normal(4)
 out, cache = mlp_forward(net, x)
-grads = mlp_backward(net, cache, u)
-weight_grad, _ = net.views(grads.vector)[0]  # layer 0's share of the gradient vector
+grad = mlp_backward(net, cache, u)
+weight_grad, _ = net.views(grad)[0]  # layer 0's share of the gradient vector
 
 # spot-check one weight against central finite differences: the one with
 # the largest gradient, so it feeds a hidden unit the relu keeps active
@@ -40,7 +40,7 @@ print(f"analytic dL/dW{list(idx)} = {weight_grad[idx]:+.8f}")
 print(f"finite-difference   = {fd:+.8f}")
 
 # the layers are views of one parameter vector: SGD updates it in place
-sgd_step(net.vector, grads.vector, lr=0.1)
+sgd_step(net.vector, grad, lr=0.1)
 print(f"W{list(idx)} before/after one SGD step: {orig:+.8f} -> {layer.weights[idx]:+.8f}")
 
 print("\n== PSD square-root trace ==")

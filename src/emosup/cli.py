@@ -195,16 +195,16 @@ def cmd_pretrain(args) -> int:
     config = _config_from_flags(TrainConfig, flags)
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     pools = _load_pools(flags["pools"])
-    out = _out_dir(args)
     train = (prompts.pretrain_alignment if args.command == "pretrain"
              else prompts.pretrain_with_difference_objective)
     ckpt, curve = train(manifest, pools, suite, config)
+    accuracy = prompts.retrieval_accuracy(ckpt, manifest, "val", suite)
+    out = _out_dir(args)
     ckpt.save(out / "checkpoint.json")
     curve.save_csv(out / "curve.csv")
     hashes = _write_run_metadata(out, args.command, flags,
                                  [out / "checkpoint.json", out / "curve.csv"])
     means = curve.epoch_means()
-    accuracy = prompts.retrieval_accuracy(ckpt, manifest, "val", suite)
     print(f"epoch mean loss: first={means[0]:.4f} final={means[-1]:.4f}; "
           f"val retrieval accuracy={accuracy:.3f}")
     # the file holds the canonical JSON, so its sha256 is ckpt.content_hash()
@@ -297,8 +297,8 @@ def cmd_supervise_demo(args) -> int:
     config = _config_from_flags(DemoConfig, flags)
     lam = (lambda_for_baseline(flags["baseline"]) if flags["lam"] is None
            else LambdaConfig(float(flags["lam"]), flags["baseline"]))
-    out = _out_dir(args)
     report = supervision.supervise_demo(manifest, ckpt, lam, suite, config, world=world)
+    out = _out_dir(args)
     write_json(out / "report.json",
                {**report.to_json_dict(), "content_hash": report.content_hash()})
     supervision.write_demo_csv(report.rows(), out / "report.csv")
@@ -317,8 +317,8 @@ def cmd_sweep_lambda(args) -> int:
     grid_spec = flags["grid"]
     grid = supervision.lambda_grid([x for x in grid_spec.split(",") if x]
                                    if isinstance(grid_spec, str) else grid_spec)
-    out = _out_dir(args)
     rows = supervision.sweep_lambda(manifest, ckpt, grid, suite, config, world=world)
+    out = _out_dir(args)
     supervision.write_demo_csv(rows, out / "sweep.csv")
     write_json(out / "sweep.json", {"rows": [r.to_dict() for r in rows]})
     for r in rows:
@@ -332,9 +332,9 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_export_diffs(args) -> int:
     flags = _resolve_flags(args)
     manifest, _, suite, ckpt = _checkpoint_inputs(flags)
-    out = _out_dir(args)
     rows = differencing.export_difference_rows(
         ckpt, manifest, suite, include_mismatched=bool(flags["include_mismatched"]))
+    out = _out_dir(args)
     differencing.write_difference_csv(rows, out / "diffs.csv")
     print(f"exported {len(rows)} difference rows")
     _write_run_metadata(out, args.command, flags, [out / "diffs.csv"])

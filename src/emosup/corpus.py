@@ -179,7 +179,10 @@ def generate_synthetic_corpus(world: SyntheticWorld,
     """Materialize n_identities x 7 x per_identity_per_emotion samples.
 
     Every identity keeps neutral replicates; the 90/10 train/val split is
-    deterministic, per-identity stratified hashing of sample ids.
+    deterministic, per-identity stratified hashing of sample ids. Val never
+    takes an identity's last neutral, its last-ranked one: the next-ranked
+    id goes instead, so every identity keeps a train neutral (this only
+    happens at one sample per emotion).
     """
     if per_identity_per_emotion < 1:
         raise ContractError("per_identity_per_emotion must be >= 1")
@@ -196,9 +199,11 @@ def generate_synthetic_corpus(world: SyntheticWorld,
                                       neutral_ref))
                 ids.append(sid)
         ids.sort(key=lambda sid: _split_rank(world.seed, sid))
-        n_val = max(1, round(VAL_FRACTION * len(ids)))
-        for i, sid in enumerate(ids):
-            split[sid] = VAL if i < n_val else TRAIN
+        last_neutral = [sid for sid in ids if sid.startswith(f"{identity}_neutral_")][-1]
+        val = set([sid for sid in ids if sid != last_neutral]
+                  [:max(1, round(VAL_FRACTION * len(ids)))])
+        for sid in ids:
+            split[sid] = VAL if sid in val else TRAIN
 
     manifest = CorpusManifest(samples, split, world_config=world.config.to_dict(),
                               world_seed=world.seed)

@@ -22,7 +22,8 @@ from .numerics import as_matrix, as_vector, cosine_with_flag, psd_sqrt_trace
 @dataclass
 class FeatureSet:
     """A stack of same-dimension feature vectors with a provenance tag and,
-    optionally, one sample id per row (the key the pairwise metrics pair on)."""
+    optionally, one sample id per row: the key the pairwise metrics pair on,
+    so a set without ids gets no pairwise metric."""
 
     vectors: np.ndarray
     source_tag: str = ""
@@ -111,11 +112,10 @@ def csim(gen_embs: list[np.ndarray], real_embs: list[np.ndarray]) -> float:
 
 
 def _paired_gen_rows(real: FeatureSet, gen: FeatureSet) -> np.ndarray | None:
-    """The generated rows aligned to the real rows: by sample id when both
-    sets carry ids (a differing id set is an error), else by position when
-    the counts match, else None."""
+    """The generated rows aligned to the real rows by sample id, or None when
+    either set carries no ids; a differing id set is an error."""
     if real.ids is None or gen.ids is None:
-        return gen.vectors if real.n == gen.n else None
+        return None
     unmatched = set(real.ids) ^ set(gen.ids)
     if unmatched:
         raise ContractError(f"{len(unmatched)} sample ids are unmatched between the "
@@ -127,8 +127,7 @@ def _paired_gen_rows(real: FeatureSet, gen: FeatureSet) -> np.ndarray | None:
 
 def metric_report(real: FeatureSet, gen: FeatureSet) -> dict:
     """All three metrics between two feature sets. The pairwise metrics
-    pair rows by sample id when both sets carry ids, and otherwise treat
-    the stacks as aligned sequences (requiring equal counts)."""
+    pair rows by sample id, and are None when either set carries no ids."""
     paired_gen = _paired_gen_rows(real, gen)
     report = {"fad": fad(real, gen), "n_real": real.n, "n_gen": gen.n}
     if paired_gen is not None:

@@ -8,11 +8,13 @@ in-place ``sgd_step``, is a pure function of its inputs. Vectors are 1-D
 arrays, matrices 2-D row-major arrays. The MLP passes, ``cosine_grads``
 and the losses also take a row-stacked ``(B, d)`` batch; a 1-D input is
 the B = 1 case and comes back 1-D. An MLP's parameters are views of one
-flat vector, so an SGD step is one in-place update of that vector; a
-``(R, size)`` block of R such vectors is a run axis of R networks, which
-the MLP passes run at once.
+flat vector, so its gradient (``mlp_backward``, summed over the rows) is
+one array in the same layout and an SGD step is one in-place update of
+that vector; a ``(R, size)`` block of R such vectors is a run axis of R
+networks, which the MLP passes run at once.
 ``layers_forward`` and ``layers_backward`` are the one dense-layer pass:
-the MLP passes and the projector bank's stacked passes run it.
+the MLP passes and the projector bank's stacked passes run it. Only
+``layers_backward`` gives the gradient w.r.t. the input rows.
 """
 
 from __future__ import annotations
@@ -193,9 +195,9 @@ class MlpParams:
     is taken as given, without a copy, so one in-place update of the vector
     updates every layer. A vector of ``chain_size(dims)`` entries holds one
     network; a ``(R, size)`` block holds a run axis of R networks, with
-    ``(R, out, in)`` and ``(R, out)`` layers, that ``mlp_forward`` and
-    ``mlp_backward`` run at once and ``sgd_step`` updates one ``vector[r]``
-    at a time.
+    ``(R, out, in)`` and ``(R, out)`` layers, that ``mlp_forward`` runs at
+    once, ``mlp_backward`` gives one ``(R, size)`` gradient block for, and
+    ``sgd_step`` updates one ``vector[r]`` at a time.
     """
 
     def __init__(self, dims: list[int], vector: np.ndarray):
@@ -268,27 +270,14 @@ def init_mlp(dims: list[int], rng: np.random.Generator) -> MlpParams:
 
 @dataclass
 class MlpCache:
-    """Forward-pass intermediates needed by the backward pass, stored as
-    row stacks; ``stacked`` records whether the input was ``(B, d)``."""
+    """Forward-pass intermediates that ``mlp_backward`` needs for the
+    parameter gradient, stored as row stacks; ``stacked`` records whether
+    the input was ``(B, d)``, and so the upstream gradient's shape."""
 
     params: MlpParams
     inputs: list[np.ndarray]          # input to each layer, (B, in) or (R, B, in)
     preactivations: list[np.ndarray]  # z = x W^T + b per layer, (B, out) or (R, B, out)
     stacked: bool
-
-
-@dataclass
-class MlpGrads:
-    """Parameter gradients as one ``vector`` in the layout of
-    ``MlpParams.vector`` (``p.views(vector)`` gives its per-layer weight and
-    bias gradients), and the gradient w.r.t. the network input.
-
-    After a row-stacked backward pass ``input_grad`` holds one row per
-    input row; the parameter gradients are summed over the rows.
-    """
-
-    vector: np.ndarray
-    input_grad: np.ndarray
 
 
 def layers_forward(layers: list[DenseLayer], h: np.ndarray):
@@ -336,17 +325,16 @@ def mlp_forward(p: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
     return (h if stacked else h[..., 0, :]), MlpCache(p, inputs, preacts, stacked)
 
 
-def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
-    """Analytic gradients of ``dot(output, upstream_grad)`` w.r.t. all
-    weights, biases, and the input.
+def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> np.ndarray:
+    """Analytic gradient of ``dot(output, upstream_grad)`` w.r.t. all
+    weights and biases: one array shaped as ``p.vector``, in its layout
+    (``p.views(grad)`` gives the per-layer weight and bias gradients).
 
     The cache must come from a forward call on the same parameter object.
     After a stacked forward pass ``upstream_grad`` holds one row per input
-    row; the weight and bias gradients are then sums over the rows and the
-    input gradient keeps one row per input. With a run axis ``upstream_grad``
-    has the output's leading R axis, and so do both gradients: a ``(R,
-    size)`` block of each network's parameter gradient, and each network's
-    input gradient.
+    row, and the gradient is summed over the rows. With a run axis
+    ``upstream_grad`` has the output's leading R axis, and the gradient is
+    a ``(R, size)`` block of each network's own.
     """
     if cache.params is not p:
         raise ContractError("stale cache: produced by a different parameter set")
@@ -357,10 +345,10 @@ def mlp_backward(p: MlpParams, cache: MlpCache, upstream_grad) -> MlpGrads:
                             f"batch")
     if not np.isfinite(u).all():
         raise ContractError("upstream grad contains non-finite entries")
-    vector = np.empty(p.vector.shape)
-    u = layers_backward(p.layers, cache.inputs, cache.preactivations,
-                        u if cache.stacked else u[..., None, :], p.views(vector))
-    return MlpGrads(vector, u if cache.stacked else u[..., 0, :])
+    grad = np.empty(p.vector.shape)
+    layers_backward(p.layers, cache.inputs, cache.preactivations,
+                    u if cache.stacked else u[..., None, :], p.views(grad), input_grad=False)
+    return grad
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:

@@ -24,7 +24,7 @@ from .emotions import EMOTIONS, EmotionLabel, prompt_for
 from .encoders import EncoderSuite
 from .errors import (ContractError, NumericalError, load_json_object, stream_json,
                      write_csv, write_json)
-from .numerics import (DenseLayer, DifferencePair, MlpGrads, MlpParams, as_matrix,
+from .numerics import (DenseLayer, DifferencePair, MlpParams, as_matrix,
                        chain_size, contrastive_loss_with_grads, cosine_with_flag,
                        difference_loss_with_grads, init_mlp, layers_backward,
                        layers_forward, mlp_backward, mlp_forward, sgd_step)
@@ -316,9 +316,10 @@ def project_visual(ckpt: AlignmentCheckpoint, x: np.ndarray, codes: np.ndarray):
     checkpoint's ``frozen_bank``, so each row makes the ``(1, in) @ (in,
     out)`` products of a 1-D ``mlp_forward``. Returns the projections and
     ``input_grad(upstream)``, the gradient of each row's ``dot(projection,
-    upstream row)`` w.r.t. its ``d_e`` input row. Each row equals its 1-D
-    ``mlp_forward`` / ``mlp_backward(...).input_grad`` bit for bit, whatever
-    rows stand beside it."""
+    upstream row)`` w.r.t. its ``d_e`` input row, the package's one input
+    gradient. Each row equals its 1-D ``mlp_forward`` and its one-row
+    ``layers_backward`` input gradient bit for bit, whatever rows stand
+    beside it."""
     ckpt.require_frozen()
     layers = ckpt.frozen_bank
     stack, index = _group_rows(ckpt, x, codes)
@@ -569,9 +570,9 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, identity: np.ndarray,
     embedding stack plus the ``(B, L, d_tok)`` token stack. ``backward(terms)``
     takes ``(stack, upstream)`` pairs of such token stacks and ``(B, d_e)``
     embedding gradients, chains them through the guider tokens (one
-    ``text_token_vjp`` call per token per term), and runs one head backward
-    pass on their sum (the head's backward is linear in its upstream
-    gradient).
+    ``text_token_vjp`` call per token per term), and returns the head's
+    parameter gradient from one backward pass on their sum (the head's
+    backward is linear in its upstream gradient).
     """
     head_out, head_cache = mlp_forward(ckpt.guider_head, identity)
     count = ckpt.token_count
@@ -581,7 +582,7 @@ def _personalized_rows(ckpt: AlignmentCheckpoint, identity: np.ndarray,
         stack = np.concatenate([guider, table.prompt_tokens[codes]], axis=1)
         return suite.text_encode(stack), stack
 
-    def backward(terms) -> MlpGrads:
+    def backward(terms) -> np.ndarray:
         upstream = np.zeros_like(guider)
         for stack, embedding_grads in terms:
             for i in range(count):
@@ -646,7 +647,7 @@ def _step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch | PairBatch,
 
     losses, d_1, d_2, d_vis = loss(t_1, t_2, i_vis)
     grad[:ckpt.guider_head.vector.size] = head_backward([(stack_1, scale * d_1),
-                                                         (stack_2, scale * d_2)]).vector
+                                                         (stack_2, scale * d_2)])
     projector_backward(scale * d_vis, grad)
     return float(np.sum(losses)) * scale, grad
 

@@ -256,11 +256,11 @@ def _train_generators(manifest: CorpusManifest, reg: DifferenceRegularizer, trut
                 raise NumericalError(f"non-finite demo loss at step {step}")
             if scored[r]:
                 l2_hist[r].append(float(np.sum(l2_vals[r])) / batch)
-        grads = mlp_backward(params, cache, upstream / batch)
+        grad = mlp_backward(params, cache, upstream / batch)
         # one update per run, not one over the block: perfbench's supervise
         # rate counts sgd_step calls (ROADMAP, Measurements)
         for r in range(n_runs):
-            sgd_step(params.vector[r], grads.vector[r], config.lr)
+            sgd_step(params.vector[r], grad[r], config.lr)
     # l2_hist holds only the steps L2 was computed on, which include the tail
     return (params, [float(np.mean(h[-tail:])) for h in base_hist],
             [float(np.mean(h[-tail:])) for h in l2_hist])

@@ -59,6 +59,15 @@ def project_row(ckpt: es.AlignmentCheckpoint, x, emotion):
     return out, cache, net
 
 
+def input_grad_row(net: es.MlpParams, cache, u) -> np.ndarray:
+    """Oracle of ``project_visual``'s input gradient for one row: the
+    gradient of ``dot(output, u)`` w.r.t. the 1-D input of ``net``'s forward
+    ``cache`` (``project_row``), one ``layers_backward`` pass over its one
+    row."""
+    return es.numerics.layers_backward(net.layers, cache.inputs, cache.preactivations,
+                                       u[None])[0]
+
+
 def passthrough_layers(d: int, half: int):
     """Identity weights through the ``d -> d -> d/2 -> d -> d`` projector
     chain that carry one half of an input's entries, the first ``d // 2``

@@ -44,7 +44,7 @@ def test_criterion_1_gradient_correctness(default_manifest, default_suite,
 
     def fd_check_all_params(value_fn, params_list, analytic, rel=1e-4):
         for p, g in zip(params_list, analytic):
-            for layer, (weight_grad, bias_grad) in zip(p.layers, p.views(g.vector)):
+            for layer, (weight_grad, bias_grad) in zip(p.layers, p.views(g)):
                 for arr, grads in ((layer.weights, weight_grad), (layer.bias, bias_grad)):
                     flat = arr.reshape(-1)
                     gflat = grads.reshape(-1)
@@ -68,13 +68,13 @@ def test_criterion_1_gradient_correctness(default_manifest, default_suite,
         x = arch_rng.standard_normal(dims[0])
         u = arch_rng.standard_normal(dims[-1])
         _, cache = mlp_forward(net, x)
-        grads = mlp_backward(net, cache, u)
+        grad = mlp_backward(net, cache, u)
 
         def net_value():
             out, _ = mlp_forward(net, x)
             return float(out @ u)
 
-        fd_check_all_params(net_value, [net], [grads])
+        fd_check_all_params(net_value, [net], [grad])
 
     # the full loss path: guider head and projectors through the
     # contrastive objective

@@ -22,7 +22,8 @@ from emosup.emotions import EMOTIONS
 from emosup.encoders import _hash_generator
 from emosup.numerics import (EPS_NORM, cosine_grads, cosine_with_flag, init_mlp,
                              mlp_backward, mlp_forward, sgd_step)
-from conftest import bank_index, demo_rows, draws, entries, network, project_row
+from conftest import (bank_index, demo_rows, draws, entries, input_grad_row, network,
+                      project_row)
 
 MODES = [pr.MULTI, pr.SINGLE_CONDITIONAL]
 
@@ -68,12 +69,10 @@ def contrastive_per_entry(ckpt, batch, suite):
         sim_pos, d_tpos, d_ivis_pos = sim_and_grads(t_pos, i_vis)
         sim_neg, d_tneg, d_ivis_neg = sim_and_grads(t_neg, i_vis)
         total += (1.0 - sim_pos) + sim_neg
-        grads[0] += head_grads_per_entry(ckpt, seq_pos, cache_pos, -scale * d_tpos,
-                                         suite).vector
-        grads[0] += head_grads_per_entry(ckpt, seq_neg, cache_neg, scale * d_tneg,
-                                         suite).vector
+        grads[0] += head_grads_per_entry(ckpt, seq_pos, cache_pos, -scale * d_tpos, suite)
+        grads[0] += head_grads_per_entry(ckpt, seq_neg, cache_neg, scale * d_tneg, suite)
         grads[1][bank_index(ckpt, entry.anchor.emotion)] += mlp_backward(
-            net, proj_cache, scale * (d_ivis_neg - d_ivis_pos)).vector
+            net, proj_cache, scale * (d_ivis_neg - d_ivis_pos))
     return total * scale, grad
 
 
@@ -99,12 +98,12 @@ def difference_per_entry(ckpt, batch, suite):
         total += 1.0 - sim
         d_idiff, d_tdiff, _, _ = cosine_grads(i_diff, t_diff)
         d_idiff, d_tdiff = -scale * d_idiff, -scale * d_tdiff
-        grads[0] += head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite).vector
-        grads[0] += head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite).vector
+        grads[0] += head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite)
+        grads[0] += head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite)
         grads[1][bank_index(ckpt, draw.source.emotion)] += mlp_backward(
-            net_s, cache_is, d_idiff).vector
+            net_s, cache_is, d_idiff)
         grads[1][bank_index(ckpt, draw.target.emotion)] += mlp_backward(
-            net_t, cache_it, -d_idiff).vector
+            net_t, cache_it, -d_idiff)
     return total * scale, grad
 
 
@@ -215,7 +214,7 @@ def bank_pass_per_row(ckpt, samples, suite, upstream):
             x = np.concatenate([x, np.eye(len(EMOTIONS))[sample.emotion]])
         out, cache = mlp_forward(net, x)
         outs.append(out)
-        grads[index] = grads.get(index, 0.0) + mlp_backward(net, cache, u).vector
+        grads[index] = grads.get(index, 0.0) + mlp_backward(net, cache, u)
     return np.array(outs), grads
 
 
@@ -332,7 +331,7 @@ def l2_grad_per_entry(reg, source, generated, target, with_grad):
         return loss, np.zeros_like(generated)
     # loss = 1 - sim and visual_diff = projected_source - visual_gen, so
     # d loss / d visual_gen = d sim / d visual_diff
-    input_grad = mlp_backward(net, gen_cache, d_sim).input_grad
+    input_grad = input_grad_row(net, gen_cache, d_sim)
     if ckpt.mode != pr.MULTI:
         input_grad = input_grad[:ckpt.d_e]  # drop the one-hot block
     return loss, input_grad
@@ -359,7 +358,7 @@ def train_per_entry(manifest, reg, world, lam, config, difference_path):
             else:
                 l2_val, l2_grad = 0.0, np.zeros_like(out)
             upstream = base_grad + lam * l2_grad
-            grad += mlp_backward(gen, cache, upstream / config.batch_size).vector
+            grad += mlp_backward(gen, cache, upstream / config.batch_size)
             base_sum += base_val
             l2_sum += l2_val
         sgd_step(gen.vector, grad, config.lr)
@@ -703,17 +702,14 @@ def test_stacked_mlp_passes_equal_per_row_calls(seed, rows, dims):
     x = rng.standard_normal((rows, dims[0]))
     u = rng.standard_normal((rows, dims[-1]))
     out, cache = mlp_forward(net, x)
-    grads = mlp_backward(net, cache, u)
-    assert out.shape == (rows, dims[-1]) and grads.input_grad.shape == x.shape
+    grad = mlp_backward(net, cache, u)
+    assert out.shape == (rows, dims[-1]) and grad.shape == net.vector.shape
     summed = np.zeros_like(net.vector)
     for i in range(rows):
         out_i, cache_i = mlp_forward(net, x[i])
-        grads_i = mlp_backward(net, cache_i, u[i])
         np.testing.assert_allclose(out[i], out_i, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grads.input_grad[i], grads_i.input_grad,
-                                   rtol=1e-12, atol=1e-12)
-        summed += grads_i.vector
-    np.testing.assert_allclose(grads.vector, summed, rtol=1e-12, atol=1e-12)
+        summed += mlp_backward(net, cache_i, u[i])
+    np.testing.assert_allclose(grad, summed, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=40)
@@ -721,7 +717,7 @@ def test_stacked_mlp_passes_equal_per_row_calls(seed, rows, dims):
        dims=st.lists(st.integers(1, 7), min_size=2, max_size=4), stacked=st.booleans())
 def test_run_axis_mlp_passes_equal_each_networks_own(seed, runs, rows, dims, stacked):
     # R networks in one (R, size) block, all fed the same input: each
-    # network's output and gradients are its own passes', bit for bit
+    # network's output and parameter gradient are its own passes', bit for bit
     rng = np.random.default_rng(seed)
     nets = [init_mlp(dims, rng) for _ in range(runs)]
     block = es.MlpParams(dims, np.tile(nets[0].vector, (runs, 1)))
@@ -730,16 +726,14 @@ def test_run_axis_mlp_passes_equal_each_networks_own(seed, runs, rows, dims, sta
     x = rng.standard_normal((rows, dims[0]) if stacked else dims[0])
     u = rng.standard_normal((runs, *np.shape(x)[:-1], dims[-1]))
     out, cache = mlp_forward(block, x)
-    grads = mlp_backward(block, cache, u)
-    assert out.shape == u.shape and grads.vector.shape == block.vector.shape
+    grad = mlp_backward(block, cache, u)
+    assert out.shape == u.shape and grad.shape == block.vector.shape
     for r, net in enumerate(nets):
         for layer, own in zip(block.layers, net.layers):
             assert np.array_equal(layer.weights[r], own.weights)
         out_r, cache_r = mlp_forward(net, x)
-        grads_r = mlp_backward(net, cache_r, u[r])
         assert np.array_equal(out[r], out_r)
-        assert np.array_equal(grads.vector[r], grads_r.vector)
-        assert np.array_equal(grads.input_grad[r], grads_r.input_grad)
+        assert np.array_equal(grad[r], mlp_backward(net, cache_r, u[r]))
     with pytest.raises(es.ContractError, match="does not match the forward batch"):
         mlp_backward(block, cache, u[0])
 

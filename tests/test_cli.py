@@ -469,6 +469,54 @@ def test_sweep_lambda_refuses_lambda_and_baseline(tmp_path, corpus_dir, checkpoi
 
 
 # ---------------------------------------------------------------------------
+# refusals that come after the inputs are read
+# ---------------------------------------------------------------------------
+
+def test_pretrain_runs_on_a_one_sample_per_emotion_corpus(tmp_path, capsys):
+    # world seed 4 ranks an identity's only neutral first for val; the corpus
+    # keeps it in train, so pre-training has a reference for every identity
+    assert run("gen-corpus", "--seed", 4, "--per-emotion", 1,
+               "--out", tmp_path / "corpus") == 0
+    assert run("pretrain", "--manifest", tmp_path / "corpus" / "manifest.json",
+               "--epochs", 1, "--steps-per-epoch", 2, "--out", tmp_path / "ckpt") == 0
+    assert "val retrieval accuracy=" in capsys.readouterr().out
+
+
+def _resplit(corpus_dir: Path, path: Path, split_of) -> Path:
+    """The corpus's manifest with each sample's split tag set by ``split_of``."""
+    spec = json.loads((corpus_dir / "manifest.json").read_text())
+    for sample in spec["samples"]:
+        sample["split"] = split_of(sample)
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_pretrain_without_a_train_neutral_leaves_no_out(tmp_path, corpus_dir, capsys):
+    # the manifest loads and validates; training refuses it, before --out exists
+    manifest = _resplit(corpus_dir, tmp_path / "manifest.json", lambda s: (
+        "val" if s["id"].startswith("id000_neutral_") else s["split"]))
+    out = tmp_path / "ckpt"
+    assert run("pretrain", "--manifest", manifest, "--epochs", 1, "--steps-per-epoch", 2,
+               "--out", out) == 2
+    assert "identity 'id000' has no train-split neutral sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "supervise-demo", "sweep-lambda"])
+def test_an_empty_val_split_leaves_no_out(tmp_path, corpus_dir, checkpoint_dir, capsys,
+                                          command):
+    # pretrain scores val retrieval, and the demos judge on val, after they
+    # train; a refusal there comes before --out exists
+    manifest = _resplit(corpus_dir, tmp_path / "manifest.json", lambda s: "train")
+    flags = (["--epochs", 1, "--steps-per-epoch", 2] if command == "pretrain" else
+             ["--checkpoint", checkpoint_dir / "checkpoint.json", "--steps", 2])
+    out = tmp_path / "out"
+    assert run(command, "--manifest", manifest, *flags, "--out", out) == 2
+    assert "is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # replay from run metadata
 # ---------------------------------------------------------------------------
 

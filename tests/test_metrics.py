@@ -182,8 +182,9 @@ def test_csim_length_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 def test_metric_report_against_itself(rng):
-    x = FeatureSet(rng.standard_normal((30, 8)), "x")
-    report = metric_report(x, FeatureSet(x.vectors.copy(), "y"))
+    ids = [f"s{i:02d}" for i in range(30)]
+    x = FeatureSet(rng.standard_normal((30, 8)), "x", ids)
+    report = metric_report(x, FeatureSet(x.vectors.copy(), "y", ids))
     assert abs(report["fad"]) < 1e-9
     assert report["lse_d"] == 0.0
     assert report["csim"] == pytest.approx(1.0)
@@ -206,7 +207,9 @@ def test_metric_report_pairs_rows_by_id(rng):
     report = metric_report(real, shuffled)
     assert report["lse_d"] == 0.0
     assert report["csim"] == pytest.approx(1.0)
-    assert metric_report(real, FeatureSet(x[order]))["lse_d"] > 0.1  # by position
+    # a set without ids is not paired by position
+    report = metric_report(real, FeatureSet(x[order]))
+    assert report["lse_d"] is None and report["csim"] is None
 
 
 def test_metric_report_refuses_unmatched_ids(rng):

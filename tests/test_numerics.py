@@ -13,7 +13,7 @@ from emosup.numerics import (EPS_NORM, IDENTITY, RELU, MlpParams,
                              mlp_backward, mlp_forward, psd_sqrt_trace, sgd_step)
 from emosup.prompts import (MULTI, SINGLE_CONDITIONAL, TrainConfig, _fresh_checkpoint,
                             project_visual)
-from conftest import network, project_row
+from conftest import input_grad_row, network, project_row
 
 
 def random_psd(rng, d):
@@ -231,8 +231,8 @@ def test_backward_zero_upstream(rng):
     x = rng.standard_normal(4)
     _, cache = mlp_forward(p, x)
     g = mlp_backward(p, cache, np.zeros(3))
-    assert np.all(g.vector == 0)
-    assert np.all(g.input_grad == 0)
+    assert g.shape == p.vector.shape and np.all(g == 0)
+    assert np.all(input_grad_row(p, cache, np.zeros(3)) == 0)
 
 
 def test_backward_linear_case():
@@ -241,10 +241,10 @@ def test_backward_linear_case():
     x = np.array([5.0, 7.0])
     _, cache = mlp_forward(p, x)
     g = mlp_backward(p, cache, np.array([1.0]))
-    [(weight_grad, bias_grad)] = p.views(g.vector)
+    [(weight_grad, bias_grad)] = p.views(g)
     assert np.array_equal(weight_grad, x.reshape(1, 2))
     assert np.array_equal(bias_grad, [1.0])
-    assert np.array_equal(g.input_grad, [2.0, -3.0])
+    assert np.array_equal(input_grad_row(p, cache, np.array([1.0])), [2.0, -3.0])
 
 
 def fd_param_grads(p: MlpParams, x, upstream, h=1e-5):
@@ -287,17 +287,18 @@ def test_backward_matches_finite_differences():
         _, cache = mlp_forward(p, x)
         g = mlp_backward(p, cache, u)
         fd = fd_param_grads(p, x, u)
-        for (dw, db), (gw, gb) in zip(fd, p.views(g.vector)):
+        for (dw, db), (gw, gb) in zip(fd, p.views(g)):
             assert relative_error(dw, gw) < 1e-4
             assert relative_error(db, gb) < 1e-4
-        # input gradient against finite differences too
+        # layers_backward's input gradient against finite differences too
+        input_grad = input_grad_row(p, cache, u)
         h = 1e-5
         for i in range(dims[0]):
             e = np.zeros(dims[0])
             e[i] = h
             fd_x = (float(mlp_forward(p, x + e)[0] @ u)
                     - float(mlp_forward(p, x - e)[0] @ u)) / (2 * h)
-            assert g.input_grad[i] == pytest.approx(fd_x, rel=1e-4, abs=1e-6)
+            assert input_grad[i] == pytest.approx(fd_x, rel=1e-4, abs=1e-6)
 
 
 def test_backward_stale_cache_rejected(rng):
@@ -326,7 +327,7 @@ def frozen_pass(ckpt, x, codes, u):
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (7, 5)])
 def test_input_grad_equals_backward_input_grad(rng, activation, shape):
     # the frozen bank's pass gives each row the 1-D mlp_forward output and
-    # mlp_backward input gradient of its own projector, bit for bit; a 1-D
+    # layers_backward input gradient of its own projector, bit for bit; a 1-D
     # shape is fed as the one-row batch
     ckpt = frozen_checkpoint(rng, shape[-1], MULTI, activation)
     x = np.atleast_2d(rng.standard_normal(shape))
@@ -337,7 +338,7 @@ def test_input_grad_equals_backward_input_grad(rng, activation, shape):
     for row, code in enumerate(codes):
         expected_out, cache, net = project_row(ckpt, x[row], code)
         assert np.array_equal(out[row], expected_out)
-        assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad)
+        assert np.array_equal(got[row], input_grad_row(net, cache, u[row]))
 
 
 def test_input_grad_of_a_single_conditional_projector(rng):
@@ -350,7 +351,7 @@ def test_input_grad_of_a_single_conditional_projector(rng):
             expected_out, cache, net = project_row(ckpt, x[row], code)
             assert np.array_equal(out[row], expected_out)
             # the input gradient w.r.t. the one-hot block is dropped
-            assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:8])
+            assert np.array_equal(got[row], input_grad_row(net, cache, u[row])[:8])
 
 
 # a batch of up to 128 codes: uniform, or shuffled with one emotion holding
@@ -376,7 +377,7 @@ skewed_codes = st.one_of(
        codes=skewed_codes, seed=st.integers(0, 2 ** 31))
 def test_frozen_pass_is_exact_per_row_on_large_skewed_batches(mode, activation, d_e,
                                                               codes, seed):
-    # each row is the 1-D mlp_forward / mlp_backward input gradient of its
+    # each row is the 1-D mlp_forward / layers_backward input gradient of its
     # own projector, and the same row computed alone, bit for bit, however
     # far its group is padded
     rng = np.random.default_rng(seed)
@@ -389,7 +390,7 @@ def test_frozen_pass_is_exact_per_row_on_large_skewed_batches(mode, activation, 
     for row, code in enumerate(codes):
         expected_out, cache, net = project_row(ckpt, x[row], code)
         assert np.array_equal(out[row], expected_out)
-        assert np.array_equal(got[row], mlp_backward(net, cache, u[row]).input_grad[:d_e])
+        assert np.array_equal(got[row], input_grad_row(net, cache, u[row])[:d_e])
         alone = frozen_pass(ckpt, x[row:row + 1], codes[row:row + 1], u[row:row + 1])
         assert np.array_equal(alone[0][0], out[row])
         assert np.array_equal(alone[1][0], got[row])
@@ -465,9 +466,9 @@ def test_layers_are_views_of_one_vector(rng):
     p.vector[:] = np.arange(p.vector.size)
     assert p.layers[0].weights[1, 0] == 3.0 and p.layers[1].bias[1] == p.vector.size - 1
     g = mlp_backward(p, mlp_forward(p, rng.standard_normal(3))[1], np.ones(2))
-    views = [a for pair in p.views(g.vector) for a in pair]
-    assert all(np.shares_memory(a, g.vector) for a in views)
-    assert np.array_equal(np.concatenate([a.ravel() for a in views]), g.vector)
+    views = [a for pair in p.views(g) for a in pair]
+    assert all(np.shares_memory(a, g) for a in views)
+    assert np.array_equal(np.concatenate([a.ravel() for a in views]), g)
 
 
 def test_frozen_params_reject_writes_through_every_view(rng):
