@@ -13,17 +13,19 @@ print(f"world: {cfg.n_identities} identities, d_e={cfg.d_e}, d_b={cfg.d_b}, "
 
 print("\nPlain prompt encodings land exactly on the text prototypes:")
 for e in list(es.EMOTIONS)[:3]:
-    enc = suite.text_encode(suite.tokenize(es.prompt_for(e)))
+    enc = suite.text_encode(suite.tokenize(es.prompt_for(e))[None])[0]
     err = np.max(np.abs(enc - world.text_prototype(e)))
     print(f"  {e.name:<10} '{es.prompt_for(e)}'  |error| = {err:.2e}")
 
 print("\nAt noise 0 and zero offset, visual minus text is purely the identity term:")
 flat = es.build_synthetic_world(5, es.WorldConfig(noise_sigma=0.0, gap=0.0))
 fsuite = es.synthetic_suite(flat)
-for idx in (0, 1):
+# the encoders take stacks: a tuple of refs, and a (B, L, d_tok) token stack
+visual = fsuite.visual_encode(tuple(flat.image_ref(ident, es.EmotionLabel.happy, 0)
+                                    for ident in flat.identity_names[:2]))
+t = fsuite.text_encode(fsuite.tokenize(es.prompt_for(es.EmotionLabel.happy))[None])[0]
+for idx, v in enumerate(visual):
     ident = flat.identity_names[idx]
-    v = fsuite.visual_encode(flat.image_ref(ident, es.EmotionLabel.happy, 0))
-    t = fsuite.text_encode(fsuite.tokenize(es.prompt_for(es.EmotionLabel.happy)))
     a_z = flat.visual_map @ flat.identity_latents[idx]
     print(f"  {ident}: |(visual - text) - identity_term| = "
           f"{np.max(np.abs(v - t - a_z)):.2e}")

@@ -30,11 +30,11 @@ refs = {}
 for s in manifest.samples:
     if s.emotion == es.EmotionLabel.neutral and s.identity not in refs:
         refs[s.identity] = s
-embs = {}
-for ident, ref in list(refs.items())[:3]:
-    prompt = es.build_personalized_prompt(ckpt, ref, es.EmotionLabel.happy, suite)
-    embs[ident] = suite.text_encode(prompt)
-idents = list(embs)
+idents = list(refs)[:3]
+# one (3, L, d_tok) token stack, encoded in one call
+prompts = np.stack([es.build_personalized_prompt(ckpt, refs[ident], es.EmotionLabel.happy,
+                                                 suite) for ident in idents])
+embs = dict(zip(idents, suite.text_encode(prompts)))
 print("\npersonalized 'happy' embeddings differ across identities:")
 for i in range(len(idents) - 1):
     delta = np.linalg.norm(embs[idents[i]] - embs[idents[i + 1]])

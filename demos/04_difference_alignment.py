@@ -9,21 +9,30 @@ the run levels off above the contrastive one."""
 import numpy as np
 
 import emosup as es
-from emosup.differencing import PairEmbeddings, diff_vectors, difference_loss_with_grads
+from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
+                                 difference_loss_with_grads)
 
 rng = np.random.default_rng(0)
+
+
+def pair_loss(pe: PairEmbeddings) -> float:
+    """L2 of one pair: the loss takes (B, d) stacks, so the pair is one row."""
+    dp = diff_vectors(pe)
+    return difference_loss_with_grads(DifferencePair(dp.visual_diff[None],
+                                                     dp.text_diff[None]))[0][0]
+
 
 print("== constant cross-modal offsets cancel exactly ==")
 pe = PairEmbeddings(rng.standard_normal(16), rng.standard_normal(16),
                     rng.standard_normal(16), rng.standard_normal(16),
                     es.EmotionLabel.happy, es.EmotionLabel.sad)
-base = difference_loss_with_grads(diff_vectors(pe))[0]
+base = pair_loss(pe)
 for scale in (0.1, 10.0, 1000.0):
     c = scale * rng.standard_normal(16)
     shifted = PairEmbeddings(pe.visual_source + c, pe.text_source,
                              pe.visual_target + c, pe.text_target,
                              pe.source_emotion, pe.target_emotion)
-    moved = difference_loss_with_grads(diff_vectors(shifted))[0]
+    moved = pair_loss(shifted)
     print(f"  offset norm ~{scale:>6}: |L2 change| = {abs(moved - base):.2e}")
 
 print("\n== training on the difference objective instead ==")

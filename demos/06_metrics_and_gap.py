@@ -27,8 +27,8 @@ print("\n== modality gap on a designed-offset world ==")
 world = es.build_synthetic_world(21, es.WorldConfig(gap=2.0, noise_sigma=0.05))
 suite = es.synthetic_suite(world)
 manifest = es.generate_synthetic_corpus(world, 4)
-features = {e: np.stack([suite.visual_encode(s.image_ref)
-                         for s in manifest.samples if s.emotion == e])
+features = {e: suite.visual_encode(tuple(s.image_ref for s in manifest.samples
+                                         if s.emotion == e))
             for e in es.EMOTIONS}
 texts = {e: world.text_prototype(e) for e in es.EMOTIONS}
 report = es.modality_gap_report(features, texts)

@@ -40,6 +40,8 @@ class CrossModalSimilarityMatrix:
         self.n_per_cell = np.asarray(self.n_per_cell, dtype=np.int64)
         if self.values.shape != (n, n) or self.n_per_cell.shape != (n, n):
             raise ContractError(f"matrix must be {n}x{n}")
+        if not np.isfinite(self.values).all():
+            raise ContractError("similarities must be finite")
         if np.any(self.values < -1 - 1e-9) or np.any(self.values > 1 + 1e-9):
             raise ContractError("similarities must lie in [-1, 1]")
 

@@ -223,7 +223,8 @@ def cmd_analyze_gap(args) -> int:
     ends = np.cumsum(counts)
     starts = ends - counts
     features = {e: stack[starts[e]:ends[e]] for e in EMOTIONS}
-    texts = {e: suite.text_encode(suite.tokenize(prompt_for(e))) for e in EMOTIONS}
+    texts = {e: suite.text_encode(suite.tokenize(prompt_for(e))[None])[0]
+             for e in EMOTIONS}
     report = analysis.modality_gap_report(features, texts)
     matrix = analysis.cross_modal_matrix(features, texts)
     out = _out_dir(args)

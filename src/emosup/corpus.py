@@ -155,10 +155,18 @@ class CorpusManifest:
 
     @staticmethod
     def from_json_dict(d: dict) -> "CorpusManifest":
+        """The manifest a ``to_json_dict`` dict describes. A ``world`` block
+        whose seed is no int >= 0 (a bool is none), or whose config is no
+        valid ``WorldConfig``, is refused here, before any world is built."""
         samples = [Sample(e["id"], e["identity"], parse_emotion(e["emotion"]),
                           e["image_ref"], e["neutral_ref"]) for e in d["samples"]]
         split = {e["id"]: e["split"] for e in d["samples"]}
         world = d.get("world")
+        if world is not None:
+            seed = world["seed"]
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise ValueError(f"world seed must be an int >= 0, got {seed!r}")
+            WorldConfig.from_dict(world["config"]).validate()
         manifest = CorpusManifest(samples, split,
                                   world_config=None if world is None else world["config"],
                                   world_seed=None if world is None else world["seed"])

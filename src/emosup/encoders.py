@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import numbers
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -45,22 +46,18 @@ class EncoderSuite:
     stack, and ``text_token_vjp(stack, i, u)`` backpropagates a
     ``(B, d_e)`` upstream embedding gradient ``u`` onto token ``i`` of
     every sequence, giving ``(B, d_tok)`` (the encoders are frozen; only
-    prompt tokens ever receive gradients). One ``(L, d_tok)`` sequence is
-    the B = 1 case: it encodes to a ``d_e`` vector, and its VJP takes a
-    ``d_e`` gradient and gives a ``d_tok`` vector. Both validate their
-    token input once, and raise :class:`ContractError` for a wrong rank, no
-    tokens, ragged tokens, a wrong ``d_tok``, non-finite tokens, or an
-    upstream gradient that does not match.
+    prompt tokens ever receive gradients). One prompt's ``(L, d_tok)``
+    tokens encode as the one-sequence stack ``tokens[None]``. Both validate
+    their token input once, and raise :class:`ContractError` for a wrong
+    rank, no tokens, ragged tokens, a wrong ``d_tok``, non-finite tokens,
+    or an upstream gradient that does not match.
 
-    ``visual_encode`` takes one image ref (or sample id) and gives a
-    ``d_e`` vector. Both backends also take a tuple of refs and give their
-    ``(N, d_e)`` stack, byte-identical to stacking the per-ref calls (an
-    empty tuple gives ``(0, d_e)``). Only callers that build their own
-    suite use the tuple form: a caller's suite may implement the per-ref
-    contract alone.
+    ``visual_encode`` takes a tuple of N image refs (or sample ids) and
+    gives their ``(N, d_e)`` stack (an empty tuple gives ``(0, d_e)``); any
+    other argument raises :class:`ContractError`.
     """
 
-    visual_encode: Callable[[object], np.ndarray]
+    visual_encode: Callable[[tuple], np.ndarray]
     backbone_identity: Callable[[object], np.ndarray]
     tokenize: Callable[[str], np.ndarray]
     text_encode: Callable[[np.ndarray], np.ndarray]
@@ -81,25 +78,21 @@ def position_weight(i, length: int):
     return 1.0 / (1.0 + (length - 1 - i))
 
 
-def _token_stack(tokens, d_tok: int) -> tuple[np.ndarray, bool]:
-    """Validate the token input of the text encoder: a ``(B, L, d_tok)``
-    stack, or one ``(L, d_tok)`` sequence lifted to a B = 1 stack. Returns
-    the stack and whether the input was one sequence."""
+def _token_stack(tokens, d_tok: int) -> np.ndarray:
+    """Validate the token input of the text encoder, a ``(B, L, d_tok)``
+    stack."""
     try:
         stack = np.asarray(tokens, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric nested lists
         raise ContractError(f"tokens must be numbers of one shape: {exc}") from None
-    single = stack.ndim == 2
-    if single:
-        stack = stack[None]
     if stack.ndim != 3 or 0 in stack.shape:
-        raise ContractError(f"tokens must be a non-empty (L, d_tok) sequence or "
-                            f"(B, L, d_tok) stack, got shape {np.shape(tokens)}")
+        raise ContractError(f"tokens must be a non-empty (B, L, d_tok) stack, got "
+                            f"shape {stack.shape}")
     if stack.shape[2] != d_tok:
         raise ContractError(f"token dim {stack.shape[2]} != d_tok {d_tok}")
     if not np.isfinite(stack).all():
         raise ContractError("tokens contain non-finite entries")
-    return stack, single
+    return stack
 
 
 @functools.lru_cache(maxsize=64)
@@ -114,21 +107,21 @@ def _positional_sum(stack: np.ndarray) -> np.ndarray:
     return np.einsum("l,bld->bd", _position_weights(stack.shape[1]), stack)
 
 
-def _token_upstream(stack: np.ndarray, single: bool, index: int, upstream,
-                    d_e: int) -> tuple[np.ndarray, float]:
-    """Validate the upstream gradient of a token VJP against its stack:
-    ``(B, d_e)`` for a B-sequence stack, a ``d_e`` vector for a sequence.
-    Returns it as rows, with the position weight of token ``index``."""
+def _token_upstream(stack: np.ndarray, index: int, upstream, d_e: int
+                    ) -> tuple[np.ndarray, float]:
+    """Validate the upstream gradient of a token VJP against its B-sequence
+    stack, a ``(B, d_e)`` array. Returns it with the position weight of
+    token ``index``."""
     length = stack.shape[1]
     if not 0 <= index < length:
         raise ContractError(f"token index {index} outside a {length}-token sequence")
     u = np.asarray(upstream, dtype=np.float64)
-    expected = (d_e,) if single else (stack.shape[0], d_e)
+    expected = (stack.shape[0], d_e)
     if u.shape != expected:
         raise ContractError(f"upstream gradient has shape {u.shape}, expected {expected}")
     if not np.isfinite(u).all():
         raise ContractError("upstream gradient contains non-finite entries")
-    return u.reshape(-1, d_e), position_weight(index, length)
+    return u, position_weight(index, length)
 
 
 def _hash_seed(*parts: object) -> bytes:
@@ -240,6 +233,14 @@ class WorldConfig:
     word_token_scale: float = 0.3
 
     def validate(self) -> None:
+        """Refuse a setting of the wrong type (a bool is no number) with
+        TypeError, and a value out of range with ContractError."""
+        for f in fields(self):
+            value, integral = getattr(self, f.name), type(f.default) is int
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                raise TypeError(f"{f.name} must be {'an int' if integral else 'a number'}, "
+                                f"got {value!r}")
         dims = dict(d_latent=self.d_latent, d_e=self.d_e, d_b=self.d_b, d_tok=self.d_tok)
         for name, d in dims.items():
             if d <= 0:
@@ -469,18 +470,20 @@ def build_synthetic_world(seed: int, config: WorldConfig | None = None) -> Synth
     return world
 
 
-def _linear_suite(visual_one: Callable, visual_many: Callable,
-                  backbone_identity: Callable, word_tokens: Callable,
-                  token_map: np.ndarray, d_b: int) -> EncoderSuite:
-    """The EncoderSuite both backends are: ``visual_encode`` serves one ref
-    through ``visual_one`` and a tuple of refs through ``visual_many``;
-    ``tokenize`` maps a prompt's words to its tokens through ``word_tokens``;
-    and the text encoder is the position-weighted token sum mapped by the
-    ``(d_e, d_tok)`` matrix ``token_map``."""
+def _linear_suite(visual: Callable, backbone_identity: Callable,
+                  word_tokens: Callable, token_map: np.ndarray, d_b: int) -> EncoderSuite:
+    """The EncoderSuite both backends are: ``visual_encode`` serves a tuple
+    of refs through ``visual``; ``tokenize`` maps a prompt's words to
+    its tokens through ``word_tokens``; and the text encoder is the
+    position-weighted token sum mapped by the ``(d_e, d_tok)`` matrix
+    ``token_map``."""
     d_e, d_tok = token_map.shape
 
-    def visual_encode(ref):
-        return visual_many(ref) if isinstance(ref, tuple) else visual_one(ref)
+    def visual_encode(refs: tuple) -> np.ndarray:
+        if not isinstance(refs, tuple):
+            raise ContractError(f"visual_encode takes a tuple of refs, got "
+                                f"{type(refs).__name__}")
+        return visual(refs)
 
     def tokenize(prompt: str) -> np.ndarray:
         words = prompt.split()
@@ -489,15 +492,11 @@ def _linear_suite(visual_one: Callable, visual_many: Callable,
         return word_tokens(words)
 
     def text_encode(tokens):
-        stack, single = _token_stack(tokens, d_tok)
-        out = _positional_sum(stack) @ token_map.T
-        return out[0] if single else out
+        return _positional_sum(_token_stack(tokens, d_tok)) @ token_map.T
 
     def text_token_vjp(tokens, index: int, upstream):
-        stack, single = _token_stack(tokens, d_tok)
-        u, weight = _token_upstream(stack, single, index, upstream, d_e)
-        out = weight * (u @ token_map)
-        return out[0] if single else out
+        u, weight = _token_upstream(_token_stack(tokens, d_tok), index, upstream, d_e)
+        return weight * (u @ token_map)
 
     return EncoderSuite(visual_encode, backbone_identity, tokenize, text_encode,
                         text_token_vjp, d_e=d_e, d_b=d_b, d_tok=d_tok)
@@ -511,7 +510,7 @@ def synthetic_suite(world: SyntheticWorld) -> EncoderSuite:
         identity, _ = world._parse_ref(ref)
         return world.backbone_map @ world.identity_latents[world.identity_index(identity)]
 
-    return _linear_suite(world.visual_embedding, world.visual_embeddings, backbone_identity,
+    return _linear_suite(world.visual_embeddings, backbone_identity,
                          lambda words: np.array([world.word_token(w) for w in words]),
                          world.token_map, world.config.d_b)
 
@@ -612,5 +611,5 @@ def load_precomputed_features(manifest_path: str | Path) -> EncoderSuite:
         raise ContractError(f"prompt {' '.join(words)!r} names no known emotion")
 
     return _linear_suite(
-        feature, lambda ids: np.array([feature(i) for i in ids]).reshape(len(ids), dim),
+        lambda ids: np.array([feature(i) for i in ids]).reshape(len(ids), dim),
         backbone_identity, word_tokens, np.eye(dim), dim)

@@ -5,13 +5,14 @@ used by Frechet-style distances.
 
 Everything here operates on float64 numpy arrays and, apart from the
 in-place ``sgd_step``, is a pure function of its inputs. Vectors are 1-D
-arrays, matrices 2-D row-major arrays. The MLP passes, ``cosine_grads``
-and the losses also take a row-stacked ``(B, d)`` batch; a 1-D input is
-the B = 1 case and comes back 1-D. An MLP's parameters are views of one
-flat vector, so its gradient (``mlp_backward``, summed over the rows) is
-one array in the same layout and an SGD step is one in-place update of
-that vector; a ``(R, size)`` block of R such vectors is a run axis of R
-networks, which the MLP passes run at once.
+arrays, matrices 2-D row-major arrays. ``cosine_grads`` and the losses
+take row-stacked ``(B, d)`` batches only: one pair is a one-row stack,
+``x[None]``, and its results are row 0. The MLP passes take a ``(B, d)``
+batch or one 1-D input, which comes back 1-D. An MLP's parameters are
+views of one flat vector, so its gradient (``mlp_backward``, summed over
+the rows) is one array in the same layout and an SGD step is one in-place
+update of that vector; a ``(R, size)`` block of R such vectors is a run
+axis of R networks, which the MLP passes run at once.
 ``layers_forward`` and ``layers_backward`` are the one dense-layer pass:
 the MLP passes and the projector bank's stacked passes run it. Only
 ``layers_backward`` gives the gradient w.r.t. the input rows.
@@ -85,25 +86,18 @@ def _as_rows(x, dim: int | None, name: str) -> np.ndarray:
 
 def as_same_rows(a, b, names: tuple[str, str] = ("a", "b")
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate ``a`` and ``b`` as finite vectors, or ``(B, d)`` row stacks,
-    of one shape; returns both 2-D (a 1-D input as one row)."""
-    a2 = _as_rows(a, None, names[0])
-    b2 = _as_rows(b, a2.shape[1], names[1])
-    if np.shape(a) != np.shape(b):
-        raise ContractError(f"{names[0]} has shape {np.shape(a)}, "
-                            f"{names[1]} has {np.shape(b)}")
-    return a2, b2
+    """Validate ``a`` and ``b`` as finite ``(B, d)`` row stacks of one shape."""
+    a = as_matrix(a, name=names[0])
+    return a, as_matrix(b, shape=a.shape, name=names[1])
 
 
-def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray | float,
-                                 np.ndarray | bool]:
-    """Gradients of cosine(a, b) w.r.t. a and b, plus the cosine and its
-    degeneracy flag: returns ``(da, db, cos, degenerate)``.
+def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of each row's cosine(a[n], b[n]) w.r.t. the ``(B, d)``
+    stacks a and b, plus the B row cosines and the B-row degeneracy mask:
+    returns ``(da, db, cos, degenerate)``.
 
-    Degenerate inputs (as in ``cosine_with_flag``) give cosine 0 and zero
-    gradients. Row-stacked ``(B, d)`` inputs give each row's gradients,
-    the B row cosines and the B-row degeneracy mask; 1-D inputs give a
-    float cosine and a bool flag.
+    Degenerate rows (as in ``cosine_with_flag``) give cosine 0 and zero
+    gradients.
     """
     a2, b2 = as_same_rows(a, b)
     na = np.linalg.norm(a2, axis=1, keepdims=True)
@@ -121,44 +115,39 @@ def cosine_grads(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray | float,
     db = a2 / nab - c * b2 / (nb * nb)
     if bad.size:
         da[bad] = db[bad] = 0.0
-    cos = c[:, 0]
-    if np.ndim(a) == 1:
-        return da[0], db[0], float(cos[0]), bool(degenerate[0])
-    return da, db, cos, degenerate
+    return da, db, c[:, 0], degenerate
 
 
 @dataclass
 class DifferencePair:
-    """Source-minus-target differences on both modalities, or ``(B, d)``
-    stacks of B pairs' differences."""
+    """``(B, d)`` stacks of B pairs' source-minus-target differences on both
+    modalities."""
 
     visual_diff: np.ndarray
     text_diff: np.ndarray
 
 
 def difference_loss_with_grads(dp: DifferencePair
-                               ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """The loss ``L2 = 1 - cosine(visual_diff, text_diff)``, in [0, 2], plus
-    its gradients w.r.t. both difference vectors.
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The B row losses ``L2 = 1 - cosine(visual_diff, text_diff)``, each in
+    [0, 2], plus their row-stacked gradients w.r.t. both difference stacks.
 
-    A pair of ``(B, d)`` stacks gives the B row losses and row-stacked
-    gradients. A degenerate pair, one in ``cosine_grads``' mask of
-    (near-)zero-norm differences, has cosine 0 and zero cosine gradients,
-    so it gets the midpoint loss 1 and zero gradients instead of NaN.
+    A degenerate pair, one in ``cosine_grads``' mask of (near-)zero-norm
+    differences, has cosine 0 and zero cosine gradients, so it gets the
+    midpoint loss 1 and zero gradients instead of NaN.
     """
     d_vis, d_txt, sim, _ = cosine_grads(dp.visual_diff, dp.text_diff)
     return 1.0 - sim, -d_vis, -d_txt
 
 
 def contrastive_loss_with_grads(t_pos, t_neg, i_vis
-                                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray,
-                                           np.ndarray]:
-    """The loss ``L1 = (1 - cosine(t_pos, i_vis)) + cosine(t_neg, i_vis)``, in
-    [-1, 3], plus its gradients w.r.t. ``t_pos``, ``t_neg`` and ``i_vis``.
+                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The B row losses ``L1 = (1 - cosine(t_pos, i_vis)) + cosine(t_neg,
+    i_vis)`` of three ``(B, d)`` stacks, each in [-1, 3], plus their
+    row-stacked gradients w.r.t. ``t_pos``, ``t_neg`` and ``i_vis``.
 
-    ``(B, d)`` stacks give the B row losses and row-stacked gradients; 1-D
-    inputs are the B = 1 case and give a float. A zero-norm input makes
-    each cosine it enters 0, with zero gradients, as in ``cosine_grads``.
+    A zero-norm row makes each cosine it enters 0, with zero gradients, as
+    in ``cosine_grads``.
     """
     d_tpos, d_ivis_pos, sim_pos, _ = cosine_grads(t_pos, i_vis)
     d_tneg, d_ivis_neg, sim_neg, _ = cosine_grads(t_neg, i_vis)

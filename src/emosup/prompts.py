@@ -361,11 +361,11 @@ class DifferenceRegularizer:
     dims (``require_suite``), then builds the frozen side once, in manifest
     order (sample ``s`` is row ``row[s.id]`` of ``samples``), as
     write-protected tables: the sources' ``visual`` embeddings ``(N, d_e)``,
-    one ``visual_encode`` per ref, and their ``emotion`` codes; their
+    one ``visual_encode`` of all the refs, and their ``emotion`` codes; their
     ``projected_source`` through their own projectors, one ``project_visual``
     over the whole stack; and ``prompts``, the ``(R, 7, d_e)`` prompt
     embeddings of the R ``references`` (``reference`` holds each row's), one
-    ``text_encode(build_personalized_prompt(...))`` per (reference,
+    ``text_encode(build_personalized_prompt(...)[None])`` per (reference,
     emotion). Every entry is its per-sample computation bit for bit, so
     ``retrieval_accuracy`` and ``export_difference_rows`` read the same
     tables the demo trains against. ``nearest_prompt`` is the 7-way prompt
@@ -383,11 +383,11 @@ class DifferenceRegularizer:
         reference_row = {ref: i for i, ref in enumerate(self.references)}
         self.emotion = np.array([int(s.emotion) for s in samples])
         self.reference = np.array([reference_row[s.neutral_ref] for s in samples])
-        self.visual = np.stack([suite.visual_encode(s.image_ref) for s in samples])
+        self.visual = suite.visual_encode(tuple(s.image_ref for s in samples))
         self.projected_source, _ = project_visual(ckpt, self.visual, self.emotion)
         # one encode per prompt: a batched encode differs in the last bits
         self.prompts = np.array([[suite.text_encode(build_personalized_prompt(
-            ckpt, manifest.by_id(ref), e, suite)) for e in EMOTIONS]
+            ckpt, manifest.by_id(ref), e, suite)[None])[0] for e in EMOTIONS]
             for ref in self.references])
         for array in (self.emotion, self.reference, self.visual, self.projected_source,
                       self.prompts):
@@ -538,7 +538,7 @@ def _frozen_table(train: list[Sample], suite: EncoderSuite) -> _FrozenTable:
     if len({len(tokens) for tokens in prompts}) != 1:
         raise ContractError("batched training needs emotion prompts of one token "
                             f"length, got lengths {[len(t) for t in prompts]}")
-    visual = np.array([suite.visual_encode(s.image_ref) for s in train])
+    visual = suite.visual_encode(tuple(s.image_ref for s in train))
     identity = np.full((len(train), suite.d_b), np.nan)
     for position, s in enumerate(train):
         if s.emotion == EmotionLabel.neutral:

@@ -55,39 +55,29 @@ def lambda_for_baseline(tag: str) -> LambdaConfig:
 
 
 def squared_error_loss(generated: np.ndarray, target: np.ndarray
-                       ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean squared error in embedding space; the default base-loss hook.
-
-    ``(B, d_e)`` stacks give the B row values and the ``(B, d_e)``
-    gradient; a 1-D input is the B = 1 case and gives a float.
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared error in embedding space of two ``(B, d_e)`` stacks, the
+    default base-loss hook: the B row values and the ``(B, d_e)`` gradient.
     """
-    generated2, target2 = as_same_rows(generated, target, ("generated", "target"))
-    diff = generated2 - target2
-    values, grad = np.mean(diff * diff, axis=1), 2.0 * diff / diff.shape[1]
-    if np.ndim(generated) == 1:
-        return float(values[0]), grad[0]
-    return values, grad
+    generated, target = as_same_rows(generated, target, ("generated", "target"))
+    diff = generated - target
+    return np.mean(diff * diff, axis=1), 2.0 * diff / diff.shape[1]
 
 
 def total_loss(base, base_grad: np.ndarray, l2, l2_grad: np.ndarray,
-               lam: LambdaConfig) -> tuple[float | np.ndarray, np.ndarray]:
-    """``base + lambda * l2`` with the matching gradient combination.
-
-    Row stacks take B base and l2 values with ``(B, d_e)`` gradients and
-    give B totals; float values with 1-D gradients are the B = 1 case and
-    give a float.
+               lam: LambdaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``base + lambda * l2`` with the matching gradient combination: B base
+    and l2 values with ``(B, d_e)`` gradients give B totals and their
+    ``(B, d_e)`` gradient.
     """
     base, l2 = np.asarray(base, dtype=np.float64), np.asarray(l2, dtype=np.float64)
     if not (np.isfinite(base).all() and np.isfinite(l2).all()):
         raise ContractError("loss terms must be finite")
-    base_grad2, l2_grad2 = as_same_rows(base_grad, l2_grad, ("base_grad", "l2_grad"))
-    if not base.shape == l2.shape == np.shape(base_grad)[:-1]:
+    base_grad, l2_grad = as_same_rows(base_grad, l2_grad, ("base_grad", "l2_grad"))
+    if not base.shape == l2.shape == base_grad.shape[:1]:
         raise ContractError(f"loss values of shapes {base.shape} and {l2.shape} do "
-                            f"not match gradients of shape {np.shape(base_grad)}")
-    value, grad = base + lam.value * l2, base_grad2 + lam.value * l2_grad2
-    if np.ndim(base_grad) == 1:
-        return float(value), grad[0]
-    return value, grad
+                            f"not match gradients of shape {base_grad.shape}")
+    return base + lam.value * l2, base_grad + lam.value * l2_grad
 
 
 @dataclass

@@ -68,6 +68,13 @@ def input_grad_row(net: es.MlpParams, cache, u) -> np.ndarray:
                                        u[None])[0]
 
 
+def pair_loss(dp: es.DifferencePair) -> float:
+    """``L2`` of one pair of difference vectors, as the one-row stacks
+    ``difference_loss_with_grads`` takes."""
+    return es.difference_loss_with_grads(es.DifferencePair(dp.visual_diff[None],
+                                                           dp.text_diff[None]))[0][0]
+
+
 def passthrough_layers(d: int, half: int):
     """Identity weights through the ``d -> d -> d/2 -> d -> d`` projector
     chain that carry one half of an input's entries, the first ``d // 2``

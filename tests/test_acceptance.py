@@ -15,11 +15,10 @@ import emosup as es
 import emosup.prompts as pr
 from emosup.cli import main as cli_main
 from emosup.corpus import VAL
-from emosup.differencing import PairEmbeddings, diff_vectors, \
-    difference_loss_with_grads, embed_pair
+from emosup.differencing import PairEmbeddings, diff_vectors, embed_pair
 from emosup.metrics import FeatureSet, GaussianFit, fad, frechet_distance
 from emosup.numerics import init_mlp, mlp_backward, mlp_forward
-from conftest import network_views, passthrough_checkpoint, passthrough_layers
+from conftest import network_views, pair_loss, passthrough_checkpoint, passthrough_layers
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,12 +125,11 @@ def test_criterion_2_loss_bounds():
             t_pos = zero
         if i % 17 == 0:
             i_vis = zero
-        l1 = es.contrastive_loss_with_grads(t_pos, t_neg, i_vis)[0]
+        [l1] = es.contrastive_loss_with_grads(t_pos[None], t_neg[None], i_vis[None])[0]
         assert -1.0 - 1e-12 <= l1 <= 3.0 + 1e-12
         dp = diff_vectors(PairEmbeddings(t_pos, t_neg, i_vis, rng.standard_normal(8),
                                          es.EmotionLabel.happy, es.EmotionLabel.sad))
-        l2 = difference_loss_with_grads(dp)[0]
-        assert 0.0 <= l2 <= 2.0
+        assert 0.0 <= pair_loss(dp) <= 2.0
     elapsed = time.monotonic() - start
     assert elapsed < 5
     report(2, f"L1 in [-1,3] and L2 in [0,2] over 10^4 random inputs "
@@ -150,14 +148,13 @@ def test_criterion_3_offset_cancellation():
         pe = PairEmbeddings(rng.standard_normal(d), rng.standard_normal(d),
                             rng.standard_normal(d), rng.standard_normal(d),
                             es.EmotionLabel.happy, es.EmotionLabel.sad)
-        base = difference_loss_with_grads(diff_vectors(pe))[0]
+        base = pair_loss(diff_vectors(pe))
         c = rng.standard_normal(d)
         t = rng.standard_normal(d)
         shifted = PairEmbeddings(pe.visual_source + c, pe.text_source + t,
                                  pe.visual_target + c, pe.text_target + t,
                                  pe.source_emotion, pe.target_emotion)
-        worst = max(worst, abs(difference_loss_with_grads(diff_vectors(shifted))[0]
-                               - base))
+        worst = max(worst, abs(pair_loss(diff_vectors(shifted)) - base))
     assert worst < 1e-12
     report(3, f"constant offsets on either modality leave L2 unchanged "
               f"(worst deviation {worst:.2e})")
@@ -262,8 +259,8 @@ def test_criterion_7_gap_report():
     manifest = es.generate_synthetic_corpus(world, 30)
     assert len(manifest.samples) >= 10_000
     suite = es.synthetic_suite(world)
-    features = {e: np.stack([suite.visual_encode(s.image_ref)
-                             for s in manifest.samples if s.emotion == e])
+    features = {e: suite.visual_encode(tuple(s.image_ref for s in manifest.samples
+                                             if s.emotion == e))
                 for e in es.EMOTIONS}
     texts = {e: world.text_prototype(e) for e in es.EMOTIONS}
     measured = es.modality_gap_report(features, texts)

@@ -153,6 +153,14 @@ def test_matrix_csv_shape(tmp_path, rng):
 # negative pool derivation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_similarity_is_refused(bad):
+    values = np.full((7, 7), 0.5)
+    values[2, 4] = bad
+    with pytest.raises(ContractError, match="similarities must be finite"):
+        CrossModalSimilarityMatrix(values, np.full((7, 7), 10))
+
+
 def test_derive_pools_k0_keeps_all_others():
     pools = derive_negative_pools(load_reference_matrix(), 0)
     for e in es.EMOTIONS:
@@ -216,8 +224,8 @@ def test_synthetic_gap_reflects_designed_offset():
     world = es.build_synthetic_world(21, es.WorldConfig(gap=2.0, noise_sigma=0.05))
     suite = es.synthetic_suite(world)
     manifest = es.generate_synthetic_corpus(world, 4)
-    features = {e: np.stack([suite.visual_encode(s.image_ref)
-                             for s in manifest.samples if s.emotion == e])
+    features = {e: suite.visual_encode(tuple(s.image_ref for s in manifest.samples
+                                             if s.emotion == e))
                 for e in es.EMOTIONS}
     texts = {e: world.text_prototype(e) for e in es.EMOTIONS}
     report = modality_gap_report(features, texts)

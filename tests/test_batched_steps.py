@@ -38,11 +38,12 @@ def personalized_per_entry(ckpt, reference, emotion, suite):
     tokens = [head_out[i * ckpt.d_tok:(i + 1) * ckpt.d_tok]
               for i in range(ckpt.token_count)]
     seq = np.concatenate([tokens, suite.tokenize(es.prompt_for(emotion))])
-    return suite.text_encode(seq), seq, head_cache
+    return suite.text_encode(seq[None])[0], seq, head_cache
 
 
 def head_grads_per_entry(ckpt, seq, head_cache, upstream, suite):
-    token_grads = [suite.text_token_vjp(seq, i, upstream) for i in range(ckpt.token_count)]
+    token_grads = [suite.text_token_vjp(seq[None], i, upstream[None])[0]
+                   for i in range(ckpt.token_count)]
     return mlp_backward(ckpt.guider_head, head_cache, np.concatenate(token_grads))
 
 
@@ -50,8 +51,13 @@ def sim_and_grads(a, b):
     sim, degenerate = cosine_with_flag(a, b)
     if degenerate:
         return 0.0, np.zeros_like(a), np.zeros_like(b)
-    da, db, _, _ = cosine_grads(a, b)
-    return sim, da, db
+    da, db, _, _ = cosine_grads(a[None], b[None])
+    return sim, da[0], db[0]
+
+
+def encode_one(suite, ref):
+    """One image's embedding, as the one-ref tuple's row."""
+    return suite.visual_encode((ref,))[0]
 
 
 def contrastive_per_entry(ckpt, batch, suite):
@@ -64,7 +70,7 @@ def contrastive_per_entry(ckpt, batch, suite):
             ckpt, entry.reference, entry.positive_prompt, suite)
         t_neg, seq_neg, cache_neg = personalized_per_entry(
             ckpt, entry.reference, entry.negative_prompt, suite)
-        visual = suite.visual_encode(entry.anchor.image_ref)
+        visual = encode_one(suite, entry.anchor.image_ref)
         i_vis, proj_cache, net = project_row(ckpt, visual, entry.anchor.emotion)
         sim_pos, d_tpos, d_ivis_pos = sim_and_grads(t_pos, i_vis)
         sim_neg, d_tneg, d_ivis_neg = sim_and_grads(t_neg, i_vis)
@@ -87,17 +93,17 @@ def difference_per_entry(ckpt, batch, suite):
         t_t, seq_t, cache_t = personalized_per_entry(ckpt, draw.reference,
                                                      draw.target.emotion, suite)
         i_s, cache_is, net_s = project_row(
-            ckpt, suite.visual_encode(draw.source.image_ref), draw.source.emotion)
+            ckpt, encode_one(suite, draw.source.image_ref), draw.source.emotion)
         i_t, cache_it, net_t = project_row(
-            ckpt, suite.visual_encode(draw.target.image_ref), draw.target.emotion)
+            ckpt, encode_one(suite, draw.target.image_ref), draw.target.emotion)
         i_diff, t_diff = i_s - i_t, t_s - t_t
         sim, degenerate = cosine_with_flag(i_diff, t_diff)
         if degenerate:
             total += 1.0
             continue
         total += 1.0 - sim
-        d_idiff, d_tdiff, _, _ = cosine_grads(i_diff, t_diff)
-        d_idiff, d_tdiff = -scale * d_idiff, -scale * d_tdiff
+        d_idiff, d_tdiff, _, _ = cosine_grads(i_diff[None], t_diff[None])
+        d_idiff, d_tdiff = -scale * d_idiff[0], -scale * d_tdiff[0]
         grads[0] += head_grads_per_entry(ckpt, seq_s, cache_s, d_tdiff, suite)
         grads[0] += head_grads_per_entry(ckpt, seq_t, cache_t, -d_tdiff, suite)
         grads[1][bank_index(ckpt, draw.source.emotion)] += mlp_backward(
@@ -124,9 +130,10 @@ def train_table(manifest, suite):
 
 def step_setup(suite, mode, tokens, seed, degenerate_identity):
     """A fresh checkpoint and a suite whose visual encoder maps every image
-    of ``degenerate_identity`` to zero. Fresh projectors have zero biases,
-    so those images project to a zero-norm row (in single_conditional mode
-    once the one-hot input columns are zeroed too)."""
+    of ``degenerate_identity`` to zero: their rows of each encoded stack are
+    zeroed. Fresh projectors have zero biases, so those images project to a
+    zero-norm row (in single_conditional mode once the one-hot input columns
+    are zeroed too)."""
     ckpt = pr._fresh_checkpoint(
         suite, es.TrainConfig(projector_mode=mode, guider_token_count=tokens),
         np.random.Generator(np.random.PCG64(seed)))
@@ -136,9 +143,10 @@ def step_setup(suite, mode, tokens, seed, degenerate_identity):
         ckpt.bank.layers[0].weights[0, :, suite.d_e:] = 0.0
     prefix = f"img:{degenerate_identity}:"
 
-    def visual_encode(ref):
-        v = suite.visual_encode(ref)
-        return np.zeros_like(v) if isinstance(ref, str) and ref.startswith(prefix) else v
+    def visual_encode(refs):
+        stack = suite.visual_encode(refs)
+        stack[[ref.startswith(prefix) for ref in refs]] = 0.0
+        return stack
 
     return ckpt, dataclasses.replace(suite, visual_encode=visual_encode)
 
@@ -165,7 +173,7 @@ def test_contrastive_step_matches_per_entry_reference(default_manifest, default_
         batch.negative[0] = min(reference_pools.pool[anchor.emotion])
         batch.reference[0] = next(i for i, s in enumerate(train) if s.identity == "id001"
                                   and s.emotion == es.EmotionLabel.neutral)
-        projected, _, _ = project_row(ckpt, suite.visual_encode(anchor.image_ref),
+        projected, _, _ = project_row(ckpt, encode_one(suite, anchor.image_ref),
                                       anchor.emotion)
         assert not projected.any()
     loss, grad = pr.contrastive_step_grads(ckpt, batch, suite,
@@ -191,7 +199,7 @@ def test_difference_step_matches_per_entry_reference(default_manifest, default_s
         for name in ("source", "target", "reference"):
             getattr(batch, name)[0] = getattr(other, name)[n]
         draw = draws(batch)[0]
-        pair = [project_row(ckpt, suite.visual_encode(s.image_ref), s.emotion)[0]
+        pair = [project_row(ckpt, encode_one(suite, s.image_ref), s.emotion)[0]
                 for s in (draw.source, draw.target)]
         assert not (pair[0] - pair[1]).any()
     loss, grad = pr.difference_step_grads(ckpt, batch, suite,
@@ -209,7 +217,7 @@ def bank_pass_per_row(ckpt, samples, suite, upstream):
     for sample, u in zip(samples, upstream):
         index = bank_index(ckpt, sample.emotion)
         net = network(ckpt.bank, index)
-        x = suite.visual_encode(sample.image_ref)
+        x = encode_one(suite, sample.image_ref)
         if ckpt.mode == pr.SINGLE_CONDITIONAL:
             x = np.concatenate([x, np.eye(len(EMOTIONS))[sample.emotion]])
         out, cache = mlp_forward(net, x)
@@ -289,7 +297,7 @@ def test_frozen_table_rows_are_each_samples_encodings(default_manifest, default_
     assert table.visual.shape == (len(train), default_suite.d_e)
     assert table.identity.shape == (len(train), default_suite.d_b)
     for n, s in enumerate(train):
-        assert np.array_equal(table.visual[n], default_suite.visual_encode(s.image_ref))
+        assert np.array_equal(table.visual[n], encode_one(default_suite, s.image_ref))
         assert table.emotion[n] == int(s.emotion)
         if s.emotion == es.EmotionLabel.neutral:
             assert np.array_equal(table.identity[n],
@@ -454,7 +462,7 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
                   reg.prompts):
         assert not array.flags.writeable
     for i, sample in enumerate(default_manifest.samples):
-        visual = default_suite.visual_encode(sample.image_ref)
+        visual = encode_one(default_suite, sample.image_ref)
         assert reg.row[sample.id] == i and reg.emotion[i] == int(sample.emotion)
         assert np.array_equal(reg.visual[i], visual)
         assert np.array_equal(reg.projected_source[i],
@@ -464,7 +472,7 @@ def test_demo_tables_equal_the_per_sample_path(default_manifest, reference_pools
         reference = default_manifest.by_id(ref)
         for k in EMOTIONS:
             expected = default_suite.text_encode(
-                es.build_personalized_prompt(ckpt, reference, k, default_suite))
+                es.build_personalized_prompt(ckpt, reference, k, default_suite)[None])[0]
             assert np.array_equal(reg.prompts[r, int(k)], expected)
 
 
@@ -690,7 +698,7 @@ def test_fused_lambda_runs_equal_separate_runs(default_manifest, default_world,
 
 
 # ---------------------------------------------------------------------------
-# row-stacked numerics == separate 1-D calls
+# row-stacked numerics == separate per-row calls
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=40)
@@ -750,14 +758,15 @@ def test_stacked_cosine_grads_equal_per_row_calls(seed, rows, dim, zero_row):
     da, db, sims, degenerate = cosine_grads(a, b)
     assert sims.shape == degenerate.shape == (rows,)
     for i in range(rows):
-        da_i, db_i, sim_1d, degenerate_1d = cosine_grads(a[i], b[i])
+        # row i alone, as a one-row stack
+        da_i, db_i, sim_one, degenerate_one = cosine_grads(a[i:i + 1], b[i:i + 1])
         sim_i, degenerate_i = cosine_with_flag(a[i], b[i])
-        np.testing.assert_allclose(da[i], da_i, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(db[i], db_i, rtol=1e-12, atol=1e-12)
-        assert type(sim_1d) is float and type(degenerate_1d) is bool
+        np.testing.assert_allclose(da[i], da_i[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db[i], db_i[0], rtol=1e-12, atol=1e-12)
+        assert sim_one.shape == degenerate_one.shape == (1,)
         assert sims[i] == pytest.approx(sim_i, rel=1e-12, abs=1e-12)
-        assert sim_1d == pytest.approx(sim_i, rel=1e-12, abs=1e-12)
-        assert degenerate[i] == degenerate_i == degenerate_1d
+        assert sim_one[0] == pytest.approx(sim_i, rel=1e-12, abs=1e-12)
+        assert degenerate[i] == degenerate_i == degenerate_one[0]
     assert degenerate[rows // 2] == zero_row
 
 
@@ -779,21 +788,22 @@ def test_stacked_losses_equal_per_row_calls(seed, rows, dim, zero_row, lam):
     l1, *l1_grads = es.contrastive_loss_with_grads(text_diff, target, visual_diff)
     assert base.shape == total.shape == losses.shape == l1.shape == (rows,)
     for i in range(rows):
-        base_i, base_grad_i = sv.squared_error_loss(generated[i], target[i])
-        total_i, grad_i = sv.total_loss(base_i, base_grad_i, l2[i], l2_grad[i],
+        one = slice(i, i + 1)  # row i alone, as a one-row stack
+        base_i, base_grad_i = sv.squared_error_loss(generated[one], target[one])
+        total_i, grad_i = sv.total_loss(base_i, base_grad_i, l2[one], l2_grad[one],
                                         es.LambdaConfig(lam))
         loss_i, d_vis_i, d_txt_i = difference_loss_with_grads(
-            DifferencePair(visual_diff[i], text_diff[i]))
-        l1_i, *l1_grads_i = es.contrastive_loss_with_grads(text_diff[i], target[i],
-                                                           visual_diff[i])
-        assert type(base_i) is type(total_i) is type(loss_i) is type(l1_i) is float
-        assert (base[i], total[i]) == pytest.approx((base_i, total_i), rel=1e-12)
-        assert losses[i] == pytest.approx(loss_i, rel=1e-12)
-        assert l1[i] == pytest.approx(l1_i, rel=1e-12)
+            DifferencePair(visual_diff[one], text_diff[one]))
+        l1_i, *l1_grads_i = es.contrastive_loss_with_grads(text_diff[one], target[one],
+                                                           visual_diff[one])
+        assert base_i.shape == total_i.shape == loss_i.shape == l1_i.shape == (1,)
+        assert (base[i], total[i]) == pytest.approx((base_i[0], total_i[0]), rel=1e-12)
+        assert losses[i] == pytest.approx(loss_i[0], rel=1e-12)
+        assert l1[i] == pytest.approx(l1_i[0], rel=1e-12)
         for mine, theirs in ((base_grad[i], base_grad_i), (grad[i], grad_i),
                              (d_vis[i], d_vis_i), (d_txt[i], d_txt_i),
                              *((g[i], g_i) for g, g_i in zip(l1_grads, l1_grads_i))):
-            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(mine, theirs[0], rtol=1e-12, atol=1e-15)
     if zero_row:
         assert losses[rows // 2] == l1[rows // 2] == 1.0
         assert not d_vis[rows // 2].any() and not d_txt[rows // 2].any()
@@ -811,6 +821,17 @@ def test_stacked_losses_need_matching_shapes(rng):
         sv.total_loss(base[:2], grad, base, grad, es.LambdaConfig(0.4))
     with pytest.raises(es.ContractError):
         sv.total_loss(base, grad, np.append(base[:2], np.inf), grad, es.LambdaConfig(0.4))
+
+
+def test_the_losses_refuse_a_1d_row(rng):
+    # one row is the one-row stack x[None]; a 1-D row no longer gives a float
+    a, b, c = rng.standard_normal((3, 4))
+    for call in (lambda: sv.squared_error_loss(a, b),
+                 lambda: sv.total_loss(0.5, a, 1.0, b, es.LambdaConfig(0.4)),
+                 lambda: difference_loss_with_grads(DifferencePair(a, b)),
+                 lambda: es.contrastive_loss_with_grads(a, b, c)):
+        with pytest.raises(es.ContractError, match="2-D"):
+            call()
 
 
 def test_stacked_backward_needs_a_matching_upstream(rng):

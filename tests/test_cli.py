@@ -93,10 +93,9 @@ def test_gen_corpus_features_loadable(corpus_dir):
     suite = es.load_precomputed_features(corpus_dir / "features.json")
     manifest = es.CorpusManifest.load(corpus_dir / "manifest.json")
     world = manifest.rebuild_world()
-    synth = es.synthetic_suite(world)
     sample = manifest.samples[0]
-    served = suite.visual_encode(sample.id)
-    direct = synth.visual_encode(sample.image_ref)
+    served = suite.visual_encode((sample.id,))[0]
+    direct = world.visual_embedding(sample.image_ref)
     # stored as float32: equality holds at float32 resolution
     assert np.allclose(served, direct, atol=1e-6)
 
@@ -188,10 +187,11 @@ def _per_emotion_filter_outputs(manifest_path: Path) -> tuple[bytes, bytes]:
     built by filtering the manifest's samples on that emotion."""
     manifest = es.CorpusManifest.load(manifest_path)
     suite = es.synthetic_suite(manifest.rebuild_world())
-    features = {e: np.array([suite.visual_encode(s.image_ref)
-                             for s in manifest.samples if s.emotion == e])
+    features = {e: suite.visual_encode(tuple(s.image_ref for s in manifest.samples
+                                             if s.emotion == e))
                 for e in es.EMOTIONS}
-    texts = {e: suite.text_encode(suite.tokenize(es.prompt_for(e))) for e in es.EMOTIONS}
+    texts = {e: suite.text_encode(suite.tokenize(es.prompt_for(e))[None])[0]
+             for e in es.EMOTIONS}
     return tuple((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
                  for payload in (es.modality_gap_report(features, texts).to_json_dict(),
                                  es.cross_modal_matrix(features, texts).to_json_dict()))
@@ -278,6 +278,19 @@ def test_derive_pools_from_measured_matrix(tmp_path, corpus_dir):
                "--out", out) == 0
     payload = json.loads((out / "pools.json").read_text())
     assert all(len(v) == 6 for v in payload["pools"].values())
+
+
+def test_derive_pools_refuses_a_nan_similarity(tmp_path, capsys):
+    # a NaN cell passed the [-1, 1] range check, and pools were sorted on it
+    data = es.load_reference_matrix().to_json_dict()
+    data["rows"]["happy"]["sad"] = float("nan")
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(data))
+    out = tmp_path / "pools"
+    capsys.readouterr()
+    assert run("derive-pools", "--k", 1, "--matrix", matrix, "--out", out) == 2
+    assert capsys.readouterr().err == "error: similarities must be finite\n"
+    assert not out.exists()
 
 
 def test_eval_metrics_self_comparison(tmp_path, corpus_dir, capsys):
@@ -970,6 +983,31 @@ def test_json_input_that_holds_no_object_exits_2_and_makes_no_directory(
         assert err == f"error: {bad}: expected a JSON object at the top level, got list\n"
     else:
         assert err.startswith(f"error: {bad}: malformed (") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# a manifest whose world block is malformed: each of these crashed with a
+# traceback (exit 1) where the world was rebuilt, or, for a bool seed, ran
+BAD_WORLDS = {"unknown config key": lambda world: world["config"].update(bogus=1),
+              "string seed": lambda world: world.update(seed="1"),
+              "bool seed": lambda world: world.update(seed=True),
+              "string d_e": lambda world: world["config"].update(d_e="64"),
+              "float d_e": lambda world: world["config"].update(d_e=64.0)}
+
+
+@pytest.mark.parametrize("command", ["analyze-gap", "pretrain"])
+@pytest.mark.parametrize("case", list(BAD_WORLDS))
+def test_a_manifest_with_a_malformed_world_exits_2_naming_it(tmp_path, corpus_dir, capsys,
+                                                             command, case):
+    spec = json.loads((corpus_dir / "manifest.json").read_text())
+    BAD_WORLDS[case](spec["world"])
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--manifest", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed (") and err.count("\n") == 1
     assert not out.exists()
 
 

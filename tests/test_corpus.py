@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,32 @@ def test_manifest_json_roundtrip(default_manifest, tmp_path):
     assert back.to_json_dict() == default_manifest.to_json_dict()
     world = back.rebuild_world()
     assert world.seed == default_manifest.world_seed
+
+
+def test_a_manifest_without_a_world_loads_and_has_none_to_rebuild(default_manifest):
+    spec = {**default_manifest.to_json_dict(), "world": None}
+    manifest = CorpusManifest.from_json_dict(spec)
+    assert manifest.world_config is None and manifest.world_seed is None
+    with pytest.raises(ContractError, match="carries no synthetic-world config"):
+        manifest.rebuild_world()
+
+
+@pytest.mark.parametrize("seed, config, error, message", [
+    ("1", {}, ValueError, "world seed must be an int >= 0, got '1'"),
+    (True, {}, ValueError, "world seed must be an int >= 0, got True"),
+    (-1, {}, ValueError, "world seed must be an int >= 0, got -1"),
+    (1, {"d_e": "64"}, TypeError, "d_e must be an int, got '64'"),
+    (1, {"d_e": 64.0}, TypeError, "d_e must be an int, got 64.0"),
+    (1, {"gap": True}, TypeError, "gap must be a number, got True"),
+    (1, {"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'"),
+    (1, {"d_e": 0}, ContractError, "d_e must be positive, got 0")])
+def test_a_malformed_world_block_is_refused_on_load(default_manifest, seed, config, error,
+                                                    message):
+    # checked as the manifest is parsed, before any world is built
+    world = {"seed": seed, "config": {**default_manifest.world_config, **config}}
+    spec = {**default_manifest.to_json_dict(), "world": world}
+    with pytest.raises(error, match=re.escape(message)):
+        CorpusManifest.from_json_dict(spec)
 
 
 def test_pool_table_validation():

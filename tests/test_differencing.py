@@ -10,7 +10,7 @@ from emosup.differencing import (DifferencePair, PairEmbeddings, diff_vectors,
                                  difference_loss_with_grads, embed_pair,
                                  export_difference_rows, write_difference_csv)
 from emosup.errors import ContractError
-from conftest import passthrough_checkpoint, passthrough_layers, project_row
+from conftest import pair_loss, passthrough_checkpoint, passthrough_layers, project_row
 
 
 def single_conditional_checkpoint(suite, seed=0):
@@ -23,12 +23,12 @@ def per_row_export(ckpt, manifest, suite, include_mismatched=False):
     """Oracle: each row composed on its own from the suite, ``project_row``
     and ``build_personalized_prompt``, sharing no table with the export."""
     def visual(sample):
-        return project_row(ckpt, suite.visual_encode(sample.image_ref),
+        return project_row(ckpt, suite.visual_encode((sample.image_ref,))[0],
                            sample.emotion)[0]
 
     def text(reference, emotion):
         return suite.text_encode(es.build_personalized_prompt(ckpt, reference, emotion,
-                                                              suite))
+                                                              suite)[None])[0]
 
     first_of = {}
     for s in sorted(manifest.samples, key=lambda s: s.id):
@@ -54,10 +54,6 @@ def per_row_export(ckpt, manifest, suite, include_mismatched=False):
                              "text_diff": (text(reference, source.emotion)
                                            - text(reference, prompt_emotion))})
     return rows
-
-
-def difference_loss(dp):
-    return difference_loss_with_grads(dp)[0]
 
 
 def random_pair(rng, d=16):
@@ -114,14 +110,10 @@ def test_embed_pair_matches_direct_composition(trained_checkpoint, default_manif
     reference = default_manifest.by_id(source.neutral_ref)
     pe = embed_pair(reg, source, target)
 
-    vis_s = project_row(ckpt, default_suite.visual_encode(source.image_ref),
-                        source.emotion)[0]
-    vis_t = project_row(ckpt, default_suite.visual_encode(target.image_ref),
-                        target.emotion)[0]
-    txt_s = default_suite.text_encode(
-        es.build_personalized_prompt(ckpt, reference, source.emotion, default_suite))
-    txt_t = default_suite.text_encode(
-        es.build_personalized_prompt(ckpt, reference, target.emotion, default_suite))
+    vis_s, vis_t = (project_row(ckpt, default_suite.visual_encode((s.image_ref,))[0],
+                                s.emotion)[0] for s in (source, target))
+    txt_s, txt_t = (default_suite.text_encode(es.build_personalized_prompt(
+        ckpt, reference, s.emotion, default_suite)[None])[0] for s in (source, target))
     assert np.array_equal(pe.visual_source, vis_s)
     assert np.array_equal(pe.visual_target, vis_t)
     assert np.array_equal(pe.text_source, txt_s)
@@ -162,8 +154,9 @@ def test_diff_zero_sets_degenerate_flag():
                         es.EmotionLabel.happy)
     dp = diff_vectors(pe)
     assert np.array_equal(dp.visual_diff, np.zeros(2))
-    loss, g_vis, g_txt = difference_loss_with_grads(dp)
-    assert loss == 1.0 and not g_vis.any() and not g_txt.any()
+    loss, g_vis, g_txt = difference_loss_with_grads(
+        DifferencePair(dp.visual_diff[None], dp.text_diff[None]))
+    assert loss.tolist() == [1.0] and not g_vis.any() and not g_txt.any()
 
 
 def test_diff_subtraction_order():
@@ -191,32 +184,33 @@ def test_diff_antisymmetry(rng):
 
 def test_loss_aligned_is_zero():
     v = np.array([1.0, -2.0, 3.0])
-    assert difference_loss(DifferencePair(v, v)) == pytest.approx(0.0)
+    assert pair_loss(DifferencePair(v, v)) == pytest.approx(0.0)
 
 
 def test_loss_opposed_is_two():
     v = np.array([1.0, -2.0, 3.0])
-    assert difference_loss(DifferencePair(v, -v)) == pytest.approx(2.0)
+    assert pair_loss(DifferencePair(v, -v)) == pytest.approx(2.0)
 
 
 def test_loss_orthogonal_is_one():
     a = np.array([1.0, 0.0])
     b = np.array([0.0, 5.0])
-    assert difference_loss(DifferencePair(a, b)) == pytest.approx(1.0)
+    assert pair_loss(DifferencePair(a, b)) == pytest.approx(1.0)
 
 
 def test_loss_degenerate_is_one_with_flag():
     dp = DifferencePair(np.zeros(3), np.ones(3))
-    assert difference_loss(dp) == 1.0
-    loss, g_vis, g_txt = difference_loss_with_grads(dp)
-    assert loss == 1.0
+    assert pair_loss(dp) == 1.0
+    loss, g_vis, g_txt = difference_loss_with_grads(DifferencePair(np.zeros((1, 3)),
+                                                                   np.ones((1, 3))))
+    assert loss.tolist() == [1.0]
     assert np.all(g_vis == 0) and np.all(g_txt == 0)
 
 
 def test_loss_bounds(rng):
     for _ in range(500):
         dp = diff_vectors(random_pair(rng))
-        assert 0.0 <= difference_loss(dp) <= 2.0
+        assert 0.0 <= pair_loss(dp) <= 2.0
 
 
 def test_offset_cancellation(rng):
@@ -224,17 +218,17 @@ def test_offset_cancellation(rng):
     # leaves the loss unchanged to floating-point resolution
     for _ in range(50):
         pe = random_pair(rng)
-        base = difference_loss(diff_vectors(pe))
+        base = pair_loss(diff_vectors(pe))
         c = rng.standard_normal(16)
         shifted = PairEmbeddings(pe.visual_source + c, pe.text_source,
                                  pe.visual_target + c, pe.text_target,
                                  pe.source_emotion, pe.target_emotion)
-        assert abs(difference_loss(diff_vectors(shifted)) - base) < 1e-12
+        assert abs(pair_loss(diff_vectors(shifted)) - base) < 1e-12
         t = rng.standard_normal(16)
         shifted_t = PairEmbeddings(pe.visual_source, pe.text_source + t,
                                    pe.visual_target, pe.text_target + t,
                                    pe.source_emotion, pe.target_emotion)
-        assert abs(difference_loss(diff_vectors(shifted_t)) - base) < 1e-12
+        assert abs(pair_loss(diff_vectors(shifted_t)) - base) < 1e-12
 
 
 def test_positive_scale_invariance(rng):
@@ -242,7 +236,7 @@ def test_positive_scale_invariance(rng):
         dp = diff_vectors(random_pair(rng))
         lam, mu = rng.uniform(0.1, 10, size=2)
         scaled = DifferencePair(lam * dp.visual_diff, mu * dp.text_diff)
-        assert difference_loss(scaled) == pytest.approx(difference_loss(dp),
+        assert pair_loss(scaled) == pytest.approx(pair_loss(dp),
                                                         abs=1e-11)
 
 
@@ -330,13 +324,14 @@ def test_export_equals_the_per_row_composition(trained_checkpoint, default_manif
 def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_manifest,
                                                   default_suite, monkeypatch):
     ckpt, _ = trained_checkpoint
+    # calls, but refs for visual_encode, which takes a tuple of them
     calls = {"build_personalized_prompt": 0, "embed_pair": 0, "visual_encode": 0}
 
     def counting(module, name):
         wrapped = getattr(module, name)
 
         def call(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[0]) if name == "visual_encode" else 1
             return wrapped(*args, **kwargs)
         return call
 
@@ -362,4 +357,4 @@ def test_export_embeds_each_prompt_and_image_once(trained_checkpoint, default_ma
     assert len(projections) == 1
     for n, sample in enumerate(default_manifest.samples):
         assert np.array_equal(projections[0][n], project_row(
-            ckpt, default_suite.visual_encode(sample.image_ref), sample.emotion)[0])
+            ckpt, default_suite.visual_encode((sample.image_ref,))[0], sample.emotion)[0])

@@ -51,8 +51,8 @@ def test_noise_free_zero_gap_offset_is_identity_term():
     for e in (es.EmotionLabel.happy, es.EmotionLabel.angry):
         for idx in (0, 1):
             ident = w.identity_names[idx]
-            visual = suite.visual_encode(w.image_ref(ident, e, 0))
-            text = suite.text_encode(suite.tokenize(es.prompt_for(e)))
+            visual = suite.visual_encode((w.image_ref(ident, e, 0),))[0]
+            text = suite.text_encode(suite.tokenize(es.prompt_for(e))[None])[0]
             identity_term = w.visual_map @ w.identity_latents[idx]
             assert np.max(np.abs((visual - text) - identity_term)) < 1e-12
 
@@ -121,15 +121,15 @@ def test_tokenize_empty_prompt(default_suite, precomputed_suite):
 
 
 def test_text_encode_zero_token_is_zero(default_suite, default_world):
-    seq = np.zeros((1, default_world.config.d_tok))
-    assert np.array_equal(default_suite.text_encode(seq),
-                          np.zeros(default_world.config.d_e))
+    stack = np.zeros((1, 1, default_world.config.d_tok))
+    assert np.array_equal(default_suite.text_encode(stack),
+                          np.zeros((1, default_world.config.d_e)))
 
 
 def test_text_encode_deterministic(default_suite):
-    seq = default_suite.tokenize("a photo of a fear face")
-    assert np.array_equal(default_suite.text_encode(seq),
-                          default_suite.text_encode(seq))
+    stack = default_suite.tokenize("a photo of a fear face")[None]
+    assert np.array_equal(default_suite.text_encode(stack),
+                          default_suite.text_encode(stack))
 
 
 def test_text_encode_prepending_changes_output(default_suite, default_world, rng):
@@ -137,38 +137,38 @@ def test_text_encode_prepending_changes_output(default_suite, default_world, rng
         base = rng.standard_normal((4, default_world.config.d_tok))
         extra = rng.standard_normal((1, default_world.config.d_tok))
         prepended = np.concatenate([extra, base])
-        assert not np.allclose(default_suite.text_encode(base),
-                               default_suite.text_encode(prepended))
+        assert not np.allclose(default_suite.text_encode(base[None]),
+                               default_suite.text_encode(prepended[None]))
 
 
 def test_text_encode_prepend_additivity(default_suite, default_world, rng):
     # prepending adds exactly the weighted image of the new token
     seq = default_suite.tokenize(es.prompt_for(es.EmotionLabel.happy))
     tau = rng.standard_normal(default_world.config.d_tok)
-    lhs = default_suite.text_encode(np.concatenate([tau[None], seq]))
-    rhs = (default_suite.text_encode(seq)
+    lhs = default_suite.text_encode(np.concatenate([tau[None], seq])[None])[0]
+    rhs = (default_suite.text_encode(seq[None])[0]
            + position_weight(0, len(seq) + 1) * (default_world.token_map @ tau))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_plain_prompt_encodings_hit_text_prototypes(default_suite, default_world):
     for e in es.EMOTIONS:
-        enc = default_suite.text_encode(default_suite.tokenize(es.prompt_for(e)))
+        enc = default_suite.text_encode(default_suite.tokenize(es.prompt_for(e))[None])[0]
         assert np.max(np.abs(enc - default_world.text_prototype(e))) < 1e-12
 
 
 def test_frozen_encoders_repeat_identically(default_world, default_suite):
     ref = default_world.image_ref("id001", es.EmotionLabel.fear, 1)
-    assert np.array_equal(default_suite.visual_encode(ref),
-                          default_suite.visual_encode(ref))
+    assert np.array_equal(default_suite.visual_encode((ref,)),
+                          default_suite.visual_encode((ref,)))
     assert np.array_equal(default_suite.backbone_identity(ref),
                           default_suite.backbone_identity(ref))
 
 
 def test_same_identity_emotion_encode_identically_at_zero_noise(noise_free_world):
     suite = es.synthetic_suite(noise_free_world)
-    a = suite.visual_encode(noise_free_world.image_ref("id000", es.EmotionLabel.sad, 0))
-    b = suite.visual_encode(noise_free_world.image_ref("id000", es.EmotionLabel.sad, 1))
+    refs = tuple(noise_free_world.image_ref("id000", es.EmotionLabel.sad, j) for j in (0, 1))
+    a, b = suite.visual_encode(refs)
     assert np.array_equal(a, b)
 
 
@@ -179,7 +179,8 @@ def test_same_identity_emotion_encode_identically_at_zero_noise(noise_free_world
 def test_a_non_canonical_image_ref_is_refused(default_suite, encoder, ref):
     # the noise is hashed from the ref string, so another spelling of
     # img:id000:happy:1 would be a second embedding of the same image
-    encode = getattr(default_suite, encoder)
+    encode = {"visual_encode": lambda ref: default_suite.visual_encode((ref,)),
+              "backbone_identity": default_suite.backbone_identity}[encoder]
     encode("img:id000:happy:1")
     with pytest.raises(KeyError, match=re.escape(f"unknown image ref {ref!r}")):
         encode(ref)
@@ -240,8 +241,8 @@ def test_fixed_seed_serves_only_four_uint64_words(n_words, dtype):
         fixed.generate_state(n_words, dtype)
 
 
-def per_ref_stack(suite, refs) -> np.ndarray:
-    return np.stack([suite.visual_encode(ref) for ref in refs])
+def per_ref_stack(encode_one, refs) -> np.ndarray:
+    return np.stack([encode_one(ref) for ref in refs])
 
 
 def assert_same_bytes(a: np.ndarray, b: np.ndarray):
@@ -260,14 +261,15 @@ def test_batched_visual_encode_equals_the_per_ref_calls(noise):
     refs = distinct[:NOISE_BLOCK - 2] + [distinct[0], distinct[100], distinct[NOISE_BLOCK - 3]]
     refs = tuple(np.random.default_rng(0).permutation(refs).tolist())
     assert len(refs) == NOISE_BLOCK + 1 and len(set(refs)) == NOISE_BLOCK - 2
-    assert_same_bytes(suite.visual_encode(refs), per_ref_stack(suite, refs))
-    assert_same_bytes(world.visual_embeddings(refs[:5]), per_ref_stack(suite, refs[:5]))
+    assert_same_bytes(suite.visual_encode(refs), per_ref_stack(world.visual_embedding, refs))
+    assert_same_bytes(world.visual_embeddings(refs[:5]),
+                      per_ref_stack(world.visual_embedding, refs[:5]))
 
 
 def test_batched_precomputed_encode_equals_the_per_id_calls(precomputed_suite):
     ids = ("s2", "s0", "s2", "s1")
-    assert_same_bytes(precomputed_suite.visual_encode(ids),
-                      per_ref_stack(precomputed_suite, ids))
+    assert_same_bytes(precomputed_suite.visual_encode(ids), per_ref_stack(
+        lambda i: precomputed_suite.visual_encode((i,))[0], ids))
 
 
 def test_batched_visual_encode_of_no_refs_is_an_empty_stack(any_suite):
@@ -280,10 +282,10 @@ def test_batched_visual_encode_of_no_refs_is_an_empty_stack(any_suite):
 @pytest.mark.parametrize("position", [0, 7, NOISE_BLOCK + 3, -1])
 def test_batched_visual_encode_refuses_a_bad_ref_anywhere(default_world, default_suite,
                                                           bad, position):
-    # the same error as the per-ref call: a KeyError, also for an unknown
-    # emotion name
+    # the same error as the world's per-ref embedding: a KeyError, also for
+    # an unknown emotion name
     with pytest.raises(KeyError) as scalar:
-        default_suite.visual_encode(bad)
+        default_world.visual_embedding(bad)
     refs = [default_world.image_ref("id001", es.EmotionLabel.sad, j)
             for j in range(NOISE_BLOCK + 10)]
     refs[position] = bad
@@ -362,7 +364,7 @@ def test_precomputed_suite_dims_and_roundtrip(tmp_path):
     path = write_precomputed(tmp_path, dim=12)
     suite = es.load_precomputed_features(path)
     assert suite.d_e == 12
-    served = suite.visual_encode("s0")
+    served = suite.visual_encode(("s0",))[0]
     direct = es.read_feature_file(tmp_path / "s0.f32")
     assert np.array_equal(served, direct)
 
@@ -370,7 +372,7 @@ def test_precomputed_suite_dims_and_roundtrip(tmp_path):
 def test_precomputed_unknown_id_names_sample(tmp_path):
     suite = es.load_precomputed_features(write_precomputed(tmp_path))
     with pytest.raises(KeyError, match="nope"):
-        suite.visual_encode("nope")
+        suite.visual_encode(("nope",))
 
 
 def test_a_sample_id_listed_twice_is_refused(tmp_path):
@@ -417,7 +419,7 @@ def test_precomputed_text_encoding_serves_table(tmp_path):
     suite = es.load_precomputed_features(path)
     seq = suite.tokenize(es.prompt_for(es.EmotionLabel.angry))
     assert seq.shape == (1, suite.d_tok)
-    enc = suite.text_encode(seq)
+    enc = suite.text_encode(seq[None])[0]
     assert np.array_equal(enc, es.read_feature_file(tmp_path / "t_angry.f32"))
     seq[0] = 0.0  # the tokens are a copy: the suite's table does not change
     assert np.array_equal(suite.tokenize("angry"), enc[None])
@@ -458,40 +460,44 @@ def test_stacked_text_calls_equal_per_sequence_calls(default_suite, precomputed_
         assert encoded.shape == (rows, suite.d_e)
         vjps = [suite.text_token_vjp(stack, i, upstream) for i in range(stack.shape[1])]
         for b in range(rows):
-            seq = stack[b]
-            np.testing.assert_allclose(encoded[b], suite.text_encode(seq),
+            one = stack[b:b + 1]  # sequence b as a one-row stack
+            np.testing.assert_allclose(encoded[b], suite.text_encode(one)[0],
                                        rtol=1e-12, atol=1e-12)
             for i, vjp in enumerate(vjps):
                 assert vjp.shape == (rows, suite.d_tok)
-                np.testing.assert_allclose(vjp[b], suite.text_token_vjp(seq, i, upstream[b]),
-                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(
+                    vjp[b], suite.text_token_vjp(one, i, upstream[b:b + 1])[0],
+                    rtol=1e-12, atol=1e-12)
 
 
-def test_a_token_sequence_is_the_one_row_stack(any_suite, rng):
+def test_a_token_sequence_is_refused_and_its_one_row_stack_encodes(any_suite, rng):
     seq = rng.standard_normal((3, any_suite.d_tok))
     upstream = rng.standard_normal(any_suite.d_e)
-    stack = seq[None]
-    assert any_suite.text_encode(seq).shape == (any_suite.d_e,)
-    assert np.array_equal(any_suite.text_encode(seq), any_suite.text_encode(stack)[0])
-    assert np.array_equal(any_suite.text_encode(seq.tolist()), any_suite.text_encode(seq))
+    with pytest.raises(ContractError, match=r"\(B, L, d_tok\) stack"):
+        any_suite.text_encode(seq)
     for i in range(len(seq)):
-        vjp = any_suite.text_token_vjp(seq, i, upstream)
-        assert vjp.shape == (any_suite.d_tok,)
-        assert np.array_equal(vjp, any_suite.text_token_vjp(stack, i, upstream[None])[0])
+        with pytest.raises(ContractError, match=r"\(B, L, d_tok\) stack"):
+            any_suite.text_token_vjp(seq, i, upstream)
+    stack = seq[None]
+    assert any_suite.text_encode(stack).shape == (1, any_suite.d_e)
+    assert np.array_equal(any_suite.text_encode([seq.tolist()]), any_suite.text_encode(stack))
+    assert any_suite.text_token_vjp(stack, 0, upstream[None]).shape == (1, any_suite.d_tok)
 
 
 def bad_stacks(d_tok):
-    """Token input both text calls refuse: stacks, and ``(L, d_tok)``
-    sequences given as arrays or as lists of tokens."""
+    """Token input both text calls refuse: malformed stacks, and ``(L,
+    d_tok)`` sequences, given as arrays or as lists of tokens, which are no
+    stacks."""
     nan_stack = np.ones((2, 3, d_tok))
     nan_stack[1, 2, 0] = np.nan
     inf_stack = np.ones((2, 3, d_tok))
     inf_stack[0, 0, -1] = np.inf
     nan_sequence = np.ones((3, d_tok))
     nan_sequence[1, 0] = np.nan
-    shape = r"\(L, d_tok\) sequence or \(B, L, d_tok\) stack"
+    shape = r"non-empty \(B, L, d_tok\) stack"
     return {"wrong d_tok": (np.ones((2, 3, d_tok + 1)), "d_tok"),
-            "wrong d_tok sequence": (np.ones((3, d_tok + 1)), "d_tok"),
+            "sequence": (np.ones((3, d_tok)), shape),
+            "wrong d_tok sequence": (np.ones((3, d_tok + 1)), shape),
             "1-D": (np.ones(d_tok), shape),
             "4-D": (np.ones((1, 2, 3, d_tok)), shape),
             "empty": (np.ones((0, 3, d_tok)), shape),
@@ -501,7 +507,7 @@ def bad_stacks(d_tok):
             "ragged": ([np.ones(d_tok), np.ones(d_tok + 1)], "one shape"),
             "nan": (nan_stack, "non-finite"),
             "inf": (inf_stack, "non-finite"),
-            "nan sequence": (nan_sequence, "non-finite")}
+            "nan sequence": (nan_sequence, shape)}
 
 
 def test_token_vjp_is_the_adjoint_of_text_encode(any_suite, rng):
@@ -521,10 +527,17 @@ def test_token_vjp_is_the_adjoint_of_text_encode(any_suite, rng):
 
 def test_visual_encode_refuses_a_raw_vector(any_suite):
     # a suite takes refs only, and no caller passes it a raw vector
-    vector = np.ones(any_suite.d_e)
-    for ref in (vector, (vector,)):
-        with pytest.raises(KeyError, match="unknown (image ref|sample id)"):
-            any_suite.visual_encode(ref)
+    with pytest.raises(KeyError, match="unknown (image ref|sample id)"):
+        any_suite.visual_encode((np.ones(any_suite.d_e),))
+
+
+@pytest.mark.parametrize("refs", ["img:id000:happy:0", ["img:id000:happy:0"], np.ones(3)],
+                         ids=["str", "list", "ndarray"])
+def test_visual_encode_refuses_anything_but_a_tuple(any_suite, refs):
+    # a str would otherwise be read one character at a time, and a list is
+    # no hashable set member for the benchmark's distinct-input count
+    with pytest.raises(ContractError, match=f"tuple of refs, got {type(refs).__name__}"):
+        any_suite.visual_encode(refs)
 
 
 def test_the_identity_backbone_refuses_a_raw_vector(default_suite):

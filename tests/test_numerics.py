@@ -85,7 +85,7 @@ def test_cosine_symmetry_and_scale_invariance(values, scale):
 def test_cosine_grads_match_finite_differences(rng):
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    da, db, _, _ = cosine_grads(a, b)
+    da, db, _, _ = (g[0] for g in cosine_grads(a[None], b[None]))
     h = 1e-6
     for i in range(6):
         e = np.zeros(6)
@@ -99,7 +99,7 @@ def test_cosine_grads_match_finite_differences(rng):
 def cosine_grads_by_where(a, b):
     """``cosine_grads`` as it was written with five ``np.where`` passes over
     every row: the reference its degenerate-row indexing must equal."""
-    a2, b2 = np.atleast_2d(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    a2, b2 = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     na = np.linalg.norm(a2, axis=1, keepdims=True)
     nb = np.linalg.norm(b2, axis=1, keepdims=True)
     keep = (na >= EPS_NORM) & (nb >= EPS_NORM)
@@ -107,10 +107,7 @@ def cosine_grads_by_where(a, b):
     c = np.where(keep, np.einsum("ij,ij->i", a2, b2)[:, None] / (na * nb), 0.0)
     da = np.where(keep, b2 / (na * nb) - c * a2 / (na * na), 0.0)
     db = np.where(keep, a2 / (na * nb) - c * b2 / (nb * nb), 0.0)
-    cos, degenerate = c[:, 0], ~keep[:, 0]
-    if np.ndim(a) == 1:
-        return da[0], db[0], float(cos[0]), bool(degenerate[0])
-    return da, db, cos, degenerate
+    return da, db, c[:, 0], ~keep[:, 0]
 
 
 # per row: zero, scaled to a norm below EPS_NORM, or not degenerate
@@ -118,22 +115,26 @@ row_scales = st.sampled_from([0.0, 1e-14, 1e-3, 1.0, 1e3])
 
 
 @settings(max_examples=120)
-@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 8), one_d=st.booleans(),
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 8),
        scales=st.lists(st.tuples(row_scales, row_scales), min_size=1, max_size=9))
-@example(seed=0, dim=3, one_d=True, scales=[(0.0, 1.0)])
-@example(seed=1, dim=2, one_d=False, scales=[(1e-14, 1e-14)] * 4)
-@example(seed=2, dim=4, one_d=False, scales=[(1.0, 1.0)] * 5)
-def test_cosine_grads_are_bytes_of_the_where_formula(seed, dim, one_d, scales):
+@example(seed=0, dim=3, scales=[(0.0, 1.0)])
+@example(seed=1, dim=2, scales=[(1e-14, 1e-14)] * 4)
+@example(seed=2, dim=4, scales=[(1.0, 1.0)] * 5)
+def test_cosine_grads_are_bytes_of_the_where_formula(seed, dim, scales):
     rng = np.random.default_rng(seed)
     a, b = (rng.standard_normal((len(scales), dim)) * np.array(column)[:, None]
             for column in zip(*scales))
-    if one_d:
-        a, b = a[0], b[0]
-    got, want = cosine_grads(a, b), cosine_grads_by_where(a, b)
-    assert [type(g) for g in got] == [type(w) for w in want]
-    for g, w in zip(got, want):
-        g, w = np.asarray(g), np.asarray(w)
+    for g, w in zip(cosine_grads(a, b), cosine_grads_by_where(a, b)):
+        assert type(g) is np.ndarray
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def test_cosine_grads_refuse_anything_but_two_stacks_of_one_shape():
+    # one pair is the one-row stack; a 1-D pair is no longer lifted
+    with pytest.raises(ContractError, match="2-D"):
+        cosine_grads(np.ones(3), np.ones(3))
+    with pytest.raises(ContractError, match=r"has shape \(2, 3\), expected \(1, 3\)"):
+        cosine_grads(np.ones((1, 3)), np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------

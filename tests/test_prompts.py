@@ -90,9 +90,9 @@ def test_personalized_embedding_linearity(default_manifest, default_world,
     reference = default_manifest.by_id(default_manifest.samples[0].neutral_ref)
     seq = es.build_personalized_prompt(ckpt, reference, es.EmotionLabel.angry,
                                        default_suite)
-    lhs = default_suite.text_encode(seq)
+    lhs = default_suite.text_encode(seq[None])[0]
     plain = default_suite.tokenize(es.prompt_for(es.EmotionLabel.angry))
-    rhs = (default_suite.text_encode(plain)
+    rhs = (default_suite.text_encode(plain[None])[0]
            + position_weight(0, len(seq)) * (default_world.token_map @ seq[0]))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -102,7 +102,8 @@ def test_personalized_embedding_deterministic(default_manifest, default_suite):
     reference = default_manifest.by_id(default_manifest.samples[0].neutral_ref)
     seq = es.build_personalized_prompt(ckpt, reference, es.EmotionLabel.happy,
                                        default_suite)
-    assert np.array_equal(default_suite.text_encode(seq), default_suite.text_encode(seq))
+    assert np.array_equal(default_suite.text_encode(seq[None]),
+                          default_suite.text_encode(seq[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ def test_project_visual_refuses_an_unfrozen_checkpoint(default_suite):
 def test_single_conditional_mode_shapes(default_manifest, default_suite):
     ckpt = fresh_checkpoint(default_suite, projector_mode="single_conditional").freeze()
     sample = default_manifest.samples[0]
-    out, _ = pr.project_visual(ckpt, default_suite.visual_encode(sample.image_ref)[None],
+    out, _ = pr.project_visual(ckpt, default_suite.visual_encode((sample.image_ref,)),
                                np.array([int(sample.emotion)]))
     assert out.shape == (1, default_suite.d_e)
     assert ckpt.bank.vector.shape[0] == 1  # one shared network
@@ -172,19 +173,24 @@ def test_single_conditional_mode_shapes(default_manifest, default_suite):
 # contrastive loss
 # ---------------------------------------------------------------------------
 
+def contrastive_loss(t_pos, t_neg, i_vis) -> float:
+    """L1 of one entry, as the one-row stacks the loss takes."""
+    return es.contrastive_loss_with_grads(t_pos[None], t_neg[None], i_vis[None])[0][0]
+
+
 def test_contrastive_loss_global_minimum():
     v = np.array([1.0, 2.0, -1.0])
-    assert es.contrastive_loss_with_grads(v, -v, v)[0] == pytest.approx(-1.0)
+    assert contrastive_loss(v, -v, v) == pytest.approx(-1.0)
 
 
 def test_contrastive_loss_orthogonal_negative():
     v, orthogonal = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert es.contrastive_loss_with_grads(v, orthogonal, v)[0] == pytest.approx(0.0)
+    assert contrastive_loss(v, orthogonal, v) == pytest.approx(0.0)
 
 
 def test_contrastive_loss_equal_everything():
     v = np.array([0.3, -0.7, 2.0])
-    assert es.contrastive_loss_with_grads(v, v, v)[0] == pytest.approx(1.0)
+    assert contrastive_loss(v, v, v) == pytest.approx(1.0)
 
 
 def test_contrastive_loss_bounds_and_degenerates(rng):
@@ -195,7 +201,7 @@ def test_contrastive_loss_bounds_and_degenerates(rng):
         i_vis = rng.standard_normal(5)
         for combo in [(t_pos, t_neg, i_vis), (zero, t_neg, i_vis),
                       (t_pos, zero, zero)]:
-            val = es.contrastive_loss_with_grads(*combo)[0]
+            val = contrastive_loss(*combo)
             assert -1.0 - 1e-12 <= val <= 3.0 + 1e-12
 
 
@@ -313,10 +319,10 @@ def test_momentum_matches_hand_written_loop(default_manifest, default_suite,
 def test_encoder_outputs_constant_across_training(default_manifest, default_world,
                                                   default_suite, reference_pools):
     ref = default_manifest.samples[0].image_ref
-    before = default_suite.visual_encode(ref).copy()
+    before = default_suite.visual_encode((ref,))
     cfg = es.TrainConfig(seed=1, epochs=1, steps_per_epoch=3, batch_size=4)
     es.pretrain_alignment(default_manifest, reference_pools, default_suite, cfg)
-    assert np.array_equal(before, default_suite.visual_encode(ref))
+    assert np.array_equal(before, default_suite.visual_encode((ref,)))
 
 
 def test_nonfinite_loss_aborts_with_context(default_manifest, default_suite,
@@ -692,17 +698,19 @@ def test_empty_split_rejected(trained_checkpoint, default_manifest, default_suit
 
 
 def retrieval_oracle(ckpt, manifest, split, suite):
-    """Per sample: ``visual_encode`` then ``project_row``; per candidate
-    emotion: ``text_encode`` of ``build_personalized_prompt``; a hit when the
-    argmax of the ``cosine_with_flag`` scores is the sample's emotion."""
+    """Per sample: ``visual_encode`` of its one ref then ``project_row``; per
+    candidate emotion: ``text_encode`` of ``build_personalized_prompt`` as a
+    one-sequence stack; a hit when the argmax of the ``cosine_with_flag``
+    scores is the sample's emotion."""
     samples = manifest.in_split(split)
     hits = 0
     for sample in samples:
         reference = manifest.by_id(sample.neutral_ref)
-        visual = project_row(ckpt, suite.visual_encode(sample.image_ref),
+        visual = project_row(ckpt, suite.visual_encode((sample.image_ref,))[0],
                              sample.emotion)[0]
         sims = [es.cosine_with_flag(suite.text_encode(
-                    es.build_personalized_prompt(ckpt, reference, k, suite)), visual)[0]
+                    es.build_personalized_prompt(ckpt, reference, k, suite)[None])[0],
+                    visual)[0]
                 for k in es.EMOTIONS]
         hits += int(np.argmax(sims)) == int(sample.emotion)
     return hits / len(samples)
@@ -799,8 +807,7 @@ def test_identity_sensitivity_of_trained_prompts(trained_checkpoint,
         if s.emotion == es.EmotionLabel.neutral and s.identity not in refs:
             refs[s.identity] = s
     ref_a, ref_b = list(refs.values())[:2]
-    emb_a = default_suite.text_encode(
-        es.build_personalized_prompt(ckpt, ref_a, es.EmotionLabel.happy, default_suite))
-    emb_b = default_suite.text_encode(
-        es.build_personalized_prompt(ckpt, ref_b, es.EmotionLabel.happy, default_suite))
+    emb_a, emb_b = default_suite.text_encode(np.stack([
+        es.build_personalized_prompt(ckpt, ref, es.EmotionLabel.happy, default_suite)
+        for ref in (ref_a, ref_b)]))
     assert np.max(np.abs(emb_a - emb_b)) > 1e-9

@@ -24,33 +24,33 @@ def demo_env(default_manifest, trained_checkpoint, default_suite, default_world)
 # ---------------------------------------------------------------------------
 
 def test_total_loss_arithmetic():
-    value, _ = es.total_loss(0.5, np.zeros(3), 1.0, np.zeros(3),
+    value, _ = es.total_loss([0.5], np.zeros((1, 3)), [1.0], np.zeros((1, 3)),
                              es.LambdaConfig(0.4, "ned"))
-    assert value == pytest.approx(0.9)
+    assert value == pytest.approx([0.9])
 
 
 def test_total_loss_lambda_zero_equals_base(rng):
-    base_grad = rng.standard_normal(5)
-    value, grad = es.total_loss(0.37, base_grad, 123.0, rng.standard_normal(5),
+    base_grad = rng.standard_normal((1, 5))
+    value, grad = es.total_loss([0.37], base_grad, [123.0], rng.standard_normal((1, 5)),
                                 es.LambdaConfig(0.0))
-    assert value == 0.37
+    assert value.tolist() == [0.37]
     assert np.array_equal(grad, base_grad)
 
 
 def test_total_loss_gradient_linearity(rng):
     # algebraic oracle: independent recomputation of base + lambda * l2
     for _ in range(20):
-        base, l2 = rng.standard_normal(2)
-        bg, lg = rng.standard_normal(4), rng.standard_normal(4)
+        base, l2 = rng.standard_normal((2, 3))
+        bg, lg = rng.standard_normal((2, 3, 4))
         lam = float(rng.uniform(0, 3))
         value, grad = es.total_loss(base, bg, l2, lg, es.LambdaConfig(lam))
-        assert value == pytest.approx(base + lam * l2, abs=1e-12)
+        assert np.allclose(value, base + lam * l2, atol=1e-12)
         assert np.allclose(grad, bg + lam * lg, atol=1e-12)
 
 
 def test_total_loss_rejects_nonfinite(rng):
     with pytest.raises(ContractError):
-        es.total_loss(float("inf"), np.zeros(2), 0.0, np.zeros(2),
+        es.total_loss([float("inf")], np.zeros((1, 2)), [0.0], np.zeros((1, 2)),
                       es.LambdaConfig(0.1))
 
 
@@ -68,17 +68,17 @@ def test_lambda_validation_and_defaults():
 
 
 def test_squared_error_hook_gradient(rng):
-    g = rng.standard_normal(6)
-    t = rng.standard_normal(6)
+    g = rng.standard_normal((1, 6))
+    t = rng.standard_normal((1, 6))
     value, grad = es.squared_error_loss(g, t)
-    assert value == pytest.approx(float(np.mean((g - t) ** 2)))
+    assert value == pytest.approx([float(np.mean((g - t) ** 2))])
     h = 1e-6
     for i in range(6):
-        e = np.zeros(6)
-        e[i] = h
-        fd = (es.squared_error_loss(g + e, t)[0]
-              - es.squared_error_loss(g - e, t)[0]) / (2 * h)
-        assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        e = np.zeros((1, 6))
+        e[0, i] = h
+        fd = (es.squared_error_loss(g + e, t)[0][0]
+              - es.squared_error_loss(g - e, t)[0][0]) / (2 * h)
+        assert grad[0, i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("hidden, bad", [((0,), 0), ((16, -3), -3), ((16, 0, 8), 0)])
