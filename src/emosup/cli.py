@@ -7,12 +7,22 @@ run can be reproduced from its metadata alone. Exit codes: 0 success,
 2 usage/validation problems (among them eval-metrics sets whose sample ids
 differ), 3 numerical failures. Each command's handler, help line and
 flag defaults are declared once, in ``COMMANDS``.
+
+One protocol serves every command. A handler takes the resolved flags,
+reads its inputs and computes its results, and returns two things: its
+outputs, an ordered mapping from file name to a writer of that path, and
+its report, a function from the outputs' sha256 hashes (by name) to the
+text to print. ``main`` alone resolves the flags, calls the handler,
+creates --out, runs each writer in order, writes run.json listing exactly
+the returned names, and prints the report. So a refusal, which comes from
+the handler, leaves no --out behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -36,9 +46,10 @@ NUMERICAL_ERROR = 3
 
 
 def _write_run_metadata(out: Path, command: str, flags: dict,
-                        outputs: list[Path]) -> dict[str, str]:
-    """Write run.json; returns the sha256 of each output file by name."""
-    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
+                        names) -> dict[str, str]:
+    """Write run.json; returns the sha256 of each named output file in
+    ``out``, by name."""
+    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
     write_json(out / "run.json", {"command": command, "flags": flags, "outputs": hashes})
     return hashes
 
@@ -52,22 +63,20 @@ def _resolve_flags(args: argparse.Namespace) -> dict:
     flag with no default that has no value after the merge."""
     resolved = dict(COMMANDS[args.command][2])
     if args.config:
-        def parse(file_conf):
-            recorded = file_conf.pop("command", None)
-            if recorded is not None and recorded != args.command:
-                raise ContractError(f"--config {args.config} records a {recorded} run; "
-                                    f"it cannot configure {args.command}")
-            file_conf = file_conf.get("flags", file_conf)  # a previous run.json
-            if not isinstance(file_conf, dict):
-                raise ContractError(f"--config {args.config} holds no JSON object of flags")
-            unknown = sorted(set(file_conf) - ALL_FLAGS)
-            if unknown:
-                raise ContractError(f"--config {args.config} has keys that are no "
-                                    f"command's flag: {', '.join(unknown)}")
-            return file_conf
-
+        file_conf = load_json_object(args.config, lambda conf: conf)
+        recorded = file_conf.pop("command", None)
+        if recorded is not None and recorded != args.command:
+            raise ContractError(f"--config {args.config} records a {recorded} run; "
+                                f"it cannot configure {args.command}")
+        file_conf = file_conf.get("flags", file_conf)  # a previous run.json
+        if not isinstance(file_conf, dict):
+            raise ContractError(f"--config {args.config} holds no JSON object of flags")
+        unknown = sorted(set(file_conf) - ALL_FLAGS)
+        if unknown:
+            raise ContractError(f"--config {args.config} has keys that are no "
+                                f"command's flag: {', '.join(unknown)}")
         # another command's flag is ignored: a flags file may serve several
-        for key, value in load_json_object(args.config, parse).items():
+        for key, value in file_conf.items():
             if key not in resolved:
                 continue
             kind, item, default = FLAG_TYPES[key], LIST_FLAGS.get(key), resolved[key]
@@ -126,12 +135,6 @@ def _config_from_flags(cls, flags: dict):
     return config
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_pools(spec: str) -> NegativePoolTable:
     if spec == "reference":
         return analysis.load_reference_pools()
@@ -147,73 +150,59 @@ def _manifest_and_suite(manifest_path: str):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the resolved flags and returns (outputs, report)
 # ---------------------------------------------------------------------------
 
-def cmd_gen_corpus(args) -> int:
-    flags = _resolve_flags(args)
+def cmd_gen_corpus(flags):
     config = _config_from_flags(WorldConfig, flags)
     world = build_synthetic_world(int(flags["seed"]), config)
     suite = synthetic_suite(world)
     manifest = generate_synthetic_corpus(world, int(flags["per_emotion"]))
-    out = _out_dir(args)
-    manifest.save(out / "manifest.json")
 
-    feature_dir = out / "features"
-    feature_dir.mkdir(exist_ok=True)
-    feature_entries = []
-    samples = sorted(manifest.samples, key=lambda s: s.id)
-    # one batched encode per block of samples, so no (N, d_e) stack is held
-    for start in range(0, len(samples), NOISE_BLOCK):
-        block = samples[start:start + NOISE_BLOCK]
-        for s, vector in zip(block, suite.visual_encode(tuple(s.image_ref for s in block))):
-            rel = f"features/{s.id}.f32"
-            write_feature_file(out / rel, vector)
-            feature_entries.append({"id": s.id, "identity": s.identity,
-                                    "emotion": s.emotion.name, "feature_file": rel})
-    text_refs = {}
-    for e in EMOTIONS:
-        rel = f"features/text_{e.name}.f32"
-        write_feature_file(out / rel, world.text_prototype(e))
-        text_refs[e.name] = rel
-    write_json(out / "features.json",
-               {"dim": world.config.d_e, "samples": feature_entries,
-                "text_embeddings": text_refs})
+    def write_features(path: Path) -> None:
+        """features.json and the feature files it names, in features/ beside it."""
+        out = path.parent
+        (out / "features").mkdir(exist_ok=True)
+        feature_entries = []
+        samples = sorted(manifest.samples, key=lambda s: s.id)
+        # one batched encode per block of samples, so no (N, d_e) stack is held
+        for start in range(0, len(samples), NOISE_BLOCK):
+            block = samples[start:start + NOISE_BLOCK]
+            for s, vector in zip(block, suite.visual_encode(tuple(s.image_ref for s in block))):
+                rel = f"features/{s.id}.f32"
+                write_feature_file(out / rel, vector)
+                feature_entries.append({"id": s.id, "identity": s.identity,
+                                        "emotion": s.emotion.name, "feature_file": rel})
+        text_refs = {}
+        for e in EMOTIONS:
+            rel = f"features/text_{e.name}.f32"
+            write_feature_file(out / rel, world.text_prototype(e))
+            text_refs[e.name] = rel
+        write_json(path, {"dim": world.config.d_e, "samples": feature_entries,
+                          "text_embeddings": text_refs})
 
-    outputs = [out / "manifest.json", out / "features.json"]
-    _write_run_metadata(out, args.command, flags, outputs)
     n_train = len(manifest.in_split("train"))
     n_val = len(manifest.in_split("val"))
-    print(f"wrote {len(manifest.samples)} samples "
-          f"({n_train} train / {n_val} val) for {flags['identities']} identities")
-    return 0
+    return ({"manifest.json": manifest.save, "features.json": write_features},
+            lambda hashes: (f"wrote {len(manifest.samples)} samples ({n_train} train / "
+                            f"{n_val} val) for {flags['identities']} identities"))
 
 
-def cmd_pretrain(args) -> int:
-    """pretrain and pretrain-diff-ablation: the command names the objective."""
-    flags = _resolve_flags(args)
+def cmd_pretrain(train, flags):
+    """pretrain and pretrain-diff-ablation: ``train`` is the objective."""
     config = _config_from_flags(TrainConfig, flags)
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
-    pools = _load_pools(flags["pools"])
-    train = (prompts.pretrain_alignment if args.command == "pretrain"
-             else prompts.pretrain_with_difference_objective)
-    ckpt, curve = train(manifest, pools, suite, config)
+    ckpt, curve = train(manifest, _load_pools(flags["pools"]), suite, config)
     accuracy = prompts.retrieval_accuracy(ckpt, manifest, "val", suite)
-    out = _out_dir(args)
-    ckpt.save(out / "checkpoint.json")
-    curve.save_csv(out / "curve.csv")
-    hashes = _write_run_metadata(out, args.command, flags,
-                                 [out / "checkpoint.json", out / "curve.csv"])
     means = curve.epoch_means()
-    print(f"epoch mean loss: first={means[0]:.4f} final={means[-1]:.4f}; "
-          f"val retrieval accuracy={accuracy:.3f}")
     # the file holds the canonical JSON, so its sha256 is ckpt.content_hash()
-    print(f"checkpoint hash: {hashes['checkpoint.json']}")
-    return 0
+    return ({"checkpoint.json": ckpt.save, "curve.csv": curve.save_csv},
+            lambda hashes: (f"epoch mean loss: first={means[0]:.4f} final={means[-1]:.4f}; "
+                            f"val retrieval accuracy={accuracy:.3f}\n"
+                            f"checkpoint hash: {hashes['checkpoint.json']}"))
 
 
-def cmd_analyze_gap(args) -> int:
-    flags = _resolve_flags(args)
+def cmd_analyze_gap(flags):
     manifest, _, suite = _manifest_and_suite(flags["manifest"])
     # one (N, d_e) stack with the rows grouped by emotion, in manifest order
     # within each (a stable sort); every emotion reads a view of its slice
@@ -227,41 +216,30 @@ def cmd_analyze_gap(args) -> int:
              for e in EMOTIONS}
     report = analysis.modality_gap_report(features, texts)
     matrix = analysis.cross_modal_matrix(features, texts)
-    out = _out_dir(args)
-    write_json(out / "report.json", report.to_json_dict())
-    report.to_csv(out / "report.csv")
-    write_json(out / "matrix.json", matrix.to_json_dict())
-    matrix.to_csv(out / "matrix.csv")
     reference = analysis.load_reference_gap_table() if flags["compare_reference"] else None
-    print(analysis.format_gap_report(report, reference))
-    _write_run_metadata(out, args.command, flags,
-                        [out / "report.json", out / "report.csv",
-                         out / "matrix.json", out / "matrix.csv"])
-    return 0
+    return ({"report.json": lambda path: write_json(path, report.to_json_dict()),
+             "report.csv": report.to_csv,
+             "matrix.json": lambda path: write_json(path, matrix.to_json_dict()),
+             "matrix.csv": matrix.to_csv},
+            lambda hashes: analysis.format_gap_report(report, reference))
 
 
-def cmd_derive_pools(args) -> int:
-    flags = _resolve_flags(args)
+def cmd_derive_pools(flags):
     if flags["matrix"] == "reference":
         matrix = analysis.load_reference_matrix()
     else:
         matrix = load_json_object(flags["matrix"],
                                   analysis.CrossModalSimilarityMatrix.from_json_dict)
     derived = analysis.derive_negative_pools(matrix, int(flags["k"]))
-    out = _out_dir(args)
     reference = analysis.load_reference_pools()
     discrepancies = analysis.pool_discrepancies(derived, reference)
-    write_json(out / "pools.json",
-               {"k": int(flags["k"]), "pools": derived.to_names(),
-                "reference_pools": reference.to_names(),
-                "discrepancies": {e.name: d for e, d in discrepancies.items()}})
-    if discrepancies:
-        names = ", ".join(e.name for e in discrepancies)
-        print(f"note: derived pools differ from the published reference for: {names}")
-    else:
-        print("derived pools match the published reference exactly")
-    _write_run_metadata(out, args.command, flags, [out / "pools.json"])
-    return 0
+    payload = {"k": int(flags["k"]), "pools": derived.to_names(),
+               "reference_pools": reference.to_names(),
+               "discrepancies": {e.name: d for e, d in discrepancies.items()}}
+    note = (f"note: derived pools differ from the published reference for: "
+            f"{', '.join(e.name for e in discrepancies)}" if discrepancies
+            else "derived pools match the published reference exactly")
+    return {"pools.json": lambda path: write_json(path, payload)}, lambda hashes: note
 
 
 def _feature_set_from_manifest(path: str, tag: str) -> FeatureSet:
@@ -270,18 +248,14 @@ def _feature_set_from_manifest(path: str, tag: str) -> FeatureSet:
     return FeatureSet(np.array([vec for _, vec in rows]), tag, [i for i, _ in rows])
 
 
-def cmd_eval_metrics(args) -> int:
-    flags = _resolve_flags(args)
+def cmd_eval_metrics(flags):
     real = _feature_set_from_manifest(flags["real"], "real")
     gen = _feature_set_from_manifest(flags["gen"], "gen")
     report = metric_report(real, gen)
-    out = _out_dir(args)
-    write_json(out / "report.json", report)
     lse = "n/a" if report["lse_d"] is None else f"{report['lse_d']:.6f}"
     cs = "n/a" if report["csim"] is None else f"{report['csim']:.6f}"
-    print(f"fad={report['fad']:.6f} lse_d={lse} csim={cs}")
-    _write_run_metadata(out, args.command, flags, [out / "report.json"])
-    return 0
+    return ({"report.json": lambda path: write_json(path, report)},
+            lambda hashes: f"fad={report['fad']:.6f} lse_d={lse} csim={cs}")
 
 
 def _checkpoint_inputs(flags):
@@ -292,68 +266,57 @@ def _checkpoint_inputs(flags):
     return manifest, world, suite, ckpt
 
 
-def cmd_supervise_demo(args) -> int:
-    flags = _resolve_flags(args)
+def cmd_supervise_demo(flags):
     manifest, world, suite, ckpt = _checkpoint_inputs(flags)
     config = _config_from_flags(DemoConfig, flags)
     lam = (lambda_for_baseline(flags["baseline"]) if flags["lam"] is None
            else LambdaConfig(float(flags["lam"]), flags["baseline"]))
     report = supervision.supervise_demo(manifest, ckpt, lam, suite, config, world=world)
-    out = _out_dir(args)
-    write_json(out / "report.json",
-               {**report.to_json_dict(), "content_hash": report.content_hash()})
-    supervision.write_demo_csv(report.rows(), out / "report.csv")
     base, sup = report.baseline, report.supervised
-    print(f"lambda=0: accuracy={base.emotion_accuracy:.3f}; "
-          f"lambda={sup.lam}: accuracy={sup.emotion_accuracy:.3f}")
-    _write_run_metadata(out, args.command, flags,
-                        [out / "report.json", out / "report.csv"])
-    return 0
+    return ({"report.json": lambda path: write_json(
+                 path, {**report.to_json_dict(), "content_hash": report.content_hash()}),
+             "report.csv": lambda path: supervision.write_demo_csv(report.rows(), path)},
+            lambda hashes: (f"lambda=0: accuracy={base.emotion_accuracy:.3f}; "
+                            f"lambda={sup.lam}: accuracy={sup.emotion_accuracy:.3f}"))
 
 
-def cmd_sweep_lambda(args) -> int:
-    flags = _resolve_flags(args)
+def cmd_sweep_lambda(flags):
     manifest, world, suite, ckpt = _checkpoint_inputs(flags)
     config = _config_from_flags(DemoConfig, flags)
     grid_spec = flags["grid"]
     grid = supervision.lambda_grid([x for x in grid_spec.split(",") if x]
                                    if isinstance(grid_spec, str) else grid_spec)
     rows = supervision.sweep_lambda(manifest, ckpt, grid, suite, config, world=world)
-    out = _out_dir(args)
-    supervision.write_demo_csv(rows, out / "sweep.csv")
-    write_json(out / "sweep.json", {"rows": [r.to_dict() for r in rows]})
-    for r in rows:
-        print(f"lambda={r.lam}: base_loss={r.base_loss:.4f} "
-              f"l2={r.l2_loss:.4f} accuracy={r.emotion_accuracy:.3f}")
-    _write_run_metadata(out, args.command, flags,
-                        [out / "sweep.csv", out / "sweep.json"])
-    return 0
+    return ({"sweep.csv": lambda path: supervision.write_demo_csv(rows, path),
+             "sweep.json": lambda path: write_json(path, {"rows": [r.to_dict() for r in rows]})},
+            lambda hashes: "\n".join(f"lambda={r.lam}: base_loss={r.base_loss:.4f} "
+                                     f"l2={r.l2_loss:.4f} accuracy={r.emotion_accuracy:.3f}"
+                                     for r in rows))
 
 
-def cmd_export_diffs(args) -> int:
-    flags = _resolve_flags(args)
+def cmd_export_diffs(flags):
     manifest, _, suite, ckpt = _checkpoint_inputs(flags)
     rows = differencing.export_difference_rows(
         ckpt, manifest, suite, include_mismatched=bool(flags["include_mismatched"]))
-    out = _out_dir(args)
-    differencing.write_difference_csv(rows, out / "diffs.csv")
-    print(f"exported {len(rows)} difference rows")
-    _write_run_metadata(out, args.command, flags, [out / "diffs.csv"])
-    return 0
+    return ({"diffs.csv": lambda path: differencing.write_difference_csv(rows, path)},
+            lambda hashes: f"exported {len(rows)} difference rows")
 
 
 # ---------------------------------------------------------------------------
 # the command table and the parser
 # ---------------------------------------------------------------------------
 
-# command -> (handler, help, {flag: default}); a flag's type is its default's
+# command -> (handler, help, {flag: default}); a handler maps the resolved flags
+# to (outputs, report), as the module docstring says; a flag's type is its default's
 COMMANDS = {
     "gen-corpus": (cmd_gen_corpus, "generate a synthetic corpus + features",
                    {"seed": 1, "per_emotion": 3, **_config_defaults(WorldConfig)}),
-    "pretrain": (cmd_pretrain, "contrastive pre-training",
+    "pretrain": (functools.partial(cmd_pretrain, prompts.pretrain_alignment),
+                 "contrastive pre-training",
                  {"manifest": None, **_config_defaults(TrainConfig), "pools": "reference"}),
     "pretrain-diff-ablation": (
-        cmd_pretrain, "pre-train with the difference objective instead",
+        functools.partial(cmd_pretrain, prompts.pretrain_with_difference_objective),
+        "pre-train with the difference objective instead",
         {"manifest": None, **_config_defaults(TrainConfig), "pools": "reference"}),
     "analyze-gap": (cmd_analyze_gap, "modality-gap report on a corpus",
                     {"manifest": None, "compare_reference": False}),
@@ -421,7 +384,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command][0](args)
+        flags = _resolve_flags(args)
+        outputs, report = COMMANDS[args.command][0](flags)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            write(out / name)
+        print(report(_write_run_metadata(out, args.command, flags, outputs)))
+        return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -566,7 +566,7 @@ def read_feature_manifest(manifest_path: str | Path
         files = {}
         for e in spec["samples"]:
             if e["id"] in files:
-                raise ContractError(f"{manifest_path}: sample id {e['id']!r} is listed twice")
+                raise ContractError(f"sample id {e['id']!r} is listed twice")
             files[e["id"]] = base / e["feature_file"]
         texts = {parse_emotion(name).name: base / rel
                  for name, rel in spec["text_embeddings"].items()}

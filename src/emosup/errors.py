@@ -139,16 +139,17 @@ def load_json_object(path: str | Path, parse: Callable[[dict], Any],
     replace as the parser closes it. A file that is not UTF-8 JSON, holds no
     object at the top level, or that ``parse`` finds malformed (a KeyError,
     TypeError, AttributeError, ValueError, or the OverflowError of an integer
-    too large for a float) raises ContractError naming the path; a
-    ContractError of ``parse`` passes through unchanged."""
+    too large for a float) raises ContractError naming the path. A
+    ContractError of ``parse`` is raised again with the path before its
+    message, so a parse never names the file itself."""
     with open(path, encoding="utf-8") as f:
         try:
             value = json.load(f, object_hook=object_hook)
-            if not isinstance(value, dict):
-                raise ContractError(f"{path}: expected a JSON object at the top level, "
-                                    f"got {type(value).__name__}")
-            return parse(value)
-        except ContractError:
-            raise
+            if isinstance(value, dict):
+                return parse(value)
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from exc
         except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
             raise ContractError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+    raise ContractError(f"{path}: expected a JSON object at the top level, "
+                        f"got {type(value).__name__}")

@@ -284,8 +284,9 @@ def build_personalized_prompt(ckpt: AlignmentCheckpoint, reference: Sample,
 
 
 def _with_codes(mode: str, x, codes):
-    """``x``, a row or a row stack, as projector input: in single_conditional
-    mode each row gets the one-hot code of its entry of ``codes`` appended."""
+    """``x``, a ``(B, d_e)`` row stack, as projector input: in
+    single_conditional mode each row gets the one-hot code of its entry of
+    ``codes`` appended."""
     if mode == SINGLE_CONDITIONAL:
         x = np.concatenate([x, np.eye(len(EMOTIONS))[codes]], axis=-1)
     return x

@@ -179,10 +179,10 @@ def _demo_pairs(emotions: np.ndarray, rng: np.random.Generator, batch_size: int,
 
 def _generate(params: MlpParams, visual: np.ndarray, targets):
     """The toy generator: ``params``, an MLP from (source visual embedding ++
-    target one-hot) to a generated visual embedding, on one source embedding
-    and target emotion, or a ``(B, d_e)`` stack with a sequence of B target
-    emotions; returns ``mlp_forward``'s output and cache (with a leading run
-    axis if ``params`` has one)."""
+    target one-hot) to a generated visual embedding, on a ``(B, d_e)`` stack
+    of source embeddings with a sequence of B target emotions; returns
+    ``mlp_forward``'s output and cache (with a leading run axis if
+    ``params`` has one)."""
     codes = np.eye(len(EMOTIONS))[np.asarray(targets, dtype=int)]
     return mlp_forward(params, np.concatenate([visual, codes], axis=-1))
 

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import emosup as es
-from emosup.cli import main
+from emosup.cli import COMMANDS, main
 from test_encoders import TRUNCATED  # feature files cut short
 from test_prompts import PROJECTOR_EDITS  # checkpoint edits that keep each network's dims
 
@@ -289,7 +292,7 @@ def test_derive_pools_refuses_a_nan_similarity(tmp_path, capsys):
     out = tmp_path / "pools"
     capsys.readouterr()
     assert run("derive-pools", "--k", 1, "--matrix", matrix, "--out", out) == 2
-    assert capsys.readouterr().err == "error: similarities must be finite\n"
+    assert capsys.readouterr().err == f"error: {matrix}: similarities must be finite\n"
     assert not out.exists()
 
 
@@ -844,7 +847,7 @@ def test_checkpoint_with_wrong_token_count_is_refused(tmp_path, corpus_dir,
     capsys.readouterr()
     assert run(command, "--manifest", corpus_dir / "manifest.json",
                "--checkpoint", edited, "--out", out) == 2
-    assert "error: checkpoint guider head maps 32 -> 32" in capsys.readouterr().err
+    assert f"error: {edited}: checkpoint guider head maps 32 -> 32" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -861,7 +864,8 @@ def test_checkpoint_whose_projector_is_not_the_chain_of_its_dims_is_refused(
     assert run(command, "--manifest", corpus_dir / "manifest.json",
                "--checkpoint", edited, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: checkpoint projector 3 maps 64 -> 64, through widths ")
+    assert err.startswith(f"error: {edited}: checkpoint projector 3 maps 64 -> 64, "
+                          "through widths ")
     assert not out.exists()
 
 
@@ -1150,3 +1154,105 @@ def test_every_required_flag_missing_is_named_at_once(tmp_path, capsys):
     assert run("eval-metrics", "--out", out) == 2
     assert capsys.readouterr().err == "error: --real and --gen are required\n"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the output protocol: main writes what a handler returns, and run.json
+# lists exactly that
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def default_world_runs(tmp_path_factory):
+    """Every command run once on the default world (gen-corpus at its
+    defaults), training short: command -> (its --out, what it printed)."""
+    root = tmp_path_factory.mktemp("default-world")
+    corpus, ckpt = root / "gen-corpus", root / "pretrain"
+    manifest = ["--manifest", corpus / "manifest.json"]
+    frozen = [*manifest, "--checkpoint", ckpt / "checkpoint.json"]
+    argvs = {"gen-corpus": [],
+             "pretrain": [*manifest, "--epochs", 1, "--steps-per-epoch", 2],
+             "pretrain-diff-ablation": [*manifest, "--epochs", 1, "--steps-per-epoch", 2],
+             "analyze-gap": [*manifest, "--compare-reference"],
+             "derive-pools": ["--k", 1],
+             "eval-metrics": ["--real", corpus / "features.json",
+                              "--gen", corpus / "features.json"],
+             "supervise-demo": [*frozen, "--steps", 5],
+             "sweep-lambda": [*frozen, "--steps", 5, "--grid", "0,0.4,1"],
+             "export-diffs": frozen}
+    runs = {}
+    for command, argv in argvs.items():  # in order: the corpus, then a checkpoint
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run(command, *argv, "--out", root / command) == 0
+        runs[command] = root / command, printed.getvalue()
+    return runs
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_run_json_lists_exactly_the_files_written(default_world_runs, command):
+    out, _ = default_world_runs[command]
+    outputs = json.loads((out / "run.json").read_text())["outputs"]
+    # gen-corpus's features/ is a directory: its files are not listed
+    assert set(outputs) == {p.name for p in out.iterdir() if p.is_file()} - {"run.json"}
+    for name, digest in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_a_handler_that_raises_after_computing_leaves_no_out(tmp_path, monkeypatch,
+                                                             capsys):
+    handler, help_, flags = COMMANDS["derive-pools"]
+
+    def refuses_after_computing(resolved):
+        outputs, _ = handler(resolved)
+        raise es.ContractError(f"refused after computing {', '.join(outputs)}")
+
+    monkeypatch.setitem(COMMANDS, "derive-pools", (refuses_after_computing, help_, flags))
+    out = tmp_path / "pools"
+    capsys.readouterr()
+    assert run("derive-pools", "--k", 1, "--out", out) == 2
+    assert capsys.readouterr() == ("", "error: refused after computing pools.json\n")
+    assert not out.exists()
+
+
+# what each command prints on the default world: the exact text where no
+# float is printed, else the shape of each line
+LOSS, ACCURACY = r"\d+\.\d{4}", r"\d\.\d{3}"
+# perfbench/workloads.py parses these two lines, and checks the hash
+PRETRAIN_STDOUT = (rf"epoch mean loss: first={LOSS} final={LOSS}; "
+                   rf"val retrieval accuracy={ACCURACY}\n"
+                   r"checkpoint hash: (?P<hash>[0-9a-f]{64})\n")
+GAP_FIELD = r"   [ -]\d\.\d{3}"  # " {:>8.3f}" of a value in (-10, 10)
+STDOUT_ON_DEFAULT_WORLD = {
+    "gen-corpus": re.escape("wrote 84 samples (76 train / 8 val) for 4 identities\n"),
+    "pretrain": PRETRAIN_STDOUT,
+    "pretrain-diff-ablation": PRETRAIN_STDOUT,
+    "analyze-gap": re.escape("emotion     s_image  s_match      gap  ref_gap    delta\n")
+    + "".join(re.escape(f"{name:<10}") + GAP_FIELD * 5 + "\n"
+              for name in [*(e.name for e in es.EMOTIONS), "average"]),
+    "derive-pools": re.escape("note: derived pools differ from the published reference "
+                              "for: neutral, surprised\n"),
+    # the digits are not pinned: a set scored against itself prints a fad of
+    # rounding noise, whose sign may differ with numpy and BLAS
+    "eval-metrics": r"fad=-?\d+\.\d{6} lse_d=\d+\.\d{6} csim=-?\d+\.\d{6}\n",
+    "supervise-demo": rf"lambda=0: accuracy={ACCURACY}; lambda=0\.4: accuracy={ACCURACY}\n",
+    "sweep-lambda": "".join(rf"lambda={lam}: base_loss={LOSS} l2={LOSS} accuracy={ACCURACY}\n"
+                            for lam in (r"0\.0", r"0\.4", r"1\.0")),
+    "export-diffs": re.escape("exported 504 difference rows\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_stdout_on_the_default_world(default_world_runs, command):
+    out, printed = default_world_runs[command]
+    match = re.fullmatch(STDOUT_ON_DEFAULT_WORLD[command], printed)
+    assert match, printed
+    if "hash" in match.groupdict():
+        outputs = json.loads((out / "run.json").read_text())["outputs"]
+        assert match["hash"] == outputs["checkpoint.json"]
+
+
+def test_derive_pools_at_k0_names_the_pools_that_differ(tmp_path, capsys):
+    capsys.readouterr()
+    assert run("derive-pools", "--k", 0, "--out", tmp_path / "pools") == 0
+    assert capsys.readouterr().out == ("note: derived pools differ from the published "
+                                       "reference for: angry, disgusted, fear, happy, sad\n")
