@@ -45,11 +45,24 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
+HASH_BLOCK = 1 << 16  # bytes read at a time when an output is hashed
+
+
+def _file_sha256(path: Path) -> str:
+    # read in blocks, so a 3 MB checkpoint is never held whole; hashlib's
+    # file_digest does the same but needs Python 3.11
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _write_run_metadata(out: Path, command: str, flags: dict,
                         names) -> dict[str, str]:
     """Write run.json; returns the sha256 of each named output file in
     ``out``, by name."""
-    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    hashes = {name: _file_sha256(out / name) for name in names}
     write_json(out / "run.json", {"command": command, "flags": flags, "outputs": hashes})
     return hashes
 

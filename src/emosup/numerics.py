@@ -3,11 +3,12 @@
 with analytic gradients, SGD updates, and the PSD square-root trace term
 used by Frechet-style distances.
 
-Everything here operates on float64 numpy arrays and, apart from the
-in-place ``sgd_step``, is a pure function of its inputs. Vectors are 1-D
-arrays, matrices 2-D row-major arrays. ``cosine_grads`` and the losses
-take row-stacked ``(B, d)`` batches only: one pair is a one-row stack,
-``x[None]``, and its results are row 0. The MLP passes take a ``(B, d)``
+Everything here operates on float64 numpy arrays and, apart from
+``sgd_step``, which updates its parameters in place and overwrites its
+gradient with the applied step, is a pure function of its inputs.
+Vectors are 1-D arrays, matrices 2-D row-major arrays. ``cosine_grads``
+and the losses take row-stacked ``(B, d)`` batches only: one pair is a
+one-row stack, ``x[None]``, and its results are row 0. The MLP passes take a ``(B, d)``
 batch or one 1-D input, which comes back 1-D. An MLP's parameters are
 views of one flat vector, so its gradient (``mlp_backward``, summed over
 the rows) is one array in the same layout and an SGD step is one in-place
@@ -345,17 +346,30 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
     vector (``MlpParams.vector`` or a checkpoint's) and a gradient in its
     layout.
 
-    lr must be finite and may be 0, in which case the parameters stay
-    unchanged. A write-protected (frozen) vector raises ``ValueError``.
+    The update allocates nothing: ``grad *= lr; theta -= grad``, the same
+    two roundings as ``theta -= lr * grad``. So ``grad`` is overwritten
+    with the applied step ``lr * grad``; a caller that needs the gradient
+    afterwards passes a copy. lr must be finite and may be 0, in which case
+    the parameters stay unchanged.
+
+    A refused step writes neither array. ``ContractError`` refuses a bad
+    lr, a ``theta`` or ``grad`` that is not a writable float64 array (a
+    frozen vector is write-protected) and a gradient of another shape;
+    ``NumericalError`` a gradient with a non-finite entry.
     """
     if not (np.isfinite(lr) and lr >= 0):
         raise ContractError(f"lr must be finite and >= 0, got {lr}")
+    for name, array in (("parameters", theta), ("gradient", grad)):
+        if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+                and array.flags.writeable):
+            raise ContractError(f"the {name} must be a writable float64 array")
     if grad.shape != theta.shape:
         raise ContractError(f"gradient shape {grad.shape} does not match the "
                             f"parameters' {theta.shape}")
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient, aborting SGD step")
-    theta -= lr * grad
+    grad *= lr
+    theta -= grad
 
 
 def _clamped_sqrt_eigvals(m: np.ndarray, context: str) -> np.ndarray:

@@ -71,8 +71,8 @@ class AlignmentCheckpoint:
     ``vector=ckpt.vector.copy()`` for one of its own) and leaves the
     original as it was. ``==`` is identity. Once frozen
     the vector and every view of it are write-protected: the step functions
-    still compute gradients on it, but ``sgd_step`` raises numpy's
-    ValueError.
+    still compute gradients on it, but ``sgd_step`` refuses it with
+    ``ContractError``.
     """
 
     d_e: int
@@ -623,11 +623,13 @@ def _project_rows(ckpt: AlignmentCheckpoint, visual: np.ndarray, codes: np.ndarr
 
 def _step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch | PairBatch,
                 suite: EncoderSuite, table: _FrozenTable, rows: np.ndarray,
-                codes: np.ndarray, prompt_codes: tuple[np.ndarray, np.ndarray], loss
-                ) -> tuple[float, np.ndarray]:
+                codes: np.ndarray, prompt_codes: tuple[np.ndarray, np.ndarray], loss,
+                out: np.ndarray | None) -> tuple[float, np.ndarray]:
     """The one body of both pre-training steps: the mean loss over the batch's
     n entries plus its gradient for head and bank, one vector in the layout
-    of ``ckpt.vector``.
+    of ``ckpt.vector``, written into ``out`` when given (a C-contiguous
+    float64 vector of that shape, which a training run reuses every step)
+    and into a new vector otherwise.
 
     One guider-head pass over the entries' references embeds two prompt
     stacks, ``t_1`` and ``t_2``, of the emotion codes ``prompt_codes``
@@ -639,8 +641,16 @@ def _step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch | PairBatch,
     ``_check_batch`` before it gathers ``codes``.
     """
     scale = 1.0 / len(batch.reference)
-    # the head block is assigned and the bank pass writes the rest
-    grad = np.empty_like(ckpt.vector)
+    # the head block is assigned and the bank pass writes the rest, so
+    # whatever ``out`` held before is overwritten
+    if out is None:
+        grad = np.empty_like(ckpt.vector)
+    elif (out.shape == ckpt.vector.shape and out.dtype == np.float64
+          and out.flags.c_contiguous and out.flags.writeable):
+        grad = out
+    else:
+        raise ContractError(f"out must be a writable C-contiguous float64 vector of "
+                            f"shape {ckpt.vector.shape}")
     embed, head_backward = _personalized_rows(ckpt, table.identity[batch.reference],
                                               table, suite)
     (t_1, stack_1), (t_2, stack_2) = map(embed, prompt_codes)
@@ -654,12 +664,12 @@ def _step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch | PairBatch,
 
 
 def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
-                           suite: EncoderSuite, table: _FrozenTable
-                           ) -> tuple[float, np.ndarray]:
+                           suite: EncoderSuite, table: _FrozenTable,
+                           out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean contrastive loss over a batch plus its gradient for head and
-    bank, one vector in the layout of ``ckpt.vector``: ``_step_grads`` with
-    the positive and negative prompts and each anchor through its own
-    emotion's projector.
+    bank, one vector in the layout of ``ckpt.vector`` (``out``, when given):
+    ``_step_grads`` with the positive and negative prompts and each anchor
+    through its own emotion's projector.
 
     ``table`` holds the frozen-encoder outputs of the train split the batch
     indexes (``_frozen_table``). An empty batch is refused.
@@ -667,14 +677,14 @@ def contrastive_step_grads(ckpt: AlignmentCheckpoint, batch: ContrastiveBatch,
     _check_batch("contrastive_step_grads", batch, table)
     codes = table.emotion[batch.anchor]
     return _step_grads(ckpt, batch, suite, table, batch.anchor, codes,
-                       (codes, batch.negative), contrastive_loss_with_grads)
+                       (codes, batch.negative), contrastive_loss_with_grads, out)
 
 
 def difference_step_grads(ckpt: AlignmentCheckpoint, batch: PairBatch,
-                          suite: EncoderSuite, table: _FrozenTable
-                          ) -> tuple[float, np.ndarray]:
+                          suite: EncoderSuite, table: _FrozenTable,
+                          out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean difference-alignment loss over sampled pairs plus its gradient,
-    laid out and with a ``table`` as in ``contrastive_step_grads``:
+    laid out, with a ``table`` and ``out`` as in ``contrastive_step_grads``:
     ``_step_grads`` with the source and target prompts, and the sources
     (the first n projected rows) and targets (the last n) each through its
     own emotion's projector.
@@ -697,7 +707,8 @@ def difference_step_grads(ckpt: AlignmentCheckpoint, batch: PairBatch,
         # scaling commutes exactly with negation and concatenation
         return losses, d_tdiff, -d_tdiff, np.concatenate([d_idiff, -d_idiff])
 
-    return _step_grads(ckpt, batch, suite, table, rows, codes, (codes[:n], codes[n:]), loss)
+    return _step_grads(ckpt, batch, suite, table, rows, codes, (codes[:n], codes[n:]), loss,
+                       out)
 
 
 def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
@@ -706,7 +717,10 @@ def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
     config.validate()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     ckpt = _fresh_checkpoint(suite, config, rng)
-    velocity = np.zeros_like(ckpt.vector)
+    # one step buffer per run: each step writes its gradient into it, and
+    # sgd_step scales it in place into the applied step
+    buffer = np.empty_like(ckpt.vector)
+    velocity = np.zeros_like(ckpt.vector) if config.momentum else None
     # the samplers draw anchors, pairs and neutral references from train
     # only, as positions in it
     table = _frozen_table(manifest.in_split(TRAIN), suite)
@@ -716,16 +730,17 @@ def _run_training(manifest: CorpusManifest, pools: NegativePoolTable,
         for step in range(config.steps_per_epoch):
             if objective == "contrastive":
                 batch = sample_contrastive_batch(manifest, pools, config.batch_size, rng)
-                loss, grad = contrastive_step_grads(ckpt, batch, suite, table)
+                loss, grad = contrastive_step_grads(ckpt, batch, suite, table, out=buffer)
             else:
                 batch = sample_pair_batch(manifest, pools, config.batch_size, rng)
-                loss, grad = difference_step_grads(ckpt, batch, suite, table)
+                loss, grad = difference_step_grads(ckpt, batch, suite, table, out=buffer)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
-            if config.momentum:
+            if velocity is not None:
                 velocity *= config.momentum
                 velocity += grad
-                grad = velocity
+                # sgd_step overwrites its gradient, and the velocity carries on
+                np.copyto(grad, velocity)
             sgd_step(ckpt.vector, grad, lr)
             records.append((epoch, step, float(loss), lr))
     curve = LossCurve(records)

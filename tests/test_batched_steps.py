@@ -288,6 +288,31 @@ def test_steps_refuse_an_empty_batch_and_another_splits_batch(default_manifest,
                  default_table)
 
 
+def test_steps_write_their_gradient_into_out_and_refuse_a_bad_one(default_manifest,
+                                                                  default_suite,
+                                                                  default_table,
+                                                                  reference_pools):
+    ckpt, _ = step_setup(default_suite, pr.MULTI, 1, 0, None)
+    size = ckpt.vector.size
+    read_only = np.empty(size)
+    read_only.flags.writeable = False
+    # a non-contiguous vector would get the bank's block as a reshaped copy
+    bad_outs = [np.empty(size + 1), np.empty(2 * size)[::2],
+                np.empty(size, dtype=np.float32), read_only]
+    for sampler, step in ((es.sample_contrastive_batch, pr.contrastive_step_grads),
+                          (es.sample_pair_batch, pr.difference_step_grads)):
+        batch = sampler(default_manifest, reference_pools, 8, np.random.default_rng(3))
+        loss, grad = step(ckpt, batch, default_suite, default_table)
+        # a reused buffer: whatever it held before is overwritten
+        out = np.full(size, np.nan)
+        out_loss, written = step(ckpt, batch, default_suite, default_table, out=out)
+        assert written is out and out_loss == loss
+        assert np.array_equal(out, grad)
+        for bad in bad_outs:
+            with pytest.raises(es.ContractError, match="out must be"):
+                step(ckpt, batch, default_suite, default_table, out=bad)
+
+
 def test_frozen_table_rows_are_each_samples_encodings(default_manifest, default_suite,
                                                       default_table):
     # row n of each array belongs to train position n; only the train

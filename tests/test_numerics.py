@@ -428,14 +428,59 @@ def test_sgd_two_steps_equal_summed_update(rng):
     # algebraic oracle: p - lr g1 - lr g2 == p - lr (g1 + g2)
     p = init_mlp([4, 3], rng)
     g1, g2 = rng.standard_normal((2, p.vector.size))
+    summed = g1 + g2  # sgd_step overwrites each gradient with its step
     lr = 0.05
     one = network(p)
     sgd_step(p.vector, g1, lr)
     sgd_step(p.vector, g2, lr)
-    sgd_step(one.vector, g1 + g2, lr)
+    sgd_step(one.vector, summed, lr)
     for a, b in zip(p.layers, one.layers):
         assert np.allclose(a.weights, b.weights, atol=1e-14)
         assert np.allclose(a.bias, b.bias, atol=1e-14)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 64),
+       lr=st.sampled_from([0.0, 1e-300, 1e-3, 0.05, 0.1, 1.0, 3.7, 1e300]))
+@example(seed=0, size=5, lr=0.0)
+def test_sgd_step_is_the_out_of_place_update_bit_for_bit(seed, size, lr):
+    # oracle: theta - lr * grad, computed out of place; the step it applied
+    # is left in grad
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    grad = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    want_theta, want_grad = theta - lr * grad, lr * grad
+    sgd_step(theta, grad, lr)
+    assert np.array_equal(theta, want_theta)
+    assert np.array_equal(grad, want_grad)
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+# each refused step: the (theta, grad, lr) it gets, and what it raises
+SGD_REFUSALS = {
+    "nan lr": (np.ones(3), np.ones(3), np.nan, ContractError),
+    "negative lr": (np.ones(3), np.ones(3), -0.1, ContractError),
+    "mismatched shape": (np.ones(3), np.ones(4), 0.1, ContractError),
+    "non-finite gradient": (np.ones(3), np.array([1.0, np.inf, 2.0]), 0.1, NumericalError),
+    "read-only theta": (_read_only(np.ones(3)), np.ones(3), 0.1, ContractError),
+    "integer gradient": (np.ones(3), np.array([1, 2, 3]), 0.1, ContractError),
+    "float32 gradient": (np.ones(3), np.ones(3, dtype=np.float32), 0.1, ContractError),
+    "read-only gradient": (np.ones(3), _read_only(np.ones(3)), 0.1, ContractError),
+    "list gradient": (np.ones(3), [1.0, 2.0, 3.0], 0.1, ContractError),
+}
+
+
+@pytest.mark.parametrize("case", SGD_REFUSALS)
+def test_a_refused_sgd_step_writes_neither_array(case):
+    theta, grad, lr, error = SGD_REFUSALS[case]
+    theta_before, grad_before = np.copy(theta), np.copy(grad)
+    with pytest.raises(error):
+        sgd_step(theta, grad, lr)
+    assert np.array_equal(theta, theta_before)
+    assert np.array_equal(grad, grad_before, equal_nan=True)
 
 
 def test_sgd_nonfinite_gradient_aborts(rng):

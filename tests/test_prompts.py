@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import emosup as es
+import emosup.cli as cli
 import emosup.prompts as pr
 from emosup.corpus import TRAIN, VAL
 from emosup.encoders import position_weight
@@ -309,8 +310,8 @@ def test_momentum_matches_hand_written_loop(default_manifest, default_suite,
             velocity = cfg.momentum * velocity + grad
             ref.vector -= cfg.learning_rate_at(epoch) * velocity
             losses.append(loss)
-    np.testing.assert_allclose(ckpt.vector, ref.vector, rtol=1e-12)
-    np.testing.assert_allclose([r[2] for r in curve.records], losses, rtol=1e-12)
+    assert np.array_equal(ckpt.vector, ref.vector)
+    assert np.array_equal([r[2] for r in curve.records], losses)
     plain, _ = es.pretrain_alignment(default_manifest, reference_pools, default_suite,
                                      es.TrainConfig(**{**cfg.to_dict(), "momentum": 0.0}))
     assert not np.allclose(plain.vector, ckpt.vector, rtol=1e-6)
@@ -646,6 +647,31 @@ def test_from_json_dict_holds_the_vector_and_one_network_more(default_suite, tmp
     # network more; a copy of every network before the vector would read
     # about 1.45 MB
     assert traced_peak(lambda: es.AlignmentCheckpoint.from_json_dict(parsed)) < 1.1e6
+
+
+@pytest.mark.parametrize("steps", [2, 8])
+@pytest.mark.parametrize("train", [es.pretrain_alignment,
+                                   es.pretrain_with_difference_objective])
+def test_pretraining_allocates_no_checkpoint_sized_array_per_step(
+        train, steps, default_manifest, reference_pools, default_suite):
+    # the vector, the run's one step buffer and the frozen table read about
+    # 2.1-2.5 MB; a new gradient and an lr * grad temporary each step would
+    # read about 3.5-3.9 MB
+    vector_bytes = fresh_checkpoint(default_suite).vector.nbytes
+    cfg = es.TrainConfig(seed=1, epochs=1, steps_per_epoch=steps)
+    peak = traced_peak(lambda: train(default_manifest, reference_pools, default_suite, cfg))
+    assert peak < 4 * vector_bytes
+
+
+def test_run_metadata_hashes_a_checkpoint_without_holding_it(trained_checkpoint, tmp_path):
+    # the checkpoint text is about 3 MB; it is hashed in 64 KiB blocks
+    trained_checkpoint[0].save(tmp_path / "checkpoint.json")
+    hashes = {}
+    assert traced_peak(lambda: hashes.update(cli._write_run_metadata(
+        tmp_path, "pretrain", {}, ["checkpoint.json"]))) < 0.5e6
+    data = (tmp_path / "checkpoint.json").read_bytes()
+    assert len(data) > 2.5e6
+    assert hashes == {"checkpoint.json": hashlib.sha256(data).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
