@@ -18,6 +18,8 @@ class EmotionLabel(IntEnum):
 
 
 EMOTIONS: tuple[EmotionLabel, ...] = tuple(EmotionLabel)
+# canonical name -> label, the one table that names are read from
+EMOTION_BY_NAME: dict[str, EmotionLabel] = {e.name: e for e in EMOTIONS}
 
 PROMPT_TEMPLATE = "a photo of a {} face"
 EMOTION_WORD_POSITION = 4  # index of the emotion word in the template's word list
@@ -29,8 +31,10 @@ def prompt_for(emotion: EmotionLabel) -> str:
 
 
 def parse_emotion(name: str) -> EmotionLabel:
+    """The label of a canonical emotion name. Any other value raises
+    ValueError, an unhashable one TypeError."""
     try:
-        return EmotionLabel[name]
+        return EMOTION_BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown emotion {name!r}; expected one of "
                          f"{[e.name for e in EMOTIONS]}") from None

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import numbers
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -20,11 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .emotions import (EMOTION_WORD_POSITION, EMOTIONS, EmotionLabel,
+from .emotions import (EMOTION_BY_NAME, EMOTION_WORD_POSITION, EMOTIONS, EmotionLabel,
                        parse_emotion, prompt_for)
 from .errors import ContractError, GenerationError, load_json_object
 
 FEATURE_MAGIC = b"PCMF"
+# bytes per os.read of a feature file; a default-dim file is 264 bytes
+_READ_SIZE = 1 << 16
 # refs per seed_state_words pass in SyntheticWorld.visual_embeddings, and per
 # batched encode in gen-corpus: large enough that the pass's fixed cost is
 # small per ref, small enough that the temporaries stay bounded
@@ -126,7 +130,9 @@ def _token_upstream(stack: np.ndarray, index: int, upstream, d_e: int
 
 def _hash_seed(*parts: object) -> bytes:
     """The first 8 bytes of the sha256 of ``parts`` joined by ':', read as a
-    little-endian uint64 seed by ``_hash_generator`` and the batched noise."""
+    little-endian uint64 seed by ``_hash_generator``. The batched noise of
+    ``SyntheticWorld.visual_embeddings`` hashes the same bytes as
+    ``_hash_seed(seed, "noise", ref)``, from a prefix built once per call."""
     return hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()[:8]
 
 
@@ -358,13 +364,16 @@ class SyntheticWorld:
 
         Every ref passes the same canonical check. ``clean_visual`` runs once
         per run of refs with one (identity, emotion), so once per distinct
-        pair when refs come grouped, as both CLI callers pass them. The noise
-        seeds of each block of ``NOISE_BLOCK`` refs go through one
-        ``seed_state_words`` pass instead of a ``SeedSequence`` each. Each
-        row is written in place as ``sigma * z + clean``, the same two
-        rounded operations as ``clean + sigma * z``."""
+        pair when refs come grouped, as both CLI callers pass them. Each ref's
+        noise seed is the sha256 of a per-call prefix and the ref, the bytes
+        ``_hash_seed(seed, "noise", ref)`` hashes, and the seeds of each
+        block of ``NOISE_BLOCK`` refs go through one ``seed_state_words``
+        pass instead of a ``SeedSequence`` each. Each row is written in place
+        as ``sigma * z + clean``, the same two rounded operations as
+        ``clean + sigma * z``."""
         sigma = self.config.noise_sigma
         out = np.empty((len(refs), self.config.d_e))
+        prefix = f"{self.seed}:noise:".encode()
         last = clean = None
         for start in range(0, len(refs), NOISE_BLOCK):
             block = refs[start:start + NOISE_BLOCK]
@@ -373,20 +382,22 @@ class SyntheticWorld:
             if sigma == 0:
                 rows.fill(0.0)
             else:
-                seeds = np.frombuffer(b"".join(_hash_seed(self.seed, "noise", ref)
+                seeds = np.frombuffer(b"".join(hashlib.sha256(prefix + ref.encode()).digest()[:8]
                                                for ref in block), dtype="<u8")
                 fixed_seed = _fixed_seed_type()
                 for row, words in zip(rows, seed_state_words(seeds)):
                     np.random.Generator(np.random.PCG64(fixed_seed(words))
                                         ).standard_normal(out=row)
                 rows *= sigma
-            # row by row, keeping only the last pair's clean row: a table of
-            # every distinct one, or a (block, d_e) stack of them, raised the
-            # peak RSS of analyze-gap
-            for row, key in zip(rows, keys):
+            # in place over each run's slice, keeping only the last pair's
+            # clean row: a table of every distinct one, or a (block, d_e)
+            # stack of them, raised the peak RSS of analyze-gap
+            stop = 0
+            for key, run in itertools.groupby(keys):
+                begin, stop = stop, stop + sum(1 for _ in run)
                 if key != last:
                     last, clean = key, self.clean_visual(*key)
-                row += clean
+                rows[begin:stop] += clean
         return out
 
     def _parse_ref(self, ref: str) -> tuple[str, EmotionLabel]:
@@ -394,16 +405,17 @@ class SyntheticWorld:
         spelling ``image_ref`` gives, with a replicate >= 0, is accepted: the
         noise is hashed from the ref string, so any other spelling of one
         image would get an embedding of its own. A ref that is no string is
-        refused the same way."""
+        refused the same way, and so is a replicate too long for ``int``
+        (which ``image_ref`` could not spell either)."""
         parts = ref.split(":") if isinstance(ref, str) else ()
-        if len(parts) == 4 and parts[0] == "img" and parts[3].isdecimal():
+        if len(parts) == 4 and parts[0] == "img":
+            emotion, replicate = EMOTION_BY_NAME.get(parts[2]), parts[3]
             try:
-                identity, emotion = parts[1], EmotionLabel[parts[2]]
-            except KeyError:  # an unknown emotion name is a bad ref like any other
+                if (emotion is not None and replicate.isdecimal()
+                        and str(int(replicate)) == replicate):
+                    return parts[1], emotion
+            except ValueError:  # more digits than int() converts
                 pass
-            else:
-                if self.image_ref(identity, emotion, int(parts[3])) == ref:
-                    return identity, emotion
         raise KeyError(f"unknown image ref {ref!r}")
 
 
@@ -534,9 +546,18 @@ def write_feature_file(path: str | Path, vector: np.ndarray) -> None:
 def read_feature_file(path: str | Path) -> np.ndarray:
     """The float64 vector of a ``write_feature_file`` file. A file shorter
     than its 8-byte header, or whose payload is no whole number of float32
-    entries or not the header's dim of them, raises ContractError."""
-    with open(path, "rb") as f:  # pathlib's read_bytes costs about 5 us more a file
-        raw = f.read()
+    entries or not the header's dim of them, raises ContractError. The file
+    is read through its raw descriptor; an OSError names the path."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except OSError as exc:  # os.read's error names no file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    raw = b"".join(chunks)
     if raw[:4] != FEATURE_MAGIC:
         raise ContractError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 8:
@@ -559,16 +580,15 @@ def read_feature_manifest(manifest_path: str | Path
     "emotion", "feature_file"}], "text_embeddings": {emotion: path}}``, with
     file paths relative to the manifest. The whole spec is parsed, and a
     sample id listed twice refused, before any feature file is read."""
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
+    base = os.path.dirname(os.fspath(manifest_path))
 
     def parse(spec):
         files = {}
         for e in spec["samples"]:
             if e["id"] in files:
                 raise ContractError(f"sample id {e['id']!r} is listed twice")
-            files[e["id"]] = base / e["feature_file"]
-        texts = {parse_emotion(name).name: base / rel
+            files[e["id"]] = os.path.join(base, e["feature_file"])
+        texts = {parse_emotion(name).name: os.path.join(base, rel)
                  for name, rel in spec["text_embeddings"].items()}
         return int(spec["dim"]), files, texts
 

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 import emosup as es
 from emosup.cli import COMMANDS, main
-from test_encoders import TRUNCATED  # feature files cut short
+from test_encoders import OVERLONG_REF, TRUNCATED  # a bad ref, feature files cut short
 from test_prompts import PROJECTOR_EDITS  # checkpoint edits that keep each network's dims
 
 
@@ -796,6 +796,36 @@ def test_eval_metrics_refuses_a_truncated_feature_file(tmp_path, corpus_dir, cap
     assert run("eval-metrics", "--real", corpus_dir / "features.json",
                "--gen", corpus / "features.json", "--out", out) == 2
     assert capsys.readouterr().err == f"error: {cut}: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_metrics_refuses_a_feature_file_that_is_a_directory(tmp_path, corpus_dir,
+                                                                  capsys):
+    corpus = tmp_path / "corpus"
+    assert run("gen-corpus", "--identities", 2, "--per-emotion", 1, "--out", corpus) == 0
+    spec = json.loads((corpus / "features.json").read_text())
+    folder = corpus / "folder.f32"
+    folder.mkdir()
+    spec["samples"][0]["feature_file"] = folder.name
+    (corpus / "folder.json").write_text(json.dumps(spec))
+    out = tmp_path / "metrics"
+    capsys.readouterr()
+    assert run("eval-metrics", "--real", corpus_dir / "features.json",
+               "--gen", corpus / "folder.json", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err
+    assert not out.exists()
+
+
+def test_analyze_gap_refuses_an_overlong_replicate_by_name(tmp_path, corpus_dir, capsys):
+    spec = json.loads((corpus_dir / "manifest.json").read_text())
+    spec["samples"][3]["image_ref"] = OVERLONG_REF
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "gap"
+    capsys.readouterr()
+    assert run("analyze-gap", "--manifest", bad, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: unknown image ref {OVERLONG_REF!r}\n"
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emosup as es
-from emosup.emotions import EMOTION_WORD_POSITION
+from emosup.emotions import EMOTION_WORD_POSITION, parse_emotion
 from emosup.encoders import NOISE_BLOCK, position_weight, seed_state_words
 from emosup.errors import ContractError
 
@@ -172,18 +172,38 @@ def test_same_identity_emotion_encode_identically_at_zero_noise(noise_free_world
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("encoder", ["visual_encode", "backbone_identity"])
-@pytest.mark.parametrize("ref", ["img:id000:happy:01", "img:id000:happy: 1",
-                                 "img:id000:happy:-1", "img:id000:happy:+1",
-                                 "img:id000:happy:x"])
-def test_a_non_canonical_image_ref_is_refused(default_suite, encoder, ref):
+# a replicate of more digits than int() converts by default (4300), which
+# image_ref cannot spell either
+OVERLONG_REF = "img:id000:happy:" + "1" * 4301
+# other spellings of img:id000:happy:1, or no ref at all: a leading zero, a
+# space, a sign, no digit, non-ASCII digits (Arabic-Indic, fullwidth), a
+# capitalized emotion, no replicate, a fifth field, and an overlong replicate
+NON_CANONICAL_REFS = ["img:id000:happy:01", "img:id000:happy: 1", "img:id000:happy:-1",
+                      "img:id000:happy:+1", "img:id000:happy:x", "img:id000:happy:\u0663",
+                      "img:id000:happy:\uff11", "img:id000:Happy:1", "img:id000:happy:",
+                      "img:id000:happy:1:0", pytest.param(OVERLONG_REF, id="overlong")]
+
+
+@pytest.mark.parametrize("encoder", ["visual_embedding", "visual_encode",
+                                     "backbone_identity"])
+@pytest.mark.parametrize("ref", NON_CANONICAL_REFS)
+def test_a_non_canonical_image_ref_is_refused(default_world, default_suite, encoder, ref):
     # the noise is hashed from the ref string, so another spelling of
     # img:id000:happy:1 would be a second embedding of the same image
-    encode = {"visual_encode": lambda ref: default_suite.visual_encode((ref,)),
+    encode = {"visual_embedding": default_world.visual_embedding,
+              "visual_encode": lambda ref: default_suite.visual_encode((ref,)),
               "backbone_identity": default_suite.backbone_identity}[encoder]
     encode("img:id000:happy:1")
     with pytest.raises(KeyError, match=re.escape(f"unknown image ref {ref!r}")):
         encode(ref)
+
+
+@pytest.mark.parametrize("name, error", [("Happy", ValueError), ("HAPPY", ValueError),
+                                         (4, ValueError), (["happy"], TypeError)])
+def test_parse_emotion_refuses_anything_but_a_canonical_name(name, error):
+    assert all(parse_emotion(e.name) is e for e in es.EMOTIONS)
+    with pytest.raises(error):
+        parse_emotion(name)
 
 
 def test_identity_index_is_the_position_in_the_name_list():
@@ -266,6 +286,30 @@ def test_batched_visual_encode_equals_the_per_ref_calls(noise):
                       per_ref_stack(world.visual_embedding, refs[:5]))
 
 
+@pytest.mark.parametrize("noise", [0.05, 0.0])
+def test_runs_of_one_pair_across_blocks_equal_the_per_ref_calls(noise):
+    world = es.build_synthetic_world(4, es.WorldConfig(noise_sigma=noise))
+    sad, fear = es.EmotionLabel.sad, es.EmotionLabel.fear
+
+    def refs_of(identity, emotion, replicates):
+        return [world.image_ref(identity, emotion, j) for j in replicates]
+
+    # a run of one pair across the first block boundary, two pairs that
+    # alternate ref by ref, a run across the second boundary, then single
+    # refs of pairs seen before
+    refs = (refs_of("id000", sad, range(NOISE_BLOCK + 5))
+            + [ref for j in range(100)
+               for ref in refs_of("id001", sad, [j]) + refs_of("id002", fear, [j])]
+            + refs_of("id003", fear, range(80))
+            + refs_of("id000", sad, [1000]) + refs_of("id003", fear, [1000]))
+    assert len(refs) > 2 * NOISE_BLOCK
+    keys = [world._parse_ref(ref) for ref in refs]
+    for boundary in (NOISE_BLOCK, 2 * NOISE_BLOCK):
+        assert keys[boundary - 1] == keys[boundary]
+    assert_same_bytes(world.visual_embeddings(tuple(refs)),
+                      per_ref_stack(world.visual_embedding, refs))
+
+
 def test_batched_precomputed_encode_equals_the_per_id_calls(precomputed_suite):
     ids = ("s2", "s0", "s2", "s1")
     assert_same_bytes(precomputed_suite.visual_encode(ids), per_ref_stack(
@@ -277,8 +321,8 @@ def test_batched_visual_encode_of_no_refs_is_an_empty_stack(any_suite):
     assert empty.shape == (0, any_suite.d_e) and empty.dtype == np.float64
 
 
-@pytest.mark.parametrize("bad", ["img:id000:happy:01", "img:id000:happy:x",
-                                 "img:id099:happy:0", "img:id000:bored:0"])
+@pytest.mark.parametrize("bad", NON_CANONICAL_REFS + ["img:id099:happy:0",
+                                                      "img:id000:bored:0"])
 @pytest.mark.parametrize("position", [0, 7, NOISE_BLOCK + 3, -1])
 def test_batched_visual_encode_refuses_a_bad_ref_anywhere(default_world, default_suite,
                                                           bad, position):
@@ -324,6 +368,27 @@ def test_feature_file_roundtrip(tmp_path, rng):
     assert np.array_equal(back, vec)  # float32-exact values survive bitwise
     raw = path.read_bytes()
     assert raw[:4] == b"PCMF" and len(raw) == 8 + 4 * 17
+
+
+def test_a_feature_file_larger_than_one_read_roundtrips(tmp_path, rng):
+    vec = rng.standard_normal(20_000).astype(np.float32)
+    path = tmp_path / "big.f32"
+    es.write_feature_file(path, vec)
+    assert path.stat().st_size > es.encoders._READ_SIZE
+    back = es.read_feature_file(path)
+    assert back.dtype == np.float64
+    assert back.astype(np.float32).tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("make", ["directory", "missing"])
+def test_a_feature_path_that_cannot_be_read_is_refused_by_name(tmp_path, make):
+    path = tmp_path / "x.f32"
+    if make == "directory":
+        path.mkdir()
+    with pytest.raises(OSError) as refused:
+        es.read_feature_file(path)
+    assert refused.value.filename == str(path)
+    assert str(path) in str(refused.value)
 
 
 # a feature file cut inside its header, and one cut inside an entry
